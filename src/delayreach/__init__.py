@@ -13,6 +13,7 @@ from .integrator import (
     DiscreteDelaySystem,
     HistoryFn,
     IntegratorOptions,
+    MaxStepsExceeded,
     SimOutcome,
     SpanTooShort,
     StepSizeCollapse,

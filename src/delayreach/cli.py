@@ -160,7 +160,10 @@ def opts_from_config(cfg: dict, base: IntegratorOptions) -> IntegratorOptions:
         if k not in fields:
             raise ConfigInvalid(f"integrator.{k}: unknown option")
         fields[k] = v
-    return IntegratorOptions(**fields)
+    try:
+        return IntegratorOptions(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"integrator: {exc}") from None
 
 
 def signal_from_config(obj) -> Signal:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .signals import Constant, Signal
+from .signals import Signal
 
 
 class BadHistoryDomain(ValueError):
@@ -36,22 +37,27 @@ class StepSizeCollapse(RuntimeError):
     """Error test kept failing below h_min while the state was not growing."""
 
 
+class MaxStepsExceeded(RuntimeError):
+    """More step attempts than IntegratorOptions.max_steps."""
+
+
 # Dormand-Prince 5(4) tableau (FSAL; the 5th-order solution is propagated).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Row i of the lower-triangular _A combines stages 0..i-1 into the argument
+# of stage i; row 6 equals the 5th-order weights, so the last stage is
+# evaluated at the new solution.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.zeros((7, 7))
+_A[1, :1] = [1 / 5]
+_A[2, :2] = [3 / 40, 9 / 40]
+_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_A_ROWS = tuple(_A[i, :i] for i in range(7))
 _BSTAR = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_E = _B - _BSTAR
+_E = _A[6] - _BSTAR
 
 # Coefficients of the 4th-order continuous extension: the dense-output
 # polynomial is y(t0 + theta*h) = y0 + h * (K^T P) @ [theta, ..., theta^4],
@@ -77,6 +83,8 @@ _GL_W = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
 
 @dataclass(frozen=True)
 class IntegratorOptions:
+    """Step-control settings, checked on construction (TypeError/ValueError)."""
+
     rel_tol: float = 1e-8
     abs_tol: float = 1e-9
     h_min: float = 1e-12
@@ -87,6 +95,22 @@ class IntegratorOptions:
     #: force step boundaries at k*tau_1 for k up to this count; beyond that
     #: the solution is smooth enough for the 5th-order pair
     delay_multiples: int = 8
+
+    def __post_init__(self):
+        positive = ["rel_tol", "abs_tol", "h_min", "escape_threshold"]
+        positive += [n for n in ("h_max", "first_step") if getattr(self, n) is not None]
+        for name in positive:
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise TypeError(f"{name} must be a real number, got {v!r}")
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        for name, lo in (("max_steps", 1), ("delay_multiples", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise TypeError(f"{name} must be an integer, got {v!r}")
+            if v < lo:
+                raise ValueError(f"{name} must be at least {lo}, got {v!r}")
 
 
 def _hermite_sup(y0, y1, f0, f1, h) -> float:
@@ -143,19 +167,43 @@ def _quartic_sup(y0, q) -> float:
 class Trajectory:
     """Dense-output solution: one 4th-order polynomial per accepted step.
 
-    Nodes carry the state plus one-sided derivatives; segment polynomials
-    come from the stage derivatives of the step that produced them, so a
-    segment ending at an input discontinuity interpolates with the correct
-    left limit.
+    `ts` and `ys` hold the nodes and `qs` the (n_seg, 4, dim) segment
+    coefficients. A segment's polynomial comes from the stage derivatives
+    of the step that produced it, so a segment ending at an input
+    discontinuity interpolates with the correct left limit. While a Stepper
+    extends the trajectory, the three arrays are views into buffers that
+    double when full; `_trim` copies them out when the run is frozen.
     """
 
-    def __init__(self, ts, ys, f_out, f_in, errs, qs):
-        self.ts = np.asarray(ts, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self.f_out = np.asarray(f_out, dtype=float)  # derivative leaving node i
-        self.f_in = np.asarray(f_in, dtype=float)  # derivative arriving at node i
-        self.errs = np.asarray(errs, dtype=float)  # accepted local error estimates
-        self.qs = np.asarray(qs, dtype=float)  # (n_seg, 4, dim) segment coefficients
+    def __init__(self, t0: float, y0: np.ndarray):
+        dim = len(y0)
+        self._buf = (np.empty(64), np.empty((64, dim)), np.empty((64, 4, dim)))
+        self._buf[0][0] = t0
+        self._buf[1][0] = y0
+        self._view(1)
+
+    def _view(self, n: int):
+        tb, yb, qb = self._buf
+        self.ts, self.ys, self.qs = tb[:n], yb[:n], qb[: n - 1]
+
+    def _append(self, t: float, y: np.ndarray, q: np.ndarray):
+        n = len(self.ts)
+        if n == len(self._buf[0]):
+            grown = []
+            for b in self._buf:
+                g = np.empty((2 * n,) + b.shape[1:])
+                g[: len(b)] = b
+                grown.append(g)
+            self._buf = tuple(grown)
+        tb, yb, qb = self._buf
+        tb[n] = t
+        yb[n] = y
+        qb[n - 1] = q
+        self._view(n + 1)
+
+    def _trim(self):
+        self.ts, self.ys, self.qs = self.ts.copy(), self.ys.copy(), self.qs.copy()
+        self._buf = (self.ts, self.ys, self.qs)
 
     @property
     def t_start(self) -> float:
@@ -170,12 +218,11 @@ class Trajectory:
         return self.ys.shape[1]
 
     def _segment(self, t: float) -> int:
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
+        i = bisect.bisect_right(self.ts, t) - 1
         return min(max(i, 0), len(self.ts) - 2)
 
-    def eval(self, t: float) -> np.ndarray:
-        if not (self.t_start - 1e-12 <= t <= self.t_end + 1e-12):
-            raise SpanTooShort(f"t={t} outside [{self.t_start}, {self.t_end}]")
+    def _interp(self, t: float) -> np.ndarray:
+        """Dense-output value at t, unchecked; delayed lookups call it mid-run."""
         if len(self.ts) == 1:
             return self.ys[0]
         i = self._segment(t)
@@ -183,6 +230,11 @@ class Trajectory:
             return self.ys[i + 1]
         th = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
         return _quartic_eval(self.ys[i], self.qs[i], th)
+
+    def eval(self, t: float) -> np.ndarray:
+        if not (self.t_start - 1e-12 <= t <= self.t_end + 1e-12):
+            raise SpanTooShort(f"t={t} outside [{self.t_start}, {self.t_end}]")
+        return self._interp(t)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eval(t)
@@ -229,41 +281,6 @@ class Trajectory:
                         hi = mid
                 return hi
         return self.t_start
-
-
-class _TrajBuilder:
-    def __init__(self, t0: float, y0: np.ndarray, f0: np.ndarray):
-        self.ts = [t0]
-        self.ys = [y0.copy()]
-        self.f_out = [f0.copy()]
-        self.f_in = [f0.copy()]
-        self.errs: list[float] = []
-        self.qs: list[np.ndarray] = []
-
-    def append(self, t, y, f_in, f_out, err, q):
-        self.ts.append(float(t))
-        self.ys.append(y.copy())
-        self.f_in.append(f_in.copy())
-        self.f_out.append(f_out.copy())
-        self.errs.append(float(err))
-        self.qs.append(q)
-
-    def replace_last_f_out(self, f):
-        self.f_out[-1] = f.copy()
-
-    def eval(self, t: float) -> np.ndarray:
-        if len(self.ts) == 1:
-            return self.ys[0]
-        i = bisect.bisect_right(self.ts, t) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        if t == self.ts[i + 1]:
-            return self.ys[i + 1]
-        th = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
-        return _quartic_eval(self.ys[i], self.qs[i], th)
-
-    def freeze(self) -> Trajectory:
-        qs = self.qs if self.qs else np.empty((0, 4, len(self.ys[0])))
-        return Trajectory(self.ts, self.ys, self.f_out, self.f_in, self.errs, qs)
 
 
 class HistoryFn:
@@ -414,6 +431,7 @@ class Stepper:
 
     rhs(t, y, left) must use the left limit of any discontinuous input when
     left=True (the two end-of-step stages), so dense output stays one-sided.
+    Every attempted step is counted in `nsteps`; accepted ones extend `traj`.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap=None):
@@ -422,31 +440,33 @@ class Stepper:
         self.y = np.asarray(y0, dtype=float).copy()
         self.opts = opts
         self.h_cap = h_cap
-        self.k1 = rhs(self.t, self.y, False)
-        self.builder = _TrajBuilder(self.t, self.y, self.k1)
+        self._h_top = min(c for c in (h_cap, opts.h_max, math.inf) if c is not None)
+        # stage derivatives of the current step; row 0 is the slope at (t, y)
+        self._K = np.empty((7, self.y.size))
+        self._K_rows = tuple(self._K[:i] for i in range(7))
+        self._K[0] = rhs(self.t, self.y, False)
+        self.traj = Trajectory(self.t, self.y)
         self.h = opts.first_step or 0.0
         self.nsteps = 0
         self.escape_info = None
-        self._norm_prev = float(np.abs(self.y).max())
+        self._abs_y = np.abs(self.y)
+        self._norm = self._norm_prev = float(self._abs_y.max())
 
     def invalidate_rhs_cache(self):
         """Call after the rhs changed at the current time (e.g. new input piece)."""
-        self.k1 = self.rhs(self.t, self.y, False)
-        self.builder.replace_last_f_out(self.k1)
-
-    def _scale(self, y0, y1):
-        return self.opts.abs_tol + self.opts.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
+        self._K[0] = self.rhs(self.t, self.y, False)
 
     def _initial_step(self, target):
         o = self.opts
+        k1 = self._K[0]
         scale = o.abs_tol + o.rel_tol * np.abs(self.y)
         d0 = float(np.sqrt(np.mean((self.y / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((self.k1 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, target - self.t, *( [self.h_cap] if self.h_cap else [] ))
-        y1 = self.y + h0 * self.k1
+        y1 = self.y + h0 * k1
         f1 = self.rhs(self.t + h0, y1, False)
-        d2 = float(np.sqrt(np.mean(((f1 - self.k1) / scale) ** 2))) / h0
+        d2 = float(np.sqrt(np.mean(((f1 - k1) / scale) ** 2))) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -458,106 +478,79 @@ class Stepper:
         o = self.opts
         if self.escape_info is not None:
             return _ESCAPED
-        if float(np.abs(self.y).max()) >= o.escape_threshold:
-            self.escape_info = (self.t, float(np.abs(self.y).max()), "threshold")
+        if self._norm >= o.escape_threshold:
+            self.escape_info = (self.t, self._norm, "threshold")
             return _ESCAPED
         if self.h <= 0.0:
             self.h = self._initial_step(target)
-        eps_t = max(1e-15, 4.0 * np.spacing(abs(target)))
+        K, rows, rhs = self._K, self._K_rows, self.rhs
+        eps_t = max(1e-15, 4.0 * math.ulp(abs(target)))
         while target - self.t > eps_t:
             if self.nsteps >= o.max_steps:
-                raise RuntimeError(f"exceeded max_steps={o.max_steps}")
-            h = self.h
-            if self.h_cap is not None:
-                h = min(h, self.h_cap)
-            if o.h_max is not None:
-                h = min(h, o.h_max)
-            clipped = False
-            if h >= target - self.t:
-                h = target - self.t
-                clipped = True
-            t_new = target if clipped else self.t + h
-            at_end = clipped  # end of step lands on a forced boundary
-            ks = [self.k1]
-            bad = not np.isfinite(self.k1).all()
-            if not bad:
-                for i in range(1, 7):
-                    ts = self.t + _C[i] * h
-                    if i >= 5:
-                        ts = t_new if clipped else ts
-                    ys = self.y + h * sum(a * k for a, k in zip(_A[i], ks))
-                    if not np.isfinite(ys).all():
-                        bad = True
-                        break
-                    left = at_end and i >= 5
-                    k = self.rhs(ts, ys, left)
-                    if not np.isfinite(k).all():
-                        bad = True
-                        break
-                    ks.append(k)
-            if not bad:
-                y_new = self.y + h * sum(b * k for b, k in zip(_B[:6], ks[:6]))
-                err_vec = h * sum(e * k for e, k in zip(_E, ks))
-                scale = self._scale(self.y, y_new)
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-                bad = not math.isfinite(err)
+                raise MaxStepsExceeded(f"exceeded max_steps={o.max_steps}")
+            self.nsteps += 1
+            t, y = self.t, self.y
+            h = min(self.h, self._h_top)
+            at_end = h >= target - t  # end of step lands on the forced boundary
+            if at_end:
+                h = target - t
+            t_new = target if at_end else t + h
+            for i in range(1, 7):
+                ys = y + h * (_A_ROWS[i] @ rows[i])
+                if i >= 5 and at_end:
+                    K[i] = rhs(t_new, ys, True)
+                else:
+                    K[i] = rhs(t + _C[i] * h, ys, False)
+            # the last stage argument is the 5th-order solution (FSAL); a
+            # non-finite stage reaches the error norm through the matvec
+            y_new = ys
+            abs_new = np.abs(y_new)
+            norm_new = float(abs_new.max())
+            r = h * (_E @ K) / (o.abs_tol + o.rel_tol * np.maximum(self._abs_y, abs_new))
+            err = math.sqrt(float(r @ r) / r.size)
+            bad = not (math.isfinite(err) and math.isfinite(norm_new))
             if bad or err > 1.0:
-                self.nsteps += 1
                 if h <= o.h_min * (1.0 + 1e-9):
-                    norm = float(np.abs(self.y).max())
-                    growing = norm > self._norm_prev or bad
-                    if growing:
-                        self.escape_info = (
-                            self.t,
-                            norm,
-                            "nonfinite" if bad else "h_min_collapse",
-                        )
+                    if bad or self._norm > self._norm_prev:  # growing
+                        flag = "nonfinite" if bad else "h_min_collapse"
+                        self.escape_info = (t, self._norm, flag)
                         return _ESCAPED
-                    raise StepSizeCollapse(
-                        f"error test failing at h={h} <= h_min at t={self.t}"
-                    )
+                    raise StepSizeCollapse(f"error test failing at h={h} <= h_min at t={t}")
                 fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
                 self.h = max(h * fac, o.h_min)
                 continue
-            # accepted
-            self.nsteps += 1
-            k7 = ks[6]
-            self._norm_prev = float(np.abs(self.y).max())
-            q = h * (_P.T @ np.asarray(ks))
-            self.builder.append(t_new, y_new, k7, k7, err, q)
-            self.t = t_new
-            self.y = y_new
-            self.k1 = k7
+            self.traj._append(t_new, y_new, h * (_P.T @ K))
+            self.t, self.y = t_new, y_new
+            self._abs_y, self._norm_prev, self._norm = abs_new, self._norm, norm_new
             if at_end:
                 # rhs may jump at the boundary; recompute the outgoing slope
-                self.k1 = self.rhs(self.t, self.y, False)
-                self.builder.replace_last_f_out(self.k1)
-            if not clipped:
+                K[0] = rhs(t_new, y_new, False)
+            else:
+                K[0] = K[6]
                 fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 self.h = max(h * fac, o.h_min)
-            norm_new = float(np.abs(y_new).max())
             if norm_new >= o.escape_threshold:
-                t_esc = self._locate_escape()
-                self.escape_info = (t_esc, norm_new, "threshold")
+                self.escape_info = (self._locate_escape(), norm_new, "threshold")
                 return _ESCAPED
         self.t = target
         return _OK
 
     def _locate_escape(self) -> float:
         """Earliest time in the last segment where |x| reaches the threshold."""
-        b = self.builder
-        lo, hi = b.ts[-2], b.ts[-1]
+        ts = self.traj.ts
+        lo, hi = float(ts[-2]), float(ts[-1])
         thr = self.opts.escape_threshold
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if float(np.abs(b.eval(mid)).max()) >= thr:
+            if float(np.abs(self.traj._interp(mid)).max()) >= thr:
                 hi = mid
             else:
                 lo = mid
         return lo
 
     def outcome(self) -> SimOutcome:
-        traj = self.builder.freeze()
+        traj = self.traj
+        traj._trim()
         if self.escape_info is None:
             return SimOutcome(trajectory=traj)
         t_esc, norm, flag = self.escape_info
@@ -589,27 +582,16 @@ def _forced_stops(
     return stops[(stops > 0.0) & (stops <= T)]
 
 
-def _make_rhs(sys: DiscreteDelaySystem, history, u, lookup):
-    delays = sys.delays
-    rhs = sys.rhs
-    if delays and u is not None and sys.input_dim > 0:
-        def f(t, y, left=False):
-            d = tuple(lookup(t - dl) for dl in delays)
-            uval = u.eval_left(t) if left else u.eval(t)
-            return rhs(y, d, uval)
-    elif delays:
-        zero_u = np.zeros(max(sys.input_dim, 0))
-        def f(t, y, left=False):
-            d = tuple(lookup(t - dl) for dl in delays)
-            return rhs(y, d, zero_u)
-    elif u is not None and sys.input_dim > 0:
-        def f(t, y, left=False):
-            uval = u.eval_left(t) if left else u.eval(t)
-            return rhs(y, (), uval)
-    else:
-        zero_u = np.zeros(max(sys.input_dim, 0))
-        def f(t, y, left=False):
-            return rhs(y, (), zero_u)
+def _make_rhs(sys: DiscreteDelaySystem, u, lookup):
+    delays, rhs = sys.delays, sys.rhs
+    zero_u = np.zeros(max(sys.input_dim, 0))
+    if sys.input_dim <= 0:
+        u = None
+
+    def f(t, y, left=False):
+        uval = zero_u if u is None else (u.eval_left(t) if left else u.eval(t))
+        return rhs(y, tuple([lookup(t - dl) for dl in delays]), uval)
+
     return f
 
 
@@ -648,17 +630,13 @@ def integrate(
         if y0.size != sys.dim:
             raise BadHistoryDomain("initial state dimension mismatch")
 
-    builder_ref: list = []
-
     def lookup(tq: float) -> np.ndarray:
-        if tq <= 0.0:
-            return history.eval(tq)
-        return builder_ref[0].eval(tq)
+        # a step never outruns the shortest delay, so tq <= 0 until the
+        # stepper exists
+        return history.eval(tq) if tq <= 0.0 else stepper.traj._interp(tq)
 
-    f = _make_rhs(sys, history, u, lookup)
-    h_cap = sys.delays[0] if sys.delays else None
-    stepper = Stepper(f, 0.0, y0, opts, h_cap=h_cap)
-    builder_ref.append(stepper.builder)
+    f = _make_rhs(sys, u, lookup)
+    stepper = Stepper(f, 0.0, y0, opts, h_cap=sys.delays[0] if sys.delays else None)
     for stop in _forced_stops(sys, u, T, opts, history, extra_stops):
         if stepper.advance(float(stop)) != _OK:
             break
@@ -701,7 +679,7 @@ def residual_audit(
             return history.eval(tq)
         return traj.eval(tq)
 
-    f = _make_rhs(sys, history, u, lookup)
+    f = _make_rhs(sys, u, lookup)
 
     def seg_integral(a: float, b: float) -> np.ndarray:
         ts = a + (b - a) * _GL_X

@@ -285,12 +285,22 @@ def run_switched(
     return SwitchedRun(outcome=outcome, signal=sig, t_end=stepper.t)
 
 
-@lru_cache(maxsize=4)
 def recorded_escape(dwell: float = 1e-3) -> SwitchedRun:
-    """Greedy switching run from (1, 0) up to the escape threshold, memoized."""
+    """Greedy switching run from (1, 0) up to the escape threshold, memoized.
+
+    Keyed on float(dwell), so every spelling of one dwell shares one entry.
+    """
+    return _recorded_escape(float(dwell))
+
+
+@lru_cache(maxsize=4)
+def _recorded_escape(dwell: float) -> SwitchedRun:
     policy = greedy_worst_switch(dwell=dwell)
-    run = run_switched(policy, np.array([1.0, 0.0]), T=20.0)
-    return run
+    return run_switched(policy, np.array([1.0, 0.0]), T=20.0)
+
+
+recorded_escape.cache_info = _recorded_escape.cache_info
+recorded_escape.cache_clear = _recorded_escape.cache_clear
 
 
 def default_cascade_delay(dwell: float = 1e-3) -> float:

@@ -146,6 +146,14 @@ class TestConfig:
         code = main(["--config", str(bad), "--out", str(tmp_path), "lyapunov"])
         assert code == 2
 
+    @pytest.mark.parametrize("rel_tol", ["1e-8", -1])
+    def test_invalid_integrator_option_is_config_error(self, tmp_path, capsys, rel_tol):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"integrator": {"rel_tol": rel_tol}}))
+        args = ["simulate", "--system", "planar", "--tau", "1", "--T", "1", "--history", "const:0.5,0"]
+        assert main(["--config", str(cfg), "--out", str(tmp_path), *args]) == 2
+        assert "rel_tol" in capsys.readouterr().err
+
     def test_gain_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"A2": [[-1.0, 0.0], [0.0, -1.0]]}))

@@ -8,7 +8,9 @@ from delayreach.integrator import (
     DiscreteDelaySystem,
     HistoryFn,
     IntegratorOptions,
+    MaxStepsExceeded,
     SpanTooShort,
+    StepSizeCollapse,
     extract_history,
     integrate,
     residual_audit,
@@ -163,8 +165,17 @@ class TestDeterminism:
     def test_bitwise_repeatable(self):
         a = integrate(tan_system(), np.array([0.0]), None, 1.5)
         b = integrate(tan_system(), np.array([0.0]), None, 1.5)
-        assert np.array_equal(a.trajectory.ts, b.trajectory.ts)
-        assert np.array_equal(a.trajectory.ys, b.trajectory.ys)
+        arrays_a = {k: v for k, v in vars(a.trajectory).items() if isinstance(v, np.ndarray)}
+        arrays_b = {k: v for k, v in vars(b.trajectory).items() if isinstance(v, np.ndarray)}
+        assert {"ts", "ys", "qs"} <= set(arrays_a) == set(arrays_b)
+        for k, v in arrays_a.items():
+            assert v.shape == arrays_b[k].shape
+            assert v.tobytes() == arrays_b[k].tobytes()
+        traj = a.trajectory
+        assert len(traj.ts) == len(traj.ys) == len(traj.qs) + 1
+        # frozen arrays own exactly their rows: no growth capacity left over
+        for v in arrays_a.values():
+            assert v.base is None
 
 
 class TestHistoryFn:
@@ -215,3 +226,55 @@ class TestOptionsValidation:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             integrate(decay_system(), np.array([1.0]), None, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, exc",
+        [
+            ("rel_tol", "1e-8", TypeError),
+            ("rel_tol", -1.0, ValueError),
+            ("abs_tol", 0.0, ValueError),
+            ("abs_tol", float("nan"), ValueError),
+            ("h_min", float("inf"), ValueError),
+            ("escape_threshold", True, TypeError),
+            ("max_steps", 0, ValueError),
+            ("max_steps", 10.0, TypeError),
+            ("h_max", 0.0, ValueError),
+            ("first_step", -1e-3, ValueError),
+            ("delay_multiples", -1, ValueError),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, value, exc):
+        with pytest.raises(exc):
+            IntegratorOptions(**{field: value})
+
+    def test_valid_fields_accepted(self):
+        o = IntegratorOptions(rel_tol=1, h_max=0.5, first_step=1e-4, delay_multiples=0)
+        assert o.h_max == 0.5 and o.delay_multiples == 0
+
+
+class TestStepperOutcomes:
+    def test_max_steps_is_named(self):
+        with pytest.raises(MaxStepsExceeded):
+            integrate(decay_system(), np.array([1.0]), None, 100.0, IntegratorOptions(max_steps=10))
+
+    def test_nonfinite_rhs_is_an_escape(self):
+        # x' = x until |x| reaches 2, where the field turns NaN: the error
+        # test keeps failing on non-finite stages down to h_min
+        sys = DiscreteDelaySystem(
+            dim=1,
+            input_dim=0,
+            delays=(),
+            rhs=lambda y, d, u: y if abs(y[0]) < 2.0 else np.array([math.nan]),
+            name="nanwall",
+        )
+        out = integrate(sys, np.array([1.0]), None, 5.0, IntegratorOptions(h_min=1e-6))
+        assert out.escaped
+        assert out.flag == "nonfinite"
+        assert 1.0 < out.final_norm < 2.0
+        assert out.t_escape < math.log(2.0)
+
+    def test_step_size_collapse_when_not_growing(self):
+        # a fast decay needs h well below h_min; the state only shrinks, so
+        # this is a failure of the options, not an escape
+        with pytest.raises(StepSizeCollapse):
+            integrate(decay_system(rate=100.0), np.array([1.0]), None, 10.0, IntegratorOptions(h_min=1.0))

@@ -16,6 +16,7 @@ from delayreach.systems import (
     history_from_inputs,
     planar_rhs,
     planar_system,
+    recorded_escape,
     run_switched,
     unit_saturation,
 )
@@ -85,6 +86,12 @@ class TestSwitchedEscape:
 
     def test_default_delay_covers_escape(self, escape_run):
         assert default_cascade_delay() == pytest.approx(1.5 * escape_run.outcome.t_escape)
+
+    def test_recorded_escape_default_and_explicit_dwell_share_one_run(self):
+        recorded_escape.cache_clear()
+        run = recorded_escape()
+        assert recorded_escape(1e-3) is run
+        assert recorded_escape.cache_info().misses == 1
 
 
 class TestCascade:
