@@ -41,6 +41,7 @@ from .lyap import (
     stability_constants,
 )
 from .probes import (
+    EmbeddingCheck,
     EnvelopeFit,
     HorizonTooShort,
     ReachEstimate,
@@ -50,6 +51,7 @@ from .probes import (
     WindowInvalid,
     constant_input_descent,
     decay_audit,
+    embedding_check,
     es_check,
     escape_schedule,
     estimate_R,
@@ -75,6 +77,7 @@ from .signals import (
 )
 from .systems import (
     DEFAULT_PLANAR,
+    SYSTEM_NAMES,
     PlanarParams,
     SwitchedRun,
     SwitchingPolicy,
@@ -85,6 +88,7 @@ from .systems import (
     embed_history_as_inputs,
     greedy_worst_switch,
     history_from_inputs,
+    make_system,
     planar_rhs,
     planar_system,
     recorded_escape,

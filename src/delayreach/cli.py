@@ -1,14 +1,15 @@
 """Command-line entry point: reproduces every demonstration from one manifest.
 
 Subcommands: lyapunov, simulate, escape, estimate-r, rfc-sweep, es-check,
-uga-table, equiv-check. Global flags: --config (JSON overrides), --seed,
---out (artifact directory), --svg (optional line plot). Environment
-variables with the DELAYREACH_ prefix (DELAYREACH_SEED, DELAYREACH_OUT,
-DELAYREACH_CONFIG) supply defaults that explicit flags override.
+uga-table, equiv-check, one entry each in COMMANDS. Global flags: --config
+(JSON overrides), --seed, --out (artifact directory), --svg (optional line
+plot). Environment variables with the DELAYREACH_ prefix (DELAYREACH_SEED,
+DELAYREACH_OUT, DELAYREACH_CONFIG) supply defaults that explicit flags
+override.
 
 Escape is a reported outcome, not a failure: runs that blow up exit 0 with
-outcome "escaped". Nonzero exits are reserved for configuration and
-numerical-infrastructure errors.
+outcome "escaped". Invalid flags and config keys exit 2 before any run;
+exit 1 is reserved for numerical-infrastructure errors.
 """
 
 from __future__ import annotations
@@ -18,37 +19,25 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
-from .integrator import HistoryFn, IntegratorOptions, SimOutcome, integrate, residual_audit
-from .lyap import (
-    Mat2,
-    blend,
-    default_certificate,
-    lyapunov_residual,
-    solve_lyapunov,
-)
-from .probes import (
-    PROBE_OPTS,
-    es_check,
-    estimate_R,
-    rfc_sweep,
-    uga_table,
-)
-from .signals import Signal, from_json
+from .integrator import HistoryFn, IntegratorOptions, SimOutcome, integrate
+from .lyap import (Mat2, blend, default_certificate, lyapunov_residual, solve_lyapunov,
+                   stability_constants)
+from .probes import PROBE_OPTS, embedding_check, es_check, estimate_R, rfc_sweep, uga_table
+from .signals import Constant, Signal, from_json
 from .systems import (
     DEFAULT_PLANAR,
+    SYSTEM_NAMES,
     PlanarParams,
-    associated_system,
-    cascade_system,
     default_cascade_delay,
-    embed_history_as_inputs,
-    planar_system,
+    make_system,
     recorded_escape,
-    saturation_stop_times,
 )
 
 
@@ -126,7 +115,42 @@ def svg_line_plot(
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# input checks: argparse exits 2 on a failed flag type, main on ConfigInvalid
+
+
+def _checked(conv, ok, what: str):
+    """argparse type that converts with conv and accepts only ok(value)."""
+
+    def parse(text):
+        try:
+            value = conv(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite positive number")
+nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+count = _checked(int, lambda v: v > 0, "a positive integer")
+seed_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
+def history_spec(text: str) -> Optional[np.ndarray]:
+    """'zero' gives None; 'const:v1,v2,...' gives the (finite) values."""
+    if text == "zero":
+        return None
+    try:
+        vals = np.array([float(v) for v in text.removeprefix("const:").split(",")])
+    except ValueError:
+        vals = None
+    if not text.startswith("const:") or vals is None or not np.isfinite(vals).all():
+        raise argparse.ArgumentTypeError(f"{text!r} is not 'zero' or 'const:v1,v2,...'")
+    return vals
 
 
 def load_config(path) -> dict:
@@ -166,6 +190,15 @@ def opts_from_config(cfg: dict, base: IntegratorOptions) -> IntegratorOptions:
         raise ConfigInvalid(f"integrator: {exc}") from None
 
 
+def tau_from_config(cfg: dict) -> Optional[float]:
+    if "tau" not in cfg:
+        return None
+    tau = cfg["tau"]
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0.0 < tau < math.inf:
+        raise ConfigInvalid(f"tau: must be a finite positive number, got {tau!r}")
+    return float(tau)
+
+
 def signal_from_config(obj) -> Signal:
     try:
         return from_json(obj)
@@ -173,59 +206,27 @@ def signal_from_config(obj) -> Signal:
         raise ConfigInvalid(f"signal: {exc}") from None
 
 
-def _history_from_spec(spec: str, tau: float, dim: int) -> HistoryFn:
-    if spec == "zero":
-        return HistoryFn.constant(np.zeros(dim), tau)
-    if spec.startswith("const:"):
-        vals = np.array([float(v) for v in spec[len("const:") :].split(",")])
-        if vals.size != dim:
-            raise ConfigInvalid(f"history const: expected {dim} components")
-        return HistoryFn.constant(vals, tau)
-    raise ConfigInvalid(f"history: unknown spec {spec!r} (use zero or const:v1,...)")
+class Setup(NamedTuple):
+    """The config, read once. tau None means each system's or probe's default."""
+
+    params: PlanarParams
+    opts: IntegratorOptions
+    tau: Optional[float]
+    input: Optional[Signal]
 
 
-def _select_system(name: str, tau: float, params: PlanarParams):
-    if name == "planar":
-        return planar_system(params)
-    if name == "cascade":
-        return cascade_system(tau, params)
-    if name == "associated":
-        return associated_system(params)
-    raise ConfigInvalid(f"system: unknown kind {name!r}")
+class Output(NamedTuple):
+    """What a subcommand produces; `main` writes, prints and plots it."""
+
+    csvs: list  # (file name, header, rows)
+    summary: dict
+    text: str
+    plot: Optional[dict] = None  # keyword arguments of svg_line_plot
 
 
 def _outcome_dict(out: SimOutcome) -> dict:
-    return {
-        "outcome": "escaped" if out.escaped else "completed",
-        "t_escape": out.t_escape,
-        "final_norm": out.final_norm,
-        "flag": out.flag,
-    }
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_lyapunov(args, cfg, out_dir: Path) -> int:
-    params = params_from_config(cfg)
-    result: dict = {}
-    if args.lam is not None:
-        a = blend(params.a1, params.a2, args.lam)
-        p = solve_lyapunov(a)
-        result["lambda"] = args.lam
-        result["P"] = [[p.p11, p.p12], [p.p12, p.p22]]
-        result["c1"] = p.c1
-        result["c2"] = p.c2
-        result["residual"] = lyapunov_residual(a, p)
-    if args.constants or args.lam is None:
-        cert = default_certificate()
-        result["capital_lambda"] = cert.capital_lambda
-        result["k"] = cert.constants.k
-        result["p"] = cert.constants.p
-    print(json.dumps(result, indent=2, sort_keys=True))
-    write_json(out_dir / "lyapunov_summary.json", result)
-    return 0
+    return {"outcome": "escaped" if out.escaped else "completed", "t_escape": out.t_escape,
+            "final_norm": out.final_norm, "flag": out.flag}
 
 
 def _sample_trajectory(out: SimOutcome, grid: int):
@@ -234,228 +235,186 @@ def _sample_trajectory(out: SimOutcome, grid: int):
     return [(t, *traj.eval(t)) for t in ts]
 
 
-def cmd_simulate(args, cfg, out_dir: Path) -> int:
-    params = params_from_config(cfg)
-    opts = opts_from_config(cfg, IntegratorOptions())
-    tau = float(cfg.get("tau", args.tau if args.tau is not None else default_cascade_delay()))
-    sys_ = _select_system(args.system, tau, params)
-    if sys_.delays:
-        ic = _history_from_spec(args.history, tau, sys_.dim)
-    else:
-        ic = _history_from_spec(args.history, 1.0, sys_.dim).eval(0.0)
-    u = None
-    if args.input is not None:
-        u = signal_from_config(load_config(args.input))
-    elif "input" in cfg:
-        u = signal_from_config(cfg["input"])
-    if u is None and sys_.input_dim > 0:
-        from .signals import Constant
-
-        u = Constant(np.zeros(sys_.input_dim))
-    out = integrate(sys_, ic, u, args.T, opts)
-    header = ["t"] + [f"x{i + 1}" for i in range(sys_.dim)]
-    write_csv(out_dir / "trajectory.csv", header, _sample_trajectory(out, args.grid))
-    manifest = {
-        "subcommand": "simulate",
-        "system": args.system,
-        "tau": tau if sys_.delays else None,
-        "T": args.T,
-        "options": {"rel_tol": opts.rel_tol, "abs_tol": opts.abs_tol},
-        **_outcome_dict(out),
-    }
-    write_json(out_dir / "simulate_summary.json", manifest)
-    print(f"{manifest['outcome']}: wrote {out_dir / 'trajectory.csv'}")
-    if args.svg:
-        rows = _sample_trajectory(out, args.grid)
-        ts = [r[0] for r in rows]
-        series = {f"x{i + 1}": [r[i + 1] for r in rows] for i in range(sys_.dim)}
-        svg_line_plot(Path(args.svg), ts, series, title=f"{args.system} trajectory")
-    return 0
-
-
-def cmd_escape(args, cfg, out_dir: Path) -> int:
-    run = recorded_escape(args.dwell)
-    out = run.outcome
-    header = ["t"] + [f"x{i + 1}" for i in range(2)]
-    write_csv(out_dir / "escape_trajectory.csv", header, _sample_trajectory(out, args.grid))
-    sig = run.signal
-    write_csv(
-        out_dir / "escape_signal.csv",
-        ["t_switch", "value"],
-        [(0.0, sig.values[0, 0])]
-        + [(b, v[0]) for b, v in zip(sig.breaks, sig.values[1:])],
-    )
-    manifest = {
-        "subcommand": "escape",
-        "dwell": args.dwell,
-        "pieces": int(len(sig.values)),
-        **_outcome_dict(out),
-    }
-    write_json(out_dir / "escape_summary.json", manifest)
-    verdict = "PASS" if out.escaped else "FAIL"
-    print(f"{verdict} finite-escape: outcome={manifest['outcome']} t_escape={out.t_escape}")
-    if args.svg:
-        rows = _sample_trajectory(out, args.grid)
-        ts = [r[0] for r in rows]
-        mags = [max(abs(r[1]), abs(r[2])) for r in rows]
-        svg_line_plot(Path(args.svg), ts, {"|x|": mags}, title="greedy switching escape", log_y=True)
-    return 0
-
-
-def cmd_estimate_r(args, cfg, out_dir: Path) -> int:
-    est = estimate_R(args.system, args.r, args.T, args.budget, seed=args.seed)
-    result = {
-        "subcommand": "estimate-r",
-        "system": args.system,
-        "r": est.r,
-        "T": est.T,
-        "lower_bound": est.lower_bound,
-        "sample_budget": est.sample_budget,
-        "escape_seen": est.escape_seen,
-        "seed": args.seed,
-    }
-    write_json(out_dir / "estimate_r_summary.json", result)
-    write_csv(
-        out_dir / "estimate_r.csv",
-        ["r", "T", "lower_bound", "escape_seen"],
-        [(est.r, est.T, est.lower_bound, 1.0 if est.escape_seen else 0.0)],
-    )
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_rfc_sweep(args, cfg, out_dir: Path) -> int:
-    res = rfc_sweep()
-    rows = list(zip(res.deltas, res.peaks, res.settle_times, res.history_norms))
-    write_csv(out_dir / "rfc_sweep.csv", ["delta", "peak", "settle_time", "history_norm"], rows)
-    ok = res.strictly_increasing and res.growth_factor >= 10.0 and res.settled_in_time
-    summary = {
-        "subcommand": "rfc-sweep",
-        "deltas": list(res.deltas),
-        "peaks": list(res.peaks),
-        "settle_times": list(res.settle_times),
-        "settle_bound": res.settle_bound,
-        "growth_factor": res.growth_factor,
-        "strictly_increasing": res.strictly_increasing,
-        "settled_in_time": res.settled_in_time,
-        "verdict": "RFC falsified: growth >= 10x" if ok else "inconclusive",
-    }
-    write_json(out_dir / "rfc_sweep_summary.json", summary)
-    print(("PASS " if ok else "FAIL ") + summary["verdict"] + f" (growth {res.growth_factor:.2f}x)")
-    if args.svg:
-        svg_line_plot(
-            Path(args.svg),
-            res.deltas,
-            {"peak": res.peaks},
-            title="peak vs smoothing width",
-            log_y=True,
-        )
-    return 0
-
-
-def cmd_es_check(args, cfg, out_dir: Path) -> int:
-    fit = es_check(n_ics=args.n, T=args.T, fit_tol=args.tol, seed=args.seed)
-    cert = default_certificate()
-    ok = fit.violations == 0
-    summary = {
-        "subcommand": "es-check",
-        "n_ics": args.n,
-        "T": args.T,
-        "fit_tol": args.tol,
-        "seed": args.seed,
-        "k": cert.constants.k,
-        "p": cert.constants.p,
-        "k_emp": fit.k_emp,
-        "p_emp": fit.p_emp,
-        "violations": fit.violations,
-        "verdict": "envelope holds" if ok else "envelope violated",
-    }
-    write_json(out_dir / "es_check_summary.json", summary)
-    write_csv(
-        out_dir / "es_check.csv",
-        ["k_emp", "p_emp", "violations"],
-        [(fit.k_emp, fit.p_emp, float(fit.violations))],
-    )
-    print(("PASS " if ok else "FAIL ") + f"exponential envelope: {fit.violations} violations")
-    if args.svg:
-        ts = np.linspace(0.0, args.T, 200)
-        k, p = cert.constants.k, cert.constants.p
-        env = [k * math.exp(-p * t) for t in ts]
-        emp = [fit.k_emp * math.exp(-fit.p_emp * t) for t in ts]
-        svg_line_plot(
-            Path(args.svg),
-            ts,
-            {"certified envelope": env, "empirical fit": emp},
-            title="decay envelope (unit history norm)",
-            log_y=True,
-        )
-    return 0
-
-
-def cmd_uga_table(args, cfg, out_dir: Path) -> int:
-    cells = uga_table(args.r, args.eps, n_samples=args.samples, seed=args.seed)
-    rows = [(c.r, c.eps, c.t_theory, c.t_emp_max, 1.0 if c.ok else 0.0) for c in cells]
-    write_csv(out_dir / "uga_table.csv", ["r", "eps", "t_theory", "t_emp_max", "ok"], rows)
-    ok = all(c.ok for c in cells)
-    summary = {
-        "subcommand": "uga-table",
-        "samples_per_cell": args.samples,
-        "seed": args.seed,
-        "cells": [
-            {"r": c.r, "eps": c.eps, "t_theory": c.t_theory, "t_emp_max": c.t_emp_max, "ok": c.ok}
-            for c in cells
-        ],
-        "verdict": "all cells within theoretical reach time" if ok else "reach-time exceeded",
-    }
-    write_json(out_dir / "uga_table_summary.json", summary)
-    for c in cells:
-        mark = "PASS" if c.ok else "FAIL"
-        print(f"{mark} r={c.r:g} eps={c.eps:g}: t_emp={c.t_emp_max:.2f} <= T={c.t_theory:.1f}")
-    return 0
-
-
-def cmd_equiv_check(args, cfg, out_dir: Path) -> int:
-    from .probes import random_history
-
-    params = params_from_config(cfg)
-    tau = float(cfg.get("tau", default_cascade_delay()))
-    opts = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-9)
-    sys_d = cascade_system(tau, params)
-    sys_a = associated_system(params)
-    rows = []
-    worst = 0.0
-    for i in range(args.pairs):
-        rng = np.random.default_rng((args.seed, i))
-        hist = random_history(rng, rng.uniform(0.1, 1.0), tau, sys_d.dim)
-        xi0, inputs = embed_history_as_inputs(hist, sys_d.delays)
-        stops = saturation_stop_times(hist, tau, tau)
-        out_d = integrate(sys_d, hist, None, tau, opts, extra_stops=stops)
-        out_a = integrate(sys_a, xi0, inputs[0], tau, opts, extra_stops=stops)
-        ts = np.linspace(0.0, tau, 100)
-        dev = max(
-            float(np.abs(out_d.trajectory.eval(t) - out_a.trajectory.eval(t)).max()) for t in ts
-        )
-        rows.append((float(i), dev))
-        worst = max(worst, dev)
-    tol = 10.0 * max(opts.rel_tol, opts.abs_tol) * 100.0
-    ok = worst <= tol
-    write_csv(out_dir / "equiv_check.csv", ["pair", "max_deviation"], rows)
-    summary = {
-        "subcommand": "equiv-check",
-        "pairs": args.pairs,
-        "tau": tau,
-        "seed": args.seed,
-        "worst_deviation": worst,
-        "tolerance": tol,
-        "verdict": "embeddings agree" if ok else "embedding mismatch",
-    }
-    write_json(out_dir / "equiv_check_summary.json", summary)
-    print(("PASS " if ok else "FAIL ") + f"embedding equivalence: worst deviation {worst:.3g}")
-    return 0
+def _verdict(ok: bool) -> str:
+    return "PASS " if ok else "FAIL "
 
 
 # ---------------------------------------------------------------------------
-# parser
+# subcommands
+
+
+def run_lyapunov(args, s: Setup) -> Output:
+    result: dict = {}
+    if args.lam is not None:
+        a = blend(s.params.a1, s.params.a2, args.lam)
+        p = solve_lyapunov(a)
+        result.update({"lambda": args.lam, "P": [[p.p11, p.p12], [p.p12, p.p22]], "c1": p.c1,
+                       "c2": p.c2, "residual": lyapunov_residual(a, p)})
+    if args.constants or args.lam is None:
+        a1, a2 = s.params.a1, s.params.a2
+        env = stability_constants(solve_lyapunov(blend(a1, a2, 0.0)), a1, a2)
+        result.update(capital_lambda=env.capital_lambda, k=env.k, p=env.p)
+    return Output([], result, json.dumps(result, indent=2, sort_keys=True))
+
+
+def run_simulate(args, s: Setup) -> Output:
+    sys_ = make_system(args.system, s.tau, s.params)
+    vals = np.zeros(sys_.dim) if args.history is None else args.history
+    if vals.size != sys_.dim:
+        raise ConfigInvalid(f"history const: expected {sys_.dim} components")
+    ic = HistoryFn.constant(vals, sys_.tau) if sys_.delays else vals
+    u = signal_from_config(load_config(args.input)) if args.input is not None else s.input
+    if u is None and sys_.input_dim > 0:
+        u = Constant(np.zeros(sys_.input_dim))
+    out = integrate(sys_, ic, u, args.T, s.opts)
+    rows = _sample_trajectory(out, args.grid)
+    header = ["t"] + [f"x{i + 1}" for i in range(sys_.dim)]
+    summary = {"subcommand": "simulate", "system": args.system,
+               "tau": sys_.tau if sys_.delays else None, "T": args.T,
+               "options": {"rel_tol": s.opts.rel_tol, "abs_tol": s.opts.abs_tol}, **_outcome_dict(out)}
+    series = {h: [r[i + 1] for r in rows] for i, h in enumerate(header[1:])}
+    return Output([("trajectory.csv", header, rows)], summary,
+                  f"{summary['outcome']}: wrote {Path(args.out) / 'trajectory.csv'}",
+                  dict(xs=[r[0] for r in rows], series=series, title=f"{args.system} trajectory"))
+
+
+def run_escape(args, s: Setup) -> Output:
+    run = recorded_escape(args.dwell)
+    out, sig = run.outcome, run.signal
+    rows = _sample_trajectory(out, args.grid)
+    switches = [(0.0, sig.values[0, 0])] + [(b, v[0]) for b, v in zip(sig.breaks, sig.values[1:])]
+    summary = {"subcommand": "escape", "dwell": args.dwell, "pieces": int(len(sig.values)),
+               **_outcome_dict(out)}
+    mags = [max(abs(r[1]), abs(r[2])) for r in rows]
+    text = _verdict(out.escaped) + f"finite-escape: outcome={summary['outcome']} t_escape={out.t_escape}"
+    return Output([("escape_trajectory.csv", ["t", "x1", "x2"], rows),
+                   ("escape_signal.csv", ["t_switch", "value"], switches)], summary, text,
+                  dict(xs=[r[0] for r in rows], series={"|x|": mags}, title="greedy switching escape",
+                       log_y=True))
+
+
+def run_estimate_r(args, s: Setup) -> Output:
+    est = estimate_R(args.system, args.r, args.T, args.budget, seed=args.seed, tau=s.tau,
+                     params=s.params, opts=s.opts)
+    result = {"subcommand": "estimate-r", "system": args.system, **asdict(est), "seed": args.seed}
+    row = (est.r, est.T, est.lower_bound, 1.0 if est.escape_seen else 0.0)
+    return Output([("estimate_r.csv", ["r", "T", "lower_bound", "escape_seen"], [row])], result,
+                  json.dumps(result, indent=2, sort_keys=True))
+
+
+def run_rfc_sweep(args, s: Setup) -> Output:
+    res = rfc_sweep(tau=s.tau, opts=s.opts)
+    ok = res.strictly_increasing and res.growth_factor >= 10.0 and res.settled_in_time
+    summary = {"subcommand": "rfc-sweep", "deltas": list(res.deltas), "peaks": list(res.peaks),
+               "settle_times": list(res.settle_times), "settle_bound": res.settle_bound,
+               "growth_factor": res.growth_factor, "strictly_increasing": res.strictly_increasing,
+               "settled_in_time": res.settled_in_time,
+               "verdict": "RFC falsified: growth >= 10x" if ok else "inconclusive"}
+    rows = list(zip(res.deltas, res.peaks, res.settle_times, res.history_norms))
+    return Output([("rfc_sweep.csv", ["delta", "peak", "settle_time", "history_norm"], rows)], summary,
+                  _verdict(ok) + summary["verdict"] + f" (growth {res.growth_factor:.2f}x)",
+                  dict(xs=res.deltas, series={"peak": res.peaks}, title="peak vs smoothing width",
+                       log_y=True))
+
+
+def run_es_check(args, s: Setup) -> Output:
+    fit = es_check(n_ics=args.n, T=args.T, tau=s.tau, fit_tol=args.tol, seed=args.seed, opts=s.opts)
+    env = default_certificate().constants
+    k, p = env.k, env.p
+    ok = fit.violations == 0
+    summary = {"subcommand": "es-check", "n_ics": args.n, "T": args.T, "fit_tol": args.tol,
+               "seed": args.seed, "k": k, "p": p, **asdict(fit),
+               "verdict": "envelope holds" if ok else "envelope violated"}
+    ts = np.linspace(0.0, args.T, 200)
+    series = {"certified envelope": [k * math.exp(-p * t) for t in ts],
+              "empirical fit": [fit.k_emp * math.exp(-fit.p_emp * t) for t in ts]}
+    return Output([("es_check.csv", ["k_emp", "p_emp", "violations"],
+                    [(fit.k_emp, fit.p_emp, float(fit.violations))])], summary,
+                  _verdict(ok) + f"exponential envelope: {fit.violations} violations",
+                  dict(xs=ts, series=series, title="decay envelope (unit history norm)", log_y=True))
+
+
+def run_uga_table(args, s: Setup) -> Output:
+    cells = uga_table(args.r, args.eps, n_samples=args.samples, tau=s.tau, seed=args.seed, opts=s.opts)
+    ok = all(c.ok for c in cells)
+    summary = {"subcommand": "uga-table", "samples_per_cell": args.samples, "seed": args.seed,
+               "cells": [{"r": c.r, "eps": c.eps, "t_theory": c.t_theory, "t_emp_max": c.t_emp_max,
+                          "ok": c.ok} for c in cells],
+               "verdict": "all cells within theoretical reach time" if ok else "reach-time exceeded"}
+    rows = [(c.r, c.eps, c.t_theory, c.t_emp_max, 1.0 if c.ok else 0.0) for c in cells]
+    lines = [_verdict(c.ok) + f"r={c.r:g} eps={c.eps:g}: t_emp={c.t_emp_max:.2f} <= T={c.t_theory:.1f}"
+             for c in cells]
+    return Output([("uga_table.csv", ["r", "eps", "t_theory", "t_emp_max", "ok"], rows)], summary,
+                  "\n".join(lines))
+
+
+def run_equiv_check(args, s: Setup) -> Output:
+    tau = default_cascade_delay() if s.tau is None else s.tau
+    chk = embedding_check(tau, args.pairs, args.seed, s.opts, s.params)
+    worst, worst_c = max(chk.embed), max(chk.complete)
+    summary = {"subcommand": "equiv-check", "pairs": args.pairs, "tau": tau, "seed": args.seed,
+               "worst_deviation": worst, "worst_completion_deviation": worst_c, "tolerance": chk.tolerance,
+               "verdict": "embeddings agree" if chk.ok else "embedding mismatch"}
+    rows = [(float(i), e, c) for i, (e, c) in enumerate(zip(chk.embed, chk.complete))]
+    return Output([("equiv_check.csv", ["pair", "max_deviation", "completion_deviation"], rows)], summary,
+                  _verdict(chk.ok) + f"embedding equivalence: worst deviation {worst:.3g}, completion "
+                  f"direction {worst_c:.3g}, tolerance {chk.tolerance:.1e}")
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace, Setup], Output]
+    flags: tuple = ()  # (flag, add_argument keyword arguments)
+    keys: tuple = ()  # config keys the command reads; any other key exits 2
+    opts: IntegratorOptions = PROBE_OPTS  # what the config's integrator overrides
+
+
+GAINS, TIMING = ("A1", "A2"), ("tau", "integrator")
+
+COMMANDS = (
+    Command("lyapunov", "Lyapunov matrix and stability constants", run_lyapunov, (
+        ("--lambda", dict(dest="lam", type=fraction, help="blend fraction in [0,1]")),
+        ("--constants", dict(action="store_true", help="print the blend bound and envelope constants")),
+    ), GAINS),
+    Command("simulate", "integrate one system and dump the trajectory", run_simulate, (
+        ("--system", dict(choices=SYSTEM_NAMES, default="cascade", help="vector field (default cascade)")),
+        ("--T", dict(type=positive, default=5.0, help="final time (default 5)")),
+        ("--history", dict(type=history_spec, default="zero",
+                           help="initial data: 'zero' or 'const:v1,v2,...' (default zero)")),
+        ("--input", dict(help="JSON file with the input signal description")),
+        ("--tau", dict(type=positive, help="cascade delay; beats the config (default 1.5x escape time)")),
+        ("--grid", dict(type=count, default=200, help="number of output samples (default 200)")),
+    ), GAINS + TIMING + ("input",), IntegratorOptions()),
+    Command("escape", "greedy destabilizing switching run", run_escape, (
+        ("--dwell", dict(type=positive, default=1e-3, help="nominal sampling dwell (default 1e-3)")),
+        ("--grid", dict(type=count, default=500, help="number of output samples (default 500)")),
+    )),
+    Command("estimate-r", "sampled lower bound on the reachability supremum", run_estimate_r, (
+        ("--system", dict(choices=SYSTEM_NAMES, default="planar")),
+        ("--r", dict(type=nonnegative, default=1.0, help="initial-data norm bound (default 1)")),
+        ("--T", dict(type=nonnegative, default=2.0, help="time horizon (default 2)")),
+        ("--budget", dict(type=count, default=50, help="random draw count (default 50)")),
+    ), GAINS + TIMING),
+    Command("rfc-sweep", "diverging peaks from smoothed escape schedules", run_rfc_sweep, (), TIMING),
+    Command("es-check", "exponential envelope on small random histories", run_es_check, (
+        ("--n", dict(type=count, default=200, help="history count (default 200)")),
+        ("--T", dict(type=positive, default=30.0, help="horizon (default 30)")),
+        ("--tol", dict(type=nonnegative, default=0.05, help="envelope slack fraction (default 0.05)")),
+    ), TIMING),
+    Command("uga-table", "empirical vs theoretical reach times", run_uga_table, (
+        ("--r", dict(type=positive, nargs="+", default=[1.0, 10.0, 100.0], help="history norm bounds")),
+        ("--eps", dict(type=positive, nargs="+", default=[0.1, 1.0], help="target ball radii")),
+        ("--samples", dict(type=count, default=50, help="histories per cell (default 50)")),
+    ), TIMING),
+    Command("equiv-check", "delay vs input-embedding agreement, both directions", run_equiv_check, (
+        ("--pairs", dict(type=count, default=50, help="random history count (default 50)")),
+    ), GAINS + TIMING, IntegratorOptions()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,96 +423,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Delay-system reachability experiments: integrate, certify, falsify.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--config",
-        default=os.environ.get("DELAYREACH_CONFIG"),
-        help="JSON config with overrides: A1, A2, tau, integrator options, input signal",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("DELAYREACH_SEED", "0")),
-        help="master seed for all random draws (default 0)",
-    )
-    parser.add_argument(
-        "--out",
-        default=os.environ.get("DELAYREACH_OUT", "."),
-        help="directory for CSV/JSON artifacts (default: current directory)",
-    )
+    parser.add_argument("--config", default=os.environ.get("DELAYREACH_CONFIG"),
+                        help="JSON config with overrides: A1, A2, tau, integrator options, input signal")
+    # a string default goes through `type` too, so a bad DELAYREACH_SEED exits 2
+    parser.add_argument("--seed", type=seed_int, default=os.environ.get("DELAYREACH_SEED", "0"),
+                        help="master seed for all random draws (default 0)")
+    parser.add_argument("--out", default=os.environ.get("DELAYREACH_OUT", "."),
+                        help="directory for CSV/JSON artifacts (default: current directory)")
     parser.add_argument("--svg", default=None, help="write a line plot to this SVG path")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lyapunov", help="Lyapunov matrix and stability constants")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="blend fraction in [0,1]")
-    p.add_argument(
-        "--constants", action="store_true", help="print the blend bound and envelope constants"
-    )
-    p.set_defaults(func=cmd_lyapunov)
-
-    p = sub.add_parser("simulate", help="integrate one system and dump the trajectory")
-    p.add_argument(
-        "--system",
-        choices=["planar", "cascade", "associated"],
-        default="cascade",
-        help="which vector field to integrate (default cascade)",
-    )
-    p.add_argument("--T", type=float, default=5.0, help="final time (default 5)")
-    p.add_argument(
-        "--history",
-        default="zero",
-        help="initial data: 'zero' or 'const:v1,v2,...' (default zero)",
-    )
-    p.add_argument("--input", default=None, help="JSON file with the input signal description")
-    p.add_argument("--tau", type=float, default=None, help="delay for the cascade (default 1.5x escape time)")
-    p.add_argument("--grid", type=int, default=200, help="number of output samples (default 200)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("escape", help="greedy destabilizing switching run")
-    p.add_argument("--dwell", type=float, default=1e-3, help="nominal sampling dwell (default 1e-3)")
-    p.add_argument("--grid", type=int, default=500, help="number of output samples (default 500)")
-    p.set_defaults(func=cmd_escape)
-
-    p = sub.add_parser("estimate-r", help="sampled lower bound on the reachability supremum")
-    p.add_argument(
-        "--system", choices=["planar", "cascade", "associated"], default="planar"
-    )
-    p.add_argument("--r", type=float, default=1.0, help="initial-data norm bound (default 1)")
-    p.add_argument("--T", type=float, default=2.0, help="time horizon (default 2)")
-    p.add_argument("--budget", type=int, default=50, help="random draw count (default 50)")
-    p.set_defaults(func=cmd_estimate_r)
-
-    p = sub.add_parser("rfc-sweep", help="diverging peaks from smoothed escape schedules")
-    p.set_defaults(func=cmd_rfc_sweep)
-
-    p = sub.add_parser("es-check", help="exponential envelope on small random histories")
-    p.add_argument("--n", type=int, default=200, help="history count (default 200)")
-    p.add_argument("--T", type=float, default=30.0, help="horizon (default 30)")
-    p.add_argument("--tol", type=float, default=0.05, help="envelope slack fraction (default 0.05)")
-    p.set_defaults(func=cmd_es_check)
-
-    p = sub.add_parser("uga-table", help="empirical vs theoretical reach times")
-    p.add_argument(
-        "--r", type=float, nargs="+", default=[1.0, 10.0, 100.0], help="history norm bounds"
-    )
-    p.add_argument("--eps", type=float, nargs="+", default=[0.1, 1.0], help="target ball radii")
-    p.add_argument("--samples", type=int, default=50, help="histories per cell (default 50)")
-    p.set_defaults(func=cmd_uga_table)
-
-    p = sub.add_parser("equiv-check", help="delay vs input-embedding trajectory agreement")
-    p.add_argument("--pairs", type=int, default=50, help="random history count (default 50)")
-    p.set_defaults(func=cmd_equiv_check)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flag, kwargs in cmd.flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(cmd=cmd)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help and --version exit 0, a rejected flag exits 2
+        return exc.code
+    cmd = args.cmd
     try:
         cfg = load_config(args.config)
+        for key in cfg:
+            if key not in cmd.keys:
+                reads = ", ".join(cmd.keys) or "no keys"
+                raise ConfigInvalid(f"{key}: not read by {cmd.name} (it reads: {reads})")
+        cfg_tau = tau_from_config(cfg)
+        setup = Setup(params_from_config(cfg), opts_from_config(cfg, cmd.opts),
+                      getattr(args, "tau", None) or cfg_tau,  # an explicit --tau beats the config
+                      signal_from_config(cfg["input"]) if "input" in cfg else None)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg, out_dir)
+        result = cmd.run(args, setup)
+        for name, header, rows in result.csvs:
+            write_csv(out_dir / name, header, rows)
+        write_json(out_dir / f"{cmd.name.replace('-', '_')}_summary.json", result.summary)
+        print(result.text)
+        if args.svg and result.plot:
+            svg_line_plot(Path(args.svg), **result.plot)
+        return 0
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

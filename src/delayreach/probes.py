@@ -11,7 +11,7 @@ reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,20 +20,23 @@ from .integrator import (
     DiscreteDelaySystem,
     HistoryFn,
     IntegratorOptions,
-    SimOutcome,
     Trajectory,
     integrate,
 )
 from .lyap import Certificate, default_certificate
-from .signals import PiecewiseConstant, Signal, smooth_square
+from .signals import PiecewiseConstant, PiecewiseLinear, Signal, smooth_square
 from .systems import (
     DEFAULT_PLANAR,
     PlanarParams,
     associated_system,
     cascade_system,
     default_cascade_delay,
+    embed_history_as_inputs,
+    history_from_inputs,
+    make_system,
     planar_system,
     recorded_escape,
+    saturation_stop_times,
 )
 
 
@@ -86,7 +89,8 @@ class UgaCell:
 
     @property
     def ok(self) -> bool:
-        return self.t_emp_max <= self.t_theory
+        # bool(): t_emp_max may be a numpy float, whose comparison is not JSON-serialisable
+        return bool(self.t_emp_max <= self.t_theory)
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,62 @@ def uga_table(
     return cells
 
 
+@dataclass(frozen=True)
+class EmbeddingCheck:
+    """Per-pair sup deviations between delayed and input-driven runs."""
+
+    embed: tuple
+    complete: tuple
+    tolerance: float
+
+    @property
+    def ok(self) -> bool:
+        return max(self.embed + self.complete) <= self.tolerance
+
+
+def _paired_gap(casc, hist, assoc, xi0, u, T, opts) -> float:
+    """Largest component gap between the cascade run from `hist` and the
+    associated run from (xi0, u) on a 100-point grid of [0, T]."""
+    stops = saturation_stop_times(hist, casc.tau, T)
+    d = integrate(casc, hist, None, T, opts, extra_stops=stops).trajectory
+    a = integrate(assoc, xi0, u, T, opts, extra_stops=stops).trajectory
+    return max(float(np.abs(d.eval(t) - a.eval(t)).max()) for t in np.linspace(0.0, T, 100))
+
+
+def embedding_check(
+    tau: float,
+    pairs: int,
+    seed: int,
+    opts: IntegratorOptions,
+    params: PlanarParams = DEFAULT_PLANAR,
+) -> EmbeddingCheck:
+    """Both directions of the delay <-> input embedding on random draws.
+
+    Embed direction: a random history and its input embedding drive the
+    cascade and the associated system on [0, tau]. Completion direction: a
+    history assembled from a random (xi0, input) pair reproduces the
+    input-driven run on the shared half-window [0, tau/2]. The tolerance is
+    10 (3 rel_tol + abs_tol), since the states stay within a few units.
+    """
+    casc = cascade_system(tau, params)
+    assoc = associated_system(params)
+    embed, complete = [], []
+    for i in range(pairs):
+        rng = np.random.default_rng((seed, i))
+        hist = random_history(rng, rng.uniform(0.1, 1.0), tau, casc.dim)
+        xi0, inputs = embed_history_as_inputs(hist, casc.delays)
+        embed.append(_paired_gap(casc, hist, assoc, xi0, inputs[0], tau, opts))
+
+        knots = np.sort(rng.uniform(0.0, tau, size=5))
+        knots = np.unique(np.concatenate([[0.0], knots, [tau]]))
+        v = PiecewiseLinear(knots, rng.uniform(-0.8, 0.8, size=(len(knots), casc.dim)))
+        xi0 = rng.uniform(-0.5, 0.5, size=casc.dim)
+        hist = history_from_inputs(xi0, [v], casc.delays)
+        complete.append(_paired_gap(casc, hist, assoc, xi0, v, tau / 2.0, opts))
+    tol = 10.0 * (opts.rel_tol * 3.0 + opts.abs_tol)
+    return EmbeddingCheck(embed=tuple(embed), complete=tuple(complete), tolerance=tol)
+
+
 def escape_schedule(dwell: float = 1e-3) -> tuple[PiecewiseConstant, float]:
     """Recorded greedy switching signal, zeroed after its escape time."""
     run = recorded_escape(dwell)
@@ -363,53 +423,34 @@ def estimate_R(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    tau = tau if tau is not None else default_cascade_delay()
-    if system_kind == "planar":
-        sys = planar_system(params)
-    elif system_kind == "cascade":
-        sys = cascade_system(tau, params)
-    elif system_kind == "associated":
-        sys = associated_system(params)
-    else:
-        raise ValueError(f"unknown system kind {system_kind!r}")
-
-    def corner_state():
-        x = np.zeros(sys.dim)
-        x[min(1, sys.dim - 1) if system_kind != "planar" else 0] = r
-        return x
-
-    draws = []
-    # boundary draw: initial norm exactly r, zero input
-    draws.append(("corner", corner_state(), None))
-    if system_kind in ("planar", "associated") and r >= 1.0:
-        adv_u, _ = escape_schedule()
-        x = np.zeros(sys.dim)
-        x[-2] = 1.0
-        draws.append(("adversarial", x, adv_u))
-    for i in range(budget):
-        rng = np.random.default_rng((seed, i))
-        if system_kind == "cascade":
-            hist = random_history(rng, r * rng.uniform(0.2, 1.0), tau, sys.dim)
-            draws.append(("random", hist, None))
-        else:
-            x0 = rng.uniform(-r, r, size=sys.dim)
-            u = random_piecewise_input(rng, r, max(T, 1.0)) if sys.input_dim else None
-            draws.append(("random", x0, u))
-
-    lower = 0.0
-    escape_seen = False
+    sys = make_system(system_kind, tau, params)
     if T == 0.0:
         # the reachable set at time zero is exactly the initial ball
         return ReachEstimate(r=r, T=T, lower_bound=r, sample_budget=budget, escape_seen=False)
-    for _, ic, u in draws:
-        if system_kind == "cascade" and not isinstance(ic, HistoryFn):
-            ic = HistoryFn.constant(ic, tau)
-        out = integrate(sys, ic, u, T, opts)
-        if isinstance(ic, HistoryFn):
-            lower = max(lower, ic.norm())
+
+    # boundary draw: the first planar coordinate at exactly r, zero input
+    corner = np.zeros(sys.dim)
+    corner[sys.dim - 2] = r
+    draws = [(HistoryFn.constant(corner, sys.tau) if sys.delays else corner, None)]
+    if sys.input_dim and r >= 1.0:
+        x = np.zeros(sys.dim)
+        x[sys.dim - 2] = 1.0
+        draws.append((x, escape_schedule()[0]))
+    for i in range(budget):
+        rng = np.random.default_rng((seed, i))
+        if sys.delays:
+            draws.append((random_history(rng, r * rng.uniform(0.2, 1.0), sys.tau, sys.dim), None))
         else:
-            lower = max(lower, float(np.abs(ic).max()))
-        lower = max(lower, out.trajectory.sup_norm(out.trajectory.t_start, out.trajectory.t_end))
+            x0 = rng.uniform(-r, r, size=sys.dim)
+            draws.append((x0, random_piecewise_input(rng, r, max(T, 1.0)) if sys.input_dim else None))
+
+    lower = 0.0
+    escape_seen = False
+    for ic, u in draws:
+        out = integrate(sys, ic, u, T, opts)
+        traj = out.trajectory
+        norm0 = ic.norm() if isinstance(ic, HistoryFn) else float(np.abs(ic).max())
+        lower = max(lower, norm0, traj.sup_norm(traj.t_start, traj.t_end))
         if out.escaped:
             escape_seen = True
             if out.final_norm is not None:

@@ -108,6 +108,28 @@ def associated_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySys
     return DiscreteDelaySystem(dim=3, input_dim=1, delays=(), rhs=rhs, name="associated")
 
 
+#: Names accepted by `make_system`, in the order the CLI lists them.
+SYSTEM_NAMES = ("planar", "cascade", "associated")
+
+
+def make_system(
+    name: str, tau: Optional[float] = None, params: PlanarParams = DEFAULT_PLANAR
+) -> DiscreteDelaySystem:
+    """The system called `name` (one of SYSTEM_NAMES).
+
+    Only the cascade reads tau; when it is None the cascade gets
+    `default_cascade_delay()`, so the escape run behind that default is
+    computed only for a system that has a delay.
+    """
+    if name == "planar":
+        return planar_system(params)
+    if name == "cascade":
+        return cascade_system(default_cascade_delay() if tau is None else tau, params)
+    if name == "associated":
+        return associated_system(params)
+    raise ValueError(f"unknown system {name!r}; expected one of {', '.join(SYSTEM_NAMES)}")
+
+
 def _history_as_piecewise_linear(history: HistoryFn) -> tuple[np.ndarray, np.ndarray]:
     """Knot/value arrays representing the history as a broken line.
 
@@ -207,6 +229,11 @@ class SwitchingPolicy:
 
     dwell: float
     rule: Callable[[np.ndarray], int]
+
+    def __post_init__(self):
+        # a zero or negative dwell never advances the sampling clock
+        if not (math.isfinite(self.dwell) and self.dwell > 0.0):
+            raise ValueError(f"dwell must be finite and positive, got {self.dwell!r}")
 
 
 def greedy_worst_switch(

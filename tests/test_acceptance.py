@@ -19,6 +19,7 @@ from delayreach.integrator import (
 from delayreach.lyap import A_MODE1, A_MODE2, blend, is_hurwitz, lyapunov_residual, solve_lyapunov
 from delayreach.probes import (
     constant_input_descent,
+    embedding_check,
     es_check,
     estimate_R,
     random_history,
@@ -26,10 +27,10 @@ from delayreach.probes import (
     uga_table,
 )
 from delayreach.systems import (
+    SYSTEM_NAMES,
     associated_system,
     cascade_system,
     embed_history_as_inputs,
-    history_from_inputs,
     saturation_stop_times,
 )
 
@@ -133,51 +134,13 @@ def test_criterion_6_unbounded_peaks():
 
 
 def test_criterion_7_embedding_equivalence():
-    tau = 1.0
-    opts = IntegratorOptions(rel_tol=1e-8, abs_tol=1e-9)
-    casc = cascade_system(tau)
-    assoc = associated_system()
-    worst_embed = 0.0
-    worst_complete = 0.0
-    for i in range(50):
-        rng = np.random.default_rng((2024, i))
-        hist = random_history(rng, rng.uniform(0.1, 1.0), tau, 3)
-        xi0, inputs = embed_history_as_inputs(hist, casc.delays)
-        stops = saturation_stop_times(hist, tau, tau)
-        out_d = integrate(casc, hist, None, tau, opts, extra_stops=stops)
-        out_a = integrate(assoc, xi0, inputs[0], tau, opts, extra_stops=stops)
-        dev = max(
-            float(np.abs(out_d.trajectory.eval(t) - out_a.trajectory.eval(t)).max())
-            for t in np.linspace(0.0, tau, 64)
-        )
-        worst_embed = max(worst_embed, dev)
-
-        # reverse direction: a history assembled from (xi0, input) reproduces
-        # the input-driven run on the shared half-window
-        from delayreach.signals import PiecewiseLinear
-
-        knots = np.sort(rng.uniform(0.0, tau, size=5))
-        knots = np.unique(np.concatenate([[0.0], knots, [tau]]))
-        v = PiecewiseLinear(knots, rng.uniform(-0.8, 0.8, size=(len(knots), 3)))
-        xi0_r = rng.uniform(-0.5, 0.5, size=3)
-        hist_r = history_from_inputs(xi0_r, [v], casc.delays)
-        stops_r = saturation_stop_times(hist_r, tau, tau / 2.0)
-        out_d2 = integrate(casc, hist_r, None, tau / 2.0, opts, extra_stops=stops_r)
-        out_a2 = integrate(assoc, xi0_r, v, tau / 2.0, opts, extra_stops=stops_r)
-        dev2 = max(
-            float(np.abs(out_d2.trajectory.eval(t) - out_a2.trajectory.eval(t)).max())
-            for t in np.linspace(0.0, tau / 2.0, 33)
-        )
-        worst_complete = max(worst_complete, dev2)
-    scale = 3.0  # states stay within a few units for these draws
-    tol = 10.0 * (opts.rel_tol * scale + opts.abs_tol)
-    exact = all(estimate_R(k, 1.7, 0.0, 2).lower_bound == 1.7 for k in ("planar", "cascade", "associated"))
-    ok = worst_embed <= tol and worst_complete <= tol and exact
+    chk = embedding_check(1.0, 50, 2024, IntegratorOptions(rel_tol=1e-8, abs_tol=1e-9))
+    exact = all(estimate_R(k, 1.7, 0.0, 2).lower_bound == 1.7 for k in SYSTEM_NAMES)
     report(
         "embedding-equivalence",
-        ok,
-        f"50 pairs: embed-direction deviation {worst_embed:.2e} and completion-direction "
-        f"deviation {worst_complete:.2e} both <= {tol:.1e}; zero-horizon reach bound exact",
+        chk.ok and exact,
+        f"50 pairs: embed-direction deviation {max(chk.embed):.2e} and completion-direction "
+        f"deviation {max(chk.complete):.2e} both <= {chk.tolerance:.1e}; zero-horizon reach bound exact",
     )
 
 

@@ -1,9 +1,18 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from delayreach.cli import build_parser, main
+from delayreach.probes import estimate_R
+from delayreach.systems import recorded_escape
+
+
+def write_config(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 SUBCOMMANDS = [
@@ -169,3 +178,130 @@ class TestSvg:
         assert main(["--out", str(tmp_path), "--svg", str(svg), "escape"]) == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "env, cfg, argv",
+        [
+            ({}, None, ["simulate", "--T", "-1"]),
+            ({}, None, ["simulate", "--history", "const:a,0"]),
+            ({}, None, ["simulate", "--tau", "-1"]),
+            ({}, {"tau": "abc"}, ["simulate", "--system", "planar"]),
+            ({}, {"tau": -1}, ["simulate", "--system", "planar"]),
+            ({}, None, ["estimate-r", "--budget", "0"]),
+            ({}, None, ["lyapunov", "--lambda", "2"]),
+            ({}, None, ["uga-table", "--eps", "0"]),
+            ({}, None, ["--seed", "-1", "lyapunov"]),
+            ({"DELAYREACH_SEED": "abc"}, None, ["lyapunov"]),
+            ({}, None, ["escape", "--dwell=-1e-3"]),
+            ({}, None, ["escape", "--dwell", "0"]),
+        ],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, monkeypatch, env, cfg, argv):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        pre = ["--out", str(tmp_path)]
+        if cfg is not None:
+            pre += ["--config", write_config(tmp_path, cfg)]
+        t0 = time.perf_counter()
+        assert main(pre + argv) == 2
+        assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("name", ["es-check", "uga-table", "rfc-sweep", "escape"])
+    @pytest.mark.parametrize("key", ["A1", "A2"])
+    def test_gains_rejected_where_unused(self, tmp_path, capsys, name, key):
+        cfg = write_config(tmp_path, {key: [[-1.0, 0.0], [0.0, -1.0]]})
+        assert main(["--config", cfg, "--out", str(tmp_path), name]) == 2
+        assert key in capsys.readouterr().err
+
+
+class TestConfigKeysUsed:
+    @pytest.mark.parametrize(
+        "cfg", [{"A2": [[-1.0, 0.0], [0.0, -1.0]]}, {"tau": 0.5}, {"integrator": {"rel_tol": 1e-3}}]
+    )
+    def test_estimate_r_reads_config(self, tmp_path, capsys, cfg):
+        args = ["estimate-r", "--system", "cascade", "--r", "0.5", "--T", "1", "--budget", "3"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["--out", str(a), *args]) == 0
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(b), *args]) == 0
+        assert (a / "estimate_r.csv").read_bytes() != (b / "estimate_r.csv").read_bytes()
+
+    def test_lyapunov_constants_read_gains(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"A2": [[-1.0, 0.0], [0.0, -1.0]]})
+        assert main(["--out", str(tmp_path), "lyapunov", "--constants"]) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert main(["--config", cfg, "--out", str(tmp_path), "lyapunov", "--constants"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        # A(0) = -I has P0 = I/2, so c1 = c2 = 1/2: k = sqrt(2), p = min(1, 1/2)
+        assert (data["k"], data["p"]) == (pytest.approx(2.0 ** 0.5), 0.5)
+        assert data["capital_lambda"] != default["capital_lambda"]
+
+    def test_tau_flag_beats_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"tau": 0.5})
+        args = ["simulate", "--history", "const:0.5,0,0", "--T", "1"]
+        assert main(["--config", cfg, "--out", str(tmp_path), *args]) == 0
+        assert json.loads((tmp_path / "simulate_summary.json").read_text())["tau"] == 0.5
+        assert main(["--config", cfg, "--out", str(tmp_path), *args, "--tau", "0.75"]) == 0
+        assert json.loads((tmp_path / "simulate_summary.json").read_text())["tau"] == 0.75
+
+
+class TestNoEscapeRun:
+    def test_nondelayed_runs_skip_the_escape_schedule(self, tmp_path, capsys):
+        # any call of recorded_escape counts as a hit or a miss
+        before = recorded_escape.cache_info()
+        args = ["simulate", "--system", "planar", "--history", "const:0.5,0", "--T", "1"]
+        assert main(["--out", str(tmp_path), *args]) == 0
+        estimate_R("planar", 0.5, 1.0, 4)
+        after = recorded_escape.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+#: subcommand -> (small-size flags, artifact stem, CSV header, summary keys, run twice)
+SMALL_RUNS = {
+    "es-check": (
+        ["--n", "3", "--T", "5"],
+        "es_check",
+        "k_emp,p_emp,violations",
+        {"subcommand", "n_ics", "T", "fit_tol", "seed", "k", "p", "k_emp", "p_emp", "violations", "verdict"},
+        True,
+    ),
+    "uga-table": (
+        ["--r", "1", "--eps", "1", "--samples", "2"],
+        "uga_table",
+        "r,eps,t_theory,t_emp_max,ok",
+        {"subcommand", "samples_per_cell", "seed", "cells", "verdict"},
+        True,
+    ),
+    "equiv-check": (
+        ["--pairs", "3"],
+        "equiv_check",
+        "pair,max_deviation,completion_deviation",
+        {"subcommand", "pairs", "tau", "seed", "worst_deviation", "worst_completion_deviation",
+         "tolerance", "verdict"},
+        True,
+    ),
+    "rfc-sweep": (
+        [],
+        "rfc_sweep",
+        "delta,peak,settle_time,history_norm",
+        {"subcommand", "deltas", "peaks", "settle_times", "settle_bound", "growth_factor",
+         "strictly_increasing", "settled_in_time", "verdict"},
+        False,
+    ),
+}
+
+
+class TestProbeCommands:
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_small_run(self, tmp_path, capsys, escape_run, name):
+        flags, stem, header, keys, twice = SMALL_RUNS[name]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["--out", str(a), "--seed", "3", name, *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS ") for line in lines)
+        assert (a / f"{stem}.csv").read_text().splitlines()[0] == header
+        assert set(json.loads((a / f"{stem}_summary.json").read_text())) == keys
+        if twice:
+            assert main(["--out", str(b), "--seed", "3", name, *flags]) == 0
+            assert (a / f"{stem}.csv").read_bytes() == (b / f"{stem}.csv").read_bytes()

@@ -5,8 +5,11 @@ import pytest
 
 from delayreach.integrator import HistoryFn, IntegratorOptions, integrate
 from delayreach.signals import PiecewiseLinear
+from delayreach import systems
 from delayreach.systems import (
     DEFAULT_PLANAR,
+    SYSTEM_NAMES,
+    SwitchingPolicy,
     WindowOverlap,
     associated_system,
     cascade_system,
@@ -14,6 +17,7 @@ from delayreach.systems import (
     embed_history_as_inputs,
     greedy_worst_switch,
     history_from_inputs,
+    make_system,
     planar_rhs,
     planar_system,
     recorded_escape,
@@ -92,6 +96,35 @@ class TestSwitchedEscape:
         run = recorded_escape()
         assert recorded_escape(1e-3) is run
         assert recorded_escape.cache_info().misses == 1
+
+
+class TestMakeSystem:
+    def test_names_map_to_systems(self):
+        for name in SYSTEM_NAMES:
+            assert make_system(name, 1.0).name == name
+        assert make_system("cascade", 0.7).delays == (0.7,)
+
+    def test_cascade_default_delay(self, escape_run):
+        assert make_system("cascade").tau == default_cascade_delay()
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown system"):
+            make_system("pendulum")
+
+    def test_factories_looked_up_at_call_time(self, monkeypatch):
+        # instrumentation replaces the module attributes; make_system must see that
+        sentinel = planar_system()
+        monkeypatch.setattr(systems, "planar_system", lambda params: sentinel)
+        assert make_system("planar") is sentinel
+
+
+class TestSwitchingPolicy:
+    @pytest.mark.parametrize("dwell", [0.0, -1e-3, math.nan, math.inf])
+    def test_dwell_must_be_finite_positive(self, dwell):
+        with pytest.raises(ValueError, match="dwell"):
+            SwitchingPolicy(dwell=dwell, rule=lambda x: 1)
+        with pytest.raises(ValueError, match="dwell"):
+            greedy_worst_switch(dwell=dwell)
 
 
 class TestCascade:
