@@ -46,6 +46,7 @@ from .probes import (
     HorizonTooShort,
     ReachEstimate,
     RfcSweepResult,
+    TauTooShort,
     UgaCell,
     UnexpectedEscape,
     WindowInvalid,

@@ -29,7 +29,8 @@ from . import __version__
 from .integrator import HistoryFn, IntegratorOptions, SimOutcome, integrate
 from .lyap import (Mat2, blend, default_certificate, lyapunov_residual, solve_lyapunov,
                    stability_constants)
-from .probes import PROBE_OPTS, embedding_check, es_check, estimate_R, rfc_sweep, uga_table
+from .probes import (PROBE_OPTS, TauTooShort, embedding_check, es_check, estimate_R, rfc_sweep,
+                     uga_table)
 from .signals import Constant, Signal, from_json
 from .systems import (
     DEFAULT_PLANAR,
@@ -116,6 +117,7 @@ def svg_line_plot(
 
 # ---------------------------------------------------------------------------
 # input checks: argparse exits 2 on a failed flag type, main on ConfigInvalid
+# and on TauTooShort (a config tau below the bound the escape run sets)
 
 
 def _checked(conv, ok, what: str):
@@ -466,7 +468,7 @@ def main(argv=None) -> int:
         if args.svg and result.plot:
             svg_line_plot(Path(args.svg), **result.plot)
         return 0
-    except ConfigInvalid as exc:
+    except (ConfigInvalid, TauTooShort) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical-infrastructure failures

@@ -142,26 +142,46 @@ def _quartic_eval(y0, q, th):
     return y0 + th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
 
 
-def _quartic_sup(y0, q) -> float:
-    """Exact sup of |dense output|_inf over one segment, per component.
+def _real_roots(coeffs, a: float, b: float) -> list:
+    """Real roots in (a, b) of the polynomial with highest-first coefficients."""
+    coeffs = np.trim_zeros(np.asarray(coeffs), "f")
+    roots = np.roots(coeffs) if len(coeffs) > 1 else []
+    return [float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b]
 
-    Interior extrema are roots of the cubic derivative of the quartic
-    segment polynomial.
-    """
-    y1 = y0 + q[0] + q[1] + q[2] + q[3]
-    best = max(float(np.abs(y0).max()), float(np.abs(y1).max()))
-    for i in range(len(y0)):
-        coeffs = [4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]]
-        while coeffs and coeffs[0] == 0.0:
-            coeffs = coeffs[1:]
-        if len(coeffs) < 2:
-            continue
-        for r in np.roots(coeffs):
-            if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
-                th = float(r.real)
-                val = y0[i] + th * (q[0][i] + th * (q[1][i] + th * (q[2][i] + th * q[3][i])))
-                best = max(best, abs(val))
+
+def _bounds(y0, q) -> np.ndarray:
+    """|y0| + sum |q_k| per component, of one segment or of many: a bound on |p|
+    over [0, 1], 8 ulps over so no rounding of the sum or of a Horner value crosses it."""
+    return (np.abs(y0) + np.abs(q).sum(axis=-2)) * (1.0 + 8.0 * np.finfo(float).eps)
+
+
+def _quartic_sup(y0, q, a: float = 0.0, b: float = 1.0, floor: float = 0.0) -> float:
+    """Exact sup of |dense output|_inf over theta in [a, b] of one segment, if above
+    floor: its ends, and the roots of the cubic derivative between them in each
+    component whose bound beats floor and the ends."""
+    ya = y0 if a == 0.0 else _quartic_eval(y0, q, a)
+    yb = y0 + q[0] + q[1] + q[2] + q[3] if b == 1.0 else _quartic_eval(y0, q, b)
+    best = max(float(np.abs(ya).max()), float(np.abs(yb).max()))
+    for i in np.flatnonzero(_bounds(y0, q) > max(best, floor)):
+        for th in _real_roots([4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]], a, b):
+            best = max(best, abs(_quartic_eval(y0[i], q[:, i], th)))
     return best
+
+
+def _last_crossing(y0, q, level: float) -> Optional[float]:
+    """Largest theta in (0, 1] with |p(theta)|_inf > level just before it, or None.
+
+    The roots of p_i = +-level cut [0, 1] into pieces on which |p_i| - level
+    keeps its sign, so one midpoint decides each piece.
+    """
+    ends = []
+    for i in np.flatnonzero(_bounds(y0, q) > level):
+        c = [q[3][i], q[2][i], q[1][i], q[0][i]]
+        roots = [r for s in (level, -level) for r in _real_roots(c + [y0[i] - s], 0.0, 1.0)]
+        cuts = np.sort([0.0, 1.0] + roots)
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        ends += list(cuts[1:][np.abs(_quartic_eval(y0[i], q[:, i], mids)) > level])
+    return max(ends, default=None)
 
 
 class Trajectory:
@@ -247,39 +267,38 @@ class Trajectory:
         return (q[0] + th * (2.0 * q[1] + th * (3.0 * q[2] + th * 4.0 * q[3]))) / h
 
     def sup_norm(self, lo: float, hi: float) -> float:
-        """Exact sup of |x(t)|_inf over [lo, hi] under the dense output."""
+        """Exact sup of |x(t)|_inf over [lo, hi] under the dense output: the window
+        ends, the nodes, and the critical points inside the window of each segment
+        whose bound beats the best value so far; bit for bit the unpruned search."""
         lo = max(lo, self.t_start)
         hi = min(hi, self.t_end)
         if hi < lo:
             raise SpanTooShort("empty window")
+        ts, ys, qs = self.ts, self.ys, self.qs
         i0, i1 = self._segment(lo), self._segment(hi)
-        best = max(float(np.abs(self.eval(lo)).max()), float(np.abs(self.eval(hi)).max()))
-        for i in range(i0, i1 + 1):
-            a = max(lo, self.ts[i])
-            b = min(hi, self.ts[i + 1])
-            if b <= a:
-                continue
-            if a == self.ts[i] and b == self.ts[i + 1]:
-                best = max(best, _quartic_sup(self.ys[i], self.qs[i]))
-            else:
-                for t in np.linspace(a, b, 9):
-                    best = max(best, float(np.abs(self.eval(t)).max()))
+        best = max(float(np.abs(self._interp(lo)).max()), float(np.abs(self._interp(hi)).max()),
+                   float(np.abs(ys[i0 + 1 : i1 + 1]).max(initial=0.0)))
+        bound = _bounds(ys[i0 : i1 + 1], qs[i0 : i1 + 1]).max(axis=1)
+        for k in np.argsort(-bound, kind="stable"):
+            if bound[k] <= best:
+                break
+            i = i0 + int(k)
+            a = (lo - ts[i]) / (ts[i + 1] - ts[i]) if i == i0 else 0.0
+            b = (hi - ts[i]) / (ts[i + 1] - ts[i]) if i == i1 else 1.0
+            if a < b:
+                best = max(best, _quartic_sup(ys[i], qs[i], a, b, best))
         return best
 
     def last_time_above(self, level: float) -> float:
-        """Largest t with |x(t)|_inf > level, or t_start if never above."""
-        for i in range(len(self.ts) - 2, -1, -1):
-            seg = _quartic_sup(self.ys[i], self.qs[i])
-            if seg > level:
-                # refine inside the segment from the right
-                lo, hi = self.ts[i], self.ts[i + 1]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if self.sup_norm(mid, self.ts[i + 1]) > level:
-                        lo = mid
-                    else:
-                        hi = mid
-                return hi
+        """Largest t with |x(t)|_inf > level, or t_start if never above. Exact: the
+        last crossing of p_i = +-level, solved directly, in the last segment whose
+        exact sup exceeds the level (or that segment's end, if still above)."""
+        ts, ys, qs = self.ts, self.ys, self.qs
+        for i in np.flatnonzero(_bounds(ys[:-1], qs).max(axis=1) > level)[::-1]:
+            if _quartic_sup(ys[i], qs[i], floor=level) > level:
+                th = _last_crossing(ys[i], qs[i], level)
+                if th is not None:
+                    return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
         return self.t_start
 
 

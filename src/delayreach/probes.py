@@ -52,6 +52,10 @@ class WindowInvalid(ValueError):
     """Decay audit requested on an empty window."""
 
 
+class TauTooShort(ValueError):
+    """The delay does not cover 1.5x the escape time of the recorded schedule."""
+
+
 #: Probe-level integrator settings; probes compare against >=5% analytic
 #: margins, so they run looser (and much faster) than the oracle defaults.
 PROBE_OPTS = IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8)
@@ -377,7 +381,7 @@ def rfc_sweep(
     schedule, t_esc = escape_schedule()
     tau = tau if tau is not None else 1.5 * t_esc
     if tau < 1.5 * t_esc - 1e-12:
-        raise ValueError("tau must cover 1.5x the escape time")
+        raise TauTooShort(f"tau={tau} must cover 1.5x the escape time {t_esc}")
     sys = cascade_system(tau, params)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     peaks = []

@@ -21,8 +21,16 @@ class DwellTooSmall(ValueError):
     """Smoothing width too large for the schedule's shortest piece."""
 
 
+def _finite(v, name: str) -> np.ndarray:
+    """v as a float array; ValueError if any entry is NaN or infinite."""
+    arr = np.asarray(v, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _as_value(v) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    arr = np.atleast_1d(_finite(v, "value"))
     if arr.ndim != 1:
         raise ValueError("signal values must be scalars or 1-d vectors")
     return arr
@@ -83,10 +91,10 @@ class PiecewiseConstant(Signal):
     """
 
     def __init__(self, values, breaks):
-        self.values = np.asarray(values, dtype=float)
+        self.values = _finite(values, "values")
         if self.values.ndim == 1:
             self.values = self.values.reshape(-1, 1)
-        self.breaks = np.asarray(breaks, dtype=float)
+        self.breaks = _finite(breaks, "breaks")
         if len(self.breaks) != len(self.values) - 1:
             raise ValueError("need exactly one breakpoint between consecutive pieces")
         if len(self.breaks) > 1 and not (np.diff(self.breaks) > 0).all():
@@ -137,8 +145,8 @@ class PiecewiseLinear(Signal):
     """
 
     def __init__(self, knots, values):
-        self.knots = np.asarray(knots, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.knots = _finite(knots, "knots")
+        self.values = _finite(values, "values")
         if self.values.ndim == 1:
             self.values = self.values.reshape(-1, 1)
         if len(self.knots) != len(self.values):
@@ -186,8 +194,8 @@ class ExponentialTail(Signal):
 
     def __init__(self, value, rate, start=0.0):
         self.value = _as_value(value)
-        self.rate = float(rate)
-        self.start = float(start)
+        self.rate = float(_finite(rate, "rate"))
+        self.start = float(_finite(start, "start"))
         self.dim = self.value.size
 
     def eval(self, t):
@@ -230,7 +238,7 @@ class Concatenation(Signal):
             raise ValueError("dimension mismatch")
         self.first = first
         self.second = second
-        self.t_switch = float(t_switch)
+        self.t_switch = float(_finite(t_switch, "t_switch"))
         self.dim = first.dim
 
     def eval(self, t):
@@ -272,7 +280,7 @@ class TimeShift(Signal):
 
     def __init__(self, inner: Signal, shift: float):
         self.inner = inner
-        self.shift = float(shift)
+        self.shift = float(_finite(shift, "shift"))
         self.dim = inner.dim
 
     def eval(self, t):
@@ -295,11 +303,11 @@ class Window(Signal):
     """inner on [lo, hi), zero elsewhere; inner is never evaluated outside."""
 
     def __init__(self, inner: Signal, lo: float, hi: float):
-        if not hi > lo:
+        self.lo = float(_finite(lo, "lo"))
+        self.hi = float(_finite(hi, "hi"))
+        if not self.hi > self.lo:
             raise ValueError("empty window")
         self.inner = inner
-        self.lo = float(lo)
-        self.hi = float(hi)
         self.dim = inner.dim
 
     def eval(self, t):
@@ -384,7 +392,9 @@ def smooth_square(
     half = 0.5 * delta
     knots = np.unique(np.concatenate([breaks - half, breaks + half]))
     vals = np.array([(integral(k + half) - integral(k - half)) / delta for k in knots])
-    return PiecewiseLinear(knots, vals)
+    # a moving average stays inside the range of the values it averages, so
+    # clipping to it removes only the rounding of the difference above
+    return PiecewiseLinear(knots, np.clip(vals, values.min(axis=0), values.max(axis=0)))
 
 
 def from_json(obj: dict) -> Signal:

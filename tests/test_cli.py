@@ -6,7 +6,12 @@ import pytest
 
 from delayreach.cli import build_parser, main
 from delayreach.probes import estimate_R
+from delayreach.signals import from_json
 from delayreach.systems import recorded_escape
+
+
+NAN, INF = float("nan"), float("inf")
+ONE = {"kind": "constant", "value": [1.0]}
 
 
 def write_config(tmp_path, cfg) -> str:
@@ -207,6 +212,35 @@ class TestBadInput:
         t0 = time.perf_counter()
         assert main(pre + argv) == 2
         assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "piecewise_constant", "values": [[0.0], [1.0]], "breaks": [NAN]},
+            {"kind": "piecewise_constant", "values": [[0.0], [-INF]], "breaks": [1.0]},
+            {"kind": "piecewise_linear", "knots": [0.0, 1.0], "values": [[0.0], [INF]]},
+            {"kind": "piecewise_linear", "knots": [0.0, INF], "values": [[0.0], [1.0]]},
+            {"kind": "constant", "value": [NAN]},
+            {"kind": "exponential_tail", "value": [1.0], "rate": INF},
+            {"kind": "exponential_tail", "value": [1.0], "rate": 1.0, "start": NAN},
+            {"kind": "concatenation", "first": ONE, "second": ONE, "t_switch": NAN},
+            {"kind": "time_shift", "inner": ONE, "shift": -INF},
+            {"kind": "zero_outside_interval", "inner": ONE, "lo": 0.0, "hi": INF},
+            {"kind": "zero_outside_interval", "inner": ONE, "lo": -INF, "hi": 1.0},
+        ],
+    )
+    def test_non_finite_signal_rejected(self, tmp_path, capsys, spec):
+        with pytest.raises(ValueError, match="must be finite"):
+            from_json(spec)
+        cfg = write_config(tmp_path, {"input": spec})
+        args = ["simulate", "--system", "planar", "--history", "const:0.5,0", "--T", "1"]
+        assert main(["--config", cfg, "--out", str(tmp_path), *args]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_rfc_sweep_tau_below_escape_bound(self, tmp_path, capsys, escape_run):
+        cfg = write_config(tmp_path, {"tau": 0.5})
+        assert main(["--config", cfg, "--out", str(tmp_path), "rfc-sweep"]) == 2
+        assert "1.5x the escape time" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["es-check", "uga-table", "rfc-sweep", "escape"])
     @pytest.mark.parametrize("key", ["A1", "A2"])

@@ -11,11 +11,13 @@ from delayreach.integrator import (
     MaxStepsExceeded,
     SpanTooShort,
     StepSizeCollapse,
+    Trajectory,
     extract_history,
     integrate,
     residual_audit,
 )
 from delayreach.signals import Constant, PiecewiseConstant
+from delayreach.systems import cascade_system
 
 
 def decay_system(rate=1.0):
@@ -142,6 +144,119 @@ class TestDenseOutput:
         # e^{-t} > 0.1 until t = ln 10
         assert out.trajectory.last_time_above(0.1) == pytest.approx(math.log(10.0), abs=1e-6)
         assert out.trajectory.last_time_above(2.0) == 0.0
+
+
+def dense_norms(traj, t):
+    """|x(t)|_inf at each sample time, by the same arithmetic as Trajectory.eval."""
+    ts, ys, qs = traj.ts, traj.ys, traj.qs
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    th = ((t - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
+    q = qs[i]
+    x = ys[i] + th * (q[:, 0] + th * (q[:, 1] + th * (q[:, 2] + th * q[:, 3])))
+    x = np.where((t == ts[i + 1])[:, None], ys[i + 1], x)
+    return np.abs(x).max(axis=1)
+
+
+def segment_sup(y0, q):
+    """Unpruned reference: |x|_inf at both ends and at every real root in (0, 1)
+    of each component's cubic derivative."""
+    best = max(float(np.abs(y0).max()), float(np.abs(y0 + q[0] + q[1] + q[2] + q[3]).max()))
+    for i in range(len(y0)):
+        for r in np.roots(np.trim_zeros([4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]], "f")):
+            if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
+                th = float(r.real)
+                val = y0[i] + th * (q[0][i] + th * (q[1][i] + th * (q[2][i] + th * q[3][i])))
+                best = max(best, abs(val))
+    return best
+
+
+@pytest.fixture(scope="module")
+def cascade_traj():
+    # a cascade run on which 9-point sampling of partial segments read the
+    # sup of some windows 5.1e-7 (relative) below dense sampling
+    hist = HistoryFn.constant(np.array([0.9, 2.0, -1.0]), 1.0)
+    out = integrate(cascade_system(1.0), hist, None, 10.0)
+    assert out.completed
+    return out.trajectory
+
+
+def bumps():
+    """Two quartic segments, exact in floating point: component 0 is
+    8th(1 - th) on [0, 1] (peak 2) and 4th(1 - th) on [1, 2] (peak 1);
+    component 1 is -6th(1 - th) on [0, 1] and 0 on [1, 2]."""
+    traj = Trajectory(0.0, np.zeros(2))
+    traj._append(1.0, np.zeros(2), np.array([[8.0, -6.0], [-8.0, 6.0], [0.0, 0.0], [0.0, 0.0]]))
+    traj._append(2.0, np.zeros(2), np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    traj._trim()
+    return traj
+
+
+class TestExactSuprema:
+    def test_dense_norms_is_eval(self, cascade_traj):
+        ts = np.concatenate([np.linspace(0.0, 10.0, 301), cascade_traj.ts[::7]])
+        for t, v in zip(ts, dense_norms(cascade_traj, ts)):
+            assert float(np.abs(cascade_traj.eval(t)).max()) == v
+
+    def test_random_windows_dominate_dense_sampling(self, cascade_traj):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            lo, hi = np.sort(rng.uniform(0.0, 10.0, 2))
+            dense = dense_norms(cascade_traj, np.linspace(lo, hi, 4001)).max()
+            assert cascade_traj.sup_norm(lo, hi) >= dense
+
+    def test_whole_segment_windows_match_unpruned_search(self, cascade_traj):
+        traj = cascade_traj
+        n = len(traj.ts)
+        rng = np.random.default_rng(1)
+        pairs = [(0, n - 1)] + [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(40)]
+        for i, j in pairs:
+            ref = max(float(np.abs(traj.ys[i]).max()), float(np.abs(traj.ys[j]).max()),
+                      *(segment_sup(traj.ys[k], traj.qs[k]) for k in range(i, j)))
+            assert traj.sup_norm(float(traj.ts[i]), float(traj.ts[j])) == ref
+
+    def test_point_and_clipped_windows(self, cascade_traj):
+        traj = cascade_traj
+        t = 3.3
+        assert traj.sup_norm(t, t) == float(np.abs(traj.eval(t)).max())
+        assert traj.sup_norm(-5.0, 50.0) == traj.sup_norm(0.0, 10.0)
+        with pytest.raises(SpanTooShort):
+            traj.sup_norm(11.0, 12.0)
+
+    def test_last_time_above_on_random_levels(self, cascade_traj):
+        traj = cascade_traj
+        floor = float(np.abs(traj.ys[-1]).max())
+        rng = np.random.default_rng(2)
+        for level in floor + (traj.sup_norm(0.0, 10.0) - floor) * rng.uniform(0.01, 0.99, 20):
+            t_star = traj.last_time_above(level)
+            assert float(np.abs(traj.eval(t_star)).max()) == pytest.approx(level, rel=1e-12)
+            assert dense_norms(traj, np.linspace(t_star, 10.0, 4001)[1:]).max() <= level
+
+    def test_crossing_in_final_segment(self):
+        out = integrate(decay_system(), np.array([1.0]), None, 5.0)
+        traj = out.trajectory
+        t_mid = 0.5 * (traj.ts[-2] + traj.ts[-1])
+        level = float(traj.eval(t_mid)[0])
+        t_star = traj.last_time_above(level)
+        assert traj.ts[-2] < t_star < traj.ts[-1]
+        assert t_star == pytest.approx(t_mid, rel=1e-12)
+        assert traj.last_time_above(0.5 * float(traj.ys[-1][0])) == traj.t_end
+
+    def test_level_never_reached(self, cascade_traj):
+        assert cascade_traj.last_time_above(cascade_traj.sup_norm(0.0, 10.0)) == cascade_traj.t_start
+        assert cascade_traj.last_time_above(1e3) == cascade_traj.t_start
+
+    def test_level_at_interior_local_maximum(self):
+        traj = bumps()
+        assert traj.sup_norm(0.0, 2.0) == 2.0
+        assert traj.sup_norm(1.0, 2.0) == 1.0
+        assert traj.sup_norm(0.1, 0.4) == pytest.approx(8.0 * 0.4 * 0.6, rel=1e-15)
+        # the bump on [1, 2] only touches 1: the answer is the way down from 2
+        t_star = traj.last_time_above(1.0)
+        assert t_star == pytest.approx((1.0 + math.sqrt(0.5)) / 2.0, rel=1e-15)
+        assert float(np.abs(traj.eval(t_star)).max()) == pytest.approx(1.0, rel=1e-12)
+        assert dense_norms(traj, np.linspace(t_star, 2.0, 4001)[1:]).max() <= 1.0
+        assert traj.last_time_above(0.5) == pytest.approx(1.0 + (1.0 + math.sqrt(0.5)) / 2.0, rel=1e-15)
+        assert traj.last_time_above(2.0) == 0.0
 
 
 class TestRestart:

@@ -6,6 +6,7 @@ import pytest
 from delayreach.integrator import HistoryFn, integrate
 from delayreach.probes import (
     PROBE_OPTS,
+    TauTooShort,
     WindowInvalid,
     constant_input_descent,
     decay_audit,
@@ -97,6 +98,10 @@ class TestRfcSweep:
     def test_rejects_nondecreasing_deltas(self):
         with pytest.raises(ValueError):
             rfc_sweep(delta_list=[0.05, 0.1])
+
+    def test_rejects_tau_below_escape_bound(self, escape_run):
+        with pytest.raises(TauTooShort):
+            rfc_sweep(tau=0.5)
 
 
 class TestDecayAudit:

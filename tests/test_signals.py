@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from delayreach.probes import DEFAULT_DELTAS, escape_schedule
 from delayreach.signals import (
     Concatenation,
     Constant,
@@ -133,6 +134,13 @@ class TestSmoothSquare:
     def test_never_exceeds_sup(self):
         w = smooth_square(self.sched, 0.3)
         assert dense_sup(w, 0.0, 6.0) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("delta", DEFAULT_DELTAS)
+    def test_recorded_schedule_stays_within_sup(self, escape_run, delta):
+        # no tolerance: the moving average is clipped to the schedule's range
+        sched, t_esc = escape_schedule()
+        w = smooth_square(sched, delta, strict=False)
+        assert float(np.abs(w.values).max()) <= sched.sup_norm(0.0, t_esc + 1.0)
 
     def test_l1_error_halves_with_delta(self):
         # each isolated jump of size J contributes J*delta/4 of L1 error
