@@ -492,8 +492,13 @@ class Stepper:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         return min(100.0 * h0, h1)
 
-    def advance(self, target: float) -> int:
-        """Integrate up to `target` (a forced boundary). Returns _OK or _ESCAPED."""
+    def advance(self, target: float, rhs_jumps: bool = True) -> int:
+        """Integrate up to `target` (a forced boundary). Returns _OK or _ESCAPED.
+
+        With rhs_jumps=False the caller promises that the rhs is continuous
+        at the target and ignores `left` there, so the last stage is reused
+        as the outgoing slope instead of evaluating the rhs again.
+        """
         o = self.opts
         if self.escape_info is not None:
             return _ESCAPED
@@ -541,11 +546,12 @@ class Stepper:
             self.traj._append(t_new, y_new, h * (_P.T @ K))
             self.t, self.y = t_new, y_new
             self._abs_y, self._norm_prev, self._norm = abs_new, self._norm, norm_new
-            if at_end:
+            if at_end and rhs_jumps:
                 # rhs may jump at the boundary; recompute the outgoing slope
                 K[0] = rhs(t_new, y_new, False)
             else:
                 K[0] = K[6]
+            if not at_end:
                 fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 self.h = max(h * fac, o.h_min)
             if norm_new >= o.escape_threshold:

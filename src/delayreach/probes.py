@@ -32,10 +32,10 @@ from .systems import (
     cascade_system,
     default_cascade_delay,
     embed_history_as_inputs,
+    escape_signal,
     history_from_inputs,
     make_system,
     planar_system,
-    recorded_escape,
     saturation_stop_times,
 )
 
@@ -346,11 +346,7 @@ def embedding_check(
 
 def escape_schedule(dwell: float = 1e-3) -> tuple[PiecewiseConstant, float]:
     """Recorded greedy switching signal, zeroed after its escape time."""
-    run = recorded_escape(dwell)
-    if not run.outcome.escaped:
-        raise RuntimeError("greedy switching did not escape")
-    t_esc = float(run.outcome.t_escape)
-    sig = run.signal
+    sig, t_esc = escape_signal(dwell)
     values = np.vstack([sig.values, np.zeros((1, sig.dim))])
     breaks = np.append(sig.breaks, t_esc)
     return PiecewiseConstant(values, breaks), t_esc

@@ -20,8 +20,9 @@ from .integrator import (
     Stepper,
     _OK,
 )
+from . import escape_data
 from .lyap import A_MODE1, A_MODE2, Mat2
-from .signals import PiecewiseConstant, PiecewiseLinear, Signal, TimeShift, Window
+from .signals import PiecewiseConstant, PiecewiseLinear, Signal, Window
 
 
 class WindowOverlap(ValueError):
@@ -51,8 +52,19 @@ class PlanarParams:
 DEFAULT_PLANAR = PlanarParams()
 
 
-def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
-    """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state."""
+def planar_rhs(params: PlanarParams = DEFAULT_PLANAR, lam: Optional[float] = None) -> Callable:
+    """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state.
+
+    With `lam` given, g ignores u and applies A(sat(lam)), blended once: the
+    field of one mode of a switched run.
+    """
+    if lam is not None:
+        a_fixed = params.gain(unit_saturation(lam))
+
+        def g_fixed(x: np.ndarray, u=None) -> np.ndarray:
+            return (1.0 + float(x @ x)) * (a_fixed @ x)
+
+        return g_fixed
     m1 = params.a1.as_array()
     m2 = params.a2.as_array()
 
@@ -118,8 +130,7 @@ def make_system(
     """The system called `name` (one of SYSTEM_NAMES).
 
     Only the cascade reads tau; when it is None the cascade gets
-    `default_cascade_delay()`, so the escape run behind that default is
-    computed only for a system that has a delay.
+    `default_cascade_delay()`.
     """
     if name == "planar":
         return planar_system(params)
@@ -281,13 +292,14 @@ def run_switched(
     equal values merged) so the escape can be replayed open loop.
     """
     opts = opts or IntegratorOptions(h_min=1e-14)
-    g = planar_rhs(params)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    current = [0.0]
+    # the field of the current mode; it changes only between advance calls
+    mode = 0.0
+    field = [planar_rhs(params, mode)]
 
     def rhs(t, y, left=False):
-        return g(y, current[0])
+        return field[0](y)
 
     stepper = Stepper(rhs, 0.0, x0, opts, h_cap=None)
     piece_vals: list[float] = []
@@ -299,13 +311,16 @@ def run_switched(
         elif lam != piece_vals[-1]:
             piece_vals.append(lam)
             piece_breaks.append(stepper.t)
-        if lam != current[0]:
-            current[0] = lam
+        if lam != mode:
+            mode = lam
+            field[0] = planar_rhs(params, mode)
             stepper.invalidate_rhs_cache()
         dwell = policy.dwell / (1.0 + float(stepper.y @ stepper.y))
         dwell = min(max(dwell, min_dwell), policy.dwell)
         target = min(stepper.t + dwell, T)
-        if stepper.advance(target) != _OK:
+        # the field is smooth up to the target; a mode switch there resets
+        # the slope through invalidate_rhs_cache
+        if stepper.advance(target, rhs_jumps=False) != _OK:
             break
     outcome = stepper.outcome()
     sig = PiecewiseConstant(np.array(piece_vals), np.array(piece_breaks))
@@ -327,13 +342,23 @@ def _recorded_escape(dwell: float) -> SwitchedRun:
 
 
 recorded_escape.cache_info = _recorded_escape.cache_info
-recorded_escape.cache_clear = _recorded_escape.cache_clear
+
+
+def escape_signal(dwell: float = 1e-3) -> tuple[PiecewiseConstant, float]:
+    """Switching signal and escape time of the greedy run at this dwell.
+
+    The default dwell reads the literals of `escape_data`; any other dwell
+    runs the closed loop through `recorded_escape`.
+    """
+    if float(dwell) == escape_data.DWELL:
+        return PiecewiseConstant(escape_data.VALUES, escape_data.BREAKS), escape_data.T_ESCAPE
+    run = recorded_escape(dwell)
+    if not run.outcome.escaped:
+        raise RuntimeError("greedy switching did not escape")
+    return run.signal, float(run.outcome.t_escape)
 
 
 def default_cascade_delay(dwell: float = 1e-3) -> float:
     """1.5x the observed open-loop escape time of the greedy signal, so the
     delay window contains the whole blow-up region."""
-    run = recorded_escape(dwell)
-    if not run.outcome.escaped:
-        raise RuntimeError("greedy switching unexpectedly failed to escape")
-    return 1.5 * float(run.outcome.t_escape)
+    return 1.5 * escape_signal(dwell)[1]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from delayreach.cli import build_parser, main
-from delayreach.probes import estimate_R
+from delayreach.probes import escape_schedule, estimate_R
 from delayreach.signals import from_json
-from delayreach.systems import recorded_escape
+from delayreach.systems import default_cascade_delay, make_system, recorded_escape
 
 
 NAN, INF = float("nan"), float("inf")
@@ -287,6 +287,18 @@ class TestNoEscapeRun:
         args = ["simulate", "--system", "planar", "--history", "const:0.5,0", "--T", "1"]
         assert main(["--out", str(tmp_path), *args]) == 0
         estimate_R("planar", 0.5, 1.0, 4)
+        after = recorded_escape.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_delayed_defaults_read_the_stored_schedule(self, tmp_path, capsys):
+        before = recorded_escape.cache_info()
+        default_cascade_delay()
+        escape_schedule()
+        make_system("cascade")
+        # r >= 1: the input-driven pool includes the escape schedule
+        estimate_R("associated", 1.0, 0.5, 1)
+        estimate_R("cascade", 1.0, 0.5, 1)
+        assert main(["--out", str(tmp_path), "simulate"]) == 0
         after = recorded_escape.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 

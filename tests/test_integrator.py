@@ -10,6 +10,7 @@ from delayreach.integrator import (
     IntegratorOptions,
     MaxStepsExceeded,
     SpanTooShort,
+    Stepper,
     StepSizeCollapse,
     Trajectory,
     extract_history,
@@ -393,3 +394,23 @@ class TestStepperOutcomes:
         # this is a failure of the options, not an escape
         with pytest.raises(StepSizeCollapse):
             integrate(decay_system(rate=100.0), np.array([1.0]), None, 10.0, IntegratorOptions(h_min=1.0))
+
+    def test_continuous_boundaries_reuse_the_last_stage(self):
+        # the rhs ignores `left` and does not jump, so its value at a boundary
+        # is the last stage: skipping the re-evaluation changes no bit
+        calls = [0]
+
+        def rhs(t, y, left=False):
+            calls[0] += 1
+            return np.array([-y[1], y[0]]) * (1.0 + 0.1 * np.sin(t))
+
+        runs = {}
+        for jumps in (True, False):
+            calls[0] = 0
+            st = Stepper(rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+            for target in np.linspace(0.05, 5.0, 100):
+                st.advance(target, rhs_jumps=jumps)
+            traj = st.outcome().trajectory
+            runs[jumps] = (calls[0], st.nsteps, traj.ts.tobytes() + traj.ys.tobytes() + traj.qs.tobytes())
+        assert runs[True][1:] == runs[False][1:]
+        assert runs[True][0] - runs[False][0] == 100

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,101 @@ class TestJsonRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_json({"kind": "nope"})
+
+
+LEAVES = (Constant, PiecewiseConstant, PiecewiseLinear, ExponentialTail)
+SIGNAL_CLASSES = LEAVES + (Concatenation, TimeShift, Window)
+
+
+def random_signal(rng, cls, dim):
+    """A random instance of `cls` and the start of its domain."""
+    n = int(rng.integers(2, 7))
+    vals = rng.uniform(-2.0, 2.0, size=(n, dim))
+    if cls is Constant:
+        return Constant(vals[0]), 0.0
+    if cls is PiecewiseConstant:
+        return PiecewiseConstant(vals, np.sort(rng.uniform(0.1, 5.0, size=n - 1))), 0.0
+    if cls is PiecewiseLinear:
+        return PiecewiseLinear(np.sort(rng.uniform(0.0, 5.0, size=n)), vals), 0.0
+    if cls is ExponentialTail:
+        return ExponentialTail(vals[0], rng.uniform(-0.5, 2.0), rng.uniform(0.0, 3.0)), 0.0
+    inner = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)[0]
+    if cls is Concatenation:
+        second = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)[0]
+        return Concatenation(inner, second, rng.uniform(0.2, 4.0)), 0.0
+    if cls is TimeShift:
+        shift = rng.uniform(0.0, 2.0)
+        return TimeShift(inner, shift), shift
+    lo = rng.uniform(0.0, 3.0)
+    return Window(inner, lo, lo + rng.uniform(0.1, 3.0)), 0.0
+
+
+def defining_instants(sig) -> np.ndarray:
+    """Every instant where a piece, switch or window of `sig` begins or ends."""
+    if isinstance(sig, PiecewiseConstant):
+        return sig.breaks
+    if isinstance(sig, PiecewiseLinear):
+        return sig.knots
+    if isinstance(sig, ExponentialTail):
+        return np.array([sig.start])
+    if isinstance(sig, Concatenation):
+        return np.concatenate([defining_instants(sig.first), defining_instants(sig.second), [sig.t_switch]])
+    if isinstance(sig, TimeShift):
+        return defining_instants(sig.inner) + sig.shift
+    if isinstance(sig, Window):
+        return np.concatenate([defining_instants(sig.inner), [sig.lo, sig.hi]])
+    return np.empty(0)
+
+
+class TestSignalProperties:
+    """Seeded random instances of every signal class, on random windows."""
+
+    DRAWS = 12
+    SAMPLES = 1001
+
+    def draws(self, cls):
+        for i in range(self.DRAWS):
+            rng = np.random.default_rng((SIGNAL_CLASSES.index(cls), i))
+            sig, start = random_signal(rng, cls, int(rng.integers(1, 4)))
+            lo = start + rng.uniform(0.0, 3.0)
+            yield rng, sig, lo, lo + rng.uniform(0.05, 4.0)
+
+    @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
+    def test_sup_norm_bounds_samples_and_is_attained(self, cls):
+        for _, sig, lo, hi in self.draws(cls):
+            sup = sig.sup_norm(lo, hi)
+            grid = np.linspace(lo, hi, self.SAMPLES)
+            assert sup >= max(float(np.abs(sig.eval(t)).max()) for t in grid)
+            # attained by a value or a left limit inside the window
+            pts = np.concatenate([grid, sig.breakpoints(lo, hi)])
+            reached = max(
+                max(float(np.abs(sig.eval(t)).max()) for t in pts if t < hi),
+                max(float(np.abs(sig.eval_left(t)).max()) for t in pts if t > lo),
+            )
+            assert reached >= sup - 1e-12 * max(1.0, sup)
+
+    @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
+    def test_breakpoints_strictly_interior_and_sorted(self, cls):
+        for _, sig, lo, hi in self.draws(cls):
+            bp = sig.breakpoints(lo, hi)
+            assert ((bp > lo) & (bp < hi)).all()
+            assert (np.diff(bp) > 0.0).all()
+
+    @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
+    def test_json_round_trip_is_exact(self, cls):
+        for _, sig, lo, hi in self.draws(cls):
+            clone = from_json(json.loads(json.dumps(sig.to_json())))
+            assert type(clone) is cls
+            assert clone.to_json() == sig.to_json()
+            for t in np.linspace(lo, hi, 41):
+                assert np.array_equal(clone.eval(t), sig.eval(t))
+                assert np.array_equal(clone.eval_left(t), sig.eval_left(t))
+
+    @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
+    def test_eval_left_differs_only_at_breakpoints(self, cls):
+        for rng, sig, lo, hi in self.draws(cls):
+            bp = sig.breakpoints(lo, hi)
+            # the instants where the definition changes, read off the parameters
+            pts = np.concatenate([rng.uniform(lo, hi, size=200), defining_instants(sig)])
+            for t in pts[(pts > lo) & (pts < hi)]:
+                assert t in bp or np.array_equal(sig.eval_left(t), sig.eval(t)), t

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from delayreach.integrator import HistoryFn, IntegratorOptions, integrate
-from delayreach.signals import PiecewiseLinear
-from delayreach import systems
+from delayreach.probes import escape_schedule
+from delayreach.signals import PiecewiseConstant, PiecewiseLinear
+from delayreach import escape_data, systems
 from delayreach.systems import (
     DEFAULT_PLANAR,
     SYSTEM_NAMES,
@@ -50,6 +51,14 @@ class TestPlanarRhs:
         expect = (1.0 + float(x @ x)) * (mid @ x)
         assert np.allclose(g(x, 0.5), expect)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -3.0, 4.0, 0.25])
+    def test_fixed_mode_matches_the_blend_bit_for_bit(self, lam):
+        blended, fixed = planar_rhs(), planar_rhs(lam=lam)
+        rng = np.random.default_rng(5)
+        for x in rng.uniform(-3.0, 3.0, size=(50, 2)):
+            # the fixed-mode field ignores its input
+            assert fixed(x, 0.7).tobytes() == fixed(x).tobytes() == blended(x, lam).tobytes()
+
 
 class TestGreedyRule:
     def test_quadrant_cases(self):
@@ -92,10 +101,73 @@ class TestSwitchedEscape:
         assert default_cascade_delay() == pytest.approx(1.5 * escape_run.outcome.t_escape)
 
     def test_recorded_escape_default_and_explicit_dwell_share_one_run(self):
-        recorded_escape.cache_clear()
+        # the session's entry, if there is one, is reused: at most one run
+        misses = recorded_escape.cache_info().misses
         run = recorded_escape()
         assert recorded_escape(1e-3) is run
-        assert recorded_escape.cache_info().misses == 1
+        assert recorded_escape(np.float64(1e-3)) is run
+        assert recorded_escape.cache_info().misses <= misses + 1
+
+
+def literal_block(values, breaks, t_escape) -> str:
+    """The generated part of src/delayreach/escape_data.py for these numbers."""
+    lines = ["VALUES = ("] + [f"    {float(v)!r}," for v in values] + [")"]
+    lines += ["BREAKS = ("] + [f"    {float(b)!r}," for b in breaks] + [")"]
+    return "\n".join(lines + [f"T_ESCAPE = {float(t_escape)!r}"])
+
+
+def escape_schedule_of(run):
+    """The run's signal, zeroed from its escape time on."""
+    sig = run.signal
+    return PiecewiseConstant(
+        np.vstack([sig.values, np.zeros((1, 1))]), np.append(sig.breaks, run.outcome.t_escape)
+    )
+
+
+class TestStoredEscape:
+    """The stored schedule is the recorded run's, bit for bit."""
+
+    def test_literals_match_the_recorded_run(self, escape_run):
+        sig = escape_run.signal
+        fresh = literal_block(sig.values[:, 0], sig.breaks, escape_run.outcome.t_escape)
+        stored = literal_block(escape_data.VALUES, escape_data.BREAKS, escape_data.T_ESCAPE)
+        if stored != fresh:
+            print(fresh)
+        # repr round-trips, so equal text is equal bits
+        assert stored == fresh, (
+            "the stored escape schedule is stale: paste the block under 'Captured stdout call' "
+            "over the generated block of src/delayreach/escape_data.py"
+        )
+        assert escape_data.DWELL == greedy_worst_switch().dwell
+        assert sig.values.shape == (len(escape_data.VALUES), 1)
+
+    def test_schedule_and_delay_built_from_the_run(self, escape_run):
+        sched, t_esc = escape_schedule()
+        from_run = escape_schedule_of(escape_run)
+        assert t_esc == escape_run.outcome.t_escape
+        assert sched.values.tobytes() == from_run.values.tobytes()
+        assert sched.values.shape == from_run.values.shape
+        assert sched.breaks.tobytes() == from_run.breaks.tobytes()
+        assert default_cascade_delay() == 1.5 * escape_run.outcome.t_escape
+        assert default_cascade_delay(np.float64(1e-3)) == default_cascade_delay()
+
+    def test_other_dwell_runs_the_closed_loop(self):
+        # a coarse dwell, so the run takes ~0.2 s
+        sched, t_esc = escape_schedule(1.6e-2)
+        run = recorded_escape(1.6e-2)
+        from_run = escape_schedule_of(run)
+        assert t_esc == run.outcome.t_escape != escape_data.T_ESCAPE
+        assert sched.values.tobytes() == from_run.values.tobytes()
+        assert sched.breaks.tobytes() == from_run.breaks.tobytes()
+        assert default_cascade_delay(1.6e-2) == 1.5 * run.outcome.t_escape
+
+    def test_missing_escape_is_one_runtime_error(self, monkeypatch):
+        # a run that did not escape cannot define the schedule or the delay
+        calm = run_switched(SwitchingPolicy(dwell=1e-3, rule=lambda x: 1), np.array([1.0, 0.0]), T=0.1)
+        monkeypatch.setattr(systems, "recorded_escape", lambda dwell: calm)
+        for call in (lambda: escape_schedule(2e-3), lambda: default_cascade_delay(2e-3)):
+            with pytest.raises(RuntimeError, match="did not escape"):
+                call()
 
 
 class TestMakeSystem:
