@@ -18,7 +18,6 @@ from .integrator import (
     SpanTooShort,
     StepSizeCollapse,
     Trajectory,
-    extract_history,
     integrate,
     residual_audit,
 )

@@ -113,30 +113,6 @@ class IntegratorOptions:
                 raise ValueError(f"{name} must be at least {lo}, got {v!r}")
 
 
-def _hermite_sup(y0, y1, f0, f1, h) -> float:
-    """Exact sup of |cubic Hermite|_inf over one segment, per component."""
-    best = max(float(np.abs(y0).max()), float(np.abs(y1).max()))
-    # hermite in theta: p = a theta^3 + b theta^2 + c theta + d
-    a = 2.0 * (y0 - y1) + h * (f0 + f1)
-    b = -3.0 * (y0 - y1) - h * (2.0 * f0 + f1)
-    c = h * f0
-    for i in range(len(y0)):
-        aa, bb, cc = 3.0 * a[i], 2.0 * b[i], c[i]
-        if aa == 0.0:
-            roots = [] if bb == 0.0 else [-cc / bb]
-        else:
-            disc = bb * bb - 4.0 * aa * cc
-            if disc < 0.0:
-                continue
-            s = math.sqrt(disc)
-            roots = [(-bb - s) / (2.0 * aa), (-bb + s) / (2.0 * aa)]
-        for r in roots:
-            if 0.0 < r < 1.0:
-                val = ((a[i] * r + b[i]) * r + c[i]) * r + y0[i]
-                best = max(best, abs(val))
-    return best
-
-
 def _quartic_eval(y0, q, th):
     """Dense-output value at fraction th of a segment with coefficients q."""
     return y0 + th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
@@ -259,13 +235,6 @@ class Trajectory:
     def __call__(self, t: float) -> np.ndarray:
         return self.eval(t)
 
-    def eval_deriv(self, t: float) -> np.ndarray:
-        i = self._segment(t)
-        h = self.ts[i + 1] - self.ts[i]
-        th = (t - self.ts[i]) / h
-        q = self.qs[i]
-        return (q[0] + th * (2.0 * q[1] + th * (3.0 * q[2] + th * 4.0 * q[3]))) / h
-
     def sup_norm(self, lo: float, hi: float) -> float:
         """Exact sup of |x(t)|_inf over [lo, hi] under the dense output: the window
         ends, the nodes, and the critical points inside the window of each segment
@@ -303,14 +272,13 @@ class Trajectory:
 
 
 class HistoryFn:
-    """Continuous function on [-tau, 0], piecewise linear or cubic Hermite."""
+    """Continuous piecewise-linear function on [-tau, 0]."""
 
-    def __init__(self, knots, values, derivs=None):
+    def __init__(self, knots, values):
         self.knots = np.asarray(knots, dtype=float)
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim == 1:
             self.values = self.values.reshape(-1, 1)
-        self.derivs = None if derivs is None else np.asarray(derivs, dtype=float)
         if len(self.knots) < 1 or len(self.knots) != len(self.values):
             raise ValueError("one value per knot")
         if len(self.knots) > 1 and not (np.diff(self.knots) > 0).all():
@@ -333,23 +301,6 @@ class HistoryFn:
             return cls(np.array([0.0]), v.reshape(1, -1))
         return cls(np.array([-tau, 0.0]), np.vstack([v, v]))
 
-    @classmethod
-    def from_signal(cls, sig: Signal, tau: float, shift: float = 0.0) -> "HistoryFn":
-        """Sample sig(s + shift) for s in [-tau, 0] at its exact breakpoints.
-
-        Exact for piecewise-linear signals; other kinds are refined on a
-        64-point grid per smooth span.
-        """
-        from .signals import PiecewiseLinear
-
-        inner = sig.breakpoints(shift - tau, shift)
-        pts = np.unique(np.concatenate([[shift - tau, shift], inner]))
-        if not isinstance(sig, PiecewiseLinear):
-            fine = [np.linspace(pts[i], pts[i + 1], 65) for i in range(len(pts) - 1)]
-            pts = np.unique(np.concatenate(fine))
-        vals = np.array([sig.eval(p) for p in pts])
-        return cls(pts - shift, vals)
-
     def eval(self, s: float) -> np.ndarray:
         k = self.knots
         if s < k[0] - 1e-9 or s > k[-1] + 1e-9:
@@ -359,36 +310,15 @@ class HistoryFn:
             return self.values[0]
         i = int(np.searchsorted(k, s, side="right")) - 1
         i = min(max(i, 0), len(k) - 2)
-        h = k[i + 1] - k[i]
-        th = (s - k[i]) / h
-        if self.derivs is None:
-            return (1.0 - th) * self.values[i] + th * self.values[i + 1]
-        h00 = (1.0 + 2.0 * th) * (1.0 - th) ** 2
-        h10 = th * (1.0 - th) ** 2
-        h01 = th * th * (3.0 - 2.0 * th)
-        h11 = th * th * (th - 1.0)
-        return (
-            h00 * self.values[i]
-            + h * h10 * self.derivs[i]
-            + h01 * self.values[i + 1]
-            + h * h11 * self.derivs[i + 1]
-        )
+        th = (s - k[i]) / (k[i + 1] - k[i])
+        return (1.0 - th) * self.values[i] + th * self.values[i + 1]
 
     def __call__(self, s: float) -> np.ndarray:
         return self.eval(s)
 
     def norm(self) -> float:
-        """Exact sup norm over [-tau, 0] (max |.|_inf)."""
-        if self.derivs is None or len(self.knots) == 1:
-            return float(np.abs(self.values).max())
-        best = float(np.abs(self.values).max())
-        for i in range(len(self.knots) - 1):
-            h = self.knots[i + 1] - self.knots[i]
-            best = max(
-                best,
-                _hermite_sup(self.values[i], self.values[i + 1], self.derivs[i], self.derivs[i + 1], h),
-            )
-        return best
+        """Exact sup norm over [-tau, 0] (max |.|_inf): the largest knot value."""
+        return float(np.abs(self.values).max())
 
 
 @dataclass(frozen=True)
@@ -492,12 +422,17 @@ class Stepper:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         return min(100.0 * h0, h1)
 
-    def advance(self, target: float, rhs_jumps: bool = True) -> int:
+    def advance(self, target: float, rhs_jumps: bool = True, until: float = math.inf) -> int:
         """Integrate up to `target` (a forced boundary). Returns _OK or _ESCAPED.
 
         With rhs_jumps=False the caller promises that the rhs is continuous
         at the target and ignores `left` there, so the last stage is reused
         as the outgoing slope instead of evaluating the rhs again.
+
+        `until` is a soft stop: the first accepted step ending at or past it
+        returns _OK short of the target, with no step boundary forced there.
+        Calling again resumes bit for bit, since t, y, h and the outgoing
+        slope are kept.
         """
         o = self.opts
         if self.escape_info is not None:
@@ -557,6 +492,8 @@ class Stepper:
             if norm_new >= o.escape_threshold:
                 self.escape_info = (self._locate_escape(), norm_new, "threshold")
                 return _ESCAPED
+            if t_new >= until and not at_end:
+                return _OK
         self.t = target
         return _OK
 
@@ -627,6 +564,7 @@ def integrate(
     T: float,
     opts: Optional[IntegratorOptions] = None,
     extra_stops=None,
+    stop: Optional[Callable[[Trajectory, float], bool]] = None,
 ) -> SimOutcome:
     """Integrate the system on [0, T] from the given history and input.
 
@@ -634,6 +572,11 @@ def integrate(
     delays); a bare state vector is accepted for nondelayed systems.
     `extra_stops` adds caller-known times where the right-hand side loses
     smoothness (e.g. saturation crossings) to the forced step boundaries.
+    `stop(traj, t)` is asked at the first accepted step at or past
+    tau = sys.tau and then once per tau of progress; when it returns True
+    the run ends there, with the trajectory on [0, t]. The forced boundaries
+    are those of T either way, so a stopped run is a bit-exact prefix of the
+    run to T.
     """
     opts = opts or IntegratorOptions()
     if T <= 0.0:
@@ -662,24 +605,17 @@ def integrate(
 
     f = _make_rhs(sys, u, lookup)
     stepper = Stepper(f, 0.0, y0, opts, h_cap=sys.delays[0] if sys.delays else None)
-    for stop in _forced_stops(sys, u, T, opts, history, extra_stops):
-        if stepper.advance(float(stop)) != _OK:
-            break
+    check = math.inf if stop is None else sys.tau
+    for target in _forced_stops(sys, u, T, opts, history, extra_stops):
+        target = float(target)
+        while stepper.t != target:
+            if stepper.advance(target, until=check) != _OK:
+                return stepper.outcome()
+            if stepper.t >= check:
+                if stop(stepper.traj, stepper.t):
+                    return stepper.outcome()
+                check = stepper.t + sys.tau
     return stepper.outcome()
-
-
-def extract_history(traj: Trajectory, t: float, tau: float) -> HistoryFn:
-    """History segment s -> x(t + s) on [-tau, 0] from the dense output."""
-    if t - tau < traj.t_start - 1e-12 or t > traj.t_end + 1e-12:
-        raise SpanTooShort(
-            f"[{t - tau}, {t}] not inside [{traj.t_start}, {traj.t_end}]"
-        )
-    lo = max(t - tau, traj.t_start)
-    inner = traj.ts[(traj.ts > lo) & (traj.ts < t)]
-    pts = np.unique(np.concatenate([[lo, t], inner]))
-    vals = np.array([traj.eval(p) for p in pts])
-    ders = np.array([traj.eval_deriv(p) for p in pts])
-    return HistoryFn(pts - t, vals, ders)
 
 
 def residual_audit(

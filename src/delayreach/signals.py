@@ -290,7 +290,9 @@ class TimeShift(Signal):
         return self.inner.eval_left(t - self.shift)
 
     def breakpoints(self, lo, hi):
-        return self.inner.breakpoints(lo - self.shift, hi - self.shift) + self.shift
+        # the sum can round onto an end of the window
+        pts = self.inner.breakpoints(lo - self.shift, hi - self.shift) + self.shift
+        return pts[(pts > lo) & (pts < hi)]
 
     def sup_norm(self, lo, hi):
         return self.inner.sup_norm(lo - self.shift, hi - self.shift)

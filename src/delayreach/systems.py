@@ -141,22 +141,6 @@ def make_system(
     raise ValueError(f"unknown system {name!r}; expected one of {', '.join(SYSTEM_NAMES)}")
 
 
-def _history_as_piecewise_linear(history: HistoryFn) -> tuple[np.ndarray, np.ndarray]:
-    """Knot/value arrays representing the history as a broken line.
-
-    Exact for linear histories; cubic histories are refined with 8 interior
-    samples per segment.
-    """
-    if history.derivs is None or len(history.knots) == 1:
-        return history.knots, history.values
-    fine = [history.knots[:1]]
-    for i in range(len(history.knots) - 1):
-        fine.append(np.linspace(history.knots[i], history.knots[i + 1], 10)[1:])
-    knots = np.concatenate(fine)
-    vals = np.array([history.eval(s) for s in knots])
-    return knots, vals
-
-
 def embed_history_as_inputs(
     history: HistoryFn, delays
 ) -> tuple[np.ndarray, list[Signal]]:
@@ -170,13 +154,12 @@ def embed_history_as_inputs(
     if not delays:
         raise ValueError("need at least one delay")
     tau1 = delays[0]
-    knots, vals = _history_as_piecewise_linear(history)
     xi0 = history.eval(0.0)
     inputs: list[Signal] = []
     for d in delays:
         # v_i(t) = history(t - d) on [0, tau1); shifting the knots keeps the
         # signal defined on [0, inf) as required
-        base = PiecewiseLinear(knots + d, vals)
+        base = PiecewiseLinear(history.knots + d, history.values)
         inputs.append(Window(base, 0.0, tau1))
     return xi0, inputs
 

@@ -13,7 +13,7 @@ from delayreach.integrator import (
     Stepper,
     StepSizeCollapse,
     Trajectory,
-    extract_history,
+    _OK,
     integrate,
     residual_audit,
 )
@@ -114,12 +114,6 @@ class TestDenseOutput:
         out = integrate(decay_system(), np.array([1.0]), None, 2.0)
         for t in np.linspace(0.0, 2.0, 101):
             assert out.trajectory.eval(t)[0] == pytest.approx(math.exp(-t), abs=1e-7)
-
-    def test_eval_deriv_matches_rhs(self):
-        out = integrate(decay_system(), np.array([1.0]), None, 2.0)
-        for t in np.linspace(0.1, 1.9, 19):
-            d = out.trajectory.eval_deriv(t)[0]
-            assert d == pytest.approx(-out.trajectory.eval(t)[0], abs=1e-6)
 
     def test_eval_outside_span(self):
         out = integrate(decay_system(), np.array([1.0]), None, 1.0)
@@ -260,21 +254,61 @@ class TestExactSuprema:
         assert traj.last_time_above(2.0) == 0.0
 
 
-class TestRestart:
-    def test_extract_history_and_resume(self):
-        hist = HistoryFn.constant(np.array([1.0]), 1.0)
-        full = integrate(delayed_unit_system(), hist, None, 3.0)
-        mid = extract_history(full.trajectory, 2.0, 1.0)
-        resumed = integrate(delayed_unit_system(), mid, None, 1.0)
-        for t in np.linspace(0.0, 1.0, 21):
-            assert resumed.trajectory.eval(t)[0] == pytest.approx(
-                full.trajectory.eval(2.0 + t)[0], abs=1e-7
-            )
+def traj_bytes(traj):
+    return traj.ts.tobytes(), traj.ys.tobytes(), traj.qs.tobytes()
 
-    def test_extract_requires_enough_span(self):
-        out = integrate(decay_system(), np.array([1.0]), None, 1.0)
-        with pytest.raises(SpanTooShort):
-            extract_history(out.trajectory, 0.5, 1.0)
+
+def rotating_rhs(t, y, left=False):
+    return np.array([-y[1], y[0]]) * (1.0 + 0.1 * np.sin(t))
+
+
+class TestSoftStop:
+    def test_chunked_advance_equals_one_advance(self):
+        opts = IntegratorOptions()
+        whole = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), opts)
+        chunked = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), opts)
+        soft = 0
+        for target in (1.0, 2.5, 6.0):
+            assert whole.advance(target) == _OK
+            until = chunked.t + 0.3
+            while chunked.t != target:
+                assert chunked.advance(target, until=until) == _OK
+                if chunked.t != target:
+                    # a soft stop returns at the end of the first step past until
+                    assert chunked.t == chunked.traj.ts[-1] >= until > chunked.traj.ts[-2]
+                    soft += 1
+                    until = chunked.t + 0.3
+        assert soft > 10
+        assert chunked.nsteps == whole.nsteps
+        assert chunked.h == whole.h and chunked.y.tobytes() == whole.y.tobytes()
+        assert traj_bytes(chunked.outcome().trajectory) == traj_bytes(whole.outcome().trajectory)
+
+    def test_stop_that_never_fires_changes_no_byte(self):
+        hist = HistoryFn.constant(np.array([1.0]), 1.0)
+        seen = []
+
+        def never(traj, t):
+            seen.append((t, traj.t_end))
+            return False
+
+        plain = integrate(delayed_unit_system(), hist, None, 9.5)
+        watched = integrate(delayed_unit_system(), hist, None, 9.5, stop=never)
+        assert traj_bytes(watched.trajectory) == traj_bytes(plain.trajectory)
+        # asked at the first step at or past tau = 1, then once per tau of progress
+        ts = [t for t, _ in seen]
+        assert ts[0] >= 1.0 and len(ts) >= 8
+        assert all(b >= a + 1.0 for a, b in zip(ts, ts[1:]))
+        assert all(t == pytest.approx(t_end, abs=1e-12) for t, t_end in seen)
+
+    def test_stopped_run_is_a_byte_prefix_of_the_full_run(self):
+        hist = HistoryFn.constant(np.array([1.0]), 1.0)
+        full = integrate(delayed_unit_system(), hist, None, 9.5).trajectory
+        stopped = integrate(delayed_unit_system(), hist, None, 9.5, stop=lambda traj, t: t >= 4.2)
+        assert stopped.completed
+        traj = stopped.trajectory
+        n = len(traj.ts)
+        assert 4.2 <= traj.t_end < 9.5
+        assert traj_bytes(traj) == (full.ts[:n].tobytes(), full.ys[:n].tobytes(), full.qs[: n - 1].tobytes())
 
 
 class TestDeterminism:
@@ -306,14 +340,6 @@ class TestHistoryFn:
         h = HistoryFn(np.array([-1.0, 0.0]), np.array([[0.0], [4.0]]))
         assert h.eval(-0.5)[0] == pytest.approx(2.0)
         assert h.norm() == 4.0
-
-    def test_from_signal(self):
-        # history(s) = sig(s + shift); the window [shift - tau, shift] must
-        # stay inside the signal domain [0, inf)
-        h = HistoryFn.from_signal(PiecewiseConstant([1.0, 3.0], [0.5]), tau=1.0, shift=1.0)
-        assert h.tau == 1.0
-        assert h.eval(0.0)[0] == 3.0
-        assert h.eval(-1.0)[0] == 1.0
 
 
 class TestResidualAudit:

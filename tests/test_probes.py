@@ -6,8 +6,10 @@ import pytest
 from delayreach.integrator import HistoryFn, integrate
 from delayreach.probes import (
     PROBE_OPTS,
+    HorizonTooShort,
     TauTooShort,
     WindowInvalid,
+    _certified_settle,
     constant_input_descent,
     decay_audit,
     es_check,
@@ -86,6 +88,68 @@ class TestUgaTable:
         assert len(cells) == 1
         assert cells[0].ok
         assert cells[0].t_emp_max < cells[0].t_theory
+
+
+def doubling_settle(sys, history, eps, cert, hard_horizon, opts):
+    """The settle loop `_certified_settle` replaced, kept as its reference:
+    integrate to tau + 50, certify on a 65-point grid after the last time
+    above eps, else integrate again from 0 to twice the horizon. Returns
+    (t_emp, number of runs)."""
+    tau, lam = sys.tau, cert.capital_lambda
+    horizon, runs = min(tau + 50.0, hard_horizon), 0
+    while True:
+        traj = integrate(sys, history, None, horizon, opts).trajectory
+        runs += 1
+        t_emp = traj.last_time_above(eps)
+
+        def certified_at(t_c):
+            z_back = history.eval(t_c - tau) if t_c - tau <= 0.0 else traj.eval(t_c - tau)
+            state = traj.eval(t_c)
+            return (
+                abs(float(z_back[0])) <= lam
+                and abs(float(state[0])) <= min(lam, eps)
+                and cert.p0.quad(state[1:3]) <= cert.c1 * eps * eps
+            )
+
+        if t_emp < horizon - 1e-9 and any(
+            certified_at(t_c) for t_c in np.linspace(t_emp, horizon, 65)[1:]
+        ):
+            return t_emp, runs
+        assert horizon < hard_horizon - 1e-9, "reference failed to certify"
+        horizon = min(2.0 * horizon, hard_horizon)
+
+
+#: the (r, eps) cells of the reach-time table; seed 0's draw of (100, 0.1)
+#: needed a second, doubled run in the reference loop
+REACH_CELLS = ((1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (100.0, 0.1), (100.0, 1.0))
+
+
+def uga_draw(r, eps, seed=0):
+    """The history `uga_table` draws first for (seed, r, eps)."""
+    tau = default_cascade_delay()
+    rng = np.random.default_rng((seed, int(r * 1000), int(eps * 1000), 0))
+    return cascade_system(tau), random_history(rng, r * rng.uniform(0.3, 1.0), tau, 3)
+
+
+class TestCertifiedSettle:
+    def test_matches_the_doubling_loop_bit_for_bit(self, cert):
+        runs = []
+        for r, eps in REACH_CELLS:
+            sys, hist = uga_draw(r, eps)
+            hard = theoretical_reach_time(r, eps, sys.tau, cert) + 100.0
+            t_ref, n = doubling_settle(sys, hist, eps, cert, hard, PROBE_OPTS)
+            t_emp, traj = _certified_settle(sys, hist, eps, cert, hard, PROBE_OPTS)
+            assert t_emp == t_ref, (r, eps)
+            # one run, stopped after the settle time, covering the peak window [0, tau]
+            assert traj.t_start == 0.0 and traj.t_end >= max(sys.tau, t_emp)
+            assert traj.last_time_above(eps) == t_emp
+            runs.append(n)
+        assert max(runs) >= 2
+
+    def test_uncertified_by_the_hard_horizon_raises(self, cert):
+        sys, hist = uga_draw(1.0, 0.1)  # settles near t = 46
+        with pytest.raises(HorizonTooShort):
+            _certified_settle(sys, hist, 0.1, cert, 20.0, PROBE_OPTS)
 
 
 class TestRfcSweep:

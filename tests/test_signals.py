@@ -103,6 +103,20 @@ class TestCombinators:
         assert s.eval(2.5) == 0.0
         assert s.eval(3.5) == 1.0
 
+    def test_time_shift_breakpoints_stay_inside_the_window(self):
+        # the shifted break rounds onto lo unless it is filtered out
+        s = TimeShift(PiecewiseConstant([0.0, 1.0], [0.8334021675715163]), 1.910885061964363)
+        assert s.breakpoints(2.744287229535879, 3.744287229535879).size == 0
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            shift = rng.uniform(0.0, 2.0)
+            lo = shift + rng.uniform(0.0, 3.0)
+            hi = lo + rng.uniform(0.05, 2.0)
+            # one ulp inside each end of the inner window
+            inner = [np.nextafter(lo - shift, np.inf), np.nextafter(hi - shift, -np.inf)]
+            bp = TimeShift(PiecewiseConstant([0.0, 1.0, 2.0], inner), shift).breakpoints(lo, hi)
+            assert ((bp > lo) & (bp < hi)).all()
+
     def test_window_zero_outside(self):
         s = Window(Constant(5.0), 1.0, 2.0)
         assert s.eval(0.5) == 0.0
