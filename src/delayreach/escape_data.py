@@ -1,11 +1,12 @@
 """The greedy escape at the default dwell (1e-3) and gains, stored as data.
 
 `systems.recorded_escape()` computes it: greedy switching of the planar
-system from x(0) = (1, 0) until |x| reaches the escape threshold, a
-30,549-node trajectory. The default delay and the escape schedule read only
-its switching signal (VALUES of the pieces, BREAKS between them) and its
-escape time T_ESCAPE, so those are kept here and no process has to repeat
-the run. Every float is its repr and reads back bit for bit.
+system from x(0) = (1, 0) until |x| reaches the escape threshold: 30,532
+policy samples on a 667-node trajectory. The default delay and the escape
+schedule read only its switching signal (VALUES of the pieces, BREAKS
+between them) and its escape time T_ESCAPE, so those are kept here and no
+process has to repeat the run. Every float is its repr and reads back bit
+for bit.
 
 `tests/test_systems.py::TestStoredEscape` recomputes the run and compares
 each literal; when an integrator change moves them, it prints the block to
@@ -42,28 +43,28 @@ VALUES = (
     0.0,
 )
 BREAKS = (
-    0.03351837041281974,
-    0.5548924214534975,
-    0.7605934311494137,
-    0.8277905402195082,
-    0.8481161232984746,
-    0.8541015860434241,
-    0.8558521457182705,
-    0.8563624483949913,
-    0.8565112511937942,
-    0.8565545906508679,
-    0.8565672251010686,
-    0.8565709046667462,
-    0.8565719773217733,
-    0.8565722897120839,
-    0.8565723807789243,
-    0.8565724073003904,
-    0.8565724150318266,
-    0.8565724172834587,
-    0.8565724179398455,
-    0.8565724181310053,
-    0.8565724181867226,
-    0.8565724182030277,
-    0.8565724182078291,
+    0.0335183704137846,
+    0.5548924201761196,
+    0.7605934280489046,
+    0.8277905359774561,
+    0.8481161185679401,
+    0.8541015811362431,
+    0.8558521407507058,
+    0.8563624434073334,
+    0.8565112461995512,
+    0.8565545856544947,
+    0.856567220104013,
+    0.856570899669473,
+    0.85657197232443,
+    0.8565722847147189,
+    0.8565723757815525,
+    0.856572402303017,
+    0.8565724100344527,
+    0.8565724122860846,
+    0.8565724129424714,
+    0.8565724131336312,
+    0.8565724131893485,
+    0.8565724132056536,
+    0.8565724132104551,
 )
-T_ESCAPE = 0.8565724182087104
+T_ESCAPE = 0.8565724132113366

@@ -497,6 +497,26 @@ class Stepper:
         self.t = target
         return _OK
 
+    def rewind(self):
+        """Drop the last accepted step and any escape found in it.
+
+        t, y, |y| and both norms are rebuilt from the nodes and the outgoing
+        slope is evaluated again, so advancing to a forced boundary inside
+        the dropped step makes it a node. The step size proposal is kept.
+        """
+        traj = self.traj
+        n = len(traj.ts) - 1
+        if n < 1:
+            raise ValueError("no accepted step to drop")
+        traj._view(n)
+        self.t = float(traj.ts[-1])
+        self.y = traj.ys[-1].copy()
+        self._abs_y = np.abs(self.y)
+        self._norm = float(self._abs_y.max())
+        self._norm_prev = float(np.abs(traj.ys[-2]).max()) if n > 1 else self._norm
+        self.escape_info = None
+        self._K[0] = self.rhs(self.t, self.y, False)
+
     def _locate_escape(self) -> float:
         """Earliest time in the last segment where |x| reaches the threshold."""
         ts = self.traj.ts

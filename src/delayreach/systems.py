@@ -267,44 +267,57 @@ def run_switched(
     opts: Optional[IntegratorOptions] = None,
     min_dwell: float = 1e-13,
 ) -> SwitchedRun:
-    """Drive the planar system by the policy, sampled every dwell interval.
+    """Drive the planar system by the policy, sampled at t_0 = 0 and
+    t_{k+1} = t_k + dwell / (1 + |x(t_k)|_2^2), clamped to [min_dwell, dwell],
+    so sampling keeps up with the cubically accelerating rotation.
 
-    The dwell shrinks with 1/(1 + |x|_2^2) so sampling keeps up with the
-    cubically accelerating rotation; it never drops below `min_dwell`. The
-    realized input is recorded as a piecewise-constant signal (consecutive
-    equal values merged) so the escape can be replayed open loop.
+    The samples are read from the dense output, not forced as step
+    boundaries: steps are sized by the error test of `opts` alone, and the
+    run is as accurate as `opts` asks. Only a sample that switches the mode
+    inside the last step drops that step and steps to the sample again, so
+    every switching instant is a node. Samples before an escape found in
+    the last step are still taken. The realized input is recorded as a
+    piecewise-constant signal (consecutive equal values merged) so the
+    escape can be replayed open loop.
     """
     opts = opts or IntegratorOptions(h_min=1e-14)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    # the field of the current mode; it changes only between advance calls
-    mode = 0.0
+    # the field of the current mode; it changes only at a node
+    mode = float(policy.rule(x0))
     field = [planar_rhs(params, mode)]
 
     def rhs(t, y, left=False):
         return field[0](y)
 
     stepper = Stepper(rhs, 0.0, x0, opts, h_cap=None)
-    piece_vals: list[float] = []
+    traj = stepper.traj
+    piece_vals = [mode]
     piece_breaks: list[float] = []
-    while stepper.t < T and stepper.escape_info is None:
-        lam = float(policy.rule(stepper.y))
-        if not piece_vals:
-            piece_vals.append(lam)
-        elif lam != piece_vals[-1]:
-            piece_vals.append(lam)
-            piece_breaks.append(stepper.t)
+    t_k, x = 0.0, x0
+    while True:
+        t_k += min(max(policy.dwell / (1.0 + float(x @ x)), min_dwell), policy.dwell)
+        if t_k >= T:
+            break
+        if t_k > stepper.t:
+            # the field is smooth between switches, so no boundary is forced
+            stepper.advance(T, rhs_jumps=False, until=t_k)
+        if stepper.escape_info is not None and t_k >= stepper.escape_info[0]:
+            break
+        x = traj._interp(t_k)
+        lam = float(policy.rule(x))
         if lam != mode:
+            if t_k < stepper.t:
+                # make the switching instant a node
+                stepper.rewind()
+                if stepper.advance(t_k, rhs_jumps=False) != _OK:
+                    break
             mode = lam
             field[0] = planar_rhs(params, mode)
             stepper.invalidate_rhs_cache()
-        dwell = policy.dwell / (1.0 + float(stepper.y @ stepper.y))
-        dwell = min(max(dwell, min_dwell), policy.dwell)
-        target = min(stepper.t + dwell, T)
-        # the field is smooth up to the target; a mode switch there resets
-        # the slope through invalidate_rhs_cache
-        if stepper.advance(target, rhs_jumps=False) != _OK:
-            break
+            piece_vals.append(lam)
+            piece_breaks.append(t_k)
+    stepper.advance(T, rhs_jumps=False)
     outcome = stepper.outcome()
     sig = PiecewiseConstant(np.array(piece_vals), np.array(piece_breaks))
     return SwitchedRun(outcome=outcome, signal=sig, t_end=stepper.t)

@@ -311,6 +311,45 @@ class TestSoftStop:
         assert traj_bytes(traj) == (full.ts[:n].tobytes(), full.ys[:n].tobytes(), full.qs[: n - 1].tobytes())
 
 
+class TestRewind:
+    def test_rewind_restores_the_previous_node_bit_for_bit(self):
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        assert st.advance(1.0) == _OK
+        target, rewound = 2.0, 0
+        while st.t != target:
+            before = (st.t, st.y.tobytes(), len(st.traj.ts), st._K[0].tobytes())
+            # one accepted step: the soft stop fires at the end of the first one
+            assert st.advance(target, until=st.t) == _OK
+            dropped = traj_bytes(st.traj)
+            at_end = st.t == target
+            st.rewind()
+            assert (st.t, st.y.tobytes(), len(st.traj.ts), st._K[0].tobytes()) == before
+            if at_end:
+                # the step to a forced boundary is taken again byte for byte
+                assert st.advance(target) == _OK
+                assert traj_bytes(st.traj) == dropped
+            else:
+                assert st.advance(target, until=st.t) == _OK
+            rewound += 1
+        assert rewound > 5
+
+    def test_rewind_drops_an_escape_found_in_the_last_step(self):
+        st = Stepper(lambda t, y, left=False: 1.0 + y * y, 0.0, np.array([0.0]), IntegratorOptions())
+        assert st.advance(2.0) != _OK
+        n, t_escape = len(st.traj.ts), st.escape_info[0]
+        st.rewind()
+        assert st.escape_info is None and len(st.traj.ts) == n - 1
+        assert st.t == st.traj.ts[-1] < t_escape
+        assert st.y.tobytes() == st.traj.ys[-1].tobytes()
+        # a boundary before the escape is reached without escaping
+        assert st.advance(0.5 * (st.t + t_escape)) == _OK
+
+    def test_nothing_to_rewind_at_the_start(self):
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        with pytest.raises(ValueError, match="no accepted step"):
+            st.rewind()
+
+
 class TestDeterminism:
     def test_bitwise_repeatable(self):
         a = integrate(tan_system(), np.array([0.0]), None, 1.5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delayreach.integrator import HistoryFn, integrate
+from delayreach.integrator import HistoryFn, IntegratorOptions, integrate
 from delayreach.probes import (
     PROBE_OPTS,
     HorizonTooShort,
@@ -119,8 +119,7 @@ def doubling_settle(sys, history, eps, cert, hard_horizon, opts):
         horizon = min(2.0 * horizon, hard_horizon)
 
 
-#: the (r, eps) cells of the reach-time table; seed 0's draw of (100, 0.1)
-#: needed a second, doubled run in the reference loop
+#: the (r, eps) cells of the reach-time table
 REACH_CELLS = ((1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (100.0, 0.1), (100.0, 1.0))
 
 
@@ -134,12 +133,17 @@ def uga_draw(r, eps, seed=0):
 class TestCertifiedSettle:
     def test_matches_the_doubling_loop_bit_for_bit(self, cert):
         runs = []
-        for r, eps in REACH_CELLS:
-            sys, hist = uga_draw(r, eps)
+        # at the default tau no seed-0 draw needs the doubled reference run;
+        # seeds 1-3 of (100, 0.1) are searched until one does
+        draws = [(r, eps, 0) for r, eps in REACH_CELLS] + [(100.0, 0.1, s) for s in (1, 2, 3)]
+        for r, eps, seed in draws:
+            if seed > 0 and max(runs) >= 2:
+                break
+            sys, hist = uga_draw(r, eps, seed)
             hard = theoretical_reach_time(r, eps, sys.tau, cert) + 100.0
             t_ref, n = doubling_settle(sys, hist, eps, cert, hard, PROBE_OPTS)
             t_emp, traj = _certified_settle(sys, hist, eps, cert, hard, PROBE_OPTS)
-            assert t_emp == t_ref, (r, eps)
+            assert t_emp == t_ref, (r, eps, seed)
             # one run, stopped after the settle time, covering the peak window [0, tau]
             assert traj.t_start == 0.0 and traj.t_end >= max(sys.tau, t_emp)
             assert traj.last_time_above(eps) == t_emp
@@ -150,6 +154,16 @@ class TestCertifiedSettle:
         sys, hist = uga_draw(1.0, 0.1)  # settles near t = 46
         with pytest.raises(HorizonTooShort):
             _certified_settle(sys, hist, 0.1, cert, 20.0, PROBE_OPTS)
+
+    @pytest.mark.parametrize("r,eps", [c for c in REACH_CELLS if c[0] >= 10.0])
+    def test_large_r_draw_settles_in_time_at_tight_tolerances(self, cert, r, eps):
+        # at PROBE_OPTS the settle times of r >= 10 have no reliable digit
+        # (README); the verdict must not rest on that error
+        sys, hist = uga_draw(r, eps)
+        t_theory = theoretical_reach_time(r, eps, sys.tau, cert)
+        tight = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+        t_emp, _ = _certified_settle(sys, hist, eps, cert, t_theory + 100.0, tight)
+        assert t_emp <= t_theory
 
 
 class TestRfcSweep:

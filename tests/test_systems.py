@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delayreach.integrator import HistoryFn, IntegratorOptions, integrate
+from delayreach.integrator import HistoryFn, IntegratorOptions, Stepper, _OK, integrate
 from delayreach.probes import escape_schedule
 from delayreach.signals import PiecewiseConstant, PiecewiseLinear
 from delayreach import escape_data, systems
@@ -99,6 +99,39 @@ class TestSwitchedEscape:
 
     def test_default_delay_covers_escape(self, escape_run):
         assert default_cascade_delay() == pytest.approx(1.5 * escape_run.outcome.t_escape)
+
+    def test_sampling_without_a_switch_changes_no_step(self):
+        # samples are read from the dense output, so a policy that never
+        # switches leaves the run of one plain advance on that mode's field
+        frozen = SwitchingPolicy(dwell=1e-3, rule=lambda x: 1)
+        run = run_switched(frozen, np.array([1.0, 0.0]), T=3.0)
+        field = planar_rhs(lam=1.0)
+        plain = Stepper(lambda t, y, left=False: field(y), 0.0, np.array([1.0, 0.0]),
+                        IntegratorOptions(h_min=1e-14))
+        assert plain.advance(3.0, rhs_jumps=False) == _OK
+        a, b = run.outcome.trajectory, plain.outcome().trajectory
+        assert len(a.ts) < 3.0 / 1e-3
+        assert (a.ts.tobytes(), a.ys.tobytes(), a.qs.tobytes()) == (
+            b.ts.tobytes(), b.ys.tobytes(), b.qs.tobytes())
+
+    @pytest.mark.parametrize("dwell", [1e-3, 8e-3, 1.6e-2])
+    def test_every_switch_is_a_node(self, dwell):
+        run = recorded_escape(dwell)
+        assert np.isin(run.signal.breaks, run.outcome.trajectory.ts).all()
+
+    @pytest.mark.parametrize("dwell", [1e-3, 8e-3])
+    def test_agrees_with_a_converged_run(self, dwell):
+        # accuracy is that of the options: the dwell no longer sizes the steps
+        run = recorded_escape(dwell)
+        fine = run_switched(greedy_worst_switch(dwell=dwell), np.array([1.0, 0.0]), T=20.0,
+                            opts=IntegratorOptions(rel_tol=1e-12, abs_tol=1e-12, h_min=1e-15))
+        assert fine.outcome.flag == run.outcome.flag == "threshold"
+        assert fine.signal.values.tobytes() == run.signal.values.tobytes()
+        traj = run.outcome.trajectory
+        moderate = np.array([np.linalg.norm(traj.eval(b)) < 100.0 for b in run.signal.breaks])
+        gaps = np.abs(run.signal.breaks - fine.signal.breaks)[moderate]
+        assert len(gaps) >= 8 and gaps.max() <= 1e-7
+        assert run.outcome.t_escape == pytest.approx(fine.outcome.t_escape, rel=1e-8, abs=0.0)
 
     def test_recorded_escape_default_and_explicit_dwell_share_one_run(self):
         # the session's entry, if there is one, is reused: at most one run
