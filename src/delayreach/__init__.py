@@ -53,7 +53,6 @@ from .probes import (
     decay_audit,
     embedding_check,
     es_check,
-    escape_schedule,
     estimate_R,
     rfc_sweep,
     theoretical_reach_time,
@@ -70,10 +69,8 @@ from .signals import (
     Signal,
     TimeShift,
     Window,
-    concat,
     from_json,
     smooth_square,
-    sup_norm,
 )
 from .systems import (
     DEFAULT_PLANAR,
@@ -86,6 +83,7 @@ from .systems import (
     cascade_system,
     default_cascade_delay,
     embed_history_as_inputs,
+    escape_schedule,
     greedy_worst_switch,
     history_from_inputs,
     make_system,

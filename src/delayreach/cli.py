@@ -117,7 +117,7 @@ def svg_line_plot(
 
 # ---------------------------------------------------------------------------
 # input checks: argparse exits 2 on a failed flag type, main on ConfigInvalid
-# and on TauTooShort (a config tau below the bound the escape run sets)
+# and on TauTooShort (a config tau below the bound the stored escape sets)
 
 
 def _checked(conv, ok, what: str):

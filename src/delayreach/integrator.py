@@ -88,29 +88,26 @@ class IntegratorOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-9
     h_min: float = 1e-12
-    h_max: Optional[float] = None
     escape_threshold: float = 1e6
     max_steps: int = 5_000_000
-    first_step: Optional[float] = None
-    #: force step boundaries at k*tau_1 for k up to this count; beyond that
-    #: the solution is smooth enough for the 5th-order pair
-    delay_multiples: int = 8
 
     def __post_init__(self):
-        positive = ["rel_tol", "abs_tol", "h_min", "escape_threshold"]
-        positive += [n for n in ("h_max", "first_step") if getattr(self, n) is not None]
-        for name in positive:
+        for name in ("rel_tol", "abs_tol", "h_min", "escape_threshold"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Real) or isinstance(v, bool):
                 raise TypeError(f"{name} must be a real number, got {v!r}")
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        for name, lo in (("max_steps", 1), ("delay_multiples", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise TypeError(f"{name} must be an integer, got {v!r}")
-            if v < lo:
-                raise ValueError(f"{name} must be at least {lo}, got {v!r}")
+        v = self.max_steps
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            raise TypeError(f"max_steps must be an integer, got {v!r}")
+        if v < 1:
+            raise ValueError(f"max_steps must be at least 1, got {v!r}")
+
+
+#: force step boundaries at k*tau_1 for k up to this count; beyond that the
+#: solution is smooth enough for the 5th-order pair
+_DELAY_MULTIPLES = 8
 
 
 def _quartic_eval(y0, q, th):
@@ -348,14 +345,6 @@ class DiscreteDelaySystem:
     def tau(self) -> float:
         return self.delays[-1] if self.delays else 0.0
 
-    @property
-    def tau_star(self) -> float:
-        """Smallest gap between consecutive delays (tau_0 = 0)."""
-        if not self.delays:
-            return 0.0
-        gaps = np.diff(np.concatenate([[0.0], np.array(self.delays)]))
-        return float(gaps.min())
-
 
 @dataclass
 class SimOutcome:
@@ -388,14 +377,13 @@ class Stepper:
         self.t = float(t0)
         self.y = np.asarray(y0, dtype=float).copy()
         self.opts = opts
-        self.h_cap = h_cap
-        self._h_top = min(c for c in (h_cap, opts.h_max, math.inf) if c is not None)
+        self._h_top = h_cap or math.inf
         # stage derivatives of the current step; row 0 is the slope at (t, y)
         self._K = np.empty((7, self.y.size))
         self._K_rows = tuple(self._K[:i] for i in range(7))
         self._K[0] = rhs(self.t, self.y, False)
         self.traj = Trajectory(self.t, self.y)
-        self.h = opts.first_step or 0.0
+        self.h = 0.0
         self.nsteps = 0
         self.escape_info = None
         self._abs_y = np.abs(self.y)
@@ -412,7 +400,7 @@ class Stepper:
         d0 = float(np.sqrt(np.mean((self.y / scale) ** 2)))
         d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        h0 = min(h0, target - self.t, *( [self.h_cap] if self.h_cap else [] ))
+        h0 = min(h0, target - self.t, self._h_top)
         y1 = self.y + h0 * k1
         f1 = self.rhs(self.t + h0, y1, False)
         d2 = float(np.sqrt(np.mean(((f1 - k1) / scale) ** 2))) / h0
@@ -422,12 +410,11 @@ class Stepper:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         return min(100.0 * h0, h1)
 
-    def advance(self, target: float, rhs_jumps: bool = True, until: float = math.inf) -> int:
+    def advance(self, target: float, until: float = math.inf) -> int:
         """Integrate up to `target` (a forced boundary). Returns _OK or _ESCAPED.
 
-        With rhs_jumps=False the caller promises that the rhs is continuous
-        at the target and ignores `left` there, so the last stage is reused
-        as the outgoing slope instead of evaluating the rhs again.
+        The rhs may jump at the target, so the outgoing slope there is
+        evaluated again from the right.
 
         `until` is a soft stop: the first accepted step ending at or past it
         returns _OK short of the target, with no step boundary forced there.
@@ -481,7 +468,7 @@ class Stepper:
             self.traj._append(t_new, y_new, h * (_P.T @ K))
             self.t, self.y = t_new, y_new
             self._abs_y, self._norm_prev, self._norm = abs_new, self._norm, norm_new
-            if at_end and rhs_jumps:
+            if at_end:
                 # rhs may jump at the boundary; recompute the outgoing slope
                 K[0] = rhs(t_new, y_new, False)
             else:
@@ -542,7 +529,7 @@ class Stepper:
 
 
 def _forced_stops(
-    sys: DiscreteDelaySystem, u: Optional[Signal], T: float, opts, history=None, extra=None
+    sys: DiscreteDelaySystem, u: Optional[Signal], T: float, history=None, extra=None
 ) -> np.ndarray:
     pts = [np.array([T])]
     if extra is not None:
@@ -551,13 +538,13 @@ def _forced_stops(
         pts.append(np.asarray(u.breakpoints(0.0, T)))
     if sys.delays:
         tau1 = sys.delays[0]
-        mult = tau1 * np.arange(1, opts.delay_multiples + 1)
+        mult = tau1 * np.arange(1, _DELAY_MULTIPLES + 1)
         pts.append(mult[mult < T])
         # derivative discontinuities at history kinks propagate forward by
         # whole multiples of each delay
         if isinstance(history, HistoryFn) and len(history.knots) > 1:
             for d in sys.delays:
-                for m in range(1, opts.delay_multiples + 1):
+                for m in range(1, _DELAY_MULTIPLES + 1):
                     shifted = history.knots[:-1] + m * d
                     pts.append(shifted[(shifted > 0.0) & (shifted < T)])
     stops = np.unique(np.concatenate(pts))
@@ -626,7 +613,7 @@ def integrate(
     f = _make_rhs(sys, u, lookup)
     stepper = Stepper(f, 0.0, y0, opts, h_cap=sys.delays[0] if sys.delays else None)
     check = math.inf if stop is None else sys.tau
-    for target in _forced_stops(sys, u, T, opts, history, extra_stops):
+    for target in _forced_stops(sys, u, T, history, extra_stops):
         target = float(target)
         while stepper.t != target:
             if stepper.advance(target, until=check) != _OK:

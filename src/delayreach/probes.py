@@ -23,8 +23,8 @@ from .integrator import (
     Trajectory,
     integrate,
 )
-from .lyap import Certificate, default_certificate
-from .signals import PiecewiseConstant, PiecewiseLinear, Signal, smooth_square
+from .lyap import Certificate, blend, default_certificate, solve_lyapunov
+from .signals import Constant, PiecewiseConstant, PiecewiseLinear, Signal, smooth_square
 from .systems import (
     DEFAULT_PLANAR,
     PlanarParams,
@@ -32,11 +32,12 @@ from .systems import (
     cascade_system,
     default_cascade_delay,
     embed_history_as_inputs,
-    escape_signal,
+    escape_schedule,
     history_from_inputs,
     make_system,
     planar_system,
     saturation_stop_times,
+    unit_saturation,
 )
 
 
@@ -201,8 +202,6 @@ def es_check(
     tau: Optional[float] = None,
     fit_tol: float = 0.05,
     seed: int = 0,
-    cert: Optional[Certificate] = None,
-    params: PlanarParams = DEFAULT_PLANAR,
     opts: IntegratorOptions = PROBE_OPTS,
     samples_per_run: int = 100,
 ) -> EnvelopeFit:
@@ -212,9 +211,9 @@ def es_check(
     bound, which is where the envelope is guaranteed. Violations count
     sampled points above the envelope inflated by fit_tol.
     """
-    cert = cert or default_certificate()
+    cert = default_certificate()
     tau = tau if tau is not None else default_cascade_delay()
-    sys = cascade_system(tau, params)
+    sys = cascade_system(tau)
     k_env = cert.constants.k
     p_env = cert.constants.p
     lam = cert.capital_lambda
@@ -251,8 +250,6 @@ def uga_table(
     margin_T: float = 100.0,
     tau: Optional[float] = None,
     seed: int = 0,
-    cert: Optional[Certificate] = None,
-    params: PlanarParams = DEFAULT_PLANAR,
     opts: IntegratorOptions = PROBE_OPTS,
 ) -> list[UgaCell]:
     """Empirical vs theoretical reach times into the eps-ball.
@@ -261,9 +258,9 @@ def uga_table(
     norm <= r must not exceed the theoretical bound; HorizonTooShort
     otherwise (a falsification, which must not occur).
     """
-    cert = cert or default_certificate()
+    cert = default_certificate()
     tau = tau if tau is not None else default_cascade_delay()
-    sys = cascade_system(tau, params)
+    sys = cascade_system(tau)
     cells = []
     for r in r_list:
         for eps in eps_list:
@@ -338,21 +335,11 @@ def embedding_check(
     return EmbeddingCheck(embed=tuple(embed), complete=tuple(complete), tolerance=tol)
 
 
-def escape_schedule(dwell: float = 1e-3) -> tuple[PiecewiseConstant, float]:
-    """Recorded greedy switching signal, zeroed after its escape time."""
-    sig, t_esc = escape_signal(dwell)
-    values = np.vstack([sig.values, np.zeros((1, sig.dim))])
-    breaks = np.append(sig.breaks, t_esc)
-    return PiecewiseConstant(values, breaks), t_esc
-
-
 def rfc_sweep(
     tau: Optional[float] = None,
     delta_list: Sequence[float] = DEFAULT_DELTAS,
     x0=(1.0, 0.0),
     eps: float = 0.1,
-    cert: Optional[Certificate] = None,
-    params: PlanarParams = DEFAULT_PLANAR,
     opts: IntegratorOptions = PROBE_OPTS,
     margin_T: float = 100.0,
 ) -> RfcSweepResult:
@@ -367,12 +354,13 @@ def rfc_sweep(
     """
     if not all(b < a for a, b in zip(delta_list, delta_list[1:])):
         raise ValueError("delta_list must be strictly decreasing")
-    cert = cert or default_certificate()
+    cert = default_certificate()
     schedule, t_esc = escape_schedule()
-    tau = tau if tau is not None else 1.5 * t_esc
-    if tau < 1.5 * t_esc - 1e-12:
+    tau_min = default_cascade_delay()
+    tau = tau if tau is not None else tau_min
+    if tau < tau_min - 1e-12:
         raise TauTooShort(f"tau={tau} must cover 1.5x the escape time {t_esc}")
-    sys = cascade_system(tau, params)
+    sys = cascade_system(tau)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     peaks = []
     settles = []
@@ -506,16 +494,11 @@ def constant_input_descent(
     finite-difference slope of W must stay non-positive. Returns the worst
     slope normalized by W(x(0)).
     """
-    from .lyap import blend, solve_lyapunov
-    from .systems import unit_saturation
-
     sys = planar_system(params)
     worst = -math.inf
     for c in c_list:
         lam = unit_saturation(c)
         p = solve_lyapunov(blend(params.a1, params.a2, lam))
-        from .signals import Constant
-
         for i in range(n_ics):
             rng = np.random.default_rng((seed, i))
             x0 = rng.uniform(-1.0, 1.0, size=2)

@@ -327,7 +327,7 @@ class Window(Signal):
         edges = [e for e in (self.lo, self.hi) if lo < e < hi]
         if edges:
             pts.append(np.array(edges))
-        return np.unique(np.concatenate(pts)) if pts else np.empty(0)
+        return np.unique(np.concatenate(pts))
 
     def sup_norm(self, lo, hi):
         a, b = max(lo, self.lo), min(hi, self.hi)
@@ -340,15 +340,6 @@ class Window(Signal):
             "lo": self.lo,
             "hi": self.hi,
         }
-
-
-def concat(v: Signal, w: Signal, t_switch: float) -> Signal:
-    """Concatenate two signals at the given instant (right piece owns it)."""
-    return Concatenation(v, w, t_switch)
-
-
-def sup_norm(s: Signal, lo: float, hi: float) -> float:
-    return s.sup_norm(lo, hi)
 
 
 def smooth_square(

@@ -6,8 +6,7 @@ formulations, and a destabilizing sampled-feedback switching policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -256,7 +255,6 @@ class SwitchedRun:
 
     outcome: SimOutcome
     signal: PiecewiseConstant
-    t_end: float
 
 
 def run_switched(
@@ -290,7 +288,7 @@ def run_switched(
     def rhs(t, y, left=False):
         return field[0](y)
 
-    stepper = Stepper(rhs, 0.0, x0, opts, h_cap=None)
+    stepper = Stepper(rhs, 0.0, x0, opts)
     traj = stepper.traj
     piece_vals = [mode]
     piece_breaks: list[float] = []
@@ -301,7 +299,7 @@ def run_switched(
             break
         if t_k > stepper.t:
             # the field is smooth between switches, so no boundary is forced
-            stepper.advance(T, rhs_jumps=False, until=t_k)
+            stepper.advance(T, until=t_k)
         if stepper.escape_info is not None and t_k >= stepper.escape_info[0]:
             break
         x = traj._interp(t_k)
@@ -310,51 +308,37 @@ def run_switched(
             if t_k < stepper.t:
                 # make the switching instant a node
                 stepper.rewind()
-                if stepper.advance(t_k, rhs_jumps=False) != _OK:
+                if stepper.advance(t_k) != _OK:
                     break
             mode = lam
             field[0] = planar_rhs(params, mode)
             stepper.invalidate_rhs_cache()
             piece_vals.append(lam)
             piece_breaks.append(t_k)
-    stepper.advance(T, rhs_jumps=False)
+    stepper.advance(T)
     outcome = stepper.outcome()
     sig = PiecewiseConstant(np.array(piece_vals), np.array(piece_breaks))
-    return SwitchedRun(outcome=outcome, signal=sig, t_end=stepper.t)
+    return SwitchedRun(outcome=outcome, signal=sig)
 
 
 def recorded_escape(dwell: float = 1e-3) -> SwitchedRun:
-    """Greedy switching run from (1, 0) up to the escape threshold, memoized.
+    """Greedy switching run from (1, 0) up to the escape threshold.
 
-    Keyed on float(dwell), so every spelling of one dwell shares one entry.
+    Runs the closed loop on every call; at the default dwell its schedule
+    is the one `escape_data` stores.
     """
-    return _recorded_escape(float(dwell))
+    return run_switched(greedy_worst_switch(dwell=dwell), np.array([1.0, 0.0]), T=20.0)
 
 
-@lru_cache(maxsize=4)
-def _recorded_escape(dwell: float) -> SwitchedRun:
-    policy = greedy_worst_switch(dwell=dwell)
-    return run_switched(policy, np.array([1.0, 0.0]), T=20.0)
+def escape_schedule() -> tuple[PiecewiseConstant, float]:
+    """Stored greedy switching signal of `escape_data`, zeroed after its
+    escape time, and that escape time."""
+    values = np.array(escape_data.VALUES + (0.0,)).reshape(-1, 1)
+    breaks = np.array(escape_data.BREAKS + (escape_data.T_ESCAPE,))
+    return PiecewiseConstant(values, breaks), escape_data.T_ESCAPE
 
 
-recorded_escape.cache_info = _recorded_escape.cache_info
-
-
-def escape_signal(dwell: float = 1e-3) -> tuple[PiecewiseConstant, float]:
-    """Switching signal and escape time of the greedy run at this dwell.
-
-    The default dwell reads the literals of `escape_data`; any other dwell
-    runs the closed loop through `recorded_escape`.
-    """
-    if float(dwell) == escape_data.DWELL:
-        return PiecewiseConstant(escape_data.VALUES, escape_data.BREAKS), escape_data.T_ESCAPE
-    run = recorded_escape(dwell)
-    if not run.outcome.escaped:
-        raise RuntimeError("greedy switching did not escape")
-    return run.signal, float(run.outcome.t_escape)
-
-
-def default_cascade_delay(dwell: float = 1e-3) -> float:
-    """1.5x the observed open-loop escape time of the greedy signal, so the
-    delay window contains the whole blow-up region."""
-    return 1.5 * escape_signal(dwell)[1]
+def default_cascade_delay() -> float:
+    """1.5x the escape time of the stored greedy schedule, so the delay
+    window contains the whole blow-up region."""
+    return 1.5 * escape_data.T_ESCAPE

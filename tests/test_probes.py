@@ -177,7 +177,7 @@ class TestRfcSweep:
         with pytest.raises(ValueError):
             rfc_sweep(delta_list=[0.05, 0.1])
 
-    def test_rejects_tau_below_escape_bound(self, escape_run):
+    def test_rejects_tau_below_escape_bound(self):
         with pytest.raises(TauTooShort):
             rfc_sweep(tau=0.5)
 

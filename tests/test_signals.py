@@ -14,7 +14,6 @@ from delayreach.signals import (
     PiecewiseLinear,
     TimeShift,
     Window,
-    concat,
     from_json,
     smooth_square,
 )
@@ -93,7 +92,7 @@ class TestExponentialTail:
 
 class TestCombinators:
     def test_concatenation_owns_switch_on_right(self):
-        s = concat(Constant(1.0), Constant(2.0), 3.0)
+        s = Concatenation(Constant(1.0), Constant(2.0), 3.0)
         assert s.eval(2.999) == 1.0
         assert s.eval(3.0) == 2.0
         assert s.eval_left(3.0) == 1.0
@@ -152,7 +151,7 @@ class TestSmoothSquare:
         assert dense_sup(w, 0.0, 6.0) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("delta", DEFAULT_DELTAS)
-    def test_recorded_schedule_stays_within_sup(self, escape_run, delta):
+    def test_recorded_schedule_stays_within_sup(self, delta):
         # no tolerance: the moving average is clipped to the schedule's range
         sched, t_esc = escape_schedule()
         w = smooth_square(sched, delta, strict=False)

@@ -108,21 +108,21 @@ class TestSwitchedEscape:
         field = planar_rhs(lam=1.0)
         plain = Stepper(lambda t, y, left=False: field(y), 0.0, np.array([1.0, 0.0]),
                         IntegratorOptions(h_min=1e-14))
-        assert plain.advance(3.0, rhs_jumps=False) == _OK
+        assert plain.advance(3.0) == _OK
         a, b = run.outcome.trajectory, plain.outcome().trajectory
         assert len(a.ts) < 3.0 / 1e-3
         assert (a.ts.tobytes(), a.ys.tobytes(), a.qs.tobytes()) == (
             b.ts.tobytes(), b.ys.tobytes(), b.qs.tobytes())
 
     @pytest.mark.parametrize("dwell", [1e-3, 8e-3, 1.6e-2])
-    def test_every_switch_is_a_node(self, dwell):
-        run = recorded_escape(dwell)
+    def test_every_switch_is_a_node(self, dwell, escape_run):
+        run = escape_run if dwell == 1e-3 else recorded_escape(dwell)
         assert np.isin(run.signal.breaks, run.outcome.trajectory.ts).all()
 
     @pytest.mark.parametrize("dwell", [1e-3, 8e-3])
-    def test_agrees_with_a_converged_run(self, dwell):
+    def test_agrees_with_a_converged_run(self, dwell, escape_run):
         # accuracy is that of the options: the dwell no longer sizes the steps
-        run = recorded_escape(dwell)
+        run = escape_run if dwell == 1e-3 else recorded_escape(dwell)
         fine = run_switched(greedy_worst_switch(dwell=dwell), np.array([1.0, 0.0]), T=20.0,
                             opts=IntegratorOptions(rel_tol=1e-12, abs_tol=1e-12, h_min=1e-15))
         assert fine.outcome.flag == run.outcome.flag == "threshold"
@@ -132,14 +132,6 @@ class TestSwitchedEscape:
         gaps = np.abs(run.signal.breaks - fine.signal.breaks)[moderate]
         assert len(gaps) >= 8 and gaps.max() <= 1e-7
         assert run.outcome.t_escape == pytest.approx(fine.outcome.t_escape, rel=1e-8, abs=0.0)
-
-    def test_recorded_escape_default_and_explicit_dwell_share_one_run(self):
-        # the session's entry, if there is one, is reused: at most one run
-        misses = recorded_escape.cache_info().misses
-        run = recorded_escape()
-        assert recorded_escape(1e-3) is run
-        assert recorded_escape(np.float64(1e-3)) is run
-        assert recorded_escape.cache_info().misses <= misses + 1
 
 
 def literal_block(values, breaks, t_escape) -> str:
@@ -182,25 +174,6 @@ class TestStoredEscape:
         assert sched.values.shape == from_run.values.shape
         assert sched.breaks.tobytes() == from_run.breaks.tobytes()
         assert default_cascade_delay() == 1.5 * escape_run.outcome.t_escape
-        assert default_cascade_delay(np.float64(1e-3)) == default_cascade_delay()
-
-    def test_other_dwell_runs_the_closed_loop(self):
-        # a coarse dwell, so the run takes ~0.2 s
-        sched, t_esc = escape_schedule(1.6e-2)
-        run = recorded_escape(1.6e-2)
-        from_run = escape_schedule_of(run)
-        assert t_esc == run.outcome.t_escape != escape_data.T_ESCAPE
-        assert sched.values.tobytes() == from_run.values.tobytes()
-        assert sched.breaks.tobytes() == from_run.breaks.tobytes()
-        assert default_cascade_delay(1.6e-2) == 1.5 * run.outcome.t_escape
-
-    def test_missing_escape_is_one_runtime_error(self, monkeypatch):
-        # a run that did not escape cannot define the schedule or the delay
-        calm = run_switched(SwitchingPolicy(dwell=1e-3, rule=lambda x: 1), np.array([1.0, 0.0]), T=0.1)
-        monkeypatch.setattr(systems, "recorded_escape", lambda dwell: calm)
-        for call in (lambda: escape_schedule(2e-3), lambda: default_cascade_delay(2e-3)):
-            with pytest.raises(RuntimeError, match="did not escape"):
-                call()
 
 
 class TestMakeSystem:
@@ -209,7 +182,7 @@ class TestMakeSystem:
             assert make_system(name, 1.0).name == name
         assert make_system("cascade", 0.7).delays == (0.7,)
 
-    def test_cascade_default_delay(self, escape_run):
+    def test_cascade_default_delay(self):
         assert make_system("cascade").tau == default_cascade_delay()
 
     def test_unknown_name_rejected(self):
