@@ -64,17 +64,13 @@ def write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def svg_line_plot(
-    path: Path,
-    xs,
-    series: dict,
-    title: str = "",
-    log_y: bool = False,
-    width: int = 640,
-    height: int = 400,
-) -> None:
+_SVG_SIZE = (640, 400)  # width, height
+
+
+def svg_line_plot(path: Path, xs, series: dict, title: str = "", log_y: bool = False) -> None:
     """Minimal single-axes SVG line plot; series maps label -> y array."""
     xs = np.asarray(xs, dtype=float)
+    width, height = _SVG_SIZE
     margin = 50
     all_y = np.concatenate([np.asarray(ys, dtype=float) for ys in series.values()])
     if log_y:
@@ -339,9 +335,10 @@ def run_es_check(args, s: Setup) -> Output:
 def run_uga_table(args, s: Setup) -> Output:
     cells = uga_table(args.r, args.eps, n_samples=args.samples, tau=s.tau, seed=args.seed, opts=s.opts)
     ok = all(c.ok for c in cells)
+    # at PROBE_OPTS the settle times of r >= 10 have no reliable digit (README)
     summary = {"subcommand": "uga-table", "samples_per_cell": args.samples, "seed": args.seed,
                "cells": [{"r": c.r, "eps": c.eps, "t_theory": c.t_theory, "t_emp_max": c.t_emp_max,
-                          "ok": c.ok} for c in cells],
+                          "t_emp_reliable": c.r < 10.0, "ok": c.ok} for c in cells],
                "verdict": "all cells within theoretical reach time" if ok else "reach-time exceeded"}
     rows = [(c.r, c.eps, c.t_theory, c.t_emp_max, 1.0 if c.ok else 0.0) for c in cells]
     lines = [_verdict(c.ok) + f"r={c.r:g} eps={c.eps:g}: t_emp={c.t_emp_max:.2f} <= T={c.t_theory:.1f}"

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .signals import Signal
+from .signals import Signal, _finite
 
 
 class BadHistoryDomain(ValueError):
@@ -74,7 +74,10 @@ _P = np.array(
     ]
 )
 
-# 5-point Gauss-Legendre nodes/weights on [0, 1], used by the residual audit
+# the residual audit: its random sample count and seed, and the 5-point
+# Gauss-Legendre nodes/weights on [0, 1] of its quadrature
+_AUDIT_SAMPLES = 20
+_AUDIT_SEED = 0
 _GL_X = (1.0 + np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
                          0.5384693101056831, 0.9061798459386640])) / 2.0
 _GL_W = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
@@ -272,8 +275,8 @@ class HistoryFn:
     """Continuous piecewise-linear function on [-tau, 0]."""
 
     def __init__(self, knots, values):
-        self.knots = np.asarray(knots, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.knots = _finite(knots, "knots")
+        self.values = _finite(values, "values")
         if self.values.ndim == 1:
             self.values = self.values.reshape(-1, 1)
         if len(self.knots) < 1 or len(self.knots) != len(self.values):
@@ -399,6 +402,9 @@ class Stepper:
         scale = o.abs_tol + o.rel_tol * np.abs(self.y)
         d0 = float(np.sqrt(np.mean((self.y / scale) ** 2)))
         d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
+        if not math.isfinite(d1):
+            # the first attempt fails at h_min and ends the run "nonfinite"
+            return o.h_min
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, target - self.t, self._h_top)
         y1 = self.y + h0 * k1
@@ -629,9 +635,7 @@ def residual_audit(
     traj: Trajectory,
     sys: DiscreteDelaySystem,
     u: Optional[Signal],
-    sample_count: int = 20,
     history: Optional[HistoryFn] = None,
-    seed: int = 0,
 ) -> float:
     """Max defect of the integral form x(t) - x(0) - int_0^t f over samples.
 
@@ -661,8 +665,8 @@ def residual_audit(
     for i in range(n_seg):
         cum[i + 1] = cum[i] + seg_integral(traj.ts[i], traj.ts[i + 1])
 
-    rng = np.random.default_rng(seed)
-    samples = traj.t_start + (traj.t_end - traj.t_start) * rng.random(sample_count)
+    rng = np.random.default_rng(_AUDIT_SEED)
+    samples = traj.t_start + (traj.t_end - traj.t_start) * rng.random(_AUDIT_SAMPLES)
     samples = np.concatenate([samples, [traj.t_end]])
     x0 = traj.eval(traj.t_start)
     worst = 0.0

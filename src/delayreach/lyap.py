@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +60,12 @@ class Mat2:
 #: The two Hurwitz gain matrices of the switched planar system.
 A_MODE1 = Mat2(0.0, 2.0, -0.5, -0.1)
 A_MODE2 = Mat2(-0.1, 0.5, -2.0, 0.0)
+
+#: Decay margin the certificate asks of -(A(lam)^T P0 + P0 A(lam)).
+DECAY_MARGIN = 0.5
+
+_SCAN_POINTS = 1000
+_BISECT_TOL = 1e-9
 
 
 def blend(a1: Mat2, a2: Mat2, lam: float) -> Mat2:
@@ -157,30 +163,23 @@ def _min_margin(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
     return lo
 
 
-def find_capital_lambda(
-    p0: SymPosDef2,
-    a1: Mat2 = A_MODE1,
-    a2: Mat2 = A_MODE2,
-    margin: float = 0.5,
-    grid_points: int = 1000,
-    tol: float = 1e-9,
-) -> float:
-    """Largest blend fraction up to which P0 certifies decay margin `margin`.
+def find_capital_lambda(p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2) -> float:
+    """Largest blend fraction up to which P0 certifies DECAY_MARGIN.
 
     Returns the largest L in (0, 1] such that for all lam in [0, L] the
-    smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam)) stays >= margin.
+    smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam)) stays >= DECAY_MARGIN.
     A 1000-point grid scan checks that the constraint boundary is crossed
-    only once before bisection refines it to absolute tolerance `tol`.
+    only once before bisection refines it to absolute tolerance 1e-9.
     """
 
     def feasible(lam: float) -> bool:
-        return _min_margin(lam, p0, a1, a2) >= margin
+        return _min_margin(lam, p0, a1, a2) >= DECAY_MARGIN
 
     if not feasible(0.0):
         raise NoFeasibleLambda(
             "margin fails already at lam=0; P0 is not the Lyapunov matrix of A(0)"
         )
-    grid = np.linspace(0.0, 1.0, grid_points + 1)
+    grid = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)
     feas = np.array([feasible(l) for l in grid])
     if feas.all():
         return 1.0
@@ -189,7 +188,7 @@ def find_capital_lambda(
         raise NoFeasibleLambda("feasible set is not an interval on the scan grid")
     lo = grid[first_bad - 1]
     hi = grid[first_bad]
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -208,13 +207,10 @@ class StabilityConstants:
 
 
 def stability_constants(
-    p0: SymPosDef2,
-    a1: Mat2 = A_MODE1,
-    a2: Mat2 = A_MODE2,
-    margin: float = 0.5,
+    p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2
 ) -> StabilityConstants:
     """k = sqrt(2 c2 / c1), p = min(1, 1/(4 c2)), plus the blend bound."""
-    lam = find_capital_lambda(p0, a1, a2, margin=margin)
+    lam = find_capital_lambda(p0, a1, a2)
     k = math.sqrt(2.0 * p0.c2 / p0.c1)
     p = min(1.0, 1.0 / (4.0 * p0.c2))
     return StabilityConstants(capital_lambda=lam, k=k, p=p)
@@ -240,8 +236,8 @@ class Certificate:
         return self.constants.capital_lambda
 
 
-@lru_cache(maxsize=8)
-def default_certificate(margin: float = 0.5) -> Certificate:
+@cache
+def default_certificate() -> Certificate:
     """Certificate for the default gain pair, memoized."""
     p0 = solve_lyapunov(blend(A_MODE1, A_MODE2, 0.0))
-    return Certificate(p0=p0, constants=stability_constants(p0, margin=margin))
+    return Certificate(p0=p0, constants=stability_constants(p0))

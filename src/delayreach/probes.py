@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .integrator import (
     Trajectory,
     integrate,
 )
-from .lyap import Certificate, blend, default_certificate, solve_lyapunov
+from .lyap import A_MODE1, A_MODE2, Certificate, blend, default_certificate, solve_lyapunov
 from .signals import Constant, PiecewiseConstant, PiecewiseLinear, Signal, smooth_square
 from .systems import (
     DEFAULT_PLANAR,
@@ -64,6 +64,21 @@ PROBE_OPTS = IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8)
 #: Smoothing widths of the diverging-peaks sweep: geometric, halving, chosen
 #: so the coarsest run is clearly tame and the finest approaches the escape.
 DEFAULT_DELTAS = tuple(0.1 / 2 ** k for k in range(7))
+
+_MAX_KNOTS = 20  # of a random history
+_MAX_PIECES = 20  # of a random input
+_ENVELOPE_SAMPLES = 100  # instants sampled per es_check run
+
+#: time past the theoretical reach time a settle run may take before it
+#: counts as a falsification
+_HORIZON_MARGIN = 100.0
+
+# the diverging-peaks sweep: planar start of unit norm, target ball radius
+_SWEEP_X0 = (1.0, 0.0)
+_SWEEP_EPS = 0.1
+
+_FD_STEP = 1e-4  # half-width of the central differences of the two audits
+_AUDIT_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -119,9 +134,9 @@ class RfcSweepResult:
         return all(t <= self.settle_bound for t in self.settle_times)
 
 
-def random_history(rng, target_norm: float, tau: float, dim: int, max_knots: int = 20) -> HistoryFn:
+def random_history(rng, target_norm: float, tau: float, dim: int) -> HistoryFn:
     """Piecewise-linear history on [-tau, 0] with sup norm exactly target_norm."""
-    k = int(rng.integers(3, max_knots + 1))
+    k = int(rng.integers(3, _MAX_KNOTS + 1))
     interior = np.sort(rng.uniform(-tau, 0.0, size=k - 2)) if k > 2 else np.empty(0)
     knots = np.unique(np.concatenate([[-tau], interior, [0.0]]))
     vals = rng.uniform(-1.0, 1.0, size=(len(knots), dim))
@@ -132,11 +147,12 @@ def random_history(rng, target_norm: float, tau: float, dim: int, max_knots: int
     return HistoryFn(knots, vals * (target_norm / peak))
 
 
-def random_piecewise_input(rng, sup: float, T: float, dim: int = 1, max_pieces: int = 20) -> Signal:
-    k = int(rng.integers(1, max_pieces + 1))
+def random_piecewise_input(rng, sup: float, T: float) -> Signal:
+    """Scalar piecewise-constant input on [0, T] with values in [-sup, sup]."""
+    k = int(rng.integers(1, _MAX_PIECES + 1))
     breaks = np.sort(rng.uniform(0.0, T, size=k - 1)) if k > 1 else np.empty(0)
     breaks = np.unique(breaks)
-    vals = rng.uniform(-sup, sup, size=(len(breaks) + 1, dim))
+    vals = rng.uniform(-sup, sup, size=(len(breaks) + 1, 1))
     return PiecewiseConstant(vals, breaks)
 
 
@@ -203,7 +219,6 @@ def es_check(
     fit_tol: float = 0.05,
     seed: int = 0,
     opts: IntegratorOptions = PROBE_OPTS,
-    samples_per_run: int = 100,
 ) -> EnvelopeFit:
     """Check the exponential envelope k ||phi|| e^{-pt} on random small histories.
 
@@ -228,7 +243,7 @@ def es_check(
         if out.escaped:
             raise UnexpectedEscape("escape in the small-norm envelope region")
         traj = out.trajectory
-        ts = rng.uniform(0.0, T, size=samples_per_run)
+        ts = rng.uniform(0.0, T, size=_ENVELOPE_SAMPLES)
         for t in ts:
             mag = float(np.abs(traj.eval(t)).max())
             env = k_env * norm * math.exp(-p_env * t)
@@ -247,7 +262,6 @@ def uga_table(
     r_list: Sequence[float],
     eps_list: Sequence[float],
     n_samples: int = 50,
-    margin_T: float = 100.0,
     tau: Optional[float] = None,
     seed: int = 0,
     opts: IntegratorOptions = PROBE_OPTS,
@@ -270,7 +284,7 @@ def uga_table(
                 rng = np.random.default_rng((seed, int(r * 1000), int(eps * 1000), i))
                 hist = random_history(rng, r * rng.uniform(0.3, 1.0), tau, sys.dim)
                 t_emp, _ = _certified_settle(
-                    sys, hist, eps, cert, t_theory + margin_T, opts
+                    sys, hist, eps, cert, t_theory + _HORIZON_MARGIN, opts
                 )
                 worst = max(worst, t_emp)
             cells.append(
@@ -338,18 +352,15 @@ def embedding_check(
 def rfc_sweep(
     tau: Optional[float] = None,
     delta_list: Sequence[float] = DEFAULT_DELTAS,
-    x0=(1.0, 0.0),
-    eps: float = 0.1,
     opts: IntegratorOptions = PROBE_OPTS,
-    margin_T: float = 100.0,
 ) -> RfcSweepResult:
     """Diverging peaks from an equibounded family of continuous histories.
 
     The recorded greedy escape signal is smoothed at each width in
     delta_list (strictly decreasing) and installed as the decaying-feed
-    history; the planar part starts at x0 with |x0| = 1. Every run must
-    complete (continuous history), re-enter the eps-ball by the theoretical
-    reach time, yet the peak grows without a uniform bound as the smoothing
+    history; the planar part starts at (1, 0). Every run must complete
+    (continuous history), re-enter the 0.1-ball by the theoretical reach
+    time, yet the peak grows without a uniform bound as the smoothing
     vanishes.
     """
     if not all(b < a for a, b in zip(delta_list, delta_list[1:])):
@@ -361,19 +372,18 @@ def rfc_sweep(
     if tau < tau_min - 1e-12:
         raise TauTooShort(f"tau={tau} must cover 1.5x the escape time {t_esc}")
     sys = cascade_system(tau)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     peaks = []
     settles = []
     norms = []
-    t_theory = theoretical_reach_time(1.0, eps, tau, cert)
+    t_theory = theoretical_reach_time(1.0, _SWEEP_EPS, tau, cert)
     for delta in delta_list:
         w = smooth_square(schedule, delta, strict=False)
         knots = np.unique(np.concatenate([[0.0, tau], w.knots[(w.knots > 0) & (w.knots < tau)]]))
         zvals = np.array([float(w.eval_unclamped(t)[0]) for t in knots])
-        vals = np.column_stack([zvals, np.full_like(zvals, x0[0]), np.full_like(zvals, x0[1])])
+        vals = np.column_stack([zvals] + [np.full_like(zvals, x) for x in _SWEEP_X0])
         hist = HistoryFn(knots - tau, vals)
         norms.append(hist.norm())
-        t_emp, traj = _certified_settle(sys, hist, eps, cert, t_theory + margin_T, opts)
+        t_emp, traj = _certified_settle(sys, hist, _SWEEP_EPS, cert, t_theory + _HORIZON_MARGIN, opts)
         peaks.append(traj.sup_norm(0.0, tau))
         settles.append(t_emp)
     return RfcSweepResult(
@@ -442,14 +452,12 @@ def estimate_R(
     )
 
 
-def decay_audit(
-    traj: Trajectory,
-    cert: Certificate,
-    t_lo: float,
-    t_hi: float,
-    fd_step: float = 1e-4,
-    n_samples: int = 200,
-) -> float:
+def _fd_slope(w: Callable[[float], float], t: float) -> float:
+    """Central finite-difference slope of w at t."""
+    return (w(t + _FD_STEP) - w(t - _FD_STEP)) / (2.0 * _FD_STEP)
+
+
+def decay_audit(traj: Trajectory, cert: Certificate, t_lo: float, t_hi: float) -> float:
     """Worst violation margin of the Lyapunov decay inequality on a window.
 
     Along a cascade trajectory (state [z, x1, x2]) with the delayed feed
@@ -461,19 +469,20 @@ def decay_audit(
     """
     if t_hi <= t_lo:
         raise WindowInvalid("decay audit window is empty")
-    a = max(t_lo, traj.t_start + fd_step)
-    b = min(t_hi, traj.t_end - fd_step)
+    a = max(t_lo, traj.t_start + _FD_STEP)
+    b = min(t_hi, traj.t_end - _FD_STEP)
     if b <= a:
         raise WindowInvalid("decay audit window is empty after clipping")
     c2 = cert.c2
+
+    def w_of(t: float) -> float:
+        return cert.p0.quad(traj.eval(t)[1:3])
+
     worst = -math.inf
-    for t in np.linspace(a, b, n_samples):
-        w0 = cert.p0.quad(traj.eval(t - fd_step)[1:3])
-        w1 = cert.p0.quad(traj.eval(t + fd_step)[1:3])
-        w = cert.p0.quad(traj.eval(t)[1:3])
-        slope = (w1 - w0) / (2.0 * fd_step)
+    for t in np.linspace(a, b, _AUDIT_SAMPLES):
+        w = w_of(t)
         bound = -w / (2.0 * c2) - w * w / (2.0 * c2 * c2)
-        worst = max(worst, slope - bound)
+        worst = max(worst, _fd_slope(w_of, t) - bound)
     return worst
 
 
@@ -482,35 +491,29 @@ def constant_input_descent(
     n_ics: int = 10,
     T: float = 5.0,
     seed: int = 0,
-    params: PlanarParams = DEFAULT_PLANAR,
-    opts: IntegratorOptions = PROBE_OPTS,
-    fd_step: float = 1e-4,
-    n_samples: int = 200,
 ) -> float:
-    """Worst relative growth of W(x) under constant inputs.
+    """Worst relative growth of W(x) under constant inputs, default gains.
 
     For each constant input c, W is the quadratic form of the Lyapunov
     matrix solved for the saturated blend of c; along every trajectory the
     finite-difference slope of W must stay non-positive. Returns the worst
     slope normalized by W(x(0)).
     """
-    sys = planar_system(params)
+    sys = planar_system()
     worst = -math.inf
     for c in c_list:
         lam = unit_saturation(c)
-        p = solve_lyapunov(blend(params.a1, params.a2, lam))
+        p = solve_lyapunov(blend(A_MODE1, A_MODE2, lam))
         for i in range(n_ics):
             rng = np.random.default_rng((seed, i))
             x0 = rng.uniform(-1.0, 1.0, size=2)
-            out = integrate(sys, x0, Constant([c]), T, opts)
+            out = integrate(sys, x0, Constant([c]), T, PROBE_OPTS)
             if out.escaped:
                 raise UnexpectedEscape("escape under a constant input")
             traj = out.trajectory
             w0 = p.quad(x0)
             if w0 == 0.0:
                 continue
-            for t in np.linspace(fd_step, T - fd_step, n_samples):
-                wl = p.quad(traj.eval(t - fd_step))
-                wr = p.quad(traj.eval(t + fd_step))
-                worst = max(worst, (wr - wl) / (2.0 * fd_step) / w0)
+            for t in np.linspace(_FD_STEP, T - _FD_STEP, _AUDIT_SAMPLES):
+                worst = max(worst, _fd_slope(lambda s: p.quad(traj.eval(s)), t) / w0)
     return worst

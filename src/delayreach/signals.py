@@ -60,7 +60,13 @@ class Signal:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """{"kind": ..., field: value, ...}, with the fields of _JSON_KINDS."""
+        kind = _KIND_OF[type(self)]
+        out = {"kind": kind}
+        for name in _JSON_KINDS[kind][1]:
+            v = getattr(self, name)
+            out[name] = v.to_json() if name in _NESTED else np.asarray(v).tolist()
+        return out
 
 
 class Constant(Signal):
@@ -78,9 +84,6 @@ class Constant(Signal):
 
     def sup_norm(self, lo, hi):
         return float(np.abs(self.value).max())
-
-    def to_json(self):
-        return {"kind": "constant", "value": self.value.tolist()}
 
 
 class PiecewiseConstant(Signal):
@@ -129,13 +132,6 @@ class PiecewiseConstant(Signal):
             return np.inf
         return float(np.diff(self.breaks).min())
 
-    def to_json(self):
-        return {
-            "kind": "piecewise_constant",
-            "values": self.values.tolist(),
-            "breaks": self.breaks.tolist(),
-        }
-
 
 class PiecewiseLinear(Signal):
     """Continuous broken line through (knots[i], values[i]).
@@ -181,13 +177,6 @@ class PiecewiseLinear(Signal):
         cand.extend(self.values[np.isin(k, inside)])
         return float(max(np.abs(c).max() for c in cand))
 
-    def to_json(self):
-        return {
-            "kind": "piecewise_linear",
-            "knots": self.knots.tolist(),
-            "values": self.values.tolist(),
-        }
-
 
 class ExponentialTail(Signal):
     """value * exp(-rate * (t - start)) for t >= start, frozen before start."""
@@ -220,14 +209,6 @@ class ExponentialTail(Signal):
         if hi <= self.start:
             return peak
         return peak * float(np.exp(-self.rate * (hi - self.start)))
-
-    def to_json(self):
-        return {
-            "kind": "exponential_tail",
-            "value": self.value.tolist(),
-            "rate": self.rate,
-            "start": self.start,
-        }
 
 
 class Concatenation(Signal):
@@ -266,14 +247,6 @@ class Concatenation(Signal):
             out = max(out, self.second.sup_norm(max(lo, self.t_switch), hi))
         return out
 
-    def to_json(self):
-        return {
-            "kind": "concatenation",
-            "first": self.first.to_json(),
-            "second": self.second.to_json(),
-            "t_switch": self.t_switch,
-        }
-
 
 class TimeShift(Signal):
     """inner evaluated at t - shift."""
@@ -296,9 +269,6 @@ class TimeShift(Signal):
 
     def sup_norm(self, lo, hi):
         return self.inner.sup_norm(lo - self.shift, hi - self.shift)
-
-    def to_json(self):
-        return {"kind": "time_shift", "inner": self.inner.to_json(), "shift": self.shift}
 
 
 class Window(Signal):
@@ -332,14 +302,6 @@ class Window(Signal):
     def sup_norm(self, lo, hi):
         a, b = max(lo, self.lo), min(hi, self.hi)
         return self.inner.sup_norm(a, b) if b > a else 0.0
-
-    def to_json(self):
-        return {
-            "kind": "zero_outside_interval",
-            "inner": self.inner.to_json(),
-            "lo": self.lo,
-            "hi": self.hi,
-        }
 
 
 def smooth_square(
@@ -390,23 +352,26 @@ def smooth_square(
     return PiecewiseLinear(knots, np.clip(vals, values.min(axis=0), values.max(axis=0)))
 
 
+#: JSON kind -> (class, constructor fields); each field is the attribute of
+#: the same name, and a signal-valued one nests as its own JSON object
+_JSON_KINDS = {
+    "constant": (Constant, ("value",)),
+    "piecewise_constant": (PiecewiseConstant, ("values", "breaks")),
+    "piecewise_linear": (PiecewiseLinear, ("knots", "values")),
+    "exponential_tail": (ExponentialTail, ("value", "rate", "start")),
+    "concatenation": (Concatenation, ("first", "second", "t_switch")),
+    "time_shift": (TimeShift, ("inner", "shift")),
+    "zero_outside_interval": (Window, ("inner", "lo", "hi")),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _JSON_KINDS.items()}
+_NESTED = ("first", "second", "inner")
+
+
 def from_json(obj: dict) -> Signal:
-    """Rebuild a signal from its JSON description."""
+    """Rebuild a signal from its JSON description; a missing field takes the
+    constructor's default (only `start` has one)."""
     kind = obj["kind"]
-    if kind == "constant":
-        return Constant(obj["value"])
-    if kind == "piecewise_constant":
-        return PiecewiseConstant(obj["values"], obj["breaks"])
-    if kind == "piecewise_linear":
-        return PiecewiseLinear(obj["knots"], obj["values"])
-    if kind == "exponential_tail":
-        return ExponentialTail(obj["value"], obj["rate"], obj.get("start", 0.0))
-    if kind == "concatenation":
-        return Concatenation(
-            from_json(obj["first"]), from_json(obj["second"]), obj["t_switch"]
-        )
-    if kind == "time_shift":
-        return TimeShift(from_json(obj["inner"]), obj["shift"])
-    if kind == "zero_outside_interval":
-        return Window(from_json(obj["inner"]), obj["lo"], obj["hi"])
-    raise ValueError(f"unknown signal kind {kind!r}")
+    if kind not in _JSON_KINDS:
+        raise ValueError(f"unknown signal kind {kind!r}")
+    cls, fields = _JSON_KINDS[kind]
+    return cls(**{f: from_json(obj[f]) if f in _NESTED else obj[f] for f in fields if f in obj})

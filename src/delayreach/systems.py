@@ -194,7 +194,11 @@ def history_from_inputs(xi0, inputs, delays) -> HistoryFn:
     return HistoryFn(knots_arr, vals_arr)
 
 
-def saturation_stop_times(history: HistoryFn, tau: float, T: float, levels=(0.0, 1.0)) -> np.ndarray:
+#: the levels where `unit_saturation` kinks
+_SATURATION_LEVELS = (0.0, 1.0)
+
+
+def saturation_stop_times(history: HistoryFn, tau: float, T: float) -> np.ndarray:
     """Times in (0, T) where the delayed feed crosses a saturation level.
 
     The saturated blend kinks the right-hand side wherever the feed crosses
@@ -205,7 +209,7 @@ def saturation_stop_times(history: HistoryFn, tau: float, T: float, levels=(0.0,
     knots = history.knots
     z = history.values[:, 0]
     out = []
-    for lv in levels:
+    for lv in _SATURATION_LEVELS:
         d = z - lv
         for i in range(len(knots) - 1):
             if d[i] == 0.0:
@@ -229,24 +233,25 @@ class SwitchingPolicy:
             raise ValueError(f"dwell must be finite and positive, got {self.dwell!r}")
 
 
-def greedy_worst_switch(
-    params: PlanarParams = DEFAULT_PLANAR, dwell: float = 1e-3
-) -> SwitchingPolicy:
+def greedy_worst_switch(dwell: float = 1e-3) -> SwitchingPolicy:
     """Pick the gain maximizing the instantaneous growth of |x|_2^2.
 
     rule(x) = argmax over lam in {0, 1} of x^T (A(lam) + A(lam)^T) x, ties
     resolved to 1. Combined with the cubic factor this greedily maximizes
     d|x|^2/dt.
     """
-    s1 = params.a1.as_array()
+    s1 = A_MODE1.as_array()
     s1 = s1 + s1.T
-    s2 = params.a2.as_array()
+    s2 = A_MODE2.as_array()
     s2 = s2 + s2.T
 
     def rule(x: np.ndarray) -> int:
         return 1 if float(x @ s1 @ x) >= float(x @ s2 @ x) else 0
 
     return SwitchingPolicy(dwell=dwell, rule=rule)
+
+
+_MIN_DWELL = 1e-13
 
 
 @dataclass
@@ -261,13 +266,12 @@ def run_switched(
     policy: SwitchingPolicy,
     x0,
     T: float,
-    params: PlanarParams = DEFAULT_PLANAR,
     opts: Optional[IntegratorOptions] = None,
-    min_dwell: float = 1e-13,
 ) -> SwitchedRun:
-    """Drive the planar system by the policy, sampled at t_0 = 0 and
-    t_{k+1} = t_k + dwell / (1 + |x(t_k)|_2^2), clamped to [min_dwell, dwell],
-    so sampling keeps up with the cubically accelerating rotation.
+    """Drive the planar system of the default gains by the policy, sampled at
+    t_0 = 0 and t_{k+1} = t_k + dwell / (1 + |x(t_k)|_2^2), clamped to
+    [_MIN_DWELL, dwell], so sampling keeps up with the cubically
+    accelerating rotation.
 
     The samples are read from the dense output, not forced as step
     boundaries: steps are sized by the error test of `opts` alone, and the
@@ -283,7 +287,7 @@ def run_switched(
 
     # the field of the current mode; it changes only at a node
     mode = float(policy.rule(x0))
-    field = [planar_rhs(params, mode)]
+    field = [planar_rhs(lam=mode)]
 
     def rhs(t, y, left=False):
         return field[0](y)
@@ -294,7 +298,7 @@ def run_switched(
     piece_breaks: list[float] = []
     t_k, x = 0.0, x0
     while True:
-        t_k += min(max(policy.dwell / (1.0 + float(x @ x)), min_dwell), policy.dwell)
+        t_k += min(max(policy.dwell / (1.0 + float(x @ x)), _MIN_DWELL), policy.dwell)
         if t_k >= T:
             break
         if t_k > stepper.t:
@@ -311,7 +315,7 @@ def run_switched(
                 if stepper.advance(t_k) != _OK:
                     break
             mode = lam
-            field[0] = planar_rhs(params, mode)
+            field[0] = planar_rhs(lam=mode)
             stepper.invalidate_rhs_cache()
             piece_vals.append(lam)
             piece_breaks.append(t_k)

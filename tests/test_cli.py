@@ -342,6 +342,14 @@ SMALL_RUNS = {
 }
 
 
+class TestUgaTableSummary:
+    def test_large_r_settle_times_flagged_unreliable(self, tmp_path, capsys):
+        args = ["uga-table", "--r", "1", "10", "--eps", "1", "--samples", "1"]
+        assert main(["--out", str(tmp_path), *args]) == 0
+        cells = json.loads((tmp_path / "uga_table_summary.json").read_text())["cells"]
+        assert [(c["r"], c["t_emp_reliable"]) for c in cells] == [(1.0, True), (10.0, False)]
+
+
 class TestProbeCommands:
     @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
     def test_small_run(self, tmp_path, capsys, name):

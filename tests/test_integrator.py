@@ -380,6 +380,18 @@ class TestHistoryFn:
         assert h.eval(-0.5)[0] == pytest.approx(2.0)
         assert h.norm() == 4.0
 
+    @pytest.mark.parametrize("knots, row, bad", [
+        ([-1.0, 0.0], 0, math.nan),  # at -tau: the first slope is NaN
+        ([-1.0, 0.0], 1, math.inf),  # at 0: read as a "threshold" escape at t = 0
+        ([-math.inf, 0.0], None, None),
+    ])
+    def test_non_finite_data_rejected(self, knots, row, bad):
+        vals = np.full((2, 3), 0.5)
+        if row is not None:
+            vals[row, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            HistoryFn(knots, vals)
+
 
 class TestResidualAudit:
     def test_small_residual_on_completed_run(self):
@@ -450,6 +462,22 @@ class TestStepperOutcomes:
         assert out.flag == "nonfinite"
         assert 1.0 < out.final_norm < 2.0
         assert out.t_escape < math.log(2.0)
+
+    def test_nonfinite_first_slope_ends_at_once(self):
+        # sqrt(y - 1) is NaN at y0 = 0.5: the first step is tried at h_min, so
+        # no stage is taken at a NaN time and the run ends "nonfinite" at t = 0
+        times = []
+
+        def rhs(t, y, left=False):
+            times.append(t)
+            return np.sqrt(y - 1.0)
+
+        with np.errstate(invalid="ignore"):
+            stepper = Stepper(rhs, 0.0, np.array([0.5]), IntegratorOptions(max_steps=1000))
+            assert stepper.advance(1.0) != _OK
+        out = stepper.outcome()
+        assert (out.flag, out.t_escape) == ("nonfinite", 0.0)
+        assert all(math.isfinite(t) for t in times)
 
     def test_step_size_collapse_when_not_growing(self):
         # a fast decay needs h well below h_min; the state only shrinks, so

@@ -122,13 +122,11 @@ class TestCapitalLambda:
         assert margin(lam + 1e-3) < 0.5
         assert 0.0 < lam < 0.05
 
-    def test_margin_one_gives_smaller_bound(self, cert):
-        tight = find_capital_lambda(cert.p0, margin=0.9)
-        assert tight < cert.capital_lambda
-
-    def test_infeasible_margin_raises(self, cert):
+    def test_infeasible_margin_raises(self):
+        # P0 = I is not the Lyapunov matrix of A(0), as with user gains from
+        # the `lyapunov` config
         with pytest.raises(NoFeasibleLambda):
-            find_capital_lambda(cert.p0, margin=10.0)
+            find_capital_lambda(SymPosDef2.from_entries(1.0, 0.0, 1.0))
 
 
 class TestConstants:

@@ -89,6 +89,12 @@ class TestExponentialTail:
         assert s.eval(2.0) == pytest.approx(2.0 * np.exp(-1.0))
         assert s.sup_norm(2.0, 5.0) == pytest.approx(2.0 * np.exp(-1.0))
 
+    def test_json_start_is_optional(self):
+        s = from_json({"kind": "exponential_tail", "value": [2.0], "rate": 1.0})
+        assert s.start == 0.0
+        with pytest.raises((KeyError, TypeError)):  # only `start` has a default; the CLI exits 2
+            from_json({"kind": "exponential_tail", "value": [2.0]})
+
 
 class TestCombinators:
     def test_concatenation_owns_switch_on_right(self):

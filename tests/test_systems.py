@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delayreach.integrator import HistoryFn, IntegratorOptions, Stepper, _OK, integrate
-from delayreach.probes import escape_schedule
+from delayreach.probes import escape_schedule, random_history
 from delayreach.signals import PiecewiseConstant, PiecewiseLinear
 from delayreach import escape_data, systems
 from delayreach.systems import (
@@ -247,6 +247,16 @@ class TestEmbeddings:
         for s in np.linspace(-tau, -tau + tau / 2.0, 17):
             assert hist.eval(s)[0] == pytest.approx(base.eval(s + tau)[0], abs=1e-12)
         assert hist.eval(0.0)[0] == 1.0
+
+    def test_embed_then_complete_reproduces_the_history(self):
+        for i in range(30):
+            rng = np.random.default_rng((11, i))
+            tau = rng.uniform(0.2, 3.0)
+            hist = random_history(rng, rng.uniform(0.1, 5.0), tau, 3)
+            back = history_from_inputs(*embed_history_as_inputs(hist, (tau,)), (tau,))
+            window = hist.knots[hist.knots <= -tau / 2.0]
+            for s in np.concatenate([window, np.linspace(-tau, -tau / 2.0, 25), [0.0]]):
+                assert np.abs(back.eval(s) - hist.eval(s)).max() <= 1e-12, (i, s)
 
     def test_delay_trajectory_matches_on_first_interval(self):
         tau = 1.0
