@@ -48,9 +48,7 @@ from .probes import (
     TauTooShort,
     UgaCell,
     UnexpectedEscape,
-    WindowInvalid,
     constant_input_descent,
-    decay_audit,
     embedding_check,
     es_check,
     estimate_R,

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .integrator import HistoryFn, IntegratorOptions, SimOutcome, integrate
-from .lyap import (Mat2, blend, default_certificate, lyapunov_residual, solve_lyapunov,
-                   stability_constants)
+from .lyap import (Mat2, NoFeasibleLambda, NotHurwitz, blend, default_certificate,
+                   lyapunov_residual, solve_lyapunov, stability_constants)
 from .probes import (PROBE_OPTS, TauTooShort, embedding_check, es_check, estimate_R, rfc_sweep,
                      uga_table)
 from .signals import Constant, Signal, from_json
@@ -243,15 +243,19 @@ def _verdict(ok: bool) -> str:
 
 def run_lyapunov(args, s: Setup) -> Output:
     result: dict = {}
-    if args.lam is not None:
-        a = blend(s.params.a1, s.params.a2, args.lam)
-        p = solve_lyapunov(a)
-        result.update({"lambda": args.lam, "P": [[p.p11, p.p12], [p.p12, p.p22]], "c1": p.c1,
-                       "c2": p.c2, "residual": lyapunov_residual(a, p)})
-    if args.constants or args.lam is None:
-        a1, a2 = s.params.a1, s.params.a2
-        env = stability_constants(solve_lyapunov(blend(a1, a2, 0.0)), a1, a2)
-        result.update(capital_lambda=env.capital_lambda, k=env.k, p=env.p)
+    try:
+        if args.lam is not None:
+            a = blend(s.params.a1, s.params.a2, args.lam)
+            p = solve_lyapunov(a)
+            result.update({"lambda": args.lam, "P": [[p.p11, p.p12], [p.p12, p.p22]], "c1": p.c1,
+                           "c2": p.c2, "residual": lyapunov_residual(a, p)})
+        if args.constants or args.lam is None:
+            a1, a2 = s.params.a1, s.params.a2
+            env = stability_constants(solve_lyapunov(blend(a1, a2, 0.0)), a1, a2)
+            result.update(capital_lambda=env.capital_lambda, k=env.k, p=env.p)
+    except (NotHurwitz, NoFeasibleLambda) as exc:
+        # here the gains come from the config, so no certificate is bad input
+        raise ConfigInvalid(f"A1/A2: {type(exc).__name__}: {exc}") from None
     return Output([], result, json.dumps(result, indent=2, sort_keys=True))
 
 

@@ -359,10 +359,6 @@ class SimOutcome:
     final_norm: Optional[float] = None
     flag: Optional[str] = None  # 'threshold' | 'h_min_collapse' | 'nonfinite'
 
-    @property
-    def completed(self) -> bool:
-        return not self.escaped
-
 
 _OK, _ESCAPED = 0, 1
 
@@ -577,7 +573,7 @@ def integrate(
     T: float,
     opts: Optional[IntegratorOptions] = None,
     extra_stops=None,
-    stop: Optional[Callable[[Trajectory, float], bool]] = None,
+    stop: Optional[tuple[float, Callable[[Trajectory, float], bool]]] = None,
 ) -> SimOutcome:
     """Integrate the system on [0, T] from the given history and input.
 
@@ -585,11 +581,11 @@ def integrate(
     delays); a bare state vector is accepted for nondelayed systems.
     `extra_stops` adds caller-known times where the right-hand side loses
     smoothness (e.g. saturation crossings) to the forced step boundaries.
-    `stop(traj, t)` is asked at the first accepted step at or past
-    tau = sys.tau and then once per tau of progress; when it returns True
-    the run ends there, with the trajectory on [0, t]. The forced boundaries
-    are those of T either way, so a stopped run is a bit-exact prefix of the
-    run to T.
+    `stop = (every, ask)`: ask(traj, t) is asked at the first accepted step
+    at or past t = every and then once per `every` of progress; when it
+    returns True the run ends there, with the trajectory on [0, t]. The
+    forced boundaries are those of T either way, so a stopped run is a
+    bit-exact prefix of the run to T.
     """
     opts = opts or IntegratorOptions()
     if T <= 0.0:
@@ -618,16 +614,19 @@ def integrate(
 
     f = _make_rhs(sys, u, lookup)
     stepper = Stepper(f, 0.0, y0, opts, h_cap=sys.delays[0] if sys.delays else None)
-    check = math.inf if stop is None else sys.tau
+    every, ask = (math.inf, None) if stop is None else stop
+    if not every > 0.0:
+        raise ValueError(f"stop cadence must be positive, got {every!r}")
+    check = every
     for target in _forced_stops(sys, u, T, history, extra_stops):
         target = float(target)
         while stepper.t != target:
             if stepper.advance(target, until=check) != _OK:
                 return stepper.outcome()
             if stepper.t >= check:
-                if stop(stepper.traj, stepper.t):
+                if ask(stepper.traj, stepper.t):
                     return stepper.outcome()
-                check = stepper.t + sys.tau
+                check = stepper.t + every
     return stepper.outcome()
 
 

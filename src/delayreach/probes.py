@@ -1,7 +1,15 @@
 """Experiment drivers that certify or falsify stability properties of the
 cascade and its planar core: exponential-envelope checks, uniform reach-time
 tables, reachability lower-bound sampling, the diverging-peaks sweep, and
-Lyapunov decay audits.
+the constant-input descent audit.
+
+In the cascade, z' = -z is decoupled, so the delayed feed w(t) = z(t - tau)
+is known in closed form from the history: its z-column shifted by tau on
+[0, tau], then z(0) e^{-(t - tau)}. The settle and envelope probes
+(`uga_table`, `rfc_sweep`, `es_check`) therefore integrate only the
+nondelayed planar block driven by that exact feed (`_exact_feed`), with a
+forced step boundary at every kink of it, and read z(t) = z(0) e^{-t} in
+closed form. `estimate_R` and `embedding_check` run the delayed cascade.
 
 All probes are deterministic given (seed, options): every random draw uses a
 seed derived from the master seed and the draw index, so results are
@@ -17,14 +25,21 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .integrator import (
-    DiscreteDelaySystem,
     HistoryFn,
     IntegratorOptions,
     Trajectory,
     integrate,
 )
 from .lyap import A_MODE1, A_MODE2, Certificate, blend, default_certificate, solve_lyapunov
-from .signals import Constant, PiecewiseConstant, PiecewiseLinear, Signal, smooth_square
+from .signals import (
+    Concatenation,
+    Constant,
+    ExponentialTail,
+    PiecewiseConstant,
+    PiecewiseLinear,
+    Signal,
+    smooth_square,
+)
 from .systems import (
     DEFAULT_PLANAR,
     PlanarParams,
@@ -49,10 +64,6 @@ class UnexpectedEscape(RuntimeError):
     """A run with a continuous history escaped; the integrator is misconfigured."""
 
 
-class WindowInvalid(ValueError):
-    """Decay audit requested on an empty window."""
-
-
 class TauTooShort(ValueError):
     """The delay does not cover 1.5x the escape time of the recorded schedule."""
 
@@ -67,6 +78,8 @@ DEFAULT_DELTAS = tuple(0.1 / 2 ** k for k in range(7))
 
 _MAX_KNOTS = 20  # of a random history
 _MAX_PIECES = 20  # of a random input
+#: state dimension [z, x1, x2] of the cascade histories the probes draw
+_CASCADE_DIM = 3
 _ENVELOPE_SAMPLES = 100  # instants sampled per es_check run
 
 #: time past the theoretical reach time a settle run may take before it
@@ -77,7 +90,7 @@ _HORIZON_MARGIN = 100.0
 _SWEEP_X0 = (1.0, 0.0)
 _SWEEP_EPS = 0.1
 
-_FD_STEP = 1e-4  # half-width of the central differences of the two audits
+_FD_STEP = 1e-4  # half-width of the central differences of the descent audit
 _AUDIT_SAMPLES = 200
 
 
@@ -167,44 +180,69 @@ def theoretical_reach_time(r: float, eps: float, tau: float, cert: Certificate) 
     return t1 + tau + 2.0 * cert.c2 ** 2 / (cert.c1 * eps * eps)
 
 
+def _exact_feed(history: HistoryFn, tau: float, T: float) -> tuple[Signal, np.ndarray, float]:
+    """The cascade's delayed feed w(t) = z(t - tau) on [0, T] in closed form.
+
+    Returns (w, stops, z0): w is the history's z-column shifted by tau on
+    [0, tau], then z0 e^{-(t - tau)} with z0 = z(0); stops are the times in
+    (0, T) where w crosses a saturation level, the kinks of the rhs that
+    `w.breakpoints` (the shifted knots and tau) does not list. A tail with
+    z0 <= 1 never crosses 0 or 1 after tau; one with z0 > 1 crosses 1 at
+    tau + ln z0.
+    """
+    z = history.values[:, :1]
+    z0 = float(history.eval(0.0)[0])
+    w = Concatenation(PiecewiseLinear(history.knots + tau, z), ExponentialTail([z0], 1.0, tau), tau)
+    stops = saturation_stop_times(history, tau, T)
+    if z0 > 1.0 and tau + math.log(z0) < T:
+        stops = np.append(stops, tau + math.log(z0))
+    return w, stops, z0
+
+
 def _certified_settle(
-    sys: DiscreteDelaySystem,
     history: HistoryFn,
+    tau: float,
     eps: float,
     cert: Certificate,
     hard_horizon: float,
     opts: IntegratorOptions,
 ) -> tuple[float, Trajectory]:
-    """Empirical settle time into the eps-ball, with a certified tail.
+    """Empirical settle time into the eps-ball of the cascade from `history`,
+    with a certified tail, and the run of its planar block x.
 
-    One run, stopped at the first checked instant t where the Lyapunov
-    certificate seals the tail: |z(t - tau)| <= Lambda (z only decays, so the
-    delayed feed stays in the certificate region), |z(t)| <= min(Lambda, eps),
+    One run of the planar system on the exact feed of `history`, stopped at
+    the first instant t, checked once per tau, where the Lyapunov
+    certificate seals the tail: |z(t - tau)| <= Lambda (z only decays, so
+    the feed stays in the certificate region), |z(t)| <= min(Lambda, eps),
     W(x(t)) <= c1 eps^2, and the last time t_emp above eps lies before t.
-    The state then sits inside the eps-ball on [t_emp, t] by construction
-    and the certificate keeps it there forever after t. A run that reaches
-    `hard_horizon` uncertified raises HorizonTooShort.
+    z(t) = z0 e^{-t} is read in closed form, so t_emp is the later of x's
+    last time above eps and ln(|z0| / eps). The state then sits inside the
+    eps-ball on [t_emp, t] by construction and the certificate keeps it
+    there forever after t. A run that reaches `hard_horizon` uncertified
+    raises HorizonTooShort.
     """
-    tau = sys.tau
     lam = cert.capital_lambda
+    w, stops, z0 = _exact_feed(history, tau, hard_horizon)
+    z_abs = abs(z0)
+    t_z = math.log(z_abs / eps) if z_abs > eps else 0.0
     settled = []
 
     def sealed(traj: Trajectory, t: float) -> bool:
         # the certificate at t is cheap and usually fails first
-        z_back, state = traj.eval(t - tau), traj.eval(t)
         if not (
-            abs(float(z_back[0])) <= lam
-            and abs(float(state[0])) <= min(lam, eps)
-            and cert.p0.quad(state[1:3]) <= cert.c1 * eps * eps
+            z_abs * math.exp(-(t - tau)) <= lam
+            and z_abs * math.exp(-t) <= min(lam, eps)
+            and cert.p0.quad(traj.eval(t)) <= cert.c1 * eps * eps
         ):
             return False
-        t_emp = traj.last_time_above(eps)
+        t_emp = max(traj.last_time_above(eps), t_z)
         if t_emp >= t - 1e-9:
             return False
         settled.append(t_emp)
         return True
 
-    out = integrate(sys, history, None, hard_horizon, opts, stop=sealed)
+    x0 = history.eval(0.0)[1:3]
+    out = integrate(planar_system(), x0, w, hard_horizon, opts, extra_stops=stops, stop=(tau, sealed))
     if out.escaped:
         raise UnexpectedEscape(f"escape at t={out.t_escape} from a continuous history")
     if not settled:
@@ -223,12 +261,14 @@ def es_check(
     """Check the exponential envelope k ||phi|| e^{-pt} on random small histories.
 
     Histories are piecewise linear with sup norm below the certificate region
-    bound, which is where the envelope is guaranteed. Violations count
-    sampled points above the envelope inflated by fit_tol.
+    bound, which is where the envelope is guaranteed. Each run integrates the
+    planar block on the exact feed; the sampled magnitude is
+    max(|z0| e^{-t}, |x(t)|_inf). Violations count sampled points above the
+    envelope inflated by fit_tol.
     """
     cert = default_certificate()
     tau = tau if tau is not None else default_cascade_delay()
-    sys = cascade_system(tau)
+    planar = planar_system()
     k_env = cert.constants.k
     p_env = cert.constants.p
     lam = cert.capital_lambda
@@ -238,14 +278,15 @@ def es_check(
     for i in range(n_ics):
         rng = np.random.default_rng((seed, i))
         norm = lam * rng.uniform(0.2, 1.0)
-        hist = random_history(rng, norm, tau, sys.dim)
-        out = integrate(sys, hist, None, T, opts)
+        hist = random_history(rng, norm, tau, _CASCADE_DIM)
+        w, stops, z0 = _exact_feed(hist, tau, T)
+        out = integrate(planar, hist.eval(0.0)[1:3], w, T, opts, extra_stops=stops)
         if out.escaped:
             raise UnexpectedEscape("escape in the small-norm envelope region")
         traj = out.trajectory
         ts = rng.uniform(0.0, T, size=_ENVELOPE_SAMPLES)
         for t in ts:
-            mag = float(np.abs(traj.eval(t)).max())
+            mag = max(abs(z0) * math.exp(-t), float(np.abs(traj.eval(t)).max()))
             env = k_env * norm * math.exp(-p_env * t)
             if mag > env * (1.0 + fit_tol):
                 violations += 1
@@ -274,7 +315,6 @@ def uga_table(
     """
     cert = default_certificate()
     tau = tau if tau is not None else default_cascade_delay()
-    sys = cascade_system(tau)
     cells = []
     for r in r_list:
         for eps in eps_list:
@@ -282,10 +322,8 @@ def uga_table(
             worst = 0.0
             for i in range(n_samples):
                 rng = np.random.default_rng((seed, int(r * 1000), int(eps * 1000), i))
-                hist = random_history(rng, r * rng.uniform(0.3, 1.0), tau, sys.dim)
-                t_emp, _ = _certified_settle(
-                    sys, hist, eps, cert, t_theory + _HORIZON_MARGIN, opts
-                )
+                hist = random_history(rng, r * rng.uniform(0.3, 1.0), tau, _CASCADE_DIM)
+                t_emp, _ = _certified_settle(hist, tau, eps, cert, t_theory + _HORIZON_MARGIN, opts)
                 worst = max(worst, t_emp)
             cells.append(
                 UgaCell(r=r, eps=eps, t_theory=t_theory, t_emp_max=worst, n_samples=n_samples)
@@ -361,7 +399,8 @@ def rfc_sweep(
     history; the planar part starts at (1, 0). Every run must complete
     (continuous history), re-enter the 0.1-ball by the theoretical reach
     time, yet the peak grows without a uniform bound as the smoothing
-    vanishes.
+    vanishes. A peak is the exact sup of the cascade state on [0, tau]:
+    max(|z0|, sup |x|_inf), since |z| only decays.
     """
     if not all(b < a for a, b in zip(delta_list, delta_list[1:])):
         raise ValueError("delta_list must be strictly decreasing")
@@ -371,7 +410,6 @@ def rfc_sweep(
     tau = tau if tau is not None else tau_min
     if tau < tau_min - 1e-12:
         raise TauTooShort(f"tau={tau} must cover 1.5x the escape time {t_esc}")
-    sys = cascade_system(tau)
     peaks = []
     settles = []
     norms = []
@@ -383,8 +421,8 @@ def rfc_sweep(
         vals = np.column_stack([zvals] + [np.full_like(zvals, x) for x in _SWEEP_X0])
         hist = HistoryFn(knots - tau, vals)
         norms.append(hist.norm())
-        t_emp, traj = _certified_settle(sys, hist, _SWEEP_EPS, cert, t_theory + _HORIZON_MARGIN, opts)
-        peaks.append(traj.sup_norm(0.0, tau))
+        t_emp, traj = _certified_settle(hist, tau, _SWEEP_EPS, cert, t_theory + _HORIZON_MARGIN, opts)
+        peaks.append(max(abs(float(zvals[-1])), traj.sup_norm(0.0, tau)))
         settles.append(t_emp)
     return RfcSweepResult(
         deltas=tuple(delta_list),
@@ -455,35 +493,6 @@ def estimate_R(
 def _fd_slope(w: Callable[[float], float], t: float) -> float:
     """Central finite-difference slope of w at t."""
     return (w(t + _FD_STEP) - w(t - _FD_STEP)) / (2.0 * _FD_STEP)
-
-
-def decay_audit(traj: Trajectory, cert: Certificate, t_lo: float, t_hi: float) -> float:
-    """Worst violation margin of the Lyapunov decay inequality on a window.
-
-    Along a cascade trajectory (state [z, x1, x2]) with the delayed feed
-    inside the certificate region, the finite-difference slope of
-    w(t) = x(t)^T P0 x(t) must satisfy
-    dw/dt <= -w/(2 c2) - w^2/(2 c2^2). Returns max(slope - bound); values
-    <= 0 mean no violation. Callers pick the window so the delayed feed
-    precondition holds.
-    """
-    if t_hi <= t_lo:
-        raise WindowInvalid("decay audit window is empty")
-    a = max(t_lo, traj.t_start + _FD_STEP)
-    b = min(t_hi, traj.t_end - _FD_STEP)
-    if b <= a:
-        raise WindowInvalid("decay audit window is empty after clipping")
-    c2 = cert.c2
-
-    def w_of(t: float) -> float:
-        return cert.p0.quad(traj.eval(t)[1:3])
-
-    worst = -math.inf
-    for t in np.linspace(a, b, _AUDIT_SAMPLES):
-        w = w_of(t)
-        bound = -w / (2.0 * c2) - w * w / (2.0 * c2 * c2)
-        worst = max(worst, _fd_slope(w_of, t) - bound)
-    return worst
 
 
 def constant_input_descent(

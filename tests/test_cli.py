@@ -275,6 +275,14 @@ class TestConfigKeysUsed:
         assert (data["k"], data["p"]) == (pytest.approx(2.0 ** 0.5), 0.5)
         assert data["capital_lambda"] != default["capital_lambda"]
 
+    @pytest.mark.parametrize("flags", [["--constants"], ["--lambda", "0.5"]])
+    def test_lyapunov_non_hurwitz_gains_are_config_errors(self, tmp_path, capsys, flags):
+        # A(0) = A2 = I is not Hurwitz, so no certificate exists for these gains
+        cfg = write_config(tmp_path, {"A2": [[1.0, 0.0], [0.0, 1.0]]})
+        assert main(["--config", cfg, "--out", str(tmp_path), "lyapunov", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: A1/A2: NotHurwitz")
+
     def test_tau_flag_beats_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tau": 0.5})
         args = ["simulate", "--history", "const:0.5,0,0", "--T", "1"]

@@ -171,7 +171,7 @@ def cascade_traj():
     # sup of some windows 5.1e-7 (relative) below dense sampling
     hist = HistoryFn.constant(np.array([0.9, 2.0, -1.0]), 1.0)
     out = integrate(cascade_system(1.0), hist, None, 10.0)
-    assert out.completed
+    assert not out.escaped
     return out.trajectory
 
 
@@ -292,9 +292,9 @@ class TestSoftStop:
             return False
 
         plain = integrate(delayed_unit_system(), hist, None, 9.5)
-        watched = integrate(delayed_unit_system(), hist, None, 9.5, stop=never)
+        watched = integrate(delayed_unit_system(), hist, None, 9.5, stop=(1.0, never))
         assert traj_bytes(watched.trajectory) == traj_bytes(plain.trajectory)
-        # asked at the first step at or past tau = 1, then once per tau of progress
+        # asked at the first step at or past 1, then once per 1 of progress
         ts = [t for t, _ in seen]
         assert ts[0] >= 1.0 and len(ts) >= 8
         assert all(b >= a + 1.0 for a, b in zip(ts, ts[1:]))
@@ -303,12 +303,37 @@ class TestSoftStop:
     def test_stopped_run_is_a_byte_prefix_of_the_full_run(self):
         hist = HistoryFn.constant(np.array([1.0]), 1.0)
         full = integrate(delayed_unit_system(), hist, None, 9.5).trajectory
-        stopped = integrate(delayed_unit_system(), hist, None, 9.5, stop=lambda traj, t: t >= 4.2)
-        assert stopped.completed
+        stopped = integrate(delayed_unit_system(), hist, None, 9.5, stop=(1.0, lambda traj, t: t >= 4.2))
+        assert not stopped.escaped
         traj = stopped.trajectory
         n = len(traj.ts)
         assert 4.2 <= traj.t_end < 9.5
         assert traj_bytes(traj) == (full.ts[:n].tobytes(), full.ys[:n].tobytes(), full.qs[: n - 1].tobytes())
+
+    def test_nondelayed_stop_asked_once_per_cadence(self):
+        # a system with no delay still gets the cadence it is given, not one
+        # question per accepted step
+        rot = DiscreteDelaySystem(
+            dim=2, input_dim=0, delays=(), rhs=lambda y, d, u: 10.0 * np.array([-y[1], y[0]]),
+            name="rot",
+        )
+        seen = []
+
+        def never(traj, t):
+            seen.append(t)
+            return False
+
+        out = integrate(rot, np.array([1.0, 0.0]), None, 10.0, stop=(1.0, never))
+        steps = np.diff(out.trajectory.ts)
+        assert len(steps) > 100
+        assert seen[0] >= 1.0
+        assert all(b >= a + 1.0 for a, b in zip(seen, seen[1:]))
+        assert int(10.0 / (1.0 + steps.max())) <= len(seen) <= 10
+
+    @pytest.mark.parametrize("every", [0.0, -1.0, math.nan])
+    def test_cadence_must_be_positive(self, every):
+        with pytest.raises(ValueError, match="cadence"):
+            integrate(decay_system(), np.array([1.0]), None, 1.0, stop=(every, lambda traj, t: False))
 
 
 class TestRewind:

@@ -8,10 +8,9 @@ from delayreach.probes import (
     PROBE_OPTS,
     HorizonTooShort,
     TauTooShort,
-    WindowInvalid,
     _certified_settle,
+    _exact_feed,
     constant_input_descent,
-    decay_audit,
     es_check,
     escape_schedule,
     estimate_R,
@@ -20,7 +19,7 @@ from delayreach.probes import (
     theoretical_reach_time,
     uga_table,
 )
-from delayreach.systems import cascade_system, default_cascade_delay
+from delayreach.systems import cascade_system, default_cascade_delay, saturation_stop_times
 
 
 class TestHelpers:
@@ -90,80 +89,118 @@ class TestUgaTable:
         assert cells[0].t_emp_max < cells[0].t_theory
 
 
-def doubling_settle(sys, history, eps, cert, hard_horizon, opts):
-    """The settle loop `_certified_settle` replaced, kept as its reference:
-    integrate to tau + 50, certify on a 65-point grid after the last time
-    above eps, else integrate again from 0 to twice the horizon. Returns
-    (t_emp, number of runs)."""
-    tau, lam = sys.tau, cert.capital_lambda
-    horizon, runs = min(tau + 50.0, hard_horizon), 0
-    while True:
-        traj = integrate(sys, history, None, horizon, opts).trajectory
-        runs += 1
-        t_emp = traj.last_time_above(eps)
-
-        def certified_at(t_c):
-            z_back = history.eval(t_c - tau) if t_c - tau <= 0.0 else traj.eval(t_c - tau)
-            state = traj.eval(t_c)
-            return (
-                abs(float(z_back[0])) <= lam
-                and abs(float(state[0])) <= min(lam, eps)
-                and cert.p0.quad(state[1:3]) <= cert.c1 * eps * eps
-            )
-
-        if t_emp < horizon - 1e-9 and any(
-            certified_at(t_c) for t_c in np.linspace(t_emp, horizon, 65)[1:]
-        ):
-            return t_emp, runs
-        assert horizon < hard_horizon - 1e-9, "reference failed to certify"
-        horizon = min(2.0 * horizon, hard_horizon)
-
-
 #: the (r, eps) cells of the reach-time table
 REACH_CELLS = ((1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (100.0, 0.1), (100.0, 1.0))
 
 
 def uga_draw(r, eps, seed=0):
-    """The history `uga_table` draws first for (seed, r, eps)."""
+    """tau and the history `uga_table` draws first for (seed, r, eps)."""
     tau = default_cascade_delay()
     rng = np.random.default_rng((seed, int(r * 1000), int(eps * 1000), 0))
-    return cascade_system(tau), random_history(rng, r * rng.uniform(0.3, 1.0), tau, 3)
+    return tau, random_history(rng, r * rng.uniform(0.3, 1.0), tau, 3)
+
+
+def delayed_settle(hist, tau, eps, cert, hard_horizon, opts):
+    """Settle time of the delayed 3-state cascade run, certified by the rule
+    of `_certified_settle` with every value read off that run: |z(t - tau)|
+    <= Lambda, |z(t)| <= min(Lambda, eps), W(x(t)) <= c1 eps^2, and the last
+    time above eps before t."""
+    lam = cert.capital_lambda
+    settled = []
+
+    def sealed(traj, t):
+        z_back, state = traj.eval(t - tau), traj.eval(t)
+        if not (
+            abs(float(z_back[0])) <= lam
+            and abs(float(state[0])) <= min(lam, eps)
+            and cert.p0.quad(state[1:3]) <= cert.c1 * eps * eps
+        ):
+            return False
+        t_emp = traj.last_time_above(eps)
+        if t_emp >= t - 1e-9:
+            return False
+        settled.append(t_emp)
+        return True
+
+    stops = saturation_stop_times(hist, tau, hard_horizon)
+    out = integrate(cascade_system(tau), hist, None, hard_horizon, opts, extra_stops=stops,
+                    stop=(tau, sealed))
+    assert not out.escaped and settled, "reference failed to certify"
+    return settled[0]
+
+
+TIGHT_OPTS = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
 
 
 class TestCertifiedSettle:
-    def test_matches_the_doubling_loop_bit_for_bit(self, cert):
-        runs = []
-        # at the default tau no seed-0 draw needs the doubled reference run;
-        # seeds 1-3 of (100, 0.1) are searched until one does
-        draws = [(r, eps, 0) for r, eps in REACH_CELLS] + [(100.0, 0.1, s) for s in (1, 2, 3)]
-        for r, eps, seed in draws:
-            if seed > 0 and max(runs) >= 2:
-                break
-            sys, hist = uga_draw(r, eps, seed)
-            hard = theoretical_reach_time(r, eps, sys.tau, cert) + 100.0
-            t_ref, n = doubling_settle(sys, hist, eps, cert, hard, PROBE_OPTS)
-            t_emp, traj = _certified_settle(sys, hist, eps, cert, hard, PROBE_OPTS)
-            assert t_emp == t_ref, (r, eps, seed)
-            # one run, stopped after the settle time, covering the peak window [0, tau]
-            assert traj.t_start == 0.0 and traj.t_end >= max(sys.tau, t_emp)
-            assert traj.last_time_above(eps) == t_emp
-            runs.append(n)
-        assert max(runs) >= 2
+    def test_unit_r_settle_times_match_a_tight_delayed_run(self, cert):
+        for seed in (0, 1, 2):
+            for r, eps in REACH_CELLS[:2]:  # the r = 1 cells
+                tau, hist = uga_draw(r, eps, seed)
+                hard = theoretical_reach_time(r, eps, tau, cert) + 100.0
+                t_emp, traj = _certified_settle(hist, tau, eps, cert, hard, PROBE_OPTS)
+                t_ref = delayed_settle(hist, tau, eps, cert, hard, TIGHT_OPTS)
+                assert abs(t_emp - t_ref) <= 1e-3, (r, eps, seed, t_emp, t_ref)
+                # one run of the planar block, stopped after the settle time
+                # and covering the peak window [0, tau]
+                assert traj.dim == 2 and traj.t_start == 0.0 and traj.t_end >= max(tau, t_emp)
+
+    def test_feed_sets_the_settle_time_and_the_seal(self, cert):
+        # x starts at 1e-3 and never reaches eps, so the settle time is the
+        # last time z0 e^{-t} is above eps, and the run may stop only once
+        # the feed z0 e^{-(t - tau)} is inside the certificate region
+        tau, lam, eps = default_cascade_delay(), cert.capital_lambda, 0.1
+        for k in range(1, 13):
+            z0 = lam * math.exp(k / 2)
+            hist = HistoryFn.constant([z0, 1e-3, 0.0], tau)
+            t_emp, traj = _certified_settle(hist, tau, eps, cert, 300.0, PROBE_OPTS)
+            assert t_emp == max(0.0, math.log(z0 / eps)), k
+            assert traj.t_end >= tau + math.log(z0 / lam), k
 
     def test_uncertified_by_the_hard_horizon_raises(self, cert):
-        sys, hist = uga_draw(1.0, 0.1)  # settles near t = 46
+        tau, hist = uga_draw(1.0, 0.1)  # settles near t = 46
         with pytest.raises(HorizonTooShort):
-            _certified_settle(sys, hist, 0.1, cert, 20.0, PROBE_OPTS)
+            _certified_settle(hist, tau, 0.1, cert, 20.0, PROBE_OPTS)
 
     @pytest.mark.parametrize("r,eps", [c for c in REACH_CELLS if c[0] >= 10.0])
     def test_large_r_draw_settles_in_time_at_tight_tolerances(self, cert, r, eps):
         # at PROBE_OPTS the settle times of r >= 10 have no reliable digit
         # (README); the verdict must not rest on that error
-        sys, hist = uga_draw(r, eps)
-        t_theory = theoretical_reach_time(r, eps, sys.tau, cert)
-        tight = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
-        t_emp, _ = _certified_settle(sys, hist, eps, cert, t_theory + 100.0, tight)
+        tau, hist = uga_draw(r, eps)
+        t_theory = theoretical_reach_time(r, eps, tau, cert)
+        t_emp, _ = _certified_settle(hist, tau, eps, cert, t_theory + 100.0, TIGHT_OPTS)
         assert t_emp <= t_theory
+
+
+class TestExactFeed:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_delayed_z_of_a_cascade_run(self, seed):
+        tau = default_cascade_delay()
+        rng = np.random.default_rng(seed)
+        hist = random_history(rng, 1.5, tau, 3)
+        w, _, z0 = _exact_feed(hist, tau, 3.0 * tau)
+        z = integrate(cascade_system(tau), hist, None, 2.0 * tau, IntegratorOptions()).trajectory
+        for t in np.linspace(0.0, 3.0 * tau, 301):
+            s = t - tau
+            z_del = hist.eval(s)[0] if s <= 0.0 else z.eval(s)[0]
+            assert abs(w.eval(t)[0] - z_del) <= 1e-7, t
+        # continuous at tau, where the shifted history hands over to the tail
+        assert w.eval_left(tau)[0] == w.eval(tau)[0] == z0 == hist.eval(0.0)[0]
+        assert w.eval(tau - 1e-9)[0] == pytest.approx(z0, abs=1e-6)
+        assert tau in w.breakpoints(0.0, 3.0 * tau)
+
+    @pytest.mark.parametrize("z0", [-2.0, 0.0, 0.5, 1.0, 1.5, 4.0])
+    def test_tail_crossing_of_1_is_a_stop_exactly_when_z0_exceeds_1(self, z0):
+        tau = 1.3
+        hist = HistoryFn(np.array([-tau, -0.5, 0.0]), np.array([[0.3, 0.0, 0.0], [0.7, 0.0, 0.0], [z0, 0.0, 0.0]]))
+        w, stops, got = _exact_feed(hist, tau, 100.0)
+        assert got == z0
+        tail = stops[stops > tau]
+        if z0 > 1.0:
+            assert list(tail) == [tau + math.log(z0)]
+            assert w.eval(tail[0])[0] == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert len(tail) == 0
 
 
 class TestRfcSweep:
@@ -180,22 +217,6 @@ class TestRfcSweep:
     def test_rejects_tau_below_escape_bound(self):
         with pytest.raises(TauTooShort):
             rfc_sweep(tau=0.5)
-
-
-class TestDecayAudit:
-    def test_no_violation_in_certified_region(self, cert):
-        tau = default_cascade_delay()
-        lam = cert.capital_lambda
-        h = HistoryFn.constant(np.array([0.9 * lam, 0.01, -0.008]), tau)
-        out = integrate(cascade_system(tau), h, None, 15.0, PROBE_OPTS)
-        assert decay_audit(out.trajectory, cert, 0.0, 15.0) <= 0.0
-
-    def test_empty_window_rejected(self, cert):
-        tau = default_cascade_delay()
-        h = HistoryFn.constant(np.array([0.0, 0.01, 0.0]), tau)
-        out = integrate(cascade_system(tau), h, None, 1.0, PROBE_OPTS)
-        with pytest.raises(WindowInvalid):
-            decay_audit(out.trajectory, cert, 2.0, 1.0)
 
 
 class TestConstantInputDescent:
