@@ -29,7 +29,6 @@ from .lyap import (
     NoFeasibleLambda,
     NotHurwitz,
     SingularSystem,
-    StabilityConstants,
     SymPosDef2,
     blend,
     default_certificate,

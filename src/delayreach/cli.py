@@ -251,8 +251,8 @@ def run_lyapunov(args, s: Setup) -> Output:
                            "c2": p.c2, "residual": lyapunov_residual(a, p)})
         if args.constants or args.lam is None:
             a1, a2 = s.params.a1, s.params.a2
-            env = stability_constants(solve_lyapunov(blend(a1, a2, 0.0)), a1, a2)
-            result.update(capital_lambda=env.capital_lambda, k=env.k, p=env.p)
+            cert = stability_constants(solve_lyapunov(blend(a1, a2, 0.0)), a1, a2)
+            result.update(capital_lambda=cert.capital_lambda, k=cert.k, p=cert.p)
     except (NotHurwitz, NoFeasibleLambda) as exc:
         # here the gains come from the config, so no certificate is bad input
         raise ConfigInvalid(f"A1/A2: {type(exc).__name__}: {exc}") from None
@@ -321,8 +321,8 @@ def run_rfc_sweep(args, s: Setup) -> Output:
 
 def run_es_check(args, s: Setup) -> Output:
     fit = es_check(n_ics=args.n, T=args.T, tau=s.tau, fit_tol=args.tol, seed=args.seed, opts=s.opts)
-    env = default_certificate().constants
-    k, p = env.k, env.p
+    cert = default_certificate()
+    k, p = cert.k, cert.p
     ok = fit.violations == 0
     summary = {"subcommand": "es-check", "n_ics": args.n, "T": args.T, "fit_tol": args.tol,
                "seed": args.seed, "k": k, "p": p, **asdict(fit),

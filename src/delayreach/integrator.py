@@ -232,9 +232,6 @@ class Trajectory:
             raise SpanTooShort(f"t={t} outside [{self.t_start}, {self.t_end}]")
         return self._interp(t)
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.eval(t)
-
     def sup_norm(self, lo: float, hi: float) -> float:
         """Exact sup of |x(t)|_inf over [lo, hi] under the dense output: the window
         ends, the nodes, and the critical points inside the window of each segment
@@ -313,9 +310,6 @@ class HistoryFn:
         th = (s - k[i]) / (k[i + 1] - k[i])
         return (1.0 - th) * self.values[i] + th * self.values[i + 1]
 
-    def __call__(self, s: float) -> np.ndarray:
-        return self.eval(s)
-
     def norm(self) -> float:
         """Exact sup norm over [-tau, 0] (max |.|_inf): the largest knot value."""
         return float(np.abs(self.values).max())
@@ -334,7 +328,6 @@ class DiscreteDelaySystem:
     input_dim: int
     delays: tuple
     rhs: Callable[[np.ndarray, tuple, np.ndarray], np.ndarray]
-    name: str = ""
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.delays)

@@ -2,8 +2,9 @@
 
 Everything here is closed-form at dimension two: the Hurwitz test is the
 trace/determinant criterion, the Lyapunov equation is solved as an explicit
-3x3 linear system in the symmetric unknowns, and eigenvalues of symmetric
-matrices come from the quadratic formula.
+3x3 linear system in the symmetric unknowns, eigenvalues of symmetric
+matrices come from the quadratic formula, and the blend bound from the roots
+of a line and a quadratic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+
+from .integrator import _real_roots
 
 
 class NotHurwitz(ValueError):
@@ -63,9 +66,6 @@ A_MODE2 = Mat2(-0.1, 0.5, -2.0, 0.0)
 
 #: Decay margin the certificate asks of -(A(lam)^T P0 + P0 A(lam)).
 DECAY_MARGIN = 0.5
-
-_SCAN_POINTS = 1000
-_BISECT_TOL = 1e-9
 
 
 def blend(a1: Mat2, a2: Mat2, lam: float) -> Mat2:
@@ -154,11 +154,16 @@ def lyapunov_residual(a: Mat2, p: SymPosDef2) -> float:
     return float(np.abs(aa.T @ pp + pp @ aa + np.eye(2)).max())
 
 
-def _min_margin(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
-    """Smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam))."""
+def _margin_matrix(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> np.ndarray:
+    """-(A(lam)^T P0 + P0 A(lam)), affine in lam."""
     a = blend(a1, a2, lam).as_array()
     pp = p0.as_array()
-    q = -(a.T @ pp + pp @ a)
+    return -(a.T @ pp + pp @ a)
+
+
+def _min_margin(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
+    """Smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam))."""
+    q = _margin_matrix(lam, p0, a1, a2)
     lo, _ = sym_eigvals(q[0, 0], q[0, 1], q[1, 1])
     return lo
 
@@ -167,9 +172,14 @@ def find_capital_lambda(p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2) 
     """Largest blend fraction up to which P0 certifies DECAY_MARGIN.
 
     Returns the largest L in (0, 1] such that for all lam in [0, L] the
-    smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam)) stays >= DECAY_MARGIN.
-    A 1000-point grid scan checks that the constraint boundary is crossed
-    only once before bisection refines it to absolute tolerance 1e-9.
+    smallest eigenvalue of Q(lam) = -(A(lam)^T P0 + P0 A(lam)) stays >=
+    DECAY_MARGIN = m. Q is affine in lam, so its smallest eigenvalue is
+    concave and the lam that pass form one interval [0, L]. A symmetric
+    2x2 matrix has both eigenvalues >= m exactly when tr(Q - m I) >= 0 and
+    det(Q - m I) >= 0, a line and a quadratic in lam, so L is 1 or one of
+    their roots in (0, 1): the largest that passes the margin test. If none
+    passes, rounding put the boundary root, the lowest, just past the
+    boundary, and it steps down (4 ulps, then doubling) until it passes.
     """
 
     def feasible(lam: float) -> bool:
@@ -179,65 +189,49 @@ def find_capital_lambda(p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2) 
         raise NoFeasibleLambda(
             "margin fails already at lam=0; P0 is not the Lyapunov matrix of A(0)"
         )
-    grid = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)
-    feas = np.array([feasible(l) for l in grid])
-    if feas.all():
-        return 1.0
-    first_bad = int(np.argmin(feas))
-    if not feas[first_bad:].sum() == 0:
-        raise NoFeasibleLambda("feasible set is not an interval on the scan grid")
-    lo = grid[first_bad - 1]
-    hi = grid[first_bad]
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    q0 = _margin_matrix(0.0, p0, a1, a2)
+    s = q0 - DECAY_MARGIN * np.eye(2)
+    d = _margin_matrix(1.0, p0, a1, a2) - q0
+    # Q(lam) - m I = s + lam d
+    trace = [d[0, 0] + d[1, 1], s[0, 0] + s[1, 1]]
+    det = [
+        d[0, 0] * d[1, 1] - d[0, 1] ** 2,
+        s[0, 0] * d[1, 1] + d[0, 0] * s[1, 1] - 2.0 * s[0, 1] * d[0, 1],
+        s[0, 0] * s[1, 1] - s[0, 1] ** 2,
+    ]
+    lams = sorted([1.0, *_real_roots(trace, 0.0, 1.0), *_real_roots(det, 0.0, 1.0)])
+    for lam in reversed(lams):
+        if feasible(lam):
+            return lam
+    low = lams[0]
+    step = 4.0 * math.ulp(low)
+    while low - step > 0.0 and not feasible(low - step):
+        step *= 2.0
+    return max(low - step, 0.0)
 
 
 @dataclass(frozen=True)
-class StabilityConstants:
-    """Decay-envelope constants derived from a Lyapunov matrix."""
+class Certificate:
+    """Lyapunov matrix of the lam=0 gain and the constants derived from it:
+    the blend bound capital_lambda and the decay envelope k, p."""
 
+    p0: SymPosDef2
     capital_lambda: float
     k: float
     p: float
 
 
-def stability_constants(
-    p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2
-) -> StabilityConstants:
+def stability_constants(p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2) -> Certificate:
     """k = sqrt(2 c2 / c1), p = min(1, 1/(4 c2)), plus the blend bound."""
-    lam = find_capital_lambda(p0, a1, a2)
-    k = math.sqrt(2.0 * p0.c2 / p0.c1)
-    p = min(1.0, 1.0 / (4.0 * p0.c2))
-    return StabilityConstants(capital_lambda=lam, k=k, p=p)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Bundle: Lyapunov matrix of the lam=0 gain plus derived constants."""
-
-    p0: SymPosDef2
-    constants: StabilityConstants
-
-    @property
-    def c1(self) -> float:
-        return self.p0.c1
-
-    @property
-    def c2(self) -> float:
-        return self.p0.c2
-
-    @property
-    def capital_lambda(self) -> float:
-        return self.constants.capital_lambda
+    return Certificate(
+        p0=p0,
+        capital_lambda=find_capital_lambda(p0, a1, a2),
+        k=math.sqrt(2.0 * p0.c2 / p0.c1),
+        p=min(1.0, 1.0 / (4.0 * p0.c2)),
+    )
 
 
 @cache
 def default_certificate() -> Certificate:
     """Certificate for the default gain pair, memoized."""
-    p0 = solve_lyapunov(blend(A_MODE1, A_MODE2, 0.0))
-    return Certificate(p0=p0, constants=stability_constants(p0))
+    return stability_constants(solve_lyapunov(blend(A_MODE1, A_MODE2, 0.0)))

@@ -177,7 +177,7 @@ def theoretical_reach_time(r: float, eps: float, tau: float, cert: Certificate) 
     """
     lam = cert.capital_lambda
     t1 = max(0.0, math.log(r / min(lam, eps))) if r > 0 else 0.0
-    return t1 + tau + 2.0 * cert.c2 ** 2 / (cert.c1 * eps * eps)
+    return t1 + tau + 2.0 * cert.p0.c2 ** 2 / (cert.p0.c1 * eps * eps)
 
 
 def _exact_feed(history: HistoryFn, tau: float, T: float) -> tuple[Signal, np.ndarray, float]:
@@ -232,7 +232,7 @@ def _certified_settle(
         if not (
             z_abs * math.exp(-(t - tau)) <= lam
             and z_abs * math.exp(-t) <= min(lam, eps)
-            and cert.p0.quad(traj.eval(t)) <= cert.c1 * eps * eps
+            and cert.p0.quad(traj.eval(t)) <= cert.p0.c1 * eps * eps
         ):
             return False
         t_emp = max(traj.last_time_above(eps), t_z)
@@ -269,8 +269,8 @@ def es_check(
     cert = default_certificate()
     tau = tau if tau is not None else default_cascade_delay()
     planar = planar_system()
-    k_env = cert.constants.k
-    p_env = cert.constants.p
+    k_env = cert.k
+    p_env = cert.p
     lam = cert.capital_lambda
     violations = 0
     k_emp = 0.0
@@ -417,7 +417,7 @@ def rfc_sweep(
     for delta in delta_list:
         w = smooth_square(schedule, delta, strict=False)
         knots = np.unique(np.concatenate([[0.0, tau], w.knots[(w.knots > 0) & (w.knots < tau)]]))
-        zvals = np.array([float(w.eval_unclamped(t)[0]) for t in knots])
+        zvals = np.array([float(w.eval(t)[0]) for t in knots])
         vals = np.column_stack([zvals] + [np.full_like(zvals, x) for x in _SWEEP_X0])
         hist = HistoryFn(knots - tau, vals)
         norms.append(hist.norm())

@@ -37,15 +37,12 @@ def _as_value(v) -> np.ndarray:
 
 
 class Signal:
-    """Base class; concrete signals implement eval/breakpoints/sup_norm."""
+    """Base class; concrete signals implement eval and breakpoints."""
 
     dim: int
 
     def eval(self, t: float) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.eval(t)
 
     def eval_left(self, t: float) -> np.ndarray:
         """Limit from the left; differs from eval only at jump points."""
@@ -53,10 +50,6 @@ class Signal:
 
     def breakpoints(self, lo: float, hi: float) -> np.ndarray:
         """Discontinuities and kinks strictly inside (lo, hi), sorted."""
-        raise NotImplementedError
-
-    def sup_norm(self, lo: float, hi: float) -> float:
-        """Essential supremum of |s(t)|_inf over [lo, hi]."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -81,9 +74,6 @@ class Constant(Signal):
 
     def breakpoints(self, lo, hi):
         return np.empty(0)
-
-    def sup_norm(self, lo, hi):
-        return float(np.abs(self.value).max())
 
 
 class PiecewiseConstant(Signal):
@@ -119,14 +109,6 @@ class PiecewiseConstant(Signal):
         b = self.breaks
         return b[(b > lo) & (b < hi)]
 
-    def sup_norm(self, lo, hi):
-        if hi <= lo:
-            return float(np.abs(self.eval(max(lo, 0.0))).max())
-        i0 = self._piece(lo)
-        # piece index of the last piece with positive overlap of (lo, hi)
-        i1 = int(np.searchsorted(self.breaks, hi, side="left"))
-        return float(np.abs(self.values[i0 : i1 + 1]).max())
-
     def min_dwell(self) -> float:
         if len(self.breaks) < 2:
             return np.inf
@@ -154,9 +136,6 @@ class PiecewiseLinear(Signal):
     def eval(self, t):
         if t < 0.0:
             raise OutOfDomain(f"t={t} < 0")
-        return self.eval_unclamped(t)
-
-    def eval_unclamped(self, t):
         k = self.knots
         if t <= k[0]:
             return self.values[0]
@@ -169,13 +148,6 @@ class PiecewiseLinear(Signal):
     def breakpoints(self, lo, hi):
         k = self.knots
         return k[(k > lo) & (k < hi)]
-
-    def sup_norm(self, lo, hi):
-        k = self.knots
-        inside = k[(k > lo) & (k < hi)]
-        cand = [self.eval_unclamped(lo), self.eval_unclamped(hi)]
-        cand.extend(self.values[np.isin(k, inside)])
-        return float(max(np.abs(c).max() for c in cand))
 
 
 class ExponentialTail(Signal):
@@ -198,17 +170,6 @@ class ExponentialTail(Signal):
         if lo < self.start < hi:
             return np.array([self.start])
         return np.empty(0)
-
-    def sup_norm(self, lo, hi):
-        # |value| e^{-rate t} is monotone on either side of `start`
-        peak = float(np.abs(self.value).max())
-        if self.rate >= 0.0:
-            if hi <= self.start or lo <= self.start:
-                return peak
-            return peak * float(np.exp(-self.rate * (lo - self.start)))
-        if hi <= self.start:
-            return peak
-        return peak * float(np.exp(-self.rate * (hi - self.start)))
 
 
 class Concatenation(Signal):
@@ -239,14 +200,6 @@ class Concatenation(Signal):
         pts.append(self.second.breakpoints(max(lo, self.t_switch), hi))
         return np.unique(np.concatenate(pts))
 
-    def sup_norm(self, lo, hi):
-        out = 0.0
-        if lo < self.t_switch:
-            out = self.first.sup_norm(lo, min(hi, self.t_switch))
-        if hi > self.t_switch:
-            out = max(out, self.second.sup_norm(max(lo, self.t_switch), hi))
-        return out
-
 
 class TimeShift(Signal):
     """inner evaluated at t - shift."""
@@ -266,9 +219,6 @@ class TimeShift(Signal):
         # the sum can round onto an end of the window
         pts = self.inner.breakpoints(lo - self.shift, hi - self.shift) + self.shift
         return pts[(pts > lo) & (pts < hi)]
-
-    def sup_norm(self, lo, hi):
-        return self.inner.sup_norm(lo - self.shift, hi - self.shift)
 
 
 class Window(Signal):
@@ -298,10 +248,6 @@ class Window(Signal):
         if edges:
             pts.append(np.array(edges))
         return np.unique(np.concatenate(pts))
-
-    def sup_norm(self, lo, hi):
-        a, b = max(lo, self.lo), min(hi, self.hi)
-        return self.inner.sup_norm(a, b) if b > a else 0.0
 
 
 def smooth_square(

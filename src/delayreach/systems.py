@@ -82,7 +82,7 @@ def planar_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
     def rhs(y, delayed, u):
         return g(y, u[0])
 
-    return DiscreteDelaySystem(dim=2, input_dim=1, delays=(), rhs=rhs, name="planar")
+    return DiscreteDelaySystem(dim=2, input_dim=1, delays=(), rhs=rhs)
 
 
 def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
@@ -103,7 +103,7 @@ def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> Discret
         gx = g(x, z_del)
         return np.array([-z, gx[0], gx[1]])
 
-    return DiscreteDelaySystem(dim=3, input_dim=0, delays=(tau,), rhs=rhs, name="cascade")
+    return DiscreteDelaySystem(dim=3, input_dim=0, delays=(tau,), rhs=rhs)
 
 
 def associated_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
@@ -116,7 +116,7 @@ def associated_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySys
         gx = g(x, u[0])
         return np.array([-z, gx[0], gx[1]])
 
-    return DiscreteDelaySystem(dim=3, input_dim=1, delays=(), rhs=rhs, name="associated")
+    return DiscreteDelaySystem(dim=3, input_dim=1, delays=(), rhs=rhs)
 
 
 #: Names accepted by `make_system`, in the order the CLI lists them.

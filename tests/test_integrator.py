@@ -23,14 +23,14 @@ from delayreach.systems import cascade_system
 
 def decay_system(rate=1.0):
     return DiscreteDelaySystem(
-        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: -rate * y, name="decay"
+        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: -rate * y
     )
 
 
 def tan_system():
     # x' = 1 + x^2 from 0 blows up at pi/2 with x(t) = tan(t)
     return DiscreteDelaySystem(
-        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: 1.0 + y * y, name="tan"
+        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: 1.0 + y * y
     )
 
 
@@ -38,7 +38,7 @@ def delayed_unit_system():
     # x'(t) = -x(t - 1); from constant history 1 the solution is a
     # polynomial spline computable by hand, one degree per unit interval
     return DiscreteDelaySystem(
-        dim=1, input_dim=0, delays=(1.0,), rhs=lambda y, d, u: -d[0], name="unitdelay"
+        dim=1, input_dim=0, delays=(1.0,), rhs=lambda y, d, u: -d[0]
     )
 
 
@@ -52,7 +52,7 @@ class TestScalarOracles:
         # x' = -x + u with u = 1 on [0, 1), 0 after: closed form by variation
         # of constants on each piece
         sys = DiscreteDelaySystem(
-            dim=1, input_dim=1, delays=(), rhs=lambda y, d, u: -y + u, name="relax"
+            dim=1, input_dim=1, delays=(), rhs=lambda y, d, u: -y + u
         )
         u = PiecewiseConstant([1.0, 0.0], [1.0])
         out = integrate(sys, np.array([0.0]), u, 3.0)
@@ -126,7 +126,6 @@ class TestDenseOutput:
             input_dim=0,
             delays=(),
             rhs=lambda y, d, u: np.array([y[1], -y[0]]),
-            name="osc",
         )
         out = integrate(sys, np.array([1.0, 0.0]), None, 7.0)
         traj = out.trajectory
@@ -315,7 +314,6 @@ class TestSoftStop:
         # question per accepted step
         rot = DiscreteDelaySystem(
             dim=2, input_dim=0, delays=(), rhs=lambda y, d, u: 10.0 * np.array([-y[1], y[0]]),
-            name="rot",
         )
         seen = []
 
@@ -480,7 +478,6 @@ class TestStepperOutcomes:
             input_dim=0,
             delays=(),
             rhs=lambda y, d, u: y if abs(y[0]) < 2.0 else np.array([math.nan]),
-            name="nanwall",
         )
         out = integrate(sys, np.array([1.0]), None, 5.0, IntegratorOptions(h_min=1e-6))
         assert out.escaped

@@ -6,12 +6,13 @@ import pytest
 from delayreach.lyap import (
     A_MODE1,
     A_MODE2,
-    Certificate,
+    DECAY_MARGIN,
     Mat2,
     NoFeasibleLambda,
     NotHurwitz,
     SingularSystem,
     SymPosDef2,
+    _min_margin,
     blend,
     default_certificate,
     find_capital_lambda,
@@ -122,6 +123,36 @@ class TestCapitalLambda:
         assert margin(lam + 1e-3) < 0.5
         assert 0.0 < lam < 0.05
 
+    def test_default_boundary_sharp_to_rounding(self, cert):
+        lam = cert.capital_lambda
+        assert type(lam) is float
+        assert lam == pytest.approx(0.01088750171661377, abs=1e-9)
+        assert _min_margin(lam, cert.p0, A_MODE1, A_MODE2) >= DECAY_MARGIN
+        assert _min_margin(lam * (1.0 + 1e-12), cert.p0, A_MODE1, A_MODE2) < DECAY_MARGIN
+
+    def test_feasible_on_whole_interval_gives_one(self):
+        a1 = Mat2(-2.0, 0.0, 0.0, -2.0)
+        a2 = Mat2(-1.0, 0.0, 0.0, -1.0)
+        # Q(lam) = (1 + lam) I
+        assert find_capital_lambda(solve_lyapunov(a2), a1, a2) == 1.0
+
+    def test_random_pairs_sound_and_sharp(self, rng):
+        def hurwitz():
+            while True:
+                a = Mat2(*rng.uniform(-2.0, 2.0, 4))
+                if is_hurwitz(a):
+                    return a
+
+        for _ in range(40):
+            a1, a2 = hurwitz(), hurwitz()
+            p0 = solve_lyapunov(a2)
+            lam = find_capital_lambda(p0, a1, a2)
+            assert 0.0 < lam <= 1.0
+            for l in np.linspace(0.0, lam, 201):
+                assert _min_margin(l, p0, a1, a2) >= DECAY_MARGIN
+            if lam < 1.0:
+                assert _min_margin(lam + 1e-9, p0, a1, a2) < DECAY_MARGIN
+
     def test_infeasible_margin_raises(self):
         # P0 = I is not the Lyapunov matrix of A(0), as with user gains from
         # the `lyapunov` config
@@ -131,11 +162,11 @@ class TestCapitalLambda:
 
 class TestConstants:
     def test_formulas(self, cert):
-        c = cert.constants
-        assert c.k == pytest.approx(math.sqrt(2.0 * cert.c2 / cert.c1), rel=1e-14)
-        assert c.p == pytest.approx(min(1.0, 1.0 / (4.0 * cert.c2)), rel=1e-14)
-        assert cert.c1 == pytest.approx(np.linalg.eigvalsh(cert.p0.as_array())[0])
-        assert cert.c2 == pytest.approx(np.linalg.eigvalsh(cert.p0.as_array())[1])
+        assert cert == stability_constants(cert.p0)
+        assert cert.k == pytest.approx(math.sqrt(2.0 * cert.p0.c2 / cert.p0.c1), rel=1e-14)
+        assert cert.p == pytest.approx(min(1.0, 1.0 / (4.0 * cert.p0.c2)), rel=1e-14)
+        assert cert.p0.c1 == pytest.approx(np.linalg.eigvalsh(cert.p0.as_array())[0])
+        assert cert.p0.c2 == pytest.approx(np.linalg.eigvalsh(cert.p0.as_array())[1])
 
     def test_default_certificate_memoized(self):
         assert default_certificate() is default_certificate()

@@ -27,7 +27,6 @@ class TestConstant:
     def test_eval(self):
         c = Constant([2.0, -3.0])
         assert np.array_equal(c.eval(5.0), [2.0, -3.0])
-        assert c.sup_norm(0.0, 10.0) == 3.0
         with pytest.raises(OutOfDomain):
             c.eval(-0.1)
 
@@ -46,12 +45,6 @@ class TestPiecewiseConstant:
     def test_breakpoints_strict_interior(self):
         assert list(self.s.breakpoints(0.0, 10.0)) == [1.0, 3.0]
         assert list(self.s.breakpoints(1.0, 3.0)) == []
-
-    def test_sup_norm_exact(self):
-        assert self.s.sup_norm(0.0, 0.5) == 1.0
-        assert self.s.sup_norm(0.0, 2.0) == 2.0
-        assert self.s.sup_norm(3.5, 9.0) == 0.5
-        assert self.s.sup_norm(0.0, 10.0) == dense_sup(self.s, 0.0, 10.0)
 
     def test_min_dwell(self):
         assert self.s.min_dwell() == 2.0
@@ -73,13 +66,11 @@ class TestPiecewiseLinear:
         assert self.s.eval(2.0) == pytest.approx(0.0)
         assert self.s.eval(10.0) == -2.0  # constant extension
 
-    def test_sup_norm_vs_dense(self):
-        for lo, hi in [(0.0, 3.0), (0.5, 2.5), (2.0, 8.0)]:
-            assert self.s.sup_norm(lo, hi) == pytest.approx(dense_sup(self.s, lo, hi), abs=1e-3)
-
     def test_negative_knots_allowed_for_shifted_data(self):
-        s = PiecewiseLinear([-2.0, -1.0], [1.0, 3.0])
-        assert s.eval_unclamped(-1.5) == pytest.approx(2.0)
+        s = PiecewiseLinear([-2.0, 1.0], [1.0, 4.0])
+        assert s.eval(0.0) == pytest.approx(3.0)
+        with pytest.raises(OutOfDomain):
+            s.eval(-1.0)
 
 
 class TestExponentialTail:
@@ -87,7 +78,7 @@ class TestExponentialTail:
         s = ExponentialTail([2.0], rate=1.0, start=1.0)
         assert s.eval(1.0) == pytest.approx(2.0)
         assert s.eval(2.0) == pytest.approx(2.0 * np.exp(-1.0))
-        assert s.sup_norm(2.0, 5.0) == pytest.approx(2.0 * np.exp(-1.0))
+        assert s.eval(0.5) == pytest.approx(2.0)  # frozen before start
 
     def test_json_start_is_optional(self):
         s = from_json({"kind": "exponential_tail", "value": [2.0], "rate": 1.0})
@@ -159,9 +150,9 @@ class TestSmoothSquare:
     @pytest.mark.parametrize("delta", DEFAULT_DELTAS)
     def test_recorded_schedule_stays_within_sup(self, delta):
         # no tolerance: the moving average is clipped to the schedule's range
-        sched, t_esc = escape_schedule()
+        sched, _ = escape_schedule()
         w = smooth_square(sched, delta, strict=False)
-        assert float(np.abs(w.values).max()) <= sched.sup_norm(0.0, t_esc + 1.0)
+        assert float(np.abs(w.values).max()) <= float(np.abs(sched.values).max())
 
     def test_l1_error_halves_with_delta(self):
         # each isolated jump of size J contributes J*delta/4 of L1 error
@@ -275,20 +266,6 @@ class TestSignalProperties:
             sig, start = random_signal(rng, cls, int(rng.integers(1, 4)))
             lo = start + rng.uniform(0.0, 3.0)
             yield rng, sig, lo, lo + rng.uniform(0.05, 4.0)
-
-    @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
-    def test_sup_norm_bounds_samples_and_is_attained(self, cls):
-        for _, sig, lo, hi in self.draws(cls):
-            sup = sig.sup_norm(lo, hi)
-            grid = np.linspace(lo, hi, self.SAMPLES)
-            assert sup >= max(float(np.abs(sig.eval(t)).max()) for t in grid)
-            # attained by a value or a left limit inside the window
-            pts = np.concatenate([grid, sig.breakpoints(lo, hi)])
-            reached = max(
-                max(float(np.abs(sig.eval(t)).max()) for t in pts if t < hi),
-                max(float(np.abs(sig.eval_left(t)).max()) for t in pts if t > lo),
-            )
-            assert reached >= sup - 1e-12 * max(1.0, sup)
 
     @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
     def test_breakpoints_strictly_interior_and_sorted(self, cls):

@@ -178,8 +178,11 @@ class TestStoredEscape:
 
 class TestMakeSystem:
     def test_names_map_to_systems(self):
+        shapes = {"planar": (2, 1, ()), "cascade": (3, 0, (1.0,)), "associated": (3, 1, ())}
+        assert set(SYSTEM_NAMES) == set(shapes)
         for name in SYSTEM_NAMES:
-            assert make_system(name, 1.0).name == name
+            sys_ = make_system(name, 1.0)
+            assert (sys_.dim, sys_.input_dim, sys_.delays) == shapes[name]
         assert make_system("cascade", 0.7).delays == (0.7,)
 
     def test_cascade_default_delay(self):
@@ -236,7 +239,10 @@ class TestEmbeddings:
         tau = 1.5
         hist = HistoryFn(np.array([-tau, 0.0]), np.array([[2.0], [-3.0]]))
         _, inputs = embed_history_as_inputs(hist, (tau,))
-        assert inputs[0].sup_norm(0.0, 10.0) <= hist.norm() + 1e-12
+        # a window of a broken line, zero outside: its sup is its largest knot value
+        line = inputs[0].inner
+        assert np.array_equal(line.knots, hist.knots + tau)
+        assert float(np.abs(line.values).max()) <= hist.norm()
 
     def test_history_from_inputs_matches_on_window(self):
         tau = 2.0
