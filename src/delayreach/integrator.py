@@ -4,9 +4,12 @@ A Dormand-Prince 5(4) embedded pair drives both delayed and nondelayed
 systems. Delayed state lookups are served from the initial history on
 [-tau, 0] and from the trajectory's dense output afterwards; a step never
 extends past the shortest delay, so lookups never touch the step being
-computed. Step boundaries are forced at every input breakpoint and at the
-first few multiples of the shortest delay, where the solution loses
-smoothness. Unboundedness is the only failure mode of the underlying
+computed. Step boundaries are forced at every input breakpoint, at the
+history's knots shifted by each delay and at the first few multiples of
+the shortest delay, where the solution loses smoothness. Between two
+forced stops the input and each history lookup are therefore one
+closed-form piece each: they are resolved once per interval, not searched
+for at every right-hand-side evaluation. Unboundedness is the only failure mode of the underlying
 solution concept, so crossing a norm threshold (or a step-size collapse
 while the norm is growing) is reported as a finite-escape outcome, not as
 an error.
@@ -22,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .signals import Signal, _finite
+from .signals import Signal, _finite, _linear
 
 
 class BadHistoryDomain(ValueError):
@@ -302,13 +305,38 @@ class HistoryFn:
         k = self.knots
         if s < k[0] - 1e-9 or s > k[-1] + 1e-9:
             raise BadHistoryDomain(f"history evaluated at {s} outside [{k[0]}, 0]")
-        s = min(max(s, k[0]), k[-1])
+        return self.piece(s, s)(s)
+
+    def _index(self, s: float) -> int:
+        """The segment eval uses at s, clamped into [-tau, 0] first."""
+        k = self.knots
+        i = int(np.searchsorted(k, min(max(s, k[0]), k[-1]), side="right")) - 1
+        return min(max(i, 0), len(k) - 2)
+
+    def piece(self, lo: float, hi: float):
+        """eval on [lo, hi] as s -> value, bit for bit, unchecked, resolved once.
+
+        A delayed lookup s = t - d rounds, so the ends of the window of one
+        forced interval can fall an ulp across a knot; the segments eval uses
+        there are kept, and picked by a bisection, only then.
+        """
+        k, v = self.knots, self.values
         if len(k) == 1:
-            return self.values[0]
-        i = int(np.searchsorted(k, s, side="right")) - 1
-        i = min(max(i, 0), len(k) - 2)
-        th = (s - k[i]) / (k[i + 1] - k[i])
-        return (1.0 - th) * self.values[i] + th * self.values[i + 1]
+            v0 = v[0]
+            return lambda s: v0
+        k0, kn = float(k[0]), float(k[-1])
+        clamp = lo < k0 or hi > kn
+
+        def segment(i):
+            line = _linear(k[i], k[i + 1], v[i], v[i + 1])
+            return (lambda s: line(min(max(s, k0), kn))) if clamp else line
+
+        i, j = self._index(lo), self._index(hi)
+        if i == j:
+            return segment(i)
+        segments = [segment(m) for m in range(i, j + 1)]
+        cuts = k[i + 1 : j + 1].tolist()
+        return lambda s: segments[bisect.bisect_right(cuts, s)](s)
 
     def norm(self) -> float:
         """Exact sup norm over [-tau, 0] (max |.|_inf): the largest knot value."""
@@ -357,11 +385,13 @@ _OK, _ESCAPED = 0, 1
 
 
 class Stepper:
-    """Incremental adaptive DP5(4) driver over a caller-supplied rhs.
+    """Incremental adaptive DP5(4) driver over a caller-supplied rhs(t, y).
 
-    rhs(t, y, left) must use the left limit of any discontinuous input when
-    left=True (the two end-of-step stages), so dense output stays one-sided.
-    Every attempted step is counted in `nsteps`; accepted ones extend `traj`.
+    The rhs must be smooth on each interval advanced over, up to and
+    including its target: a caller whose rhs changes at a forced boundary
+    swaps it there and calls `invalidate_rhs_cache`, so the steps before it
+    use the left limit and dense output stays one-sided. Every attempted
+    step is counted in `nsteps`; accepted ones extend `traj`.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap=None):
@@ -373,7 +403,7 @@ class Stepper:
         # stage derivatives of the current step; row 0 is the slope at (t, y)
         self._K = np.empty((7, self.y.size))
         self._K_rows = tuple(self._K[:i] for i in range(7))
-        self._K[0] = rhs(self.t, self.y, False)
+        self._K[0] = rhs(self.t, self.y)
         self.traj = Trajectory(self.t, self.y)
         self.h = 0.0
         self.nsteps = 0
@@ -383,7 +413,7 @@ class Stepper:
 
     def invalidate_rhs_cache(self):
         """Call after the rhs changed at the current time (e.g. new input piece)."""
-        self._K[0] = self.rhs(self.t, self.y, False)
+        self._K[0] = self.rhs(self.t, self.y)
 
     def _initial_step(self, target):
         o = self.opts
@@ -397,7 +427,7 @@ class Stepper:
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, target - self.t, self._h_top)
         y1 = self.y + h0 * k1
-        f1 = self.rhs(self.t + h0, y1, False)
+        f1 = self.rhs(self.t + h0, y1)
         d2 = float(np.sqrt(np.mean(((f1 - k1) / scale) ** 2))) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -408,8 +438,9 @@ class Stepper:
     def advance(self, target: float, until: float = math.inf) -> int:
         """Integrate up to `target` (a forced boundary). Returns _OK or _ESCAPED.
 
-        The rhs may jump at the target, so the outgoing slope there is
-        evaluated again from the right.
+        The outgoing slope of every accepted step, the one at the target
+        included, is its last stage (FSAL); where the rhs jumps at the
+        target, the caller swaps it and calls `invalidate_rhs_cache`.
 
         `until` is a soft stop: the first accepted step ending at or past it
         returns _OK short of the target, with no step boundary forced there.
@@ -438,10 +469,8 @@ class Stepper:
             t_new = target if at_end else t + h
             for i in range(1, 7):
                 ys = y + h * (_A_ROWS[i] @ rows[i])
-                if i >= 5 and at_end:
-                    K[i] = rhs(t_new, ys, True)
-                else:
-                    K[i] = rhs(t + _C[i] * h, ys, False)
+                # c = 1 for the last two stages: they sit at t_new itself
+                K[i] = rhs(t_new if i >= 5 else t + _C[i] * h, ys)
             # the last stage argument is the 5th-order solution (FSAL); a
             # non-finite stage reaches the error norm through the matvec
             y_new = ys
@@ -463,11 +492,7 @@ class Stepper:
             self.traj._append(t_new, y_new, h * (_P.T @ K))
             self.t, self.y = t_new, y_new
             self._abs_y, self._norm_prev, self._norm = abs_new, self._norm, norm_new
-            if at_end:
-                # rhs may jump at the boundary; recompute the outgoing slope
-                K[0] = rhs(t_new, y_new, False)
-            else:
-                K[0] = K[6]
+            K[0] = K[6]
             if not at_end:
                 fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 self.h = max(h * fac, o.h_min)
@@ -497,7 +522,7 @@ class Stepper:
         self._norm = float(self._abs_y.max())
         self._norm_prev = float(np.abs(traj.ys[-2]).max()) if n > 1 else self._norm
         self.escape_info = None
-        self._K[0] = self.rhs(self.t, self.y, False)
+        self._K[0] = self.rhs(self.t, self.y)
 
     def _locate_escape(self) -> float:
         """Earliest time in the last segment where |x| reaches the threshold."""
@@ -546,19 +571,6 @@ def _forced_stops(
     return stops[(stops > 0.0) & (stops <= T)]
 
 
-def _make_rhs(sys: DiscreteDelaySystem, u, lookup):
-    delays, rhs = sys.delays, sys.rhs
-    zero_u = np.zeros(max(sys.input_dim, 0))
-    if sys.input_dim <= 0:
-        u = None
-
-    def f(t, y, left=False):
-        uval = zero_u if u is None else (u.eval_left(t) if left else u.eval(t))
-        return rhs(y, tuple([lookup(t - dl) for dl in delays]), uval)
-
-    return f
-
-
 def integrate(
     sys: DiscreteDelaySystem,
     history,
@@ -574,6 +586,10 @@ def integrate(
     delays); a bare state vector is accepted for nondelayed systems.
     `extra_stops` adds caller-known times where the right-hand side loses
     smoothness (e.g. saturation crossings) to the forced step boundaries.
+    Between two forced boundaries the input is one piece of `u` and each
+    delayed lookup that stays in the history one segment of it; both are
+    resolved once per interval (`Signal.piece`, `HistoryFn.piece`), and the
+    outgoing slope is evaluated again at each boundary.
     `stop = (every, ask)`: ask(traj, t) is asked at the first accepted step
     at or past t = every and then once per `every` of progress; when it
     returns True the run ends there, with the trajectory on [0, t]. The
@@ -600,19 +616,43 @@ def integrate(
         if y0.size != sys.dim:
             raise BadHistoryDomain("initial state dimension mismatch")
 
+    every, ask = (math.inf, None) if stop is None else stop
+    if not every > 0.0:
+        raise ValueError(f"stop cadence must be positive, got {every!r}")
+    delays, rhs = sys.delays, sys.rhs
+    if sys.input_dim <= 0:
+        u = None
+    zero_u = np.zeros(max(sys.input_dim, 0))
+    uval = lambda t: zero_u
+    looks = []
+
     def lookup(tq: float) -> np.ndarray:
         # a step never outruns the shortest delay, so tq <= 0 until the
         # stepper exists
         return history.eval(tq) if tq <= 0.0 else stepper.traj._interp(tq)
 
-    f = _make_rhs(sys, u, lookup)
-    stepper = Stepper(f, 0.0, y0, opts, h_cap=sys.delays[0] if sys.delays else None)
-    every, ask = (math.inf, None) if stop is None else stop
-    if not every > 0.0:
-        raise ValueError(f"stop cadence must be positive, got {every!r}")
+    def resolve(lo: float, hi: float):
+        # the input and the delayed lookups on [lo, hi], which no stop splits
+        nonlocal uval, looks
+        if u is not None:
+            uval = u.piece(lo, hi)
+        looks = [history.piece(lo - d, hi - d) if hi - d <= 0.0 else lookup for d in delays]
+
+    if delays:
+        def f(t, y):
+            return rhs(y, tuple([look(t - d) for look, d in zip(looks, delays)]), uval(t))
+    else:
+        def f(t, y):
+            return rhs(y, (), uval(t))
+
+    stops = [float(s) for s in _forced_stops(sys, u, T, history, extra_stops)]
+    resolve(0.0, stops[0])
+    stepper = Stepper(f, 0.0, y0, opts, h_cap=delays[0] if delays else None)
     check = every
-    for target in _forced_stops(sys, u, T, history, extra_stops):
-        target = float(target)
+    for lo, target in zip([0.0] + stops, stops):
+        if lo > 0.0:
+            resolve(lo, target)
+            stepper.invalidate_rhs_cache()
         while stepper.t != target:
             if stepper.advance(target, until=check) != _OK:
                 return stepper.outcome()
@@ -643,13 +683,18 @@ def residual_audit(
             return history.eval(tq)
         return traj.eval(tq)
 
-    f = _make_rhs(sys, u, lookup)
+    zero_u = np.zeros(max(sys.input_dim, 0))
+
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        # the public evaluators, per point: a cross-check of integrate's pieces
+        uval = zero_u if u is None or sys.input_dim <= 0 else u.eval(t)
+        return sys.rhs(y, tuple([lookup(t - d) for d in sys.delays]), uval)
 
     def seg_integral(a: float, b: float) -> np.ndarray:
         ts = a + (b - a) * _GL_X
         acc = np.zeros(traj.dim)
         for w, s in zip(_GL_W, ts):
-            acc += w * f(s, traj.eval(s), False)
+            acc += w * f(s, traj.eval(s))
         return (b - a) * acc
 
     n_seg = len(traj.ts) - 1

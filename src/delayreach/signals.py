@@ -6,9 +6,16 @@ breakpoints are known so step boundaries never straddle a discontinuity.
 All signals are vector valued (scalars are 1-vectors) and defined for all
 t >= 0; piecewise-constant signals use the right-continuous convention at
 breakpoints.
+
+Between two consecutive breakpoints a signal is one closed-form piece.
+`piece(lo, hi)` resolves it once and returns it as a function of t, so the
+integrator pays no index search per evaluation; `eval(t)` is the piece
+through t, resolved at t.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +36,27 @@ def _finite(v, name: str) -> np.ndarray:
     return arr
 
 
+def _check_domain(t: float):
+    if t < 0.0:
+        raise OutOfDomain(f"t={t} < 0")
+
+
+def _constant(v):
+    return lambda t: v
+
+
+def _linear(k0, k1, v0, v1):
+    """t -> the line through (k0, v0) and (k1, v1), as every broken line here
+    computes it: w = (t - k0) / (k1 - k0), then (1 - w) v0 + w v1."""
+    a, span = float(k0), float(k1 - k0)
+
+    def line(t):
+        w = (t - a) / span
+        return (1.0 - w) * v0 + w * v1
+
+    return line
+
+
 def _as_value(v) -> np.ndarray:
     arr = np.atleast_1d(_finite(v, "value"))
     if arr.ndim != 1:
@@ -37,16 +65,21 @@ def _as_value(v) -> np.ndarray:
 
 
 class Signal:
-    """Base class; concrete signals implement eval and breakpoints."""
+    """Base class; concrete signals implement piece and breakpoints."""
 
     dim: int
 
     def eval(self, t: float) -> np.ndarray:
-        raise NotImplementedError
+        return self.piece(t, t)(t)
 
-    def eval_left(self, t: float) -> np.ndarray:
-        """Limit from the left; differs from eval only at jump points."""
-        return self.eval(t)
+    def piece(self, lo: float, hi: float):
+        """The signal on [lo, hi], which no breakpoint splits, as t -> value.
+
+        It is the formula `eval` applies at lo, with its piece fixed: bit for
+        bit `eval` on [lo, hi), and the limit from the left at hi. OutOfDomain
+        if lo < 0.
+        """
+        raise NotImplementedError
 
     def breakpoints(self, lo: float, hi: float) -> np.ndarray:
         """Discontinuities and kinks strictly inside (lo, hi), sorted."""
@@ -67,10 +100,9 @@ class Constant(Signal):
         self.value = _as_value(value)
         self.dim = self.value.size
 
-    def eval(self, t):
-        if t < 0.0:
-            raise OutOfDomain(f"t={t} < 0")
-        return self.value
+    def piece(self, lo, hi):
+        _check_domain(lo)
+        return _constant(self.value)
 
     def breakpoints(self, lo, hi):
         return np.empty(0)
@@ -94,16 +126,9 @@ class PiecewiseConstant(Signal):
             raise ValueError("breakpoints must be strictly increasing")
         self.dim = self.values.shape[1]
 
-    def _piece(self, t: float) -> int:
-        return int(np.searchsorted(self.breaks, t, side="right"))
-
-    def eval(self, t):
-        if t < 0.0:
-            raise OutOfDomain(f"t={t} < 0")
-        return self.values[self._piece(t)]
-
-    def eval_left(self, t):
-        return self.values[int(np.searchsorted(self.breaks, t, side="left"))]
+    def piece(self, lo, hi):
+        _check_domain(lo)
+        return _constant(self.values[int(np.searchsorted(self.breaks, lo, side="right"))])
 
     def breakpoints(self, lo, hi):
         b = self.breaks
@@ -133,17 +158,15 @@ class PiecewiseLinear(Signal):
             raise ValueError("knots must be strictly increasing")
         self.dim = self.values.shape[1]
 
-    def eval(self, t):
-        if t < 0.0:
-            raise OutOfDomain(f"t={t} < 0")
-        k = self.knots
-        if t <= k[0]:
-            return self.values[0]
-        if t >= k[-1]:
-            return self.values[-1]
-        i = int(np.searchsorted(k, t, side="right")) - 1
-        w = (t - k[i]) / (k[i + 1] - k[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+    def piece(self, lo, hi):
+        _check_domain(lo)
+        k, v = self.knots, self.values
+        if lo < k[0]:
+            return _constant(v[0])
+        if lo >= k[-1]:
+            return _constant(v[-1])
+        i = int(np.searchsorted(k, lo, side="right")) - 1
+        return _linear(k[i], k[i + 1], v[i], v[i + 1])
 
     def breakpoints(self, lo, hi):
         k = self.knots
@@ -159,12 +182,13 @@ class ExponentialTail(Signal):
         self.start = float(_finite(start, "start"))
         self.dim = self.value.size
 
-    def eval(self, t):
-        if t < 0.0:
-            raise OutOfDomain(f"t={t} < 0")
-        if t <= self.start:
-            return self.value
-        return self.value * np.exp(-self.rate * (t - self.start))
+    def piece(self, lo, hi):
+        _check_domain(lo)
+        if lo < self.start:
+            return _constant(self.value)
+        # at start itself the decay is exp(-0) = 1 exactly: the frozen value
+        value, rate, start = self.value, self.rate, self.start
+        return lambda t: value * np.exp(-rate * (t - start))
 
     def breakpoints(self, lo, hi):
         if lo < self.start < hi:
@@ -183,15 +207,8 @@ class Concatenation(Signal):
         self.t_switch = float(_finite(t_switch, "t_switch"))
         self.dim = first.dim
 
-    def eval(self, t):
-        if t < self.t_switch:
-            return self.first.eval(t)
-        return self.second.eval(t)
-
-    def eval_left(self, t):
-        if t <= self.t_switch:
-            return self.first.eval_left(t)
-        return self.second.eval_left(t)
+    def piece(self, lo, hi):
+        return (self.first if lo < self.t_switch else self.second).piece(lo, hi)
 
     def breakpoints(self, lo, hi):
         pts = [self.first.breakpoints(lo, min(hi, self.t_switch))]
@@ -209,15 +226,24 @@ class TimeShift(Signal):
         self.shift = float(_finite(shift, "shift"))
         self.dim = inner.dim
 
-    def eval(self, t):
-        return self.inner.eval(t - self.shift)
+    def piece(self, lo, hi):
+        p, shift = self.inner.piece(lo - self.shift, hi - self.shift), self.shift
+        return lambda t: p(t - shift)
 
-    def eval_left(self, t):
-        return self.inner.eval_left(t - self.shift)
+    def _switch(self, b: float) -> float:
+        """The first t with t - shift >= b in floating point: where the inner
+        break b takes effect, which b + shift can miss by an ulp either way."""
+        t = b + self.shift
+        while t - self.shift < b:
+            t = math.nextafter(t, math.inf)
+        while math.nextafter(t, -math.inf) - self.shift >= b:
+            t = math.nextafter(t, -math.inf)
+        return t
 
     def breakpoints(self, lo, hi):
-        # the sum can round onto an end of the window
-        pts = self.inner.breakpoints(lo - self.shift, hi - self.shift) + self.shift
+        # a switch can round onto an end of the window
+        inner = self.inner.breakpoints(lo - self.shift, hi - self.shift)
+        pts = np.array([self._switch(float(b)) for b in inner])
         return pts[(pts > lo) & (pts < hi)]
 
 
@@ -232,15 +258,10 @@ class Window(Signal):
         self.inner = inner
         self.dim = inner.dim
 
-    def eval(self, t):
-        if self.lo <= t < self.hi:
-            return self.inner.eval(t)
-        return np.zeros(self.dim)
-
-    def eval_left(self, t):
-        if self.lo < t <= self.hi:
-            return self.inner.eval_left(t)
-        return np.zeros(self.dim)
+    def piece(self, lo, hi):
+        if self.lo <= lo < self.hi:
+            return self.inner.piece(lo, hi)
+        return _constant(np.zeros(self.dim))
 
     def breakpoints(self, lo, hi):
         pts = [self.inner.breakpoints(max(lo, self.lo), min(hi, self.hi))]

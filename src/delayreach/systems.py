@@ -289,7 +289,7 @@ def run_switched(
     mode = float(policy.rule(x0))
     field = [planar_rhs(lam=mode)]
 
-    def rhs(t, y, left=False):
+    def rhs(t, y):
         return field[0](y)
 
     stepper = Stepper(rhs, 0.0, x0, opts)

@@ -17,6 +17,7 @@ from delayreach.integrator import (
     integrate,
     residual_audit,
 )
+from delayreach.probes import random_history
 from delayreach.signals import Constant, PiecewiseConstant
 from delayreach.systems import cascade_system
 
@@ -257,7 +258,7 @@ def traj_bytes(traj):
     return traj.ts.tobytes(), traj.ys.tobytes(), traj.qs.tobytes()
 
 
-def rotating_rhs(t, y, left=False):
+def rotating_rhs(t, y):
     return np.array([-y[1], y[0]]) * (1.0 + 0.1 * np.sin(t))
 
 
@@ -357,7 +358,7 @@ class TestRewind:
         assert rewound > 5
 
     def test_rewind_drops_an_escape_found_in_the_last_step(self):
-        st = Stepper(lambda t, y, left=False: 1.0 + y * y, 0.0, np.array([0.0]), IntegratorOptions())
+        st = Stepper(lambda t, y: 1.0 + y * y, 0.0, np.array([0.0]), IntegratorOptions())
         assert st.advance(2.0) != _OK
         n, t_escape = len(st.traj.ts), st.escape_info[0]
         st.rewind()
@@ -414,6 +415,20 @@ class TestHistoryFn:
             vals[row, 0] = bad
         with pytest.raises(ValueError, match="must be finite"):
             HistoryFn(knots, vals)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_piece_matches_eval(self, seed):
+        # windows between knots, also as a delayed lookup sees them: the ends
+        # (k + d) - d round an ulp across a knot, and one a hair below -tau
+        rng = np.random.default_rng(seed)
+        d = rng.uniform(0.5, 3.0)
+        h = random_history(rng, 1.0, d, 3)
+        k = h.knots
+        for cuts in (k, (k + d) - d, np.concatenate([[k[0] - 1e-10], k[1:]])):
+            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                p = h.piece(a, b)
+                for s in [a, b] + rng.uniform(a, b, size=20).tolist():
+                    assert p(s).tobytes() == h.eval(s).tobytes(), (a, b, s)
 
 
 class TestResidualAudit:
@@ -490,7 +505,7 @@ class TestStepperOutcomes:
         # no stage is taken at a NaN time and the run ends "nonfinite" at t = 0
         times = []
 
-        def rhs(t, y, left=False):
+        def rhs(t, y):
             times.append(t)
             return np.sqrt(y - 1.0)
 

@@ -187,7 +187,7 @@ class TestExactFeed:
             z_del = hist.eval(s)[0] if s <= 0.0 else z.eval(s)[0]
             assert abs(w.eval(t)[0] - z_del) <= 1e-7, t
         # continuous at tau, where the shifted history hands over to the tail
-        assert w.eval_left(tau)[0] == w.eval(tau)[0] == z0 == hist.eval(0.0)[0]
+        assert w.piece(np.nextafter(tau, 0.0), tau)(tau)[0] == w.eval(tau)[0] == z0 == hist.eval(0.0)[0]
         assert w.eval(tau - 1e-9)[0] == pytest.approx(z0, abs=1e-6)
         assert tau in w.breakpoints(0.0, 3.0 * tau)
 

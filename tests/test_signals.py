@@ -38,7 +38,7 @@ class TestPiecewiseConstant:
     def test_right_continuous(self):
         assert self.s.eval(0.0) == 1.0
         assert self.s.eval(1.0) == -2.0  # jump instant owned by the right piece
-        assert self.s.eval_left(1.0) == 1.0
+        assert self.s.piece(0.5, 1.0)(1.0) == 1.0  # the left piece's limit
         assert self.s.eval(3.0) == 0.5
         assert self.s.eval(100.0) == 0.5
 
@@ -92,7 +92,7 @@ class TestCombinators:
         s = Concatenation(Constant(1.0), Constant(2.0), 3.0)
         assert s.eval(2.999) == 1.0
         assert s.eval(3.0) == 2.0
-        assert s.eval_left(3.0) == 1.0
+        assert s.piece(2.0, 3.0)(3.0) == 1.0
 
     def test_time_shift(self):
         s = TimeShift(PiecewiseConstant([0.0, 1.0], [1.0]), 2.0)
@@ -100,9 +100,13 @@ class TestCombinators:
         assert s.eval(3.5) == 1.0
 
     def test_time_shift_breakpoints_stay_inside_the_window(self):
-        # the shifted break rounds onto lo unless it is filtered out
+        # the shifted break b + shift rounds onto lo, but t - shift reaches b
+        # one ulp later: eval switches there, strictly inside the window
         s = TimeShift(PiecewiseConstant([0.0, 1.0], [0.8334021675715163]), 1.910885061964363)
-        assert s.breakpoints(2.744287229535879, 3.744287229535879).size == 0
+        lo = 2.744287229535879
+        assert 0.8334021675715163 + 1.910885061964363 == lo
+        assert list(s.breakpoints(lo, 3.744287229535879)) == [np.nextafter(lo, np.inf)]
+        assert s.eval(lo)[0] == 0.0 and s.eval(np.nextafter(lo, np.inf))[0] == 1.0
         rng = np.random.default_rng(7)
         for _ in range(2000):
             shift = rng.uniform(0.0, 2.0)
@@ -113,12 +117,21 @@ class TestCombinators:
             bp = TimeShift(PiecewiseConstant([0.0, 1.0, 2.0], inner), shift).breakpoints(lo, hi)
             assert ((bp > lo) & (bp < hi)).all()
 
+    def test_time_shift_breaks_where_eval_switches(self):
+        # b + shift is off by an ulp either way for many pairs; the reported
+        # break is the first t whose t - shift reaches b
+        rng = np.random.default_rng(3)
+        for b, shift in rng.uniform(0.0, 4.0, size=(2000, 2)):
+            s = TimeShift(PiecewiseConstant([0.0, 1.0], [b]), shift)
+            (t,) = s.breakpoints(0.5 * shift, b + shift + 1.0)
+            assert s.eval(np.nextafter(t, -np.inf))[0] == 0.0 and s.eval(t)[0] == 1.0
+
     def test_window_zero_outside(self):
         s = Window(Constant(5.0), 1.0, 2.0)
         assert s.eval(0.5) == 0.0
         assert s.eval(1.0) == 5.0
         assert s.eval(2.0) == 0.0  # half-open on the right
-        assert s.eval_left(2.0) == 5.0
+        assert s.piece(1.0, 2.0)(2.0) == 5.0
 
 
 class TestSmoothSquare:
@@ -282,13 +295,23 @@ class TestSignalProperties:
             assert clone.to_json() == sig.to_json()
             for t in np.linspace(lo, hi, 41):
                 assert np.array_equal(clone.eval(t), sig.eval(t))
-                assert np.array_equal(clone.eval_left(t), sig.eval_left(t))
 
     @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
-    def test_eval_left_differs_only_at_breakpoints(self, cls):
+    def test_piece_matches_eval(self, cls):
+        # the window split at its breakpoints: each piece is eval bit for bit
+        # at its start and inside, and the limit from the left at its end
         for rng, sig, lo, hi in self.draws(cls):
-            bp = sig.breakpoints(lo, hi)
-            # the instants where the definition changes, read off the parameters
-            pts = np.concatenate([rng.uniform(lo, hi, size=200), defining_instants(sig)])
-            for t in pts[(pts > lo) & (pts < hi)]:
-                assert t in bp or np.array_equal(sig.eval_left(t), sig.eval(t)), t
+            cuts = np.concatenate([[lo], sig.breakpoints(lo, hi), [hi]])
+            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                p = sig.piece(a, b)
+                # the instants where the definition changes, read off the parameters
+                inside = [t for t in defining_instants(sig).tolist() if a < t < b]
+                for t in [a, np.nextafter(b, -np.inf)] + rng.uniform(a, b, size=20).tolist() + inside:
+                    assert p(t).tobytes() == sig.eval(t).tobytes(), (a, b, t)
+                assert np.allclose(p(b), sig.eval(np.nextafter(b, -np.inf)), rtol=0.0, atol=1e-9)
+            # the window's own end is no breakpoint: the last piece is eval there
+            assert p(hi).tobytes() == sig.eval(hi).tobytes()
+
+    def test_piece_refuses_negative_times(self):
+        with pytest.raises(OutOfDomain):
+            TimeShift(Constant(1.0), 0.5).piece(0.25, 0.5)

@@ -106,7 +106,7 @@ class TestSwitchedEscape:
         frozen = SwitchingPolicy(dwell=1e-3, rule=lambda x: 1)
         run = run_switched(frozen, np.array([1.0, 0.0]), T=3.0)
         field = planar_rhs(lam=1.0)
-        plain = Stepper(lambda t, y, left=False: field(y), 0.0, np.array([1.0, 0.0]),
+        plain = Stepper(lambda t, y: field(y), 0.0, np.array([1.0, 0.0]),
                         IntegratorOptions(h_min=1e-14))
         assert plain.advance(3.0) == _OK
         a, b = run.outcome.trajectory, plain.outcome().trajectory
