@@ -45,26 +45,26 @@ VALUES = (
 BREAKS = (
     0.0335183704137846,
     0.5548924201761196,
-    0.7605934280489046,
-    0.8277905359774561,
-    0.8481161185679401,
+    0.7605934280489048,
+    0.8277905359774562,
+    0.8481161185679402,
     0.8541015811362431,
-    0.8558521407507058,
-    0.8563624434073334,
-    0.8565112461995512,
-    0.8565545856544947,
-    0.856567220104013,
-    0.856570899669473,
-    0.85657197232443,
-    0.8565722847147189,
-    0.8565723757815525,
-    0.856572402303017,
-    0.8565724100344527,
-    0.8565724122860846,
-    0.8565724129424714,
-    0.8565724131336312,
-    0.8565724131893485,
-    0.8565724132056536,
-    0.8565724132104551,
+    0.8558521407507057,
+    0.8563624434073335,
+    0.8565112461995513,
+    0.8565545856544948,
+    0.8565672201040129,
+    0.8565708996694726,
+    0.8565719723244297,
+    0.8565722847147186,
+    0.8565723757815521,
+    0.8565724023030166,
+    0.8565724100344523,
+    0.8565724122860842,
+    0.856572412942471,
+    0.8565724131336308,
+    0.8565724131893481,
+    0.8565724132056531,
+    0.8565724132104546,
 )
-T_ESCAPE = 0.8565724132113366
+T_ESCAPE = 0.8565724132113361

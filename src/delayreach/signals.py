@@ -47,12 +47,14 @@ def _constant(v):
 
 def _linear(k0, k1, v0, v1):
     """t -> the line through (k0, v0) and (k1, v1), as every broken line here
-    computes it: w = (t - k0) / (k1 - k0), then (1 - w) v0 + w v1."""
+    computes it: w = (t - k0) / (k1 - k0), then (1 - w) v0 + w v1 per component
+    (in floats: the same roundings as numpy's, without its per-call cost)."""
     a, span = float(k0), float(k1 - k0)
+    pairs = list(zip(np.asarray(v0).tolist(), np.asarray(v1).tolist()))
 
     def line(t):
         w = (t - a) / span
-        return (1.0 - w) * v0 + w * v1
+        return np.array([(1.0 - w) * p + w * q for p, q in pairs])
 
     return line
 

@@ -44,33 +44,46 @@ class PlanarParams:
     a1: Mat2 = A_MODE1
     a2: Mat2 = A_MODE2
 
-    def gain(self, lam: float) -> np.ndarray:
-        return lam * self.a1.as_array() + (1.0 - lam) * self.a2.as_array()
-
 
 DEFAULT_PLANAR = PlanarParams()
+
+
+def _entries(m: Mat2) -> tuple:
+    return float(m.a11), float(m.a12), float(m.a21), float(m.a22)
+
+
+def _blend(m1: tuple, m2: tuple, lam: float) -> tuple:
+    """Row-major entries of lam m1 + (1 - lam) m2."""
+    (p11, p12, p21, p22), (q11, q12, q21, q22), mu = m1, m2, 1.0 - lam
+    return lam * p11 + mu * q11, lam * p12 + mu * q12, lam * p21 + mu * q21, lam * p22 + mu * q22
+
+
+def _field(a: tuple, x: np.ndarray) -> np.ndarray:
+    """(1 + |x|_2^2) A x for the row-major entries a of A, each sum of two
+    products rounded in this order (numpy's dot may fuse them, by shape)."""
+    a11, a12, a21, a22 = a
+    x1, x2 = x.tolist()
+    c = 1.0 + (x1 * x1 + x2 * x2)
+    return np.array([c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)])
 
 
 def planar_rhs(params: PlanarParams = DEFAULT_PLANAR, lam: Optional[float] = None) -> Callable:
     """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state.
 
     With `lam` given, g ignores u and applies A(sat(lam)), blended once: the
-    field of one mode of a switched run.
+    field of one mode of a switched run, bit for bit the blended field at u = lam.
     """
+    m1, m2 = _entries(params.a1), _entries(params.a2)
     if lam is not None:
-        a_fixed = params.gain(unit_saturation(lam))
+        a_fixed = _blend(m1, m2, unit_saturation(lam))
 
         def g_fixed(x: np.ndarray, u=None) -> np.ndarray:
-            return (1.0 + float(x @ x)) * (a_fixed @ x)
+            return _field(a_fixed, x)
 
         return g_fixed
-    m1 = params.a1.as_array()
-    m2 = params.a2.as_array()
 
     def g(x: np.ndarray, u: float) -> np.ndarray:
-        lam = unit_saturation(float(u))
-        a = lam * m1 + (1.0 - lam) * m2
-        return (1.0 + float(x @ x)) * (a @ x)
+        return _field(_blend(m1, m2, unit_saturation(float(u))), x)
 
     return g
 

@@ -51,6 +51,23 @@ class TestPlanarRhs:
         expect = (1.0 + float(x @ x)) * (mid @ x)
         assert np.allclose(g(x, 0.5), expect)
 
+    def test_field_is_the_hand_ordered_expression(self):
+        # each entry and each sum of two products rounded in this order, so a
+        # numpy build whose dot product fuses them cannot move the result
+        a, b = DEFAULT_PLANAR.a1, DEFAULT_PLANAR.a2
+        g = planar_rhs()
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(-3.0, 3.0, size=(1000, 2)).tolist()
+        us = rng.uniform(-1.0, 2.0, size=1000).tolist()  # a third saturated at each end
+        for (x1, x2), u in zip(xs, us):
+            lam = min(max(u, 0.0), 1.0)
+            mu = 1.0 - lam
+            a11, a12 = lam * a.a11 + mu * b.a11, lam * a.a12 + mu * b.a12
+            a21, a22 = lam * a.a21 + mu * b.a21, lam * a.a22 + mu * b.a22
+            c = 1.0 + (x1 * x1 + x2 * x2)
+            expect = np.array([c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)])
+            assert g(np.array([x1, x2]), u).tobytes() == expect.tobytes(), (x1, x2, u)
+
     @pytest.mark.parametrize("lam", [0.0, 1.0, -3.0, 4.0, 0.25])
     def test_fixed_mode_matches_the_blend_bit_for_bit(self, lam):
         blended, fixed = planar_rhs(), planar_rhs(lam=lam)
