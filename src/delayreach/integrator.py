@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .signals import Signal, _finite, _linear
+from .signals import Constant, Signal, _finite, _linear
 
 
 class BadHistoryDomain(ValueError):
@@ -619,12 +619,10 @@ def integrate(
     every, ask = (math.inf, None) if stop is None else stop
     if not every > 0.0:
         raise ValueError(f"stop cadence must be positive, got {every!r}")
+    stops = [float(s) for s in _forced_stops(sys, u, T, history, extra_stops)]
+    if u is None or sys.input_dim <= 0:
+        u = Constant(np.zeros(max(sys.input_dim, 0)))
     delays, rhs = sys.delays, sys.rhs
-    if sys.input_dim <= 0:
-        u = None
-    zero_u = np.zeros(max(sys.input_dim, 0))
-    uval = lambda t: zero_u
-    looks = []
 
     def lookup(tq: float) -> np.ndarray:
         # a step never outruns the shortest delay, so tq <= 0 until the
@@ -634,18 +632,13 @@ def integrate(
     def resolve(lo: float, hi: float):
         # the input and the delayed lookups on [lo, hi], which no stop splits
         nonlocal uval, looks
-        if u is not None:
-            uval = u.piece(lo, hi)
+        uval = u.piece(lo, hi)
         looks = [history.piece(lo - d, hi - d) if hi - d <= 0.0 else lookup for d in delays]
 
-    if delays:
-        def f(t, y):
-            return rhs(y, tuple([look(t - d) for look, d in zip(looks, delays)]), uval(t))
-    else:
-        def f(t, y):
-            return rhs(y, (), uval(t))
+    def f(t, y):
+        return rhs(y, tuple([look(t - d) for look, d in zip(looks, delays)]), uval(t))
 
-    stops = [float(s) for s in _forced_stops(sys, u, T, history, extra_stops)]
+    uval = looks = None
     resolve(0.0, stops[0])
     stepper = Stepper(f, 0.0, y0, opts, h_cap=delays[0] if delays else None)
     check = every
