@@ -385,9 +385,9 @@ _OK, _ESCAPED = 0, 1
 
 
 class Stepper:
-    """Incremental adaptive DP5(4) driver over a caller-supplied rhs(t, y).
+    """Incremental adaptive DP5(4) driver over a caller-supplied rhs.
 
-    The rhs must be smooth on each interval advanced over, up to and
+    rhs(t, y) must be smooth on each interval advanced over, up to and
     including its target: a caller whose rhs changes at a forced boundary
     swaps it there and calls `invalidate_rhs_cache`, so the steps before it
     use the left limit and dense output stays one-sided. Every attempted

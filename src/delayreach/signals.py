@@ -72,6 +72,7 @@ class Signal:
     dim: int
 
     def eval(self, t: float) -> np.ndarray:
+        """Value at t: the piece through t, resolved at t."""
         return self.piece(t, t)(t)
 
     def piece(self, lo: float, hi: float):
