@@ -45,26 +45,26 @@ VALUES = (
 BREAKS = (
     0.0335183704137846,
     0.5548924201761196,
-    0.7605934280489048,
-    0.8277905359774562,
-    0.8481161185679402,
+    0.7605934280489045,
+    0.827790535977456,
+    0.8481161185679401,
     0.8541015811362431,
     0.8558521407507057,
     0.8563624434073335,
     0.8565112461995513,
-    0.8565545856544948,
-    0.8565672201040129,
-    0.8565708996694726,
-    0.8565719723244297,
-    0.8565722847147186,
-    0.8565723757815521,
-    0.8565724023030166,
-    0.8565724100344523,
-    0.8565724122860842,
-    0.856572412942471,
-    0.8565724131336308,
-    0.8565724131893481,
-    0.8565724132056531,
-    0.8565724132104546,
+    0.8565545856544949,
+    0.8565672201040132,
+    0.8565708996694731,
+    0.8565719723244302,
+    0.856572284714719,
+    0.8565723757815527,
+    0.8565724023030171,
+    0.8565724100344528,
+    0.8565724122860847,
+    0.8565724129424716,
+    0.8565724131336313,
+    0.8565724131893486,
+    0.8565724132056537,
+    0.8565724132104552,
 )
-T_ESCAPE = 0.8565724132113361
+T_ESCAPE = 0.8565724132113367

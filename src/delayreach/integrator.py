@@ -9,10 +9,12 @@ history's knots shifted by each delay and at the first few multiples of
 the shortest delay, where the solution loses smoothness. Between two
 forced stops the input and each history lookup are therefore one
 closed-form piece each: they are resolved once per interval, not searched
-for at every right-hand-side evaluation. Unboundedness is the only failure mode of the underlying
-solution concept, so crossing a norm threshold (or a step-size collapse
-while the norm is growing) is reported as a finite-escape outcome, not as
-an error.
+for at every right-hand-side evaluation. The right-hand side takes and
+returns 1-D ndarrays; a step itself is ordered float arithmetic per
+component (see `Stepper`), with no array temporaries. Unboundedness is the
+only failure mode of the underlying solution concept, so crossing a norm
+threshold (or a step-size collapse while the norm is growing) is reported
+as a finite-escape outcome, not as an error.
 """
 
 from __future__ import annotations
@@ -44,38 +46,38 @@ class MaxStepsExceeded(RuntimeError):
     """More step attempts than IntegratorOptions.max_steps."""
 
 
-# Dormand-Prince 5(4) tableau (FSAL; the 5th-order solution is propagated).
-# Row i of the lower-triangular _A combines stages 0..i-1 into the argument
-# of stage i; row 6 equals the 5th-order weights, so the last stage is
-# evaluated at the new solution.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = np.zeros((7, 7))
-_A[1, :1] = [1 / 5]
-_A[2, :2] = [3 / 40, 9 / 40]
-_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-_A_ROWS = tuple(_A[i, :i] for i in range(7))
-_BSTAR = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4) tableau (FSAL; the 5th-order solution is propagated),
+# as floats: _Aij combines stage j into the argument of stage i, _Bj are the
+# 5th-order weights, which also give the argument of the last stage, so that
+# stage is evaluated at the new solution, and _Ej the weights of the error
+# estimate. Stages 5 and 6 sit at the end of the step (c = 1). Zero entries
+# (a61, b1, e1) are left out of every sum.
+_C1, _C2, _C3, _C4 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A10 = 1 / 5
+_A20, _A21 = 3 / 40, 9 / 40
+_A30, _A31, _A32 = 44 / 45, -56 / 15, 32 / 9
+_A40, _A41, _A42, _A43 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A50, _A51, _A52, _A53, _A54 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B0, _B2, _B3, _B4, _B5 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+# the 4th-order weights b*_j are 5179/57600, 0, 7571/16695, 393/640,
+# -92097/339200, 187/2100, 1/40; e_j = b_j - b*_j
+_E0, _E2, _E3, _E4, _E5, _E6 = (
+    b - bs
+    for b, bs in zip(
+        (_B0, _B2, _B3, _B4, _B5, 0.0),
+        (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
+    )
 )
-_E = _A[6] - _BSTAR
 
-# Coefficients of the 4th-order continuous extension: the dense-output
-# polynomial is y(t0 + theta*h) = y0 + h * (K^T P) @ [theta, ..., theta^4],
-# with K the 7 stage derivatives of the accepted step.
-_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
+# The 4th-order continuous extension: the dense-output polynomial is
+# y(t0 + theta*h) = y0 + theta*(q0 + theta*(q1 + theta*(q2 + theta*q3))) with
+# q0 = h*k0 and qm = h * sum_j _Pjm * kj over the stages k of the accepted step.
+_P01, _P02, _P03 = -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432
+_P21, _P22, _P23 = 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799
+_P31, _P32, _P33 = -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072
+_P41, _P42, _P43 = 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632
+_P51, _P52, _P53 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844
+_P61, _P62, _P63 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
 
 # the residual audit: its random sample count and seed, and the 5-point
 # Gauss-Legendre nodes/weights on [0, 1] of its quadrature
@@ -185,7 +187,9 @@ class Trajectory:
         tb, yb, qb = self._buf
         self.ts, self.ys, self.qs = tb[:n], yb[:n], qb[: n - 1]
 
-    def _append(self, t: float, y: np.ndarray, q: np.ndarray):
+    def _append(self, t: float, y, q):
+        """Add the node (t, y) and the (4, dim) coefficients q of the segment
+        ending there; y and q may be ndarrays or nested lists of floats."""
         n = len(self.ts)
         if n == len(self._buf[0]):
             grown = []
@@ -387,11 +391,18 @@ _OK, _ESCAPED = 0, 1
 class Stepper:
     """Incremental adaptive DP5(4) driver over a caller-supplied rhs.
 
-    rhs(t, y) must be smooth on each interval advanced over, up to and
+    rhs(t, y) takes the state as a 1-D ndarray and returns its derivative as
+    one. It must be smooth on each interval advanced over, up to and
     including its target: a caller whose rhs changes at a forced boundary
     swaps it there and calls `invalidate_rhs_cache`, so the steps before it
     use the left limit and dense output stays one-sided. Every attempted
     step is counted in `nsteps`; accepted ones extend `traj`.
+
+    A step is float arithmetic per component: each stage argument, the
+    5th-order solution, the error estimate and the dense-output coefficients
+    are sums of the tableau's nonzero terms in stage order, so a component's
+    rounding depends on that component's stages alone. `y` and the outgoing
+    slope `slope` are ndarrays between calls of `advance`.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap=None):
@@ -400,24 +411,21 @@ class Stepper:
         self.y = np.asarray(y0, dtype=float).copy()
         self.opts = opts
         self._h_top = h_cap or math.inf
-        # stage derivatives of the current step; row 0 is the slope at (t, y)
-        self._K = np.empty((7, self.y.size))
-        self._K_rows = tuple(self._K[:i] for i in range(7))
-        self._K[0] = rhs(self.t, self.y)
+        # the slope at (t, y): stage 0 of the next step
+        self.slope = np.array(rhs(self.t, self.y), dtype=float)
         self.traj = Trajectory(self.t, self.y)
         self.h = 0.0
         self.nsteps = 0
         self.escape_info = None
-        self._abs_y = np.abs(self.y)
-        self._norm = self._norm_prev = float(self._abs_y.max())
+        self._norm = self._norm_prev = float(np.abs(self.y).max())
 
     def invalidate_rhs_cache(self):
         """Call after the rhs changed at the current time (e.g. new input piece)."""
-        self._K[0] = self.rhs(self.t, self.y)
+        self.slope = np.array(self.rhs(self.t, self.y), dtype=float)
 
     def _initial_step(self, target):
         o = self.opts
-        k1 = self._K[0]
+        k1 = self.slope
         scale = o.abs_tol + o.rel_tol * np.abs(self.y)
         d0 = float(np.sqrt(np.mean((self.y / scale) ** 2)))
         d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
@@ -455,59 +463,91 @@ class Stepper:
             return _ESCAPED
         if self.h <= 0.0:
             self.h = self._initial_step(target)
-        K, rows, rhs = self._K, self._K_rows, self.rhs
+        rhs, traj, atol, rtol = self.rhs, self.traj, o.abs_tol, o.rel_tol
+        # the state of the last accepted step, as lists of floats while stepping
+        t, y, k0 = self.t, self.y.tolist(), self.slope.tolist()
+        ay, n = [abs(v) for v in y], len(y)
+        norm, norm_prev = self._norm, self._norm_prev
         eps_t = max(1e-15, 4.0 * math.ulp(abs(target)))
-        while target - self.t > eps_t:
-            if self.nsteps >= o.max_steps:
-                raise MaxStepsExceeded(f"exceeded max_steps={o.max_steps}")
-            self.nsteps += 1
-            t, y = self.t, self.y
-            h = min(self.h, self._h_top)
-            at_end = h >= target - t  # end of step lands on the forced boundary
-            if at_end:
-                h = target - t
-            t_new = target if at_end else t + h
-            for i in range(1, 7):
-                ys = y + h * (_A_ROWS[i] @ rows[i])
-                # c = 1 for the last two stages: they sit at t_new itself
-                K[i] = rhs(t_new if i >= 5 else t + _C[i] * h, ys)
-            # the last stage argument is the 5th-order solution (FSAL); a
-            # non-finite stage reaches the error norm through the matvec
-            y_new = ys
-            abs_new = np.abs(y_new)
-            norm_new = float(abs_new.max())
-            r = h * (_E @ K) / (o.abs_tol + o.rel_tol * np.maximum(self._abs_y, abs_new))
-            err = math.sqrt(float(r @ r) / r.size)
-            bad = not (math.isfinite(err) and math.isfinite(norm_new))
-            if bad or err > 1.0:
-                if h <= o.h_min * (1.0 + 1e-9):
-                    if bad or self._norm > self._norm_prev:  # growing
-                        flag = "nonfinite" if bad else "h_min_collapse"
-                        self.escape_info = (t, self._norm, flag)
-                        return _ESCAPED
-                    raise StepSizeCollapse(f"error test failing at h={h} <= h_min at t={t}")
-                fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
-                self.h = max(h * fac, o.h_min)
-                continue
-            self.traj._append(t_new, y_new, h * (_P.T @ K))
-            self.t, self.y = t_new, y_new
-            self._abs_y, self._norm_prev, self._norm = abs_new, self._norm, norm_new
-            K[0] = K[6]
-            if not at_end:
-                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                self.h = max(h * fac, o.h_min)
-            if norm_new >= o.escape_threshold:
-                self.escape_info = (self._locate_escape(), norm_new, "threshold")
-                return _ESCAPED
-            if t_new >= until and not at_end:
-                return _OK
-        self.t = target
-        return _OK
+        try:
+            while target - t > eps_t:
+                if self.nsteps >= o.max_steps:
+                    raise MaxStepsExceeded(f"exceeded max_steps={o.max_steps}")
+                self.nsteps += 1
+                h = min(self.h, self._h_top)
+                at_end = h >= target - t  # end of step lands on the forced boundary
+                if at_end:
+                    h = target - t
+                t_new = target if at_end else t + h
+                ys = [a + h * (_A10 * b0) for a, b0 in zip(y, k0)]
+                k1 = rhs(t + _C1 * h, np.array(ys)).tolist()
+                ys = [a + h * (_A20 * b0 + _A21 * b1) for a, b0, b1 in zip(y, k0, k1)]
+                k2 = rhs(t + _C2 * h, np.array(ys)).tolist()
+                ys = [a + h * (_A30 * b0 + _A31 * b1 + _A32 * b2)
+                      for a, b0, b1, b2 in zip(y, k0, k1, k2)]
+                k3 = rhs(t + _C3 * h, np.array(ys)).tolist()
+                ys = [a + h * (_A40 * b0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
+                      for a, b0, b1, b2, b3 in zip(y, k0, k1, k2, k3)]
+                k4 = rhs(t + _C4 * h, np.array(ys)).tolist()
+                ys = [a + h * (_A50 * b0 + _A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+                      for a, b0, b1, b2, b3, b4 in zip(y, k0, k1, k2, k3, k4)]
+                k5 = rhs(t_new, np.array(ys)).tolist()
+                # the last stage argument is the 5th-order solution (FSAL)
+                y_new = [a + h * (_B0 * b0 + _B2 * b2 + _B3 * b3 + _B4 * b4 + _B5 * b5)
+                         for a, b0, b2, b3, b4, b5 in zip(y, k0, k2, k3, k4, k5)]
+                k6 = rhs(t_new, np.array(y_new)).tolist()
+                ay_new = [abs(v) for v in y_new]
+                # max() skips a NaN that is not first; err does not: every
+                # stage but k1 has a nonzero weight in it, and max(NaN, x) is NaN
+                norm_new = max(ay_new)
+                sq = 0.0
+                for a, a_new, b0, b2, b3, b4, b5, b6 in zip(ay, ay_new, k0, k2, k3, k4, k5, k6):
+                    r = (h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
+                         / (atol + rtol * max(a_new, a)))
+                    sq += r * r
+                err = math.sqrt(sq / n)
+                bad = not (math.isfinite(err) and math.isfinite(norm_new))
+                if bad or err > 1.0:
+                    if h <= o.h_min * (1.0 + 1e-9):
+                        if bad or norm > norm_prev:  # growing
+                            flag = "nonfinite" if bad else "h_min_collapse"
+                            self.escape_info = (t, norm, flag)
+                            return _ESCAPED
+                        raise StepSizeCollapse(f"error test failing at h={h} <= h_min at t={t}")
+                    fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
+                    self.h = max(h * fac, o.h_min)
+                    continue
+                ks = tuple(zip(k0, k2, k3, k4, k5, k6))
+                q = (
+                    [h * b0 for b0 in k0],
+                    [h * (_P01 * b0 + _P21 * b2 + _P31 * b3 + _P41 * b4 + _P51 * b5 + _P61 * b6)
+                     for b0, b2, b3, b4, b5, b6 in ks],
+                    [h * (_P02 * b0 + _P22 * b2 + _P32 * b3 + _P42 * b4 + _P52 * b5 + _P62 * b6)
+                     for b0, b2, b3, b4, b5, b6 in ks],
+                    [h * (_P03 * b0 + _P23 * b2 + _P33 * b3 + _P43 * b4 + _P53 * b5 + _P63 * b6)
+                     for b0, b2, b3, b4, b5, b6 in ks],
+                )
+                traj._append(t_new, y_new, q)
+                t, y, k0, ay = t_new, y_new, k6, ay_new
+                norm_prev, norm = norm, norm_new
+                if not at_end:
+                    fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    self.h = max(h * fac, o.h_min)
+                if norm_new >= o.escape_threshold:
+                    self.escape_info = (self._locate_escape(), norm_new, "threshold")
+                    return _ESCAPED
+                if t_new >= until and not at_end:
+                    return _OK
+            t = target
+            return _OK
+        finally:
+            self.t, self.y, self.slope = t, np.array(y), np.array(k0)
+            self._norm, self._norm_prev = norm, norm_prev
 
     def rewind(self):
         """Drop the last accepted step and any escape found in it.
 
-        t, y, |y| and both norms are rebuilt from the nodes and the outgoing
+        t, y and both norms are rebuilt from the nodes and the outgoing
         slope is evaluated again, so advancing to a forced boundary inside
         the dropped step makes it a node. The step size proposal is kept.
         """
@@ -518,11 +558,10 @@ class Stepper:
         traj._view(n)
         self.t = float(traj.ts[-1])
         self.y = traj.ys[-1].copy()
-        self._abs_y = np.abs(self.y)
-        self._norm = float(self._abs_y.max())
+        self._norm = float(np.abs(self.y).max())
         self._norm_prev = float(np.abs(traj.ys[-2]).max()) if n > 1 else self._norm
         self.escape_info = None
-        self._K[0] = self.rhs(self.t, self.y)
+        self.invalidate_rhs_cache()
 
     def _locate_escape(self) -> float:
         """Earliest time in the last segment where |x| reaches the threshold."""

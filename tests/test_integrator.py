@@ -262,6 +262,85 @@ def rotating_rhs(t, y):
     return np.array([-y[1], y[0]]) * (1.0 + 0.1 * np.sin(t))
 
 
+# Dormand-Prince 5(4), written out here independently of the module: the
+# nodes, the rows of A (row 6 holds the 5th-order weights), the 4th-order
+# weights and the coefficients of the continuous extension (row j, power m+1)
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_BSTAR = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def ordered_sum(coefs, ks, i):
+    """sum_j coefs[j] * ks[j][i] over the nonzero coefs, added left to right."""
+    acc = None
+    for c, k in zip(coefs, ks):
+        if c != 0.0:
+            acc = c * k[i] if acc is None else acc + c * k[i]
+    return acc
+
+
+class TestStepperArithmetic:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_step_is_the_ordered_tableau_sum(self, dim):
+        # one accepted step of a seeded random linear field, against DP5(4)
+        # evaluated per component in Python floats in stage order
+        rng = np.random.default_rng(dim)
+        m, v, y = rng.normal(size=(dim, dim)), rng.normal(size=dim), rng.normal(size=dim).tolist()
+
+        def rhs(t, x):
+            return m @ x + t * v
+
+        opts, t, h = IntegratorOptions(), 0.25, 1e-2
+        st = Stepper(rhs, t, np.array(y), opts)
+        st.h = h
+        assert st.advance(1.0, until=t) == _OK
+        assert st.nsteps == 1
+
+        ks = [rhs(t, np.array(y)).tolist()]
+        for c, row in zip(DP_C[1:], DP_A[1:]):
+            arg = [y[i] + h * ordered_sum(row, ks, i) for i in range(dim)]
+            ks.append(rhs(t + c * h, np.array(arg)).tolist())
+        y_new = arg
+        e = [b - bs for b, bs in zip(DP_A[6] + (0.0,), DP_BSTAR)]
+        sq = 0.0
+        for i in range(dim):
+            scale = opts.abs_tol + opts.rel_tol * max(abs(y_new[i]), abs(y[i]))
+            r = h * ordered_sum(e, ks, i) / scale
+            sq += r * r
+        err = math.sqrt(sq / dim)
+        assert 0.0 < err <= 1.0
+        q = [[h * ordered_sum([row[col] for row in DP_P], ks, i) for i in range(dim)] for col in range(4)]
+
+        assert st.t == st.traj.ts[1] == t + h
+        assert st.traj.ys[1].tolist() == y_new
+        assert st.traj.qs[0].tolist() == q
+        assert st.slope.tolist() == ks[6]
+        assert st.h == max(h * min(5.0, max(0.2, 0.9 * err ** -0.2)), opts.h_min)
+        # the tableau as matrix products, summed in numpy's order: equal to
+        # within a few ulps of the state
+        k = np.array(ks)
+        ulps = 8.0 * np.finfo(float).eps * max(1.0, np.abs(y_new).max())
+        assert np.abs(st.traj.ys[1] - (np.array(y) + h * (np.array(DP_A[6]) @ k[:6]))).max() <= ulps
+        assert np.abs(st.traj.qs[0] - h * (np.array(DP_P).T @ k)).max() <= ulps
+
+
 class TestSoftStop:
     def test_chunked_advance_equals_one_advance(self):
         opts = IntegratorOptions()
@@ -281,6 +360,7 @@ class TestSoftStop:
         assert soft > 10
         assert chunked.nsteps == whole.nsteps
         assert chunked.h == whole.h and chunked.y.tobytes() == whole.y.tobytes()
+        assert chunked.slope.tobytes() == whole.slope.tobytes()
         assert traj_bytes(chunked.outcome().trajectory) == traj_bytes(whole.outcome().trajectory)
 
     def test_stop_that_never_fires_changes_no_byte(self):
@@ -341,13 +421,13 @@ class TestRewind:
         assert st.advance(1.0) == _OK
         target, rewound = 2.0, 0
         while st.t != target:
-            before = (st.t, st.y.tobytes(), len(st.traj.ts), st._K[0].tobytes())
+            before = (st.t, st.y.tobytes(), len(st.traj.ts), st.slope.tobytes())
             # one accepted step: the soft stop fires at the end of the first one
             assert st.advance(target, until=st.t) == _OK
             dropped = traj_bytes(st.traj)
             at_end = st.t == target
             st.rewind()
-            assert (st.t, st.y.tobytes(), len(st.traj.ts), st._K[0].tobytes()) == before
+            assert (st.t, st.y.tobytes(), len(st.traj.ts), st.slope.tobytes()) == before
             if at_end:
                 # the step to a forced boundary is taken again byte for byte
                 assert st.advance(target) == _OK
@@ -485,16 +565,28 @@ class TestStepperOutcomes:
         with pytest.raises(MaxStepsExceeded):
             integrate(decay_system(), np.array([1.0]), None, 100.0, IntegratorOptions(max_steps=10))
 
-    def test_nonfinite_rhs_is_an_escape(self):
-        # x' = x until |x| reaches 2, where the field turns NaN: the error
-        # test keeps failing on non-finite stages down to h_min
+    @pytest.mark.parametrize(
+        "y0, beyond",
+        [
+            ([1.0], lambda y: np.array([math.nan])),
+            # only the second component turns NaN, below a finite first one:
+            # max() of floats skips a NaN that is not first, so the error
+            # norm has to catch it
+            ([1.0, 0.5], lambda y: np.array([y[0], math.nan])),
+            ([1.0], lambda y: np.array([math.inf])),
+        ],
+        ids=["nan", "nan_in_second_component", "inf"],
+    )
+    def test_nonfinite_rhs_is_an_escape(self, y0, beyond):
+        # x' = x until |x| reaches 2, where the field turns non-finite: the
+        # error test keeps failing on non-finite stages down to h_min
         sys = DiscreteDelaySystem(
-            dim=1,
+            dim=len(y0),
             input_dim=0,
             delays=(),
-            rhs=lambda y, d, u: y if abs(y[0]) < 2.0 else np.array([math.nan]),
+            rhs=lambda y, d, u: y if np.abs(y).max() < 2.0 else beyond(y),
         )
-        out = integrate(sys, np.array([1.0]), None, 5.0, IntegratorOptions(h_min=1e-6))
+        out = integrate(sys, np.array(y0), None, 5.0, IntegratorOptions(h_min=1e-6))
         assert out.escaped
         assert out.flag == "nonfinite"
         assert 1.0 < out.final_norm < 2.0
