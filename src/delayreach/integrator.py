@@ -466,7 +466,7 @@ class Stepper:
         rhs, traj, atol, rtol = self.rhs, self.traj, o.abs_tol, o.rel_tol
         # the state of the last accepted step, as lists of floats while stepping
         t, y, k0 = self.t, self.y.tolist(), self.slope.tolist()
-        ay, n = [abs(v) for v in y], len(y)
+        n = len(y)
         norm, norm_prev = self._norm, self._norm_prev
         eps_t = max(1e-15, 4.0 * math.ulp(abs(target)))
         try:
@@ -496,14 +496,13 @@ class Stepper:
                 y_new = [a + h * (_B0 * b0 + _B2 * b2 + _B3 * b3 + _B4 * b4 + _B5 * b5)
                          for a, b0, b2, b3, b4, b5 in zip(y, k0, k2, k3, k4, k5)]
                 k6 = rhs(t_new, np.array(y_new)).tolist()
-                ay_new = [abs(v) for v in y_new]
                 # max() skips a NaN that is not first; err does not: every
                 # stage but k1 has a nonzero weight in it, and max(NaN, x) is NaN
-                norm_new = max(ay_new)
+                norm_new = max([abs(v) for v in y_new])
                 sq = 0.0
-                for a, a_new, b0, b2, b3, b4, b5, b6 in zip(ay, ay_new, k0, k2, k3, k4, k5, k6):
+                for a, a_new, b0, b2, b3, b4, b5, b6 in zip(y, y_new, k0, k2, k3, k4, k5, k6):
                     r = (h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
-                         / (atol + rtol * max(a_new, a)))
+                         / (atol + rtol * max(abs(a_new), abs(a))))
                     sq += r * r
                 err = math.sqrt(sq / n)
                 bad = not (math.isfinite(err) and math.isfinite(norm_new))
@@ -528,7 +527,7 @@ class Stepper:
                      for b0, b2, b3, b4, b5, b6 in ks],
                 )
                 traj._append(t_new, y_new, q)
-                t, y, k0, ay = t_new, y_new, k6, ay_new
+                t, y, k0 = t_new, y_new, k6
                 norm_prev, norm = norm, norm_new
                 if not at_end:
                     fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
