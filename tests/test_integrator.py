@@ -565,21 +565,10 @@ class TestStepperOutcomes:
         with pytest.raises(MaxStepsExceeded):
             integrate(decay_system(), np.array([1.0]), None, 100.0, IntegratorOptions(max_steps=10))
 
-    @pytest.mark.parametrize(
-        "y0, beyond",
-        [
-            ([1.0], lambda y: np.array([math.nan])),
-            # only the second component turns NaN, below a finite first one:
-            # max() of floats skips a NaN that is not first, so the error
-            # norm has to catch it
-            ([1.0, 0.5], lambda y: np.array([y[0], math.nan])),
-            ([1.0], lambda y: np.array([math.inf])),
-        ],
-        ids=["nan", "nan_in_second_component", "inf"],
-    )
-    def test_nonfinite_rhs_is_an_escape(self, y0, beyond):
-        # x' = x until |x| reaches 2, where the field turns non-finite: the
-        # error test keeps failing on non-finite stages down to h_min
+    @staticmethod
+    def assert_nonfinite_escape(y0, beyond):
+        # x' = x until |x|_inf reaches 2, where the field turns to beyond(x):
+        # the error test keeps failing on non-finite stages down to h_min
         sys = DiscreteDelaySystem(
             dim=len(y0),
             input_dim=0,
@@ -591,6 +580,23 @@ class TestStepperOutcomes:
         assert out.flag == "nonfinite"
         assert 1.0 < out.final_norm < 2.0
         assert out.t_escape < math.log(2.0)
+
+    def test_nonfinite_rhs_is_an_escape(self):
+        self.assert_nonfinite_escape([1.0], lambda y: np.array([math.nan]))
+
+    @pytest.mark.parametrize(
+        "y0, beyond",
+        [
+            # only the second component turns NaN, below a finite first one:
+            # max() of floats skips a NaN that is not first, so the error
+            # norm has to catch it
+            ([1.0, 0.5], lambda y: np.array([y[0], math.nan])),
+            ([1.0], lambda y: np.array([math.inf])),
+        ],
+        ids=["nan_in_second_component", "inf"],
+    )
+    def test_nonfinite_stage_is_an_escape(self, y0, beyond):
+        self.assert_nonfinite_escape(y0, beyond)
 
     def test_nonfinite_first_slope_ends_at_once(self):
         # sqrt(y - 1) is NaN at y0 = 0.5: the first step is tried at h_min, so
