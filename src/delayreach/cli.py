@@ -31,7 +31,7 @@ from .lyap import (Mat2, NoFeasibleLambda, NotHurwitz, blend, default_certificat
                    lyapunov_residual, solve_lyapunov, stability_constants)
 from .probes import (PROBE_OPTS, TauTooShort, embedding_check, es_check, estimate_R, rfc_sweep,
                      uga_table)
-from .signals import Constant, Signal, from_json
+from .signals import Signal, from_json
 from .systems import (
     DEFAULT_PLANAR,
     SYSTEM_NAMES,
@@ -266,8 +266,6 @@ def run_simulate(args, s: Setup) -> Output:
         raise ConfigInvalid(f"history const: expected {sys_.dim} components")
     ic = HistoryFn.constant(vals, sys_.tau) if sys_.delays else vals
     u = signal_from_config(load_config(args.input)) if args.input is not None else s.input
-    if u is None and sys_.input_dim > 0:
-        u = Constant(np.zeros(sys_.input_dim))
     out = integrate(sys_, ic, u, args.T, s.opts)
     rows = _sample_trajectory(out, args.grid)
     header = ["t"] + [f"x{i + 1}" for i in range(sys_.dim)]

@@ -1,15 +1,17 @@
 """Adaptive method-of-steps integration for discrete-delay systems.
 
 A Dormand-Prince 5(4) embedded pair drives both delayed and nondelayed
-systems. Delayed state lookups are served from the initial history on
-[-tau, 0] and from the trajectory's dense output afterwards; a step never
-extends past the shortest delay, so lookups never touch the step being
-computed. Step boundaries are forced at every input breakpoint, at the
-history's knots shifted by each delay and at the first few multiples of
-the shortest delay, where the solution loses smoothness. Between two
-forced stops the input and each history lookup are therefore one
-closed-form piece each: they are resolved once per interval, not searched
-for at every right-hand-side evaluation. The right-hand side takes and
+systems. On [0, d] the state delayed by d is the history shifted by d, a
+signal of its own (`HistoryFn.shifted`): the input the associated
+nondelayed system receives there. Afterwards delayed lookups are served
+from the trajectory's dense output; a step never extends past the
+shortest delay, so lookups never touch the step being computed. Step
+boundaries are forced at every input breakpoint, at the history's knots
+shifted by each delay and at the first few multiples of the shortest
+delay, where the solution loses smoothness. Between two forced stops the
+input and each shifted history are therefore one closed-form piece each:
+they are resolved once per interval, not searched for at every
+right-hand-side evaluation. The right-hand side takes and
 returns 1-D ndarrays; a step itself is ordered float arithmetic per
 component (see `Stepper`), with no array temporaries. Unboundedness is the
 only failure mode of the underlying solution concept, so crossing a norm
@@ -27,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .signals import Constant, Signal, _finite, _linear
+from .signals import Constant, PiecewiseLinear, Signal, _broken_line, _linear
 
 
 class BadHistoryDomain(ValueError):
@@ -276,17 +278,16 @@ class Trajectory:
 
 
 class HistoryFn:
-    """Continuous piecewise-linear function on [-tau, 0]."""
+    """Continuous piecewise-linear function on [-tau, 0].
+
+    `eval` reads it at a time s of its domain. A delayed lookup s = t - d
+    on [0, d] reads `shifted(d)` at t instead: the same broken line, moved
+    onto the time axis of the run, whose knots are where the run's step
+    boundaries are forced.
+    """
 
     def __init__(self, knots, values):
-        self.knots = _finite(knots, "knots")
-        self.values = _finite(values, "values")
-        if self.values.ndim == 1:
-            self.values = self.values.reshape(-1, 1)
-        if len(self.knots) < 1 or len(self.knots) != len(self.values):
-            raise ValueError("one value per knot")
-        if len(self.knots) > 1 and not (np.diff(self.knots) > 0).all():
-            raise ValueError("knots must be strictly increasing")
+        self.knots, self.values = _broken_line(knots, values)
         if abs(float(self.knots[-1])) > 1e-9:
             raise BadHistoryDomain("history must end at time 0")
 
@@ -306,41 +307,22 @@ class HistoryFn:
         return cls(np.array([-tau, 0.0]), np.vstack([v, v]))
 
     def eval(self, s: float) -> np.ndarray:
-        k = self.knots
-        if s < k[0] - 1e-9 or s > k[-1] + 1e-9:
-            raise BadHistoryDomain(f"history evaluated at {s} outside [{k[0]}, 0]")
-        return self.piece(s, s)(s)
-
-    def _index(self, s: float) -> int:
-        """The segment eval uses at s, clamped into [-tau, 0] first."""
-        k = self.knots
-        i = int(np.searchsorted(k, min(max(s, k[0]), k[-1]), side="right")) - 1
-        return min(max(i, 0), len(k) - 2)
-
-    def piece(self, lo: float, hi: float):
-        """eval on [lo, hi] as s -> value, bit for bit, unchecked, resolved once.
-
-        A delayed lookup s = t - d rounds, so the ends of the window of one
-        forced interval can fall an ulp across a knot; the segments eval uses
-        there are kept, and picked by a bisection, only then.
-        """
+        """The value at s; within 1e-9 outside [-tau, 0], the nearer end's."""
         k, v = self.knots, self.values
-        if len(k) == 1:
-            v0 = v[0]
-            return lambda s: v0
         k0, kn = float(k[0]), float(k[-1])
-        clamp = lo < k0 or hi > kn
+        if s < k0 - 1e-9 or s > kn + 1e-9:
+            raise BadHistoryDomain(f"history evaluated at {s} outside [{k0}, 0]")
+        if len(k) == 1:
+            return v[0]
+        s = min(max(s, k0), kn)
+        i = min(int(np.searchsorted(k, s, side="right")) - 1, len(k) - 2)
+        return _linear(k[i], k[i + 1], v[i], v[i + 1])(s)
 
-        def segment(i):
-            line = _linear(k[i], k[i + 1], v[i], v[i + 1])
-            return (lambda s: line(min(max(s, k0), kn))) if clamp else line
-
-        i, j = self._index(lo), self._index(hi)
-        if i == j:
-            return segment(i)
-        segments = [segment(m) for m in range(i, j + 1)]
-        cuts = k[i + 1 : j + 1].tolist()
-        return lambda s: segments[bisect.bisect_right(cuts, s)](s)
+    def shifted(self, d: float) -> PiecewiseLinear:
+        """t -> self(t - d) as a signal: the broken line through knots + d,
+        constant beyond its ends. Its knots inside (0, T) are, bit for bit,
+        the history stops `_forced_stops` forces at the first multiple of d."""
+        return PiecewiseLinear(self.knots + d, self.values)
 
     def norm(self) -> float:
         """Exact sup norm over [-tau, 0] (max |.|_inf): the largest knot value."""
@@ -383,9 +365,6 @@ class SimOutcome:
     t_escape: Optional[float] = None
     final_norm: Optional[float] = None
     flag: Optional[str] = None  # 'threshold' | 'h_min_collapse' | 'nonfinite'
-
-
-_OK, _ESCAPED = 0, 1
 
 
 class Stepper:
@@ -443,24 +422,25 @@ class Stepper:
             h1 = (0.01 / max(d1, d2)) ** 0.2
         return min(100.0 * h0, h1)
 
-    def advance(self, target: float, until: float = math.inf) -> int:
-        """Integrate up to `target` (a forced boundary). Returns _OK or _ESCAPED.
+    def advance(self, target: float, until: float = math.inf) -> None:
+        """Integrate up to `target` (a forced boundary), or to an escape, which
+        sets `escape_info`; a call after an escape does nothing.
 
         The outgoing slope of every accepted step, the one at the target
         included, is its last stage (FSAL); where the rhs jumps at the
         target, the caller swaps it and calls `invalidate_rhs_cache`.
 
         `until` is a soft stop: the first accepted step ending at or past it
-        returns _OK short of the target, with no step boundary forced there.
+        returns short of the target, with no step boundary forced there.
         Calling again resumes bit for bit, since t, y, h and the outgoing
         slope are kept.
         """
         o = self.opts
         if self.escape_info is not None:
-            return _ESCAPED
+            return
         if self._norm >= o.escape_threshold:
             self.escape_info = (self.t, self._norm, "threshold")
-            return _ESCAPED
+            return
         if self.h <= 0.0:
             self.h = self._initial_step(target)
         rhs, traj, atol, rtol = self.rhs, self.traj, o.abs_tol, o.rel_tol
@@ -511,7 +491,7 @@ class Stepper:
                         if bad or norm > norm_prev:  # growing
                             flag = "nonfinite" if bad else "h_min_collapse"
                             self.escape_info = (t, norm, flag)
-                            return _ESCAPED
+                            return
                         raise StepSizeCollapse(f"error test failing at h={h} <= h_min at t={t}")
                     fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
                     self.h = max(h * fac, o.h_min)
@@ -534,11 +514,10 @@ class Stepper:
                     self.h = max(h * fac, o.h_min)
                 if norm_new >= o.escape_threshold:
                     self.escape_info = (self._locate_escape(), norm_new, "threshold")
-                    return _ESCAPED
+                    return
                 if t_new >= until and not at_end:
-                    return _OK
+                    return
             t = target
-            return _OK
         finally:
             self.t, self.y, self.slope = t, np.array(y), np.array(k0)
             self._norm, self._norm_prev = norm, norm_prev
@@ -624,10 +603,11 @@ def integrate(
     delays); a bare state vector is accepted for nondelayed systems.
     `extra_stops` adds caller-known times where the right-hand side loses
     smoothness (e.g. saturation crossings) to the forced step boundaries.
-    Between two forced boundaries the input is one piece of `u` and each
-    delayed lookup that stays in the history one segment of it; both are
-    resolved once per interval (`Signal.piece`, `HistoryFn.piece`), and the
-    outgoing slope is evaluated again at each boundary.
+    Between two forced boundaries the input is one piece of `u`, and on
+    [0, d] the lookup at delay d one segment of `history.shifted(d)`; both
+    are resolved once per interval (`Signal.piece`), and the outgoing slope
+    is evaluated again at each boundary. Past d the lookup reads the dense
+    output at t - d.
     `stop = (every, ask)`: ask(traj, t) is asked at the first accepted step
     at or past t = every and then once per `every` of progress; when it
     returns True the run ends there, with the trajectory on [0, t]. The
@@ -661,20 +641,21 @@ def integrate(
     if u is None or sys.input_dim <= 0:
         u = Constant(np.zeros(max(sys.input_dim, 0)))
     delays, rhs = sys.delays, sys.rhs
+    shifted = [history.shifted(d) for d in delays]
 
-    def lookup(tq: float) -> np.ndarray:
-        # a step never outruns the shortest delay, so tq <= 0 until the
-        # stepper exists
-        return history.eval(tq) if tq <= 0.0 else stepper.traj._interp(tq)
+    def past(d: float):
+        # t -> x(t - d) once the interval passes d: from the dense output,
+        # and from the history where a delay that is no stop is straddled
+        return lambda t: history.eval(t - d) if t <= d else stepper.traj._interp(t - d)
 
     def resolve(lo: float, hi: float):
         # the input and the delayed lookups on [lo, hi], which no stop splits
         nonlocal uval, looks
         uval = u.piece(lo, hi)
-        looks = [history.piece(lo - d, hi - d) if hi - d <= 0.0 else lookup for d in delays]
+        looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
 
     def f(t, y):
-        return rhs(y, tuple([look(t - d) for look, d in zip(looks, delays)]), uval(t))
+        return rhs(y, tuple([look(t) for look in looks]), uval(t))
 
     uval = looks = None
     resolve(0.0, stops[0])
@@ -685,7 +666,8 @@ def integrate(
             resolve(lo, target)
             stepper.invalidate_rhs_cache()
         while stepper.t != target:
-            if stepper.advance(target, until=check) != _OK:
+            stepper.advance(target, until=check)
+            if stepper.escape_info is not None:
                 return stepper.outcome()
             if stepper.t >= check:
                 if ask(stepper.traj, stepper.t):

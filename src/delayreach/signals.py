@@ -59,6 +59,21 @@ def _linear(k0, k1, v0, v1):
     return line
 
 
+def _broken_line(knots, values) -> tuple[np.ndarray, np.ndarray]:
+    """The knots and the (len(knots), dim) values of a broken line, as float
+    arrays; ValueError unless both are finite, there is one value per knot
+    (at least one) and the knots strictly increase."""
+    knots = _finite(knots, "knots")
+    values = _finite(values, "values")
+    if values.ndim == 1:
+        values = values.reshape(-1, 1)
+    if len(knots) < 1 or len(knots) != len(values):
+        raise ValueError("one value per knot")
+    if len(knots) > 1 and not (np.diff(knots) > 0).all():
+        raise ValueError("knots must be strictly increasing")
+    return knots, values
+
+
 def _as_value(v) -> np.ndarray:
     arr = np.atleast_1d(_finite(v, "value"))
     if arr.ndim != 1:
@@ -151,14 +166,7 @@ class PiecewiseLinear(Signal):
     """
 
     def __init__(self, knots, values):
-        self.knots = _finite(knots, "knots")
-        self.values = _finite(values, "values")
-        if self.values.ndim == 1:
-            self.values = self.values.reshape(-1, 1)
-        if len(self.knots) != len(self.values):
-            raise ValueError("one value per knot")
-        if len(self.knots) > 1 and not (np.diff(self.knots) > 0).all():
-            raise ValueError("knots must be strictly increasing")
+        self.knots, self.values = _broken_line(knots, values)
         self.dim = self.values.shape[1]
 
     def piece(self, lo, hi):

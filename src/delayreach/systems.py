@@ -17,11 +17,10 @@ from .integrator import (
     IntegratorOptions,
     SimOutcome,
     Stepper,
-    _OK,
 )
 from . import escape_data
 from .lyap import A_MODE1, A_MODE2, Mat2
-from .signals import PiecewiseConstant, PiecewiseLinear, Signal, Window
+from .signals import PiecewiseConstant, Signal, Window
 
 
 class WindowOverlap(ValueError):
@@ -159,21 +158,15 @@ def embed_history_as_inputs(
     """Turn a history into the initial state and inputs of the nondelayed twin.
 
     Returns xi0 = history(0) and one input per delay, equal to the shifted
-    history on [0, tau_1) and zero afterwards. No input norm ever exceeds the
-    history's norm.
+    history on [0, tau_1) and zero afterwards: bit for bit the signal the
+    delayed run reads there (`HistoryFn.shifted`). No input norm ever
+    exceeds the history's norm.
     """
     delays = [float(d) for d in delays]
     if not delays:
         raise ValueError("need at least one delay")
-    tau1 = delays[0]
-    xi0 = history.eval(0.0)
-    inputs: list[Signal] = []
-    for d in delays:
-        # v_i(t) = history(t - d) on [0, tau1); shifting the knots keeps the
-        # signal defined on [0, inf) as required
-        base = PiecewiseLinear(history.knots + d, history.values)
-        inputs.append(Window(base, 0.0, tau1))
-    return xi0, inputs
+    inputs: list[Signal] = [Window(history.shifted(d), 0.0, delays[0]) for d in delays]
+    return history.eval(0.0), inputs
 
 
 def history_from_inputs(xi0, inputs, delays) -> HistoryFn:
@@ -325,7 +318,8 @@ def run_switched(
             if t_k < stepper.t:
                 # make the switching instant a node
                 stepper.rewind()
-                if stepper.advance(t_k) != _OK:
+                stepper.advance(t_k)
+                if stepper.escape_info is not None:
                     break
             mode = lam
             field[0] = planar_rhs(lam=mode)

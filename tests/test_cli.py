@@ -205,6 +205,9 @@ class TestBadInput:
             ({}, {"integrator": {"h_max": 0.1}}, ["simulate", "--system", "planar"]),
             ({}, {"integrator": {"first_step": 1e-4}}, ["simulate", "--system", "planar"]),
             ({}, {"integrator": {"delay_multiples": 0}}, ["simulate", "--system", "planar"]),
+            # a broken line through no knot
+            ({}, {"input": {"kind": "piecewise_linear", "knots": [], "values": []}},
+             ["simulate", "--system", "planar"]),
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, monkeypatch, env, cfg, argv):

@@ -13,13 +13,13 @@ from delayreach.integrator import (
     Stepper,
     StepSizeCollapse,
     Trajectory,
-    _OK,
+    _forced_stops,
     integrate,
     residual_audit,
 )
 from delayreach.probes import random_history
 from delayreach.signals import Constant, PiecewiseConstant
-from delayreach.systems import cascade_system
+from delayreach.systems import cascade_system, saturation_stop_times
 
 
 def decay_system(rate=1.0):
@@ -310,7 +310,8 @@ class TestStepperArithmetic:
         opts, t, h = IntegratorOptions(), 0.25, 1e-2
         st = Stepper(rhs, t, np.array(y), opts)
         st.h = h
-        assert st.advance(1.0, until=t) == _OK
+        st.advance(1.0, until=t)
+        assert st.escape_info is None
         assert st.nsteps == 1
 
         ks = [rhs(t, np.array(y)).tolist()]
@@ -348,10 +349,12 @@ class TestSoftStop:
         chunked = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), opts)
         soft = 0
         for target in (1.0, 2.5, 6.0):
-            assert whole.advance(target) == _OK
+            whole.advance(target)
+            assert whole.escape_info is None
             until = chunked.t + 0.3
             while chunked.t != target:
-                assert chunked.advance(target, until=until) == _OK
+                chunked.advance(target, until=until)
+                assert chunked.escape_info is None
                 if chunked.t != target:
                     # a soft stop returns at the end of the first step past until
                     assert chunked.t == chunked.traj.ts[-1] >= until > chunked.traj.ts[-2]
@@ -418,35 +421,41 @@ class TestSoftStop:
 class TestRewind:
     def test_rewind_restores_the_previous_node_bit_for_bit(self):
         st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
-        assert st.advance(1.0) == _OK
+        st.advance(1.0)
+        assert st.escape_info is None
         target, rewound = 2.0, 0
         while st.t != target:
             before = (st.t, st.y.tobytes(), len(st.traj.ts), st.slope.tobytes())
             # one accepted step: the soft stop fires at the end of the first one
-            assert st.advance(target, until=st.t) == _OK
+            st.advance(target, until=st.t)
+            assert st.escape_info is None
             dropped = traj_bytes(st.traj)
             at_end = st.t == target
             st.rewind()
             assert (st.t, st.y.tobytes(), len(st.traj.ts), st.slope.tobytes()) == before
             if at_end:
                 # the step to a forced boundary is taken again byte for byte
-                assert st.advance(target) == _OK
+                st.advance(target)
+                assert st.escape_info is None
                 assert traj_bytes(st.traj) == dropped
             else:
-                assert st.advance(target, until=st.t) == _OK
+                st.advance(target, until=st.t)
+                assert st.escape_info is None
             rewound += 1
         assert rewound > 5
 
     def test_rewind_drops_an_escape_found_in_the_last_step(self):
         st = Stepper(lambda t, y: 1.0 + y * y, 0.0, np.array([0.0]), IntegratorOptions())
-        assert st.advance(2.0) != _OK
+        st.advance(2.0)
+        assert st.escape_info is not None
         n, t_escape = len(st.traj.ts), st.escape_info[0]
         st.rewind()
         assert st.escape_info is None and len(st.traj.ts) == n - 1
         assert st.t == st.traj.ts[-1] < t_escape
         assert st.y.tobytes() == st.traj.ys[-1].tobytes()
         # a boundary before the escape is reached without escaping
-        assert st.advance(0.5 * (st.t + t_escape)) == _OK
+        st.advance(0.5 * (st.t + t_escape))
+        assert st.escape_info is None
 
     def test_nothing_to_rewind_at_the_start(self):
         st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
@@ -497,18 +506,19 @@ class TestHistoryFn:
             HistoryFn(knots, vals)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_piece_matches_eval(self, seed):
-        # windows between knots, also as a delayed lookup sees them: the ends
-        # (k + d) - d round an ulp across a knot, and one a hair below -tau
+    def test_shifted_knots_are_forced_stops(self, seed):
+        # between two forced stops a lookup at delay d on [0, d] is one
+        # segment of the shifted history: its knots are stops, bit for bit
         rng = np.random.default_rng(seed)
         d = rng.uniform(0.5, 3.0)
         h = random_history(rng, 1.0, d, 3)
-        k = h.knots
-        for cuts in (k, (k + d) - d, np.concatenate([[k[0] - 1e-10], k[1:]])):
-            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-                p = h.piece(a, b)
-                for s in [a, b] + rng.uniform(a, b, size=20).tolist():
-                    assert p(s).tobytes() == h.eval(s).tobytes(), (a, b, s)
+        T = 3.0 * d
+        knots = h.shifted(d).knots
+        inside = knots[(knots > 0.0) & (knots < T)].tolist()
+        assert len(inside) == len(h.knots) - 1
+        assert set(inside) <= set(_forced_stops(cascade_system(d), None, T, h).tolist())
+        # within its 1e-9 slack a hair below -tau, eval is the first knot's value
+        assert h.eval(np.nextafter(h.knots[0] - 1e-9, 0.0)).tobytes() == h.values[0].tobytes()
 
 
 class TestResidualAudit:
@@ -531,6 +541,20 @@ class TestResidualAudit:
         out = integrate(sys, hist, None, 3.0)
         res = residual_audit(out.trajectory, sys, None, history=hist)
         assert res <= 100.0 * IntegratorOptions().abs_tol
+
+    def test_residual_with_a_piecewise_linear_history(self):
+        # the audit reads HistoryFn.eval(t - d) point by point, so a lookup on
+        # [0, tau] read at the wrong shift shows as a defect; a constant
+        # history could not show it
+        for seed in range(6):
+            rng = np.random.default_rng((17, seed))
+            tau = rng.uniform(0.5, 2.0)
+            hist = random_history(rng, 1.0, tau, 3)
+            sys, T = cascade_system(tau), 3.0 * tau
+            out = integrate(sys, hist, None, T, extra_stops=saturation_stop_times(hist, tau, T))
+            assert not out.escaped and len(hist.knots) > 3
+            res = residual_audit(out.trajectory, sys, None, history=hist)
+            assert res <= 100.0 * IntegratorOptions().abs_tol, seed
 
 
 class TestOptionsValidation:
@@ -609,7 +633,8 @@ class TestStepperOutcomes:
 
         with np.errstate(invalid="ignore"):
             stepper = Stepper(rhs, 0.0, np.array([0.5]), IntegratorOptions(max_steps=1000))
-            assert stepper.advance(1.0) != _OK
+            stepper.advance(1.0)
+            assert stepper.escape_info is not None
         out = stepper.outcome()
         assert (out.flag, out.t_escape) == ("nonfinite", 0.0)
         assert all(math.isfinite(t) for t in times)

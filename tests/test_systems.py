@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from delayreach.integrator import HistoryFn, IntegratorOptions, Stepper, _OK, integrate
-from delayreach.probes import escape_schedule, random_history
+from delayreach.integrator import HistoryFn, IntegratorOptions, Stepper, integrate
+from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
 from delayreach.signals import PiecewiseConstant, PiecewiseLinear
 from delayreach import escape_data, systems
 from delayreach.systems import (
@@ -23,6 +23,7 @@ from delayreach.systems import (
     planar_system,
     recorded_escape,
     run_switched,
+    saturation_stop_times,
     unit_saturation,
 )
 
@@ -125,7 +126,8 @@ class TestSwitchedEscape:
         field = planar_rhs(lam=1.0)
         plain = Stepper(lambda t, y: field(y), 0.0, np.array([1.0, 0.0]),
                         IntegratorOptions(h_min=1e-14))
-        assert plain.advance(3.0) == _OK
+        plain.advance(3.0)
+        assert plain.escape_info is None
         a, b = run.outcome.trajectory, plain.outcome().trajectory
         assert len(a.ts) < 3.0 / 1e-3
         assert (a.ts.tobytes(), a.ys.tobytes(), a.qs.tobytes()) == (
@@ -294,6 +296,23 @@ class TestEmbeddings:
             assert np.allclose(
                 out_d.trajectory.eval(t), out_a.trajectory.eval(t), atol=1e-8
             )
+
+    def test_delayed_run_is_the_embedded_run_bit_for_bit(self):
+        # on [0, tau] the cascade's delayed feed is the shifted history, the
+        # very signal the associated system gets as input, and both runs
+        # force the same stops: the two runs are one computation
+        for tau in (1.0, default_cascade_delay()):
+            for opts in (IntegratorOptions(), PROBE_OPTS):
+                for i in range(25):
+                    rng = np.random.default_rng((15, i))
+                    hist = random_history(rng, rng.uniform(0.1, 10.0), tau, 3)
+                    stops = saturation_stop_times(hist, tau, tau)
+                    xi0, inputs = embed_history_as_inputs(hist, (tau,))
+                    runs = [integrate(cascade_system(tau), hist, None, tau, opts, stops),
+                            integrate(associated_system(), xi0, inputs[0], tau, opts, stops)]
+                    a, b = (r.trajectory for r in runs)
+                    assert (a.ts.tobytes(), a.ys.tobytes(), a.qs.tobytes()) == (
+                        b.ts.tobytes(), b.ys.tobytes(), b.qs.tobytes()), (tau, opts, i)
 
     def test_window_overlap_detected(self):
         with pytest.raises(WindowOverlap):
