@@ -321,8 +321,12 @@ class HistoryFn:
     def shifted(self, d: float) -> PiecewiseLinear:
         """t -> self(t - d) as a signal: the broken line through knots + d,
         constant beyond its ends. Its knots inside (0, T) are, bit for bit,
-        the history stops `_forced_stops` forces at the first multiple of d."""
-        return PiecewiseLinear(self.knots + d, self.values)
+        the history stops `_forced_stops` forces at the first multiple of d.
+        Knots closer than an ulp of d round together under + d; the later
+        one stays."""
+        k = self.knots + d
+        keep = np.append(k[:-1] < k[1:], True)
+        return PiecewiseLinear(k[keep], self.values[keep])
 
     def norm(self) -> float:
         """Exact sup norm over [-tau, 0] (max |.|_inf): the largest knot value."""

@@ -521,6 +521,14 @@ class TestHistoryFn:
         assert h.eval(np.nextafter(h.knots[0] - 1e-9, 0.0)).tobytes() == h.values[0].tobytes()
 
 
+    def test_knots_an_ulp_apart_round_together_under_the_shift(self):
+        # the later knot stays, as in the forced stops, and the run goes through
+        h = HistoryFn([-1.0, -1e-17, 0.0], [[0.5, 0.1, 0.0], [0.2, 0.1, 0.0], [0.3, 0.1, 0.0]])
+        s = h.shifted(1.0)
+        assert s.knots.tolist() == [0.0, 1.0] and s.values[:, 0].tolist() == [0.5, 0.3]
+        assert not integrate(cascade_system(1.0), h, None, 2.0).escaped
+
+
 class TestResidualAudit:
     def test_small_residual_on_completed_run(self):
         out = integrate(decay_system(), np.array([1.0]), None, 2.0)
