@@ -520,7 +520,6 @@ class TestHistoryFn:
         # within its 1e-9 slack a hair below -tau, eval is the first knot's value
         assert h.eval(np.nextafter(h.knots[0] - 1e-9, 0.0)).tobytes() == h.values[0].tobytes()
 
-
     def test_knots_an_ulp_apart_round_together_under_the_shift(self):
         # the later knot stays, as in the forced stops, and the run goes through
         h = HistoryFn([-1.0, -1e-17, 0.0], [[0.5, 0.1, 0.0], [0.2, 0.1, 0.0], [0.3, 0.1, 0.0]])

@@ -308,9 +308,8 @@ class TestEmbeddings:
                     hist = random_history(rng, rng.uniform(0.1, 10.0), tau, 3)
                     stops = saturation_stop_times(hist, tau, tau)
                     xi0, inputs = embed_history_as_inputs(hist, (tau,))
-                    runs = [integrate(cascade_system(tau), hist, None, tau, opts, stops),
-                            integrate(associated_system(), xi0, inputs[0], tau, opts, stops)]
-                    a, b = (r.trajectory for r in runs)
+                    a = integrate(cascade_system(tau), hist, None, tau, opts, stops).trajectory
+                    b = integrate(associated_system(), xi0, inputs[0], tau, opts, stops).trajectory
                     assert (a.ts.tobytes(), a.ys.tobytes(), a.qs.tobytes()) == (
                         b.ts.tobytes(), b.ys.tobytes(), b.qs.tobytes()), (tau, opts, i)
 
