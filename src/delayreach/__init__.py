@@ -19,7 +19,6 @@ from .integrator import (
     StepSizeCollapse,
     Trajectory,
     integrate,
-    residual_audit,
 )
 from .lyap import (
     A_MODE1,

@@ -11,9 +11,10 @@ shifted by each delay and at the first few multiples of the shortest
 delay, where the solution loses smoothness. Between two forced stops the
 input and each shifted history are therefore one closed-form piece each:
 they are resolved once per interval, not searched for at every
-right-hand-side evaluation. The right-hand side takes and
-returns 1-D ndarrays; a step itself is ordered float arithmetic per
-component (see `Stepper`), with no array temporaries. Unboundedness is the
+right-hand-side evaluation. The right-hand side takes the state as a
+sequence of floats and returns its derivative as a list of floats, and a
+step is ordered float arithmetic per component on those lists (see
+`Stepper`), with no array between two stages. Unboundedness is the
 only failure mode of the underlying solution concept, so crossing a norm
 threshold (or a step-size collapse while the norm is growing) is reported
 as a finite-escape outcome, not as an error.
@@ -25,7 +26,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,16 +81,6 @@ _P31, _P32, _P33 = -1754552775 / 470086768, 14199869525 / 1410260304, -106907639
 _P41, _P42, _P43 = 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632
 _P51, _P52, _P53 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844
 _P61, _P62, _P63 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
-
-# the residual audit: its random sample count and seed, and the 5-point
-# Gauss-Legendre nodes/weights on [0, 1] of its quadrature
-_AUDIT_SAMPLES = 20
-_AUDIT_SEED = 0
-_GL_X = (1.0 + np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
-                         0.5384693101056831, 0.9061798459386640])) / 2.0
-_GL_W = np.array([0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-                  0.4786286704993665, 0.2369268850561891]) / 2.0
-
 
 @dataclass(frozen=True)
 class IntegratorOptions:
@@ -233,8 +224,13 @@ class Trajectory:
         i = self._segment(t)
         if t == self.ts[i + 1]:
             return self.ys[i + 1]
-        th = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
-        return _quartic_eval(self.ys[i], self.qs[i], th)
+        # `_quartic_eval` per component on floats: numpy's elementwise
+        # arithmetic rounds the same, without its per-call cost
+        t0, t1 = self.ts[i : i + 2].tolist()
+        th = (t - t0) / (t1 - t0)
+        q0, q1, q2, q3 = self.qs[i].tolist()
+        return np.array([y + th * (a + th * (b + th * (c + th * d)))
+                         for y, a, b, c, d in zip(self.ys[i].tolist(), q0, q1, q2, q3)])
 
     def eval(self, t: float) -> np.ndarray:
         if not (self.t_start - 1e-12 <= t <= self.t_end + 1e-12):
@@ -316,7 +312,7 @@ class HistoryFn:
             return v[0]
         s = min(max(s, k0), kn)
         i = min(int(np.searchsorted(k, s, side="right")) - 1, len(k) - 2)
-        return _linear(k[i], k[i + 1], v[i], v[i + 1])(s)
+        return np.array(_linear(k[i], k[i + 1], v[i], v[i + 1])(s))
 
     def shifted(self, d: float) -> PiecewiseLinear:
         """t -> self(t - d) as a signal: the broken line through knots + d,
@@ -337,15 +333,16 @@ class HistoryFn:
 class DiscreteDelaySystem:
     """State dim n, input dim m, strictly increasing positive delays.
 
-    rhs(y, delayed, u) receives the current state, one delayed state per
-    delay (in order) and the input value; delays=() encodes a nondelayed
-    system.
+    rhs(y, delayed, u) receives the current state as a sequence of floats,
+    one delayed state per delay (in order) and the input value, each a
+    sequence of floats, and returns the derivative as a list of floats;
+    delays=() encodes a nondelayed system.
     """
 
     dim: int
     input_dim: int
     delays: tuple
-    rhs: Callable[[np.ndarray, tuple, np.ndarray], np.ndarray]
+    rhs: Callable[[Sequence[float], tuple, Sequence[float]], list]
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.delays)
@@ -374,18 +371,19 @@ class SimOutcome:
 class Stepper:
     """Incremental adaptive DP5(4) driver over a caller-supplied rhs.
 
-    rhs(t, y) takes the state as a 1-D ndarray and returns its derivative as
-    one. It must be smooth on each interval advanced over, up to and
-    including its target: a caller whose rhs changes at a forced boundary
-    swaps it there and calls `invalidate_rhs_cache`, so the steps before it
-    use the left limit and dense output stays one-sided. Every attempted
-    step is counted in `nsteps`; accepted ones extend `traj`.
+    rhs(t, y) takes the state as a list of floats and returns its derivative
+    as a list of floats. It must be smooth on each interval advanced over,
+    up to and including its target: a caller whose rhs changes at a forced
+    boundary swaps it there and calls `invalidate_rhs_cache`, so the steps
+    before it use the left limit and dense output stays one-sided. Every
+    attempted step is counted in `nsteps`; accepted ones extend `traj`.
 
     A step is float arithmetic per component: each stage argument, the
     5th-order solution, the error estimate and the dense-output coefficients
     are sums of the tableau's nonzero terms in stage order, so a component's
-    rounding depends on that component's stages alone. `y` and the outgoing
-    slope `slope` are ndarrays between calls of `advance`.
+    rounding depends on that component's stages alone. The stages pass
+    between the rhs and these sums as lists, with no conversion; `y` and the
+    outgoing slope `slope` are ndarrays between calls of `advance`.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap=None):
@@ -395,7 +393,7 @@ class Stepper:
         self.opts = opts
         self._h_top = h_cap or math.inf
         # the slope at (t, y): stage 0 of the next step
-        self.slope = np.array(rhs(self.t, self.y), dtype=float)
+        self.slope = np.array(rhs(self.t, self.y.tolist()), dtype=float)
         self.traj = Trajectory(self.t, self.y)
         self.h = 0.0
         self.nsteps = 0
@@ -404,7 +402,7 @@ class Stepper:
 
     def invalidate_rhs_cache(self):
         """Call after the rhs changed at the current time (e.g. new input piece)."""
-        self.slope = np.array(self.rhs(self.t, self.y), dtype=float)
+        self.slope = np.array(self.rhs(self.t, self.y.tolist()), dtype=float)
 
     def _initial_step(self, target):
         o = self.opts
@@ -418,7 +416,7 @@ class Stepper:
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, target - self.t, self._h_top)
         y1 = self.y + h0 * k1
-        f1 = self.rhs(self.t + h0, y1)
+        f1 = np.array(self.rhs(self.t + h0, y1.tolist()))
         d2 = float(np.sqrt(np.mean(((f1 - k1) / scale) ** 2))) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -464,22 +462,22 @@ class Stepper:
                     h = target - t
                 t_new = target if at_end else t + h
                 ys = [a + h * (_A10 * b0) for a, b0 in zip(y, k0)]
-                k1 = rhs(t + _C1 * h, np.array(ys)).tolist()
+                k1 = rhs(t + _C1 * h, ys)
                 ys = [a + h * (_A20 * b0 + _A21 * b1) for a, b0, b1 in zip(y, k0, k1)]
-                k2 = rhs(t + _C2 * h, np.array(ys)).tolist()
+                k2 = rhs(t + _C2 * h, ys)
                 ys = [a + h * (_A30 * b0 + _A31 * b1 + _A32 * b2)
                       for a, b0, b1, b2 in zip(y, k0, k1, k2)]
-                k3 = rhs(t + _C3 * h, np.array(ys)).tolist()
+                k3 = rhs(t + _C3 * h, ys)
                 ys = [a + h * (_A40 * b0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
                       for a, b0, b1, b2, b3 in zip(y, k0, k1, k2, k3)]
-                k4 = rhs(t + _C4 * h, np.array(ys)).tolist()
+                k4 = rhs(t + _C4 * h, ys)
                 ys = [a + h * (_A50 * b0 + _A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
                       for a, b0, b1, b2, b3, b4 in zip(y, k0, k1, k2, k3, k4)]
-                k5 = rhs(t_new, np.array(ys)).tolist()
+                k5 = rhs(t_new, ys)
                 # the last stage argument is the 5th-order solution (FSAL)
                 y_new = [a + h * (_B0 * b0 + _B2 * b2 + _B3 * b3 + _B4 * b4 + _B5 * b5)
                          for a, b0, b2, b3, b4, b5 in zip(y, k0, k2, k3, k4, k5)]
-                k6 = rhs(t_new, np.array(y_new)).tolist()
+                k6 = rhs(t_new, y_new)
                 # max() skips a NaN that is not first; err does not: every
                 # stage but k1 has a nonzero weight in it, and max(NaN, x) is NaN
                 norm_new = max([abs(v) for v in y_new])
@@ -678,55 +676,3 @@ def integrate(
                     return stepper.outcome()
                 check = stepper.t + every
     return stepper.outcome()
-
-
-def residual_audit(
-    traj: Trajectory,
-    sys: DiscreteDelaySystem,
-    u: Optional[Signal],
-    history: Optional[HistoryFn] = None,
-) -> float:
-    """Max defect of the integral form x(t) - x(0) - int_0^t f over samples.
-
-    Quadrature is 5-point Gauss-Legendre per dense-output segment, so nodes
-    are interior and never touch an input breakpoint. Delayed lookups are
-    served from the trajectory itself (and the history before time 0).
-    """
-
-    def lookup(tq: float) -> np.ndarray:
-        if tq <= 0.0:
-            if history is None:
-                raise ValueError("history required to audit a delayed system")
-            return history.eval(tq)
-        return traj.eval(tq)
-
-    zero_u = np.zeros(max(sys.input_dim, 0))
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        # the public evaluators, per point: a cross-check of integrate's pieces
-        uval = zero_u if u is None or sys.input_dim <= 0 else u.eval(t)
-        return sys.rhs(y, tuple([lookup(t - d) for d in sys.delays]), uval)
-
-    def seg_integral(a: float, b: float) -> np.ndarray:
-        ts = a + (b - a) * _GL_X
-        acc = np.zeros(traj.dim)
-        for w, s in zip(_GL_W, ts):
-            acc += w * f(s, traj.eval(s))
-        return (b - a) * acc
-
-    n_seg = len(traj.ts) - 1
-    cum = np.zeros((n_seg + 1, traj.dim))
-    for i in range(n_seg):
-        cum[i + 1] = cum[i] + seg_integral(traj.ts[i], traj.ts[i + 1])
-
-    rng = np.random.default_rng(_AUDIT_SEED)
-    samples = traj.t_start + (traj.t_end - traj.t_start) * rng.random(_AUDIT_SAMPLES)
-    samples = np.concatenate([samples, [traj.t_end]])
-    x0 = traj.eval(traj.t_start)
-    worst = 0.0
-    for t in samples:
-        i = traj._segment(t)
-        q = cum[i] + (seg_integral(traj.ts[i], t) if t > traj.ts[i] else 0.0)
-        defect = traj.eval(t) - x0 - q
-        worst = max(worst, float(np.abs(defect).max()))
-    return worst

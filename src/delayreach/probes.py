@@ -190,9 +190,9 @@ def _exact_feed(history: HistoryFn, tau: float, T: float) -> tuple[Signal, np.nd
     z0 <= 1 never crosses 0 or 1 after tau; one with z0 > 1 crosses 1 at
     tau + ln z0.
     """
-    z = history.values[:, :1]
+    line = history.shifted(tau)
     z0 = float(history.eval(0.0)[0])
-    w = Concatenation(PiecewiseLinear(history.knots + tau, z), ExponentialTail([z0], 1.0, tau), tau)
+    w = Concatenation(PiecewiseLinear(line.knots, line.values[:, :1]), ExponentialTail([z0], 1.0, tau), tau)
     stops = saturation_stop_times(history, tau, T)
     if z0 > 1.0 and tau + math.log(z0) < T:
         stops = np.append(stops, tau + math.log(z0))

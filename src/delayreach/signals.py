@@ -9,8 +9,9 @@ breakpoints.
 
 Between two consecutive breakpoints a signal is one closed-form piece.
 `piece(lo, hi)` resolves it once and returns it as a function of t, so the
-integrator pays no index search per evaluation; `eval(t)` is the piece
-through t, resolved at t.
+integrator pays no index search per evaluation; a piece's value is a
+sequence of floats, which the right-hand side reads per component.
+`eval(t)` is the piece through t, resolved at t, as a 1-D ndarray.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _linear(k0, k1, v0, v1):
 
     def line(t):
         w = (t - a) / span
-        return np.array([(1.0 - w) * p + w * q for p, q in pairs])
+        return [(1.0 - w) * p + w * q for p, q in pairs]
 
     return line
 
@@ -87,11 +88,12 @@ class Signal:
     dim: int
 
     def eval(self, t: float) -> np.ndarray:
-        """Value at t: the piece through t, resolved at t."""
-        return self.piece(t, t)(t)
+        """Value at t: the piece through t, resolved at t, as an ndarray."""
+        return np.asarray(self.piece(t, t)(t), dtype=float)
 
     def piece(self, lo: float, hi: float):
-        """The signal on [lo, hi], which no breakpoint splits, as t -> value.
+        """The signal on [lo, hi], which no breakpoint splits, as t -> value,
+        a sequence of floats (a list, or the ndarray of a constant piece).
 
         It is the formula `eval` applies at lo, with its piece fixed: bit for
         bit `eval` on [lo, hi), and the limit from the left at hi. OutOfDomain
@@ -198,8 +200,14 @@ class ExponentialTail(Signal):
         if lo < self.start:
             return _constant(self.value)
         # at start itself the decay is exp(-0) = 1 exactly: the frozen value
-        value, rate, start = self.value, self.rate, self.start
-        return lambda t: value * np.exp(-rate * (t - start))
+        # np.exp, not math.exp: the two differ in the last bit on some arguments
+        value, rate, start = self.value.tolist(), self.rate, self.start
+
+        def decay(t):
+            e = float(np.exp(-rate * (t - start)))
+            return [v * e for v in value]
+
+        return decay
 
     def breakpoints(self, lo, hi):
         if lo < self.start < hi:

@@ -57,17 +57,18 @@ def _blend(m1: tuple, m2: tuple, lam: float) -> tuple:
     return lam * p11 + mu * q11, lam * p12 + mu * q12, lam * p21 + mu * q21, lam * p22 + mu * q22
 
 
-def _field(a: tuple, x: np.ndarray) -> np.ndarray:
+def _field(a: tuple, x) -> list:
     """(1 + |x|_2^2) A x for the row-major entries a of A, each sum of two
     products rounded in this order (numpy's dot may fuse them, by shape)."""
     a11, a12, a21, a22 = a
-    x1, x2 = x.tolist()
+    x1, x2 = x
     c = 1.0 + (x1 * x1 + x2 * x2)
-    return np.array([c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)])
+    return [c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)]
 
 
 def planar_rhs(params: PlanarParams = DEFAULT_PLANAR, lam: Optional[float] = None) -> Callable:
-    """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state.
+    """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state: x is a
+    pair of floats and g returns a list of two.
 
     With `lam` given, g ignores u and applies A(sat(lam)), blended once: the
     field of one mode of a switched run, bit for bit the blended field at u = lam.
@@ -76,12 +77,12 @@ def planar_rhs(params: PlanarParams = DEFAULT_PLANAR, lam: Optional[float] = Non
     if lam is not None:
         a_fixed = _blend(m1, m2, unit_saturation(lam))
 
-        def g_fixed(x: np.ndarray, u=None) -> np.ndarray:
+        def g_fixed(x, u=None) -> list:
             return _field(a_fixed, x)
 
         return g_fixed
 
-    def g(x: np.ndarray, u: float) -> np.ndarray:
+    def g(x, u: float) -> list:
         return _field(_blend(m1, m2, unit_saturation(float(u))), x)
 
     return g
@@ -109,11 +110,8 @@ def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> Discret
     g = planar_rhs(params)
 
     def rhs(y, delayed, u):
-        z = y[0]
-        x = y[1:3]
-        z_del = delayed[0][0]
-        gx = g(x, z_del)
-        return np.array([-z, gx[0], gx[1]])
+        gx = g(y[1:3], delayed[0][0])
+        return [-y[0], gx[0], gx[1]]
 
     return DiscreteDelaySystem(dim=3, input_dim=0, delays=(tau,), rhs=rhs)
 
@@ -123,10 +121,8 @@ def associated_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySys
     g = planar_rhs(params)
 
     def rhs(y, delayed, u):
-        z = y[0]
-        x = y[1:3]
-        gx = g(x, u[0])
-        return np.array([-z, gx[0], gx[1]])
+        gx = g(y[1:3], u[0])
+        return [-y[0], gx[0], gx[1]]
 
     return DiscreteDelaySystem(dim=3, input_dim=1, delays=(), rhs=rhs)
 

@@ -14,7 +14,6 @@ from delayreach.integrator import (
     HistoryFn,
     IntegratorOptions,
     integrate,
-    residual_audit,
 )
 from delayreach.lyap import A_MODE1, A_MODE2, blend, is_hurwitz, lyapunov_residual, solve_lyapunov
 from delayreach.probes import (
@@ -33,6 +32,8 @@ from delayreach.systems import (
     embed_history_as_inputs,
     saturation_stop_times,
 )
+
+from audit import residual_audit
 
 ORACLE_OPTS = IntegratorOptions()  # rel_tol 1e-8, abs_tol 1e-9
 
@@ -58,12 +59,12 @@ def test_criterion_1_lyapunov_certification():
 
 def test_criterion_2_integrator_oracles():
     tol = 10.0 * ORACLE_OPTS.rel_tol
-    decay = DiscreteDelaySystem(dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: -y)
+    decay = DiscreteDelaySystem(dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: [-v for v in y])
     out = integrate(decay, np.array([1.0]), None, 1.0, ORACLE_OPTS)
     err_decay = abs(out.trajectory.eval(1.0)[0] - math.exp(-1.0))
 
     burst = DiscreteDelaySystem(
-        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: 1.0 + y * y
+        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: [1.0 + v * v for v in y]
     )
     out_b = integrate(burst, np.array([0.0]), None, 5.0, ORACLE_OPTS)
     err_escape = abs(out_b.t_escape - math.pi / 2.0)
@@ -146,7 +147,7 @@ def test_criterion_7_embedding_equivalence():
 
 def test_criterion_8_integral_form_audit():
     bound = 100.0 * ORACLE_OPTS.abs_tol
-    decay = DiscreteDelaySystem(dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: -y)
+    decay = DiscreteDelaySystem(dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: [-v for v in y])
     runs = []
     out = integrate(decay, np.array([1.0]), None, 2.0, ORACLE_OPTS)
     runs.append(("decay", residual_audit(out.trajectory, decay, None)))

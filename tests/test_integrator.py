@@ -14,24 +14,32 @@ from delayreach.integrator import (
     StepSizeCollapse,
     Trajectory,
     _forced_stops,
+    _quartic_eval,
     integrate,
-    residual_audit,
 )
 from delayreach.probes import random_history
-from delayreach.signals import Constant, PiecewiseConstant
-from delayreach.systems import cascade_system, saturation_stop_times
+from delayreach.signals import Constant, ExponentialTail, PiecewiseConstant
+from delayreach.systems import (
+    associated_system,
+    cascade_system,
+    planar_rhs,
+    planar_system,
+    saturation_stop_times,
+)
+
+from audit import residual_audit
 
 
 def decay_system(rate=1.0):
     return DiscreteDelaySystem(
-        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: -rate * y
+        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: [-rate * v for v in y]
     )
 
 
 def tan_system():
     # x' = 1 + x^2 from 0 blows up at pi/2 with x(t) = tan(t)
     return DiscreteDelaySystem(
-        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: 1.0 + y * y
+        dim=1, input_dim=0, delays=(), rhs=lambda y, d, u: [1.0 + v * v for v in y]
     )
 
 
@@ -39,7 +47,7 @@ def delayed_unit_system():
     # x'(t) = -x(t - 1); from constant history 1 the solution is a
     # polynomial spline computable by hand, one degree per unit interval
     return DiscreteDelaySystem(
-        dim=1, input_dim=0, delays=(1.0,), rhs=lambda y, d, u: -d[0]
+        dim=1, input_dim=0, delays=(1.0,), rhs=lambda y, d, u: [-v for v in d[0]]
     )
 
 
@@ -53,7 +61,7 @@ class TestScalarOracles:
         # x' = -x + u with u = 1 on [0, 1), 0 after: closed form by variation
         # of constants on each piece
         sys = DiscreteDelaySystem(
-            dim=1, input_dim=1, delays=(), rhs=lambda y, d, u: -y + u
+            dim=1, input_dim=1, delays=(), rhs=lambda y, d, u: [-a + b for a, b in zip(y, u)]
         )
         u = PiecewiseConstant([1.0, 0.0], [1.0])
         out = integrate(sys, np.array([0.0]), u, 3.0)
@@ -126,7 +134,7 @@ class TestDenseOutput:
             dim=2,
             input_dim=0,
             delays=(),
-            rhs=lambda y, d, u: np.array([y[1], -y[0]]),
+            rhs=lambda y, d, u: [y[1], -y[0]],
         )
         out = integrate(sys, np.array([1.0, 0.0]), None, 7.0)
         traj = out.trajectory
@@ -259,7 +267,8 @@ def traj_bytes(traj):
 
 
 def rotating_rhs(t, y):
-    return np.array([-y[1], y[0]]) * (1.0 + 0.1 * np.sin(t))
+    c = 1.0 + 0.1 * math.sin(t)
+    return [-y[1] * c, y[0] * c]
 
 
 # Dormand-Prince 5(4), written out here independently of the module: the
@@ -305,7 +314,7 @@ class TestStepperArithmetic:
         m, v, y = rng.normal(size=(dim, dim)), rng.normal(size=dim), rng.normal(size=dim).tolist()
 
         def rhs(t, x):
-            return m @ x + t * v
+            return (m @ np.array(x) + t * v).tolist()
 
         opts, t, h = IntegratorOptions(), 0.25, 1e-2
         st = Stepper(rhs, t, np.array(y), opts)
@@ -314,10 +323,10 @@ class TestStepperArithmetic:
         assert st.escape_info is None
         assert st.nsteps == 1
 
-        ks = [rhs(t, np.array(y)).tolist()]
+        ks = [rhs(t, y)]
         for c, row in zip(DP_C[1:], DP_A[1:]):
             arg = [y[i] + h * ordered_sum(row, ks, i) for i in range(dim)]
-            ks.append(rhs(t + c * h, np.array(arg)).tolist())
+            ks.append(rhs(t + c * h, arg))
         y_new = arg
         e = [b - bs for b, bs in zip(DP_A[6] + (0.0,), DP_BSTAR)]
         sq = 0.0
@@ -330,9 +339,10 @@ class TestStepperArithmetic:
         q = [[h * ordered_sum([row[col] for row in DP_P], ks, i) for i in range(dim)] for col in range(4)]
 
         assert st.t == st.traj.ts[1] == t + h
-        assert st.traj.ys[1].tolist() == y_new
-        assert st.traj.qs[0].tolist() == q
-        assert st.slope.tolist() == ks[6]
+        # bytes, not float ==, which would let -0.0 stand for 0.0
+        assert st.traj.ys[1].tobytes() == np.array(y_new).tobytes()
+        assert st.traj.qs[0].tobytes() == np.array(q).tobytes()
+        assert st.slope.tobytes() == np.array(ks[6]).tobytes()
         assert st.h == max(h * min(5.0, max(0.2, 0.9 * err ** -0.2)), opts.h_min)
         # the tableau as matrix products, summed in numpy's order: equal to
         # within a few ulps of the state
@@ -340,6 +350,80 @@ class TestStepperArithmetic:
         ulps = 8.0 * np.finfo(float).eps * max(1.0, np.abs(y_new).max())
         assert np.abs(st.traj.ys[1] - (np.array(y) + h * (np.array(DP_A[6]) @ k[:6]))).max() <= ulps
         assert np.abs(st.traj.qs[0] - h * (np.array(DP_P).T @ k)).max() <= ulps
+
+
+def array_interp(traj, t):
+    """Trajectory._interp as numpy arithmetic on the segment's arrays."""
+    if len(traj.ts) == 1:
+        return traj.ys[0]
+    i = traj._segment(t)
+    if t == traj.ts[i + 1]:
+        return traj.ys[i + 1]
+    th = (t - traj.ts[i]) / (traj.ts[i + 1] - traj.ts[i])
+    return _quartic_eval(traj.ys[i], traj.qs[i], th)
+
+
+def is_float_list(v):
+    return type(v) is list and all(type(x) is float for x in v)
+
+
+class TestFloatContract:
+    """The stage loop passes lists of Python floats to the rhs and back; these
+    pins keep ndarrays and numpy scalars out of it, and keep the float
+    arithmetic bit for bit the array arithmetic it replaced."""
+
+    def test_rhs_return_lists_of_floats(self):
+        rng = np.random.default_rng(4)
+        blended, fixed = planar_rhs(), planar_rhs(lam=0.3)
+        planar, casc, assoc = planar_system(), cascade_system(1.0), associated_system()
+        for _ in range(50):
+            y = rng.uniform(-3.0, 3.0, size=3).tolist()
+            w = rng.uniform(-1.0, 2.0, size=1)
+            # pieces hand over lists, constant pieces and dense output ndarrays
+            for u in (w.tolist(), w):
+                assert is_float_list(blended(y[1:], u[0]))
+                assert is_float_list(fixed(y[1:]))
+                assert is_float_list(planar.rhs(y[1:], (), u))
+                assert is_float_list(casc.rhs(y, (u,), None))
+                assert is_float_list(assoc.rhs(y, (), u))
+
+    def test_interp_is_the_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        n = 0
+        for dim in (1, 2, 3):
+            for _ in range(4):
+                m = 834
+                scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(m + 1, dim))
+                ys = rng.normal(size=(m + 1, dim)) * scale
+                ys[rng.random(size=ys.shape) < 0.05] = -0.0
+                traj = Trajectory(0.0, ys[0])
+                t = 0.0
+                for k in range(m):
+                    t += 10.0 ** rng.uniform(-6.0, 0.0)
+                    traj._append(t, ys[k + 1], rng.normal(size=(4, dim)) * scale[k])
+                ts = traj.ts
+                # theta = 0 at each node, the last node itself, and one random
+                # instant inside every segment
+                for t in ts.tolist() + rng.uniform(ts[:-1], ts[1:]).tolist():
+                    assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+                n += m
+        assert n >= 10_000
+        single = Trajectory(1.0, np.array([-0.0, 2.0]))
+        for t in (0.0, 1.0, 3.0):
+            assert single._interp(t).tobytes() == array_interp(single, t).tobytes()
+
+    def test_exponential_tail_is_the_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(2_000):
+            value = rng.normal(size=int(rng.integers(1, 4))) * 10.0 ** rng.uniform(-3.0, 3.0)
+            rate, start = rng.uniform(-0.5, 3.0), rng.uniform(0.0, 3.0)
+            sig = ExponentialTail(value, rate, start)
+            lo = start + rng.uniform(0.0, 5.0)
+            p = sig.piece(lo, lo + 10.0)
+            for t in (lo + rng.uniform(0.0, 10.0, size=10)).tolist():
+                out = p(t)
+                assert is_float_list(out)
+                assert np.array(out).tobytes() == (value * np.exp(-rate * (t - start))).tobytes()
 
 
 class TestSoftStop:
@@ -445,7 +529,7 @@ class TestRewind:
         assert rewound > 5
 
     def test_rewind_drops_an_escape_found_in_the_last_step(self):
-        st = Stepper(lambda t, y: 1.0 + y * y, 0.0, np.array([0.0]), IntegratorOptions())
+        st = Stepper(lambda t, y: [1.0 + v * v for v in y], 0.0, np.array([0.0]), IntegratorOptions())
         st.advance(2.0)
         assert st.escape_info is not None
         n, t_escape = len(st.traj.ts), st.escape_info[0]
@@ -604,7 +688,7 @@ class TestStepperOutcomes:
             dim=len(y0),
             input_dim=0,
             delays=(),
-            rhs=lambda y, d, u: y if np.abs(y).max() < 2.0 else beyond(y),
+            rhs=lambda y, d, u: y if all(abs(v) < 2.0 for v in y) else beyond(y),
         )
         out = integrate(sys, np.array(y0), None, 5.0, IntegratorOptions(h_min=1e-6))
         assert out.escaped
@@ -613,7 +697,7 @@ class TestStepperOutcomes:
         assert out.t_escape < math.log(2.0)
 
     def test_nonfinite_rhs_is_an_escape(self):
-        self.assert_nonfinite_escape([1.0], lambda y: np.array([math.nan]))
+        self.assert_nonfinite_escape([1.0], lambda y: [math.nan])
 
     @pytest.mark.parametrize(
         "y0, beyond",
@@ -621,8 +705,8 @@ class TestStepperOutcomes:
             # only the second component turns NaN, below a finite first one:
             # max() of floats skips a NaN that is not first, so the error
             # norm has to catch it
-            ([1.0, 0.5], lambda y: np.array([y[0], math.nan])),
-            ([1.0], lambda y: np.array([math.inf])),
+            ([1.0, 0.5], lambda y: [y[0], math.nan]),
+            ([1.0], lambda y: [math.inf]),
         ],
         ids=["nan_in_second_component", "inf"],
     )
@@ -636,7 +720,7 @@ class TestStepperOutcomes:
 
         def rhs(t, y):
             times.append(t)
-            return np.sqrt(y - 1.0)
+            return np.sqrt(np.array(y) - 1.0).tolist()
 
         with np.errstate(invalid="ignore"):
             stepper = Stepper(rhs, 0.0, np.array([0.5]), IntegratorOptions(max_steps=1000))

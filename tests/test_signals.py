@@ -307,10 +307,10 @@ class TestSignalProperties:
                 # the instants where the definition changes, read off the parameters
                 inside = [t for t in defining_instants(sig).tolist() if a < t < b]
                 for t in [a, np.nextafter(b, -np.inf)] + rng.uniform(a, b, size=20).tolist() + inside:
-                    assert p(t).tobytes() == sig.eval(t).tobytes(), (a, b, t)
+                    assert np.array(p(t)).tobytes() == sig.eval(t).tobytes(), (a, b, t)
                 assert np.allclose(p(b), sig.eval(np.nextafter(b, -np.inf)), rtol=0.0, atol=1e-9)
             # the window's own end is no breakpoint: the last piece is eval there
-            assert p(hi).tobytes() == sig.eval(hi).tobytes()
+            assert np.array(p(hi)).tobytes() == sig.eval(hi).tobytes()
 
     def test_piece_refuses_negative_times(self):
         with pytest.raises(OutOfDomain):

@@ -42,15 +42,15 @@ class TestPlanarRhs:
         # at x=(1,0), |x|^2=1 so the cubic factor is 2; saturated inputs pick
         # the pure gain matrices: 2*A(0)@(1,0) = (-0.2,-4), 2*A(1)@(1,0) = (0,-1)
         g = planar_rhs()
-        assert np.allclose(g(np.array([1.0, 0.0]), -5.0), [-0.2, -4.0])
-        assert np.allclose(g(np.array([1.0, 0.0]), 5.0), [0.0, -1.0])
+        assert np.allclose(g([1.0, 0.0], -5.0), [-0.2, -4.0])
+        assert np.allclose(g([1.0, 0.0], 5.0), [0.0, -1.0])
 
     def test_blend_midpoint(self):
         g = planar_rhs()
         mid = 0.5 * (DEFAULT_PLANAR.a1.as_array() + DEFAULT_PLANAR.a2.as_array())
         x = np.array([0.5, -0.25])
         expect = (1.0 + float(x @ x)) * (mid @ x)
-        assert np.allclose(g(x, 0.5), expect)
+        assert np.allclose(g(x.tolist(), 0.5), expect)
 
     def test_field_is_the_hand_ordered_expression(self):
         # each entry and each sum of two products rounded in this order, so a
@@ -67,15 +67,16 @@ class TestPlanarRhs:
             a21, a22 = lam * a.a21 + mu * b.a21, lam * a.a22 + mu * b.a22
             c = 1.0 + (x1 * x1 + x2 * x2)
             expect = np.array([c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)])
-            assert g(np.array([x1, x2]), u).tobytes() == expect.tobytes(), (x1, x2, u)
+            assert np.array(g([x1, x2], u)).tobytes() == expect.tobytes(), (x1, x2, u)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, -3.0, 4.0, 0.25])
     def test_fixed_mode_matches_the_blend_bit_for_bit(self, lam):
         blended, fixed = planar_rhs(), planar_rhs(lam=lam)
         rng = np.random.default_rng(5)
-        for x in rng.uniform(-3.0, 3.0, size=(50, 2)):
+        for x in rng.uniform(-3.0, 3.0, size=(50, 2)).tolist():
             # the fixed-mode field ignores its input
-            assert fixed(x, 0.7).tobytes() == fixed(x).tobytes() == blended(x, lam).tobytes()
+            a, b, c = (np.array(v).tobytes() for v in (fixed(x, 0.7), fixed(x), blended(x, lam)))
+            assert a == b == c
 
 
 class TestGreedyRule:
