@@ -46,7 +46,6 @@ from .probes import (
     TauTooShort,
     UgaCell,
     UnexpectedEscape,
-    constant_input_descent,
     embedding_check,
     es_check,
     estimate_R,

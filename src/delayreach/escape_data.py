@@ -10,7 +10,8 @@ for bit.
 
 `tests/test_systems.py::TestStoredEscape` recomputes the run and compares
 each literal; when an integrator change moves them, it prints the block to
-paste below.
+paste below. It also pins T_ESCAPE, and the run's states at BREAKS,
+against an exact replay of this schedule (`tests/replay.py`).
 """
 
 DWELL = 1e-3

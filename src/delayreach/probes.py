@@ -1,7 +1,7 @@
 """Experiment drivers that certify or falsify stability properties of the
 cascade and its planar core: exponential-envelope checks, uniform reach-time
-tables, reachability lower-bound sampling, the diverging-peaks sweep, and
-the constant-input descent audit.
+tables, reachability lower-bound sampling, the diverging-peaks sweep and
+the delay-embedding check.
 
 In the cascade, z' = -z is decoupled, so the delayed feed w(t) = z(t - tau)
 is known in closed form from the history: its z-column shifted by tau on
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +30,9 @@ from .integrator import (
     Trajectory,
     integrate,
 )
-from .lyap import A_MODE1, A_MODE2, Certificate, blend, default_certificate, solve_lyapunov
+from .lyap import Certificate, default_certificate
 from .signals import (
     Concatenation,
-    Constant,
     ExponentialTail,
     PiecewiseConstant,
     PiecewiseLinear,
@@ -52,7 +51,6 @@ from .systems import (
     make_system,
     planar_system,
     saturation_stop_times,
-    unit_saturation,
 )
 
 
@@ -89,9 +87,6 @@ _HORIZON_MARGIN = 100.0
 # the diverging-peaks sweep: planar start of unit norm, target ball radius
 _SWEEP_X0 = (1.0, 0.0)
 _SWEEP_EPS = 0.1
-
-_FD_STEP = 1e-4  # half-width of the central differences of the descent audit
-_AUDIT_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -488,41 +483,3 @@ def estimate_R(
     return ReachEstimate(
         r=r, T=T, lower_bound=lower, sample_budget=budget, escape_seen=escape_seen
     )
-
-
-def _fd_slope(w: Callable[[float], float], t: float) -> float:
-    """Central finite-difference slope of w at t."""
-    return (w(t + _FD_STEP) - w(t - _FD_STEP)) / (2.0 * _FD_STEP)
-
-
-def constant_input_descent(
-    c_list: Sequence[float],
-    n_ics: int = 10,
-    T: float = 5.0,
-    seed: int = 0,
-) -> float:
-    """Worst relative growth of W(x) under constant inputs, default gains.
-
-    For each constant input c, W is the quadratic form of the Lyapunov
-    matrix solved for the saturated blend of c; along every trajectory the
-    finite-difference slope of W must stay non-positive. Returns the worst
-    slope normalized by W(x(0)).
-    """
-    sys = planar_system()
-    worst = -math.inf
-    for c in c_list:
-        lam = unit_saturation(c)
-        p = solve_lyapunov(blend(A_MODE1, A_MODE2, lam))
-        for i in range(n_ics):
-            rng = np.random.default_rng((seed, i))
-            x0 = rng.uniform(-1.0, 1.0, size=2)
-            out = integrate(sys, x0, Constant([c]), T, PROBE_OPTS)
-            if out.escaped:
-                raise UnexpectedEscape("escape under a constant input")
-            traj = out.trajectory
-            w0 = p.quad(x0)
-            if w0 == 0.0:
-                continue
-            for t in np.linspace(_FD_STEP, T - _FD_STEP, _AUDIT_SAMPLES):
-                worst = max(worst, _fd_slope(lambda s: p.quad(traj.eval(s)), t) / w0)
-    return worst

@@ -160,6 +160,17 @@ class TestCapitalLambda:
             find_capital_lambda(SymPosDef2.from_entries(1.0, 0.0, 1.0))
 
 
+class TestNoCommonQuadraticLyapunov:
+    @pytest.mark.parametrize("own,lam_other", [(A_MODE1, 0.0), (A_MODE2, 1.0)])
+    def test_each_modes_w_grows_under_the_other_mode(self, own, lam_other):
+        # the exact descent check of acceptance criterion 3, on a case that
+        # fails it: A^T P + P A has a positive eigenvalue for each mode's P
+        # under the other mode's A. So no quadratic W descends under both,
+        # which is what lets switching escape.
+        worst = -_min_margin(lam_other, solve_lyapunov(own), A_MODE1, A_MODE2)
+        assert worst == pytest.approx(44.92, abs=0.01)
+
+
 class TestConstants:
     def test_formulas(self, cert):
         assert cert == stability_constants(cert.p0)

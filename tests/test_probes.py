@@ -10,7 +10,6 @@ from delayreach.probes import (
     TauTooShort,
     _certified_settle,
     _exact_feed,
-    constant_input_descent,
     es_check,
     escape_schedule,
     estimate_R,
@@ -219,9 +218,3 @@ class TestRfcSweep:
     def test_rejects_tau_below_escape_bound(self):
         with pytest.raises(TauTooShort):
             rfc_sweep(tau=0.5)
-
-
-class TestConstantInputDescent:
-    def test_lyapunov_descent_for_each_constant(self):
-        worst = constant_input_descent([-1.0, 0.0, 0.5, 1.0, 3.0], n_ics=3, T=2.0)
-        assert worst <= 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delayreach.integrator import HistoryFn, IntegratorOptions, Stepper, integrate
+from delayreach.lyap import A_MODE1, A_MODE2
 from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
 from delayreach.signals import PiecewiseConstant, PiecewiseLinear
 from delayreach import escape_data, systems
@@ -26,6 +27,8 @@ from delayreach.systems import (
     saturation_stop_times,
     unit_saturation,
 )
+
+from replay import replay
 
 
 class TestSaturation:
@@ -194,6 +197,23 @@ class TestStoredEscape:
         assert sched.values.shape == from_run.values.shape
         assert sched.breaks.tobytes() == from_run.breaks.tobytes()
         assert default_cascade_delay() == 1.5 * escape_run.outcome.t_escape
+
+    def test_run_matches_the_exact_replay(self, escape_run):
+        # the replay solves each piece in closed form on the clock s, so the
+        # escape time must be its float to 2 ulps. A switching state may be
+        # off by the run's tolerance plus what the time axis allows there: an
+        # ulp of t moves x by ulp(t) |x|^2 ||A|| (both sides solve for t).
+        opts = IntegratorOptions()  # run_switched's rel_tol and threshold
+        states, t_esc = replay(escape_data.VALUES, escape_data.BREAKS, (1.0, 0.0), opts.escape_threshold)
+        for t in (escape_data.T_ESCAPE, escape_run.outcome.t_escape):
+            assert abs(t - t_esc) <= 2.0 * math.ulp(t_esc)
+        traj = escape_run.outcome.trajectory
+        nodes = np.searchsorted(traj.ts, escape_data.BREAKS)
+        assert np.array_equal(traj.ts[nodes], escape_data.BREAKS)
+        norm_a = max(np.linalg.norm(a.as_array(), 2) for a in (A_MODE1, A_MODE2))
+        for brk, x, x_run in zip(escape_data.BREAKS, states, traj.ys[nodes]):
+            tol = 100.0 * opts.rel_tol + 4.0 * math.ulp(brk) * float(x @ x) * norm_a
+            assert np.linalg.norm(x_run - x) <= tol * np.linalg.norm(x), brk
 
 
 class TestMakeSystem:
