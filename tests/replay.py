@@ -29,15 +29,15 @@ _BISECTIONS = 200
 class _Piece:
     """x(s) = e^{A s} x0 and its clock for one constant-mode piece.
 
-    A has complex eigenvalues sigma +- i omega (both modes do), so
+    A has complex eigenvalues sigma +- i omega, sigma < 0 (both modes do), so
     e^{A s} = e^{sigma s} (cos(omega s) I + sin(omega s) / omega (A - sigma I)).
     """
 
     def __init__(self, a: np.ndarray, x0: np.ndarray, t0: float, panel: float):
         self.sigma = 0.5 * (a[0, 0] + a[1, 1])
         disc = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] - self.sigma ** 2
-        if not disc > 0.0:
-            raise ValueError("the closed form needs complex eigenvalues")
+        if not (disc > 0.0 and self.sigma < 0.0):
+            raise ValueError("the closed form needs complex eigenvalues in the left half-plane")
         self.omega = math.sqrt(disc)
         self.x0 = x0
         self.v = (a - self.sigma * np.eye(2)) @ x0 / self.omega
@@ -81,15 +81,15 @@ class _Piece:
 
     def first_above(self, level: float) -> float:
         """The first s with |x(s)|_inf = level: scanned on a grid of 12
-        points per panel, then bisected to the last ulp."""
-        hi = self.panel
-        while True:
-            grid = np.linspace(0.0, hi, int(round(hi / self.panel)) * 12 + 1)
-            above = np.flatnonzero(np.abs(self.x(grid)).max(axis=1) >= level)
-            if above.size:
-                break
-            hi *= 2.0
-        lo, hi = grid[above[0] - 1], grid[above[0]]
+        points per panel, then bisected to the last ulp. x(s) is e^{sigma s}
+        times a function of period 2 pi / omega and sigma < 0, so |x| peaks
+        within one period: a crossing comes in it or never."""
+        period = 2.0 * math.pi / self.omega
+        grid = np.linspace(0.0, period, math.ceil(period / self.panel) * 12 + 1)
+        above = np.flatnonzero(np.abs(self.x(grid)).max(axis=1) >= level)
+        if not above.size:
+            raise ValueError(f"the piece never reaches {level}")
+        lo, hi = grid[max(above[0] - 1, 0)], grid[above[0]]
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
