@@ -59,8 +59,8 @@ class _Piece:
         return self.t0 + float(((rate.reshape(-1, 12) @ _GL_W) * width).sum())
 
     def reach(self, t_end: float) -> float:
-        """The s with t(s) = t_end: Newton from s = 0 on a bracket that
-        doubles until it holds t_end, bisecting when a step leaves it."""
+        """The s with t(s) = t_end: Newton from the lower end of a bracket
+        that doubles until it holds t_end, bisecting when a step leaves it."""
         lo, hi = 0.0, self.panel
         while self.t(hi) < t_end:
             lo, hi = hi, 2.0 * hi
