@@ -68,6 +68,7 @@ from .signals import (
     smooth_square,
 )
 from .systems import (
+    DEFAULT_DELAY,
     DEFAULT_PLANAR,
     SYSTEM_NAMES,
     PlanarParams,
@@ -76,7 +77,6 @@ from .systems import (
     WindowOverlap,
     associated_system,
     cascade_system,
-    default_cascade_delay,
     embed_history_as_inputs,
     escape_schedule,
     greedy_worst_switch,

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, escape_data
 from .integrator import HistoryFn, IntegratorOptions, SimOutcome, integrate
 from .lyap import (Mat2, NoFeasibleLambda, NotHurwitz, blend, default_certificate,
                    lyapunov_residual, solve_lyapunov, stability_constants)
@@ -33,10 +33,10 @@ from .probes import (PROBE_OPTS, TauTooShort, embedding_check, es_check, estimat
                      uga_table)
 from .signals import Signal, from_json
 from .systems import (
+    DEFAULT_DELAY,
     DEFAULT_PLANAR,
     SYSTEM_NAMES,
     PlanarParams,
-    default_cascade_delay,
     make_system,
     recorded_escape,
 )
@@ -67,7 +67,7 @@ def write_json(path: Path, obj: dict) -> None:
 _SVG_SIZE = (640, 400)  # width, height
 
 
-def svg_line_plot(path: Path, xs, series: dict, title: str = "", log_y: bool = False) -> None:
+def svg_line_plot(path: Path, xs, series: dict, title: str, log_y: bool = False) -> None:
     """Minimal single-axes SVG line plot; series maps label -> y array."""
     xs = np.asarray(xs, dtype=float)
     width, height = _SVG_SIZE
@@ -188,9 +188,9 @@ def opts_from_config(cfg: dict, base: IntegratorOptions) -> IntegratorOptions:
         raise ConfigInvalid(f"integrator: {exc}") from None
 
 
-def tau_from_config(cfg: dict) -> Optional[float]:
+def tau_from_config(cfg: dict) -> float:
     if "tau" not in cfg:
-        return None
+        return DEFAULT_DELAY
     tau = cfg["tau"]
     if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0.0 < tau < math.inf:
         raise ConfigInvalid(f"tau: must be a finite positive number, got {tau!r}")
@@ -205,11 +205,11 @@ def signal_from_config(obj) -> Signal:
 
 
 class Setup(NamedTuple):
-    """The config, read once. tau None means each system's or probe's default."""
+    """The config, read once."""
 
     params: PlanarParams
     opts: IntegratorOptions
-    tau: Optional[float]
+    tau: float
     input: Optional[Signal]
 
 
@@ -350,10 +350,9 @@ def run_uga_table(args, s: Setup) -> Output:
 
 
 def run_equiv_check(args, s: Setup) -> Output:
-    tau = default_cascade_delay() if s.tau is None else s.tau
-    chk = embedding_check(tau, args.pairs, args.seed, s.opts, s.params)
+    chk = embedding_check(s.tau, args.pairs, args.seed, s.opts, s.params)
     worst, worst_c = max(chk.embed), max(chk.complete)
-    summary = {"subcommand": "equiv-check", "pairs": args.pairs, "tau": tau, "seed": args.seed,
+    summary = {"subcommand": "equiv-check", "pairs": args.pairs, "tau": s.tau, "seed": args.seed,
                "worst_deviation": worst, "worst_completion_deviation": worst_c, "tolerance": chk.tolerance,
                "verdict": "embeddings agree" if chk.ok else "embedding mismatch"}
     rows = [(float(i), e, c) for i, (e, c) in enumerate(zip(chk.embed, chk.complete))]
@@ -392,7 +391,8 @@ COMMANDS = (
         ("--grid", dict(type=count, default=200, help="number of output samples (default 200)")),
     ), GAINS + TIMING + ("input",), IntegratorOptions()),
     Command("escape", "greedy destabilizing switching run", run_escape, (
-        ("--dwell", dict(type=positive, default=1e-3, help="nominal sampling dwell (default 1e-3)")),
+        ("--dwell", dict(type=positive, default=escape_data.DWELL,
+                         help="nominal sampling dwell (default 1e-3)")),
         ("--grid", dict(type=count, default=500, help="number of output samples (default 500)")),
     )),
     Command("estimate-r", "sampled lower bound on the reachability supremum", run_estimate_r, (

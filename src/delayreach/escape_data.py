@@ -1,8 +1,9 @@
-"""The greedy escape at the default dwell (1e-3) and gains, stored as data.
+"""The greedy escape at dwell DWELL and the default gains, stored as data.
 
 `systems.recorded_escape()` computes it: greedy switching of the planar
 system from x(0) = (1, 0) until |x| reaches the escape threshold: 30,532
-policy samples on a 667-node trajectory. The default delay and the escape
+policy samples on a 667-node trajectory. DWELL is the default dwell of
+`recorded_escape` and of `escape --dwell`. The default delay and the escape
 schedule read only its switching signal (VALUES of the pieces, BREAKS
 between them) and its escape time T_ESCAPE, so those are kept here and no
 process has to repeat the run. Every float is its repr and reads back bit

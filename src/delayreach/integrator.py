@@ -386,12 +386,12 @@ class Stepper:
     outgoing slope `slope` are ndarrays between calls of `advance`.
     """
 
-    def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap=None):
+    def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap: float = math.inf):
         self.rhs = rhs
         self.t = float(t0)
         self.y = np.asarray(y0, dtype=float).copy()
         self.opts = opts
-        self._h_top = h_cap or math.inf
+        self._h_top = h_cap
         # the slope at (t, y): stage 0 of the next step
         self.slope = np.array(rhs(self.t, self.y.tolist()), dtype=float)
         self.traj = Trajectory(self.t, self.y)
@@ -568,11 +568,9 @@ class Stepper:
 
 
 def _forced_stops(
-    sys: DiscreteDelaySystem, u: Optional[Signal], T: float, history=None, extra=None
+    sys: DiscreteDelaySystem, u: Optional[Signal], T: float, history=None, extra=()
 ) -> np.ndarray:
-    pts = [np.array([T])]
-    if extra is not None:
-        pts.append(np.asarray(extra, dtype=float))
+    pts = [np.array([T]), np.asarray(extra, dtype=float)]
     if u is not None:
         pts.append(np.asarray(u.breakpoints(0.0, T)))
     if sys.delays:
@@ -595,8 +593,8 @@ def integrate(
     history,
     u: Optional[Signal],
     T: float,
-    opts: Optional[IntegratorOptions] = None,
-    extra_stops=None,
+    opts: IntegratorOptions = IntegratorOptions(),
+    extra_stops=(),
     stop: Optional[tuple[float, Callable[[Trajectory, float], bool]]] = None,
 ) -> SimOutcome:
     """Integrate the system on [0, T] from the given history and input.
@@ -616,7 +614,6 @@ def integrate(
     forced boundaries are those of T either way, so a stopped run is a
     bit-exact prefix of the run to T.
     """
-    opts = opts or IntegratorOptions()
     if T <= 0.0:
         raise ValueError("T must be positive")
     if sys.delays:
@@ -661,7 +658,7 @@ def integrate(
 
     uval = looks = None
     resolve(0.0, stops[0])
-    stepper = Stepper(f, 0.0, y0, opts, h_cap=delays[0] if delays else None)
+    stepper = Stepper(f, 0.0, y0, opts, h_cap=delays[0] if delays else math.inf)
     check = every
     for lo, target in zip([0.0] + stops, stops):
         if lo > 0.0:

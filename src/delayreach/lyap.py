@@ -168,7 +168,7 @@ def _min_margin(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
     return lo
 
 
-def find_capital_lambda(p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2) -> float:
+def find_capital_lambda(p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
     """Largest blend fraction up to which P0 certifies DECAY_MARGIN.
 
     Returns the largest L in (0, 1] such that for all lam in [0, L] the
@@ -221,7 +221,7 @@ class Certificate:
     p: float
 
 
-def stability_constants(p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2) -> Certificate:
+def stability_constants(p0: SymPosDef2, a1: Mat2, a2: Mat2) -> Certificate:
     """k = sqrt(2 c2 / c1), p = min(1, 1/(4 c2)), plus the blend bound."""
     return Certificate(
         p0=p0,
@@ -234,4 +234,4 @@ def stability_constants(p0: SymPosDef2, a1: Mat2 = A_MODE1, a2: Mat2 = A_MODE2) 
 @cache
 def default_certificate() -> Certificate:
     """Certificate for the default gain pair, memoized."""
-    return stability_constants(solve_lyapunov(blend(A_MODE1, A_MODE2, 0.0)))
+    return stability_constants(solve_lyapunov(blend(A_MODE1, A_MODE2, 0.0)), A_MODE1, A_MODE2)

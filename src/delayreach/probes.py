@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,11 +40,11 @@ from .signals import (
     smooth_square,
 )
 from .systems import (
+    DEFAULT_DELAY,
     DEFAULT_PLANAR,
     PlanarParams,
     associated_system,
     cascade_system,
-    default_cascade_delay,
     embed_history_as_inputs,
     escape_schedule,
     history_from_inputs,
@@ -117,8 +117,7 @@ class UgaCell:
 
     @property
     def ok(self) -> bool:
-        # bool(): t_emp_max may be a numpy float, whose comparison is not JSON-serialisable
-        return bool(self.t_emp_max <= self.t_theory)
+        return self.t_emp_max <= self.t_theory
 
 
 @dataclass(frozen=True)
@@ -180,18 +179,14 @@ def _exact_feed(history: HistoryFn, tau: float, T: float) -> tuple[Signal, np.nd
 
     Returns (w, stops, z0): w is the history's z-column shifted by tau on
     [0, tau], then z0 e^{-(t - tau)} with z0 = z(0); stops are the times in
-    (0, T) where w crosses a saturation level, the kinks of the rhs that
-    `w.breakpoints` (the shifted knots and tau) does not list. A tail with
-    z0 <= 1 never crosses 0 or 1 after tau; one with z0 > 1 crosses 1 at
-    tau + ln z0.
+    (0, T) where w crosses a saturation level (`saturation_stop_times`), the
+    kinks of the rhs that `w.breakpoints` (the shifted knots and tau) does
+    not list.
     """
     line = history.shifted(tau)
     z0 = float(history.eval(0.0)[0])
     w = Concatenation(PiecewiseLinear(line.knots, line.values[:, :1]), ExponentialTail([z0], 1.0, tau), tau)
-    stops = saturation_stop_times(history, tau, T)
-    if z0 > 1.0 and tau + math.log(z0) < T:
-        stops = np.append(stops, tau + math.log(z0))
-    return w, stops, z0
+    return w, saturation_stop_times(history, tau, T), z0
 
 
 def _certified_settle(
@@ -248,7 +243,7 @@ def _certified_settle(
 def es_check(
     n_ics: int = 200,
     T: float = 30.0,
-    tau: Optional[float] = None,
+    tau: float = DEFAULT_DELAY,
     fit_tol: float = 0.05,
     seed: int = 0,
     opts: IntegratorOptions = PROBE_OPTS,
@@ -262,7 +257,6 @@ def es_check(
     envelope inflated by fit_tol.
     """
     cert = default_certificate()
-    tau = tau if tau is not None else default_cascade_delay()
     planar = planar_system()
     k_env = cert.k
     p_env = cert.p
@@ -298,7 +292,7 @@ def uga_table(
     r_list: Sequence[float],
     eps_list: Sequence[float],
     n_samples: int = 50,
-    tau: Optional[float] = None,
+    tau: float = DEFAULT_DELAY,
     seed: int = 0,
     opts: IntegratorOptions = PROBE_OPTS,
 ) -> list[UgaCell]:
@@ -309,7 +303,6 @@ def uga_table(
     otherwise (a falsification, which must not occur).
     """
     cert = default_certificate()
-    tau = tau if tau is not None else default_cascade_delay()
     cells = []
     for r in r_list:
         for eps in eps_list:
@@ -382,34 +375,26 @@ def embedding_check(
     return EmbeddingCheck(embed=tuple(embed), complete=tuple(complete), tolerance=tol)
 
 
-def rfc_sweep(
-    tau: Optional[float] = None,
-    delta_list: Sequence[float] = DEFAULT_DELTAS,
-    opts: IntegratorOptions = PROBE_OPTS,
-) -> RfcSweepResult:
+def rfc_sweep(tau: float = DEFAULT_DELAY, opts: IntegratorOptions = PROBE_OPTS) -> RfcSweepResult:
     """Diverging peaks from an equibounded family of continuous histories.
 
     The recorded greedy escape signal is smoothed at each width in
-    delta_list (strictly decreasing) and installed as the decaying-feed
-    history; the planar part starts at (1, 0). Every run must complete
-    (continuous history), re-enter the 0.1-ball by the theoretical reach
-    time, yet the peak grows without a uniform bound as the smoothing
-    vanishes. A peak is the exact sup of the cascade state on [0, tau]:
-    max(|z0|, sup |x|_inf), since |z| only decays.
+    DEFAULT_DELTAS and installed as the decaying-feed history; the planar
+    part starts at (1, 0). Every run must complete (continuous history),
+    re-enter the 0.1-ball by the theoretical reach time, yet the peak grows
+    without a uniform bound as the smoothing vanishes. A peak is the exact
+    sup of the cascade state on [0, tau]: max(|z0|, sup |x|_inf), since |z|
+    only decays.
     """
-    if not all(b < a for a, b in zip(delta_list, delta_list[1:])):
-        raise ValueError("delta_list must be strictly decreasing")
     cert = default_certificate()
     schedule, t_esc = escape_schedule()
-    tau_min = default_cascade_delay()
-    tau = tau if tau is not None else tau_min
-    if tau < tau_min - 1e-12:
+    if tau < DEFAULT_DELAY - 1e-12:
         raise TauTooShort(f"tau={tau} must cover 1.5x the escape time {t_esc}")
     peaks = []
     settles = []
     norms = []
     t_theory = theoretical_reach_time(1.0, _SWEEP_EPS, tau, cert)
-    for delta in delta_list:
+    for delta in DEFAULT_DELTAS:
         w = smooth_square(schedule, delta, strict=False)
         knots = np.unique(np.concatenate([[0.0, tau], w.knots[(w.knots > 0) & (w.knots < tau)]]))
         zvals = np.array([float(w.eval(t)[0]) for t in knots])
@@ -420,7 +405,7 @@ def rfc_sweep(
         peaks.append(max(abs(float(zvals[-1])), traj.sup_norm(0.0, tau)))
         settles.append(t_emp)
     return RfcSweepResult(
-        deltas=tuple(delta_list),
+        deltas=DEFAULT_DELTAS,
         peaks=tuple(peaks),
         settle_times=tuple(settles),
         settle_bound=t_theory,
@@ -434,7 +419,7 @@ def estimate_R(
     T: float,
     budget: int,
     seed: int = 0,
-    tau: Optional[float] = None,
+    tau: float = DEFAULT_DELAY,
     params: PlanarParams = DEFAULT_PLANAR,
     opts: IntegratorOptions = PROBE_OPTS,
 ) -> ReachEstimate:

@@ -238,7 +238,7 @@ class Concatenation(Signal):
 
 
 class TimeShift(Signal):
-    """inner evaluated at t - shift."""
+    """inner at max(t - shift, 0): before the shift, inner's value at 0."""
 
     def __init__(self, inner: Signal, shift: float):
         self.inner = inner
@@ -246,6 +246,9 @@ class TimeShift(Signal):
         self.dim = inner.dim
 
     def piece(self, lo, hi):
+        _check_domain(lo)
+        if lo < self.shift:
+            return _constant(self.inner.piece(0.0, 0.0)(0.0))
         p, shift = self.inner.piece(lo - self.shift, hi - self.shift), self.shift
         return lambda t: p(t - shift)
 
@@ -260,10 +263,10 @@ class TimeShift(Signal):
         return t
 
     def breakpoints(self, lo, hi):
-        # a switch can round onto an end of the window
-        inner = self.inner.breakpoints(lo - self.shift, hi - self.shift)
-        pts = np.array([self._switch(float(b)) for b in inner])
-        return pts[(pts > lo) & (pts < hi)]
+        # the shift ends the constant extension; a switch can round onto lo or hi
+        inner = self.inner.breakpoints(max(lo - self.shift, 0.0), hi - self.shift)
+        pts = np.array([self.shift] + [self._switch(float(b)) for b in inner])
+        return np.unique(pts[(pts > lo) & (pts < hi)])
 
 
 class Window(Signal):

@@ -46,6 +46,10 @@ class PlanarParams:
 
 DEFAULT_PLANAR = PlanarParams()
 
+#: the cascade's delay: 1.5x the escape time of the stored greedy schedule,
+#: so the delay window contains the whole blow-up region
+DEFAULT_DELAY = 1.5 * escape_data.T_ESCAPE
+
 
 def _entries(m: Mat2) -> tuple:
     return float(m.a11), float(m.a12), float(m.a21), float(m.a22)
@@ -132,17 +136,13 @@ SYSTEM_NAMES = ("planar", "cascade", "associated")
 
 
 def make_system(
-    name: str, tau: Optional[float] = None, params: PlanarParams = DEFAULT_PLANAR
+    name: str, tau: float = DEFAULT_DELAY, params: PlanarParams = DEFAULT_PLANAR
 ) -> DiscreteDelaySystem:
-    """The system called `name` (one of SYSTEM_NAMES).
-
-    Only the cascade reads tau; when it is None the cascade gets
-    `default_cascade_delay()`.
-    """
+    """The system called `name` (one of SYSTEM_NAMES); only the cascade reads tau."""
     if name == "planar":
         return planar_system(params)
     if name == "cascade":
-        return cascade_system(default_cascade_delay() if tau is None else tau, params)
+        return cascade_system(tau, params)
     if name == "associated":
         return associated_system(params)
     raise ValueError(f"unknown system {name!r}; expected one of {', '.join(SYSTEM_NAMES)}")
@@ -205,8 +205,10 @@ def saturation_stop_times(history: HistoryFn, tau: float, T: float) -> np.ndarra
 
     The saturated blend kinks the right-hand side wherever the feed crosses
     0 or 1; forcing step boundaries there restores full integration order.
-    Crossings are exact for piecewise-linear histories. The same times apply
-    to the input-embedded companion run, whose input is the shifted history.
+    On [0, tau] the feed is the shifted history (also the input of the
+    embedded companion run), whose crossings are exact for piecewise-linear
+    histories; after tau it is z0 e^{-(t - tau)} with z0 = z(0), which
+    crosses 1 once, at tau + ln z0, when z0 > 1, and never crosses 0.
     """
     knots = history.knots
     z = history.values[:, 0]
@@ -219,6 +221,9 @@ def saturation_stop_times(history: HistoryFn, tau: float, T: float) -> np.ndarra
             elif d[i] * d[i + 1] < 0.0:
                 out.append(float(knots[i] + (knots[i + 1] - knots[i]) * d[i] / (d[i] - d[i + 1])))
     arr = np.asarray(out, dtype=float) + tau
+    z0 = float(history.eval(0.0)[0])
+    if z0 > 1.0:
+        arr = np.append(arr, tau + math.log(z0))
     return np.unique(arr[(arr > 0.0) & (arr < T)])
 
 
@@ -235,7 +240,7 @@ class SwitchingPolicy:
             raise ValueError(f"dwell must be finite and positive, got {self.dwell!r}")
 
 
-def greedy_worst_switch(dwell: float = 1e-3) -> SwitchingPolicy:
+def greedy_worst_switch(dwell: float) -> SwitchingPolicy:
     """Pick the gain maximizing the instantaneous growth of |x|_2^2.
 
     rule(x) = argmax over lam in {0, 1} of x^T (A(lam) + A(lam)^T) x, ties
@@ -268,7 +273,7 @@ def run_switched(
     policy: SwitchingPolicy,
     x0,
     T: float,
-    opts: Optional[IntegratorOptions] = None,
+    opts: IntegratorOptions = IntegratorOptions(h_min=1e-14),
 ) -> SwitchedRun:
     """Drive the planar system of the default gains by the policy, sampled at
     t_0 = 0 and t_{k+1} = t_k + dwell / (1 + |x(t_k)|_2^2), clamped to
@@ -284,7 +289,6 @@ def run_switched(
     piecewise-constant signal (consecutive equal values merged) so the
     escape can be replayed open loop.
     """
-    opts = opts or IntegratorOptions(h_min=1e-14)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
     # the field of the current mode; it changes only at a node
@@ -328,7 +332,7 @@ def run_switched(
     return SwitchedRun(outcome=outcome, signal=sig)
 
 
-def recorded_escape(dwell: float = 1e-3) -> SwitchedRun:
+def recorded_escape(dwell: float = escape_data.DWELL) -> SwitchedRun:
     """Greedy switching run from (1, 0) up to the escape threshold.
 
     Runs the closed loop on every call; at the default dwell its schedule
@@ -343,9 +347,3 @@ def escape_schedule() -> tuple[PiecewiseConstant, float]:
     values = np.array(escape_data.VALUES + (0.0,)).reshape(-1, 1)
     breaks = np.array(escape_data.BREAKS + (escape_data.T_ESCAPE,))
     return PiecewiseConstant(values, breaks), escape_data.T_ESCAPE
-
-
-def default_cascade_delay() -> float:
-    """1.5x the escape time of the stored greedy schedule, so the delay
-    window contains the whole blow-up region."""
-    return 1.5 * escape_data.T_ESCAPE

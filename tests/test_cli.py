@@ -8,7 +8,7 @@ from delayreach.cli import build_parser, main
 from delayreach.probes import escape_schedule, estimate_R
 from delayreach.signals import from_json
 from delayreach import systems
-from delayreach.systems import default_cascade_delay, make_system
+from delayreach.systems import DEFAULT_DELAY, make_system
 
 
 NAN, INF = float("nan"), float("inf")
@@ -110,6 +110,16 @@ class TestSimulate:
         assert code == 0
         summary = json.loads((tmp_path / "simulate_summary.json").read_text())
         assert summary["outcome"] == "completed"
+
+    def test_positively_shifted_input_runs(self, tmp_path, capsys):
+        # before its shift a time_shift reads its inner signal at 0
+        inner = {"kind": "piecewise_constant", "values": [[1.0], [0.0]], "breaks": [0.5]}
+        spec = tmp_path / "f.json"
+        spec.write_text(json.dumps({"kind": "time_shift", "inner": inner, "shift": 0.25}))
+        argv = ["--out", str(tmp_path), "simulate", "--system", "planar", "--history", "const:0.5,0"]
+        assert main([*argv, "--input", str(spec)]) == 0
+        cfg = write_config(tmp_path, {"input": {"kind": "time_shift", "inner": ONE, "shift": 1.0}})
+        assert main(["--config", cfg, *argv]) == 0
 
     def test_bad_history_spec_is_config_error(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "simulate", "--history", "garbage"])
@@ -309,8 +319,7 @@ class TestNoEscapeRun:
         estimate_R("planar", 0.5, 1.0, 4)
 
     def test_delayed_defaults_read_the_stored_schedule(self, tmp_path, capsys):
-        default_cascade_delay()
-        escape_schedule()
+        assert DEFAULT_DELAY == 1.5 * escape_schedule()[1]
         make_system("cascade")
         # r >= 1: the input-driven pool includes the escape schedule
         estimate_R("associated", 1.0, 0.5, 1)

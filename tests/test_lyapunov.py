@@ -157,7 +157,7 @@ class TestCapitalLambda:
         # P0 = I is not the Lyapunov matrix of A(0), as with user gains from
         # the `lyapunov` config
         with pytest.raises(NoFeasibleLambda):
-            find_capital_lambda(SymPosDef2.from_entries(1.0, 0.0, 1.0))
+            find_capital_lambda(SymPosDef2.from_entries(1.0, 0.0, 1.0), A_MODE1, A_MODE2)
 
 
 class TestNoCommonQuadraticLyapunov:
@@ -173,7 +173,7 @@ class TestNoCommonQuadraticLyapunov:
 
 class TestConstants:
     def test_formulas(self, cert):
-        assert cert == stability_constants(cert.p0)
+        assert cert == stability_constants(cert.p0, A_MODE1, A_MODE2)
         assert cert.k == pytest.approx(math.sqrt(2.0 * cert.p0.c2 / cert.p0.c1), rel=1e-14)
         assert cert.p == pytest.approx(min(1.0, 1.0 / (4.0 * cert.p0.c2)), rel=1e-14)
         assert cert.p0.c1 == pytest.approx(np.linalg.eigvalsh(cert.p0.as_array())[0])

@@ -5,6 +5,7 @@ import pytest
 
 from delayreach.integrator import HistoryFn, IntegratorOptions, integrate
 from delayreach.probes import (
+    DEFAULT_DELTAS,
     PROBE_OPTS,
     HorizonTooShort,
     TauTooShort,
@@ -18,7 +19,7 @@ from delayreach.probes import (
     theoretical_reach_time,
     uga_table,
 )
-from delayreach.systems import cascade_system, default_cascade_delay, saturation_stop_times
+from delayreach.systems import DEFAULT_DELAY, cascade_system, saturation_stop_times
 
 
 class TestHelpers:
@@ -96,7 +97,7 @@ REACH_CELLS = ((1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (100.0, 0.1), (
 
 def uga_draw(r, eps, seed=0):
     """tau and the history `uga_table` draws first for (seed, r, eps)."""
-    tau = default_cascade_delay()
+    tau = DEFAULT_DELAY
     rng = np.random.default_rng((seed, int(r * 1000), int(eps * 1000), 0))
     return tau, random_history(rng, r * rng.uniform(0.3, 1.0), tau, 3)
 
@@ -150,7 +151,7 @@ class TestCertifiedSettle:
         # x starts at 1e-3 and never reaches eps, so the settle time is the
         # last time z0 e^{-t} is above eps, and the run may stop only once
         # the feed z0 e^{-(t - tau)} is inside the certificate region
-        tau, lam, eps = default_cascade_delay(), cert.capital_lambda, 0.1
+        tau, lam, eps = DEFAULT_DELAY, cert.capital_lambda, 0.1
         for k in range(1, 13):
             z0 = lam * math.exp(k / 2)
             hist = HistoryFn.constant([z0, 1e-3, 0.0], tau)
@@ -176,7 +177,7 @@ class TestCertifiedSettle:
 class TestExactFeed:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_the_delayed_z_of_a_cascade_run(self, seed):
-        tau = default_cascade_delay()
+        tau = DEFAULT_DELAY
         rng = np.random.default_rng(seed)
         hist = random_history(rng, 1.5, tau, 3)
         w, _, z0 = _exact_feed(hist, tau, 3.0 * tau)
@@ -196,24 +197,28 @@ class TestExactFeed:
         hist = HistoryFn(np.array([-tau, -0.5, 0.0]), np.array([[0.3, 0.0, 0.0], [0.7, 0.0, 0.0], [z0, 0.0, 0.0]]))
         w, stops, got = _exact_feed(hist, tau, 100.0)
         assert got == z0
+        # the stops are saturation_stop_times', tail included
+        assert stops.tobytes() == saturation_stop_times(hist, tau, 100.0).tobytes()
         tail = stops[stops > tau]
         if z0 > 1.0:
             assert list(tail) == [tau + math.log(z0)]
             assert w.eval(tail[0])[0] == pytest.approx(1.0, rel=1e-12)
         else:
             assert len(tail) == 0
+        # on [0, tau], the window the embedding runs use, the tail lies after
+        # the end: the crossings of the shifted history alone
+        on_window = saturation_stop_times(hist, tau, tau)
+        assert on_window.tobytes() == stops[stops < tau].tobytes()
+        assert (on_window < tau).all()
 
 
 class TestRfcSweep:
-    def test_short_sweep_monotone(self):
-        res = rfc_sweep(delta_list=[0.1, 0.05, 0.025])
+    def test_sweep_monotone(self):
+        res = rfc_sweep()
+        assert res.deltas == DEFAULT_DELTAS
         assert res.strictly_increasing
         assert res.settled_in_time
         assert all(abs(n - 1.0) < 1e-9 for n in res.history_norms)
-
-    def test_rejects_nondecreasing_deltas(self):
-        with pytest.raises(ValueError):
-            rfc_sweep(delta_list=[0.05, 0.1])
 
     def test_rejects_tau_below_escape_bound(self):
         with pytest.raises(TauTooShort):

@@ -99,6 +99,16 @@ class TestCombinators:
         assert s.eval(2.5) == 0.0
         assert s.eval(3.5) == 1.0
 
+    def test_time_shift_reads_inner_at_zero_before_the_shift(self):
+        inner = PiecewiseLinear([0.0, 1.0, 2.0], [[3.0, 0.5], [-1.0, 2.0], [0.25, 0.0]])
+        for shift in (0.0, 0.25, 1.7):
+            s = TimeShift(inner, shift)
+            for t in np.linspace(0.0, 4.0, 81).tolist() + [shift, np.nextafter(shift, np.inf)]:
+                assert s.eval(t).tobytes() == inner.eval(max(t - shift, 0.0)).tobytes(), (shift, t)
+        # the shift ends the constant extension, so it is a breakpoint
+        assert list(TimeShift(inner, 1.7).breakpoints(0.0, 4.0)) == [1.7, 2.7, 3.7]
+        assert list(TimeShift(inner, 1.7).breakpoints(1.7, 3.0)) == [2.7]
+
     def test_time_shift_breakpoints_stay_inside_the_window(self):
         # the shifted break b + shift rounds onto lo, but t - shift reaches b
         # one ulp later: eval switches there, strictly inside the window
@@ -123,7 +133,8 @@ class TestCombinators:
         rng = np.random.default_rng(3)
         for b, shift in rng.uniform(0.0, 4.0, size=(2000, 2)):
             s = TimeShift(PiecewiseConstant([0.0, 1.0], [b]), shift)
-            (t,) = s.breakpoints(0.5 * shift, b + shift + 1.0)
+            start, t = s.breakpoints(0.5 * shift, b + shift + 1.0)
+            assert start == shift
             assert s.eval(np.nextafter(t, -np.inf))[0] == 0.0 and s.eval(t)[0] == 1.0
 
     def test_window_zero_outside(self):
@@ -213,9 +224,7 @@ class TestJsonRoundTrip:
     )
     def test_round_trip(self, sig):
         clone = from_json(sig.to_json())
-        # TimeShift is undefined before its shift instant; start past it
-        lo = 0.5 if isinstance(sig, TimeShift) else 0.0
-        for t in np.linspace(lo, 3.0, 37):
+        for t in np.linspace(0.0, 3.0, 37):
             assert np.allclose(clone.eval(t), sig.eval(t))
 
     def test_unknown_kind(self):
@@ -228,26 +237,25 @@ SIGNAL_CLASSES = LEAVES + (Concatenation, TimeShift, Window)
 
 
 def random_signal(rng, cls, dim):
-    """A random instance of `cls` and the start of its domain."""
+    """A random instance of `cls`; every one is defined for all t >= 0."""
     n = int(rng.integers(2, 7))
     vals = rng.uniform(-2.0, 2.0, size=(n, dim))
     if cls is Constant:
-        return Constant(vals[0]), 0.0
+        return Constant(vals[0])
     if cls is PiecewiseConstant:
-        return PiecewiseConstant(vals, np.sort(rng.uniform(0.1, 5.0, size=n - 1))), 0.0
+        return PiecewiseConstant(vals, np.sort(rng.uniform(0.1, 5.0, size=n - 1)))
     if cls is PiecewiseLinear:
-        return PiecewiseLinear(np.sort(rng.uniform(0.0, 5.0, size=n)), vals), 0.0
+        return PiecewiseLinear(np.sort(rng.uniform(0.0, 5.0, size=n)), vals)
     if cls is ExponentialTail:
-        return ExponentialTail(vals[0], rng.uniform(-0.5, 2.0), rng.uniform(0.0, 3.0)), 0.0
-    inner = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)[0]
+        return ExponentialTail(vals[0], rng.uniform(-0.5, 2.0), rng.uniform(0.0, 3.0))
+    inner = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)
     if cls is Concatenation:
-        second = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)[0]
-        return Concatenation(inner, second, rng.uniform(0.2, 4.0)), 0.0
+        second = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)
+        return Concatenation(inner, second, rng.uniform(0.2, 4.0))
     if cls is TimeShift:
-        shift = rng.uniform(0.0, 2.0)
-        return TimeShift(inner, shift), shift
+        return TimeShift(inner, rng.uniform(0.0, 2.0))
     lo = rng.uniform(0.0, 3.0)
-    return Window(inner, lo, lo + rng.uniform(0.1, 3.0)), 0.0
+    return Window(inner, lo, lo + rng.uniform(0.1, 3.0))
 
 
 def defining_instants(sig) -> np.ndarray:
@@ -276,8 +284,8 @@ class TestSignalProperties:
     def draws(self, cls):
         for i in range(self.DRAWS):
             rng = np.random.default_rng((SIGNAL_CLASSES.index(cls), i))
-            sig, start = random_signal(rng, cls, int(rng.integers(1, 4)))
-            lo = start + rng.uniform(0.0, 3.0)
+            sig = random_signal(rng, cls, int(rng.integers(1, 4)))
+            lo = rng.uniform(0.0, 3.0)
             yield rng, sig, lo, lo + rng.uniform(0.05, 4.0)
 
     @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
@@ -314,4 +322,4 @@ class TestSignalProperties:
 
     def test_piece_refuses_negative_times(self):
         with pytest.raises(OutOfDomain):
-            TimeShift(Constant(1.0), 0.5).piece(0.25, 0.5)
+            TimeShift(Constant(1.0), 0.5).piece(-0.25, 0.5)

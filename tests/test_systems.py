@@ -9,13 +9,13 @@ from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
 from delayreach.signals import PiecewiseConstant, PiecewiseLinear
 from delayreach import escape_data, systems
 from delayreach.systems import (
+    DEFAULT_DELAY,
     DEFAULT_PLANAR,
     SYSTEM_NAMES,
     SwitchingPolicy,
     WindowOverlap,
     associated_system,
     cascade_system,
-    default_cascade_delay,
     embed_history_as_inputs,
     greedy_worst_switch,
     history_from_inputs,
@@ -84,7 +84,7 @@ class TestPlanarRhs:
 
 class TestGreedyRule:
     def test_quadrant_cases(self):
-        rule = greedy_worst_switch().rule
+        rule = greedy_worst_switch(dwell=1e-3).rule
         # x^T (A+A^T) x with A1 gives 2*x1*x2*1.5 - 0.2*x2^2; A2 gives
         # -2*x1*x2*1.5; signs decided by the product x1*x2
         assert rule(np.array([1.0, 1.0])) == 1
@@ -120,7 +120,7 @@ class TestSwitchedEscape:
         assert not run.outcome.escaped
 
     def test_default_delay_covers_escape(self, escape_run):
-        assert default_cascade_delay() == pytest.approx(1.5 * escape_run.outcome.t_escape)
+        assert DEFAULT_DELAY == pytest.approx(1.5 * escape_run.outcome.t_escape)
 
     def test_sampling_without_a_switch_changes_no_step(self):
         # samples are read from the dense output, so a policy that never
@@ -186,7 +186,7 @@ class TestStoredEscape:
             "the stored escape schedule is stale: paste the block under 'Captured stdout call' "
             "over the generated block of src/delayreach/escape_data.py"
         )
-        assert escape_data.DWELL == greedy_worst_switch().dwell
+        assert escape_data.DWELL == 1e-3
         assert sig.values.shape == (len(escape_data.VALUES), 1)
 
     def test_schedule_and_delay_built_from_the_run(self, escape_run):
@@ -196,7 +196,7 @@ class TestStoredEscape:
         assert sched.values.tobytes() == from_run.values.tobytes()
         assert sched.values.shape == from_run.values.shape
         assert sched.breaks.tobytes() == from_run.breaks.tobytes()
-        assert default_cascade_delay() == 1.5 * escape_run.outcome.t_escape
+        assert DEFAULT_DELAY == 1.5 * escape_run.outcome.t_escape
 
     def test_run_matches_the_exact_replay(self, escape_run):
         # the replay solves each piece in closed form on the clock s, so the
@@ -226,7 +226,7 @@ class TestMakeSystem:
         assert make_system("cascade", 0.7).delays == (0.7,)
 
     def test_cascade_default_delay(self):
-        assert make_system("cascade").tau == default_cascade_delay()
+        assert make_system("cascade").tau == DEFAULT_DELAY
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
@@ -322,7 +322,7 @@ class TestEmbeddings:
         # on [0, tau] the cascade's delayed feed is the shifted history, the
         # very signal the associated system gets as input, and both runs
         # force the same stops: the two runs are one computation
-        for tau in (1.0, default_cascade_delay()):
+        for tau in (1.0, DEFAULT_DELAY):
             for opts in (IntegratorOptions(), PROBE_OPTS):
                 for i in range(25):
                     rng = np.random.default_rng((15, i))
