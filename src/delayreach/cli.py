@@ -392,7 +392,7 @@ COMMANDS = (
     ), GAINS + TIMING + ("input",), IntegratorOptions()),
     Command("escape", "greedy destabilizing switching run", run_escape, (
         ("--dwell", dict(type=positive, default=escape_data.DWELL,
-                         help="nominal sampling dwell (default 1e-3)")),
+                         help="nominal sampling dwell (default %(default)g)")),
         ("--grid", dict(type=count, default=500, help="number of output samples (default 500)")),
     )),
     Command("estimate-r", "sampled lower bound on the reachability supremum", run_estimate_r, (

@@ -5,7 +5,8 @@ evaluates them at arbitrary times with no interpolation error, and their
 breakpoints are known so step boundaries never straddle a discontinuity.
 All signals are vector valued (scalars are 1-vectors) and defined for all
 t >= 0; piecewise-constant signals use the right-continuous convention at
-breakpoints.
+breakpoints. Combinators read their parts through `_piece`, also before 0
+(a time shift): a leaf holds its value at 0, a window is zero outside.
 
 Between two consecutive breakpoints a signal is one closed-form piece.
 `piece(lo, hi)` resolves it once and returns it as a function of t, so the
@@ -35,11 +36,6 @@ def _finite(v, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
-
-
-def _check_domain(t: float):
-    if t < 0.0:
-        raise OutOfDomain(f"t={t} < 0")
 
 
 def _constant(v):
@@ -75,6 +71,15 @@ def _broken_line(knots, values) -> tuple[np.ndarray, np.ndarray]:
     return knots, values
 
 
+def _held_at_zero(pts: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Breakpoints in (lo, hi) of a leaf whose formula changes at the sorted
+    `pts`, held at its value at 0 before 0: so 0 is one if some pt is <= 0."""
+    out = pts[(pts > max(lo, 0.0)) & (pts < hi)]
+    if lo < 0.0 < hi and pts.size and pts[0] <= 0.0:
+        return np.concatenate([[0.0], out])
+    return out
+
+
 def _as_value(v) -> np.ndarray:
     arr = np.atleast_1d(_finite(v, "value"))
     if arr.ndim != 1:
@@ -83,7 +88,7 @@ def _as_value(v) -> np.ndarray:
 
 
 class Signal:
-    """Base class; concrete signals implement piece and breakpoints."""
+    """Base class; concrete signals implement _piece and breakpoints."""
 
     dim: int
 
@@ -93,12 +98,15 @@ class Signal:
 
     def piece(self, lo: float, hi: float):
         """The signal on [lo, hi], which no breakpoint splits, as t -> value,
-        a sequence of floats (a list, or the ndarray of a constant piece).
+        a sequence of floats (a list, or the ndarray of a constant piece): the
+        formula `eval` applies at lo, with its piece fixed, so `eval` bit for
+        bit on [lo, hi) and its limit from the left at hi. OutOfDomain if lo < 0."""
+        if lo < 0.0:
+            raise OutOfDomain(f"t={lo} < 0")
+        return self._piece(lo, hi)
 
-        It is the formula `eval` applies at lo, with its piece fixed: bit for
-        bit `eval` on [lo, hi), and the limit from the left at hi. OutOfDomain
-        if lo < 0.
-        """
+    def _piece(self, lo: float, hi: float):
+        """`piece` without the domain check, as the combinators read it."""
         raise NotImplementedError
 
     def breakpoints(self, lo: float, hi: float) -> np.ndarray:
@@ -120,8 +128,7 @@ class Constant(Signal):
         self.value = _as_value(value)
         self.dim = self.value.size
 
-    def piece(self, lo, hi):
-        _check_domain(lo)
+    def _piece(self, lo, hi):
         return _constant(self.value)
 
     def breakpoints(self, lo, hi):
@@ -146,13 +153,12 @@ class PiecewiseConstant(Signal):
             raise ValueError("breakpoints must be strictly increasing")
         self.dim = self.values.shape[1]
 
-    def piece(self, lo, hi):
-        _check_domain(lo)
-        return _constant(self.values[int(np.searchsorted(self.breaks, lo, side="right"))])
+    def _piece(self, lo, hi):
+        return _constant(self.values[int(np.searchsorted(self.breaks, max(lo, 0.0), side="right"))])
 
     def breakpoints(self, lo, hi):
         b = self.breaks
-        return b[(b > lo) & (b < hi)]
+        return b[(b > max(lo, 0.0)) & (b < hi)]
 
     def min_dwell(self) -> float:
         if len(self.breaks) < 2:
@@ -171,8 +177,9 @@ class PiecewiseLinear(Signal):
         self.knots, self.values = _broken_line(knots, values)
         self.dim = self.values.shape[1]
 
-    def piece(self, lo, hi):
-        _check_domain(lo)
+    def _piece(self, lo, hi):
+        if lo < 0.0:
+            return _constant(self._piece(0.0, 0.0)(0.0))
         k, v = self.knots, self.values
         if lo < k[0]:
             return _constant(v[0])
@@ -182,8 +189,7 @@ class PiecewiseLinear(Signal):
         return _linear(k[i], k[i + 1], v[i], v[i + 1])
 
     def breakpoints(self, lo, hi):
-        k = self.knots
-        return k[(k > lo) & (k < hi)]
+        return _held_at_zero(self.knots, lo, hi)
 
 
 class ExponentialTail(Signal):
@@ -195,8 +201,9 @@ class ExponentialTail(Signal):
         self.start = float(_finite(start, "start"))
         self.dim = self.value.size
 
-    def piece(self, lo, hi):
-        _check_domain(lo)
+    def _piece(self, lo, hi):
+        if lo < 0.0:
+            return _constant(self._piece(0.0, 0.0)(0.0))
         if lo < self.start:
             return _constant(self.value)
         # at start itself the decay is exp(-0) = 1 exactly: the frozen value
@@ -210,9 +217,7 @@ class ExponentialTail(Signal):
         return decay
 
     def breakpoints(self, lo, hi):
-        if lo < self.start < hi:
-            return np.array([self.start])
-        return np.empty(0)
+        return _held_at_zero(np.array([self.start]), lo, hi)
 
 
 class Concatenation(Signal):
@@ -226,8 +231,8 @@ class Concatenation(Signal):
         self.t_switch = float(_finite(t_switch, "t_switch"))
         self.dim = first.dim
 
-    def piece(self, lo, hi):
-        return (self.first if lo < self.t_switch else self.second).piece(lo, hi)
+    def _piece(self, lo, hi):
+        return (self.first if lo < self.t_switch else self.second)._piece(lo, hi)
 
     def breakpoints(self, lo, hi):
         pts = [self.first.breakpoints(lo, min(hi, self.t_switch))]
@@ -238,18 +243,15 @@ class Concatenation(Signal):
 
 
 class TimeShift(Signal):
-    """inner at max(t - shift, 0): before the shift, inner's value at 0."""
+    """inner evaluated at t - shift, which can read it before 0 (see `_piece`)."""
 
     def __init__(self, inner: Signal, shift: float):
         self.inner = inner
         self.shift = float(_finite(shift, "shift"))
         self.dim = inner.dim
 
-    def piece(self, lo, hi):
-        _check_domain(lo)
-        if lo < self.shift:
-            return _constant(self.inner.piece(0.0, 0.0)(0.0))
-        p, shift = self.inner.piece(lo - self.shift, hi - self.shift), self.shift
+    def _piece(self, lo, hi):
+        p, shift = self.inner._piece(lo - self.shift, hi - self.shift), self.shift
         return lambda t: p(t - shift)
 
     def _switch(self, b: float) -> float:
@@ -263,10 +265,10 @@ class TimeShift(Signal):
         return t
 
     def breakpoints(self, lo, hi):
-        # the shift ends the constant extension; a switch can round onto lo or hi
-        inner = self.inner.breakpoints(max(lo - self.shift, 0.0), hi - self.shift)
-        pts = np.array([self.shift] + [self._switch(float(b)) for b in inner])
-        return np.unique(pts[(pts > lo) & (pts < hi)])
+        # a switch can round onto an end of the window
+        inner = self.inner.breakpoints(lo - self.shift, hi - self.shift)
+        pts = np.array([self._switch(float(b)) for b in inner])
+        return pts[(pts > lo) & (pts < hi)]
 
 
 class Window(Signal):
@@ -280,9 +282,9 @@ class Window(Signal):
         self.inner = inner
         self.dim = inner.dim
 
-    def piece(self, lo, hi):
+    def _piece(self, lo, hi):
         if self.lo <= lo < self.hi:
-            return self.inner.piece(lo, hi)
+            return self.inner._piece(lo, hi)
         return _constant(np.zeros(self.dim))
 
     def breakpoints(self, lo, hi):

@@ -29,7 +29,6 @@ from delayreach.probes import (
     es_check,
     estimate_R,
     random_history,
-    rfc_sweep,
     uga_table,
 )
 from delayreach.systems import (
@@ -136,8 +135,8 @@ def test_criterion_5_uniform_reach_times():
     )
 
 
-def test_criterion_6_unbounded_peaks():
-    res = rfc_sweep()
+def test_criterion_6_unbounded_peaks(rfc_run):
+    res = rfc_run
     ok = res.strictly_increasing and res.growth_factor >= 10.0 and res.settled_in_time
     report(
         "unbounded-reachability-peaks",

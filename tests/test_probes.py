@@ -213,8 +213,8 @@ class TestExactFeed:
 
 
 class TestRfcSweep:
-    def test_sweep_monotone(self):
-        res = rfc_sweep()
+    def test_sweep_monotone(self, rfc_run):
+        res = rfc_run
         assert res.deltas == DEFAULT_DELTAS
         assert res.strictly_increasing
         assert res.settled_in_time

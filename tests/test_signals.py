@@ -105,9 +105,23 @@ class TestCombinators:
             s = TimeShift(inner, shift)
             for t in np.linspace(0.0, 4.0, 81).tolist() + [shift, np.nextafter(shift, np.inf)]:
                 assert s.eval(t).tobytes() == inner.eval(max(t - shift, 0.0)).tobytes(), (shift, t)
-        # the shift ends the constant extension, so it is a breakpoint
+        # the hold meets the broken line at the shift, so it is a breakpoint
         assert list(TimeShift(inner, 1.7).breakpoints(0.0, 4.0)) == [1.7, 2.7, 3.7]
         assert list(TimeShift(inner, 1.7).breakpoints(1.7, 3.0)) == [2.7]
+        # a knot or start before 0 is gone: the hold covers it
+        early = PiecewiseLinear([-1.0, 1.0], [0.0, 2.0])
+        assert TimeShift(early, 2.0).eval(1.0)[0] == early.eval(0.0)[0] == 1.0
+        assert list(TimeShift(early, 2.0).breakpoints(0.0, 4.0)) == [2.0, 3.0]
+        tail = ExponentialTail([2.0], 1.0, -1.0)
+        assert TimeShift(tail, 2.0).eval(1.0)[0] == tail.eval(0.0)[0]
+        assert list(TimeShift(tail, 2.0).breakpoints(0.0, 4.0)) == [2.0]
+
+    def test_time_shift_of_a_window_is_zero_before_the_shift(self):
+        # a window answers zero outside its interval at any time, also before 0
+        s = TimeShift(Window(Constant(1.0), 0.0, 1.0), 2.0)
+        assert [s.eval(t)[0] for t in (0.0, 1.0, 1.999, 2.0, 2.999, 3.0, 4.0)] == [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
+        assert list(s.breakpoints(0.0, 4.0)) == [2.0, 3.0]
+        assert s.piece(0.0, 2.0)(0.0)[0] == 0.0
 
     def test_time_shift_breakpoints_stay_inside_the_window(self):
         # the shifted break b + shift rounds onto lo, but t - shift reaches b
@@ -133,8 +147,7 @@ class TestCombinators:
         rng = np.random.default_rng(3)
         for b, shift in rng.uniform(0.0, 4.0, size=(2000, 2)):
             s = TimeShift(PiecewiseConstant([0.0, 1.0], [b]), shift)
-            start, t = s.breakpoints(0.5 * shift, b + shift + 1.0)
-            assert start == shift
+            (t,) = s.breakpoints(0.5 * shift, b + shift + 1.0)
             assert s.eval(np.nextafter(t, -np.inf))[0] == 0.0 and s.eval(t)[0] == 1.0
 
     def test_window_zero_outside(self):
@@ -237,22 +250,26 @@ SIGNAL_CLASSES = LEAVES + (Concatenation, TimeShift, Window)
 
 
 def random_signal(rng, cls, dim):
-    """A random instance of `cls`; every one is defined for all t >= 0."""
+    """A random instance of `cls`; every one is defined for all t >= 0, and a
+    leaf's breaks, knots or start may lie before 0, which a time shift reads."""
     n = int(rng.integers(2, 7))
     vals = rng.uniform(-2.0, 2.0, size=(n, dim))
     if cls is Constant:
         return Constant(vals[0])
     if cls is PiecewiseConstant:
-        return PiecewiseConstant(vals, np.sort(rng.uniform(0.1, 5.0, size=n - 1)))
+        return PiecewiseConstant(vals, np.sort(rng.uniform(-1.0, 5.0, size=n - 1)))
     if cls is PiecewiseLinear:
-        return PiecewiseLinear(np.sort(rng.uniform(0.0, 5.0, size=n)), vals)
+        return PiecewiseLinear(np.sort(rng.uniform(-1.0, 5.0, size=n)), vals)
     if cls is ExponentialTail:
-        return ExponentialTail(vals[0], rng.uniform(-0.5, 2.0), rng.uniform(0.0, 3.0))
+        return ExponentialTail(vals[0], rng.uniform(-0.5, 2.0), rng.uniform(-1.0, 3.0))
     inner = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)
     if cls is Concatenation:
         second = random_signal(rng, LEAVES[rng.integers(len(LEAVES))], dim)
         return Concatenation(inner, second, rng.uniform(0.2, 4.0))
     if cls is TimeShift:
+        # nest a combinator too: before the shift it answers as it would before 0
+        inner_cls = SIGNAL_CLASSES[rng.integers(len(SIGNAL_CLASSES))]
+        inner = random_signal(rng, inner_cls if inner_cls is not TimeShift else Window, dim)
         return TimeShift(inner, rng.uniform(0.0, 2.0))
     lo = rng.uniform(0.0, 3.0)
     return Window(inner, lo, lo + rng.uniform(0.1, 3.0))
@@ -269,7 +286,8 @@ def defining_instants(sig) -> np.ndarray:
     if isinstance(sig, Concatenation):
         return np.concatenate([defining_instants(sig.first), defining_instants(sig.second), [sig.t_switch]])
     if isinstance(sig, TimeShift):
-        return defining_instants(sig.inner) + sig.shift
+        # the shift is where a leaf's hold before 0 ends
+        return np.concatenate([defining_instants(sig.inner), [0.0]]) + sig.shift
     if isinstance(sig, Window):
         return np.concatenate([defining_instants(sig.inner), [sig.lo, sig.hi]])
     return np.empty(0)
