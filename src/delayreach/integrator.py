@@ -166,7 +166,9 @@ class Trajectory:
     of the step that produced it, so a segment ending at an input
     discontinuity interpolates with the correct left limit. While a Stepper
     extends the trajectory, the three arrays are views into buffers that
-    double when full; `_trim` copies them out when the run is frozen.
+    double when full; `_trim` copies them out when the run is frozen. The
+    last segment is also held as the floats the Stepper computed it in, so
+    the reads a run makes at its end cost no array access.
     """
 
     def __init__(self, t0: float, y0: np.ndarray):
@@ -179,10 +181,13 @@ class Trajectory:
     def _view(self, n: int):
         tb, yb, qb = self._buf
         self.ts, self.ys, self.qs = tb[:n], yb[:n], qb[: n - 1]
+        self._tail = None  # a rewind drops the segment it held
 
-    def _append(self, t: float, y, q):
+    def _append(self, t: float, y, q, y0):
         """Add the node (t, y) and the (4, dim) coefficients q of the segment
-        ending there; y and q may be ndarrays or nested lists of floats."""
+        ending there, whose start value y0 is the last node's; y, q and y0
+        may be ndarrays or nested lists of floats, and are kept as given."""
+        tail = self._tail
         n = len(self.ts)
         if n == len(self._buf[0]):
             grown = []
@@ -196,6 +201,9 @@ class Trajectory:
         yb[n] = y
         qb[n - 1] = q
         self._view(n + 1)
+        # the start time is the last node's, not the Stepper's t, which may
+        # be a target a few ulps past it
+        self._tail = (tb[n - 1].item() if tail is None else tail[1], t, y0, y, q)
 
     def _trim(self):
         self.ts, self.ys, self.qs = self.ts.copy(), self.ys.copy(), self.qs.copy()
@@ -218,19 +226,27 @@ class Trajectory:
         return min(max(i, 0), len(self.ts) - 2)
 
     def _interp(self, t: float) -> np.ndarray:
-        """Dense-output value at t, unchecked; delayed lookups call it mid-run."""
-        if len(self.ts) == 1:
-            return self.ys[0]
-        i = self._segment(t)
-        if t == self.ts[i + 1]:
-            return self.ys[i + 1]
+        """Dense-output value at t, unchecked; delayed lookups call it mid-run.
+        The last segment is read from the floats `_append` kept, any other
+        from the arrays; they hold the same floats, so the bytes agree."""
+        tail = self._tail
+        if tail is not None and tail[0] <= t <= tail[1]:
+            t0, t1, y0, y1, q = tail
+            if t == t1:
+                return np.array(y1)
+        else:
+            if len(self.ts) == 1:
+                return self.ys[0]
+            i = self._segment(t)
+            if t == self.ts[i + 1]:
+                return self.ys[i + 1]
+            t0, t1 = self.ts[i : i + 2].tolist()
+            y0, q = self.ys[i].tolist(), self.qs[i].tolist()
         # `_quartic_eval` per component on floats: numpy's elementwise
         # arithmetic rounds the same, without its per-call cost
-        t0, t1 = self.ts[i : i + 2].tolist()
         th = (t - t0) / (t1 - t0)
-        q0, q1, q2, q3 = self.qs[i].tolist()
         return np.array([y + th * (a + th * (b + th * (c + th * d)))
-                         for y, a, b, c, d in zip(self.ys[i].tolist(), q0, q1, q2, q3)])
+                         for y, a, b, c, d in zip(y0, *q)])
 
     def eval(self, t: float) -> np.ndarray:
         if not (self.t_start - 1e-12 <= t <= self.t_end + 1e-12):
@@ -508,7 +524,7 @@ class Stepper:
                     [h * (_P03 * b0 + _P23 * b2 + _P33 * b3 + _P43 * b4 + _P53 * b5 + _P63 * b6)
                      for b0, b2, b3, b4, b5, b6 in ks],
                 )
-                traj._append(t_new, y_new, q)
+                traj._append(t_new, y_new, q, y)
                 t, y, k0 = t_new, y_new, k6
                 norm_prev, norm = norm, norm_new
                 if not at_end:

@@ -457,7 +457,9 @@ def estimate_R(
     lower = 0.0
     escape_seen = False
     for ic, u in draws:
-        out = integrate(sys, ic, u, T, opts)
+        # a delayed draw's feed kinks where it crosses a saturation level
+        stops = saturation_stop_times(ic, sys.tau, T) if sys.delays else ()
+        out = integrate(sys, ic, u, T, opts, extra_stops=stops)
         traj = out.trajectory
         norm0 = ic.norm() if isinstance(ic, HistoryFn) else float(np.abs(ic).max())
         lower = max(lower, norm0, traj.sup_norm(traj.t_start, traj.t_end))

@@ -246,13 +246,32 @@ def greedy_worst_switch(dwell: float) -> SwitchingPolicy:
     rule(x) = argmax over lam in {0, 1} of x^T (A(lam) + A(lam)^T) x, ties
     resolved to 1. Combined with the cubic factor this greedily maximizes
     d|x|^2/dt.
+
+    The decision is numpy's rounded comparison `x @ s1 @ x >= x @ s2 @ x`,
+    settled early on floats where it provably agrees. Let u = 2^-53 and
+    b = |x|^T (|s1| + |s2|) |x|. Each term of numpy's forms is rounded at most
+    four times, FMA or not, so the two forms are within 4.5u b of their
+    exact values together; the float sum d = x^T (s1 - s2) x below is within
+    5.5u b of its exact value. So where |d| > 1e-14 b, nine times the sum of
+    both errors, numpy's difference has the sign of d. Nearer a tie, at a
+    NaN or inf, and where b <= 1e-300 (underflow errors are absolute, not
+    relative) numpy decides.
     """
     s1 = A_MODE1.as_array()
     s1 = s1 + s1.T
     s2 = A_MODE2.as_array()
     s2 = s2 + s2.T
+    # x^T s x = s00 x0^2 + 2 s01 x0 x1 + s11 x1^2; doubling is exact
+    (d0, d1), (_, d2) = (s1 - s2).tolist()
+    (b0, b1), (_, b2) = (np.abs(s1) + np.abs(s2)).tolist()
+    d1, b1 = 2.0 * d1, 2.0 * b1
 
     def rule(x: np.ndarray) -> int:
+        x0, x1 = x.tolist()
+        d = d0 * x0 * x0 + d1 * x0 * x1 + d2 * x1 * x1
+        b = b0 * x0 * x0 + b1 * abs(x0 * x1) + b2 * x1 * x1
+        if b > 1e-300 and abs(d) > 1e-14 * b:
+            return 1 if d > 0.0 else 0
         return 1 if float(x @ s1 @ x) >= float(x @ s2 @ x) else 0
 
     return SwitchingPolicy(dwell=dwell, rule=rule)

@@ -188,8 +188,9 @@ def bumps():
     8th(1 - th) on [0, 1] (peak 2) and 4th(1 - th) on [1, 2] (peak 1);
     component 1 is -6th(1 - th) on [0, 1] and 0 on [1, 2]."""
     traj = Trajectory(0.0, np.zeros(2))
-    traj._append(1.0, np.zeros(2), np.array([[8.0, -6.0], [-8.0, 6.0], [0.0, 0.0], [0.0, 0.0]]))
-    traj._append(2.0, np.zeros(2), np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    z = np.zeros(2)
+    traj._append(1.0, z, np.array([[8.0, -6.0], [-8.0, 6.0], [0.0, 0.0], [0.0, 0.0]]), z)
+    traj._append(2.0, z, np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), z)
     traj._trim()
     return traj
 
@@ -400,7 +401,7 @@ class TestFloatContract:
                 t = 0.0
                 for k in range(m):
                     t += 10.0 ** rng.uniform(-6.0, 0.0)
-                    traj._append(t, ys[k + 1], rng.normal(size=(4, dim)) * scale[k])
+                    traj._append(t, ys[k + 1], rng.normal(size=(4, dim)) * scale[k], ys[k])
                 ts = traj.ts
                 # theta = 0 at each node, the last node itself, and one random
                 # instant inside every segment
@@ -545,6 +546,58 @@ class TestRewind:
         st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
         with pytest.raises(ValueError, match="no accepted step"):
             st.rewind()
+
+
+def segment_reads(traj, i, rng):
+    """Times that read segment i: both nodes, an ulp either side of each,
+    and three interior points."""
+    t0, t1 = traj.ts[i : i + 2].tolist()
+    ends = [t for e in (t0, t1) for t in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+    return ends + rng.uniform(t0, t1, size=3).tolist()
+
+
+class TestTailRead:
+    """`_interp` reads the last segment from the floats `_append` kept, in
+    place of the arrays: the bytes must be the arrays' bytes, and a dropped
+    step must never be read."""
+
+    def test_last_segment_reads_as_the_arrays(self):
+        rng = np.random.default_rng(3)
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        soft = 0
+        for target in (1.0, 2.5, 6.0):
+            while st.t != target:
+                st.advance(target, until=st.t + 0.2)
+                traj = st.traj
+                # the floats held are those of the last segment
+                assert traj._tail[:2] == tuple(traj.ts[-2:].tolist())
+                for t in segment_reads(traj, len(traj.ts) - 2, rng):
+                    assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+                soft += st.t != target
+        assert soft > 10
+        traj = st.outcome().trajectory  # frozen, still holding the tail
+        assert traj._tail is not None
+        for t in segment_reads(traj, len(traj.ts) - 2, rng):
+            assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+
+    def test_a_rewound_step_is_read_from_the_arrays(self):
+        rng = np.random.default_rng(5)
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        st.advance(1.0)
+        traj = st.traj
+        for _ in range(20):
+            st.advance(3.0, until=st.t)  # one accepted step
+            assert st.escape_info is None
+            t_dropped = st.t
+            dropped = segment_reads(traj, len(traj.ts) - 2, rng)
+            st.rewind()
+            # the dropped step's times now extrapolate the segment before it
+            for t in dropped + segment_reads(traj, len(traj.ts) - 2, rng):
+                assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+            # a node inside the dropped step, as a switch makes one
+            st.advance(0.5 * (st.t + t_dropped))
+            for t in dropped + segment_reads(traj, len(traj.ts) - 2, rng):
+                assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from delayreach import probes
 from delayreach.integrator import HistoryFn, IntegratorOptions, integrate
 from delayreach.probes import (
     DEFAULT_DELTAS,
@@ -74,6 +75,28 @@ class TestEstimateR:
         est = estimate_R("associated", 0.01, 5.0, 5, seed=0)
         assert not est.escape_seen
         assert est.lower_bound >= 0.01
+
+    def test_cascade_draws_force_the_saturation_stops(self, monkeypatch):
+        # each delayed draw is, bit for bit, the run whose step boundaries
+        # include the delayed feed's saturation crossings
+        runs = []
+
+        def spy(sys, ic, u, T, opts, **kw):
+            out = integrate(sys, ic, u, T, opts, **kw)
+            runs.append((sys, ic, u, T, opts, out.trajectory))
+            return out
+
+        monkeypatch.setattr(probes, "integrate", spy)
+        estimate_R("cascade", 3.0, 2.0, 50, seed=0)
+        assert len(runs) == 51
+        forced = 0
+        for sys, ic, u, T, opts, traj in runs:
+            stops = saturation_stop_times(ic, sys.tau, T)
+            forced += len(stops) > 0
+            ref = integrate(sys, ic, u, T, opts, extra_stops=stops).trajectory
+            assert (traj.ts.tobytes(), traj.ys.tobytes(), traj.qs.tobytes()) == (
+                ref.ts.tobytes(), ref.ys.tobytes(), ref.qs.tobytes())
+        assert forced > 10
 
 
 class TestEsCheck:

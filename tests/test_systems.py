@@ -92,6 +92,62 @@ class TestGreedyRule:
         assert rule(np.array([-1.0, -1.0])) == 1
         assert rule(np.zeros(2)) == 1  # tie resolved to mode 1
 
+    # the rule's decision is numpy's rounded comparison; the float test in
+    # front of it may settle only what numpy would settle the same way
+
+    @staticmethod
+    def numpy_rule(x):
+        s1, s2 = A_MODE1.as_array(), A_MODE2.as_array()
+        s1, s2 = s1 + s1.T, s2 + s2.T
+        return 1 if float(x @ s1 @ x) >= float(x @ s2 @ x) else 0
+
+    def test_random_states_decide_as_numpy(self):
+        rule = greedy_worst_switch(dwell=1e-3).rule
+        rng = np.random.default_rng(19)
+        xs = rng.normal(size=(100_000, 2)) * 10.0 ** rng.uniform(-3.0, 6.0, size=(100_000, 1))
+        assert [rule(x) for x in xs] == [self.numpy_rule(x) for x in xs]
+
+    def test_ties_fall_back_to_numpy(self):
+        rule = greedy_worst_switch(dwell=1e-3).rule
+        # x^T (s1 - s2) x = 0 on two lines through 0: x = (1, r)
+        d = A_MODE1.as_array() - A_MODE2.as_array()
+        d = d + d.T
+        roots = np.roots([d[1, 1], 2.0 * d[0, 1], d[0, 0]]).real
+        # every neighbour up to 40 ulps away, then out past the margin
+        ks = sorted({s * k for s in (-1, 1) for k in list(range(41)) + [60, 90, 135, 200, 300, 450, 700, 1000]})
+        xs = [CountingArray([x0, x1 + k * math.ulp(x1)])
+              for r in roots for scale in 10.0 ** np.arange(-3.0, 7.0)
+              for x0, x1 in ((scale, r * scale), (-scale, -r * scale)) for k in ks]
+        CountingArray.matmuls = 0
+        decided = [rule(x) for x in xs]
+        # two products per fallback: most points, but not the farthest
+        assert len(xs) < CountingArray.matmuls < 2 * len(xs)
+        assert decided == [self.numpy_rule(np.asarray(x)) for x in xs]
+        assert set(decided) == {0, 1}
+
+    def test_special_values_decide_as_numpy(self):
+        rule = greedy_worst_switch(dwell=1e-3).rule
+        tiny, sub, inf, nan = 2.2250738585072014e-308, 5e-324, math.inf, math.nan
+        values = (0.0, -0.0, sub, -sub, 3e-320, tiny, 1e-160, 1.0, -1.0, 1e200, inf, -inf, nan)
+        with np.errstate(all="ignore"):
+            for x0 in values:
+                for x1 in values:
+                    x = np.array([x0, x1])
+                    assert rule(x) == self.numpy_rule(x), (x0, x1)
+
+
+class CountingArray(np.ndarray):
+    """A 2-vector that counts the `@` products it starts: the numpy path."""
+
+    matmuls = 0
+
+    def __new__(cls, values):
+        return np.asarray(values, dtype=float).view(cls)
+
+    def __matmul__(self, other):
+        CountingArray.matmuls += 1
+        return np.asarray(self) @ other
+
 
 class TestSwitchedEscape:
     def test_escape_before_horizon(self, escape_run):
