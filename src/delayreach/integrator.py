@@ -166,27 +166,29 @@ class Trajectory:
     of the step that produced it, so a segment ending at an input
     discontinuity interpolates with the correct left limit. While a Stepper
     extends the trajectory, the three arrays are views into buffers that
-    double when full; `_trim` copies them out when the run is frozen. The
-    last segment is also held as the floats the Stepper computed it in, so
-    the reads a run makes at its end cost no array access.
+    double when full; the coefficient buffer is laid out (n, dim, 4), one
+    row of four per component as the Stepper computes them, and `qs` is its
+    transposed view. `_trim` copies the three out, contiguous, when the run
+    is frozen. The last segment is also held as the floats the Stepper
+    computed it in, so the reads a run makes at its end cost no array access.
     """
 
     def __init__(self, t0: float, y0: np.ndarray):
         dim = len(y0)
-        self._buf = (np.empty(64), np.empty((64, dim)), np.empty((64, 4, dim)))
+        self._buf = (np.empty(64), np.empty((64, dim)), np.empty((64, dim, 4)))
         self._buf[0][0] = t0
         self._buf[1][0] = y0
         self._view(1)
 
     def _view(self, n: int):
         tb, yb, qb = self._buf
-        self.ts, self.ys, self.qs = tb[:n], yb[:n], qb[: n - 1]
+        self.ts, self.ys, self.qs = tb[:n], yb[:n], qb[: n - 1].transpose(0, 2, 1)
         self._tail = None  # a rewind drops the segment it held
 
     def _append(self, t: float, y, q, y0):
-        """Add the node (t, y) and the (4, dim) coefficients q of the segment
+        """Add the node (t, y) and the (dim, 4) coefficients q of the segment
         ending there, whose start value y0 is the last node's; y, q and y0
-        may be ndarrays or nested lists of floats, and are kept as given."""
+        may be ndarrays or nested sequences of floats, and are kept as given."""
         tail = self._tail
         n = len(self.ts)
         if n == len(self._buf[0]):
@@ -207,7 +209,7 @@ class Trajectory:
 
     def _trim(self):
         self.ts, self.ys, self.qs = self.ts.copy(), self.ys.copy(), self.qs.copy()
-        self._buf = (self.ts, self.ys, self.qs)
+        self._buf = (self.ts, self.ys, self.qs.transpose(0, 2, 1))
 
     @property
     def t_start(self) -> float:
@@ -236,17 +238,17 @@ class Trajectory:
                 return np.array(y1)
         else:
             if len(self.ts) == 1:
-                return self.ys[0]
+                return self.ys[0].copy()
             i = self._segment(t)
             if t == self.ts[i + 1]:
-                return self.ys[i + 1]
+                return self.ys[i + 1].copy()
             t0, t1 = self.ts[i : i + 2].tolist()
-            y0, q = self.ys[i].tolist(), self.qs[i].tolist()
+            y0, q = self.ys[i].tolist(), self._buf[2][i].tolist()
         # `_quartic_eval` per component on floats: numpy's elementwise
         # arithmetic rounds the same, without its per-call cost
         th = (t - t0) / (t1 - t0)
         return np.array([y + th * (a + th * (b + th * (c + th * d)))
-                         for y, a, b, c, d in zip(y0, *q)])
+                         for y, (a, b, c, d) in zip(y0, q)])
 
     def eval(self, t: float) -> np.ndarray:
         if not (self.t_start - 1e-12 <= t <= self.t_end + 1e-12):
@@ -325,7 +327,7 @@ class HistoryFn:
         if s < k0 - 1e-9 or s > kn + 1e-9:
             raise BadHistoryDomain(f"history evaluated at {s} outside [{k0}, 0]")
         if len(k) == 1:
-            return v[0]
+            return v[0].copy()
         s = min(max(s, k0), kn)
         i = min(int(np.searchsorted(k, s, side="right")) - 1, len(k) - 2)
         return np.array(_linear(k[i], k[i + 1], v[i], v[i + 1])(s))
@@ -514,16 +516,12 @@ class Stepper:
                     fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
                     self.h = max(h * fac, o.h_min)
                     continue
-                ks = tuple(zip(k0, k2, k3, k4, k5, k6))
-                q = (
-                    [h * b0 for b0 in k0],
-                    [h * (_P01 * b0 + _P21 * b2 + _P31 * b3 + _P41 * b4 + _P51 * b5 + _P61 * b6)
-                     for b0, b2, b3, b4, b5, b6 in ks],
-                    [h * (_P02 * b0 + _P22 * b2 + _P32 * b3 + _P42 * b4 + _P52 * b5 + _P62 * b6)
-                     for b0, b2, b3, b4, b5, b6 in ks],
-                    [h * (_P03 * b0 + _P23 * b2 + _P33 * b3 + _P43 * b4 + _P53 * b5 + _P63 * b6)
-                     for b0, b2, b3, b4, b5, b6 in ks],
-                )
+                # the dense-output coefficients (q0, q1, q2, q3) per component
+                q = [(h * b0,
+                      h * (_P01 * b0 + _P21 * b2 + _P31 * b3 + _P41 * b4 + _P51 * b5 + _P61 * b6),
+                      h * (_P02 * b0 + _P22 * b2 + _P32 * b3 + _P42 * b4 + _P52 * b5 + _P62 * b6),
+                      h * (_P03 * b0 + _P23 * b2 + _P33 * b3 + _P43 * b4 + _P53 * b5 + _P63 * b6))
+                     for b0, b2, b3, b4, b5, b6 in zip(k0, k2, k3, k4, k5, k6)]
                 traj._append(t_new, y_new, q, y)
                 t, y, k0 = t_new, y_new, k6
                 norm_prev, norm = norm, norm_new
@@ -623,7 +621,8 @@ def integrate(
     [0, d] the lookup at delay d one segment of `history.shifted(d)`; both
     are resolved once per interval (`Signal.piece`), and the outgoing slope
     is evaluated again at each boundary. Past d the lookup reads the dense
-    output at t - d.
+    output at t - d. A nondelayed system's rhs is handed the empty tuple of
+    lookups, with no list built per evaluation.
     `stop = (every, ask)`: ask(traj, t) is asked at the first accepted step
     at or past t = every and then once per `every` of progress; when it
     returns True the run ends there, with the trajectory on [0, t]. The
@@ -669,8 +668,12 @@ def integrate(
         uval = u.piece(lo, hi)
         looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
 
-    def f(t, y):
-        return rhs(y, tuple([look(t) for look in looks]), uval(t))
+    if delays:
+        def f(t, y):
+            return rhs(y, tuple([look(t) for look in looks]), uval(t))
+    else:
+        def f(t, y):
+            return rhs(y, (), uval(t))
 
     uval = looks = None
     resolve(0.0, stops[0])

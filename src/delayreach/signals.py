@@ -45,9 +45,18 @@ def _constant(v):
 def _linear(k0, k1, v0, v1):
     """t -> the line through (k0, v0) and (k1, v1), as every broken line here
     computes it: w = (t - k0) / (k1 - k0), then (1 - w) v0 + w v1 per component
-    (in floats: the same roundings as numpy's, without its per-call cost)."""
+    (in floats: the same roundings as numpy's, without its per-call cost). A
+    one-component line, as every scalar input is, spells that one sum out."""
     a, span = float(k0), float(k1 - k0)
     pairs = list(zip(np.asarray(v0).tolist(), np.asarray(v1).tolist()))
+    if len(pairs) == 1:
+        ((p, q),) = pairs
+
+        def line(t):
+            w = (t - a) / span
+            return [(1.0 - w) * p + w * q]
+
+        return line
 
     def line(t):
         w = (t - a) / span
@@ -193,7 +202,12 @@ class PiecewiseLinear(Signal):
 
 
 class ExponentialTail(Signal):
-    """value * exp(-rate * (t - start)) for t >= start, frozen before start."""
+    """value * exp(-rate * (t - start)) for t >= start, frozen before start.
+
+    A piece past start multiplies each component by one rounded factor
+    e = exp(-rate * (t - start)); a one-component value, as the cascade's
+    feed is, is the one product v * e.
+    """
 
     def __init__(self, value, rate, start=0.0):
         self.value = _as_value(value)
@@ -209,6 +223,13 @@ class ExponentialTail(Signal):
         # at start itself the decay is exp(-0) = 1 exactly: the frozen value
         # np.exp, not math.exp: the two differ in the last bit on some arguments
         value, rate, start = self.value.tolist(), self.rate, self.start
+        if len(value) == 1:
+            (v,) = value
+
+            def decay(t):
+                return [v * float(np.exp(-rate * (t - start)))]
+
+            return decay
 
         def decay(t):
             e = float(np.exp(-rate * (t - start)))

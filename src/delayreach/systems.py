@@ -74,6 +74,10 @@ def planar_rhs(params: PlanarParams = DEFAULT_PLANAR, lam: Optional[float] = Non
     """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state: x is a
     pair of floats and g returns a list of two.
 
+    g is `_field(_blend(m1, m2, unit_saturation(u)), x)` bit for bit, written
+    out in one body: the same clamp, then the same sums and products in the
+    same order, without four calls per evaluation.
+
     With `lam` given, g ignores u and applies A(sat(lam)), blended once: the
     field of one mode of a switched run, bit for bit the blended field at u = lam.
     """
@@ -86,8 +90,16 @@ def planar_rhs(params: PlanarParams = DEFAULT_PLANAR, lam: Optional[float] = Non
 
         return g_fixed
 
+    (p11, p12, p21, p22), (q11, q12, q21, q22) = m1, m2
+
     def g(x, u: float) -> list:
-        return _field(_blend(m1, m2, unit_saturation(float(u))), x)
+        # unit_saturation(u), inlined
+        lam = 0.0 if u < 0.0 else 1.0 if u > 1.0 else float(u)
+        mu = 1.0 - lam
+        x1, x2 = x
+        c = 1.0 + (x1 * x1 + x2 * x2)
+        return [c * ((lam * p11 + mu * q11) * x1 + (lam * p12 + mu * q12) * x2),
+                c * ((lam * p21 + mu * q21) * x1 + (lam * p22 + mu * q22) * x2)]
 
     return g
 

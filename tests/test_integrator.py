@@ -189,8 +189,8 @@ def bumps():
     component 1 is -6th(1 - th) on [0, 1] and 0 on [1, 2]."""
     traj = Trajectory(0.0, np.zeros(2))
     z = np.zeros(2)
-    traj._append(1.0, z, np.array([[8.0, -6.0], [-8.0, 6.0], [0.0, 0.0], [0.0, 0.0]]), z)
-    traj._append(2.0, z, np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), z)
+    traj._append(1.0, z, np.array([[8.0, -6.0], [-8.0, 6.0], [0.0, 0.0], [0.0, 0.0]]).T, z)
+    traj._append(2.0, z, np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 0.0], [0.0, 0.0]]).T, z)
     traj._trim()
     return traj
 
@@ -352,6 +352,31 @@ class TestStepperArithmetic:
         assert np.abs(st.traj.ys[1] - (np.array(y) + h * (np.array(DP_A[6]) @ k[:6]))).max() <= ulps
         assert np.abs(st.traj.qs[0] - h * (np.array(DP_P).T @ k)).max() <= ulps
 
+    def test_dense_output_of_many_steps_is_the_ordered_tableau_sum(self):
+        # the coefficients of every segment, in the stored (n_seg, 4, dim)
+        # layout, against the per-component sums in stage order. The stages
+        # of a smooth field nearly agree, and then a reassociated sum often
+        # rounds the same; this field's stages are far apart, and the loose
+        # tolerance accepts every step
+        rng = np.random.default_rng(7)
+        dim = 3
+        m, v = rng.normal(size=(dim, dim)), rng.normal(size=dim)
+
+        def rhs(t, x):
+            return np.sin(50.0 * (m @ np.array(x)) + 30.0 * t * v).tolist()
+
+        st = Stepper(rhs, 0.0, rng.normal(size=dim), IntegratorOptions(rel_tol=1.0, abs_tol=1e6))
+        for _ in range(300):
+            t, y, h = st.t, st.y.tolist(), 10.0 ** rng.uniform(-4.0, -2.0)
+            st.h, nsteps = h, st.nsteps
+            st.advance(100.0, until=t)
+            assert st.nsteps == nsteps + 1 and st.t == t + h
+            ks = [rhs(t, y)]
+            for c, row in zip(DP_C[1:], DP_A[1:]):
+                ks.append(rhs(t + c * h, [y[i] + h * ordered_sum(row, ks, i) for i in range(dim)]))
+            q = [[h * ordered_sum([row[col] for row in DP_P], ks, i) for i in range(dim)] for col in range(4)]
+            assert st.traj.qs[-1].tobytes() == np.array(q).tobytes()
+
 
 def array_interp(traj, t):
     """Trajectory._interp as numpy arithmetic on the segment's arrays."""
@@ -401,7 +426,7 @@ class TestFloatContract:
                 t = 0.0
                 for k in range(m):
                     t += 10.0 ** rng.uniform(-6.0, 0.0)
-                    traj._append(t, ys[k + 1], rng.normal(size=(4, dim)) * scale[k], ys[k])
+                    traj._append(t, ys[k + 1], (rng.normal(size=(4, dim)) * scale[k]).T, ys[k])
                 ts = traj.ts
                 # theta = 0 at each node, the last node itself, and one random
                 # instant inside every segment
@@ -615,6 +640,50 @@ class TestDeterminism:
         # frozen arrays own exactly their rows: no growth capacity left over
         for v in arrays_a.values():
             assert v.base is None
+
+
+class TestFreshValues:
+    """A value read from a stored solution is the caller's own array: writing
+    to it leaves the trajectory or the history as it was."""
+
+    def test_trajectory_nodes_read_from_the_arrays(self):
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        st.advance(3.0, until=0.0)
+        st.advance(3.0, until=st.t)
+        st.rewind()  # clears the held tail: t_end is read from the arrays
+        traj = st.outcome().trajectory
+        assert traj._tail is None
+        before = traj_bytes(traj)
+        for t in traj.ts.tolist():
+            x = traj.eval(t)
+            x[:] = 7.0
+        assert traj_bytes(traj) == before
+
+    def test_single_node_trajectory(self):
+        traj = Trajectory(1.0, np.array([-0.0, 2.0]))
+        before = traj_bytes(traj)
+        traj.eval(1.0)[:] = 7.0
+        assert traj_bytes(traj) == before
+
+    def test_one_knot_history(self):
+        h = HistoryFn.constant([1.0, 2.0], 0.0)
+        h.eval(0.0)[0] = 9.0
+        assert h.values.tolist() == [[1.0, 2.0]]
+        assert h.eval(0.0).tolist() == [1.0, 2.0]
+
+
+class TestFrozenLayout:
+    def test_frozen_arrays_are_the_contiguous_nodes_and_coefficients(self):
+        # the Stepper fills a (n, dim, 4) buffer; frozen, a trajectory holds
+        # exactly ts, ys and qs, with qs (n_seg, 4, dim), each its own copy
+        out = integrate(cascade_system(1.0), HistoryFn.constant([0.9, 2.0, -1.0], 1.0), None, 4.0)
+        traj = out.trajectory
+        arrays = {k: v for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"ts", "ys", "qs"}
+        n = len(traj.ts)
+        assert traj.qs.shape == (n - 1, 4, 3) and traj.ys.shape == (n, 3)
+        for v in arrays.values():
+            assert v.base is None and v.flags.c_contiguous
 
 
 class TestHistoryFn:

@@ -14,9 +14,47 @@ from delayreach.signals import (
     PiecewiseLinear,
     TimeShift,
     Window,
+    _linear,
     from_json,
     smooth_square,
 )
+
+
+def is_float_list(v):
+    return type(v) is list and all(type(x) is float for x in v)
+
+
+class TestScalarPieces:
+    """A one-component line or decay spells its one sum out; it must be, bit
+    for bit, the first component of the general comprehension."""
+
+    def test_one_component_line_is_the_general_formula(self):
+        rng = np.random.default_rng(22)
+        for _ in range(3_000):
+            k0 = rng.uniform(-10.0, 10.0)
+            k1 = k0 + 10.0 ** rng.uniform(-8.0, 2.0)
+            v0, v1 = (rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)).tolist()
+            if rng.random() < 0.05:
+                v0 = -0.0
+            one = _linear(k0, k1, [v0], [v1])
+            general = _linear(k0, k1, [v0, 1.0], [v1, 2.0])
+            for t in [k0, k1] + rng.uniform(k0 - 1.0, k1 + 1.0, size=5).tolist():
+                out = one(t)
+                assert is_float_list(out) and len(out) == 1
+                assert np.array(out).tobytes() == np.array(general(t)[:1]).tobytes(), (k0, k1, t)
+
+    def test_one_component_decay_is_the_general_formula(self):
+        rng = np.random.default_rng(23)
+        for _ in range(3_000):
+            v = float(rng.normal() * 10.0 ** rng.uniform(-3.0, 3.0))
+            rate, start = rng.uniform(-0.5, 3.0), rng.uniform(0.0, 3.0)
+            lo = start + rng.uniform(0.0, 5.0)
+            one = ExponentialTail([v], rate, start).piece(lo, lo + 10.0)
+            general = ExponentialTail([v, 1.0], rate, start).piece(lo, lo + 10.0)
+            for t in [lo, start] + (lo + rng.uniform(0.0, 10.0, size=5)).tolist():
+                out = one(t)
+                assert is_float_list(out) and len(out) == 1
+                assert np.array(out).tobytes() == np.array(general(t)[:1]).tobytes(), (v, rate, t)
 
 
 def dense_sup(sig, lo, hi, n=20001):

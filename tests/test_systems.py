@@ -82,6 +82,30 @@ class TestPlanarRhs:
             assert a == b == c
 
 
+    def test_blended_field_is_the_composition_bit_for_bit(self):
+        # g spells out _field(_blend(m1, m2, unit_saturation(u)), x), the clamp
+        # inlined: the bytes must be the composition's, also where c or the
+        # field overflows, at the clamp's edges, and at NaN and +-inf inputs
+        m1, m2 = systems._entries(DEFAULT_PLANAR.a1), systems._entries(DEFAULT_PLANAR.a2)
+        g = planar_rhs()
+        rng = np.random.default_rng(22)
+        n = 100_000
+        us = rng.uniform(-2.0, 3.0, size=n)
+        special = [0.0, 1.0, -0.0, math.nan, math.inf, -math.inf]
+        us[: 6 * len(special)] = special * 6
+        # magnitudes from subnormal to past 1.3e154, where c overflows
+        xs = rng.choice([-1.0, 1.0], size=(n, 2)) * 10.0 ** rng.uniform(-320.0, 160.0, size=(n, 2))
+        xs[rng.random(size=xs.shape) < 0.01] = 0.0
+        xs[rng.random(size=xs.shape) < 0.01] = -0.0
+        for x, u in zip(xs.tolist(), us.tolist()):
+            expect = systems._field(systems._blend(m1, m2, unit_saturation(u)), x)
+            assert np.array(g(x, u)).tobytes() == np.array(expect).tobytes(), (x, u)
+        # an input handed over as a numpy scalar (a constant piece) rounds the same
+        for x, u in zip(xs[:2000].tolist(), us[:2000]):
+            assert np.array(g(x, u)).tobytes() == np.array(g(x, float(u))).tobytes(), (x, u)
+            assert all(type(v) is float for v in g(x, u))
+
+
 class TestGreedyRule:
     def test_quadrant_cases(self):
         rule = greedy_worst_switch(dwell=1e-3).rule
