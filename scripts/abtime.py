@@ -2,13 +2,14 @@
 workloads: a speed ratio that drift of the machine's speed does not swamp.
 
     python scripts/abtime.py path/to/base                  # base against this checkout
-    python scripts/abtime.py path/to/base path/to/change --rounds 10 --workload reach_times
+    python scripts/abtime.py path/to/base path/to/change --rounds 10
 
 Each checkout's `delayreach` is imported from its own `src/` into this one
 interpreter, and the workloads of this checkout's `drbench/workloads.py`
-(imported, not changed) drive both. In each round every operation runs on
-both sides back to back, the side that goes first alternating from one
-operation to the next, and the two digests of its result must agree. A round's
+(imported, not changed) drive both, every workload at seed 1. In each round
+every operation runs on both sides back to back, the side that goes first
+alternating from one operation to the next, and the two digests of its result
+must agree. A round's
 ratio is the base's time over the change's, the change's `ops_per_s` over the
 base's. One line per round, then per workload the median, min and max of the
 ratios; the last line is the same as one JSON object.
@@ -24,6 +25,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def load(root: Path):
@@ -47,8 +49,6 @@ def main(argv=None) -> int:
     ap.add_argument("base", type=Path)
     ap.add_argument("change", type=Path, nargs="?", default=HERE)
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workload", action="append", help="repeatable; default: every workload")
     args = ap.parse_args(argv)
 
     sys.dont_write_bytecode = True  # leave drbench/ and both src/ as they are
@@ -60,10 +60,9 @@ def main(argv=None) -> int:
     for root in (args.base, args.change):
         dr = load(root.resolve())
         sides.append((dr, startup.prepare(dr)))
-    names = args.workload or list(workloads.WORKLOADS)
     out = {}
-    for name in names:
-        wls = [workloads.WORKLOADS[name](dr, ctx, args.seed) for dr, ctx in sides]
+    for name, make in workloads.WORKLOADS.items():
+        wls = [make(dr, ctx, SEED) for dr, ctx in sides]
         ratios = []
         for k in range(args.rounds):
             spent = [0.0, 0.0]
