@@ -87,7 +87,6 @@ from .systems import (
     recorded_escape,
     run_switched,
     saturation_stop_times,
-    unit_saturation,
 )
 
 __version__ = "0.1.0"

@@ -39,6 +39,7 @@ from .systems import (
     PlanarParams,
     make_system,
     recorded_escape,
+    saturation_stop_times,
 )
 
 
@@ -266,7 +267,8 @@ def run_simulate(args, s: Setup) -> Output:
         raise ConfigInvalid(f"history const: expected {sys_.dim} components")
     ic = HistoryFn.constant(vals, sys_.tau) if sys_.delays else vals
     u = signal_from_config(load_config(args.input)) if args.input is not None else s.input
-    out = integrate(sys_, ic, u, args.T, s.opts)
+    stops = saturation_stop_times(ic, sys_.tau, args.T) if sys_.delays else ()
+    out = integrate(sys_, ic, u, args.T, s.opts, extra_stops=stops)
     rows = _sample_trajectory(out, args.grid)
     header = ["t"] + [f"x{i + 1}" for i in range(sys_.dim)]
     summary = {"subcommand": "simulate", "system": args.system,

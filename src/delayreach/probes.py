@@ -7,8 +7,8 @@ In the cascade, z' = -z is decoupled, so the delayed feed w(t) = z(t - tau)
 is known in closed form from the history: its z-column shifted by tau on
 [0, tau], then z(0) e^{-(t - tau)}. The settle and envelope probes
 (`uga_table`, `rfc_sweep`, `es_check`) therefore integrate only the
-nondelayed planar block driven by that exact feed (`_exact_feed`), with a
-forced step boundary at every kink of it, and read z(t) = z(0) e^{-t} in
+nondelayed planar block driven by that exact feed, with a forced step
+boundary at every kink of it (`_feed_run`), and read z(t) = z(0) e^{-t} in
 closed form. `estimate_R` and `embedding_check` run the delayed cascade.
 
 All probes are deterministic given (seed, options): every random draw uses a
@@ -174,19 +174,26 @@ def theoretical_reach_time(r: float, eps: float, tau: float, cert: Certificate) 
     return t1 + tau + 2.0 * cert.p0.c2 ** 2 / (cert.p0.c1 * eps * eps)
 
 
-def _exact_feed(history: HistoryFn, tau: float, T: float) -> tuple[Signal, np.ndarray, float]:
-    """The cascade's delayed feed w(t) = z(t - tau) on [0, T] in closed form.
-
-    Returns (w, stops, z0): w is the history's z-column shifted by tau on
-    [0, tau], then z0 e^{-(t - tau)} with z0 = z(0); stops are the times in
-    (0, T) where w crosses a saturation level (`saturation_stop_times`), the
-    kinks of the rhs that `w.breakpoints` (the shifted knots and tau) does
-    not list.
-    """
+def _exact_feed(history: HistoryFn, tau: float) -> Signal:
+    """The cascade's delayed feed w(t) = z(t - tau) in closed form: the
+    history's z-column shifted by tau on [0, tau], then z0 e^{-(t - tau)}
+    with z0 = z(0)."""
     line = history.shifted(tau)
     z0 = float(history.eval(0.0)[0])
-    w = Concatenation(PiecewiseLinear(line.knots, line.values[:, :1]), ExponentialTail([z0], 1.0, tau), tau)
-    return w, saturation_stop_times(history, tau, T), z0
+    return Concatenation(PiecewiseLinear(line.knots, line.values[:, :1]), ExponentialTail([z0], 1.0, tau), tau)
+
+
+def _feed_run(history: HistoryFn, tau: float, T: float, opts: IntegratorOptions, stop=None) -> Trajectory:
+    """The planar block x of the cascade from `history` on [0, T], driven by
+    the exact feed and stepping to each of its crossings of 0 and 1
+    (`saturation_stop_times`), kinks of the rhs its breakpoints do not list.
+    `stop` is `integrate`'s. A continuous history cannot escape, so an escape
+    raises UnexpectedEscape."""
+    out = integrate(planar_system(), history.eval(0.0)[1:3], _exact_feed(history, tau), T, opts,
+                    extra_stops=saturation_stop_times(history, tau, T), stop=stop)
+    if out.escaped:
+        raise UnexpectedEscape(f"escape at t={out.t_escape} from a continuous history")
+    return out.trajectory
 
 
 def _certified_settle(
@@ -212,8 +219,7 @@ def _certified_settle(
     raises HorizonTooShort.
     """
     lam = cert.capital_lambda
-    w, stops, z0 = _exact_feed(history, tau, hard_horizon)
-    z_abs = abs(z0)
+    z_abs = abs(float(history.eval(0.0)[0]))
     t_z = math.log(z_abs / eps) if z_abs > eps else 0.0
     settled = []
 
@@ -231,13 +237,10 @@ def _certified_settle(
         settled.append(t_emp)
         return True
 
-    x0 = history.eval(0.0)[1:3]
-    out = integrate(planar_system(), x0, w, hard_horizon, opts, extra_stops=stops, stop=(tau, sealed))
-    if out.escaped:
-        raise UnexpectedEscape(f"escape at t={out.t_escape} from a continuous history")
+    traj = _feed_run(history, tau, hard_horizon, opts, stop=(tau, sealed))
     if not settled:
         raise HorizonTooShort(f"not settled into eps={eps} by t={hard_horizon}")
-    return settled[0], out.trajectory
+    return settled[0], traj
 
 
 def es_check(
@@ -257,7 +260,6 @@ def es_check(
     envelope inflated by fit_tol.
     """
     cert = default_certificate()
-    planar = planar_system()
     k_env = cert.k
     p_env = cert.p
     lam = cert.capital_lambda
@@ -268,14 +270,11 @@ def es_check(
         rng = np.random.default_rng((seed, i))
         norm = lam * rng.uniform(0.2, 1.0)
         hist = random_history(rng, norm, tau, _CASCADE_DIM)
-        w, stops, z0 = _exact_feed(hist, tau, T)
-        out = integrate(planar, hist.eval(0.0)[1:3], w, T, opts, extra_stops=stops)
-        if out.escaped:
-            raise UnexpectedEscape("escape in the small-norm envelope region")
-        traj = out.trajectory
+        z_abs = abs(float(hist.eval(0.0)[0]))
+        traj = _feed_run(hist, tau, T, opts)
         ts = rng.uniform(0.0, T, size=_ENVELOPE_SAMPLES)
         for t in ts:
-            mag = max(abs(z0) * math.exp(-t), float(np.abs(traj.eval(t)).max()))
+            mag = max(z_abs * math.exp(-t), float(np.abs(traj.eval(t)).max()))
             env = k_env * norm * math.exp(-p_env * t)
             if mag > env * (1.0 + fit_tol):
                 violations += 1
@@ -301,6 +300,10 @@ def uga_table(
     For each (r, eps) cell, the worst settle time over sampled histories of
     norm <= r must not exceed the theoretical bound; HorizonTooShort
     otherwise (a falsification, which must not occur).
+
+    Draw i is seeded by (seed, int(1000 r), int(1000 eps), i), the key the
+    benchmark rebuilds draw 0 from: r (or eps) values with the same
+    int(1000 r), such as 0.5 and 0.5004, draw the same history shapes.
     """
     cert = default_certificate()
     cells = []

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,15 +25,6 @@ from .signals import PiecewiseConstant, Signal, Window
 
 class WindowOverlap(ValueError):
     """Delay gaps too small for the history-completion windows."""
-
-
-def unit_saturation(r: float) -> float:
-    """Clamp to [0, 1]: 0 for r < 0, r on [0, 1], 1 for r > 1."""
-    if r < 0.0:
-        return 0.0
-    if r > 1.0:
-        return 1.0
-    return float(r)
 
 
 @dataclass(frozen=True)
@@ -55,45 +46,16 @@ def _entries(m: Mat2) -> tuple:
     return float(m.a11), float(m.a12), float(m.a21), float(m.a22)
 
 
-def _blend(m1: tuple, m2: tuple, lam: float) -> tuple:
-    """Row-major entries of lam m1 + (1 - lam) m2."""
-    (p11, p12, p21, p22), (q11, q12, q21, q22), mu = m1, m2, 1.0 - lam
-    return lam * p11 + mu * q11, lam * p12 + mu * q12, lam * p21 + mu * q21, lam * p22 + mu * q22
-
-
-def _field(a: tuple, x) -> list:
-    """(1 + |x|_2^2) A x for the row-major entries a of A, each sum of two
-    products rounded in this order (numpy's dot may fuse them, by shape)."""
-    a11, a12, a21, a22 = a
-    x1, x2 = x
-    c = 1.0 + (x1 * x1 + x2 * x2)
-    return [c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)]
-
-
-def planar_rhs(params: PlanarParams = DEFAULT_PLANAR, lam: Optional[float] = None) -> Callable:
+def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
     """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state: x is a
-    pair of floats and g returns a list of two.
-
-    g is `_field(_blend(m1, m2, unit_saturation(u)), x)` bit for bit, written
-    out in one body: the same clamp, then the same sums and products in the
-    same order, without four calls per evaluation.
-
-    With `lam` given, g ignores u and applies A(sat(lam)), blended once: the
-    field of one mode of a switched run, bit for bit the blended field at u = lam.
+    pair of floats and g returns a list of two. sat clamps u to [0, 1] (NaN
+    passes through); A(lam) = lam A1 + (1 - lam) A2 is exactly A1 or A2 at
+    lam = 1 or 0, the field of a fixed mode. Each sum of two products is
+    rounded in the order written, so a fused dot product cannot move it.
     """
-    m1, m2 = _entries(params.a1), _entries(params.a2)
-    if lam is not None:
-        a_fixed = _blend(m1, m2, unit_saturation(lam))
-
-        def g_fixed(x, u=None) -> list:
-            return _field(a_fixed, x)
-
-        return g_fixed
-
-    (p11, p12, p21, p22), (q11, q12, q21, q22) = m1, m2
+    (p11, p12, p21, p22), (q11, q12, q21, q22) = _entries(params.a1), _entries(params.a2)
 
     def g(x, u: float) -> list:
-        # unit_saturation(u), inlined
         lam = 0.0 if u < 0.0 else 1.0 if u > 1.0 else float(u)
         mu = 1.0 - lam
         x1, x2 = x
@@ -208,7 +170,7 @@ def history_from_inputs(xi0, inputs, delays) -> HistoryFn:
     return HistoryFn(knots_arr, vals_arr)
 
 
-#: the levels where `unit_saturation` kinks
+#: the levels where the clamp of `planar_rhs` kinks
 _SATURATION_LEVELS = (0.0, 1.0)
 
 
@@ -311,23 +273,25 @@ def run_switched(
     [_MIN_DWELL, dwell], so sampling keeps up with the cubically
     accelerating rotation.
 
-    The samples are read from the dense output, not forced as step
-    boundaries: steps are sized by the error test of `opts` alone, and the
-    run is as accurate as `opts` asks. Only a sample that switches the mode
-    inside the last step drops that step and steps to the sample again, so
-    every switching instant is a node. Samples before an escape found in
-    the last step are still taken. The realized input is recorded as a
+    The run steps `planar_rhs()` at u = mode, the policy's last decision: a
+    switch rebinds the mode and drops the Stepper's cached rhs value. The
+    samples are read from the dense output, not forced as step boundaries:
+    steps are sized by the error test of `opts` alone, and the run is as
+    accurate as `opts` asks. Only a sample that switches the mode inside the
+    last step drops that step and steps to the sample again, so every
+    switching instant is a node. Samples before an escape found in the last
+    step are still taken. The realized input is recorded as a
     piecewise-constant signal (consecutive equal values merged) so the
     escape can be replayed open loop.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    # the field of the current mode; it changes only at a node
+    # the mode changes only at a node, where the Stepper's cached rhs is dropped
+    g = planar_rhs()
     mode = float(policy.rule(x0))
-    field = [planar_rhs(lam=mode)]
 
     def rhs(t, y):
-        return field[0](y)
+        return g(y, mode)
 
     stepper = Stepper(rhs, 0.0, x0, opts)
     traj = stepper.traj
@@ -353,7 +317,6 @@ def run_switched(
                 if stepper.escape_info is not None:
                     break
             mode = lam
-            field[0] = planar_rhs(lam=mode)
             stepper.invalidate_rhs_cache()
             piece_vals.append(lam)
             piece_breaks.append(t_k)

@@ -1,10 +1,12 @@
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
 from delayreach.cli import build_parser, main
+from delayreach.integrator import HistoryFn, IntegratorOptions, integrate
 from delayreach.probes import escape_schedule, estimate_R
 from delayreach.signals import from_json
 from delayreach import systems
@@ -110,6 +112,19 @@ class TestSimulate:
         assert code == 0
         summary = json.loads((tmp_path / "simulate_summary.json").read_text())
         assert summary["outcome"] == "completed"
+
+    def test_cascade_run_forces_the_saturation_stops(self, tmp_path, capsys):
+        # from z = 2 the feed crosses 1 at tau + ln 2, a kink of the rhs that no
+        # breakpoint lists: the run steps to it, as every other cascade run does
+        assert main(["--out", str(tmp_path), "simulate", "--history", "const:2,0.1,0"]) == 0
+        hist = HistoryFn.constant(np.array([2.0, 0.1, 0.0]), DEFAULT_DELAY)
+        stops = systems.saturation_stop_times(hist, DEFAULT_DELAY, 5.0)
+        assert stops.tolist() == [DEFAULT_DELAY + math.log(2.0)]
+        out = integrate(make_system("cascade"), hist, None, 5.0, IntegratorOptions(), extra_stops=stops)
+        assert stops[0] in out.trajectory.ts
+        rows = [(t, *out.trajectory.eval(t)) for t in np.linspace(0.0, 5.0, 200)]
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert lines == [",".join("%.17g" % float(v) for v in row) for row in rows]
 
     def test_positively_shifted_input_runs(self, tmp_path, capsys):
         # before its shift a time_shift reads its inner signal at 0

@@ -12,6 +12,7 @@ from delayreach.probes import (
     TauTooShort,
     _certified_settle,
     _exact_feed,
+    _feed_run,
     es_check,
     escape_schedule,
     estimate_R,
@@ -106,14 +107,6 @@ class TestEsCheck:
         assert fit.k_emp > 0.0
 
 
-class TestUgaTable:
-    def test_single_cell(self):
-        cells = uga_table([1.0], [1.0], n_samples=4, seed=1)
-        assert len(cells) == 1
-        assert cells[0].ok
-        assert cells[0].t_emp_max < cells[0].t_theory
-
-
 #: the (r, eps) cells of the reach-time table
 REACH_CELLS = ((1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (100.0, 0.1), (100.0, 1.0))
 
@@ -123,6 +116,25 @@ def uga_draw(r, eps, seed=0):
     tau = DEFAULT_DELAY
     rng = np.random.default_rng((seed, int(r * 1000), int(eps * 1000), 0))
     return tau, random_history(rng, r * rng.uniform(0.3, 1.0), tau, 3)
+
+
+class TestUgaTable:
+    def test_single_cell(self):
+        cells = uga_table([1.0], [1.0], n_samples=4, seed=1)
+        assert len(cells) == 1
+        assert cells[0].ok
+        assert cells[0].t_emp_max < cells[0].t_theory
+
+    @pytest.mark.parametrize("r,eps", REACH_CELLS)
+    def test_draw_is_keyed_by_seed_milli_r_milli_eps_and_index(self, cert, r, eps):
+        # the benchmark's reach_times check rebuilds draw 0 from this key, so
+        # a new key would settle another history than the one it checks
+        for seed in (0, 7):
+            tau, hist = uga_draw(r, eps, seed)
+            hard = theoretical_reach_time(r, eps, tau, cert) + 100.0
+            t_emp, _ = _certified_settle(hist, tau, eps, cert, hard, PROBE_OPTS)
+            (cell,) = uga_table([r], [eps], n_samples=1, seed=seed)
+            assert cell.t_emp_max.hex() == t_emp.hex(), (r, eps, seed)
 
 
 def delayed_settle(hist, tau, eps, cert, hard_horizon, opts):
@@ -203,25 +215,31 @@ class TestExactFeed:
         tau = DEFAULT_DELAY
         rng = np.random.default_rng(seed)
         hist = random_history(rng, 1.5, tau, 3)
-        w, _, z0 = _exact_feed(hist, tau, 3.0 * tau)
+        w = _exact_feed(hist, tau)
+        z0 = hist.eval(0.0)[0]
         z = integrate(cascade_system(tau), hist, None, 2.0 * tau, IntegratorOptions()).trajectory
         for t in np.linspace(0.0, 3.0 * tau, 301):
             s = t - tau
             z_del = hist.eval(s)[0] if s <= 0.0 else z.eval(s)[0]
             assert abs(w.eval(t)[0] - z_del) <= 1e-7, t
         # continuous at tau, where the shifted history hands over to the tail
-        assert w.piece(np.nextafter(tau, 0.0), tau)(tau)[0] == w.eval(tau)[0] == z0 == hist.eval(0.0)[0]
+        assert w.piece(np.nextafter(tau, 0.0), tau)(tau)[0] == w.eval(tau)[0] == z0
         assert w.eval(tau - 1e-9)[0] == pytest.approx(z0, abs=1e-6)
         assert tau in w.breakpoints(0.0, 3.0 * tau)
+        # the run on the feed steps to each of its crossings of 0 and 1
+        stops = saturation_stop_times(hist, tau, 3.0 * tau)
+        assert len(stops) > 0
+        assert np.isin(stops, _feed_run(hist, tau, 3.0 * tau, PROBE_OPTS).ts).all()
 
     @pytest.mark.parametrize("z0", [-2.0, 0.0, 0.5, 1.0, 1.5, 4.0])
     def test_tail_crossing_of_1_is_a_stop_exactly_when_z0_exceeds_1(self, z0):
         tau = 1.3
         hist = HistoryFn(np.array([-tau, -0.5, 0.0]), np.array([[0.3, 0.0, 0.0], [0.7, 0.0, 0.0], [z0, 0.0, 0.0]]))
-        w, stops, got = _exact_feed(hist, tau, 100.0)
-        assert got == z0
-        # the stops are saturation_stop_times', tail included
-        assert stops.tobytes() == saturation_stop_times(hist, tau, 100.0).tobytes()
+        w = _exact_feed(hist, tau)
+        assert w.eval(tau)[0] == z0
+        # the tail's crossing is among the stops, and the run steps to each
+        stops = saturation_stop_times(hist, tau, 100.0)
+        assert np.isin(stops, _feed_run(hist, tau, 100.0, PROBE_OPTS).ts).all()
         tail = stops[stops > tau]
         if z0 > 1.0:
             assert list(tail) == [tau + math.log(z0)]

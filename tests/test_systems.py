@@ -25,19 +25,9 @@ from delayreach.systems import (
     recorded_escape,
     run_switched,
     saturation_stop_times,
-    unit_saturation,
 )
 
 from replay import replay
-
-
-class TestSaturation:
-    @pytest.mark.parametrize(
-        "r,expect",
-        [(-5.0, 0.0), (0.0, 0.0), (0.3, 0.3), (1.0, 1.0), (7.0, 1.0)],
-    )
-    def test_values(self, r, expect):
-        assert unit_saturation(r) == expect
 
 
 class TestPlanarRhs:
@@ -56,37 +46,16 @@ class TestPlanarRhs:
         assert np.allclose(g(x.tolist(), 0.5), expect)
 
     def test_field_is_the_hand_ordered_expression(self):
-        # each entry and each sum of two products rounded in this order, so a
-        # numpy build whose dot product fuses them cannot move the result
-        a, b = DEFAULT_PLANAR.a1, DEFAULT_PLANAR.a2
         g = planar_rhs()
         rng = np.random.default_rng(11)
         xs = rng.uniform(-3.0, 3.0, size=(1000, 2)).tolist()
         us = rng.uniform(-1.0, 2.0, size=1000).tolist()  # a third saturated at each end
-        for (x1, x2), u in zip(xs, us):
-            lam = min(max(u, 0.0), 1.0)
-            mu = 1.0 - lam
-            a11, a12 = lam * a.a11 + mu * b.a11, lam * a.a12 + mu * b.a12
-            a21, a22 = lam * a.a21 + mu * b.a21, lam * a.a22 + mu * b.a22
-            c = 1.0 + (x1 * x1 + x2 * x2)
-            expect = np.array([c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)])
-            assert np.array(g([x1, x2], u)).tobytes() == expect.tobytes(), (x1, x2, u)
-
-    @pytest.mark.parametrize("lam", [0.0, 1.0, -3.0, 4.0, 0.25])
-    def test_fixed_mode_matches_the_blend_bit_for_bit(self, lam):
-        blended, fixed = planar_rhs(), planar_rhs(lam=lam)
-        rng = np.random.default_rng(5)
-        for x in rng.uniform(-3.0, 3.0, size=(50, 2)).tolist():
-            # the fixed-mode field ignores its input
-            a, b, c = (np.array(v).tobytes() for v in (fixed(x, 0.7), fixed(x), blended(x, lam)))
-            assert a == b == c
-
+        for x, u in zip(xs, us):
+            assert np.array(g(x, u)).tobytes() == hand_ordered_field(x, u).tobytes(), (x, u)
 
     def test_blended_field_is_the_composition_bit_for_bit(self):
-        # g spells out _field(_blend(m1, m2, unit_saturation(u)), x), the clamp
-        # inlined: the bytes must be the composition's, also where c or the
+        # the clamp, the blend and the field, bit for bit, also where c or the
         # field overflows, at the clamp's edges, and at NaN and +-inf inputs
-        m1, m2 = systems._entries(DEFAULT_PLANAR.a1), systems._entries(DEFAULT_PLANAR.a2)
         g = planar_rhs()
         rng = np.random.default_rng(22)
         n = 100_000
@@ -98,12 +67,25 @@ class TestPlanarRhs:
         xs[rng.random(size=xs.shape) < 0.01] = 0.0
         xs[rng.random(size=xs.shape) < 0.01] = -0.0
         for x, u in zip(xs.tolist(), us.tolist()):
-            expect = systems._field(systems._blend(m1, m2, unit_saturation(u)), x)
-            assert np.array(g(x, u)).tobytes() == np.array(expect).tobytes(), (x, u)
+            assert np.array(g(x, u)).tobytes() == hand_ordered_field(x, u).tobytes(), (x, u)
         # an input handed over as a numpy scalar (a constant piece) rounds the same
         for x, u in zip(xs[:2000].tolist(), us[:2000]):
             assert np.array(g(x, u)).tobytes() == np.array(g(x, float(u))).tobytes(), (x, u)
             assert all(type(v) is float for v in g(x, u))
+
+
+def hand_ordered_field(x, u) -> np.ndarray:
+    """(1 + |x|^2) A(lam) x with lam = u clamped to [0, 1] (NaN kept): each
+    entry of the blend and each sum of two products rounded in this order, so
+    a numpy build whose dot product fuses them cannot move the result."""
+    a, b = DEFAULT_PLANAR.a1, DEFAULT_PLANAR.a2
+    lam = min(max(u, 0.0), 1.0)
+    mu = 1.0 - lam
+    a11, a12 = lam * a.a11 + mu * b.a11, lam * a.a12 + mu * b.a12
+    a21, a22 = lam * a.a21 + mu * b.a21, lam * a.a22 + mu * b.a22
+    x1, x2 = x
+    c = 1.0 + (x1 * x1 + x2 * x2)
+    return np.array([c * (a11 * x1 + a12 * x2), c * (a21 * x1 + a22 * x2)])
 
 
 class TestGreedyRule:
@@ -207,8 +189,8 @@ class TestSwitchedEscape:
         # switches leaves the run of one plain advance on that mode's field
         frozen = SwitchingPolicy(dwell=1e-3, rule=lambda x: 1)
         run = run_switched(frozen, np.array([1.0, 0.0]), T=3.0)
-        field = planar_rhs(lam=1.0)
-        plain = Stepper(lambda t, y: field(y), 0.0, np.array([1.0, 0.0]),
+        g = planar_rhs()
+        plain = Stepper(lambda t, y: g(y, 1.0), 0.0, np.array([1.0, 0.0]),
                         IntegratorOptions(h_min=1e-14))
         plain.advance(3.0)
         assert plain.escape_info is None
