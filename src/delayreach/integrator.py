@@ -13,8 +13,9 @@ input and each shifted history are therefore one closed-form piece each:
 they are resolved once per interval, not searched for at every
 right-hand-side evaluation. The right-hand side takes the state as a
 sequence of floats and returns its derivative as a list of floats, and a
-step is ordered float arithmetic per component on those lists (see
-`Stepper`), with no array between two stages. Unboundedness is the
+step is one attempt generated per state dimension: straight-line ordered
+float sums per component on those lists (see `Stepper`), with no array
+between two stages. Unboundedness is the
 only failure mode of the underlying solution concept, so crossing a norm
 threshold (or a step-size collapse while the norm is growing) is reported
 as a finite-escape outcome, not as an error.
@@ -23,6 +24,8 @@ as a finite-escape outcome, not as an error.
 from __future__ import annotations
 
 import bisect
+import functools
+import linecache
 import math
 import numbers
 from dataclasses import dataclass
@@ -81,6 +84,64 @@ _P31, _P32, _P33 = -1754552775 / 470086768, 14199869525 / 1410260304, -106907639
 _P41, _P42, _P43 = 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632
 _P51, _P52, _P53 = -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844
 _P61, _P62, _P63 = 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423
+
+# One attempt as a template of (coefficient, stage) terms, each sum in stage
+# order. Stage s is taken at t + c*h, or at the step's end t_new where c = 1,
+# on y + h * (the terms of its row); the last row is the 5th-order solution.
+_STAGES = (
+    (_C1, ((_A10, 0),)),
+    (_C2, ((_A20, 0), (_A21, 1))),
+    (_C3, ((_A30, 0), (_A31, 1), (_A32, 2))),
+    (_C4, ((_A40, 0), (_A41, 1), (_A42, 2), (_A43, 3))),
+    (1.0, ((_A50, 0), (_A51, 1), (_A52, 2), (_A53, 3), (_A54, 4))),
+    (1.0, ((_B0, 0), (_B2, 2), (_B3, 3), (_B4, 4), (_B5, 5))),
+)
+_ERROR = ((_E0, 0), (_E2, 2), (_E3, 3), (_E4, 4), (_E5, 5), (_E6, 6))
+_DENSE = (
+    ((_P01, 0), (_P21, 2), (_P31, 3), (_P41, 4), (_P51, 5), (_P61, 6)),
+    ((_P02, 0), (_P22, 2), (_P32, 3), (_P42, 4), (_P52, 5), (_P62, 6)),
+    ((_P03, 0), (_P23, 2), (_P33, 3), (_P43, 4), (_P53, 5), (_P63, 6)),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_kernel(n: int):
+    """One attempt on an n-component state as straight-line float code, rendered
+    from the template with each sum written as a per-component comprehension
+    writes it, so it rounds the same. attempt(rhs, t, h, t_new, y, k0, atol,
+    rtol) calls rhs once per stage with a fresh list and returns (y_new, k2, ...,
+    k6, norm_new, sq): max([|y_new_i|, ...]) and the squared scaled errors
+    summed from 0.0 in component order. dense(h, k0, k2, ..., k6) returns the
+    (q0, q1, q2, q3) of each component."""
+    comps = range(n)
+
+    def names(v):  # "v_0, v_1, "
+        return "".join(f"{v}_{i}, " for i in comps)
+
+    def terms(row, i):  # component i's sum of a template row, in stage order
+        return " + ".join(f"{c!r} * k{j}_{i}" for c, j in row)
+
+    body = [f"{names('y')}= y", f"{names('k0')}= k0"]
+    for s, (c, row) in enumerate(_STAGES, 1):
+        body.append("a = [" + ", ".join(f"y_{i} + h * ({terms(row, i)})" for i in comps) + "]")
+        body.append(f"k{s} = rhs({'t_new' if c == 1.0 else f't + {c!r} * h'}, a)")
+        body.append(f"{names(f'k{s}')}= k{s}")
+    body.append(f"{names('yn')}= a")
+    body += [f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * max(abs(yn_{i}), abs(y_{i})))"
+             for i in comps]
+    norm, sq = ", ".join(f"abs(yn_{i})" for i in comps), "".join(f" + r_{i} * r_{i}" for i in comps)
+    body.append(f"return a, k2, k3, k4, k5, k6, max([{norm}]), 0.0{sq}")
+    src = "def attempt(rhs, t, h, t_new, y, k0, atol, rtol):\n" + "".join(f"    {b}\n" for b in body)
+    body = [f"{names(f'k{j}')}= k{j}" for j in (0, 2, 3, 4, 5, 6)]
+    q = (", ".join([f"h * k0_{i}"] + [f"h * ({terms(row, i)})" for row in _DENSE]) for i in comps)
+    body.append("return [" + ", ".join(f"({row})" for row in q) + "]")
+    src += "\ndef dense(h, k0, k2, k3, k4, k5, k6):\n" + "".join(f"    {b}\n" for b in body)
+    name = f"<dp54 step, n={n}>"
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)  # for tracebacks
+    scope = {}
+    exec(compile(src, name, "exec"), scope)
+    return scope["attempt"], scope["dense"]
+
 
 @dataclass(frozen=True)
 class IntegratorOptions:
@@ -399,9 +460,11 @@ class Stepper:
     A step is float arithmetic per component: each stage argument, the
     5th-order solution, the error estimate and the dense-output coefficients
     are sums of the tableau's nonzero terms in stage order, so a component's
-    rounding depends on that component's stages alone. The stages pass
-    between the rhs and these sums as lists, with no conversion; `y` and the
-    outgoing slope `slope` are ndarrays between calls of `advance`.
+    rounding depends on that component's stages alone. They are one attempt
+    generated per state dimension n, `_step_kernel(n)`; `advance` keeps the
+    control: the error test, rejection, step growth, escape and `until`. The
+    stages pass between the rhs and these sums as lists, with no conversion;
+    `y` and the outgoing slope `slope` are ndarrays between calls of `advance`.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap: float = math.inf):
@@ -410,8 +473,7 @@ class Stepper:
         self.y = np.asarray(y0, dtype=float).copy()
         self.opts = opts
         self._h_top = h_cap
-        # the slope at (t, y): stage 0 of the next step
-        self.slope = np.array(rhs(self.t, self.y.tolist()), dtype=float)
+        self.invalidate_rhs_cache()  # the slope at (t, y): stage 0 of the next step
         self.traj = Trajectory(self.t, self.y)
         self.h = 0.0
         self.nsteps = 0
@@ -419,8 +481,12 @@ class Stepper:
         self._norm = self._norm_prev = float(np.abs(self.y).max())
 
     def invalidate_rhs_cache(self):
-        """Call after the rhs changed at the current time (e.g. new input piece)."""
-        self.slope = np.array(self.rhs(self.t, self.y.tolist()), dtype=float)
+        """Call after the rhs changed at the current time (e.g. new input piece).
+        An rhs whose value has another length than the state is rejected here."""
+        k = self.rhs(self.t, self.y.tolist())
+        if len(k) != len(self.y):
+            raise ValueError(f"rhs returned {len(k)} components for a state of {len(self.y)}")
+        self.slope = np.array(k, dtype=float)
 
     def _initial_step(self, target):
         o = self.opts
@@ -467,6 +533,7 @@ class Stepper:
         # the state of the last accepted step, as lists of floats while stepping
         t, y, k0 = self.t, self.y.tolist(), self.slope.tolist()
         n = len(y)
+        attempt, dense = _step_kernel(n)
         norm, norm_prev = self._norm, self._norm_prev
         eps_t = max(1e-15, 4.0 * math.ulp(abs(target)))
         try:
@@ -479,32 +546,10 @@ class Stepper:
                 if at_end:
                     h = target - t
                 t_new = target if at_end else t + h
-                ys = [a + h * (_A10 * b0) for a, b0 in zip(y, k0)]
-                k1 = rhs(t + _C1 * h, ys)
-                ys = [a + h * (_A20 * b0 + _A21 * b1) for a, b0, b1 in zip(y, k0, k1)]
-                k2 = rhs(t + _C2 * h, ys)
-                ys = [a + h * (_A30 * b0 + _A31 * b1 + _A32 * b2)
-                      for a, b0, b1, b2 in zip(y, k0, k1, k2)]
-                k3 = rhs(t + _C3 * h, ys)
-                ys = [a + h * (_A40 * b0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
-                      for a, b0, b1, b2, b3 in zip(y, k0, k1, k2, k3)]
-                k4 = rhs(t + _C4 * h, ys)
-                ys = [a + h * (_A50 * b0 + _A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
-                      for a, b0, b1, b2, b3, b4 in zip(y, k0, k1, k2, k3, k4)]
-                k5 = rhs(t_new, ys)
-                # the last stage argument is the 5th-order solution (FSAL)
-                y_new = [a + h * (_B0 * b0 + _B2 * b2 + _B3 * b3 + _B4 * b4 + _B5 * b5)
-                         for a, b0, b2, b3, b4, b5 in zip(y, k0, k2, k3, k4, k5)]
-                k6 = rhs(t_new, y_new)
+                y_new, k2, k3, k4, k5, k6, norm_new, sq = attempt(rhs, t, h, t_new, y, k0, atol, rtol)
+                err = math.sqrt(sq / n)
                 # max() skips a NaN that is not first; err does not: every
                 # stage but k1 has a nonzero weight in it, and max(NaN, x) is NaN
-                norm_new = max([abs(v) for v in y_new])
-                sq = 0.0
-                for a, a_new, b0, b2, b3, b4, b5, b6 in zip(y, y_new, k0, k2, k3, k4, k5, k6):
-                    r = (h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
-                         / (atol + rtol * max(abs(a_new), abs(a))))
-                    sq += r * r
-                err = math.sqrt(sq / n)
                 bad = not (math.isfinite(err) and math.isfinite(norm_new))
                 if bad or err > 1.0:
                     if h <= o.h_min * (1.0 + 1e-9):
@@ -516,13 +561,7 @@ class Stepper:
                     fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
                     self.h = max(h * fac, o.h_min)
                     continue
-                # the dense-output coefficients (q0, q1, q2, q3) per component
-                q = [(h * b0,
-                      h * (_P01 * b0 + _P21 * b2 + _P31 * b3 + _P41 * b4 + _P51 * b5 + _P61 * b6),
-                      h * (_P02 * b0 + _P22 * b2 + _P32 * b3 + _P42 * b4 + _P52 * b5 + _P62 * b6),
-                      h * (_P03 * b0 + _P23 * b2 + _P33 * b3 + _P43 * b4 + _P53 * b5 + _P63 * b6))
-                     for b0, b2, b3, b4, b5, b6 in zip(k0, k2, k3, k4, k5, k6)]
-                traj._append(t_new, y_new, q, y)
+                traj._append(t_new, y_new, dense(h, k0, k2, k3, k4, k5, k6), y)
                 t, y, k0 = t_new, y_new, k6
                 norm_prev, norm = norm, norm_new
                 if not at_end:

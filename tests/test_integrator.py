@@ -15,6 +15,7 @@ from delayreach.integrator import (
     Trajectory,
     _forced_stops,
     _quartic_eval,
+    _step_kernel,
     integrate,
 )
 from delayreach.probes import random_history
@@ -306,8 +307,40 @@ def ordered_sum(coefs, ks, i):
     return acc
 
 
+def f64(x):
+    return np.float64(x).tobytes()
+
+
+def table_rhs(ks, calls):
+    """An rhs that hands out the stages ks in turn and records its (t, x)."""
+    feed = iter(ks)
+
+    def rhs(t, x):
+        calls.append((t, x))
+        return list(next(feed))
+
+    return rhs
+
+
+def ordered_attempt(y, ks, t, h, atol, rtol):
+    """The six stage arguments of one attempt on the stages ks (the last is
+    y_new) and each component's scaled error, per component in stage order."""
+    dim = len(y)
+    args = [[y[i] + h * ordered_sum(row, ks, i) for i in range(dim)] for row in DP_A[1:]]
+    e = [b - bs for b, bs in zip(DP_A[6] + (0.0,), DP_BSTAR)]
+    rs = [h * ordered_sum(e, ks, i) / (atol + rtol * max(abs(args[-1][i]), abs(y[i]))) for i in range(dim)]
+    return args, rs
+
+
+def added_squares(rs):
+    sq = 0.0
+    for r in rs:
+        sq += r * r
+    return sq
+
+
 class TestStepperArithmetic:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_step_is_the_ordered_tableau_sum(self, dim):
         # one accepted step of a seeded random linear field, against DP5(4)
         # evaluated per component in Python floats in stage order
@@ -376,6 +409,93 @@ class TestStepperArithmetic:
                 ks.append(rhs(t + c * h, [y[i] + h * ordered_sum(row, ks, i) for i in range(dim)]))
             q = [[h * ordered_sum([row[col] for row in DP_P], ks, i) for i in range(dim)] for col in range(4)]
             assert st.traj.qs[-1].tobytes() == np.array(q).tobytes()
+
+    @staticmethod
+    def set_negative_zero(y, ks):
+        # component 1 of the state is -0.0, and of each stage -0.0 where its
+        # 5th-order weight is positive, +0.0 where it is not: every term of
+        # y_new's sum is -0.0, so y_new keeps the sign
+        y[1] = -0.0
+        for k, b in zip(ks, DP_A[6]):
+            k[1] = -0.0 if b > 0.0 else 0.0
+
+    @pytest.mark.parametrize("stage, comp, value", [
+        (3, 1, math.nan),  # not first: max() skips it, the error norm does not
+        (2, 0, math.nan),  # first: max() returns it
+        (5, 2, math.inf),  # inf / inf in the scaled error
+        (6, 0, -math.inf),  # the last stage enters the error alone
+        (None, None, None),  # -0.0 in the state and the stages of component 1
+    ], ids=["nan_second", "nan_first", "inf", "minus_inf_last_stage", "negative_zero"])
+    def test_special_stage_values_are_the_ordered_reference(self, stage, comp, value):
+        # one attempt whose rhs hands out a table of stages, one a special
+        # value, against the ordered per-component reference: the stage
+        # arguments, y_new, norm_new and sq bit for bit, and the verdict
+        rng = np.random.default_rng(24)
+        dim, t, h = 3, 0.5, 1e-3
+        y = rng.normal(size=dim).tolist()
+        ks = rng.normal(size=(7, dim)).tolist()
+        if stage is None:
+            self.set_negative_zero(y, ks)
+        else:
+            ks[stage][comp] = value
+        calls = []
+        attempt, _ = _step_kernel(dim)
+        y_new, *stages, norm_new, sq = attempt(table_rhs(ks[1:], calls), t, h, t + h, y, ks[0], 1.0, 1.0)
+
+        args, rs = ordered_attempt(y, ks, t, h, 1.0, 1.0)
+        assert [c[0] for c in calls] == [t + c * h for c in DP_C[1:]]
+        assert np.array([c[1] for c in calls]).tobytes() == np.array(args).tobytes()
+        assert np.array(y_new).tobytes() == np.array(args[-1]).tobytes()
+        assert stages == ks[2:]
+        norm_ref = max([abs(v) for v in args[-1]])
+        assert (f64(norm_new), f64(sq)) == (f64(norm_ref), f64(added_squares(rs)))
+        bad = not (math.isfinite(math.sqrt(sq / dim)) and math.isfinite(norm_new))
+        assert bad == (stage is not None)
+        assert (math.isnan(norm_new), math.isnan(sq)) == (comp == 0 and stage == 2, stage in (2, 3, 5))
+
+        # the Stepper rejects a bad attempt with h cut tenfold and accepts the rest
+        opts = IntegratorOptions(rel_tol=1.0, abs_tol=1.0, max_steps=1)
+        st = Stepper(table_rhs(ks, []), t, np.array(y), opts)
+        st.h = h
+        if bad:
+            with pytest.raises(MaxStepsExceeded):
+                st.advance(1.0)
+            assert (len(st.traj.ts), st.h) == (1, h * 0.1)
+        else:
+            st.advance(1.0, until=t)
+            assert st.traj.ys[1].tobytes() == np.array(args[-1]).tobytes()
+            assert f64(st.traj.ys[1][1]) == f64(-0.0)
+
+    def test_squared_errors_are_added_in_component_order(self):
+        # every component is component 0 scaled by f, f^2 = 0.9 * 2^-54, in its
+        # stages, so in its scaled error nearly so: each later square is under
+        # half an ulp of the sum so far and leaves it as it is, while the four
+        # added first would round it up
+        rng = np.random.default_rng(5)
+        dim, t, h, f = 5, 0.5, 1e-3, math.sqrt(0.9 * 2.0 ** -54)
+        y = [rng.normal()] * dim
+        ks = [[k] + [f * k] * (dim - 1) for k in rng.normal(size=7).tolist()]
+        attempt, _ = _step_kernel(dim)
+        *_, sq = attempt(table_rhs(ks[1:], []), t, h, t + h, y, ks[0], 1.0, 1.0)
+        _, rs = ordered_attempt(y, ks, t, h, 1.0, 1.0)
+        assert f64(sq) == f64(added_squares(rs))
+        assert added_squares(rs) != added_squares(rs[::-1])
+
+    @pytest.mark.parametrize("returned", [1, 3])
+    def test_rhs_of_the_wrong_length_is_rejected(self, returned):
+        def rhs(t, y):
+            return [-1.0] * returned
+
+        match = f"rhs returned {returned} components for a state of 2"
+        with pytest.raises(ValueError, match=match):
+            Stepper(rhs, 0.0, np.array([1.0, 0.5]), IntegratorOptions())
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.5]), IntegratorOptions())
+        st.rhs = rhs
+        with pytest.raises(ValueError, match=match):
+            st.invalidate_rhs_cache()
+        sys = DiscreteDelaySystem(dim=2, input_dim=0, delays=(), rhs=lambda y, d, u: rhs(0.0, y))
+        with pytest.raises(ValueError, match=match):
+            integrate(sys, np.array([1.0, 0.5]), None, 1.0)
 
 
 def array_interp(traj, t):

@@ -45,17 +45,10 @@ class TestPlanarRhs:
         expect = (1.0 + float(x @ x)) * (mid @ x)
         assert np.allclose(g(x.tolist(), 0.5), expect)
 
-    def test_field_is_the_hand_ordered_expression(self):
-        g = planar_rhs()
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-3.0, 3.0, size=(1000, 2)).tolist()
-        us = rng.uniform(-1.0, 2.0, size=1000).tolist()  # a third saturated at each end
-        for x, u in zip(xs, us):
-            assert np.array(g(x, u)).tobytes() == hand_ordered_field(x, u).tobytes(), (x, u)
-
     def test_blended_field_is_the_composition_bit_for_bit(self):
-        # the clamp, the blend and the field, bit for bit, also where c or the
-        # field overflows, at the clamp's edges, and at NaN and +-inf inputs
+        # the clamp, the blend and the field, bit for bit: on moderate states,
+        # and also where c or the field overflows, at the clamp's edges, and at
+        # NaN and +-inf inputs
         g = planar_rhs()
         rng = np.random.default_rng(22)
         n = 100_000
@@ -66,6 +59,10 @@ class TestPlanarRhs:
         xs = rng.choice([-1.0, 1.0], size=(n, 2)) * 10.0 ** rng.uniform(-320.0, 160.0, size=(n, 2))
         xs[rng.random(size=xs.shape) < 0.01] = 0.0
         xs[rng.random(size=xs.shape) < 0.01] = -0.0
+        # 1,000 states in [-3, 3]^2, the inputs a third saturated at each end
+        mild = np.random.default_rng(11)
+        xs = np.vstack([xs, mild.uniform(-3.0, 3.0, size=(1000, 2))])
+        us = np.append(us, mild.uniform(-1.0, 2.0, size=1000))
         for x, u in zip(xs.tolist(), us.tolist()):
             assert np.array(g(x, u)).tobytes() == hand_ordered_field(x, u).tobytes(), (x, u)
         # an input handed over as a numpy scalar (a constant piece) rounds the same
