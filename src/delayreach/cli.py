@@ -459,8 +459,13 @@ def main(argv=None) -> int:
         setup = Setup(params_from_config(cfg), opts_from_config(cfg, cmd.opts),
                       getattr(args, "tau", None) or cfg_tau,  # an explicit --tau beats the config
                       signal_from_config(cfg["input"]) if "input" in cfg else None)
+        if args.svg and not Path(args.svg).parent.is_dir():
+            raise ConfigInvalid(f"--svg {args.svg}: its parent is not a directory")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"--out {args.out}: not a directory ({exc.strerror})") from None
         result = cmd.run(args, setup)
         for name, header, rows in result.csvs:
             write_csv(out_dir / name, header, rows)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import linecache
 import math
 import numbers
@@ -222,99 +223,79 @@ def _last_crossing(y0, q, level: float) -> Optional[float]:
 class Trajectory:
     """Dense-output solution: one 4th-order polynomial per accepted step.
 
-    `ts` and `ys` hold the nodes and `qs` the (n_seg, 4, dim) segment
-    coefficients. A segment's polynomial comes from the stage derivatives
-    of the step that produced it, so a segment ending at an input
-    discontinuity interpolates with the correct left limit. While a Stepper
-    extends the trajectory, the three arrays are views into buffers that
-    double when full; the coefficient buffer is laid out (n, dim, 4), one
-    row of four per component as the Stepper computes them, and `qs` is its
-    transposed view. `_trim` copies the three out, contiguous, when the run
-    is frozen. The last segment is also held as the floats the Stepper
-    computed it in, so the reads a run makes at its end cost no array access.
+    A trajectory holds the floats a Stepper computed, appended as handed
+    over: the node times `_t`, the node states `_y` (a list of floats each)
+    and per segment the rows `_q`, one (q0, q1, q2, q3) per component. No
+    list handed to it is ever written to. The arrays `ts`, `ys` and `qs`,
+    the (n_seg, 4, dim) segment coefficients, are built from those floats
+    at their first read after steps were added or dropped: once when the
+    Stepper freezes the run, and mid-run only for a reader that asks for
+    them. A segment's polynomial comes from the stage derivatives of the
+    step that produced it, so a segment ending at an input discontinuity
+    interpolates with the correct left limit.
     """
 
-    def __init__(self, t0: float, y0: np.ndarray):
-        dim = len(y0)
-        self._buf = (np.empty(64), np.empty((64, dim)), np.empty((64, dim, 4)))
-        self._buf[0][0] = t0
-        self._buf[1][0] = y0
-        self._view(1)
+    def __init__(self, t0: float, y0):
+        self._t, self._y, self._q = [float(t0)], [[float(v) for v in y0]], []
 
-    def _view(self, n: int):
-        tb, yb, qb = self._buf
-        self.ts, self.ys, self.qs = tb[:n], yb[:n], qb[: n - 1].transpose(0, 2, 1)
-        self._tail = None  # a rewind drops the segment it held
+    def __getattr__(self, name: str):
+        # ts, ys and qs, built together and kept until the next change
+        if name not in ("ts", "ys", "qs"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.ts, self.ys = np.array(self._t), np.array(self._y)
+        rows = itertools.chain.from_iterable(itertools.chain.from_iterable(self._q))
+        self.qs = np.fromiter(rows, float).reshape(-1, self.dim, 4).transpose(0, 2, 1).copy()
+        return vars(self)[name]
 
-    def _append(self, t: float, y, q, y0):
-        """Add the node (t, y) and the (dim, 4) coefficients q of the segment
-        ending there, whose start value y0 is the last node's; y, q and y0
-        may be ndarrays or nested sequences of floats, and are kept as given."""
-        tail = self._tail
-        n = len(self.ts)
-        if n == len(self._buf[0]):
-            grown = []
-            for b in self._buf:
-                g = np.empty((2 * n,) + b.shape[1:])
-                g[: len(b)] = b
-                grown.append(g)
-            self._buf = tuple(grown)
-        tb, yb, qb = self._buf
-        tb[n] = t
-        yb[n] = y
-        qb[n - 1] = q
-        self._view(n + 1)
-        # the start time is the last node's, not the Stepper's t, which may
-        # be a target a few ulps past it
-        self._tail = (tb[n - 1].item() if tail is None else tail[1], t, y0, y, q)
+    def _changed(self):
+        if "ts" in self.__dict__:  # built from other nodes
+            del self.ts, self.ys, self.qs
 
-    def _trim(self):
-        self.ts, self.ys, self.qs = self.ts.copy(), self.ys.copy(), self.qs.copy()
-        self._buf = (self.ts, self.ys, self.qs.transpose(0, 2, 1))
+    def _append(self, t: float, y: list, q: list):
+        """Add the node (t, y) and the (dim, 4) coefficient rows q of the
+        segment ending there."""
+        self._t.append(t)
+        self._y.append(y)
+        self._q.append(q)
+        self._changed()
 
     @property
     def t_start(self) -> float:
-        return float(self.ts[0])
+        return self._t[0]
 
     @property
     def t_end(self) -> float:
-        return float(self.ts[-1])
+        return self._t[-1]
 
     @property
     def dim(self) -> int:
-        return self.ys.shape[1]
+        return len(self._y[0])
 
     def _segment(self, t: float) -> int:
-        i = bisect.bisect_right(self.ts, t) - 1
-        return min(max(i, 0), len(self.ts) - 2)
+        """The segment holding t, or the nearest one; 0 with none."""
+        return bisect.bisect_right(self._t, t, 1, len(self._t) - 1) - 1
 
-    def _interp(self, t: float) -> np.ndarray:
-        """Dense-output value at t, unchecked; delayed lookups call it mid-run.
-        The last segment is read from the floats `_append` kept, any other
-        from the arrays; they hold the same floats, so the bytes agree."""
-        tail = self._tail
-        if tail is not None and tail[0] <= t <= tail[1]:
-            t0, t1, y0, y1, q = tail
-            if t == t1:
-                return np.array(y1)
-        else:
-            if len(self.ts) == 1:
-                return self.ys[0].copy()
-            i = self._segment(t)
-            if t == self.ts[i + 1]:
-                return self.ys[i + 1].copy()
-            t0, t1 = self.ts[i : i + 2].tolist()
-            y0, q = self.ys[i].tolist(), self._buf[2][i].tolist()
-        # `_quartic_eval` per component on floats: numpy's elementwise
-        # arithmetic rounds the same, without its per-call cost
+    def _interp(self, t: float) -> list:
+        """Dense-output value at t as a fresh list of floats, unchecked; delayed
+        lookups call it mid-run. One path for every t: bisect the node times,
+        then `_quartic_eval` per component on floats, rounding as numpy does."""
+        ts = self._t
+        if len(ts) == 1:
+            return list(self._y[0])
+        i = bisect.bisect_right(ts, t, 1, len(ts) - 1)  # the end node of t's segment
+        t1 = ts[i]
+        if t == t1:
+            return list(self._y[i])
+        t0 = ts[i - 1]
         th = (t - t0) / (t1 - t0)
-        return np.array([y + th * (a + th * (b + th * (c + th * d)))
-                         for y, (a, b, c, d) in zip(y0, q)])
+        return [y + th * (a + th * (b + th * (c + th * d)))
+                for y, (a, b, c, d) in zip(self._y[i - 1], self._q[i - 1])]
 
     def eval(self, t: float) -> np.ndarray:
-        if not (self.t_start - 1e-12 <= t <= self.t_end + 1e-12):
-            raise SpanTooShort(f"t={t} outside [{self.t_start}, {self.t_end}]")
-        return self._interp(t)
+        ts = self._t
+        if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
+            raise SpanTooShort(f"t={t} outside [{ts[0]}, {ts[-1]}]")
+        return np.array(self._interp(t))
 
     def sup_norm(self, lo: float, hi: float) -> float:
         """Exact sup of |x(t)|_inf over [lo, hi] under the dense output: the window
@@ -463,14 +444,15 @@ class Stepper:
     rounding depends on that component's stages alone. They are one attempt
     generated per state dimension n, `_step_kernel(n)`; `advance` keeps the
     control: the error test, rejection, step growth, escape and `until`. The
-    stages pass between the rhs and these sums as lists, with no conversion;
-    `y` and the outgoing slope `slope` are ndarrays between calls of `advance`.
+    state `y` and the outgoing slope `slope` are lists of floats throughout,
+    as the rhs and these sums pass them; each accepted step's lists go to
+    `traj` as they are, and no list is written to once made.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap: float = math.inf):
         self.rhs = rhs
         self.t = float(t0)
-        self.y = np.asarray(y0, dtype=float).copy()
+        self.y = np.asarray(y0, dtype=float).tolist()
         self.opts = opts
         self._h_top = h_cap
         self.invalidate_rhs_cache()  # the slope at (t, y): stage 0 of the next step
@@ -483,23 +465,23 @@ class Stepper:
     def invalidate_rhs_cache(self):
         """Call after the rhs changed at the current time (e.g. new input piece).
         An rhs whose value has another length than the state is rejected here."""
-        k = self.rhs(self.t, self.y.tolist())
+        k = self.rhs(self.t, self.y)
         if len(k) != len(self.y):
             raise ValueError(f"rhs returned {len(k)} components for a state of {len(self.y)}")
-        self.slope = np.array(k, dtype=float)
+        self.slope = k
 
     def _initial_step(self, target):
         o = self.opts
-        k1 = self.slope
-        scale = o.abs_tol + o.rel_tol * np.abs(self.y)
-        d0 = float(np.sqrt(np.mean((self.y / scale) ** 2)))
+        y, k1 = np.array(self.y), np.array(self.slope, dtype=float)
+        scale = o.abs_tol + o.rel_tol * np.abs(y)
+        d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
         d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
         if not math.isfinite(d1):
             # the first attempt fails at h_min and ends the run "nonfinite"
             return o.h_min
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, target - self.t, self._h_top)
-        y1 = self.y + h0 * k1
+        y1 = y + h0 * k1
         f1 = np.array(self.rhs(self.t + h0, y1.tolist()))
         d2 = float(np.sqrt(np.mean(((f1 - k1) / scale) ** 2))) / h0
         if max(d1, d2) <= 1e-15:
@@ -530,8 +512,7 @@ class Stepper:
         if self.h <= 0.0:
             self.h = self._initial_step(target)
         rhs, traj, atol, rtol = self.rhs, self.traj, o.abs_tol, o.rel_tol
-        # the state of the last accepted step, as lists of floats while stepping
-        t, y, k0 = self.t, self.y.tolist(), self.slope.tolist()
+        t, y, k0 = self.t, self.y, self.slope
         n = len(y)
         attempt, dense = _step_kernel(n)
         norm, norm_prev = self._norm, self._norm_prev
@@ -561,7 +542,7 @@ class Stepper:
                     fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
                     self.h = max(h * fac, o.h_min)
                     continue
-                traj._append(t_new, y_new, dense(h, k0, k2, k3, k4, k5, k6), y)
+                traj._append(t_new, y_new, dense(h, k0, k2, k3, k4, k5, k6))
                 t, y, k0 = t_new, y_new, k6
                 norm_prev, norm = norm, norm_new
                 if not at_end:
@@ -574,7 +555,7 @@ class Stepper:
                     return
             t = target
         finally:
-            self.t, self.y, self.slope = t, np.array(y), np.array(k0)
+            self.t, self.y, self.slope = t, y, k0
             self._norm, self._norm_prev = norm, norm_prev
 
     def rewind(self):
@@ -585,21 +566,19 @@ class Stepper:
         the dropped step makes it a node. The step size proposal is kept.
         """
         traj = self.traj
-        n = len(traj.ts) - 1
-        if n < 1:
+        if not traj._q:
             raise ValueError("no accepted step to drop")
-        traj._view(n)
-        self.t = float(traj.ts[-1])
-        self.y = traj.ys[-1].copy()
+        del traj._t[-1], traj._y[-1], traj._q[-1]
+        traj._changed()
+        self.t, self.y = traj._t[-1], traj._y[-1]
         self._norm = float(np.abs(self.y).max())
-        self._norm_prev = float(np.abs(traj.ys[-2]).max()) if n > 1 else self._norm
+        self._norm_prev = float(np.abs(traj._y[-2]).max()) if traj._q else self._norm
         self.escape_info = None
         self.invalidate_rhs_cache()
 
     def _locate_escape(self) -> float:
         """Earliest time in the last segment where |x| reaches the threshold."""
-        ts = self.traj.ts
-        lo, hi = float(ts[-2]), float(ts[-1])
+        lo, hi = self.traj._t[-2:]
         thr = self.opts.escape_threshold
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -611,7 +590,7 @@ class Stepper:
 
     def outcome(self) -> SimOutcome:
         traj = self.traj
-        traj._trim()
+        traj.ts  # freezes the run: builds ts, ys and qs
         if self.escape_info is None:
             return SimOutcome(trajectory=traj)
         t_esc, norm, flag = self.escape_info

@@ -307,7 +307,7 @@ def run_switched(
             stepper.advance(T, until=t_k)
         if stepper.escape_info is not None and t_k >= stepper.escape_info[0]:
             break
-        x = traj._interp(t_k)
+        x = np.array(traj._interp(t_k))
         lam = float(policy.rule(x))
         if lam != mode:
             if t_k < stepper.t:

@@ -269,6 +269,18 @@ class TestBadInput:
         assert main(["--config", cfg, "--out", str(tmp_path), *args]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--out", ["--out", "{tmp}/kept", "escape"]),  # an existing file
+        ("--svg", ["--out", "{tmp}/out", "--svg", "{tmp}/missing/x.svg", "escape"]),
+    ], ids=["out_is_a_file", "svg_parent_missing"])
+    def test_bad_output_path_rejected_before_any_run(self, tmp_path, capsys, flag, argv):
+        (tmp_path / "kept").write_text("kept")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {flag} ")
+        assert [p.name for p in tmp_path.rglob("*")] == ["kept"]
+        assert (tmp_path / "kept").read_text() == "kept"
+
     def test_rfc_sweep_tau_below_escape_bound(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tau": 0.5})
         assert main(["--config", cfg, "--out", str(tmp_path), "rfc-sweep"]) == 2

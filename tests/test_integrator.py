@@ -188,11 +188,9 @@ def bumps():
     """Two quartic segments, exact in floating point: component 0 is
     8th(1 - th) on [0, 1] (peak 2) and 4th(1 - th) on [1, 2] (peak 1);
     component 1 is -6th(1 - th) on [0, 1] and 0 on [1, 2]."""
-    traj = Trajectory(0.0, np.zeros(2))
-    z = np.zeros(2)
-    traj._append(1.0, z, np.array([[8.0, -6.0], [-8.0, 6.0], [0.0, 0.0], [0.0, 0.0]]).T, z)
-    traj._append(2.0, z, np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 0.0], [0.0, 0.0]]).T, z)
-    traj._trim()
+    traj = Trajectory(0.0, [0.0, 0.0])
+    traj._append(1.0, [0.0, 0.0], [(8.0, -8.0, 0.0, 0.0), (-6.0, 6.0, 0.0, 0.0)])
+    traj._append(2.0, [0.0, 0.0], [(4.0, -4.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
     return traj
 
 
@@ -376,7 +374,7 @@ class TestStepperArithmetic:
         # bytes, not float ==, which would let -0.0 stand for 0.0
         assert st.traj.ys[1].tobytes() == np.array(y_new).tobytes()
         assert st.traj.qs[0].tobytes() == np.array(q).tobytes()
-        assert st.slope.tobytes() == np.array(ks[6]).tobytes()
+        assert float_list_bytes(st.slope) == np.array(ks[6]).tobytes()
         assert st.h == max(h * min(5.0, max(0.2, 0.9 * err ** -0.2)), opts.h_min)
         # the tableau as matrix products, summed in numpy's order: equal to
         # within a few ulps of the state
@@ -400,7 +398,7 @@ class TestStepperArithmetic:
 
         st = Stepper(rhs, 0.0, rng.normal(size=dim), IntegratorOptions(rel_tol=1.0, abs_tol=1e6))
         for _ in range(300):
-            t, y, h = st.t, st.y.tolist(), 10.0 ** rng.uniform(-4.0, -2.0)
+            t, y, h = st.t, st.y, 10.0 ** rng.uniform(-4.0, -2.0)
             st.h, nsteps = h, st.nsteps
             st.advance(100.0, until=t)
             assert st.nsteps == nsteps + 1 and st.t == t + h
@@ -513,6 +511,13 @@ def is_float_list(v):
     return type(v) is list and all(type(x) is float for x in v)
 
 
+def float_list_bytes(v):
+    """The bytes of v, which must be a list of floats: -0.0 and each NaN
+    payload told apart, as float == does not."""
+    assert is_float_list(v)
+    return np.array(v).tobytes()
+
+
 class TestFloatContract:
     """The stage loop passes lists of Python floats to the rhs and back; these
     pins keep ndarrays and numpy scalars out of it, and keep the float
@@ -545,17 +550,17 @@ class TestFloatContract:
                 t = 0.0
                 for k in range(m):
                     t += 10.0 ** rng.uniform(-6.0, 0.0)
-                    traj._append(t, ys[k + 1], (rng.normal(size=(4, dim)) * scale[k]).T, ys[k])
+                    traj._append(t, ys[k + 1].tolist(), (rng.normal(size=(4, dim)) * scale[k]).T.tolist())
                 ts = traj.ts
                 # theta = 0 at each node, the last node itself, and one random
                 # instant inside every segment
                 for t in ts.tolist() + rng.uniform(ts[:-1], ts[1:]).tolist():
-                    assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+                    assert float_list_bytes(traj._interp(t)) == array_interp(traj, t).tobytes(), t
                 n += m
         assert n >= 10_000
         single = Trajectory(1.0, np.array([-0.0, 2.0]))
         for t in (0.0, 1.0, 3.0):
-            assert single._interp(t).tobytes() == array_interp(single, t).tobytes()
+            assert float_list_bytes(single._interp(t)) == array_interp(single, t).tobytes()
 
     def test_exponential_tail_is_the_array_formula_bit_for_bit(self):
         rng = np.random.default_rng(8)
@@ -591,8 +596,8 @@ class TestSoftStop:
                     until = chunked.t + 0.3
         assert soft > 10
         assert chunked.nsteps == whole.nsteps
-        assert chunked.h == whole.h and chunked.y.tobytes() == whole.y.tobytes()
-        assert chunked.slope.tobytes() == whole.slope.tobytes()
+        assert chunked.h == whole.h and float_list_bytes(chunked.y) == float_list_bytes(whole.y)
+        assert float_list_bytes(chunked.slope) == float_list_bytes(whole.slope)
         assert traj_bytes(chunked.outcome().trajectory) == traj_bytes(whole.outcome().trajectory)
 
     def test_stop_that_never_fires_changes_no_byte(self):
@@ -654,14 +659,14 @@ class TestRewind:
         assert st.escape_info is None
         target, rewound = 2.0, 0
         while st.t != target:
-            before = (st.t, st.y.tobytes(), len(st.traj.ts), st.slope.tobytes())
+            before = (st.t, float_list_bytes(st.y), len(st.traj.ts), float_list_bytes(st.slope))
             # one accepted step: the soft stop fires at the end of the first one
             st.advance(target, until=st.t)
             assert st.escape_info is None
             dropped = traj_bytes(st.traj)
             at_end = st.t == target
             st.rewind()
-            assert (st.t, st.y.tobytes(), len(st.traj.ts), st.slope.tobytes()) == before
+            assert (st.t, float_list_bytes(st.y), len(st.traj.ts), float_list_bytes(st.slope)) == before
             if at_end:
                 # the step to a forced boundary is taken again byte for byte
                 st.advance(target)
@@ -681,7 +686,7 @@ class TestRewind:
         st.rewind()
         assert st.escape_info is None and len(st.traj.ts) == n - 1
         assert st.t == st.traj.ts[-1] < t_escape
-        assert st.y.tobytes() == st.traj.ys[-1].tobytes()
+        assert float_list_bytes(st.y) == st.traj.ys[-1].tobytes()
         # a boundary before the escape is reached without escaping
         st.advance(0.5 * (st.t + t_escape))
         assert st.escape_info is None
@@ -701,9 +706,9 @@ def segment_reads(traj, i, rng):
 
 
 class TestTailRead:
-    """`_interp` reads the last segment from the floats `_append` kept, in
-    place of the arrays: the bytes must be the arrays' bytes, and a dropped
-    step must never be read."""
+    """`_interp` reads the last segment mid-run from the floats `_append`
+    kept, the arrays from the same floats: the bytes must be the arrays'
+    bytes, and a dropped step must never be read."""
 
     def test_last_segment_reads_as_the_arrays(self):
         rng = np.random.default_rng(3)
@@ -713,16 +718,13 @@ class TestTailRead:
             while st.t != target:
                 st.advance(target, until=st.t + 0.2)
                 traj = st.traj
-                # the floats held are those of the last segment
-                assert traj._tail[:2] == tuple(traj.ts[-2:].tolist())
                 for t in segment_reads(traj, len(traj.ts) - 2, rng):
-                    assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+                    assert float_list_bytes(traj._interp(t)) == array_interp(traj, t).tobytes(), t
                 soft += st.t != target
         assert soft > 10
-        traj = st.outcome().trajectory  # frozen, still holding the tail
-        assert traj._tail is not None
+        traj = st.outcome().trajectory
         for t in segment_reads(traj, len(traj.ts) - 2, rng):
-            assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+            assert float_list_bytes(traj._interp(t)) == array_interp(traj, t).tobytes(), t
 
     def test_a_rewound_step_is_read_from_the_arrays(self):
         rng = np.random.default_rng(5)
@@ -737,11 +739,63 @@ class TestTailRead:
             st.rewind()
             # the dropped step's times now extrapolate the segment before it
             for t in dropped + segment_reads(traj, len(traj.ts) - 2, rng):
-                assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+                assert float_list_bytes(traj._interp(t)) == array_interp(traj, t).tobytes(), t
             # a node inside the dropped step, as a switch makes one
             st.advance(0.5 * (st.t + t_dropped))
             for t in dropped + segment_reads(traj, len(traj.ts) - 2, rng):
-                assert traj._interp(t).tobytes() == array_interp(traj, t).tobytes(), t
+                assert float_list_bytes(traj._interp(t)) == array_interp(traj, t).tobytes(), t
+
+
+class TestMidRunArrays:
+    """`ts`, `ys` and `qs`, `sup_norm` and `last_time_above` read mid-run are
+    those of the nodes the run holds at the time: rebuilt after a step is
+    added or dropped, never left over from before."""
+
+    @staticmethod
+    def frozen(nodes):
+        """A frozen trajectory of the (t, y, q) of each node, from copies."""
+        (t0, y0, _), *rest = nodes
+        traj = Trajectory(t0, list(y0))
+        for t, y, q in rest:
+            traj._append(t, list(y), [tuple(row) for row in q])
+        return traj
+
+    def check(self, traj, nodes, rng):
+        ref = self.frozen(nodes)
+        assert traj_bytes(traj) == traj_bytes(ref)
+        t0, t1 = traj.t_start, traj.t_end
+        for lo, hi in [(t0, t1)] + [sorted(rng.uniform(t0, t1, 2)) for _ in range(3)]:
+            assert f64(traj.sup_norm(lo, hi)) == f64(ref.sup_norm(lo, hi))
+        floor = float(np.abs(ref.ys[-1]).max())
+        for level in floor + (ref.sup_norm(t0, t1) - floor) * rng.uniform(0.01, 1.01, 3):
+            assert f64(traj.last_time_above(level)) == f64(ref.last_time_above(level))
+
+    def test_arrays_follow_steps_soft_stops_and_rewinds(self):
+        rng = np.random.default_rng(9)
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        traj = st.traj
+        nodes = [(st.t, st.y, None)]
+        rewinds = 0
+        for k in range(60):
+            st.advance(6.0, until=st.t)  # one accepted step
+            assert st.escape_info is None
+            nodes.append((st.t, st.y, traj._q[-1]))
+            if k % 3:
+                self.check(traj, nodes, rng)
+            if k % 4 == 1:
+                # drop the step, read or not, then a node inside it: as many
+                # nodes as before the drop, the last one another
+                t_dropped = nodes.pop()[0]
+                st.rewind()
+                if k % 8 == 1:
+                    self.check(traj, nodes, rng)
+                st.advance(0.5 * (st.t + t_dropped))
+                assert st.t < t_dropped
+                nodes.append((st.t, st.y, traj._q[-1]))
+                self.check(traj, nodes, rng)
+                rewinds += 1
+        assert rewinds >= 10 and len(nodes) == 61
+        self.check(st.outcome().trajectory, nodes, rng)
 
 
 class TestDeterminism:
@@ -769,13 +823,13 @@ class TestFreshValues:
         st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
         st.advance(3.0, until=0.0)
         st.advance(3.0, until=st.t)
-        st.rewind()  # clears the held tail: t_end is read from the arrays
+        st.rewind()
         traj = st.outcome().trajectory
-        assert traj._tail is None
         before = traj_bytes(traj)
-        for t in traj.ts.tolist():
-            x = traj.eval(t)
-            x[:] = 7.0
+        for t, y in zip(traj.ts.tolist(), traj.ys):
+            traj.eval(t)[:] = 7.0
+            traj._interp(t)[:] = [7.0, 7.0]
+            assert traj.eval(t).tobytes() == y.tobytes()
         assert traj_bytes(traj) == before
 
     def test_single_node_trajectory(self):
@@ -793,8 +847,8 @@ class TestFreshValues:
 
 class TestFrozenLayout:
     def test_frozen_arrays_are_the_contiguous_nodes_and_coefficients(self):
-        # the Stepper fills a (n, dim, 4) buffer; frozen, a trajectory holds
-        # exactly ts, ys and qs, with qs (n_seg, 4, dim), each its own copy
+        # the Stepper hands over (dim, 4) rows of floats; frozen, a trajectory
+        # holds exactly the arrays ts, ys and qs, qs (n_seg, 4, dim), each its own
         out = integrate(cascade_system(1.0), HistoryFn.constant([0.9, 2.0, -1.0], 1.0), None, 4.0)
         traj = out.trajectory
         arrays = {k: v for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
