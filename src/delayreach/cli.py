@@ -459,9 +459,13 @@ def main(argv=None) -> int:
         setup = Setup(params_from_config(cfg), opts_from_config(cfg, cmd.opts),
                       getattr(args, "tau", None) or cfg_tau,  # an explicit --tau beats the config
                       signal_from_config(cfg["input"]) if "input" in cfg else None)
-        if args.svg and not Path(args.svg).parent.is_dir():
-            raise ConfigInvalid(f"--svg {args.svg}: its parent is not a directory")
         out_dir = Path(args.out)
+        if args.svg:
+            # mkdir below makes the --out directory and its missing parents
+            svg, made = Path(args.svg).resolve(), out_dir.resolve()
+            dirs = (made, *made.parents)
+            if svg.is_dir() or svg in dirs or not (svg.parent.is_dir() or svg.parent in dirs):
+                raise ConfigInvalid(f"--svg {args.svg}: not a file in a directory")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import linecache
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -113,7 +113,10 @@ def _step_kernel(n: int):
     rtol) calls rhs once per stage with a fresh list and returns (y_new, k2, ...,
     k6, norm_new, sq): max([|y_new_i|, ...]) and the squared scaled errors
     summed from 0.0 in component order. dense(h, k0, k2, ..., k6) returns the
-    (q0, q1, q2, q3) of each component."""
+    dense-output coefficients as one list: q0 of every component, then q1, q2
+    and q3, the order a Trajectory stores them in. value(ys, q, i, th) reads
+    segment i of such a store: `_quartic_eval` at th per component, from the
+    state at ys[n * i:] and the coefficients at q[4 * n * i:]."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -134,14 +137,17 @@ def _step_kernel(n: int):
     body.append(f"return a, k2, k3, k4, k5, k6, max([{norm}]), 0.0{sq}")
     src = "def attempt(rhs, t, h, t_new, y, k0, atol, rtol):\n" + "".join(f"    {b}\n" for b in body)
     body = [f"{names(f'k{j}')}= k{j}" for j in (0, 2, 3, 4, 5, 6)]
-    q = (", ".join([f"h * k0_{i}"] + [f"h * ({terms(row, i)})" for row in _DENSE]) for i in comps)
-    body.append("return [" + ", ".join(f"({row})" for row in q) + "]")
+    q = [f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps]
+    body.append("return [" + ", ".join(q) + "]")
     src += "\ndef dense(h, k0, k2, k3, k4, k5, k6):\n" + "".join(f"    {b}\n" for b in body)
+    p = (f"ys[j + {i}] + th * (" + " + th * (".join(f"q[k + {m * n + i}]" for m in range(4)) + "))))"
+         for i in comps)
+    src += f"\ndef value(ys, q, i, th):\n    j, k = {n} * i, {4 * n} * i\n    return [" + ", ".join(p) + "]\n"
     name = f"<dp54 step, n={n}>"
     linecache.cache[name] = (len(src), None, src.splitlines(True), name)  # for tracebacks
     scope = {}
     exec(compile(src, name, "exec"), scope)
-    return scope["attempt"], scope["dense"]
+    return scope["attempt"], scope["dense"], scope["value"]
 
 
 @dataclass(frozen=True)
@@ -223,41 +229,59 @@ def _last_crossing(y0, q, level: float) -> Optional[float]:
 class Trajectory:
     """Dense-output solution: one 4th-order polynomial per accepted step.
 
-    A trajectory holds the floats a Stepper computed, appended as handed
-    over: the node times `_t`, the node states `_y` (a list of floats each)
-    and per segment the rows `_q`, one (q0, q1, q2, q3) per component. No
-    list handed to it is ever written to. The arrays `ts`, `ys` and `qs`,
-    the (n_seg, 4, dim) segment coefficients, are built from those floats
-    at their first read after steps were added or dropped: once when the
-    Stepper freezes the run, and mid-run only for a reader that asks for
-    them. A segment's polynomial comes from the stage derivatives of the
-    step that produced it, so a segment ending at an input discontinuity
-    interpolates with the correct left limit.
+    It holds the floats a Stepper computed, copied into flat `array('d')`
+    stores: node times `_t`, node states `_y` and segment coefficients `_q`
+    (q0 of every component, then q1, q2, q3); no list handed over is kept.
+    The arrays `ts`, `ys` and `qs` (n_seg, 4, dim) are built from the stores
+    at their first read after steps were added or dropped: mid-run for a
+    reader that asks, and when the Stepper freezes the run, which makes the
+    stores views of the arrays, so the floats are held once. A segment's
+    polynomial comes from the stage derivatives of its step, so a segment
+    ending at an input discontinuity interpolates with the left limit.
     """
 
     def __init__(self, t0: float, y0):
-        self._t, self._y, self._q = [float(t0)], [[float(v) for v in y0]], []
+        self._t, self._y, self._q = array("d", [t0]), array("d", y0), array("d")
+        self._value = _step_kernel(len(self._y))[2]
 
     def __getattr__(self, name: str):
         # ts, ys and qs, built together and kept until the next change
         if name not in ("ts", "ys", "qs"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.ts, self.ys = np.array(self._t), np.array(self._y)
-        rows = itertools.chain.from_iterable(itertools.chain.from_iterable(self._q))
-        self.qs = np.fromiter(rows, float).reshape(-1, self.dim, 4).transpose(0, 2, 1).copy()
+        self.ts = np.array(self._t)
+        self.ys = np.frombuffer(self._y).reshape(-1, self.dim).copy()
+        self.qs = np.frombuffer(self._q).reshape(-1, 4, self.dim).copy()
         return vars(self)[name]
 
     def _changed(self):
         if "ts" in self.__dict__:  # built from other nodes
             del self.ts, self.ys, self.qs
 
-    def _append(self, t: float, y: list, q: list):
-        """Add the node (t, y) and the (dim, 4) coefficient rows q of the
-        segment ending there."""
+    def _append(self, t: float, y, q):
+        """Add the node (t, y) and the segment ending there, whose coefficients
+        q are 4 * dim floats in the store's order (q0 of every component first)."""
         self._t.append(t)
-        self._y.append(y)
-        self._q.append(q)
+        self._y.extend(y)
+        self._q.extend(q)
         self._changed()
+
+    def _drop_last(self) -> tuple:
+        """Drop the last node and the segment ending there; the new last node."""
+        if len(self._t) == 1:
+            raise ValueError("no accepted step to drop")
+        dim = self.dim
+        del self._t[-1], self._y[-dim:], self._q[-4 * dim :]
+        self._changed()
+        return self._node(-1)
+
+    def _freeze(self):
+        """End the run: the arrays become the store, and no step is added."""
+        self._t, self._y, self._q = (memoryview(a.reshape(-1)) for a in (self.ts, self.ys, self.qs))
+
+    def _node(self, i: int) -> tuple:
+        """(t, y) of node i, y a fresh list of floats."""
+        i, dim = i % len(self._t), self.dim
+        return self._t[i], self._y[i * dim : (i + 1) * dim].tolist()
 
     @property
     def t_start(self) -> float:
@@ -269,7 +293,7 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return len(self._y[0])
+        return len(self._y) // len(self._t)
 
     def _segment(self, t: float) -> int:
         """The segment holding t, or the nearest one; 0 with none."""
@@ -278,23 +302,19 @@ class Trajectory:
     def _interp(self, t: float) -> list:
         """Dense-output value at t as a fresh list of floats, unchecked; delayed
         lookups call it mid-run. One path for every t: bisect the node times,
-        then `_quartic_eval` per component on floats, rounding as numpy does."""
+        then `_quartic_eval` per component on floats (the generated `value`),
+        rounding as numpy does."""
         ts = self._t
-        if len(ts) == 1:
-            return list(self._y[0])
-        i = bisect.bisect_right(ts, t, 1, len(ts) - 1)  # the end node of t's segment
-        t1 = ts[i]
-        if t == t1:
-            return list(self._y[i])
+        n = len(ts)
+        i = bisect.bisect_right(ts, t, 1, n - 1)  # the end node of t's segment
+        if n == 1 or t == ts[i]:
+            return self._node(i)[1]
         t0 = ts[i - 1]
-        th = (t - t0) / (t1 - t0)
-        return [y + th * (a + th * (b + th * (c + th * d)))
-                for y, (a, b, c, d) in zip(self._y[i - 1], self._q[i - 1])]
+        return self._value(self._y, self._q, i - 1, (t - t0) / (ts[i] - t0))
 
     def eval(self, t: float) -> np.ndarray:
-        ts = self._t
-        if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
-            raise SpanTooShort(f"t={t} outside [{ts[0]}, {ts[-1]}]")
+        if not (self.t_start - 1e-12 <= t <= self.t_end + 1e-12):
+            raise SpanTooShort(f"t={t} outside [{self.t_start}, {self.t_end}]")
         return np.array(self._interp(t))
 
     def sup_norm(self, lo: float, hi: float) -> float:
@@ -445,8 +465,8 @@ class Stepper:
     generated per state dimension n, `_step_kernel(n)`; `advance` keeps the
     control: the error test, rejection, step growth, escape and `until`. The
     state `y` and the outgoing slope `slope` are lists of floats throughout,
-    as the rhs and these sums pass them; each accepted step's lists go to
-    `traj` as they are, and no list is written to once made.
+    as the rhs and these sums pass them; each accepted step's floats are
+    copied into `traj`, and no list is written to once made.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap: float = math.inf):
@@ -514,7 +534,7 @@ class Stepper:
         rhs, traj, atol, rtol = self.rhs, self.traj, o.abs_tol, o.rel_tol
         t, y, k0 = self.t, self.y, self.slope
         n = len(y)
-        attempt, dense = _step_kernel(n)
+        attempt, dense, _ = _step_kernel(n)
         norm, norm_prev = self._norm, self._norm_prev
         eps_t = max(1e-15, 4.0 * math.ulp(abs(target)))
         try:
@@ -566,19 +586,16 @@ class Stepper:
         the dropped step makes it a node. The step size proposal is kept.
         """
         traj = self.traj
-        if not traj._q:
-            raise ValueError("no accepted step to drop")
-        del traj._t[-1], traj._y[-1], traj._q[-1]
-        traj._changed()
-        self.t, self.y = traj._t[-1], traj._y[-1]
+        self.t, self.y = traj._drop_last()
         self._norm = float(np.abs(self.y).max())
-        self._norm_prev = float(np.abs(traj._y[-2]).max()) if traj._q else self._norm
+        # with no step left, node -2 is the last node itself
+        self._norm_prev = float(np.abs(traj._node(-2)[1]).max())
         self.escape_info = None
         self.invalidate_rhs_cache()
 
     def _locate_escape(self) -> float:
         """Earliest time in the last segment where |x| reaches the threshold."""
-        lo, hi = self.traj._t[-2:]
+        lo, hi = self.traj._node(-2)[0], self.traj.t_end
         thr = self.opts.escape_threshold
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -589,14 +606,11 @@ class Stepper:
         return lo
 
     def outcome(self) -> SimOutcome:
-        traj = self.traj
-        traj.ts  # freezes the run: builds ts, ys and qs
+        self.traj._freeze()
         if self.escape_info is None:
-            return SimOutcome(trajectory=traj)
+            return SimOutcome(trajectory=self.traj)
         t_esc, norm, flag = self.escape_info
-        return SimOutcome(
-            trajectory=traj, escaped=True, t_escape=t_esc, final_norm=norm, flag=flag
-        )
+        return SimOutcome(self.traj, escaped=True, t_escape=t_esc, final_norm=norm, flag=flag)
 
 
 def _forced_stops(

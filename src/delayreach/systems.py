@@ -206,7 +206,7 @@ class SwitchingPolicy:
     """Sampled state feedback selecting one of the two planar gains."""
 
     dwell: float
-    rule: Callable[[np.ndarray], int]
+    rule: Callable[[list], int]
 
     def __post_init__(self):
         # a zero or negative dwell never advances the sampling clock
@@ -217,9 +217,9 @@ class SwitchingPolicy:
 def greedy_worst_switch(dwell: float) -> SwitchingPolicy:
     """Pick the gain maximizing the instantaneous growth of |x|_2^2.
 
-    rule(x) = argmax over lam in {0, 1} of x^T (A(lam) + A(lam)^T) x, ties
-    resolved to 1. Combined with the cubic factor this greedily maximizes
-    d|x|^2/dt.
+    rule(x) = argmax over lam in {0, 1} of x^T (A(lam) + A(lam)^T) x for the
+    state x as two floats, ties resolved to 1. Combined with the cubic factor
+    this greedily maximizes d|x|^2/dt.
 
     The decision is numpy's rounded comparison `x @ s1 @ x >= x @ s2 @ x`,
     settled early on floats where it provably agrees. Let u = 2^-53 and
@@ -240,12 +240,13 @@ def greedy_worst_switch(dwell: float) -> SwitchingPolicy:
     (b0, b1), (_, b2) = (np.abs(s1) + np.abs(s2)).tolist()
     d1, b1 = 2.0 * d1, 2.0 * b1
 
-    def rule(x: np.ndarray) -> int:
-        x0, x1 = x.tolist()
+    def rule(x: list) -> int:
+        x0, x1 = x
         d = d0 * x0 * x0 + d1 * x0 * x1 + d2 * x1 * x1
         b = b0 * x0 * x0 + b1 * abs(x0 * x1) + b2 * x1 * x1
         if b > 1e-300 and abs(d) > 1e-14 * b:
             return 1 if d > 0.0 else 0
+        x = np.asanyarray(x)
         return 1 if float(x @ s1 @ x) >= float(x @ s2 @ x) else 0
 
     return SwitchingPolicy(dwell=dwell, rule=rule)
@@ -288,7 +289,7 @@ def run_switched(
 
     # the mode changes only at a node, where the Stepper's cached rhs is dropped
     g = planar_rhs()
-    mode = float(policy.rule(x0))
+    mode = float(policy.rule(x0.tolist()))
 
     def rhs(t, y):
         return g(y, mode)
@@ -297,9 +298,11 @@ def run_switched(
     traj = stepper.traj
     piece_vals = [mode]
     piece_breaks: list[float] = []
-    t_k, x = 0.0, x0
+    t_k, x = 0.0, x0.tolist()
     while True:
-        t_k += min(max(policy.dwell / (1.0 + float(x @ x)), _MIN_DWELL), policy.dwell)
+        # |x|^2 is numpy's dot, bit for bit: it may fuse a multiply-add
+        xa = np.array(x)
+        t_k += min(max(policy.dwell / (1.0 + float(xa.dot(xa))), _MIN_DWELL), policy.dwell)
         if t_k >= T:
             break
         if t_k > stepper.t:
@@ -307,7 +310,7 @@ def run_switched(
             stepper.advance(T, until=t_k)
         if stepper.escape_info is not None and t_k >= stepper.escape_info[0]:
             break
-        x = np.array(traj._interp(t_k))
+        x = traj._interp(t_k)
         lam = float(policy.rule(x))
         if lam != mode:
             if t_k < stepper.t:

@@ -210,6 +210,14 @@ class TestSvg:
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize("out, svg", [("new", "new/p.svg"), ("a/b", "a/p.svg")],
+                             ids=["in_out_dir", "in_its_parent"])
+    def test_svg_in_the_out_dir_to_be_made(self, tmp_path, capsys, out, svg):
+        # the --out directory and its parents are made before the plot is written
+        assert main(["--out", str(tmp_path / out), "--svg", str(tmp_path / svg), "escape"]) == 0
+        assert (tmp_path / svg).read_text().startswith("<svg")
+        assert (tmp_path / out / "escape_summary.json").is_file()
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -272,7 +280,9 @@ class TestBadInput:
     @pytest.mark.parametrize("flag, argv", [
         ("--out", ["--out", "{tmp}/kept", "escape"]),  # an existing file
         ("--svg", ["--out", "{tmp}/out", "--svg", "{tmp}/missing/x.svg", "escape"]),
-    ], ids=["out_is_a_file", "svg_parent_missing"])
+        ("--svg", ["--out", "{tmp}/out", "--svg", "{tmp}", "escape"]),  # a directory
+        ("--svg", ["--out", "{tmp}/out", "--svg", "{tmp}/out", "escape"]),  # one that mkdir makes
+    ], ids=["out_is_a_file", "svg_parent_missing", "svg_is_a_directory", "svg_is_the_out_dir"])
     def test_bad_output_path_rejected_before_any_run(self, tmp_path, capsys, flag, argv):
         (tmp_path / "kept").write_text("kept")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2

@@ -187,10 +187,11 @@ def cascade_traj():
 def bumps():
     """Two quartic segments, exact in floating point: component 0 is
     8th(1 - th) on [0, 1] (peak 2) and 4th(1 - th) on [1, 2] (peak 1);
-    component 1 is -6th(1 - th) on [0, 1] and 0 on [1, 2]."""
+    component 1 is -6th(1 - th) on [0, 1] and 0 on [1, 2]. A segment's
+    coefficients go in as q0, q1, q2, q3 in turn, each (component 0, component 1)."""
     traj = Trajectory(0.0, [0.0, 0.0])
-    traj._append(1.0, [0.0, 0.0], [(8.0, -8.0, 0.0, 0.0), (-6.0, 6.0, 0.0, 0.0)])
-    traj._append(2.0, [0.0, 0.0], [(4.0, -4.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    traj._append(1.0, [0.0, 0.0], [8.0, -6.0, -8.0, 6.0, 0.0, 0.0, 0.0, 0.0])
+    traj._append(2.0, [0.0, 0.0], [4.0, 0.0, -4.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     return traj
 
 
@@ -437,7 +438,7 @@ class TestStepperArithmetic:
         else:
             ks[stage][comp] = value
         calls = []
-        attempt, _ = _step_kernel(dim)
+        attempt = _step_kernel(dim)[0]
         y_new, *stages, norm_new, sq = attempt(table_rhs(ks[1:], calls), t, h, t + h, y, ks[0], 1.0, 1.0)
 
         args, rs = ordered_attempt(y, ks, t, h, 1.0, 1.0)
@@ -473,7 +474,7 @@ class TestStepperArithmetic:
         dim, t, h, f = 5, 0.5, 1e-3, math.sqrt(0.9 * 2.0 ** -54)
         y = [rng.normal()] * dim
         ks = [[k] + [f * k] * (dim - 1) for k in rng.normal(size=7).tolist()]
-        attempt, _ = _step_kernel(dim)
+        attempt = _step_kernel(dim)[0]
         *_, sq = attempt(table_rhs(ks[1:], []), t, h, t + h, y, ks[0], 1.0, 1.0)
         _, rs = ordered_attempt(y, ks, t, h, 1.0, 1.0)
         assert f64(sq) == f64(added_squares(rs))
@@ -550,7 +551,7 @@ class TestFloatContract:
                 t = 0.0
                 for k in range(m):
                     t += 10.0 ** rng.uniform(-6.0, 0.0)
-                    traj._append(t, ys[k + 1].tolist(), (rng.normal(size=(4, dim)) * scale[k]).T.tolist())
+                    traj._append(t, ys[k + 1].tolist(), (rng.normal(size=(4, dim)) * scale[k]).ravel().tolist())
                 ts = traj.ts
                 # theta = 0 at each node, the last node itself, and one random
                 # instant inside every segment
@@ -757,7 +758,7 @@ class TestMidRunArrays:
         (t0, y0, _), *rest = nodes
         traj = Trajectory(t0, list(y0))
         for t, y, q in rest:
-            traj._append(t, list(y), [tuple(row) for row in q])
+            traj._append(t, list(y), list(q))
         return traj
 
     def check(self, traj, nodes, rng):
@@ -779,7 +780,7 @@ class TestMidRunArrays:
         for k in range(60):
             st.advance(6.0, until=st.t)  # one accepted step
             assert st.escape_info is None
-            nodes.append((st.t, st.y, traj._q[-1]))
+            nodes.append((st.t, st.y, traj._q[-8:].tolist()))  # the last segment's 4 * dim
             if k % 3:
                 self.check(traj, nodes, rng)
             if k % 4 == 1:
@@ -791,7 +792,7 @@ class TestMidRunArrays:
                     self.check(traj, nodes, rng)
                 st.advance(0.5 * (st.t + t_dropped))
                 assert st.t < t_dropped
-                nodes.append((st.t, st.y, traj._q[-1]))
+                nodes.append((st.t, st.y, traj._q[-8:].tolist()))  # the last segment's 4 * dim
                 self.check(traj, nodes, rng)
                 rewinds += 1
         assert rewinds >= 10 and len(nodes) == 61
@@ -847,8 +848,9 @@ class TestFreshValues:
 
 class TestFrozenLayout:
     def test_frozen_arrays_are_the_contiguous_nodes_and_coefficients(self):
-        # the Stepper hands over (dim, 4) rows of floats; frozen, a trajectory
-        # holds exactly the arrays ts, ys and qs, qs (n_seg, 4, dim), each its own
+        # the Stepper hands over flat floats; frozen, a trajectory holds exactly
+        # the arrays ts, ys and qs, qs (n_seg, 4, dim), each its own, and its
+        # float store is views of them: the floats are held once
         out = integrate(cascade_system(1.0), HistoryFn.constant([0.9, 2.0, -1.0], 1.0), None, 4.0)
         traj = out.trajectory
         arrays = {k: v for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
@@ -857,6 +859,8 @@ class TestFrozenLayout:
         assert traj.qs.shape == (n - 1, 4, 3) and traj.ys.shape == (n, 3)
         for v in arrays.values():
             assert v.base is None and v.flags.c_contiguous
+        for store, v in zip((traj._t, traj._y, traj._q), (traj.ts, traj.ys, traj.qs)):
+            assert np.shares_memory(np.asarray(store), v) and np.asarray(store).size == v.size
 
 
 class TestHistoryFn:
