@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, escape_data
 from .integrator import HistoryFn, IntegratorOptions, SimOutcome, integrate
-from .lyap import (Mat2, NoFeasibleLambda, NotHurwitz, blend, default_certificate,
+from .lyap import (Mat2, NoFeasibleLambda, NotHurwitz, SingularSystem, blend, default_certificate,
                    lyapunov_residual, solve_lyapunov, stability_constants)
 from .probes import (PROBE_OPTS, TauTooShort, embedding_check, es_check, estimate_R, rfc_sweep,
                      uga_table)
@@ -254,7 +254,7 @@ def run_lyapunov(args, s: Setup) -> Output:
             a1, a2 = s.params.a1, s.params.a2
             cert = stability_constants(solve_lyapunov(blend(a1, a2, 0.0)), a1, a2)
             result.update(capital_lambda=cert.capital_lambda, k=cert.k, p=cert.p)
-    except (NotHurwitz, NoFeasibleLambda) as exc:
+    except (NotHurwitz, SingularSystem, NoFeasibleLambda) as exc:
         # here the gains come from the config, so no certificate is bad input
         raise ConfigInvalid(f"A1/A2: {type(exc).__name__}: {exc}") from None
     return Output([], result, json.dumps(result, indent=2, sort_keys=True))

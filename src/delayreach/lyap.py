@@ -1,21 +1,20 @@
 """Dense 2x2 Lyapunov machinery for the switched planar vector field.
 
 Everything here is closed-form at dimension two: the Hurwitz test is the
-trace/determinant criterion, the Lyapunov equation is solved as an explicit
-3x3 linear system in the symmetric unknowns, eigenvalues of symmetric
-matrices come from the quadratic formula, and the blend bound from the roots
-of a line and a quadratic.
+trace/determinant criterion, the Lyapunov equation has an explicit solution,
+eigenvalues of symmetric matrices come from the quadratic formula, and the
+blend bound is the largest float at which a margin test in rationals holds.
+No BLAS call is made, so the certificate does not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
-
-from .integrator import _real_roots
 
 
 class NotHurwitz(ValueError):
@@ -23,7 +22,7 @@ class NotHurwitz(ValueError):
 
 
 class SingularSystem(ValueError):
-    """The 3x3 symmetric-unknown system is numerically singular."""
+    """The Lyapunov solution does not round to a finite positive definite float matrix."""
 
 
 class NoFeasibleLambda(RuntimeError):
@@ -46,7 +45,9 @@ class Mat2:
     @classmethod
     def from_array(cls, arr) -> "Mat2":
         a = np.asarray(arr, dtype=float)
-        return cls(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
+        if a.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+        return cls(*a.ravel().tolist())
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]])
@@ -70,9 +71,9 @@ DECAY_MARGIN = 0.5
 
 def blend(a1: Mat2, a2: Mat2, lam: float) -> Mat2:
     """Convex-style blend lam*a1 + (1-lam)*a2 (lam may lie outside [0,1])."""
-    m1 = a1.as_array()
-    m2 = a2.as_array()
-    return Mat2.from_array(lam * m1 + (1.0 - lam) * m2)
+    mu = 1.0 - lam
+    return Mat2(lam * a1.a11 + mu * a2.a11, lam * a1.a12 + mu * a2.a12,
+                lam * a1.a21 + mu * a2.a21, lam * a1.a22 + mu * a2.a22)
 
 
 def is_hurwitz(a: Mat2) -> bool:
@@ -108,9 +109,6 @@ class SymPosDef2:
         c1, c2 = sym_eigvals(p11, p12, p22)
         return cls(p11, p12, p22, c1, c2)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.p11, self.p12], [self.p12, self.p22]])
-
     def quad(self, x) -> float:
         """Quadratic form x^T P x."""
         x = np.asarray(x, dtype=float)
@@ -121,93 +119,81 @@ class SymPosDef2:
         )
 
 
-def solve_lyapunov(a: Mat2) -> SymPosDef2:
-    """Solve A^T P + P A = -I for symmetric P.
+def _exact(a: Mat2) -> Mat2:
+    """The same matrix with Fraction entries, for exact arithmetic."""
+    return Mat2(Fraction(a.a11), Fraction(a.a12), Fraction(a.a21), Fraction(a.a22))
 
-    The three symmetric unknowns (p11, p12, p22) satisfy an explicit 3x3
-    linear system; no iteration and no tolerance knob.
+
+def solve_lyapunov(a: Mat2) -> SymPosDef2:
+    """Solve A^T P + P A = -I for symmetric P in rationals and round once.
+
+    The 3x3 system in (p11, p12, p22) has determinant 4 tr(A) det(A), never 0
+    for a Hurwitz A; its closed form has the factor s = -1 / (2 tr(A) det(A)).
     """
-    if not is_hurwitz(a):
+    e = _exact(a)
+    if not is_hurwitz(e):
         raise NotHurwitz(f"matrix with trace {a.trace} and det {a.det} is not Hurwitz")
-    m = np.array(
-        [
-            [2.0 * a.a11, 2.0 * a.a21, 0.0],
-            [a.a12, a.a11 + a.a22, a.a21],
-            [0.0, 2.0 * a.a12, 2.0 * a.a22],
-        ]
-    )
-    rhs = np.array([-1.0, 0.0, -1.0])
+    s = -1 / (2 * e.trace * e.det)
     try:
-        p11, p12, p22 = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    p = SymPosDef2.from_entries(float(p11), float(p12), float(p22))
-    if lyapunov_residual(a, p) > 1e-10:
-        raise SingularSystem("ill-conditioned Lyapunov system, residual too large")
-    return p
+        return SymPosDef2.from_entries(
+            float(s * (e.det + e.a21 ** 2 + e.a22 ** 2)),
+            float(-s * (e.a11 * e.a21 + e.a12 * e.a22)),
+            float(s * (e.det + e.a11 ** 2 + e.a12 ** 2)),
+        )
+    except (OverflowError, ValueError) as exc:
+        raise SingularSystem(f"P does not round to a positive definite float matrix: {exc}") from None
+
+
+def _lyap_form(a: Mat2, p11, p12, p22) -> tuple:
+    """Entries (11, 12, 22) of A^T P + P A, in the number type of the inputs."""
+    return (2 * (a.a11 * p11 + a.a21 * p12),
+            a.a11 * p12 + a.a21 * p22 + (p11 * a.a12 + p12 * a.a22),
+            2 * (a.a12 * p12 + a.a22 * p22))
 
 
 def lyapunov_residual(a: Mat2, p: SymPosDef2) -> float:
     """Max-norm of A^T P + P A + I."""
-    aa = a.as_array()
-    pp = p.as_array()
-    return float(np.abs(aa.T @ pp + pp @ aa + np.eye(2)).max())
-
-
-def _margin_matrix(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> np.ndarray:
-    """-(A(lam)^T P0 + P0 A(lam)), affine in lam."""
-    a = blend(a1, a2, lam).as_array()
-    pp = p0.as_array()
-    return -(a.T @ pp + pp @ a)
+    f11, f12, f22 = _lyap_form(a, p.p11, p.p12, p.p22)
+    return max(abs(f11 + 1.0), abs(f12), abs(f22 + 1.0))
 
 
 def _min_margin(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
-    """Smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam))."""
-    q = _margin_matrix(lam, p0, a1, a2)
-    lo, _ = sym_eigvals(q[0, 0], q[0, 1], q[1, 1])
-    return lo
+    """Smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam)), on floats."""
+    f11, f12, f22 = _lyap_form(blend(a1, a2, lam), p0.p11, p0.p12, p0.p22)
+    return sym_eigvals(-f11, -f12, -f22)[0]
 
 
 def find_capital_lambda(p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
     """Largest blend fraction up to which P0 certifies DECAY_MARGIN.
 
-    Returns the largest L in (0, 1] such that for all lam in [0, L] the
-    smallest eigenvalue of Q(lam) = -(A(lam)^T P0 + P0 A(lam)) stays >=
-    DECAY_MARGIN = m. Q is affine in lam, so its smallest eigenvalue is
-    concave and the lam that pass form one interval [0, L]. A symmetric
-    2x2 matrix has both eigenvalues >= m exactly when tr(Q - m I) >= 0 and
-    det(Q - m I) >= 0, a line and a quadratic in lam, so L is 1 or one of
-    their roots in (0, 1): the largest that passes the margin test. If none
-    passes, rounding put the boundary root, the lowest, just past the
-    boundary, and it steps down (4 ulps, then doubling) until it passes.
+    Returns the largest float L in [0, 1] such that for every lam in [0, L],
+    exactly, both eigenvalues of Q(lam) = -(A(lam)^T P0 + P0 A(lam)) are >=
+    DECAY_MARGIN = m, for the exact blend A(lam) of the float gains and the
+    float P0 given. Q is affine in lam, so its smallest eigenvalue is concave
+    and the lam that pass form one interval. Both eigenvalues are >= m exactly
+    when tr(Q - m I) >= 0 and det(Q - m I) >= 0, tested in rationals; L is
+    found by bisection over the floats of [0, 1].
     """
+    p = Fraction(p0.p11), Fraction(p0.p12), Fraction(p0.p22)
+    f1, f2 = _lyap_form(_exact(a1), *p), _lyap_form(_exact(a2), *p)
+    m = Fraction(DECAY_MARGIN)
+    # Q(lam) - m I = S + lam D
+    s11, s12, s22 = -f2[0] - m, -f2[1], -f2[2] - m
+    d11, d12, d22 = f2[0] - f1[0], f2[1] - f1[1], f2[2] - f1[2]
 
-    def feasible(lam: float) -> bool:
-        return _min_margin(lam, p0, a1, a2) >= DECAY_MARGIN
+    def holds(lam: float) -> bool:
+        x = Fraction(lam)
+        q11, q12, q22 = s11 + x * d11, s12 + x * d12, s22 + x * d22
+        return q11 + q22 >= 0 and q11 * q22 >= q12 * q12
 
-    if not feasible(0.0):
+    if not holds(0.0):
         raise NoFeasibleLambda(
             "margin fails already at lam=0; P0 is not the Lyapunov matrix of A(0)"
         )
-    q0 = _margin_matrix(0.0, p0, a1, a2)
-    s = q0 - DECAY_MARGIN * np.eye(2)
-    d = _margin_matrix(1.0, p0, a1, a2) - q0
-    # Q(lam) - m I = s + lam d
-    trace = [d[0, 0] + d[1, 1], s[0, 0] + s[1, 1]]
-    det = [
-        d[0, 0] * d[1, 1] - d[0, 1] ** 2,
-        s[0, 0] * d[1, 1] + d[0, 0] * s[1, 1] - 2.0 * s[0, 1] * d[0, 1],
-        s[0, 0] * s[1, 1] - s[0, 1] ** 2,
-    ]
-    lams = sorted([1.0, *_real_roots(trace, 0.0, 1.0), *_real_roots(det, 0.0, 1.0)])
-    for lam in reversed(lams):
-        if feasible(lam):
-            return lam
-    low = lams[0]
-    step = 4.0 * math.ulp(low)
-    while low - step > 0.0 and not feasible(low - step):
-        step *= 2.0
-    return max(low - step, 0.0)
+    lo, hi = 0.0, math.nextafter(1.0, 2.0)  # holds(lo); hi fails or lies past 1
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
 
 
 @dataclass(frozen=True)

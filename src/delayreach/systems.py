@@ -300,9 +300,8 @@ def run_switched(
     piece_breaks: list[float] = []
     t_k, x = 0.0, x0.tolist()
     while True:
-        # |x|^2 is numpy's dot, bit for bit: it may fuse a multiply-add
-        xa = np.array(x)
-        t_k += min(max(policy.dwell / (1.0 + float(xa.dot(xa))), _MIN_DWELL), policy.dwell)
+        # |x|^2 is rounded before the 1 is added, as for the recorded schedule
+        t_k += min(max(policy.dwell / (1.0 + (x[0] * x[0] + x[1] * x[1])), _MIN_DWELL), policy.dwell)
         if t_k >= T:
             break
         if t_k > stepper.t:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,13 @@ class TestBadInput:
             # a broken line through no knot
             ({}, {"input": {"kind": "piecewise_linear", "knots": [], "values": []}},
              ["simulate", "--system", "planar"]),
+            # gains that are not 2x2
+            ({}, {"A1": [[0, 2, 7], [-0.5, -0.1, 7], [7, 7, 7]]}, ["lyapunov", "--constants"]),
+            ({}, {"A1": [[0, 2, 7], [-0.5, -0.1, 7], [7, 7, 7]]}, ["estimate-r"]),
+            ({}, {"A2": [[-0.1, 0.5], [-2, 0], [7, 7]]}, ["lyapunov", "--constants"]),
+            ({}, {"A2": [[-0.1, 0.5], [-2, 0], [7, 7]]}, ["estimate-r"]),
+            # Hurwitz gains whose Lyapunov matrix overflows the floats
+            ({}, {"A2": [[-1e-309, 1.0], [-1.0, 0.0]]}, ["lyapunov", "--constants"]),
         ],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, monkeypatch, env, cfg, argv):
@@ -420,3 +431,23 @@ class TestProbeCommands:
         if twice:
             assert main(["--out", str(b), "--seed", "3", name, *flags]) == 0
             assert (a / f"{stem}.csv").read_bytes() == (b / f"{stem}.csv").read_bytes()
+
+
+class TestSameBytesOnEveryKernel:
+    """The certificate and what it feeds make no call whose rounding depends on
+    the BLAS kernel: OpenBLAS's Sandybridge kernel, which has no FMA, gives the
+    same bytes as the kernel chosen for this machine."""
+
+    @pytest.mark.parametrize("argv", [["lyapunov", "--constants"],
+                                      ["es-check", "--n", "20", "--T", "5"]], ids=["lyapunov", "es-check"])
+    def test_sandybridge_kernel_gives_same_bytes(self, tmp_path, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for name, kernel in (("default", {}), ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env.update(kernel, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+            out = tmp_path / name
+            proc = subprocess.run([sys.executable, "-m", "delayreach.cli", "--out", str(out), *argv],
+                                  env=env, capture_output=True, check=True, timeout=120)
+            outputs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,23 @@ def kron_lyapunov(a: Mat2) -> np.ndarray:
     return vec_p.reshape(2, 2)
 
 
+def sym(p: SymPosDef2) -> np.ndarray:
+    """P as a numpy array, for the numpy oracles."""
+    return np.array([[p.p11, p.p12], [p.p12, p.p22]])
+
+
+def exact_margin_holds(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> bool:
+    """Independent oracle: both eigenvalues of -(A^T P0 + P0 A) - m I are >= 0
+    for A = lam A1 + (1 - lam) A2, from the trace and determinant in rationals."""
+    lam, m = Fraction(lam), Fraction(DECAY_MARGIN)
+    a = [[lam * Fraction(x) + (1 - lam) * Fraction(y) for x, y in zip(r1, r2)]
+         for r1, r2 in zip(a1.as_array().tolist(), a2.as_array().tolist())]
+    p = [[Fraction(v) for v in row] for row in sym(p0).tolist()]
+    q = [[-sum(a[k][i] * p[k][j] + p[i][k] * a[k][j] for k in range(2)) - (m if i == j else 0)
+          for j in range(2)] for i in range(2)]
+    return q[0][0] + q[1][1] >= 0 and q[0][0] * q[1][1] - q[0][1] * q[1][0] >= 0
+
+
 class TestMat2:
     def test_round_trip(self):
         a = Mat2.from_array([[1.0, 2.0], [3.0, 4.0]])
@@ -42,6 +60,12 @@ class TestMat2:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Mat2(0.0, math.nan, 0.0, 0.0)
+
+    @pytest.mark.parametrize("arr", [[[0.0, 2.0, 7.0], [-0.5, -0.1, 7.0], [7.0, 7.0, 7.0]],
+                                     [[0.0, 2.0], [-0.5, -0.1], [7.0, 7.0]], [1.0, 2.0, 3.0, 4.0]])
+    def test_rejects_wrong_shape(self, arr):
+        with pytest.raises(ValueError, match="2x2"):
+            Mat2.from_array(arr)
 
 
 class TestHurwitz:
@@ -75,10 +99,14 @@ class TestSolveLyapunov:
     def test_reference_matrix_exact(self):
         # closed-form solution for the lam=0 gain, checked by the residual
         p = solve_lyapunov(A_MODE2)
-        assert p.p11 == pytest.approx(25.0, abs=1e-12)
-        assert p.p12 == pytest.approx(-1.0, abs=1e-12)
-        assert p.p22 == pytest.approx(6.3, abs=1e-12)
+        assert (p.p11, p.p12, p.p22) == (25.0, -1.0, 6.3)
         assert lyapunov_residual(A_MODE2, p) <= 1e-12
+
+    def test_overflowing_solution_is_singular_system(self):
+        # Hurwitz, but tr(A) = -1e-309 puts p11 = (det + a21^2 + a22^2) / (2 |tr| det) past
+        # the largest float
+        with pytest.raises(SingularSystem, match="float matrix"):
+            solve_lyapunov(Mat2(-1e-309, 1.0, -1.0, 0.0))
 
     def test_against_kronecker_oracle(self, rng):
         count = 0
@@ -89,7 +117,7 @@ class TestSolveLyapunov:
             count += 1
             p = solve_lyapunov(a)
             ref = kron_lyapunov(a)
-            assert np.allclose(p.as_array(), ref, atol=1e-9)
+            assert np.allclose(sym(p), ref, atol=1e-9)
 
     def test_rejects_non_hurwitz(self):
         with pytest.raises(NotHurwitz):
@@ -99,7 +127,7 @@ class TestSolveLyapunov:
         p = solve_lyapunov(A_MODE2)
         for _ in range(20):
             x = rng.uniform(-5.0, 5.0, size=2)
-            assert p.quad(x) == pytest.approx(float(x @ p.as_array() @ x), rel=1e-12)
+            assert p.quad(x) == pytest.approx(float(x @ sym(p) @ x), rel=1e-12)
 
     def test_eigen_bounds_sandwich_quad(self, rng):
         p = solve_lyapunov(A_MODE2)
@@ -116,7 +144,7 @@ class TestCapitalLambda:
 
         def margin(l):
             a = blend(A_MODE1, A_MODE2, l).as_array()
-            q = -(a.T @ p0.as_array() + p0.as_array() @ a)
+            q = -(a.T @ sym(p0) + sym(p0) @ a)
             return float(np.linalg.eigvalsh(q)[0])
 
         assert margin(lam - 1e-6) >= 0.5
@@ -126,7 +154,10 @@ class TestCapitalLambda:
     def test_default_boundary_sharp_to_rounding(self, cert):
         lam = cert.capital_lambda
         assert type(lam) is float
-        assert lam == pytest.approx(0.01088750171661377, abs=1e-9)
+        # the largest float at which the margin holds exactly, for the float P0
+        assert lam == 0.010887501745916624
+        assert exact_margin_holds(lam, cert.p0, A_MODE1, A_MODE2)
+        assert not exact_margin_holds(math.nextafter(lam, 1.0), cert.p0, A_MODE1, A_MODE2)
         assert _min_margin(lam, cert.p0, A_MODE1, A_MODE2) >= DECAY_MARGIN
         assert _min_margin(lam * (1.0 + 1e-12), cert.p0, A_MODE1, A_MODE2) < DECAY_MARGIN
 
@@ -149,9 +180,9 @@ class TestCapitalLambda:
             lam = find_capital_lambda(p0, a1, a2)
             assert 0.0 < lam <= 1.0
             for l in np.linspace(0.0, lam, 201):
-                assert _min_margin(l, p0, a1, a2) >= DECAY_MARGIN
+                assert exact_margin_holds(float(l), p0, a1, a2)
             if lam < 1.0:
-                assert _min_margin(lam + 1e-9, p0, a1, a2) < DECAY_MARGIN
+                assert not exact_margin_holds(math.nextafter(lam, 1.0), p0, a1, a2)
 
     def test_infeasible_margin_raises(self):
         # P0 = I is not the Lyapunov matrix of A(0), as with user gains from
@@ -176,8 +207,8 @@ class TestConstants:
         assert cert == stability_constants(cert.p0, A_MODE1, A_MODE2)
         assert cert.k == pytest.approx(math.sqrt(2.0 * cert.p0.c2 / cert.p0.c1), rel=1e-14)
         assert cert.p == pytest.approx(min(1.0, 1.0 / (4.0 * cert.p0.c2)), rel=1e-14)
-        assert cert.p0.c1 == pytest.approx(np.linalg.eigvalsh(cert.p0.as_array())[0])
-        assert cert.p0.c2 == pytest.approx(np.linalg.eigvalsh(cert.p0.as_array())[1])
+        assert cert.p0.c1 == pytest.approx(np.linalg.eigvalsh(sym(cert.p0))[0])
+        assert cert.p0.c2 == pytest.approx(np.linalg.eigvalsh(sym(cert.p0))[1])
 
     def test_default_certificate_memoized(self):
         assert default_certificate() is default_certificate()
