@@ -436,7 +436,7 @@ class TestProbeCommands:
 class TestSameBytesOnEveryKernel:
     """The certificate and what it feeds make no call whose rounding depends on
     the BLAS kernel: OpenBLAS's Sandybridge kernel, which has no FMA, gives the
-    same bytes as the kernel chosen for this machine."""
+    same bytes as the kernel OpenBLAS picks by default."""
 
     @pytest.mark.parametrize("argv", [["lyapunov", "--constants"],
                                       ["es-check", "--n", "20", "--T", "5"]], ids=["lyapunov", "es-check"])
