@@ -654,7 +654,8 @@ def integrate(
     are resolved once per interval (`Signal.piece`), and the outgoing slope
     is evaluated again at each boundary. Past d the lookup reads the dense
     output at t - d. A nondelayed system's rhs is handed the empty tuple of
-    lookups, with no list built per evaluation.
+    lookups, and a one-delay system's the 1-tuple of its one lookup, with no
+    list built per evaluation.
     `stop = (every, ask)`: ask(traj, t) is asked at the first accepted step
     at or past t = every and then once per `every` of progress; when it
     returns True the run ends there, with the trajectory on [0, t]. The
@@ -700,12 +701,15 @@ def integrate(
         uval = u.piece(lo, hi)
         looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
 
-    if delays:
-        def f(t, y):
-            return rhs(y, tuple([look(t) for look in looks]), uval(t))
-    else:
+    if not delays:
         def f(t, y):
             return rhs(y, (), uval(t))
+    elif len(delays) == 1:
+        def f(t, y):
+            return rhs(y, (looks[0](t),), uval(t))
+    else:
+        def f(t, y):
+            return rhs(y, tuple([look(t) for look in looks]), uval(t))
 
     uval = looks = None
     resolve(0.0, stops[0])

@@ -11,12 +11,15 @@ breakpoints. Combinators read their parts through `_piece`, also before 0
 Between two consecutive breakpoints a signal is one closed-form piece.
 `piece(lo, hi)` resolves it once and returns it as a function of t, so the
 integrator pays no index search per evaluation; a piece's value is a
-sequence of floats, which the right-hand side reads per component.
+sequence of floats, which the right-hand side reads per component. A line
+piece is code rendered once per component count, one sum per component.
 `eval(t)` is the piece through t, resolved at t, as a 1-D ndarray.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 
 import numpy as np
@@ -42,27 +45,25 @@ def _constant(v):
     return lambda t: v
 
 
+@functools.lru_cache(maxsize=None)
+def _line(n: int):
+    """make(a, span, v0, v1) -> line(t) for n components, as straight-line code."""
+    ps, qs = ", ".join(f"p{i}" for i in range(n)), ", ".join(f"q{i}" for i in range(n))
+    terms = ", ".join(f"(1.0 - w) * p{i} + w * q{i}" for i in range(n))
+    src = (f"def make(a, span, v0, v1):\n    [{ps}], [{qs}] = v0, v1\n\n"
+           f"    def line(t):\n        w = (t - a) / span\n        return [{terms}]\n\n    return line\n")
+    scope = {}
+    exec(compile(src, f"<line, n={n}>", "exec"), scope)
+    return scope["make"]
+
+
 def _linear(k0, k1, v0, v1):
     """t -> the line through (k0, v0) and (k1, v1), as every broken line here
     computes it: w = (t - k0) / (k1 - k0), then (1 - w) v0 + w v1 per component
-    (in floats: the same roundings as numpy's, without its per-call cost). A
-    one-component line, as every scalar input is, spells that one sum out."""
-    a, span = float(k0), float(k1 - k0)
-    pairs = list(zip(np.asarray(v0).tolist(), np.asarray(v1).tolist()))
-    if len(pairs) == 1:
-        ((p, q),) = pairs
-
-        def line(t):
-            w = (t - a) / span
-            return [(1.0 - w) * p + w * q]
-
-        return line
-
-    def line(t):
-        w = (t - a) / span
-        return [(1.0 - w) * p + w * q for p, q in pairs]
-
-    return line
+    (in floats: the same roundings as numpy's, without its per-call cost). v0
+    and v1 are sequences of floats; the line is rendered once per component
+    count, one sum per component written out."""
+    return _line(len(v0))(float(k0), float(k1 - k0), v0, v1)
 
 
 def _broken_line(knots, values) -> tuple[np.ndarray, np.ndarray]:
@@ -179,22 +180,24 @@ class PiecewiseLinear(Signal):
     """Continuous broken line through (knots[i], values[i]).
 
     Constant extension outside the knot range keeps the signal defined and
-    continuous on all of [0, inf).
+    continuous on all of [0, inf). The knots and rows are also held as lists
+    of floats, which a piece lookup bisects and hands to the line.
     """
 
     def __init__(self, knots, values):
         self.knots, self.values = _broken_line(knots, values)
         self.dim = self.values.shape[1]
+        self._k, self._v = self.knots.tolist(), self.values.tolist()
 
     def _piece(self, lo, hi):
         if lo < 0.0:
             return _constant(self._piece(0.0, 0.0)(0.0))
-        k, v = self.knots, self.values
+        k, v = self._k, self._v
         if lo < k[0]:
             return _constant(v[0])
         if lo >= k[-1]:
             return _constant(v[-1])
-        i = int(np.searchsorted(k, lo, side="right")) - 1
+        i = bisect.bisect_right(k, lo) - 1
         return _linear(k[i], k[i + 1], v[i], v[i + 1])
 
     def breakpoints(self, lo, hi):
@@ -347,18 +350,17 @@ def smooth_square(
     seg = values[1:-1] * np.diff(breaks)[:, None] if len(breaks) > 1 else np.zeros((0, schedule.dim))
     cum = np.vstack([np.zeros((1, schedule.dim)), np.cumsum(seg, axis=0)])
 
-    def integral(t: float) -> np.ndarray:
-        # integral of the schedule from breaks[0] to t (t may be on either side)
-        if t <= breaks[0]:
-            return values[0] * (t - breaks[0])
-        if t >= breaks[-1]:
-            return cum[-1] + values[-1] * (t - breaks[-1])
-        i = int(np.searchsorted(breaks, t, side="right")) - 1
-        return cum[i] + values[i + 1] * (t - breaks[i])
+    def integral(t: np.ndarray) -> np.ndarray:
+        # integral of the schedule from breaks[0] to each t (either side of it);
+        # at or past breaks[-1], i is the last break, so the sum is the tail's
+        i = np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, len(breaks) - 1)
+        t = t[:, None]
+        inner = cum[i] + values[i + 1] * (t - breaks[i][:, None])
+        return np.where(t <= breaks[0], values[0] * (t - breaks[0]), inner)
 
     half = 0.5 * delta
     knots = np.unique(np.concatenate([breaks - half, breaks + half]))
-    vals = np.array([(integral(k + half) - integral(k - half)) / delta for k in knots])
+    vals = (integral(knots + half) - integral(knots - half)) / delta
     # a moving average stays inside the range of the values it averages, so
     # clipping to it removes only the rounding of the difference above
     return PiecewiseLinear(knots, np.clip(vals, values.min(axis=0), values.max(axis=0)))

@@ -105,6 +105,27 @@ class TestDelayOracle:
             assert traj.eval(t)[0] == pytest.approx(exact(t), abs=1e-8)
         assert traj.eval(2.0)[0] == pytest.approx(-0.5, abs=1e-8)
 
+    def test_two_delays_follow_the_exact_spline(self):
+        # x'(t) = -x(t - 1) - x(t - 2) from the constant history 1 on [-2, 0]:
+        # each lookup of the two-delay path, from the shifted history and
+        # from the dense output, against the method-of-steps polynomials
+        sys = DiscreteDelaySystem(dim=1, input_dim=0, delays=(1.0, 2.0),
+                                  rhs=lambda y, d, u: [-d[0][0] - d[1][0]])
+        traj = integrate(sys, HistoryFn.constant(np.array([1.0]), 2.0), None, 3.0).trajectory
+
+        def exact(t):
+            if t <= 1.0:
+                return 1.0 - 2.0 * t
+            if t <= 2.0:
+                return t * t - 4.0 * t + 2.0
+            return -t**3 / 3.0 + 4.0 * t * t - 12.0 * t + 26.0 / 3.0
+
+        assert traj.ts[-1] == 3.0 and {1.0, 2.0} <= set(traj.ts.tolist())
+        for t, y in zip(traj.ts, traj.ys[:, 0]):
+            assert y == pytest.approx(exact(t), abs=1e-12), t
+        for t in np.linspace(0.0, 3.0, 61):
+            assert traj.eval(t)[0] == pytest.approx(exact(t), abs=1e-12), t
+
     def test_history_domain_validation(self):
         hist = HistoryFn.constant(np.array([1.0]), 2.0)
         with pytest.raises(BadHistoryDomain):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,23 +26,23 @@ def is_float_list(v):
 
 
 class TestScalarPieces:
-    """A one-component line or decay spells its one sum out; it must be, bit
-    for bit, the first component of the general comprehension."""
+    """A line is rendered per component count and a one-component decay spells
+    its one sum out; each must be, bit for bit, the general formula."""
 
-    def test_one_component_line_is_the_general_formula(self):
+    def test_line_is_numpys_formula(self):
         rng = np.random.default_rng(22)
-        for _ in range(3_000):
+        for n in [1, 2, 3, 4] * 1_000:
             k0 = rng.uniform(-10.0, 10.0)
             k1 = k0 + 10.0 ** rng.uniform(-8.0, 2.0)
-            v0, v1 = (rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)).tolist()
-            if rng.random() < 0.05:
-                v0 = -0.0
-            one = _linear(k0, k1, [v0], [v1])
-            general = _linear(k0, k1, [v0, 1.0], [v1, 2.0])
+            v0, v1 = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, n))
+            v0[rng.random(n) < 0.1] = -0.0
+            v1[rng.random(n) < 0.1] = -0.0
+            line = _linear(k0, k1, v0.tolist(), v1.tolist())
             for t in [k0, k1] + rng.uniform(k0 - 1.0, k1 + 1.0, size=5).tolist():
-                out = one(t)
-                assert is_float_list(out) and len(out) == 1
-                assert np.array(out).tobytes() == np.array(general(t)[:1]).tobytes(), (k0, k1, t)
+                out = line(t)
+                assert is_float_list(out) and len(out) == n
+                w = (t - k0) / (k1 - k0)
+                assert np.array(out).tobytes() == ((1 - w) * v0 + w * v1).tobytes(), (k0, k1, t)
 
     def test_one_component_decay_is_the_general_formula(self):
         rng = np.random.default_rng(23)
@@ -103,6 +104,27 @@ class TestPiecewiseLinear:
         assert self.s.eval(0.5) == pytest.approx(1.0)
         assert self.s.eval(2.0) == pytest.approx(0.0)
         assert self.s.eval(10.0) == -2.0  # constant extension
+
+    def test_piece_resolves_the_segment_of_searchsorted(self):
+        # at every knot and one ulp either side: the segment (or the constant
+        # end) of searchsorted(side="right"), read where segments disagree
+        rng = np.random.default_rng(27)
+        for n in (1, 2, 3, 7):
+            knots = np.sort(rng.uniform(0.0, 10.0, size=n))
+            values = rng.normal(size=(n, 2))
+            s = PiecewiseLinear(knots, values)
+            for t in [x for k in knots.tolist()
+                      for x in (math.nextafter(k, -math.inf), k, math.nextafter(k, math.inf))]:
+                i = int(np.searchsorted(knots, t, side="right")) - 1
+                if i < 0 or i == n - 1:
+                    expect = [values[max(i, 0)].tolist()] * 3
+                    probes = [t, t + 1.0, t + 2.0]
+                else:
+                    line = _linear(knots[i], knots[i + 1], values[i].tolist(), values[i + 1].tolist())
+                    probes = [t, 0.5 * (knots[i] + knots[i + 1]), knots[i + 1]]
+                    expect = [line(p) for p in probes]
+                got = s.piece(t, t)
+                assert [list(got(p)) for p in probes] == expect, (n, t)
 
     def test_negative_knots_allowed_for_shifted_data(self):
         s = PiecewiseLinear([-2.0, 1.0], [1.0, 4.0])
@@ -258,6 +280,58 @@ class TestSmoothSquare:
             g = np.linspace(t - 0.1, t + 0.1, 2001)
             vals = [ref.values[0, 0] if s < 0 else ref.eval(s)[0] for s in g]
             assert w.eval(t)[0] == pytest.approx(np.trapezoid(vals, g) / 0.2, abs=5e-4)
+
+
+def smooth_square_by_knot(schedule, delta):
+    """smooth_square's knots and values, one scalar integral per knot end: the
+    loop the vectorized pass must match byte for byte."""
+    breaks, values = schedule.breaks, schedule.values
+    if len(breaks) == 0:
+        return np.array([0.0]), values[:1].copy()
+    seg = values[1:-1] * np.diff(breaks)[:, None] if len(breaks) > 1 else np.zeros((0, schedule.dim))
+    cum = np.vstack([np.zeros((1, schedule.dim)), np.cumsum(seg, axis=0)])
+
+    def integral(t):
+        if t <= breaks[0]:
+            return values[0] * (t - breaks[0])
+        if t >= breaks[-1]:
+            return cum[-1] + values[-1] * (t - breaks[-1])
+        i = int(np.searchsorted(breaks, t, side="right")) - 1
+        return cum[i] + values[i + 1] * (t - breaks[i])
+
+    half = 0.5 * delta
+    knots = np.unique(np.concatenate([breaks - half, breaks + half]))
+    vals = np.array([(integral(k + half) - integral(k - half)) / delta for k in knots])
+    return knots, np.clip(vals, values.min(axis=0), values.max(axis=0))
+
+
+class TestSmoothSquareBytes:
+    """The one-pass cumulative integral is the per-knot loop, byte for byte."""
+
+    def assert_same_bytes(self, schedule, delta):
+        w = smooth_square(schedule, delta, strict=False)
+        knots, values = smooth_square_by_knot(schedule, delta)
+        assert w.knots.tobytes() == knots.tobytes(), delta
+        assert w.values.tobytes() == values.reshape(len(knots), -1).tobytes(), delta
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_stored_schedule(self, k):
+        self.assert_same_bytes(escape_schedule()[0], 0.1 / 2**k)
+
+    def test_random_schedules(self):
+        rng = np.random.default_rng(31)
+        for breaks in [0, 1, 2, 5, 30] * 8:
+            dim = int(rng.integers(1, 3))
+            values = rng.normal(size=(breaks + 1, dim)) * 10.0 ** rng.uniform(-2.0, 2.0)
+            values[rng.random(values.shape) < 0.2] = -0.0
+            values[rng.random(values.shape) < 0.2] = 0.0
+            cuts = np.sort(rng.uniform(-1.0, 5.0, size=breaks))
+            schedule = PiecewiseConstant(values, cuts)
+            dwell = float(np.diff(cuts).min()) if breaks > 1 else 1.0
+            span = float(cuts[-1] - cuts[0]) if breaks else 0.0
+            # isolated ramps, ramps that overlap, and wider than every dwell
+            for delta in (0.1 * dwell, 1.5 * dwell, 3.0 * span + 0.5):
+                self.assert_same_bytes(schedule, delta)
 
 
 class TestJsonRoundTrip:

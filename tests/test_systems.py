@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -195,6 +196,25 @@ class TestSwitchedEscape:
         assert len(a.ts) < 3.0 / 1e-3
         assert (a.ts.tobytes(), a.ys.tobytes(), a.qs.tobytes()) == (
             b.ts.tobytes(), b.ys.tobytes(), b.qs.tobytes())
+
+    @pytest.mark.parametrize("angle, dwell, t_escape, switches, sha", [
+        (0.0, 8e-3, "0.8600726979877733", 23,
+         "cac6c775faed8fcbcd32d90447806ece1df9d4b9b9423334d2587cf38dbf85dd"),
+        (2.0 * math.pi / 3.0, 1.2e-2, "0.9207174775942858", 22,
+         "809a49b13b4784e3b9f33977c1c35e8c578e6d22223edf055c6215a704330657"),
+        (4.0 * math.pi / 3.0, 1.6e-2, "0.7828252695010028", 22,
+         "981f694f66bda21b6d3445941fe46d906d60cef2e781c500ab25468befde51a1"),
+    ], ids=["0", "2pi/3", "4pi/3"])
+    def test_sampling_clock_at_the_benchmark_dwells(self, angle, dwell, t_escape, switches, sha):
+        # the benchmark's escape runs, from (cos, sin) of the angle: the
+        # sampling clock t_k + dwell / (1 + |x|^2) decides every switching
+        # instant, so a reordered sum moves the breaks and the nodes
+        run = run_switched(greedy_worst_switch(dwell=dwell),
+                           np.array([math.cos(angle), math.sin(angle)]), T=20.0)
+        assert repr(run.outcome.t_escape) == t_escape
+        assert len(run.signal.breaks) == switches
+        data = run.signal.breaks.tobytes() + run.outcome.trajectory.ts.tobytes()
+        assert hashlib.sha256(data).hexdigest() == sha
 
     @pytest.mark.parametrize("dwell", [1e-3, 8e-3, 1.6e-2])
     def test_every_switch_is_a_node(self, dwell, escape_run):
