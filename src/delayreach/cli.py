@@ -3,9 +3,9 @@
 Subcommands: lyapunov, simulate, escape, estimate-r, rfc-sweep, es-check,
 uga-table, equiv-check, one entry each in COMMANDS. Global flags: --config
 (JSON overrides), --seed, --out (artifact directory), --svg (optional line
-plot). Environment variables with the DELAYREACH_ prefix (DELAYREACH_SEED,
-DELAYREACH_OUT, DELAYREACH_CONFIG) supply defaults that explicit flags
-override.
+plot, of the subcommands that have one). Environment variables with the
+DELAYREACH_ prefix (DELAYREACH_SEED, DELAYREACH_OUT, DELAYREACH_CONFIG)
+supply defaults that explicit flags override.
 
 Escape is a reported outcome, not a failure: runs that blow up exit 0 with
 outcome "escaped". Invalid flags and config keys exit 2 before any run;
@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -178,13 +178,11 @@ def opts_from_config(cfg: dict, base: IntegratorOptions) -> IntegratorOptions:
     over = cfg.get("integrator", {})
     if not isinstance(over, dict):
         raise ConfigInvalid("integrator: must be an object")
-    fields = {f: getattr(base, f) for f in base.__dataclass_fields__}
-    for k, v in over.items():
-        if k not in fields:
+    for k in over:
+        if k not in base.__dataclass_fields__:
             raise ConfigInvalid(f"integrator.{k}: unknown option")
-        fields[k] = v
     try:
-        return IntegratorOptions(**fields)
+        return replace(base, **over)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"integrator: {exc}") from None
 
@@ -433,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed for all random draws (default 0)")
     parser.add_argument("--out", default=os.environ.get("DELAYREACH_OUT", "."),
                         help="directory for CSV/JSON artifacts (default: current directory)")
-    parser.add_argument("--svg", default=None, help="write a line plot to this SVG path")
+    parser.add_argument("--svg", default=None, help="write a line plot to this SVG path (simulate, escape, "
+                        "rfc-sweep, es-check; the other subcommands write none)")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help)

@@ -1,8 +1,8 @@
 """The greedy escape at dwell DWELL and the default gains, stored as data.
 
 `systems.recorded_escape()` computes it: greedy switching of the planar
-system from x(0) = (1, 0) until |x| reaches the escape threshold: 30,532
-policy samples on a 667-node trajectory. DWELL is the default dwell of
+system from x(0) = X0 until |x| reaches the escape threshold: 30,532 policy
+samples on a 667-node trajectory. DWELL is the default dwell of
 `recorded_escape` and of `escape --dwell`. The default delay and the escape
 schedule read only its switching signal (VALUES of the pieces, BREAKS
 between them) and its escape time T_ESCAPE, so those are kept here and no
@@ -16,6 +16,7 @@ against an exact replay of this schedule (`tests/replay.py`).
 """
 
 DWELL = 1e-3
+X0 = (1.0, 0.0)  # the escape's start, the planar start of rfc_sweep and estimate_R's escape draw
 
 # -- generated from recorded_escape(DWELL) --
 VALUES = (

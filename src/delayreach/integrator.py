@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .signals import Constant, PiecewiseLinear, Signal, _broken_line, _linear
+from .signals import Constant, PiecewiseLinear, Signal
 
 
 class BadHistoryDomain(ValueError):
@@ -354,7 +354,8 @@ class Trajectory:
 
 
 class HistoryFn:
-    """Continuous piecewise-linear function on [-tau, 0].
+    """Continuous piecewise-linear function on [-tau, 0]: the broken line
+    `line`, a PiecewiseLinear, off which its knots, values, dim and tau read.
 
     `eval` reads it at a time s of its domain. A delayed lookup s = t - d
     on [0, d] reads `shifted(d)` at t instead: the same broken line, moved
@@ -363,17 +364,14 @@ class HistoryFn:
     """
 
     def __init__(self, knots, values):
-        self.knots, self.values = _broken_line(knots, values)
+        self.line = PiecewiseLinear(knots, values)
         if abs(float(self.knots[-1])) > 1e-9:
             raise BadHistoryDomain("history must end at time 0")
 
-    @property
-    def tau(self) -> float:
-        return -float(self.knots[0])
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
+    knots = property(lambda self: self.line.knots)
+    values = property(lambda self: self.line.values)
+    dim = property(lambda self: self.line.dim)
+    tau = property(lambda self: -float(self.knots[0]))
 
     @classmethod
     def constant(cls, value, tau: float) -> "HistoryFn":
@@ -383,16 +381,12 @@ class HistoryFn:
         return cls(np.array([-tau, 0.0]), np.vstack([v, v]))
 
     def eval(self, s: float) -> np.ndarray:
-        """The value at s; within 1e-9 outside [-tau, 0], the nearer end's."""
-        k, v = self.knots, self.values
+        """The value at s of `line`; within 1e-9 outside [-tau, 0], the nearer end's."""
+        k = self.knots
         k0, kn = float(k[0]), float(k[-1])
         if s < k0 - 1e-9 or s > kn + 1e-9:
             raise BadHistoryDomain(f"history evaluated at {s} outside [{k0}, 0]")
-        if len(k) == 1:
-            return v[0].copy()
-        s = min(max(s, k0), kn)
-        i = min(int(np.searchsorted(k, s, side="right")) - 1, len(k) - 2)
-        return np.array(_linear(k[i], k[i + 1], v[i], v[i + 1])(s))
+        return np.array(self.line.segment(s)(s))
 
     def shifted(self, d: float) -> PiecewiseLinear:
         """t -> self(t - d) as a signal: the broken line through knots + d,
@@ -439,13 +433,16 @@ class DiscreteDelaySystem:
 
 @dataclass
 class SimOutcome:
-    """Completed run, or finite escape with the trajectory prefix."""
+    """Completed run, or finite escape (a flag) with the trajectory prefix."""
 
     trajectory: Trajectory
-    escaped: bool = False
     t_escape: Optional[float] = None
     final_norm: Optional[float] = None
     flag: Optional[str] = None  # 'threshold' | 'h_min_collapse' | 'nonfinite'
+
+    @property
+    def escaped(self) -> bool:
+        return self.flag is not None
 
 
 class Stepper:
@@ -610,7 +607,7 @@ class Stepper:
         if self.escape_info is None:
             return SimOutcome(trajectory=self.traj)
         t_esc, norm, flag = self.escape_info
-        return SimOutcome(self.traj, escaped=True, t_escape=t_esc, final_norm=norm, flag=flag)
+        return SimOutcome(self.traj, t_escape=t_esc, final_norm=norm, flag=flag)
 
 
 def _forced_stops(

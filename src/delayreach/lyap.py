@@ -90,24 +90,19 @@ def sym_eigvals(p11: float, p12: float, p22: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SymPosDef2:
-    """Symmetric positive definite 2x2 matrix with cached extreme eigenvalues."""
+    """Symmetric positive definite 2x2 matrix [[p11, p12], [p12, p22]]; its
+    extreme eigenvalues c1 <= c2 are derived from the entries at construction."""
 
     p11: float
     p12: float
     p22: float
-    c1: float
-    c2: float
 
     def __post_init__(self):
         if not (self.p11 > 0.0 and self.p11 * self.p22 - self.p12 ** 2 > 0.0):
             raise ValueError("matrix is not positive definite")
-        if not self.c1 <= self.c2:
-            raise ValueError("eigenvalues out of order")
-
-    @classmethod
-    def from_entries(cls, p11: float, p12: float, p22: float) -> "SymPosDef2":
-        c1, c2 = sym_eigvals(p11, p12, p22)
-        return cls(p11, p12, p22, c1, c2)
+        c1, c2 = sym_eigvals(self.p11, self.p12, self.p22)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     def quad(self, x) -> float:
         """Quadratic form x^T P x."""
@@ -135,7 +130,7 @@ def solve_lyapunov(a: Mat2) -> SymPosDef2:
         raise NotHurwitz(f"matrix with trace {a.trace} and det {a.det} is not Hurwitz")
     s = -1 / (2 * e.trace * e.det)
     try:
-        return SymPosDef2.from_entries(
+        return SymPosDef2(
             float(s * (e.det + e.a21 ** 2 + e.a22 ** 2)),
             float(-s * (e.a11 * e.a21 + e.a12 * e.a22)),
             float(s * (e.det + e.a11 ** 2 + e.a12 ** 2)),
@@ -155,12 +150,6 @@ def lyapunov_residual(a: Mat2, p: SymPosDef2) -> float:
     """Max-norm of A^T P + P A + I."""
     f11, f12, f22 = _lyap_form(a, p.p11, p.p12, p.p22)
     return max(abs(f11 + 1.0), abs(f12), abs(f22 + 1.0))
-
-
-def _min_margin(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
-    """Smallest eigenvalue of -(A(lam)^T P0 + P0 A(lam)), on floats."""
-    f11, f12, f22 = _lyap_form(blend(a1, a2, lam), p0.p11, p0.p12, p0.p22)
-    return sym_eigvals(-f11, -f12, -f22)[0]
 
 
 def find_capital_lambda(p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
@@ -198,23 +187,24 @@ def find_capital_lambda(p0: SymPosDef2, a1: Mat2, a2: Mat2) -> float:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Lyapunov matrix of the lam=0 gain and the constants derived from it:
-    the blend bound capital_lambda and the decay envelope k, p."""
+    """Lyapunov matrix P0 of the lam=0 gain and its blend bound capital_lambda;
+    the constants k and p of the decay envelope k |phi| e^{-pt} derive from P0."""
 
     p0: SymPosDef2
     capital_lambda: float
-    k: float
-    p: float
+
+    @property
+    def k(self) -> float:
+        return math.sqrt(2.0 * self.p0.c2 / self.p0.c1)
+
+    @property
+    def p(self) -> float:
+        return min(1.0, 1.0 / (4.0 * self.p0.c2))
 
 
 def stability_constants(p0: SymPosDef2, a1: Mat2, a2: Mat2) -> Certificate:
-    """k = sqrt(2 c2 / c1), p = min(1, 1/(4 c2)), plus the blend bound."""
-    return Certificate(
-        p0=p0,
-        capital_lambda=find_capital_lambda(p0, a1, a2),
-        k=math.sqrt(2.0 * p0.c2 / p0.c1),
-        p=min(1.0, 1.0 / (4.0 * p0.c2)),
-    )
+    """The certificate of P0: its blend bound for the gains a1, a2."""
+    return Certificate(p0, find_capital_lambda(p0, a1, a2))
 
 
 @cache

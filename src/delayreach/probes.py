@@ -30,6 +30,7 @@ from .integrator import (
     Trajectory,
     integrate,
 )
+from . import escape_data
 from .lyap import Certificate, default_certificate
 from .signals import (
     Concatenation,
@@ -84,8 +85,7 @@ _ENVELOPE_SAMPLES = 100  # instants sampled per es_check run
 #: counts as a falsification
 _HORIZON_MARGIN = 100.0
 
-# the diverging-peaks sweep: planar start of unit norm, target ball radius
-_SWEEP_X0 = (1.0, 0.0)
+# the diverging-peaks sweep's target ball radius
 _SWEEP_EPS = 0.1
 
 
@@ -113,7 +113,6 @@ class UgaCell:
     eps: float
     t_theory: float
     t_emp_max: float
-    n_samples: int
 
     @property
     def ok(self) -> bool:
@@ -316,9 +315,7 @@ def uga_table(
                 hist = random_history(rng, r * rng.uniform(0.3, 1.0), tau, _CASCADE_DIM)
                 t_emp, _ = _certified_settle(hist, tau, eps, cert, t_theory + _HORIZON_MARGIN, opts)
                 worst = max(worst, t_emp)
-            cells.append(
-                UgaCell(r=r, eps=eps, t_theory=t_theory, t_emp_max=worst, n_samples=n_samples)
-            )
+            cells.append(UgaCell(r=r, eps=eps, t_theory=t_theory, t_emp_max=worst))
     return cells
 
 
@@ -383,11 +380,11 @@ def rfc_sweep(tau: float = DEFAULT_DELAY, opts: IntegratorOptions = PROBE_OPTS) 
 
     The recorded greedy escape signal is smoothed at each width in
     DEFAULT_DELTAS and installed as the decaying-feed history; the planar
-    part starts at (1, 0). Every run must complete (continuous history),
-    re-enter the 0.1-ball by the theoretical reach time, yet the peak grows
-    without a uniform bound as the smoothing vanishes. A peak is the exact
-    sup of the cascade state on [0, tau]: max(|z0|, sup |x|_inf), since |z|
-    only decays.
+    part starts at the escape's start `escape_data.X0`. Every run must
+    complete (continuous history), re-enter the 0.1-ball by the theoretical
+    reach time, yet the peak grows without a uniform bound as the smoothing
+    vanishes. A peak is the exact sup of the cascade state on [0, tau]:
+    max(|z0|, sup |x|_inf), since |z| only decays.
     """
     cert = default_certificate()
     schedule, t_esc = escape_schedule()
@@ -401,7 +398,7 @@ def rfc_sweep(tau: float = DEFAULT_DELAY, opts: IntegratorOptions = PROBE_OPTS) 
         w = smooth_square(schedule, delta, strict=False)
         knots = np.unique(np.concatenate([[0.0, tau], w.knots[(w.knots > 0) & (w.knots < tau)]]))
         zvals = np.array([float(w.eval(t)[0]) for t in knots])
-        vals = np.column_stack([zvals] + [np.full_like(zvals, x) for x in _SWEEP_X0])
+        vals = np.column_stack([zvals] + [np.full_like(zvals, x) for x in escape_data.X0])
         hist = HistoryFn(knots - tau, vals)
         norms.append(hist.norm())
         t_emp, traj = _certified_settle(hist, tau, _SWEEP_EPS, cert, t_theory + _HORIZON_MARGIN, opts)
@@ -447,7 +444,7 @@ def estimate_R(
     draws = [(HistoryFn.constant(corner, sys.tau) if sys.delays else corner, None)]
     if sys.input_dim and r >= 1.0:
         x = np.zeros(sys.dim)
-        x[sys.dim - 2] = 1.0
+        x[sys.dim - 2:] = escape_data.X0
         draws.append((x, escape_schedule()[0]))
     for i in range(budget):
         rng = np.random.default_rng((seed, i))
@@ -468,8 +465,7 @@ def estimate_R(
         lower = max(lower, norm0, traj.sup_norm(traj.t_start, traj.t_end))
         if out.escaped:
             escape_seen = True
-            if out.final_norm is not None:
-                lower = max(lower, out.final_norm)
+            lower = max(lower, out.final_norm)
     return ReachEstimate(
         r=r, T=T, lower_bound=lower, sample_budget=budget, escape_seen=escape_seen
     )

@@ -181,7 +181,7 @@ class PiecewiseLinear(Signal):
 
     Constant extension outside the knot range keeps the signal defined and
     continuous on all of [0, inf). The knots and rows are also held as lists
-    of floats, which a piece lookup bisects and hands to the line.
+    of floats, which a segment lookup bisects and hands to the line.
     """
 
     def __init__(self, knots, values):
@@ -191,13 +191,18 @@ class PiecewiseLinear(Signal):
 
     def _piece(self, lo, hi):
         if lo < 0.0:
-            return _constant(self._piece(0.0, 0.0)(0.0))
+            return _constant(self.segment(0.0)(0.0))
+        return self.segment(lo)
+
+    def segment(self, t: float):
+        """The line of the segment through t, or the end value beyond the knots,
+        as t -> value: `_piece`'s formula at t >= 0, with no hold at 0 before 0."""
         k, v = self._k, self._v
-        if lo < k[0]:
+        if t < k[0]:
             return _constant(v[0])
-        if lo >= k[-1]:
+        if t >= k[-1]:
             return _constant(v[-1])
-        i = bisect.bisect_right(k, lo) - 1
+        i = bisect.bisect_right(k, t) - 1
         return _linear(k[i], k[i + 1], v[i], v[i + 1])
 
     def breakpoints(self, lo, hi):

@@ -83,8 +83,6 @@ def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> Discret
     State layout: y = [z, x1, x2]; only the delayed z-component enters the
     planar block.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
     g = planar_rhs(params)
 
     def rhs(y, delayed, u):
@@ -329,12 +327,12 @@ def run_switched(
 
 
 def recorded_escape(dwell: float = escape_data.DWELL) -> SwitchedRun:
-    """Greedy switching run from (1, 0) up to the escape threshold.
+    """Greedy switching run from `escape_data.X0` up to the escape threshold.
 
     Runs the closed loop on every call; at the default dwell its schedule
     is the one `escape_data` stores.
     """
-    return run_switched(greedy_worst_switch(dwell=dwell), np.array([1.0, 0.0]), T=20.0)
+    return run_switched(greedy_worst_switch(dwell=dwell), np.array(escape_data.X0), T=20.0)
 
 
 def escape_schedule() -> tuple[PiecewiseConstant, float]:

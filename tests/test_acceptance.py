@@ -18,7 +18,6 @@ from delayreach.integrator import (
 from delayreach.lyap import (
     A_MODE1,
     A_MODE2,
-    _min_margin,
     blend,
     is_hurwitz,
     lyapunov_residual,
@@ -40,6 +39,7 @@ from delayreach.systems import (
 )
 
 from audit import residual_audit
+from descent import descends_exactly, min_margin
 
 ORACLE_OPTS = IntegratorOptions()  # rel_tol 1e-8, abs_tol 1e-9
 
@@ -96,14 +96,17 @@ def test_criterion_3_no_forward_completeness(escape_run):
     out = escape_run.outcome
     escaped = out.escaped and out.t_escape < 20.0 and out.final_norm >= 1e6
     # along x' = (1 + |x|^2) A x, W' = (1 + |x|^2) x^T (A^T P + P A) x, so W
-    # descends along every run under a constant input iff A^T P + P A <= 0;
-    # its largest eigenvalue is minus the smallest margin eigenvalue
-    worst = -math.inf
+    # descends along every run under a constant input iff A^T P + P A <= 0:
+    # decided exactly, for the float A(lam) and its float P; the line prints
+    # the largest eigenvalue on floats, minus the smallest margin eigenvalue
+    worst, descends = -math.inf, True
     for c in [-2.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 10.0]:
         lam = min(max(c, 0.0), 1.0)
-        p = solve_lyapunov(blend(A_MODE1, A_MODE2, lam))
-        worst = max(worst, -_min_margin(lam, p, A_MODE1, A_MODE2))
-    ok = escaped and worst <= 0.0
+        a = blend(A_MODE1, A_MODE2, lam)
+        p = solve_lyapunov(a)
+        descends = descends and descends_exactly(a, p)
+        worst = max(worst, -min_margin(lam, p, A_MODE1, A_MODE2))
+    ok = escaped and descends
     report(
         "finite-escape-and-constant-input-descent",
         ok,

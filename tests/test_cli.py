@@ -71,6 +71,41 @@ class TestHelp:
             assert flag in out
 
 
+def readme_cli_lines() -> list[list[str]]:
+    """The `delayreach ...` lines of README's CLI code block, comments cut."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("delayreach ")]
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_parses(self):
+        lines = readme_cli_lines()
+        assert {next(a for a in argv if a in SUBCOMMANDS) for argv in lines} == set(SUBCOMMANDS)
+        for argv in lines:
+            build_parser().parse_args(argv[1:])  # a rejected flag exits 2
+
+
+#: subcommands that draw a line plot for --svg; the others have none
+PLOTTED = {"simulate", "escape", "rfc-sweep", "es-check"}
+#: flags that make each subcommand quick
+QUICK = {"lyapunov": ["--lambda", "0.3"], "simulate": ["--T", "0.5"], "escape": [],
+         "estimate-r": ["--budget", "1"], "rfc-sweep": [], "es-check": ["--n", "1", "--T", "1"],
+         "uga-table": ["--r", "1", "--eps", "1", "--samples", "1"], "equiv-check": ["--pairs", "1"]}
+
+
+class TestSvgScope:
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_svg_written_only_where_there_is_a_plot(self, tmp_path, capsys, name):
+        svg = tmp_path / "plot.svg"
+        assert main(["--out", str(tmp_path), "--svg", str(svg), name, *QUICK[name]]) == 0
+        assert svg.exists() == (name in PLOTTED)
+
+    def test_help_names_the_plotted_subcommands(self):
+        (svg,) = [a for a in build_parser()._actions if "--svg" in a.option_strings]
+        assert svg.help.endswith("(simulate, escape, rfc-sweep, es-check; the other subcommands write none)")
+
+
 class TestLyapunov:
     def test_json_output(self, capsys, tmp_path):
         assert main(["--out", str(tmp_path), "lyapunov", "--lambda", "0"]) == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from delayreach.integrator import (
     HistoryFn,
     IntegratorOptions,
     MaxStepsExceeded,
+    SimOutcome,
     SpanTooShort,
     Stepper,
     StepSizeCollapse,
@@ -930,6 +932,62 @@ class TestHistoryFn:
         s = h.shifted(1.0)
         assert s.knots.tolist() == [0.0, 1.0] and s.values[:, 0].tolist() == [0.5, 0.3]
         assert not integrate(cascade_system(1.0), h, None, 2.0).escaped
+
+
+def searchsorted_history_eval(knots, values, s):
+    """A history read by its own formula, as it was before it kept a broken
+    line: clamp s into the knots, find the segment with searchsorted (right),
+    then (1 - w) p + w q per component."""
+    k, v = np.asarray(knots), np.asarray(values)
+    if len(k) == 1:
+        return v[0].copy()
+    s = min(max(s, float(k[0])), float(k[-1]))
+    i = min(int(np.searchsorted(k, s, side="right")) - 1, len(k) - 2)
+    w = (s - float(k[i])) / float(k[i + 1] - k[i])
+    return np.array([(1.0 - w) * p + w * q for p, q in zip(v[i].tolist(), v[i + 1].tolist())])
+
+
+class TestHistoryReadsItsLine:
+    def test_eval_is_the_searchsorted_formula_byte_for_byte(self):
+        # at every knot, an ulp either side of it, mid-segment and 1e-9
+        # outside the domain; one history in ten has a single knot
+        rng = np.random.default_rng(28)
+        for n in range(200):
+            tau = rng.uniform(0.1, 3.0)
+            inner = np.sort(rng.uniform(-tau, 0.0, size=int(rng.integers(0, 19))))
+            knots = [0.0] if n % 10 == 0 else np.unique(np.concatenate([[-tau], inner, [0.0]]))
+            values = rng.uniform(-2.0, 2.0, size=(len(knots), int(rng.integers(1, 4))))
+            h = HistoryFn(knots, values)
+            k = np.asarray(knots)
+            pts = [k[0] - 1e-9, k[-1] + 1e-9, *(0.5 * (k[:-1] + k[1:]))]
+            for x in k:
+                pts += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+            for s in map(float, pts):
+                assert h.eval(s).tobytes() == searchsorted_history_eval(k, values, s).tobytes()
+
+    def test_end_values_are_the_stored_rows(self):
+        # the one difference from the formula: at and past an end knot the
+        # stored value itself, where 0 p + q would turn a -0.0 into 0.0
+        h = HistoryFn([-1.0, 0.0], [[1.0, 0.5], [2.0, -0.0]])
+        assert h.eval(0.0).tobytes() == h.values[-1].tobytes()
+        assert h.line.knots is h.knots and h.line.values is h.values
+
+
+class TestOutcomeFlag:
+    def test_escaped_is_having_a_flag(self):
+        nonfinite = DiscreteDelaySystem(dim=1, input_dim=0, delays=(),
+                                        rhs=lambda y, d, u: y if abs(y[0]) < 2.0 else [math.nan])
+        runs = [(integrate(decay_system(), np.array([1.0]), None, 1.0), None),
+                (integrate(tan_system(), np.array([0.0]), None, 5.0), "threshold"),
+                (integrate(nonfinite, np.array([1.0]), None, 5.0, IntegratorOptions(h_min=1e-6)), "nonfinite")]
+        for out, flag in runs:
+            assert out.flag == flag and out.escaped == (out.flag is not None)
+            assert (out.t_escape is None, out.final_norm is None) == (flag is None, flag is None)
+
+    def test_escaped_is_not_an_argument(self):
+        assert "escaped" not in [f.name for f in fields(SimOutcome)]
+        with pytest.raises(TypeError):
+            SimOutcome(Trajectory(0.0, [1.0]), escaped=True)
 
 
 class TestResidualAudit:

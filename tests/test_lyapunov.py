@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,12 @@ from delayreach.lyap import (
     A_MODE1,
     A_MODE2,
     DECAY_MARGIN,
+    Certificate,
     Mat2,
     NoFeasibleLambda,
     NotHurwitz,
     SingularSystem,
     SymPosDef2,
-    _min_margin,
     blend,
     default_certificate,
     find_capital_lambda,
@@ -23,6 +24,8 @@ from delayreach.lyap import (
     stability_constants,
     sym_eigvals,
 )
+
+from descent import descends_exactly, min_margin
 
 
 def kron_lyapunov(a: Mat2) -> np.ndarray:
@@ -158,8 +161,8 @@ class TestCapitalLambda:
         assert lam == 0.010887501745916624
         assert exact_margin_holds(lam, cert.p0, A_MODE1, A_MODE2)
         assert not exact_margin_holds(math.nextafter(lam, 1.0), cert.p0, A_MODE1, A_MODE2)
-        assert _min_margin(lam, cert.p0, A_MODE1, A_MODE2) >= DECAY_MARGIN
-        assert _min_margin(lam * (1.0 + 1e-12), cert.p0, A_MODE1, A_MODE2) < DECAY_MARGIN
+        assert min_margin(lam, cert.p0, A_MODE1, A_MODE2) >= DECAY_MARGIN
+        assert min_margin(lam * (1.0 + 1e-12), cert.p0, A_MODE1, A_MODE2) < DECAY_MARGIN
 
     def test_feasible_on_whole_interval_gives_one(self):
         a1 = Mat2(-2.0, 0.0, 0.0, -2.0)
@@ -188,33 +191,48 @@ class TestCapitalLambda:
         # P0 = I is not the Lyapunov matrix of A(0), as with user gains from
         # the `lyapunov` config
         with pytest.raises(NoFeasibleLambda):
-            find_capital_lambda(SymPosDef2.from_entries(1.0, 0.0, 1.0), A_MODE1, A_MODE2)
+            find_capital_lambda(SymPosDef2(1.0, 0.0, 1.0), A_MODE1, A_MODE2)
 
 
 class TestNoCommonQuadraticLyapunov:
     @pytest.mark.parametrize("own,lam_other", [(A_MODE1, 0.0), (A_MODE2, 1.0)])
     def test_each_modes_w_grows_under_the_other_mode(self, own, lam_other):
-        # the exact descent check of acceptance criterion 3, on a case that
-        # fails it: A^T P + P A has a positive eigenvalue for each mode's P
-        # under the other mode's A. So no quadratic W descends under both,
-        # which is what lets switching escape.
-        worst = -_min_margin(lam_other, solve_lyapunov(own), A_MODE1, A_MODE2)
+        # the descent check of acceptance criterion 3, on a case that fails
+        # it: A^T P + P A has a positive eigenvalue for each mode's P under
+        # the other mode's A. So no quadratic W descends under both, which is
+        # what lets switching escape.
+        p = solve_lyapunov(own)
+        worst = -min_margin(lam_other, p, A_MODE1, A_MODE2)
         assert worst == pytest.approx(44.92, abs=0.01)
+        assert not descends_exactly(blend(A_MODE1, A_MODE2, lam_other), p)
+        assert descends_exactly(own, p)
 
 
 class TestConstants:
     def test_formulas(self, cert):
         assert cert == stability_constants(cert.p0, A_MODE1, A_MODE2)
-        assert cert.k == pytest.approx(math.sqrt(2.0 * cert.p0.c2 / cert.p0.c1), rel=1e-14)
-        assert cert.p == pytest.approx(min(1.0, 1.0 / (4.0 * cert.p0.c2)), rel=1e-14)
+        assert cert.k == math.sqrt(2.0 * cert.p0.c2 / cert.p0.c1)
+        assert cert.p == min(1.0, 1.0 / (4.0 * cert.p0.c2))
         assert cert.p0.c1 == pytest.approx(np.linalg.eigvalsh(sym(cert.p0))[0])
         assert cert.p0.c2 == pytest.approx(np.linalg.eigvalsh(sym(cert.p0))[1])
 
     def test_default_certificate_memoized(self):
         assert default_certificate() is default_certificate()
 
+    def test_only_p0_and_the_blend_bound_are_stored(self, cert):
+        # k and p are derived from P0, so they cannot disagree with it
+        assert [f.name for f in fields(Certificate)] == ["p0", "capital_lambda"]
+        assert Certificate(cert.p0, cert.capital_lambda) == cert
+
 
 class TestSymPosDef2:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            SymPosDef2.from_entries(1.0, 2.0, 1.0)
+            SymPosDef2(1.0, 2.0, 1.0)
+
+    def test_eigenvalues_are_derived_from_the_entries(self):
+        p = SymPosDef2(25.0, -1.0, 6.3)
+        assert (p.c1, p.c2) == sym_eigvals(25.0, -1.0, 6.3)
+        assert [f.name for f in fields(SymPosDef2)] == ["p11", "p12", "p22"]
+        with pytest.raises(TypeError):
+            SymPosDef2(25.0, -1.0, 6.3, 0.1, 100.0)  # eigenvalues that are not P's
