@@ -11,8 +11,12 @@ every operation runs on both sides back to back, the side that goes first
 alternating from one operation to the next, and the two digests of its result
 must agree. A round's
 ratio is the base's time over the change's, the change's `ops_per_s` over the
-base's. One line per round, then per workload the median, min and max of the
-ratios; the last line is the same as one JSON object.
+base's. Then, as `recorded_escape`, the `escape` subcommand's path, which no
+workload covers: `recorded_escape()` at the default dwell, once per side and
+round, the side that goes first alternating, and the two escape times and
+switching signals must agree. One line per round, then per workload the
+median, min and max of the ratios; the last line is the same as one JSON
+object.
 """
 
 from __future__ import annotations
@@ -42,6 +46,16 @@ def load(root: Path):
     if Path(delayreach.__file__).resolve().parent != (root / "src" / "delayreach").resolve():
         raise SystemExit(f"delayreach imported from {delayreach.__file__}, not {root / 'src'}")
     return delayreach
+
+
+def summary(name: str, ratios: list) -> dict:
+    """The median, min and max of one workload's ratios, printed and returned."""
+    out = {"ratios": [round(r, 4) for r in ratios], "median": round(statistics.median(ratios), 4),
+           "min": round(min(ratios), 4), "max": round(max(ratios), 4),
+           "change_ahead": sum(r > 1.0 for r in ratios)}
+    print(f"{name}: ratio median {out['median']:.3f} [{out['min']:.3f}, {out['max']:.3f}], "
+          f"change ahead in {out['change_ahead']} of {len(ratios)} rounds")
+    return out
 
 
 def main(argv=None) -> int:
@@ -78,11 +92,22 @@ def main(argv=None) -> int:
             ratios.append(spent[0] / spent[1])
             print(f"{name} round {k}: base {spent[0]:.3f} s, change {spent[1]:.3f} s, "
                   f"ratio {ratios[-1]:.3f}", flush=True)
-        out[name] = {"ratios": [round(r, 4) for r in ratios], "median": round(statistics.median(ratios), 4),
-                     "min": round(min(ratios), 4), "max": round(max(ratios), 4),
-                     "change_ahead": sum(r > 1.0 for r in ratios)}
-        print(f"{name}: ratio median {out[name]['median']:.3f} [{out[name]['min']:.3f}, "
-              f"{out[name]['max']:.3f}], change ahead in {out[name]['change_ahead']} of {len(ratios)} rounds")
+        out[name] = summary(name, ratios)
+    # the `escape` subcommand's path, which no workload covers
+    ms = [[], []]
+    for k in range(args.rounds):
+        seen = [None, None]
+        for s in ((0, 1) if k % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            run = sides[s][0].recorded_escape()
+            ms[s].append(round((time.perf_counter() - t0) * 1e3, 2))
+            seen[s] = (run.outcome.t_escape, run.signal.values.tobytes(), run.signal.breaks.tobytes())
+        if seen[0] != seen[1]:
+            raise SystemExit("recorded_escape: the two checkouts' escape times or switching signals differ")
+        print(f"recorded_escape round {k}: base {ms[0][-1]:.1f} ms, change {ms[1][-1]:.1f} ms, "
+              f"ratio {ms[0][-1] / ms[1][-1]:.3f}", flush=True)
+    out["recorded_escape"] = summary("recorded_escape", [a / b for a, b in zip(*ms)])
+    out["recorded_escape"].update(base_ms=ms[0], change_ms=ms[1])
     print(json.dumps(out))
     return 0
 

@@ -12,11 +12,11 @@ delay, where the solution loses smoothness. Between two forced stops the
 input and each shifted history are therefore one closed-form piece each:
 they are resolved once per interval, not searched for at every
 right-hand-side evaluation. The right-hand side takes the state as a
-sequence of floats and returns its derivative as a list of floats, and a
-step is one attempt generated per state dimension: straight-line ordered
-float sums per component on those lists (see `Stepper`), with no array
-between two stages. Unboundedness is the
-only failure mode of the underlying solution concept, so crossing a norm
+sequence of floats and returns its derivative as a list of floats, and the
+stepping loop is one function generated per state dimension: straight-line
+ordered float sums per component on those lists (see `Stepper`), with no
+array between two stages and no call per step but the rhs. Unboundedness is
+the only failure mode of the underlying solution concept, so crossing a norm
 threshold (or a step-size collapse while the norm is growing) is reported
 as a finite-escape outcome, not as an error.
 """
@@ -107,16 +107,18 @@ _DENSE = (
 
 @functools.lru_cache(maxsize=None)
 def _step_kernel(n: int):
-    """One attempt on an n-component state as straight-line float code, rendered
-    from the template with each sum written as a per-component comprehension
-    writes it, so it rounds the same. attempt(rhs, t, h, t_new, y, k0, atol,
-    rtol) calls rhs once per stage with a fresh list and returns (y_new, k2, ...,
-    k6, norm_new, sq): max([|y_new_i|, ...]) and the squared scaled errors
-    summed from 0.0 in component order. dense(h, k0, k2, ..., k6) returns the
-    dense-output coefficients as one list: q0 of every component, then q1, q2
-    and q3, the order a Trajectory stores them in. value(ys, q, i, th) reads
-    segment i of such a store: `_quartic_eval` at th per component, from the
-    state at ys[n * i:] and the coefficients at q[4 * n * i:]."""
+    """The stepping loop of `Stepper.advance` and the dense-output read for an
+    n-component state, as straight-line float code rendered from the template,
+    each sum written as a per-component comprehension writes it, so it rounds
+    the same. loop(opts, traj, h_top) returns steps(st, target, until), which
+    steps Stepper st: the stages, max([|y_new_i|, ...]), the squared scaled
+    errors summed from 0.0 in component order, the error test, the new h, and
+    the node and dense-output coefficients of an accepted step appended to
+    traj's stores. On every exit, an exception from the rhs included, it
+    writes t, y, slope, h, nsteps and both norms back to st and drops traj's
+    built arrays, and it returns (reason, h, norm_new, sq) of its last attempt,
+    reason None at the target or the soft stop. value(ys, q, i, th) reads
+    segment i of the stores: `_quartic_eval` at th per component."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -125,29 +127,79 @@ def _step_kernel(n: int):
     def terms(row, i):  # component i's sum of a template row, in stage order
         return " + ".join(f"{c!r} * k{j}_{i}" for c, j in row)
 
-    body = [f"{names('y')}= y", f"{names('k0')}= k0"]
+    stages = [f"{names('y')}= y", f"{names('k0')}= k0"]
     for s, (c, row) in enumerate(_STAGES, 1):
-        body.append("a = [" + ", ".join(f"y_{i} + h * ({terms(row, i)})" for i in comps) + "]")
-        body.append(f"k{s} = rhs({'t_new' if c == 1.0 else f't + {c!r} * h'}, a)")
-        body.append(f"{names(f'k{s}')}= k{s}")
-    body.append(f"{names('yn')}= a")
-    body += [f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * max(abs(yn_{i}), abs(y_{i})))"
-             for i in comps]
-    norm, sq = ", ".join(f"abs(yn_{i})" for i in comps), "".join(f" + r_{i} * r_{i}" for i in comps)
-    body.append(f"return a, k2, k3, k4, k5, k6, max([{norm}]), 0.0{sq}")
-    src = "def attempt(rhs, t, h, t_new, y, k0, atol, rtol):\n" + "".join(f"    {b}\n" for b in body)
-    body = [f"{names(f'k{j}')}= k{j}" for j in (0, 2, 3, 4, 5, 6)]
-    q = [f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps]
-    body.append("return [" + ", ".join(q) + "]")
-    src += "\ndef dense(h, k0, k2, k3, k4, k5, k6):\n" + "".join(f"    {b}\n" for b in body)
+        stages.append("a = [" + ", ".join(f"y_{i} + h * ({terms(row, i)})" for i in comps) + "]")
+        stages.append(f"k{s} = rhs({'t_new' if c == 1.0 else f't + {c!r} * h'}, a)")
+        stages.append(f"{names(f'k{s}')}= k{s}")
+    stages.append(f"{names('yn')}= a")
+    stages += [f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * max(abs(yn_{i}), abs(y_{i})))"
+               for i in comps]
+    norm_new = ", ".join(f"abs(yn_{i})" for i in comps)
+    sq = "".join(f" + r_{i} * r_{i}" for i in comps)
+    q = ", ".join([f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps])
+    stages = "\n                ".join(stages)
+    src = f"""def loop(opts, traj, h_top):
+    atol, rtol, h_min, big, max_steps = opts.abs_tol, opts.rel_tol, opts.h_min, opts.escape_threshold, opts.max_steps
+    built = vars(traj)
+    def steps(st, target, until):
+        rhs, t_store, y_store, q_store = st.rhs, traj._t, traj._y, traj._q
+        t, y, k0, h_next, nsteps, norm, norm_prev = st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev
+        eps_t = max(1e-15, 4.0 * ulp(abs(target)))
+        reason = h = norm_new = sq = None
+        try:
+            while target - t > eps_t:
+                if nsteps >= max_steps:
+                    reason = "max_steps"
+                    break
+                h = min(h_next, h_top)
+                at_end = h >= target - t  # end of step lands on the forced boundary
+                if at_end:
+                    h = target - t
+                t_new = target if at_end else t + h
+                {stages}
+                norm_new, sq = max([{norm_new}]), 0.0{sq}
+                nsteps += 1
+                err = sqrt(sq / {n})
+                # max() skips a NaN that is not first; err does not: every
+                # stage but k1 has a nonzero weight in it, and max(NaN, x) is NaN
+                bad = not (isfinite(err) and isfinite(norm_new))
+                if bad or err > 1.0:
+                    if h <= h_min * (1.0 + 1e-9):
+                        reason = "nonfinite" if bad else "h_min_collapse" if norm > norm_prev else "collapse"
+                        break
+                    h_next = max(h * (0.1 if bad else max(0.2, 0.9 * err ** -0.2)), h_min)
+                    continue
+                t_store.append(t_new)
+                y_store.extend(a)
+                q_store.extend([{q}])
+                t, y, k0 = t_new, a, k6
+                norm_prev, norm = norm, norm_new
+                if not at_end:
+                    h_next = max(h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))), h_min)
+                if norm_new >= big:
+                    reason = "threshold"
+                    break
+                if t_new >= until and not at_end:
+                    break
+            else:
+                t = target
+        finally:
+            st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev = t, y, k0, h_next, nsteps, norm, norm_prev
+            if "ts" in built:  # no call when no arrays were built
+                traj._changed()
+        return reason, h, norm_new, sq
+
+    return steps
+"""
     p = (f"ys[j + {i}] + th * (" + " + th * (".join(f"q[k + {m * n + i}]" for m in range(4)) + "))))"
          for i in comps)
     src += f"\ndef value(ys, q, i, th):\n    j, k = {n} * i, {4 * n} * i\n    return [" + ", ".join(p) + "]\n"
     name = f"<dp54 step, n={n}>"
     linecache.cache[name] = (len(src), None, src.splitlines(True), name)  # for tracebacks
-    scope = {}
+    scope = {"sqrt": math.sqrt, "isfinite": math.isfinite, "ulp": math.ulp}
     exec(compile(src, name, "exec"), scope)
-    return scope["attempt"], scope["dense"], scope["value"]
+    return scope["loop"], scope["value"]
 
 
 @dataclass(frozen=True)
@@ -242,7 +294,7 @@ class Trajectory:
 
     def __init__(self, t0: float, y0):
         self._t, self._y, self._q = array("d", [t0]), array("d", y0), array("d")
-        self._value = _step_kernel(len(self._y))[2]
+        self._value = _step_kernel(len(self._y))[1]
 
     def __getattr__(self, name: str):
         # ts, ys and qs, built together and kept until the next change
@@ -256,14 +308,6 @@ class Trajectory:
     def _changed(self):
         if "ts" in self.__dict__:  # built from other nodes
             del self.ts, self.ys, self.qs
-
-    def _append(self, t: float, y, q):
-        """Add the node (t, y) and the segment ending there, whose coefficients
-        q are 4 * dim floats in the store's order (q0 of every component first)."""
-        self._t.append(t)
-        self._y.extend(y)
-        self._q.extend(q)
-        self._changed()
 
     def _drop_last(self) -> tuple:
         """Drop the last node and the segment ending there; the new last node."""
@@ -453,17 +497,17 @@ class Stepper:
     up to and including its target: a caller whose rhs changes at a forced
     boundary swaps it there and calls `invalidate_rhs_cache`, so the steps
     before it use the left limit and dense output stays one-sided. Every
-    attempted step is counted in `nsteps`; accepted ones extend `traj`.
+    completed attempt is counted in `nsteps`; accepted ones extend `traj`.
 
     A step is float arithmetic per component: each stage argument, the
     5th-order solution, the error estimate and the dense-output coefficients
     are sums of the tableau's nonzero terms in stage order, so a component's
-    rounding depends on that component's stages alone. They are one attempt
-    generated per state dimension n, `_step_kernel(n)`; `advance` keeps the
-    control: the error test, rejection, step growth, escape and `until`. The
-    state `y` and the outgoing slope `slope` are lists of floats throughout,
-    as the rhs and these sums pass them; each accepted step's floats are
-    copied into `traj`, and no list is written to once made.
+    rounding depends on that component's stages alone. The stepping loop,
+    error test and step control included, is generated per state dimension
+    (`_step_kernel`) and bound to the options and `traj` at construction;
+    `advance` keeps the entry checks, the first step size and the rare exits.
+    The state `y` and the outgoing slope `slope` are lists of floats, as the
+    rhs and these sums pass them; no list is written to once made.
     """
 
     def __init__(self, rhs, t0: float, y0: np.ndarray, opts: IntegratorOptions, h_cap: float = math.inf):
@@ -474,6 +518,7 @@ class Stepper:
         self._h_top = h_cap
         self.invalidate_rhs_cache()  # the slope at (t, y): stage 0 of the next step
         self.traj = Trajectory(self.t, self.y)
+        self._steps = _step_kernel(len(self.y))[0](opts, self.traj, h_cap)
         self.h = 0.0
         self.nsteps = 0
         self.escape_info = None
@@ -518,62 +563,23 @@ class Stepper:
         `until` is a soft stop: the first accepted step ending at or past it
         returns short of the target, with no step boundary forced there.
         Calling again resumes bit for bit, since t, y, h and the outgoing
-        slope are kept.
+        slope are kept. So does a call after the rhs raised: the attempt it
+        interrupted is not counted and left no trace.
         """
-        o = self.opts
         if self.escape_info is not None:
             return
-        if self._norm >= o.escape_threshold:
+        if self._norm >= self.opts.escape_threshold:
             self.escape_info = (self.t, self._norm, "threshold")
             return
-        if self.h <= 0.0:
+        if self.h <= 0.0 and target > self.t:
             self.h = self._initial_step(target)
-        rhs, traj, atol, rtol = self.rhs, self.traj, o.abs_tol, o.rel_tol
-        t, y, k0 = self.t, self.y, self.slope
-        n = len(y)
-        attempt, dense, _ = _step_kernel(n)
-        norm, norm_prev = self._norm, self._norm_prev
-        eps_t = max(1e-15, 4.0 * math.ulp(abs(target)))
-        try:
-            while target - t > eps_t:
-                if self.nsteps >= o.max_steps:
-                    raise MaxStepsExceeded(f"exceeded max_steps={o.max_steps}")
-                self.nsteps += 1
-                h = min(self.h, self._h_top)
-                at_end = h >= target - t  # end of step lands on the forced boundary
-                if at_end:
-                    h = target - t
-                t_new = target if at_end else t + h
-                y_new, k2, k3, k4, k5, k6, norm_new, sq = attempt(rhs, t, h, t_new, y, k0, atol, rtol)
-                err = math.sqrt(sq / n)
-                # max() skips a NaN that is not first; err does not: every
-                # stage but k1 has a nonzero weight in it, and max(NaN, x) is NaN
-                bad = not (math.isfinite(err) and math.isfinite(norm_new))
-                if bad or err > 1.0:
-                    if h <= o.h_min * (1.0 + 1e-9):
-                        if bad or norm > norm_prev:  # growing
-                            flag = "nonfinite" if bad else "h_min_collapse"
-                            self.escape_info = (t, norm, flag)
-                            return
-                        raise StepSizeCollapse(f"error test failing at h={h} <= h_min at t={t}")
-                    fac = 0.1 if bad else max(0.2, 0.9 * err ** -0.2)
-                    self.h = max(h * fac, o.h_min)
-                    continue
-                traj._append(t_new, y_new, dense(h, k0, k2, k3, k4, k5, k6))
-                t, y, k0 = t_new, y_new, k6
-                norm_prev, norm = norm, norm_new
-                if not at_end:
-                    fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                    self.h = max(h * fac, o.h_min)
-                if norm_new >= o.escape_threshold:
-                    self.escape_info = (self._locate_escape(), norm_new, "threshold")
-                    return
-                if t_new >= until and not at_end:
-                    return
-            t = target
-        finally:
-            self.t, self.y, self.slope = t, y, k0
-            self._norm, self._norm_prev = norm, norm_prev
+        reason, h, _, _ = self._steps(self, target, until)
+        if reason == "max_steps":
+            raise MaxStepsExceeded(f"exceeded max_steps={self.opts.max_steps}")
+        if reason == "collapse":  # failing at h_min while not growing
+            raise StepSizeCollapse(f"error test failing at h={h} <= h_min at t={self.t}")
+        if reason is not None:  # "threshold", "nonfinite" or "h_min_collapse"
+            self.escape_info = (self._locate_escape() if reason == "threshold" else self.t, self._norm, reason)
 
     def rewind(self):
         """Drop the last accepted step and any escape found in it.
@@ -640,7 +646,7 @@ def integrate(
     extra_stops=(),
     stop: Optional[tuple[float, Callable[[Trajectory, float], bool]]] = None,
 ) -> SimOutcome:
-    """Integrate the system on [0, T] from the given history and input.
+    """Integrate the system on [0, T], T finite and positive, from the history and input.
 
     `history` is a HistoryFn on [-tau, 0] (mandatory when the system has
     delays); a bare state vector is accepted for nondelayed systems.
@@ -659,8 +665,8 @@ def integrate(
     forced boundaries are those of T either way, so a stopped run is a
     bit-exact prefix of the run to T.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     if sys.delays:
         if not isinstance(history, HistoryFn):
             raise BadHistoryDomain("delayed system requires a HistoryFn")

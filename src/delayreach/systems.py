@@ -270,45 +270,56 @@ def run_switched(
     """Drive the planar system of the default gains by the policy, sampled at
     t_0 = 0 and t_{k+1} = t_k + dwell / (1 + |x(t_k)|_2^2), clamped to
     [_MIN_DWELL, dwell], so sampling keeps up with the cubically
-    accelerating rotation.
+    accelerating rotation. T must be finite and positive (ValueError).
 
     The run steps `planar_rhs()` at u = mode, the policy's last decision: a
     switch rebinds the mode and drops the Stepper's cached rhs value. The
     samples are read from the dense output, not forced as step boundaries:
     steps are sized by the error test of `opts` alone, and the run is as
-    accurate as `opts` asks. Only a sample that switches the mode inside the
+    accurate as `opts` asks. Every sample falls in the last step, unpacked
+    into floats once per `advance`, and is read as `Trajectory._interp`
+    reads it, bit for bit. Only a sample that switches the mode inside the
     last step drops that step and steps to the sample again, so every
     switching instant is a node. Samples before an escape found in the last
     step are still taken. The realized input is recorded as a
     piecewise-constant signal (consecutive equal values merged) so the
     escape can be replayed open loop.
     """
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    rule, dwell = policy.rule, policy.dwell
 
     # the mode changes only at a node, where the Stepper's cached rhs is dropped
     g = planar_rhs()
-    mode = float(policy.rule(x0.tolist()))
+    mode = float(rule(x0.tolist()))
 
     def rhs(t, y):
         return g(y, mode)
 
     stepper = Stepper(rhs, 0.0, x0, opts)
-    traj = stepper.traj
+    ts, ys, qs = stepper.traj._t, stepper.traj._y, stepper.traj._q
     piece_vals = [mode]
     piece_breaks: list[float] = []
-    t_k, x = 0.0, x0.tolist()
+    t_k, t1, x = 0.0, 0.0, x0.tolist()
     while True:
         # |x|^2 is rounded before the 1 is added, as for the recorded schedule
-        t_k += min(max(policy.dwell / (1.0 + (x[0] * x[0] + x[1] * x[1])), _MIN_DWELL), policy.dwell)
+        t_k += min(max(dwell / (1.0 + (x[0] * x[0] + x[1] * x[1])), _MIN_DWELL), dwell)
         if t_k >= T:
             break
-        if t_k > stepper.t:
+        if t_k > t1:
             # the field is smooth between switches, so no boundary is forced
             stepper.advance(T, until=t_k)
         if stepper.escape_info is not None and t_k >= stepper.escape_info[0]:
             break
-        x = traj._interp(t_k)
-        lam = float(policy.rule(x))
+        if t_k > t1:  # the new last step: ends t, states (a, b), coefficients (p, r)
+            t0, t1, a0, b0, a1, b1, p0, r0, p1, r1, p2, r2, p3, r3 = ts[-2], ts[-1], *ys[-4:], *qs[-8:]
+        if t_k == t1:
+            x = [a1, b1]
+        else:
+            th = (t_k - t0) / (t1 - t0)
+            x = [a0 + th * (p0 + th * (p1 + th * (p2 + th * p3))), b0 + th * (r0 + th * (r1 + th * (r2 + th * r3)))]
+        lam = float(rule(x))
         if lam != mode:
             if t_k < stepper.t:
                 # make the switching instant a node
@@ -316,6 +327,8 @@ def run_switched(
                 stepper.advance(t_k)
                 if stepper.escape_info is not None:
                     break
+                # the next sample advances past it and reads the new last step
+                t1 = t_k
             mode = lam
             stepper.invalidate_rhs_cache()
             piece_vals.append(lam)

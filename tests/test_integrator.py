@@ -17,7 +17,6 @@ from delayreach.integrator import (
     Trajectory,
     _forced_stops,
     _quartic_eval,
-    _step_kernel,
     integrate,
 )
 from delayreach.probes import random_history
@@ -207,14 +206,23 @@ def cascade_traj():
     return out.trajectory
 
 
+def append(traj, t, y, q):
+    """Add the node (t, y) and the segment ending there to traj, as the step
+    loop does: q is 4 * dim floats, q0 of every component first."""
+    traj._t.append(t)
+    traj._y.extend(y)
+    traj._q.extend(q)
+    traj._changed()
+
+
 def bumps():
     """Two quartic segments, exact in floating point: component 0 is
     8th(1 - th) on [0, 1] (peak 2) and 4th(1 - th) on [1, 2] (peak 1);
     component 1 is -6th(1 - th) on [0, 1] and 0 on [1, 2]. A segment's
     coefficients go in as q0, q1, q2, q3 in turn, each (component 0, component 1)."""
     traj = Trajectory(0.0, [0.0, 0.0])
-    traj._append(1.0, [0.0, 0.0], [8.0, -6.0, -8.0, 6.0, 0.0, 0.0, 0.0, 0.0])
-    traj._append(2.0, [0.0, 0.0], [4.0, 0.0, -4.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    append(traj, 1.0, [0.0, 0.0], [8.0, -6.0, -8.0, 6.0, 0.0, 0.0, 0.0, 0.0])
+    append(traj, 2.0, [0.0, 0.0], [4.0, 0.0, -4.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     return traj
 
 
@@ -361,6 +369,19 @@ def added_squares(rs):
     return sq
 
 
+def record_returns(st):
+    """Wrap the step loop of Stepper st: the list returned gets what each
+    call of it returns, (reason, h, norm_new, sq) of its last attempt."""
+    out, steps = [], st._steps
+
+    def recorded(*args):
+        out.append(steps(*args))
+        return out[-1]
+
+    st._steps = recorded
+    return out
+
+
 class TestStepperArithmetic:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_step_is_the_ordered_tableau_sum(self, dim):
@@ -449,9 +470,11 @@ class TestStepperArithmetic:
         (None, None, None),  # -0.0 in the state and the stages of component 1
     ], ids=["nan_second", "nan_first", "inf", "minus_inf_last_stage", "negative_zero"])
     def test_special_stage_values_are_the_ordered_reference(self, stage, comp, value):
-        # one attempt whose rhs hands out a table of stages, one a special
-        # value, against the ordered per-component reference: the stage
-        # arguments, y_new, norm_new and sq bit for bit, and the verdict
+        # one attempt of Stepper.advance whose rhs hands out a table of
+        # stages, one a special value, against the ordered per-component
+        # reference: the stage arguments (the last is y_new), norm_new and sq
+        # bit for bit, and the verdict: a bad attempt is rejected with h cut
+        # tenfold, the rest accepted
         rng = np.random.default_rng(24)
         dim, t, h = 3, 0.5, 1e-3
         y = rng.normal(size=dim).tolist()
@@ -461,32 +484,34 @@ class TestStepperArithmetic:
         else:
             ks[stage][comp] = value
         calls = []
-        attempt = _step_kernel(dim)[0]
-        y_new, *stages, norm_new, sq = attempt(table_rhs(ks[1:], calls), t, h, t + h, y, ks[0], 1.0, 1.0)
-
-        args, rs = ordered_attempt(y, ks, t, h, 1.0, 1.0)
-        assert [c[0] for c in calls] == [t + c * h for c in DP_C[1:]]
-        assert np.array([c[1] for c in calls]).tobytes() == np.array(args).tobytes()
-        assert np.array(y_new).tobytes() == np.array(args[-1]).tobytes()
-        assert stages == ks[2:]
-        norm_ref = max([abs(v) for v in args[-1]])
-        assert (f64(norm_new), f64(sq)) == (f64(norm_ref), f64(added_squares(rs)))
-        bad = not (math.isfinite(math.sqrt(sq / dim)) and math.isfinite(norm_new))
-        assert bad == (stage is not None)
-        assert (math.isnan(norm_new), math.isnan(sq)) == (comp == 0 and stage == 2, stage in (2, 3, 5))
-
-        # the Stepper rejects a bad attempt with h cut tenfold and accepts the rest
-        opts = IntegratorOptions(rel_tol=1.0, abs_tol=1.0, max_steps=1)
-        st = Stepper(table_rhs(ks, []), t, np.array(y), opts)
+        st = Stepper(table_rhs(ks, calls), t, np.array(y), IntegratorOptions(rel_tol=1.0, abs_tol=1.0, max_steps=1))
         st.h = h
+        returns = record_returns(st)
+        bad = stage is not None
         if bad:
             with pytest.raises(MaxStepsExceeded):
                 st.advance(1.0)
             assert (len(st.traj.ts), st.h) == (1, h * 0.1)
         else:
             st.advance(1.0, until=t)
+        (reason, h_tried, norm_new, sq), = returns
+        assert (reason, h_tried) == ("max_steps" if bad else None, h)
+
+        args, rs = ordered_attempt(y, ks, t, h, 1.0, 1.0)
+        calls = calls[1:]  # the first is the slope at (t, y), from the constructor
+        assert [c[0] for c in calls] == [t + c * h for c in DP_C[1:]]
+        assert np.array([c[1] for c in calls]).tobytes() == np.array(args).tobytes()
+        norm_ref = max([abs(v) for v in args[-1]])
+        assert (f64(norm_new), f64(sq)) == (f64(norm_ref), f64(added_squares(rs)))
+        assert bad == (not (math.isfinite(math.sqrt(sq / dim)) and math.isfinite(norm_new)))
+        assert (math.isnan(norm_new), math.isnan(sq)) == (comp == 0 and stage == 2, stage in (2, 3, 5))
+        if not bad:
+            # the stages the rhs handed out make the node, its segment and the slope
+            q = [[h * ordered_sum([row[col] for row in DP_P], ks, i) for i in range(dim)] for col in range(4)]
             assert st.traj.ys[1].tobytes() == np.array(args[-1]).tobytes()
             assert f64(st.traj.ys[1][1]) == f64(-0.0)
+            assert st.traj.qs[0].tobytes() == np.array(q).tobytes()
+            assert float_list_bytes(st.slope) == np.array(ks[6]).tobytes()
 
     def test_squared_errors_are_added_in_component_order(self):
         # every component is component 0 scaled by f, f^2 = 0.9 * 2^-54, in its
@@ -497,9 +522,13 @@ class TestStepperArithmetic:
         dim, t, h, f = 5, 0.5, 1e-3, math.sqrt(0.9 * 2.0 ** -54)
         y = [rng.normal()] * dim
         ks = [[k] + [f * k] * (dim - 1) for k in rng.normal(size=7).tolist()]
-        attempt = _step_kernel(dim)[0]
-        *_, sq = attempt(table_rhs(ks[1:], []), t, h, t + h, y, ks[0], 1.0, 1.0)
+        st = Stepper(table_rhs(ks, []), t, np.array(y), IntegratorOptions(rel_tol=1.0, abs_tol=1.0, max_steps=1))
+        st.h = h
+        returns = record_returns(st)
+        st.advance(1.0, until=t)
+        (reason, _, _, sq), = returns
         _, rs = ordered_attempt(y, ks, t, h, 1.0, 1.0)
+        assert reason is None and len(st.traj.ts) == 2
         assert f64(sq) == f64(added_squares(rs))
         assert added_squares(rs) != added_squares(rs[::-1])
 
@@ -574,7 +603,7 @@ class TestFloatContract:
                 t = 0.0
                 for k in range(m):
                     t += 10.0 ** rng.uniform(-6.0, 0.0)
-                    traj._append(t, ys[k + 1].tolist(), (rng.normal(size=(4, dim)) * scale[k]).ravel().tolist())
+                    append(traj, t, ys[k + 1].tolist(), (rng.normal(size=(4, dim)) * scale[k]).ravel().tolist())
                 ts = traj.ts
                 # theta = 0 at each node, the last node itself, and one random
                 # instant inside every segment
@@ -781,7 +810,7 @@ class TestMidRunArrays:
         (t0, y0, _), *rest = nodes
         traj = Trajectory(t0, list(y0))
         for t, y, q in rest:
-            traj._append(t, list(y), list(q))
+            append(traj, t, list(y), list(q))
         return traj
 
     def check(self, traj, nodes, rng):
@@ -1031,6 +1060,12 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             integrate(decay_system(), np.array([1.0]), None, 0.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        # at entry: nan ran into an IndexError, inf a TypeError
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            integrate(planar_system(), np.array([1.0, 0.0]), None, T)
+
     @pytest.mark.parametrize(
         "field, value, exc",
         [
@@ -1053,7 +1088,55 @@ class TestOptionsValidation:
         assert o.rel_tol == 1 and o.max_steps == 10
 
 
+class RhsFailed(Exception):
+    pass
+
+
+class TestRhsRaises:
+    def test_an_exception_leaves_a_consistent_stepper(self):
+        # the rhs raises mid-attempt at chosen calls, twice in a row once:
+        # each time the Stepper is left at its last accepted node, with no
+        # partial segment and no stale arrays, and advancing again with the
+        # rhs healthy continues bit for bit like a run that never raised
+        fail_at, calls = {40, 41, 97, 250}, [0]
+
+        def flaky(t, y):
+            calls[0] += 1
+            if calls[0] in fail_at:
+                raise RhsFailed
+            return rotating_rhs(t, y)
+
+        ref = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        ref.advance(6.0)
+        st = Stepper(flaky, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        traj, raised = st.traj, 0
+        while st.t != 6.0:
+            nodes = len(traj.ts)  # built here, so they must be built again
+            try:
+                st.advance(6.0)
+            except RhsFailed:
+                raised += 1
+                assert len(traj.ts) == len(traj.ys) == len(traj.qs) + 1 == len(traj._t) >= nodes
+                assert st.t == traj.ts[-1] and float_list_bytes(st.y) == traj.ys[-1].tobytes()
+                assert float_list_bytes(st.slope) == float_list_bytes(rotating_rhs(st.t, st.y))
+        assert raised == len(fail_at) and st.escape_info is None
+        assert (st.nsteps, st.h) == (ref.nsteps, ref.h)
+        assert float_list_bytes(st.y) == float_list_bytes(ref.y)
+        assert float_list_bytes(st.slope) == float_list_bytes(ref.slope)
+        assert traj_bytes(st.outcome().trajectory) == traj_bytes(ref.outcome().trajectory)
+
+
 class TestStepperOutcomes:
+    def test_first_advance_to_its_own_time_takes_no_step(self):
+        # no first step is sized for an empty interval (it divided by zero)
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        st.advance(0.0)
+        assert (st.t, st.nsteps, st.h, len(st.traj.ts), st.escape_info) == (0.0, 0, 0.0, 1, None)
+        ref = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        for s in (st, ref):
+            s.advance(1.0)
+        assert traj_bytes(st.outcome().trajectory) == traj_bytes(ref.outcome().trajectory)
+
     def test_max_steps_is_named(self):
         with pytest.raises(MaxStepsExceeded):
             integrate(decay_system(), np.array([1.0]), None, 100.0, IntegratorOptions(max_steps=10))

@@ -1,3 +1,6 @@
+import bisect
+import copy
+import dataclasses
 import hashlib
 import math
 
@@ -15,6 +18,7 @@ from delayreach.systems import (
     SYSTEM_NAMES,
     SwitchingPolicy,
     WindowOverlap,
+    _MIN_DWELL,
     associated_system,
     cascade_system,
     embed_history_as_inputs,
@@ -179,6 +183,13 @@ class TestSwitchedEscape:
         run = run_switched(frozen, np.array([1.0, 0.0]), T=5.0)
         assert not run.outcome.escaped
 
+    @pytest.mark.parametrize("T", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "zero", "negative", "inf"])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        # at entry: nan and inf never returned, 0 divided by zero sizing the
+        # first step, and a negative T returned a one-node run
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            run_switched(greedy_worst_switch(1e-2), np.array([1.0, 0.0]), T=T)
+
     def test_default_delay_covers_escape(self, escape_run):
         assert DEFAULT_DELAY == pytest.approx(1.5 * escape_run.outcome.t_escape)
 
@@ -234,6 +245,77 @@ class TestSwitchedEscape:
         gaps = np.abs(run.signal.breaks - fine.signal.breaks)[moderate]
         assert len(gaps) >= 8 and gaps.max() <= 1e-7
         assert run.outcome.t_escape == pytest.approx(fine.outcome.t_escape, rel=1e-8, abs=0.0)
+
+
+def sampled_run(dwell, x0, monkeypatch):
+    """run_switched with the greedy policy at dwell from x0 to T = 20, and
+    what its policy saw: every x the rule received, in order, and for each
+    sample that dropped the last step a copy of the trajectory before the
+    drop, by the sample's index. The samples up to that one were read from
+    that copy; nodes before the dropped step stay in the run."""
+    xs, before_drop = [], {}
+    policy = greedy_worst_switch(dwell)
+
+    def rule(x):
+        xs.append(x)
+        return policy.rule(x)
+
+    rewind = Stepper.rewind
+
+    def recorded_rewind(st):
+        before_drop[len(xs) - 1] = copy.deepcopy(st.traj)
+        rewind(st)
+
+    monkeypatch.setattr(Stepper, "rewind", recorded_rewind)
+    run = run_switched(dataclasses.replace(policy, rule=rule), np.asarray(x0, dtype=float), T=20.0)
+    return run, xs, before_drop
+
+
+def sample_bytes(x):
+    assert type(x) is list and all(type(v) is float for v in x)
+    return np.array(x).tobytes()
+
+
+class TestSamplerRead:
+    """Each sample the policy sees is `Trajectory._interp` at its time, bit
+    for bit: on the trajectory as it stood before the next dropped step, or
+    on the frozen run after the last one."""
+
+    @staticmethod
+    def check(run, xs, before_drop, dwell):
+        traj, drops = run.outcome.trajectory, sorted(before_drop)
+        t_k, x, on_nodes = 0.0, xs[0], 0
+        for k, x_k in enumerate(xs[1:], 1):
+            # the sampling clock, rebuilt from what the rule received
+            t_k += min(max(dwell / (1.0 + (x[0] * x[0] + x[1] * x[1])), _MIN_DWELL), dwell)
+            i = bisect.bisect_left(drops, k)
+            read = before_drop[drops[i]] if i < len(drops) else traj
+            assert sample_bytes(x_k) == sample_bytes(read._interp(t_k)), (k, t_k)
+            on_nodes += t_k in traj.ts
+            x = x_k
+        return on_nodes
+
+    @pytest.mark.parametrize("angle, dwell", [
+        (0.0, 8e-3), (2.0 * math.pi / 3.0, 1.2e-2), (4.0 * math.pi / 3.0, 1.6e-2),
+    ], ids=["0", "2pi/3", "4pi/3"])
+    def test_samples_at_the_benchmark_dwells(self, angle, dwell, monkeypatch):
+        run, xs, before_drop = sampled_run(dwell, [math.cos(angle), math.sin(angle)], monkeypatch)
+        assert len(xs) > 1000
+        # every switch but one landing on the last node drops a step, and
+        # the sample after each drop reads the steps taken past it
+        assert len(before_drop) >= len(run.signal.breaks) - 1 >= 20
+        assert all(k + 1 < len(xs) for k in before_drop)
+        # each switching sample becomes a node; no other sample is one
+        assert self.check(run, xs, before_drop, dwell) == len(run.signal.breaks)
+
+    def test_samples_on_nodes(self, monkeypatch):
+        # every advance stopped at its soft stop: each sample lands on the
+        # last node, where the read is the node's state
+        advance = Stepper.advance
+        monkeypatch.setattr(Stepper, "advance", lambda st, target, until=math.inf: advance(st, min(target, until)))
+        run, xs, before_drop = sampled_run(1.2e-2, [1.0, 0.0], monkeypatch)
+        assert before_drop == {} and len(xs) > 1000
+        assert self.check(run, xs, before_drop, 1.2e-2) == len(xs) - 1
 
 
 def literal_block(values, breaks, t_escape) -> str:
