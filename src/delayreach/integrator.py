@@ -50,7 +50,7 @@ class StepSizeCollapse(RuntimeError):
 
 
 class MaxStepsExceeded(RuntimeError):
-    """More step attempts than IntegratorOptions.max_steps."""
+    """More step attempts, or policy samples of `run_switched`, than IntegratorOptions.max_steps."""
 
 
 # Dormand-Prince 5(4) tableau (FSAL; the 5th-order solution is propagated),
@@ -115,10 +115,10 @@ def _step_kernel(n: int):
     errors summed from 0.0 in component order, the error test, the new h, and
     the node and dense-output coefficients of an accepted step appended to
     traj's stores. On every exit, an exception from the rhs included, it
-    writes t, y, slope, h, nsteps and both norms back to st and drops traj's
-    built arrays, and it returns (reason, h, norm_new, sq) of its last attempt,
-    reason None at the target or the soft stop. value(ys, q, i, th) reads
-    segment i of the stores: `_quartic_eval` at th per component."""
+    writes t, y, slope, h, nsteps and both norms back to st, and it returns
+    (reason, h, norm_new, sq) of its last attempt, reason None at the target
+    or the soft stop. value(ys, q, i, th) reads segment i of the stores:
+    `_quartic_eval` at th per component."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -141,7 +141,6 @@ def _step_kernel(n: int):
     stages = "\n                ".join(stages)
     src = f"""def loop(opts, traj, h_top):
     atol, rtol, h_min, big, max_steps = opts.abs_tol, opts.rel_tol, opts.h_min, opts.escape_threshold, opts.max_steps
-    built = vars(traj)
     def steps(st, target, until):
         rhs, t_store, y_store, q_store = st.rhs, traj._t, traj._y, traj._q
         t, y, k0, h_next, nsteps, norm, norm_prev = st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev
@@ -186,8 +185,6 @@ def _step_kernel(n: int):
                 t = target
         finally:
             st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev = t, y, k0, h_next, nsteps, norm, norm_prev
-            if "ts" in built:  # no call when no arrays were built
-                traj._changed()
         return reason, h, norm_new, sq
 
     return steps
@@ -284,10 +281,9 @@ class Trajectory:
     It holds the floats a Stepper computed, copied into flat `array('d')`
     stores: node times `_t`, node states `_y` and segment coefficients `_q`
     (q0 of every component, then q1, q2, q3); no list handed over is kept.
-    The arrays `ts`, `ys` and `qs` (n_seg, 4, dim) are built from the stores
-    at their first read after steps were added or dropped: mid-run for a
-    reader that asks, and when the Stepper freezes the run, which makes the
-    stores views of the arrays, so the floats are held once. A segment's
+    The arrays `ts`, `ys` and `qs` (n_seg, 4, dim) are built afresh from the
+    stores at each read mid-run; the freeze stores them and makes the stores
+    views of them, so a frozen run holds each float once. A segment's
     polynomial comes from the stage derivatives of its step, so a segment
     ending at an input discontinuity interpolates with the left limit.
     """
@@ -297,17 +293,14 @@ class Trajectory:
         self._value = _step_kernel(len(self._y))[1]
 
     def __getattr__(self, name: str):
-        # ts, ys and qs, built together and kept until the next change
-        if name not in ("ts", "ys", "qs"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.ts = np.array(self._t)
-        self.ys = np.frombuffer(self._y).reshape(-1, self.dim).copy()
-        self.qs = np.frombuffer(self._q).reshape(-1, 4, self.dim).copy()
-        return vars(self)[name]
-
-    def _changed(self):
-        if "ts" in self.__dict__:  # built from other nodes
-            del self.ts, self.ys, self.qs
+        # ts, ys or qs mid-run, built afresh at each read; the freeze stores them
+        if name == "ts":
+            return np.array(self._t)
+        if name == "ys":
+            return np.frombuffer(self._y).reshape(-1, self.dim).copy()
+        if name == "qs":
+            return np.frombuffer(self._q).reshape(-1, 4, self.dim).copy()
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _drop_last(self) -> tuple:
         """Drop the last node and the segment ending there; the new last node."""
@@ -315,11 +308,11 @@ class Trajectory:
             raise ValueError("no accepted step to drop")
         dim = self.dim
         del self._t[-1], self._y[-dim:], self._q[-4 * dim :]
-        self._changed()
         return self._node(-1)
 
     def _freeze(self):
-        """End the run: the arrays become the store, and no step is added."""
+        """End the run: store the arrays, make the stores views of them."""
+        self.ts, self.ys, self.qs = self.ts, self.ys, self.qs
         self._t, self._y, self._q = (memoryview(a.reshape(-1)) for a in (self.ts, self.ys, self.qs))
 
     def _node(self, i: int) -> tuple:

@@ -49,9 +49,6 @@ class Mat2:
             raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
         return cls(*a.ravel().tolist())
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
-
     @property
     def trace(self) -> float:
         return self.a11 + self.a22

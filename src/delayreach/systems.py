@@ -15,6 +15,7 @@ from .integrator import (
     DiscreteDelaySystem,
     HistoryFn,
     IntegratorOptions,
+    MaxStepsExceeded,
     SimOutcome,
     Stepper,
 )
@@ -216,36 +217,21 @@ def greedy_worst_switch(dwell: float) -> SwitchingPolicy:
     """Pick the gain maximizing the instantaneous growth of |x|_2^2.
 
     rule(x) = argmax over lam in {0, 1} of x^T (A(lam) + A(lam)^T) x for the
-    state x as two floats, ties resolved to 1. Combined with the cubic factor
-    this greedily maximizes d|x|^2/dt.
+    state x as two floats. Combined with the cubic factor this greedily
+    maximizes d|x|^2/dt.
 
-    The decision is numpy's rounded comparison `x @ s1 @ x >= x @ s2 @ x`,
-    settled early on floats where it provably agrees. Let u = 2^-53 and
-    b = |x|^T (|s1| + |s2|) |x|. Each term of numpy's forms is rounded at most
-    four times, FMA or not, so the two forms are within 4.5u b of their
-    exact values together; the float sum d = x^T (s1 - s2) x below is within
-    5.5u b of its exact value. So where |d| > 1e-14 b, nine times the sum of
-    both errors, numpy's difference has the sign of d. Nearer a tie, at a
-    NaN or inf, and where b <= 1e-300 (underflow errors are absolute, not
-    relative) numpy decides.
+    The decision is the sign of one float form, d = x^T (s1 - s2) x with
+    s = A + A^T, rounded in the order written: mode 1 where d >= 0, a zero
+    included, and mode 0 where d < 0 or d is NaN. CPython rounds each float
+    operation once and fuses none, so every x86-64 machine decides the same.
     """
-    s1 = A_MODE1.as_array()
-    s1 = s1 + s1.T
-    s2 = A_MODE2.as_array()
-    s2 = s2 + s2.T
-    # x^T s x = s00 x0^2 + 2 s01 x0 x1 + s11 x1^2; doubling is exact
-    (d0, d1), (_, d2) = (s1 - s2).tolist()
-    (b0, b1), (_, b2) = (np.abs(s1) + np.abs(s2)).tolist()
-    d1, b1 = 2.0 * d1, 2.0 * b1
+    (p11, p12, p21, p22), (q11, q12, q21, q22) = _entries(A_MODE1), _entries(A_MODE2)
+    # d = d0 x0^2 + d1 x0 x1 + d2 x1^2, from the entries of s1 - s2; doubling is exact
+    d0, d1, d2 = (p11 + p11) - (q11 + q11), 2.0 * ((p12 + p21) - (q12 + q21)), (p22 + p22) - (q22 + q22)
 
     def rule(x: list) -> int:
         x0, x1 = x
-        d = d0 * x0 * x0 + d1 * x0 * x1 + d2 * x1 * x1
-        b = b0 * x0 * x0 + b1 * abs(x0 * x1) + b2 * x1 * x1
-        if b > 1e-300 and abs(d) > 1e-14 * b:
-            return 1 if d > 0.0 else 0
-        x = np.asanyarray(x)
-        return 1 if float(x @ s1 @ x) >= float(x @ s2 @ x) else 0
+        return 1 if d0 * x0 * x0 + d1 * x0 * x1 + d2 * x1 * x1 >= 0.0 else 0
 
     return SwitchingPolicy(dwell=dwell, rule=rule)
 
@@ -283,7 +269,9 @@ def run_switched(
     switching instant is a node. Samples before an escape found in the last
     step are still taken. The realized input is recorded as a
     piecewise-constant signal (consecutive equal values merged) so the
-    escape can be replayed open loop.
+    escape can be replayed open loop. More than `opts.max_steps` policy
+    samples raise MaxStepsExceeded, as more step attempts do, so a policy
+    that holds the state large without escaping cannot stall the run.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
@@ -302,7 +290,7 @@ def run_switched(
     piece_vals = [mode]
     piece_breaks: list[float] = []
     t_k, t1, x = 0.0, 0.0, x0.tolist()
-    while True:
+    for _ in range(opts.max_steps):
         # |x|^2 is rounded before the 1 is added, as for the recorded schedule
         t_k += min(max(dwell / (1.0 + (x[0] * x[0] + x[1] * x[1])), _MIN_DWELL), dwell)
         if t_k >= T:
@@ -333,6 +321,8 @@ def run_switched(
             stepper.invalidate_rhs_cache()
             piece_vals.append(lam)
             piece_breaks.append(t_k)
+    else:
+        raise MaxStepsExceeded(f"exceeded max_steps={opts.max_steps} policy samples")
     stepper.advance(T)
     outcome = stepper.outcome()
     sig = PiecewiseConstant(np.array(piece_vals), np.array(piece_breaks))

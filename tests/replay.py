@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from delayreach.lyap import A_MODE1, A_MODE2, blend
+from delayreach.lyap import A_MODE1, A_MODE2, Mat2, blend
 
 # 12-point Gauss-Legendre nodes and weights on [0, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
@@ -24,6 +24,11 @@ _GL_W = _GL_W / 2.0
 
 _NEWTON_STEPS = 60
 _BISECTIONS = 200
+
+
+def matrix(m: Mat2) -> np.ndarray:
+    """m as a 2x2 numpy array."""
+    return np.array([[m.a11, m.a12], [m.a21, m.a22]])
 
 
 class _Piece:
@@ -111,8 +116,8 @@ def replay(values, breaks, x0, threshold: float, panel: float = 0.05) -> tuple[n
     x, t = np.asarray(x0, dtype=float), 0.0
     states = []
     for lam, brk in zip(values, breaks):
-        piece = _Piece(blend(A_MODE1, A_MODE2, float(lam)).as_array(), x, t, panel)
+        piece = _Piece(matrix(blend(A_MODE1, A_MODE2, float(lam))), x, t, panel)
         x, t = piece.x([piece.reach(brk)])[0], brk
         states.append(x)
-    last = _Piece(blend(A_MODE1, A_MODE2, float(values[-1])).as_array(), x, t, panel)
+    last = _Piece(matrix(blend(A_MODE1, A_MODE2, float(values[-1]))), x, t, panel)
     return np.array(states), last.t(last.first_above(threshold))

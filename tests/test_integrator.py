@@ -212,7 +212,6 @@ def append(traj, t, y, q):
     traj._t.append(t)
     traj._y.extend(y)
     traj._q.extend(q)
-    traj._changed()
 
 
 def bumps():
@@ -913,6 +912,17 @@ class TestFrozenLayout:
             assert v.base is None and v.flags.c_contiguous
         for store, v in zip((traj._t, traj._y, traj._q), (traj.ts, traj.ys, traj.qs)):
             assert np.shares_memory(np.asarray(store), v) and np.asarray(store).size == v.size
+
+    def test_a_read_mid_run_keeps_nothing(self):
+        # mid-run, ts, ys and qs are built from the stores at each read and
+        # not kept, so no step has to drop them
+        st = Stepper(rotating_rhs, 0.0, np.array([1.0, 0.0]), IntegratorOptions())
+        st.advance(3.0, until=1.0)
+        traj = st.traj
+        n = len(traj.ts)
+        assert traj.ts is not traj.ts and traj.qs.shape == (n - 1, 4, 2)
+        st.advance(3.0, until=2.0)
+        assert len(traj.ts) > n and not any(isinstance(v, np.ndarray) for v in vars(traj).values())
 
 
 class TestHistoryFn:

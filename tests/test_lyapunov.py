@@ -26,11 +26,12 @@ from delayreach.lyap import (
 )
 
 from descent import descends_exactly, min_margin
+from replay import matrix
 
 
 def kron_lyapunov(a: Mat2) -> np.ndarray:
     """Independent oracle: solve A^T P + P A = -I via the Kronecker system."""
-    aa = a.as_array()
+    aa = matrix(a)
     m = np.kron(np.eye(2), aa.T) + np.kron(aa.T, np.eye(2))
     vec_p = np.linalg.solve(m, -np.eye(2).reshape(-1))
     return vec_p.reshape(2, 2)
@@ -46,7 +47,7 @@ def exact_margin_holds(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> bool:
     for A = lam A1 + (1 - lam) A2, from the trace and determinant in rationals."""
     lam, m = Fraction(lam), Fraction(DECAY_MARGIN)
     a = [[lam * Fraction(x) + (1 - lam) * Fraction(y) for x, y in zip(r1, r2)]
-         for r1, r2 in zip(a1.as_array().tolist(), a2.as_array().tolist())]
+         for r1, r2 in zip(matrix(a1).tolist(), matrix(a2).tolist())]
     p = [[Fraction(v) for v in row] for row in sym(p0).tolist()]
     q = [[-sum(a[k][i] * p[k][j] + p[i][k] * a[k][j] for k in range(2)) - (m if i == j else 0)
           for j in range(2)] for i in range(2)]
@@ -56,7 +57,7 @@ def exact_margin_holds(lam: float, p0: SymPosDef2, a1: Mat2, a2: Mat2) -> bool:
 class TestMat2:
     def test_round_trip(self):
         a = Mat2.from_array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(a.as_array(), [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(matrix(a), [[1.0, 2.0], [3.0, 4.0]])
         assert a.trace == 5.0
         assert a.det == 1.0 * 4.0 - 2.0 * 3.0
 
@@ -75,7 +76,7 @@ class TestHurwitz:
     def test_against_eigenvalue_oracle(self, rng):
         for _ in range(200):
             a = Mat2.from_array(rng.uniform(-2.0, 2.0, size=(2, 2)))
-            eigs = np.linalg.eigvals(a.as_array())
+            eigs = np.linalg.eigvals(matrix(a))
             assert is_hurwitz(a) == bool((eigs.real < 0.0).all())
 
     def test_marginal_cases(self):
@@ -146,7 +147,7 @@ class TestCapitalLambda:
         p0 = cert.p0
 
         def margin(l):
-            a = blend(A_MODE1, A_MODE2, l).as_array()
+            a = matrix(blend(A_MODE1, A_MODE2, l))
             q = -(a.T @ sym(p0) + sym(p0) @ a)
             return float(np.linalg.eigvalsh(q)[0])
 

@@ -3,11 +3,12 @@ import copy
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
-from delayreach.integrator import HistoryFn, IntegratorOptions, Stepper, integrate
+from delayreach.integrator import HistoryFn, IntegratorOptions, MaxStepsExceeded, Stepper, integrate
 from delayreach.lyap import A_MODE1, A_MODE2
 from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
 from delayreach.signals import PiecewiseConstant, PiecewiseLinear
@@ -32,7 +33,7 @@ from delayreach.systems import (
     saturation_stop_times,
 )
 
-from replay import replay
+from replay import matrix, replay
 
 
 class TestPlanarRhs:
@@ -45,7 +46,7 @@ class TestPlanarRhs:
 
     def test_blend_midpoint(self):
         g = planar_rhs()
-        mid = 0.5 * (DEFAULT_PLANAR.a1.as_array() + DEFAULT_PLANAR.a2.as_array())
+        mid = 0.5 * (matrix(DEFAULT_PLANAR.a1) + matrix(DEFAULT_PLANAR.a2))
         x = np.array([0.5, -0.25])
         expect = (1.0 + float(x @ x)) * (mid @ x)
         assert np.allclose(g(x.tolist(), 0.5), expect)
@@ -100,14 +101,22 @@ class TestGreedyRule:
         assert rule(np.array([-1.0, -1.0])) == 1
         assert rule(np.zeros(2)) == 1  # tie resolved to mode 1
 
-    # the rule's decision is numpy's rounded comparison; the float test in
-    # front of it may settle only what numpy would settle the same way
+    # the rule's decision is the sign of the float form d = x^T (s1 - s2) x;
+    # away from a tie and from overflow it is numpy's rounded comparison
 
     @staticmethod
     def numpy_rule(x):
-        s1, s2 = A_MODE1.as_array(), A_MODE2.as_array()
+        s1, s2 = matrix(A_MODE1), matrix(A_MODE2)
         s1, s2 = s1 + s1.T, s2 + s2.T
         return 1 if float(x @ s1 @ x) >= float(x @ s2 @ x) else 0
+
+    @staticmethod
+    def float_form(x):
+        s1, s2 = matrix(A_MODE1), matrix(A_MODE2)
+        d = (s1 + s1.T) - (s2 + s2.T)
+        d0, d1, d2 = float(d[0, 0]), 2.0 * float(d[0, 1]), float(d[1, 1])
+        x0, x1 = (float(v) for v in x)
+        return d0 * x0 * x0 + d1 * x0 * x1 + d2 * x1 * x1
 
     def test_random_states_decide_as_numpy(self):
         rule = greedy_worst_switch(dwell=1e-3).rule
@@ -115,37 +124,48 @@ class TestGreedyRule:
         xs = rng.normal(size=(100_000, 2)) * 10.0 ** rng.uniform(-3.0, 6.0, size=(100_000, 1))
         assert [rule(x) for x in xs] == [self.numpy_rule(x) for x in xs]
 
-    def test_ties_fall_back_to_numpy(self):
+    def test_ties_decide_by_the_float_form(self):
         rule = greedy_worst_switch(dwell=1e-3).rule
         # x^T (s1 - s2) x = 0 on two lines through 0: x = (1, r)
-        d = A_MODE1.as_array() - A_MODE2.as_array()
+        d = matrix(A_MODE1) - matrix(A_MODE2)
         d = d + d.T
         roots = np.roots([d[1, 1], 2.0 * d[0, 1], d[0, 0]]).real
-        # every neighbour up to 40 ulps away, then out past the margin
+        # every neighbour up to 40 ulps away, then farther out
         ks = sorted({s * k for s in (-1, 1) for k in list(range(41)) + [60, 90, 135, 200, 300, 450, 700, 1000]})
         xs = [CountingArray([x0, x1 + k * math.ulp(x1)])
               for r in roots for scale in 10.0 ** np.arange(-3.0, 7.0)
               for x0, x1 in ((scale, r * scale), (-scale, -r * scale)) for k in ks]
         CountingArray.matmuls = 0
         decided = [rule(x) for x in xs]
-        # two products per fallback: most points, but not the farthest
-        assert len(xs) < CountingArray.matmuls < 2 * len(xs)
-        assert decided == [self.numpy_rule(np.asarray(x)) for x in xs]
+        assert CountingArray.matmuls == 0  # no numpy product, even at a tie
+        assert decided == [1 if self.float_form(x) >= 0.0 else 0 for x in xs]
         assert set(decided) == {0, 1}
 
-    def test_special_values_decide_as_numpy(self):
+    def test_special_values_decide_by_the_float_form(self):
         rule = greedy_worst_switch(dwell=1e-3).rule
         tiny, sub, inf, nan = 2.2250738585072014e-308, 5e-324, math.inf, math.nan
         values = (0.0, -0.0, sub, -sub, 3e-320, tiny, 1e-160, 1.0, -1.0, 1e200, inf, -inf, nan)
+        unlike_numpy = []
         with np.errstate(all="ignore"):
             for x0 in values:
                 for x1 in values:
                     x = np.array([x0, x1])
-                    assert rule(x) == self.numpy_rule(x), (x0, x1)
+                    d = self.float_form(x)
+                    if math.isfinite(d):
+                        assert rule(x) == self.numpy_rule(x), (x0, x1)
+                        continue
+                    # NaN goes to mode 0, +inf to mode 1, -inf to mode 0
+                    assert rule(x) == (1 if d >= 0.0 else 0), (x0, x1)
+                    if rule(x) != self.numpy_rule(x):
+                        unlike_numpy.append((x0, x1))
+        # d overflows to inf - inf at (1e200, 1e200); elsewhere d = +inf
+        # where numpy's products multiply inf by a zero entry and read NaN
+        assert unlike_numpy == [(1e200, 1e200), (inf, sub), (inf, 3e-320), (inf, tiny),
+                                (inf, 1e-160), (inf, 1.0), (-inf, -sub), (-inf, -1.0)]
 
 
 class CountingArray(np.ndarray):
-    """A 2-vector that counts the `@` products it starts: the numpy path."""
+    """A 2-vector that counts the `@` products it starts."""
 
     matmuls = 0
 
@@ -189,6 +209,23 @@ class TestSwitchedEscape:
         # first step, and a negative T returned a one-node run
         with pytest.raises(ValueError, match="T must be finite and positive"):
             run_switched(greedy_worst_switch(1e-2), np.array([1.0, 0.0]), T=T)
+
+    def test_samples_are_bounded_by_max_steps(self):
+        # a policy that holds |x| near 1e4 without escaping samples every
+        # ~1e-11 there: ~1e12 samples to T, ~3 per step attempt
+        greedy = greedy_worst_switch(dwell=1e-3).rule
+        calls = []
+
+        def held(x):
+            calls.append(None)
+            return 0 if x[0] * x[0] + x[1] * x[1] > 1e8 else greedy(x)
+
+        t0 = time.perf_counter()
+        with pytest.raises(MaxStepsExceeded, match="max_steps=100000 policy samples"):
+            run_switched(SwitchingPolicy(dwell=1e-3, rule=held), np.array([1.0, 0.0]), T=20.0,
+                         opts=IntegratorOptions(h_min=1e-14, max_steps=10**5))
+        assert time.perf_counter() - t0 < 10.0
+        assert len(calls) == 1 + 10**5  # the initial decision, then each sample
 
     def test_default_delay_covers_escape(self, escape_run):
         assert DEFAULT_DELAY == pytest.approx(1.5 * escape_run.outcome.t_escape)
@@ -371,7 +408,7 @@ class TestStoredEscape:
         traj = escape_run.outcome.trajectory
         nodes = np.searchsorted(traj.ts, escape_data.BREAKS)
         assert np.array_equal(traj.ts[nodes], escape_data.BREAKS)
-        norm_a = max(np.linalg.norm(a.as_array(), 2) for a in (A_MODE1, A_MODE2))
+        norm_a = max(np.linalg.norm(matrix(a), 2) for a in (A_MODE1, A_MODE2))
         for brk, x, x_run in zip(escape_data.BREAKS, states, traj.ys[nodes]):
             tol = 100.0 * opts.rel_tol + 4.0 * math.ulp(brk) * float(x @ x) * norm_a
             assert np.linalg.norm(x_run - x) <= tol * np.linalg.norm(x), brk
