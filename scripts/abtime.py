@@ -14,10 +14,10 @@ ratio is the base's time over the change's, the change's `ops_per_s` over the
 base's. Then, as `recorded_escape`, the `escape` subcommand's path, which no
 workload covers: `recorded_escape()` at the default dwell, `ESCAPE_CALLS`
 times per side and round, the side that goes first alternating from one call
-to the next, and the two escape times and switching signals of each call
-must agree. One line per round, then per workload the
-median, min and max of the ratios; the last line is the same as one JSON
-object.
+to the next, and the two runs of each call must agree: escape time, final
+norm, switching signal, and the bytes of ts, ys and qs. One line per round,
+then per workload the median, min and max of the ratios; the last line is
+the same as one JSON object.
 """
 
 from __future__ import annotations
@@ -107,9 +107,11 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 run = sides[s][0].recorded_escape()
                 spent[s] += time.perf_counter() - t0
-                seen[s] = (run.outcome.t_escape, run.signal.values.tobytes(), run.signal.breaks.tobytes())
+                end, traj = run.outcome, run.outcome.trajectory
+                seen[s] = (end.t_escape, end.final_norm, run.signal.values.tobytes(), run.signal.breaks.tobytes(),
+                           traj.ts.tobytes(), traj.ys.tobytes(), traj.qs.tobytes())
             if seen[0] != seen[1]:
-                raise SystemExit("recorded_escape: the two checkouts' escape times or switching signals differ")
+                raise SystemExit("recorded_escape: the two checkouts' runs differ")
         for s in (0, 1):
             ms[s].append(round(spent[s] * 1e3, 2))
         print(f"recorded_escape round {k}: base {ms[0][-1]:.1f} ms, change {ms[1][-1]:.1f} ms "

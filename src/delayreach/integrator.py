@@ -15,7 +15,9 @@ right-hand-side evaluation. The right-hand side takes the state as a
 sequence of floats and returns its derivative as a list of floats, and the
 stepping loop is one function generated per state dimension: straight-line
 ordered float sums per component on those lists (see `Stepper`), with no
-array between two stages and no call per step but the rhs. Unboundedness is
+array between two stages and no call per step but the rhs. A closed loop is
+rendered from the same template with its field inline and its own code after
+each accepted step (`_step_kernel`; `systems.run_switched`). Unboundedness is
 the only failure mode of the underlying solution concept, so crossing a norm
 threshold (or a step-size collapse while the norm is growing) is reported
 as a finite-escape outcome, not as an error.
@@ -106,7 +108,7 @@ _DENSE = (
 
 
 @functools.lru_cache(maxsize=None)
-def _step_kernel(n: int):
+def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: str = "", tail: str = ""):
     """The stepping loop of `Stepper.advance` and the dense-output read for an
     n-component state, as straight-line float code rendered from the template,
     each sum written as a per-component comprehension writes it, so it rounds
@@ -118,7 +120,13 @@ def _step_kernel(n: int):
     writes t, y, slope, h, nsteps and both norms back to st, and it returns
     (reason, h, norm_new, sq) of its last attempt, reason None at the target
     or the soft stop. value(ys, q, i, th) reads segment i of the stores:
-    `_quartic_eval` at th per component."""
+    `_quartic_eval` at th per component.
+
+    With `field(x, k)`, source lines putting the derivative at the state x_0,
+    ... into k_0, ..., the stages compute it inline on named floats a_i, and
+    the dense coefficients are named q{m}_{i}. `params` extend loop's; the
+    source `head` runs at entry, `after` after each accepted step below the
+    threshold, `tail` on every exit. Without them, the loop above byte for byte."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -127,23 +135,30 @@ def _step_kernel(n: int):
     def terms(row, i):  # component i's sum of a template row, in stage order
         return " + ".join(f"{c!r} * k{j}_{i}" for c, j in row)
 
+    def block(src, depth):  # source lines, each on a new line at that indent
+        return "".join("\n" + " " * depth + line for line in src.splitlines())
+
     stages = [f"{names('y')}= y", f"{names('k0')}= k0"]
     for s, (c, row) in enumerate(_STAGES, 1):
-        stages.append("a = [" + ", ".join(f"y_{i} + h * ({terms(row, i)})" for i in comps) + "]")
-        stages.append(f"k{s} = rhs({'t_new' if c == 1.0 else f't + {c!r} * h'}, a)")
-        stages.append(f"{names(f'k{s}')}= k{s}")
+        args = ", ".join(f"y_{i} + h * ({terms(row, i)})" for i in comps)
+        stages += ([f"a = [{args}]", f"k{s} = rhs({'t_new' if c == 1.0 else f't + {c!r} * h'}, a)",
+                    f"{names(f'k{s}')}= k{s}"] if field is None else [f"{names('a')}= {args}", *field("a", f"k{s}")])
+    stages += [] if field is None else [f"a, k6 = [{names('a')}], [{names('k6')}]"]
     stages.append(f"{names('yn')}= a")
     stages += [f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * max(abs(yn_{i}), abs(y_{i})))"
                for i in comps]
     norm_new = ", ".join(f"abs(yn_{i})" for i in comps)
     sq = "".join(f" + r_{i} * r_{i}" for i in comps)
-    q = ", ".join([f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps])
+    q = [f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps]
+    qn = q if field is None else [f"q{m}_{i}" for m in range(4) for i in comps]  # in the order of the store
+    dense = "" if field is None else block("\n".join(map("{} = {}".format, qn, q)), 16)
+    q = ", ".join(qn)
     stages = "\n                ".join(stages)
-    src = f"""def loop(opts, traj, h_top):
+    src = f"""def loop(opts, traj, h_top{params}):
     atol, rtol, h_min, big, max_steps = opts.abs_tol, opts.rel_tol, opts.h_min, opts.escape_threshold, opts.max_steps
     def steps(st, target, until):
         rhs, t_store, y_store, q_store = st.rhs, traj._t, traj._y, traj._q
-        t, y, k0, h_next, nsteps, norm, norm_prev = st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev
+        t, y, k0, h_next, nsteps, norm, norm_prev = st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev{block(head, 8)}
         eps_t = max(1e-15, 4.0 * ulp(abs(target)))
         reason = h = norm_new = sq = None
         try:
@@ -170,7 +185,7 @@ def _step_kernel(n: int):
                     h_next = max(h * (0.1 if bad else max(0.2, 0.9 * err ** -0.2)), h_min)
                     continue
                 t_store.append(t_new)
-                y_store.extend(a)
+                y_store.extend(a){dense}
                 q_store.extend([{q}])
                 t, y, k0 = t_new, a, k6
                 norm_prev, norm = norm, norm_new
@@ -178,13 +193,13 @@ def _step_kernel(n: int):
                     h_next = max(h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))), h_min)
                 if norm_new >= big:
                     reason = "threshold"
-                    break
+                    break{block(after, 16)}
                 if t_new >= until and not at_end:
                     break
             else:
                 t = target
         finally:
-            st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev = t, y, k0, h_next, nsteps, norm, norm_prev
+            st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev = t, y, k0, h_next, nsteps, norm, norm_prev{block(tail, 12)}
         return reason, h, norm_new, sq
 
     return steps
@@ -192,9 +207,9 @@ def _step_kernel(n: int):
     p = (f"ys[j + {i}] + th * (" + " + th * (".join(f"q[k + {m * n + i}]" for m in range(4)) + "))))"
          for i in comps)
     src += f"\ndef value(ys, q, i, th):\n    j, k = {n} * i, {4 * n} * i\n    return [" + ", ".join(p) + "]\n"
-    name = f"<dp54 step, n={n}>"
+    name = f"<dp54 step, n={n}{'' if field is None else ', ' + field.__module__ + '.' + field.__qualname__}>"
     linecache.cache[name] = (len(src), None, src.splitlines(True), name)  # for tracebacks
-    scope = {"sqrt": math.sqrt, "isfinite": math.isfinite, "ulp": math.ulp}
+    scope = {"sqrt": math.sqrt, "isfinite": math.isfinite, "ulp": math.ulp, "MaxStepsExceeded": MaxStepsExceeded}
     exec(compile(src, name, "exec"), scope)
     return scope["loop"], scope["value"]
 

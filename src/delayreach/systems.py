@@ -5,8 +5,10 @@ formulations, and a destabilizing sampled-feedback switching policy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -18,6 +20,7 @@ from .integrator import (
     MaxStepsExceeded,
     SimOutcome,
     Stepper,
+    _step_kernel,
 )
 from . import escape_data
 from .lyap import A_MODE1, A_MODE2, Mat2
@@ -47,24 +50,38 @@ def _entries(m: Mat2) -> tuple:
     return float(m.a11), float(m.a12), float(m.a21), float(m.a22)
 
 
+def _field(x: str, k: str, entry=lambda ij: f"g{ij}") -> list:
+    """Source of the field (1 + |x|_2^2) A x at the state x_0, x_1 into k_0, k_1,
+    entry(ij) the source of entry ij of A; each sum is rounded in the order written."""
+    a11, a12, a21, a22 = (entry(ij) for ij in ("11", "12", "21", "22"))
+    return [f"c = 1.0 + ({x}_0 * {x}_0 + {x}_1 * {x}_1)",
+            f"{k}_0, {k}_1 = c * ({a11} * {x}_0 + {a12} * {x}_1), c * ({a21} * {x}_0 + {a22} * {x}_1)"]
+
+
+def _define(signature: str, lines: list, **scope) -> Callable:
+    """The function `def signature:` with the source lines as its body."""
+    exec(f"def {signature}:\n    " + "\n".join(lines).replace("\n", "\n    "), scope)
+    return scope[signature[: signature.index("(")]]
+
+
+#: A(sat(u)) = lam A1 + (1 - lam) A2 as source, from the entries p.. of A1 and q.. of A2
+_CLAMP = ["lam = 0.0 if u < 0.0 else 1.0 if u > 1.0 else float(u)", "mu = 1.0 - lam"]
+_BLEND = "(lam * p{0} + mu * q{0})".format
+_GAINS = _CLAMP + [f"g{ij} = {_BLEND(ij)}" for ij in ("11", "12", "21", "22")]
+_ENTRIES = "p11, p12, p21, p22, q11, q12, q21, q22"
+#: make(p11, ..., q22) -> the g of `planar_rhs`, each entry of A blended in place
+_planar = _define(f"make({_ENTRIES})", ["def g(x, u):", *("    " + line for line in (
+    *_CLAMP, "x_0, x_1 = x", *_field("x", "k", _BLEND), "return [k_0, k_1]")), "return g"])
+
+
 def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
     """g(x, u) = (1 + |x|_2^2) * A(sat(u)) * x, cubic in the state: x is a
     pair of floats and g returns a list of two. sat clamps u to [0, 1] (NaN
     passes through); A(lam) = lam A1 + (1 - lam) A2 is exactly A1 or A2 at
-    lam = 1 or 0, the field of a fixed mode. Each sum of two products is
-    rounded in the order written, so a fused dot product cannot move it.
+    lam = 1 or 0, the field of a fixed mode. g is rendered from `_field`,
+    the source that `run_switched`'s closed loop computes inline.
     """
-    (p11, p12, p21, p22), (q11, q12, q21, q22) = _entries(params.a1), _entries(params.a2)
-
-    def g(x, u: float) -> list:
-        lam = 0.0 if u < 0.0 else 1.0 if u > 1.0 else float(u)
-        mu = 1.0 - lam
-        x1, x2 = x
-        c = 1.0 + (x1 * x1 + x2 * x2)
-        return [c * ((lam * p11 + mu * q11) * x1 + (lam * p12 + mu * q12) * x2),
-                c * ((lam * p21 + mu * q21) * x1 + (lam * p22 + mu * q22) * x2)]
-
-    return g
+    return _planar(*_entries(params.a1), *_entries(params.a2))
 
 
 def planar_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
@@ -238,6 +255,49 @@ def greedy_worst_switch(dwell: float) -> SwitchingPolicy:
 
 _MIN_DWELL = 1e-13
 
+# The greedy closed loop as source for `_step_kernel`. Its state, read from clk at entry and
+# written back on exit: the next sample t_k, the last sample x, the mode, the last decision u,
+# the samples taken, and pending, set by a switching sample until the clock step after it.
+_LOAD = ["t_k, (x_0, x_1), mode, samples, pending = clk.t_k, clk.x, clk.mode, clk.samples, clk.pending", "u = mode"]
+_STORE = "clk.t_k, clk.x, clk.u, clk.samples, clk.pending = t_k, [x_0, x_1], u, samples, pending"
+#: the clock step min(max(s, _MIN_DWELL), dwell) with no call; |x|^2 is rounded before the 1 is added
+_TICK = ["if samples >= max_steps:",
+         '    raise MaxStepsExceeded(f"exceeded max_steps={max_steps} policy samples")',
+         "s = dwell / (1.0 + (x_0 * x_0 + x_1 * x_1))",
+         f"s = {_MIN_DWELL!r} if {_MIN_DWELL!r} > s else s",
+         "t_k += dwell if dwell < s else s"]
+#: the samples before end in the step just accepted, read from its floats as `Trajectory._interp`
+#: reads them, up to a switch, where the soft stop moves
+_SAMPLES = "\n".join([
+    "t_0 = t_store[-2]",
+    "while t_k <= t_new and t_k < end and not pending:",
+    "    if t_k == t_new:",
+    "        x_0, x_1 = yn_0, yn_1",
+    "    else:",
+    "        th = (t_k - t_0) / (t_new - t_0)",
+    "        x_0 = y_0 + th * (q0_0 + th * (q1_0 + th * (q2_0 + th * q3_0)))",
+    "        x_1 = y_1 + th * (q0_1 + th * (q1_1 + th * (q2_1 + th * q3_1)))",
+    "    u = rule([x_0, x_1])",
+    "    samples += 1",
+    "    if u != mode:",
+    "        pending = True",
+    "    else:",
+    *("        " + line for line in _TICK),
+    "until = t_k"])
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_loop():
+    """loop(opts, traj, h_top, clk, rule, dwell, end, *A1, *A2) of `_step_kernel`,
+    the field of clk.mode inline and the samples taken after each step, and
+    drain(clk, rule, dwell, max_steps, traj, end), which takes those of the last step."""
+    head = [*_LOAD, *_GAINS, "if pending and t == t_k:  # the run stands at the last sample",
+            *("    " + line for line in _TICK), "    pending = False"]
+    loop = _step_kernel(2, _field, f", clk, rule, dwell, end, {_ENTRIES}", "\n".join(head), _SAMPLES, _STORE)[0]
+    drain = ["t_store = traj._t", "t_new, (y_0, y_1, yn_0, yn_1) = t_store[-1], traj._y[-4:]",
+             "q0_0, q0_1, q1_0, q1_1, q2_0, q2_1, q3_0, q3_1 = traj._q[-8:]", *_LOAD, _SAMPLES, _STORE]
+    return loop, _define("drain(clk, rule, dwell, max_steps, traj, end)", drain, MaxStepsExceeded=MaxStepsExceeded)
+
 
 @dataclass
 class SwitchedRun:
@@ -256,74 +316,59 @@ def run_switched(
     """Drive the planar system of the default gains by the policy, sampled at
     t_0 = 0 and t_{k+1} = t_k + dwell / (1 + |x(t_k)|_2^2), clamped to
     [_MIN_DWELL, dwell], so sampling keeps up with the cubically
-    accelerating rotation. T must be finite and positive (ValueError).
+    accelerating rotation. x0 must be two finite floats and T finite and
+    positive (ValueError).
 
-    The run steps `planar_rhs()` at u = mode, the policy's last decision: a
-    switch rebinds the mode and drops the Stepper's cached rhs value. The
-    samples are read from the dense output, not forced as step boundaries:
-    steps are sized by the error test of `opts` alone, and the run is as
-    accurate as `opts` asks. Every sample falls in the last step, unpacked
-    into floats once per `advance`, and is read as `Trajectory._interp`
-    reads it, bit for bit. Only a sample that switches the mode inside the
-    last step drops that step and steps to the sample again, so every
-    switching instant is a node. Samples before an escape found in the last
-    step are still taken. The realized input is recorded as a
-    piecewise-constant signal (consecutive equal values merged) so the
-    escape can be replayed open loop. More than `opts.max_steps` policy
-    samples raise MaxStepsExceeded, as more step attempts do, so a policy
-    that holds the state large without escaping cannot stall the run.
+    One generated closed loop (`_closed_loop`), entered through
+    `Stepper.advance`, computes the field of `planar_rhs()` at u = mode, the
+    policy's last decision, inline at every stage; after each accepted step
+    it reads the samples in that step from the step's floats, bit for bit as
+    `Trajectory._interp` reads them, and calls the rule on each. Steps are
+    sized by the error test of `opts` alone. The loop returns at T, an
+    escape or a switch: a switch inside the last step drops that step and
+    steps to the sample again, so every switching instant is a node, and
+    samples before an escape found in the last step are still taken. The
+    realized input is recorded as a piecewise-constant signal (consecutive
+    equal values merged) so the escape can be replayed open loop. More than
+    `opts.max_steps` policy samples raise MaxStepsExceeded, as more step
+    attempts do.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (2,) or not np.isfinite(x).all():
+        raise ValueError(f"x0 must be two finite floats, got {x0!r}")
     rule, dwell = policy.rule, policy.dwell
-
-    # the mode changes only at a node, where the Stepper's cached rhs is dropped
     g = planar_rhs()
-    mode = float(rule(x0.tolist()))
+    mode = float(rule(x.tolist()))
 
     def rhs(t, y):
         return g(y, mode)
 
-    stepper = Stepper(rhs, 0.0, x0, opts)
-    ts, ys, qs = stepper.traj._t, stepper.traj._y, stepper.traj._q
-    piece_vals = [mode]
-    piece_breaks: list[float] = []
-    t_k, t1, x = 0.0, 0.0, x0.tolist()
-    for _ in range(opts.max_steps):
-        # |x|^2 is rounded before the 1 is added, as for the recorded schedule
-        t_k += min(max(dwell / (1.0 + (x[0] * x[0] + x[1] * x[1])), _MIN_DWELL), dwell)
-        if t_k >= T:
-            break
-        if t_k > t1:
-            # the field is smooth between switches, so no boundary is forced
-            stepper.advance(T, until=t_k)
-        if stepper.escape_info is not None and t_k >= stepper.escape_info[0]:
-            break
-        if t_k > t1:  # the new last step: ends t, states (a, b), coefficients (p, r)
-            t0, t1, a0, b0, a1, b1, p0, r0, p1, r1, p2, r2, p3, r3 = ts[-2], ts[-1], *ys[-4:], *qs[-8:]
-        if t_k == t1:
-            x = [a1, b1]
-        else:
-            th = (t_k - t0) / (t1 - t0)
-            x = [a0 + th * (p0 + th * (p1 + th * (p2 + th * p3))), b0 + th * (r0 + th * (r1 + th * (r2 + th * r3)))]
-        lam = float(rule(x))
-        if lam != mode:
-            if t_k < stepper.t:
-                # make the switching instant a node
+    stepper = Stepper(rhs, 0.0, x, opts)
+    loop, drain = _closed_loop()
+    # the sample at 0 is taken; its clock step is pending
+    clk = SimpleNamespace(t_k=0.0, x=x.tolist(), mode=mode, u=mode, samples=0, pending=True)
+    stepper._steps = loop(opts, stepper.traj, math.inf, clk, rule, dwell, T, *_entries(A_MODE1), *_entries(A_MODE2))
+    piece_vals, piece_breaks = [mode], []
+    while True:
+        # the soft stop is the next sample, which the loop takes and moves past
+        stepper.advance(T, until=clk.t_k)
+        if stepper.escape_info is not None and not clk.pending:
+            drain(clk, rule, dwell, opts.max_steps, stepper.traj, stepper.escape_info[0])
+        if clk.u != mode:
+            u, t_s = clk.u, clk.t_k
+            if t_s < stepper.t:  # make the switching instant a node
                 stepper.rewind()
-                stepper.advance(t_k)
+                stepper.advance(t_s)
                 if stepper.escape_info is not None:
                     break
-                # the next sample advances past it and reads the new last step
-                t1 = t_k
-            mode = lam
+            mode = clk.mode = float(u)
             stepper.invalidate_rhs_cache()
-            piece_vals.append(lam)
-            piece_breaks.append(t_k)
-    else:
-        raise MaxStepsExceeded(f"exceeded max_steps={opts.max_steps} policy samples")
-    stepper.advance(T)
+            piece_vals.append(mode)
+            piece_breaks.append(t_s)
+        elif stepper.escape_info is not None or stepper.t == T:
+            break
     outcome = stepper.outcome()
     sig = PiecewiseConstant(np.array(piece_vals), np.array(piece_breaks))
     return SwitchedRun(outcome=outcome, signal=sig)

@@ -33,6 +33,7 @@ from delayreach.systems import (
     saturation_stop_times,
 )
 
+import switched_ref
 from replay import matrix, replay
 
 
@@ -210,6 +211,15 @@ class TestSwitchedEscape:
         with pytest.raises(ValueError, match="T must be finite and positive"):
             run_switched(greedy_worst_switch(1e-2), np.array([1.0, 0.0]), T=T)
 
+    @pytest.mark.parametrize("x0", [[math.nan, 0.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], [math.inf, 0.0]],
+                             ids=["nan", "three", "nested", "inf"])
+    def test_start_must_be_two_finite_floats(self, x0):
+        # at entry: a NaN made the sampling clock NaN and failed reading the
+        # first sample, three or nested components failed to unpack, and inf
+        # returned a one-node threshold run at t = 0
+        with pytest.raises(ValueError, match="x0 must be two finite floats"):
+            run_switched(greedy_worst_switch(1e-2), x0, T=1.0)
+
     def test_samples_are_bounded_by_max_steps(self):
         # a policy that holds |x| near 1e4 without escaping samples every
         # ~1e-11 there: ~1e12 samples to T, ~3 per step attempt
@@ -353,6 +363,131 @@ class TestSamplerRead:
         run, xs, before_drop = sampled_run(1.2e-2, [1.0, 0.0], monkeypatch)
         assert before_drop == {} and len(xs) > 1000
         assert self.check(run, xs, before_drop, 1.2e-2) == len(xs) - 1
+
+
+def run_record(run_switched_fn, policy, x0, T, monkeypatch, opts=None):
+    """What a run returns, as bytes and floats, with the Stepper's attempt
+    count at the end of the run."""
+    counts = []
+    outcome = Stepper.outcome
+
+    def counted(st):
+        counts.append(st.nsteps)
+        return outcome(st)
+
+    with monkeypatch.context() as m:
+        m.setattr(Stepper, "outcome", counted)
+        run = run_switched_fn(policy, np.asarray(x0, dtype=float), T, **({} if opts is None else {"opts": opts}))
+    out, traj = run.outcome, run.outcome.trajectory
+    return (traj.ts.tobytes(), traj.ys.tobytes(), traj.qs.tobytes(), run.signal.values.tobytes(),
+            run.signal.breaks.tobytes(), out.t_escape, out.final_norm, out.flag, counts)
+
+
+def unit_starts(n, seed):
+    """n seeded unit-norm starts, each with a dwell in the benchmark's range."""
+    rng = np.random.default_rng(seed)
+    return [((math.cos(a), math.sin(a)), float(d))
+            for a, d in zip(rng.uniform(0.0, 2.0 * math.pi, n), rng.uniform(5e-3, 2e-2, n))]
+
+
+class TestClosedLoop:
+    """The generated closed loop against the plain loop over `Stepper.advance`
+    it replaced (`tests/switched_ref.py`), bit for bit: nodes, states,
+    dense-output coefficients, the switching signal, the escape, and the
+    Stepper's attempt count."""
+
+    @pytest.mark.parametrize("x0, dwell", [(escape_data.X0, d) for d in (5e-4, 1e-3, 2e-3, 1e-2)] + [
+        ((math.cos(a), math.sin(a)), d) for a, d in ((0.0, 8e-3), (2.0 * math.pi / 3.0, 1.2e-2),
+                                                     (4.0 * math.pi / 3.0, 1.6e-2))])
+    def test_recorded_and_benchmark_runs(self, x0, dwell, monkeypatch):
+        policy = greedy_worst_switch(dwell)
+        new = run_record(run_switched, policy, x0, 20.0, monkeypatch)
+        assert new == run_record(switched_ref.run_switched, policy, x0, 20.0, monkeypatch)
+        assert new[7] == "threshold" and len(new[4]) >= 8 * 20
+
+    def test_seeded_unit_starts(self, monkeypatch):
+        for x0, dwell in unit_starts(50, 33):
+            policy = greedy_worst_switch(dwell)
+            assert run_record(run_switched, policy, x0, 20.0, monkeypatch) == run_record(
+                switched_ref.run_switched, policy, x0, 20.0, monkeypatch), (x0, dwell)
+
+    def test_switch_inside_the_escape_step(self, monkeypatch):
+        # no greedy run of a scan of 5,000 switched inside its escape step, so
+        # this rule flips the greedy choice once, at |x| = 950, and keeps it:
+        # at threshold 1e3 that sample lies in the escape step before the
+        # escape, drops that step and steps to the sample again
+        greedy = greedy_worst_switch(1e-2).rule
+
+        def policy():
+            flipped = []
+
+            def rule(x):
+                if not flipped and max(abs(x[0]), abs(x[1])) >= 950.0:
+                    flipped.append(1 - greedy(x))
+                return flipped[0] if flipped else greedy(x)
+
+            return SwitchingPolicy(1e-2, rule)
+
+        drops = []
+        rewind = Stepper.rewind
+
+        def recorded(st):
+            drops.append(st.escape_info is not None)
+            rewind(st)
+
+        opts = IntegratorOptions(h_min=1e-14, escape_threshold=1e3)
+        monkeypatch.setattr(Stepper, "rewind", recorded)
+        new = run_record(run_switched, policy(), (1.0, 0.0), 20.0, monkeypatch, opts)
+        assert drops[-1] and not any(drops[:-1])
+        assert new == run_record(switched_ref.run_switched, policy(), (1.0, 0.0), 20.0, monkeypatch, opts)
+        assert new[7] == "threshold"
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 40, 400, 1000, 1600, 2000])
+    def test_budgets(self, max_steps, monkeypatch):
+        # the samples and the step attempts share opts.max_steps: the same
+        # exception, or the same run, after the same rule calls
+        outs = []
+        for fn in (run_switched, switched_ref.run_switched):
+            calls = []
+            greedy = greedy_worst_switch(1e-2)
+            policy = dataclasses.replace(greedy, rule=lambda x: calls.append(1) or greedy.rule(x))
+            try:
+                outs.append(run_record(fn, policy, (1.0, 0.0), 20.0, monkeypatch,
+                                   IntegratorOptions(h_min=1e-14, max_steps=max_steps)))
+            except MaxStepsExceeded as e:
+                outs.append(str(e))
+            outs.append(len(calls))
+        assert outs[:2] == outs[2:]
+
+    def test_start_at_the_threshold(self, monkeypatch):
+        policy = greedy_worst_switch(1e-2)
+        new = run_record(run_switched, policy, (2e6, 0.0), 1.0, monkeypatch)
+        assert new == run_record(switched_ref.run_switched, policy, (2e6, 0.0), 1.0, monkeypatch)
+        assert new[5:8] == (0.0, 2e6, "threshold")
+
+
+class TestFieldHasOneHome:
+    """The stage derivative the closed loop computes inline is `planar_rhs()`
+    at the mode, bit for bit: the same source, `systems._field`, with the
+    gains blended once per mode (`systems._GAINS`)."""
+
+    @staticmethod
+    def bits(v):
+        return np.array(v, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("mode", [0.0, 1.0])
+    def test_inline_stage_is_the_rhs(self, mode):
+        # the gains once per mode, then one stage's field, as the loop renders them
+        stage = systems._define(f"stage(a_0, a_1, u, {systems._ENTRIES})",
+                                [*systems._GAINS, *systems._field("a", "k1"), "return [k1_0, k1_1]"])
+        gains = (*systems._entries(A_MODE1), *systems._entries(A_MODE2))
+        g = planar_rhs()
+        rng = np.random.default_rng(int(mode))
+        xs = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2000, 1))
+        special = [0.0, -0.0, 1e154, -1e154, 1.3e154, math.inf, -math.inf, math.nan, 1.0]
+        xs = np.vstack([xs, [[a, b] for a in special for b in special]])
+        for x0, x1 in xs.tolist():
+            assert self.bits(stage(x0, x1, mode, *gains)) == self.bits(g([x0, x1], mode)), (x0, x1)
 
 
 def literal_block(values, breaks, t_escape) -> str:
