@@ -20,7 +20,7 @@ rendered from the same template with its field inline and its own code after
 each accepted step (`_step_kernel`; `systems.run_switched`). Unboundedness is
 the only failure mode of the underlying solution concept, so crossing a norm
 threshold (or a step-size collapse while the norm is growing) is reported
-as a finite-escape outcome, not as an error.
+as a finite-escape outcome, timed in the loop on the step's dense output.
 """
 
 from __future__ import annotations
@@ -116,17 +116,19 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
     steps Stepper st: the stages, max([|y_new_i|, ...]), the squared scaled
     errors summed from 0.0 in component order, the error test, the new h, and
     the node and dense-output coefficients of an accepted step appended to
-    traj's stores. On every exit, an exception from the rhs included, it
-    writes t, y, slope, h, nsteps and both norms back to st, and it returns
-    (reason, h, norm_new, sq) of its last attempt, reason None at the target
-    or the soft stop. value(ys, q, i, th) reads segment i of the stores:
-    `_quartic_eval` at th per component.
+    traj's stores. On the step whose end reaches the threshold, t_esc becomes
+    the last float of its segment below it, bisected over floats on the
+    step's dense output as `value` reads it. On every exit, an exception from
+    the rhs included, it writes t, y, slope, h, nsteps, both norms and t_esc
+    back to st, and it returns (reason, h, norm_new, sq) of its last attempt,
+    reason None at the target or the soft stop. value(ys, q, i, th) reads
+    segment i of the stores: `_quartic_eval` at th per component.
 
-    With `field(x, k)`, source lines putting the derivative at the state x_0,
-    ... into k_0, ..., the stages compute it inline on named floats a_i, and
-    the dense coefficients are named q{m}_{i}. `params` extend loop's; the
-    source `head` runs at entry, `after` after each accepted step below the
-    threshold, `tail` on every exit. Without them, the loop above byte for byte."""
+    A stage's derivative at the named floats x_0, ... (a_i, yn_i for the
+    last) and time t is the source `field(x, k, t)` into k_0, ...; by default
+    rhs(t, [x_0, ...]). The dense coefficients are q{m}_{i}. `params` extend
+    loop's; the source `head` runs at entry, `after` after each accepted
+    step, the escape step included, `tail` on every exit."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -138,29 +140,31 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
     def block(src, depth):  # source lines, each on a new line at that indent
         return "".join("\n" + " " * depth + line for line in src.splitlines())
 
+    def rhs(x, k, t):  # the field of a Stepper: a call of its rhs
+        return [f"{names(k)}= rhs({t}, [{names(x)}])"]
+
+    field = field or rhs
     stages = [f"{names('y')}= y", f"{names('k0')}= k0"]
     for s, (c, row) in enumerate(_STAGES, 1):
-        args = ", ".join(f"y_{i} + h * ({terms(row, i)})" for i in comps)
-        stages += ([f"a = [{args}]", f"k{s} = rhs({'t_new' if c == 1.0 else f't + {c!r} * h'}, a)",
-                    f"{names(f'k{s}')}= k{s}"] if field is None else [f"{names('a')}= {args}", *field("a", f"k{s}")])
-    stages += [] if field is None else [f"a, k6 = [{names('a')}], [{names('k6')}]"]
-    stages.append(f"{names('yn')}= a")
+        x = "yn" if s == len(_STAGES) else "a"
+        stages += [f"{names(x)}= " + "".join(f"y_{i} + h * ({terms(row, i)}), " for i in comps),
+                   *field(x, f"k{s}", "t_new" if c == 1.0 else f"t + {c!r} * h")]
     stages += [f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * max(abs(yn_{i}), abs(y_{i})))"
                for i in comps]
+    stages = "\n                ".join(stages)
     norm_new = ", ".join(f"abs(yn_{i})" for i in comps)
     sq = "".join(f" + r_{i} * r_{i}" for i in comps)
     q = [f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps]
-    qn = q if field is None else [f"q{m}_{i}" for m in range(4) for i in comps]  # in the order of the store
-    dense = "" if field is None else block("\n".join(map("{} = {}".format, qn, q)), 16)
-    q = ", ".join(qn)
-    stages = "\n                ".join(stages)
+    qn = [f"q{m}_{i}" for m in range(4) for i in comps]  # in the order of the store
+    dense = block("\n".join(map("{} = {}".format, qn, q)), 16)
+    horner = ", ".join(f"abs(y_{i} + th * (q0_{i} + th * (q1_{i} + th * (q2_{i} + th * q3_{i}))))" for i in comps)
     src = f"""def loop(opts, traj, h_top{params}):
     atol, rtol, h_min, big, max_steps = opts.abs_tol, opts.rel_tol, opts.h_min, opts.escape_threshold, opts.max_steps
     def steps(st, target, until):
         rhs, t_store, y_store, q_store = st.rhs, traj._t, traj._y, traj._q
         t, y, k0, h_next, nsteps, norm, norm_prev = st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev{block(head, 8)}
         eps_t = max(1e-15, 4.0 * ulp(abs(target)))
-        reason = h = norm_new = sq = None
+        reason, h, norm_new, sq, t_esc = None, None, None, None, inf
         try:
             while target - t > eps_t:
                 if nsteps >= max_steps:
@@ -184,22 +188,26 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
                         break
                     h_next = max(h * (0.1 if bad else max(0.2, 0.9 * err ** -0.2)), h_min)
                     continue
+                yn, k6 = [{names('yn')}], [{names('k6')}]
                 t_store.append(t_new)
-                y_store.extend(a){dense}
-                q_store.extend([{q}])
-                t, y, k0 = t_new, a, k6
+                y_store.extend(yn){dense}
+                q_store.extend([{", ".join(qn)}])
+                t, y, k0 = t_new, yn, k6
                 norm_prev, norm = norm, norm_new
                 if not at_end:
                     h_next = max(h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))), h_min)
-                if norm_new >= big:
-                    reason = "threshold"
-                    break{block(after, 16)}
-                if t_new >= until and not at_end:
+                if norm_new >= big:  # the segment starts at the last node, which t may lie past
+                    reason, t_0 = "threshold", t_store[-2]
+                    t_esc, hi = t_0, t_new
+                    while (mid := 0.5 * (t_esc + hi)) not in (t_esc, hi):
+                        th = (mid - t_0) / (t_new - t_0)
+                        t_esc, hi = (t_esc, mid) if max([{horner}]) >= big else (mid, hi){block(after, 16)}
+                if reason or (t_new >= until and not at_end):
                     break
             else:
                 t = target
         finally:
-            st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev = t, y, k0, h_next, nsteps, norm, norm_prev{block(tail, 12)}
+            st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev, st._t_esc = t, y, k0, h_next, nsteps, norm, norm_prev, t_esc{block(tail, 12)}
         return reason, h, norm_new, sq
 
     return steps
@@ -207,9 +215,9 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
     p = (f"ys[j + {i}] + th * (" + " + th * (".join(f"q[k + {m * n + i}]" for m in range(4)) + "))))"
          for i in comps)
     src += f"\ndef value(ys, q, i, th):\n    j, k = {n} * i, {4 * n} * i\n    return [" + ", ".join(p) + "]\n"
-    name = f"<dp54 step, n={n}{'' if field is None else ', ' + field.__module__ + '.' + field.__qualname__}>"
+    name = f"<dp54 step, n={n}, {field.__module__}.{field.__qualname__}>"
     linecache.cache[name] = (len(src), None, src.splitlines(True), name)  # for tracebacks
-    scope = {"sqrt": math.sqrt, "isfinite": math.isfinite, "ulp": math.ulp, "MaxStepsExceeded": MaxStepsExceeded}
+    scope = dict(sqrt=math.sqrt, isfinite=math.isfinite, ulp=math.ulp, inf=math.inf, MaxStepsExceeded=MaxStepsExceeded)
     exec(compile(src, name, "exec"), scope)
     return scope["loop"], scope["value"]
 
@@ -530,7 +538,7 @@ class Stepper:
         self.h = 0.0
         self.nsteps = 0
         self.escape_info = None
-        self._norm = self._norm_prev = float(np.abs(self.y).max())
+        self._norm = self._norm_prev = max(map(abs, self.y))
 
     def invalidate_rhs_cache(self):
         """Call after the rhs changed at the current time (e.g. new input piece).
@@ -562,7 +570,9 @@ class Stepper:
 
     def advance(self, target: float, until: float = math.inf) -> None:
         """Integrate up to `target` (a forced boundary), or to an escape, which
-        sets `escape_info`; a call after an escape does nothing.
+        sets `escape_info` = (time, norm, flag): at the threshold the loop's
+        t_esc (`_step_kernel`), else the last node's time. A call after an
+        escape does nothing.
 
         The outgoing slope of every accepted step, the one at the target
         included, is its last stage (FSAL); where the rhs jumps at the
@@ -587,7 +597,7 @@ class Stepper:
         if reason == "collapse":  # failing at h_min while not growing
             raise StepSizeCollapse(f"error test failing at h={h} <= h_min at t={self.t}")
         if reason is not None:  # "threshold", "nonfinite" or "h_min_collapse"
-            self.escape_info = (self._locate_escape() if reason == "threshold" else self.t, self._norm, reason)
+            self.escape_info = (self._t_esc if reason == "threshold" else self.t, self._norm, reason)
 
     def rewind(self):
         """Drop the last accepted step and any escape found in it.
@@ -598,23 +608,11 @@ class Stepper:
         """
         traj = self.traj
         self.t, self.y = traj._drop_last()
-        self._norm = float(np.abs(self.y).max())
+        self._norm = max(map(abs, self.y))
         # with no step left, node -2 is the last node itself
-        self._norm_prev = float(np.abs(traj._node(-2)[1]).max())
+        self._norm_prev = max(map(abs, traj._node(-2)[1]))
         self.escape_info = None
         self.invalidate_rhs_cache()
-
-    def _locate_escape(self) -> float:
-        """Earliest time in the last segment where |x| reaches the threshold."""
-        lo, hi = self.traj._node(-2)[0], self.traj.t_end
-        thr = self.opts.escape_threshold
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(np.abs(self.traj._interp(mid)).max()) >= thr:
-                hi = mid
-            else:
-                lo = mid
-        return lo
 
     def outcome(self) -> SimOutcome:
         self.traj._freeze()
@@ -657,7 +655,7 @@ def integrate(
     """Integrate the system on [0, T], T finite and positive, from the history and input.
 
     `history` is a HistoryFn on [-tau, 0] (mandatory when the system has
-    delays); a bare state vector is accepted for nondelayed systems.
+    delays); a bare finite state vector is accepted for nondelayed systems.
     `extra_stops` adds caller-known times where the right-hand side loses
     smoothness (e.g. saturation crossings) to the forced step boundaries.
     Between two forced boundaries the input is one piece of `u`, and on
@@ -691,6 +689,8 @@ def integrate(
         )
         if y0.size != sys.dim:
             raise BadHistoryDomain("initial state dimension mismatch")
+        if not np.isfinite(y0).all():
+            raise ValueError(f"initial state must be finite, got {y0.tolist()!r}")
 
     every, ask = (math.inf, None) if stop is None else stop
     if not every > 0.0:

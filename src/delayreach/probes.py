@@ -433,6 +433,8 @@ def estimate_R(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"r must be finite and >= 0, got {r!r}")
     sys = make_system(system_kind, tau, params)
     if T == 0.0:
         # the reachable set at time zero is exactly the initial ball

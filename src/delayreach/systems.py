@@ -17,7 +17,6 @@ from .integrator import (
     DiscreteDelaySystem,
     HistoryFn,
     IntegratorOptions,
-    MaxStepsExceeded,
     SimOutcome,
     Stepper,
     _step_kernel,
@@ -50,17 +49,18 @@ def _entries(m: Mat2) -> tuple:
     return float(m.a11), float(m.a12), float(m.a21), float(m.a22)
 
 
-def _field(x: str, k: str, entry=lambda ij: f"g{ij}") -> list:
+def _field(x: str, k: str, t: str = "", entry=lambda ij: f"g{ij}") -> list:
     """Source of the field (1 + |x|_2^2) A x at the state x_0, x_1 into k_0, k_1,
-    entry(ij) the source of entry ij of A; each sum is rounded in the order written."""
+    at any time t, entry(ij) the source of entry ij of A; each sum is rounded in
+    the order written."""
     a11, a12, a21, a22 = (entry(ij) for ij in ("11", "12", "21", "22"))
     return [f"c = 1.0 + ({x}_0 * {x}_0 + {x}_1 * {x}_1)",
             f"{k}_0, {k}_1 = c * ({a11} * {x}_0 + {a12} * {x}_1), c * ({a21} * {x}_0 + {a22} * {x}_1)"]
 
 
-def _define(signature: str, lines: list, **scope) -> Callable:
+def _define(signature: str, lines: list) -> Callable:
     """The function `def signature:` with the source lines as its body."""
-    exec(f"def {signature}:\n    " + "\n".join(lines).replace("\n", "\n    "), scope)
+    exec(f"def {signature}:\n    " + "\n".join(lines).replace("\n", "\n    "), scope := {})
     return scope[signature[: signature.index("(")]]
 
 
@@ -71,7 +71,7 @@ _GAINS = _CLAMP + [f"g{ij} = {_BLEND(ij)}" for ij in ("11", "12", "21", "22")]
 _ENTRIES = "p11, p12, p21, p22, q11, q12, q21, q22"
 #: make(p11, ..., q22) -> the g of `planar_rhs`, each entry of A blended in place
 _planar = _define(f"make({_ENTRIES})", ["def g(x, u):", *("    " + line for line in (
-    *_CLAMP, "x_0, x_1 = x", *_field("x", "k", _BLEND), "return [k_0, k_1]")), "return g"])
+    *_CLAMP, "x_0, x_1 = x", *_field("x", "k", entry=_BLEND), "return [k_0, k_1]")), "return g"])
 
 
 def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
@@ -266,11 +266,11 @@ _TICK = ["if samples >= max_steps:",
          "s = dwell / (1.0 + (x_0 * x_0 + x_1 * x_1))",
          f"s = {_MIN_DWELL!r} if {_MIN_DWELL!r} > s else s",
          "t_k += dwell if dwell < s else s"]
-#: the samples before end in the step just accepted, read from its floats as `Trajectory._interp`
-#: reads them, up to a switch, where the soft stop moves
+#: the samples before end in the step just accepted, and before t_esc on the escape step, read
+#: from its floats as `Trajectory._interp` reads them, up to a switch, where the soft stop moves
 _SAMPLES = "\n".join([
     "t_0 = t_store[-2]",
-    "while t_k <= t_new and t_k < end and not pending:",
+    "while t_k <= t_new and t_k < end and t_k < t_esc and not pending:",
     "    if t_k == t_new:",
     "        x_0, x_1 = yn_0, yn_1",
     "    else:",
@@ -288,15 +288,12 @@ _SAMPLES = "\n".join([
 
 @functools.lru_cache(maxsize=None)
 def _closed_loop():
-    """loop(opts, traj, h_top, clk, rule, dwell, end, *A1, *A2) of `_step_kernel`,
-    the field of clk.mode inline and the samples taken after each step, and
-    drain(clk, rule, dwell, max_steps, traj, end), which takes those of the last step."""
+    """loop(opts, traj, h_top, clk, rule, dwell, end, *A1, *A2) of `_step_kernel`: the
+    field of clk.mode inline, and after each accepted step, the escape step
+    included, the samples taken in it."""
     head = [*_LOAD, *_GAINS, "if pending and t == t_k:  # the run stands at the last sample",
             *("    " + line for line in _TICK), "    pending = False"]
-    loop = _step_kernel(2, _field, f", clk, rule, dwell, end, {_ENTRIES}", "\n".join(head), _SAMPLES, _STORE)[0]
-    drain = ["t_store = traj._t", "t_new, (y_0, y_1, yn_0, yn_1) = t_store[-1], traj._y[-4:]",
-             "q0_0, q0_1, q1_0, q1_1, q2_0, q2_1, q3_0, q3_1 = traj._q[-8:]", *_LOAD, _SAMPLES, _STORE]
-    return loop, _define("drain(clk, rule, dwell, max_steps, traj, end)", drain, MaxStepsExceeded=MaxStepsExceeded)
+    return _step_kernel(2, _field, f", clk, rule, dwell, end, {_ENTRIES}", "\n".join(head), _SAMPLES, _STORE)[0]
 
 
 @dataclass
@@ -326,8 +323,8 @@ def run_switched(
     `Trajectory._interp` reads them, and calls the rule on each. Steps are
     sized by the error test of `opts` alone. The loop returns at T, an
     escape or a switch: a switch inside the last step drops that step and
-    steps to the sample again, so every switching instant is a node, and
-    samples before an escape found in the last step are still taken. The
+    steps to the sample again, so every switching instant is a node. On the
+    escape step it takes the samples before the escape time alone. The
     realized input is recorded as a piecewise-constant signal (consecutive
     equal values merged) so the escape can be replayed open loop. More than
     `opts.max_steps` policy samples raise MaxStepsExceeded, as more step
@@ -346,16 +343,13 @@ def run_switched(
         return g(y, mode)
 
     stepper = Stepper(rhs, 0.0, x, opts)
-    loop, drain = _closed_loop()
     # the sample at 0 is taken; its clock step is pending
     clk = SimpleNamespace(t_k=0.0, x=x.tolist(), mode=mode, u=mode, samples=0, pending=True)
-    stepper._steps = loop(opts, stepper.traj, math.inf, clk, rule, dwell, T, *_entries(A_MODE1), *_entries(A_MODE2))
+    stepper._steps = _closed_loop()(opts, stepper.traj, math.inf, clk, rule, dwell, T, *_entries(A_MODE1), *_entries(A_MODE2))
     piece_vals, piece_breaks = [mode], []
     while True:
         # the soft stop is the next sample, which the loop takes and moves past
         stepper.advance(T, until=clk.t_k)
-        if stepper.escape_info is not None and not clk.pending:
-            drain(clk, rule, dwell, opts.max_steps, stepper.traj, stepper.escape_info[0])
         if clk.u != mode:
             u, t_s = clk.u, clk.t_k
             if t_s < stepper.t:  # make the switching instant a node

@@ -24,8 +24,10 @@ from delayreach.signals import Constant, ExponentialTail, PiecewiseConstant
 from delayreach.systems import (
     associated_system,
     cascade_system,
+    greedy_worst_switch,
     planar_rhs,
     planar_system,
+    run_switched,
     saturation_stop_times,
 )
 
@@ -88,6 +90,47 @@ class TestScalarOracles:
         assert lo.t_escape <= hi.t_escape
         # tan crosses level L at arctan(L)
         assert lo.t_escape == pytest.approx(math.atan(1e3), abs=1e-3)
+
+
+class TestEscapeTimeIsExact:
+    """A threshold escape's time is the last float of the escape step below
+    the threshold, on the dense output as `Trajectory._interp` reads it: no
+    float lies between it and the crossing."""
+
+    @staticmethod
+    def assert_last_float_below(out, threshold):
+        traj, t = out.trajectory, out.t_escape
+        assert out.flag == "threshold"
+        assert traj.ts[-2] <= t < traj.ts[-1]
+
+        def norm(s):
+            return max(abs(v) for v in traj._interp(s))
+
+        assert norm(t) < threshold <= norm(math.nextafter(t, math.inf))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_blow_up_oracle(self, tol):
+        opts = IntegratorOptions(rel_tol=tol, abs_tol=tol, h_min=1e-15)
+        out = integrate(tan_system(), np.array([0.0]), None, 5.0, opts)
+        self.assert_last_float_below(out, opts.escape_threshold)
+        assert out.t_escape == pytest.approx(math.atan(opts.escape_threshold), abs=1e-3)
+
+    @pytest.mark.parametrize("angle, dwell", [
+        (0.0, 8e-3), (2.0 * math.pi / 3.0, 1.2e-2), (4.0 * math.pi / 3.0, 1.6e-2),
+    ], ids=["0", "2pi/3", "4pi/3"])
+    def test_switched_runs_of_the_benchmark(self, angle, dwell):
+        run = run_switched(greedy_worst_switch(dwell), [math.cos(angle), math.sin(angle)], T=20.0)
+        self.assert_last_float_below(run.outcome, 1e6)
+
+
+class TestStartIsFinite:
+    @pytest.mark.parametrize("y0", [[math.nan, 0.0], [0.5, math.inf], [-math.inf, 0.0]],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_nondelayed_start_must_be_finite(self, y0):
+        # a NaN start returned a "nonfinite" escape at t = 0, an infinite one
+        # a "threshold" escape with final_norm inf
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            integrate(planar_system(), np.array(y0), None, 1.0)
 
 
 class TestDelayOracle:

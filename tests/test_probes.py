@@ -67,6 +67,13 @@ class TestEstimateR:
         b = estimate_R("cascade", 0.5, 1.0, 4, seed=5)
         assert a.lower_bound == b.lower_bound
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_r_must_be_finite_and_nonnegative(self, r):
+        # nan raised OverflowError inside the draws, a negative r drew from
+        # an inverted interval
+        with pytest.raises(ValueError, match="r must be finite and >= 0"):
+            estimate_R("planar", r, 1.0, 2)
+
     def test_escape_seen_at_unit_norm(self):
         est = estimate_R("planar", 1.0, 2.0, 2, seed=0)
         assert est.escape_seen
