@@ -15,9 +15,13 @@ right-hand-side evaluation. The right-hand side takes the state as a
 sequence of floats and returns its derivative as a list of floats, and the
 stepping loop is one function generated per state dimension: straight-line
 ordered float sums per component on those lists (see `Stepper`), with no
-array between two stages and no call per step but the rhs. A closed loop is
-rendered from the same template with its field inline and its own code after
-each accepted step (`_step_kernel`; `systems.run_switched`). Unboundedness is
+array between two stages. A plain callable rhs is called at each stage. An
+rhs that carries its source (`_Fed`; the planar, cascade and associated
+systems) is computed inline instead, its scalar feed read from the floats
+of the current piece, so a step makes no call unless that piece has no
+closed form (a lookup past the delay). A closed loop is rendered from the
+same template with its field inline and its own code after each accepted
+step (`_step_kernel`; `systems.run_switched`). Unboundedness is
 the only failure mode of the underlying solution concept, so crossing a norm
 threshold (or a step-size collapse while the norm is growing) is reported
 as a finite-escape outcome, timed in the loop on the step's dense output.
@@ -32,11 +36,11 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .signals import Constant, PiecewiseLinear, Signal
+from .signals import _DECAY, _EXP, _FRACTION, _LINE, Constant, PiecewiseLinear, Signal
 
 
 class BadHistoryDomain(ValueError):
@@ -107,28 +111,38 @@ _DENSE = (
 )
 
 
+def _horner(y: str, q: list, th: str = "th") -> str:
+    """Source of the dense-output read y + th (q0 + th (q1 + th (q2 + th q3)))
+    of one component, from the sources y and q = [q0, q1, q2, q3]."""
+    return f"{y} + {th} * ({q[0]} + {th} * ({q[1]} + {th} * ({q[2]} + {th} * {q[3]})))"
+
+
 @functools.lru_cache(maxsize=None)
-def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: str = "", tail: str = ""):
+def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: str = "", tail: str = "", at=None):
     """The stepping loop of `Stepper.advance` and the dense-output read for an
     n-component state, as straight-line float code rendered from the template,
     each sum written as a per-component comprehension writes it, so it rounds
     the same. loop(opts, traj, h_top) returns steps(st, target, until), which
-    steps Stepper st: the stages, max([|y_new_i|, ...]), the squared scaled
-    errors summed from 0.0 in component order, the error test, the new h, and
-    the node and dense-output coefficients of an accepted step appended to
-    traj's stores. On the step whose end reaches the threshold, t_esc becomes
-    the last float of its segment below it, bisected over floats on the
-    step's dense output as `value` reads it. On every exit, an exception from
-    the rhs included, it writes t, y, slope, h, nsteps, both norms and t_esc
-    back to st, and it returns (reason, h, norm_new, sq) of its last attempt,
-    reason None at the target or the soft stop. value(ys, q, i, th) reads
-    segment i of the stores: `_quartic_eval` at th per component.
+    steps Stepper st: the stages, |y_new|_inf, the squared scaled errors summed
+    from 0.0 in component order, the error test, the new h, and the node and
+    dense-output coefficients of an accepted step appended to traj's stores.
+    Each max or min of an attempt is a conditional expression with max's and
+    min's outcome, NaN included: max(a, b) is `b if b > a else a`. On the step
+    whose end reaches the threshold, t_esc becomes the last float of its
+    segment below it, bisected over floats on the step's dense output as
+    `value` reads it. On every exit, an exception from the rhs included, it
+    writes t, y, slope, h, nsteps, both norms and t_esc back to st, and it
+    returns (reason, h, norm_new, sq) of its last attempt, reason None at the
+    target or the soft stop. value(ys, q, i, th) reads segment i of the
+    stores: `_horner` at th per component.
 
     A stage's derivative at the named floats x_0, ... (a_i, yn_i for the
     last) and time t is the source `field(x, k, t)` into k_0, ...; by default
-    rhs(t, [x_0, ...]). The dense coefficients are q{m}_{i}. `params` extend
-    loop's; the source `head` runs at entry, `after` after each accepted
-    step, the escape step included, `tail` on every exit."""
+    rhs(t, [x_0, ...]). The source `at(t)`, if given, runs once per stage
+    time before the field, so the two stages at t_new share it. The dense
+    coefficients are q{m}_{i}. `params` extend loop's; the source `head` runs
+    at entry, `after` after each accepted step, the escape step included,
+    `tail` on every exit."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -143,21 +157,30 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
     def rhs(x, k, t):  # the field of a Stepper: a call of its rhs
         return [f"{names(k)}= rhs({t}, [{names(x)}])"]
 
+    def larger(a, b):  # max(a, b) of two names as max computes it
+        return f"{b} if {b} > {a} else {a}"
+
+    def smaller(a, b):  # min(a, b) of two names as min computes it
+        return f"{b} if {b} < {a} else {a}"
+
     field = field or rhs
-    stages = [f"{names('y')}= y", f"{names('k0')}= k0"]
+    stages, t_prev = [f"{names('y')}= y", f"{names('k0')}= k0"], None
     for s, (c, row) in enumerate(_STAGES, 1):
-        x = "yn" if s == len(_STAGES) else "a"
-        stages += [f"{names(x)}= " + "".join(f"y_{i} + h * ({terms(row, i)}), " for i in comps),
-                   *field(x, f"k{s}", "t_new" if c == 1.0 else f"t + {c!r} * h")]
-    stages += [f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * max(abs(yn_{i}), abs(y_{i})))"
-               for i in comps]
+        x, t_s = "yn" if s == len(_STAGES) else "a", "t_new" if c == 1.0 else f"t + {c!r} * h"
+        stages += [*(at(t_s) if at and t_s != t_prev else ()),
+                   f"{names(x)}= " + "".join(f"y_{i} + h * ({terms(row, i)}), " for i in comps),
+                   *field(x, f"k{s}", t_s)]
+        t_prev = t_s
+    stages += [f"{names('b')}= " + "".join(f"abs(yn_{i}), " for i in comps),  # |y_new_i|, and |y_i| as m_i
+               f"{names('m')}= " + "".join(f"abs(y_{i}), " for i in comps),
+               "norm_new = b_0", *(f"norm_new = {larger('norm_new', f'b_{i}')}" for i in comps[1:]),
+               *(f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * ({larger(f'b_{i}', f'm_{i}')}))" for i in comps)]
     stages = "\n                ".join(stages)
-    norm_new = ", ".join(f"abs(yn_{i})" for i in comps)
     sq = "".join(f" + r_{i} * r_{i}" for i in comps)
     q = [f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps]
     qn = [f"q{m}_{i}" for m in range(4) for i in comps]  # in the order of the store
     dense = block("\n".join(map("{} = {}".format, qn, q)), 16)
-    horner = ", ".join(f"abs(y_{i} + th * (q0_{i} + th * (q1_{i} + th * (q2_{i} + th * q3_{i}))))" for i in comps)
+    horner = ", ".join(f"abs({_horner(f'y_{i}', [f'q{m}_{i}' for m in range(4)])})" for i in comps)
     src = f"""def loop(opts, traj, h_top{params}):
     atol, rtol, h_min, big, max_steps = opts.abs_tol, opts.rel_tol, opts.h_min, opts.escape_threshold, opts.max_steps
     def steps(st, target, until):
@@ -170,23 +193,24 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
                 if nsteps >= max_steps:
                     reason = "max_steps"
                     break
-                h = min(h_next, h_top)
+                h = {smaller('h_next', 'h_top')}
                 at_end = h >= target - t  # end of step lands on the forced boundary
                 if at_end:
                     h = target - t
                 t_new = target if at_end else t + h
                 {stages}
-                norm_new, sq = max([{norm_new}]), 0.0{sq}
+                sq = 0.0{sq}
                 nsteps += 1
                 err = sqrt(sq / {n})
-                # max() skips a NaN that is not first; err does not: every
-                # stage but k1 has a nonzero weight in it, and max(NaN, x) is NaN
+                # the norm skips a NaN that is not first, as max does; err
+                # does not: every stage but k1 has a nonzero weight in it
                 bad = not (isfinite(err) and isfinite(norm_new))
                 if bad or err > 1.0:
                     if h <= h_min * (1.0 + 1e-9):
                         reason = "nonfinite" if bad else "h_min_collapse" if norm > norm_prev else "collapse"
                         break
-                    h_next = max(h * (0.1 if bad else max(0.2, 0.9 * err ** -0.2)), h_min)
+                    h_next = h * (0.1 if bad else shrink if (shrink := 0.9 * err ** -0.2) > 0.2 else 0.2)
+                    h_next = {larger('h_next', 'h_min')}
                     continue
                 yn, k6 = [{names('yn')}], [{names('k6')}]
                 t_store.append(t_new)
@@ -195,7 +219,10 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
                 t, y, k0 = t_new, yn, k6
                 norm_prev, norm = norm, norm_new
                 if not at_end:
-                    h_next = max(h * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))), h_min)
+                    grow = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+                    grow = {larger('0.2', 'grow')}
+                    h_next = h * ({smaller('5.0', 'grow')})
+                    h_next = {larger('h_next', 'h_min')}
                 if norm_new >= big:  # the segment starts at the last node, which t may lie past
                     reason, t_0 = "threshold", t_store[-2]
                     t_esc, hi = t_0, t_new
@@ -212,14 +239,73 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
 
     return steps
 """
-    p = (f"ys[j + {i}] + th * (" + " + th * (".join(f"q[k + {m * n + i}]" for m in range(4)) + "))))"
-         for i in comps)
+    p = (_horner(f"ys[j + {i}]", [f"q[k + {m * n + i}]" for m in range(4)]) for i in comps)
     src += f"\ndef value(ys, q, i, th):\n    j, k = {n} * i, {4 * n} * i\n    return [" + ", ".join(p) + "]\n"
-    name = f"<dp54 step, n={n}, {field.__module__}.{field.__qualname__}>"
+    name = f"<dp54 step, n={n}, {field.__module__}.{field.__qualname__}{', fed' if at else ''}>"
     linecache.cache[name] = (len(src), None, src.splitlines(True), name)  # for tracebacks
-    scope = dict(sqrt=math.sqrt, isfinite=math.isfinite, ulp=math.ulp, inf=math.inf, MaxStepsExceeded=MaxStepsExceeded)
+    scope = dict(sqrt=math.sqrt, isfinite=math.isfinite, ulp=math.ulp, inf=math.inf, exp=_EXP,
+                 MaxStepsExceeded=MaxStepsExceeded)
     exec(compile(src, name, "exec"), scope)
     return scope["loop"], scope["value"]
+
+
+class _Fed(NamedTuple):
+    """The source of an rhs(y, delayed, u) rendered from it, which carries it
+    as `rhs.fed = (fed, values)`. The rhs reads one float w, component 0 of
+    its first delayed state, or of its input where it has no delays; `at` is
+    source from w to what the field reads besides the state, `field` the
+    field of `_step_kernel`, and both read the constants `names`, whose values
+    are `values`. `integrate` computes such an rhs inline (`_fed_kernel`)."""
+
+    at: tuple
+    field: Callable
+    names: str
+
+
+#: the floats a fed stage reads of the current piece (`_piece_floats`)
+_PIECE = "kind, a, span, p, q, rate, start, look"
+
+
+def _feed(t: str) -> list:
+    """Source of the feed w at time t from the floats of `_PIECE`: a decay, a
+    line or a constant by its closed form, any other piece by one call."""
+    return ["if kind == 'decay':", f"    w = p * {_DECAY.format(t=t)}",
+            "elif kind == 'line':", f"    s = {_FRACTION.format(t=t)}", f"    w = {_LINE.format(p='p', q='q')}",
+            "elif kind == 'constant':", "    w = p",
+            "else:", f"    w = float(look({t})[0])"]
+
+
+def _piece_floats(piece) -> tuple:
+    """The floats `_feed` reads of component 0 of a piece (`Signal.piece`), in
+    the order of `_PIECE`: those of its `form`, or the piece itself to call."""
+    kind, *form = getattr(piece, "form", ("call",))
+    if kind == "constant":
+        return kind, 0.0, 0.0, float(form[0][0]), 0.0, 0.0, 0.0, None
+    if kind == "line":
+        a, span, v0, v1 = form
+        return kind, a, span, float(v0[0]), float(v1[0]), 0.0, 0.0, None
+    if kind == "decay":
+        value, rate, start = form
+        return kind, 0.0, 0.0, float(value[0]), 0.0, rate, start, None
+    return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, piece
+
+
+@functools.lru_cache(maxsize=None)
+def _fed_kernel(n: int, fed: _Fed):
+    """(loop, stage) for an rhs carrying `fed`: the loop of `_step_kernel` with
+    the feed (`_feed`) and `fed.at` once per stage time, the field inline and
+    the piece's floats read from st.feed at entry; loop(opts, traj, h_top,
+    *values). stage(t, y, *piece, *values) is one such stage as a function."""
+
+    def at(t):
+        return [*_feed(t), *fed.at]
+
+    loop = _step_kernel(n, fed.field, ", " + fed.names, f"{_PIECE} = st.feed", at=at)[0]
+    comps = range(n)
+    src = "\n    ".join([f"def stage(t, y, {_PIECE}, {fed.names}):", "".join(f"x_{i}, " for i in comps) + "= y",
+                         *at("t"), *fed.field("x", "k", "t"), f"return [{', '.join(f'k_{i}' for i in comps)}]"])
+    exec(compile(src, f"<fed stage, n={n}>", "exec"), scope := {"exp": _EXP})
+    return loop, scope["stage"]
 
 
 @dataclass(frozen=True)
@@ -470,7 +556,8 @@ class DiscreteDelaySystem:
     rhs(y, delayed, u) receives the current state as a sequence of floats,
     one delayed state per delay (in order) and the input value, each a
     sequence of floats, and returns the derivative as a list of floats;
-    delays=() encodes a nondelayed system.
+    delays=() encodes a nondelayed system. An rhs rendered from source may
+    carry it as `rhs.fed` (`_Fed`), which `integrate` then computes inline.
     """
 
     dim: int
@@ -699,6 +786,7 @@ def integrate(
     if u is None or sys.input_dim <= 0:
         u = Constant(np.zeros(max(sys.input_dim, 0)))
     delays, rhs = sys.delays, sys.rhs
+    fed, values = getattr(rhs, "fed", (None, ()))
     shifted = [history.shifted(d) for d in delays]
 
     def past(d: float):
@@ -707,12 +795,19 @@ def integrate(
         return lambda t: history.eval(t - d) if t <= d else stepper.traj._interp(t - d)
 
     def resolve(lo: float, hi: float):
-        # the input and the delayed lookups on [lo, hi], which no stop splits
-        nonlocal uval, looks
+        # the input and the delayed lookups on [lo, hi], which no stop splits,
+        # and a fed rhs's feed piece as the floats its stages read
+        nonlocal uval, looks, feed
         uval = u.piece(lo, hi)
         looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
+        feed = _piece_floats(looks[0] if delays else uval) if fed else None
 
-    if not delays:
+    if fed:
+        loop, stage = _fed_kernel(sys.dim, fed)
+
+        def f(t, y):
+            return stage(t, y, *feed, *values)
+    elif not delays:
         def f(t, y):
             return rhs(y, (), uval(t))
     elif len(delays) == 1:
@@ -722,14 +817,17 @@ def integrate(
         def f(t, y):
             return rhs(y, tuple([look(t) for look in looks]), uval(t))
 
-    uval = looks = None
+    uval = looks = feed = None
     resolve(0.0, stops[0])
     stepper = Stepper(f, 0.0, y0, opts, h_cap=delays[0] if delays else math.inf)
+    if fed:
+        stepper._steps = loop(opts, stepper.traj, stepper._h_top, *values)
     check = every
     for lo, target in zip([0.0] + stops, stops):
         if lo > 0.0:
             resolve(lo, target)
             stepper.invalidate_rhs_cache()
+        stepper.feed = feed
         while stepper.t != target:
             stepper.advance(target, until=check)
             if stepper.escape_info is not None:

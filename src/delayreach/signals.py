@@ -42,28 +42,48 @@ def _finite(v, name: str) -> np.ndarray:
 
 
 def _constant(v):
-    return lambda t: v
+    def constant(t):
+        return v
+
+    constant.form = ("constant", v)
+    return constant
+
+
+#: The closed forms of a piece at time t, as source: the fraction s of a line
+#: through (a, p) and (a + span, q), its value, and the factor of a decay from
+#: start at rate, which calls `_EXP` as exp. The line and decay pieces here
+#: and the fused stages of `integrator` are all rendered from them.
+_FRACTION = "({t} - a) / span"
+_LINE = "(1.0 - s) * {p} + s * {q}"
+_DECAY = "float(exp(-rate * ({t} - start)))"
+_EXP = np.exp
 
 
 @functools.lru_cache(maxsize=None)
-def _line(n: int):
-    """make(a, span, v0, v1) -> line(t) for n components, as straight-line code."""
-    ps, qs = ", ".join(f"p{i}" for i in range(n)), ", ".join(f"q{i}" for i in range(n))
-    terms = ", ".join(f"(1.0 - w) * p{i} + w * q{i}" for i in range(n))
-    src = (f"def make(a, span, v0, v1):\n    [{ps}], [{qs}] = v0, v1\n\n"
-           f"    def line(t):\n        w = (t - a) / span\n        return [{terms}]\n\n    return line\n")
-    scope = {}
-    exec(compile(src, f"<line, n={n}>", "exec"), scope)
+def _maker(kind: str, n: int):
+    """make(a, span, v0, v1) -> line(t), or make(value, rate, start) ->
+    decay(t), for n components, as straight-line code, one sum or product
+    per component; each carries its `form`, the floats it was made from."""
+    comps = range(n)
+    if kind == "line":
+        args, unpack = "a, span, v0, v1", f"[{''.join(f'p{i}, ' for i in comps)}], [{''.join(f'q{i}, ' for i in comps)}] = v0, v1"
+        body = [f"s = {_FRACTION.format(t='t')}", "return [" + ", ".join(_LINE.format(p=f"p{i}", q=f"q{i}") for i in comps) + "]"]
+    else:
+        args, unpack = "value, rate, start", f"[{''.join(f'v{i}, ' for i in comps)}] = value"
+        body = [f"e = {_DECAY.format(t='t')}", "return [" + ", ".join(f"v{i} * e" for i in comps) + "]"]
+    src = "\n".join([f"def make({args}):", f"    {unpack}", f"    def {kind}(t):", *(f"        {b}" for b in body),
+                     f"    {kind}.form = ({kind!r}, {args})", f"    return {kind}", ""])
+    scope = {"exp": _EXP}
+    exec(compile(src, f"<{kind}, n={n}>", "exec"), scope)
     return scope["make"]
 
 
 def _linear(k0, k1, v0, v1):
     """t -> the line through (k0, v0) and (k1, v1), as every broken line here
-    computes it: w = (t - k0) / (k1 - k0), then (1 - w) v0 + w v1 per component
+    computes it: s = (t - k0) / (k1 - k0), then (1 - s) v0 + s v1 per component
     (in floats: the same roundings as numpy's, without its per-call cost). v0
-    and v1 are sequences of floats; the line is rendered once per component
-    count, one sum per component written out."""
-    return _line(len(v0))(float(k0), float(k1 - k0), v0, v1)
+    and v1 are sequences of floats."""
+    return _maker("line", len(v0))(float(k0), float(k1 - k0), v0, v1)
 
 
 def _broken_line(knots, values) -> tuple[np.ndarray, np.ndarray]:
@@ -230,20 +250,7 @@ class ExponentialTail(Signal):
             return _constant(self.value)
         # at start itself the decay is exp(-0) = 1 exactly: the frozen value
         # np.exp, not math.exp: the two differ in the last bit on some arguments
-        value, rate, start = self.value.tolist(), self.rate, self.start
-        if len(value) == 1:
-            (v,) = value
-
-            def decay(t):
-                return [v * float(np.exp(-rate * (t - start)))]
-
-            return decay
-
-        def decay(t):
-            e = float(np.exp(-rate * (t - start)))
-            return [v * e for v in value]
-
-        return decay
+        return _maker("decay", self.dim)(self.value.tolist(), self.rate, self.start)
 
     def breakpoints(self, lo, hi):
         return _held_at_zero(np.array([self.start]), lo, hi)

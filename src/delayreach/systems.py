@@ -19,6 +19,8 @@ from .integrator import (
     IntegratorOptions,
     SimOutcome,
     Stepper,
+    _Fed,
+    _horner,
     _step_kernel,
 )
 from . import escape_data
@@ -49,13 +51,19 @@ def _entries(m: Mat2) -> tuple:
     return float(m.a11), float(m.a12), float(m.a21), float(m.a22)
 
 
-def _field(x: str, k: str, t: str = "", entry=lambda ij: f"g{ij}") -> list:
-    """Source of the field (1 + |x|_2^2) A x at the state x_0, x_1 into k_0, k_1,
-    at any time t, entry(ij) the source of entry ij of A; each sum is rounded in
-    the order written."""
-    a11, a12, a21, a22 = (entry(ij) for ij in ("11", "12", "21", "22"))
-    return [f"c = 1.0 + ({x}_0 * {x}_0 + {x}_1 * {x}_1)",
-            f"{k}_0, {k}_1 = c * ({a11} * {x}_0 + {a12} * {x}_1), c * ({a21} * {x}_0 + {a22} * {x}_1)"]
+def _field(x: str, k: str, t: str = "", i: int = 0) -> list:
+    """Source of the field (1 + |x|_2^2) A x at the pair x_i, x_{i+1} into
+    k_i, k_{i+1}, at any time t, A the gains g..; each sum is rounded in the
+    order written."""
+    x0, x1, k0, k1 = f"{x}_{i}", f"{x}_{i + 1}", f"{k}_{i}", f"{k}_{i + 1}"
+    return [f"c = 1.0 + ({x0} * {x0} + {x1} * {x1})",
+            f"{k0}, {k1} = c * (g11 * {x0} + g12 * {x1}), c * (g21 * {x0} + g22 * {x1})"]
+
+
+def _cascade_field(x: str, k: str, t: str = "") -> list:
+    """Source of the field of the cascade's state [z, x1, x2]: z' = -z, and the
+    planar field at (x1, x2)."""
+    return [f"{k}_0 = -{x}_0", *_field(x, k, t, 1)]
 
 
 def _define(signature: str, lines: list) -> Callable:
@@ -64,14 +72,37 @@ def _define(signature: str, lines: list) -> Callable:
     return scope[signature[: signature.index("(")]]
 
 
-#: A(sat(u)) = lam A1 + (1 - lam) A2 as source, from the entries p.. of A1 and q.. of A2
-_CLAMP = ["lam = 0.0 if u < 0.0 else 1.0 if u > 1.0 else float(u)", "mu = 1.0 - lam"]
-_BLEND = "(lam * p{0} + mu * q{0})".format
-_GAINS = _CLAMP + [f"g{ij} = {_BLEND(ij)}" for ij in ("11", "12", "21", "22")]
-_ENTRIES = "p11, p12, p21, p22, q11, q12, q21, q22"
-#: make(p11, ..., q22) -> the g of `planar_rhs`, each entry of A blended in place
-_planar = _define(f"make({_ENTRIES})", ["def g(x, u):", *("    " + line for line in (
-    *_CLAMP, "x_0, x_1 = x", *_field("x", "k", entry=_BLEND), "return [k_0, k_1]")), "return g"])
+_ENTRIES = "p11, p12, p21, p22, q11, q12, q21, q22, e11, e12, e21, e22, f11, f12, f21, f22"
+#: A(sat(w)) = lam A1 + (1 - lam) A2 as source, at a float w: sat clamps w to
+#: [0, 1] and passes a NaN; the entries p.. of A1 and q.. of A2 are blended
+#: where it passes w, and where it gives lam = 1.0 or 0.0 the blend is the
+#: entries e.. or f.., the same formula evaluated once (`_gains`)
+_GAINS = ["if w >= 1.0:", "    g11, g12, g21, g22 = e11, e12, e21, e22",
+          "elif w < 0.0:", "    g11, g12, g21, g22 = f11, f12, f21, f22",
+          "else:", "    mu = 1.0 - w",
+          *(f"    g{ij} = w * p{ij} + mu * q{ij}" for ij in ("11", "12", "21", "22"))]
+
+
+def _gains(params: PlanarParams) -> tuple:
+    """The floats `_GAINS` reads, in the order of `_ENTRIES`."""
+    p, q = _entries(params.a1), _entries(params.a2)
+    return (*p, *q, *(lam * a + (1.0 - lam) * b for lam in (1.0, 0.0) for a, b in zip(p, q)))
+
+
+#: the planar field and the cascade's as `integrator._Fed`: the gains at w, then the field
+_PLANAR_FED, _CASCADE_FED = (_Fed(tuple(_GAINS), field, _ENTRIES) for field in (_field, _cascade_field))
+
+
+@functools.lru_cache(maxsize=None)
+def _fed_maker(dim: int, signature: str, feed: str, fed: _Fed) -> Callable:
+    """make(p11, ..., f22) -> the function `def name(state, ...)` of the
+    signature, which reads the float w = feed and the dim floats of its
+    state, runs `fed` (the gains at w, then the field into k) and returns
+    [k_0, ...]."""
+    name, state = signature[: signature.index("(")], signature[signature.index("(") + 1 :].split(",")[0]
+    body = [f"w = float({feed})", *fed.at, "".join(f"x_{i}, " for i in range(dim)) + f"= {state}",
+            *fed.field("x", "k"), f"return [{', '.join(f'k_{i}' for i in range(dim))}]"]
+    return _define(f"make({fed.names})", [f"def {signature}:", *("    " + line for line in body), f"return {name}"])
 
 
 def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
@@ -81,17 +112,22 @@ def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
     lam = 1 or 0, the field of a fixed mode. g is rendered from `_field`,
     the source that `run_switched`'s closed loop computes inline.
     """
-    return _planar(*_entries(params.a1), *_entries(params.a2))
+    return _fed_maker(2, "g(x, u)", "u", _PLANAR_FED)(*_gains(params))
+
+
+def _fed_system(dim: int, feed: str, fed: _Fed, delays: tuple, params: PlanarParams) -> DiscreteDelaySystem:
+    """The system whose rhs(y, delayed, u) reads the float w = feed, then runs
+    `fed`; the rhs carries that source as `rhs.fed`, and `integrate`
+    computes it inline at every stage."""
+    values = _gains(params)
+    rhs = _fed_maker(dim, "rhs(y, delayed, u)", feed, fed)(*values)
+    rhs.fed = fed, values
+    return DiscreteDelaySystem(dim=dim, input_dim=0 if delays else 1, delays=delays, rhs=rhs)
 
 
 def planar_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
     """Nondelayed planar system with a scalar input."""
-    g = planar_rhs(params)
-
-    def rhs(y, delayed, u):
-        return g(y, u[0])
-
-    return DiscreteDelaySystem(dim=2, input_dim=1, delays=(), rhs=rhs)
+    return _fed_system(2, "u[0]", _PLANAR_FED, (), params)
 
 
 def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
@@ -101,24 +137,12 @@ def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> Discret
     State layout: y = [z, x1, x2]; only the delayed z-component enters the
     planar block.
     """
-    g = planar_rhs(params)
-
-    def rhs(y, delayed, u):
-        gx = g(y[1:3], delayed[0][0])
-        return [-y[0], gx[0], gx[1]]
-
-    return DiscreteDelaySystem(dim=3, input_dim=0, delays=(tau,), rhs=rhs)
+    return _fed_system(3, "delayed[0][0]", _CASCADE_FED, (tau,), params)
 
 
 def associated_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
     """Nondelayed companion of the cascade: the delayed feed becomes an input."""
-    g = planar_rhs(params)
-
-    def rhs(y, delayed, u):
-        gx = g(y[1:3], u[0])
-        return [-y[0], gx[0], gx[1]]
-
-    return DiscreteDelaySystem(dim=3, input_dim=1, delays=(), rhs=rhs)
+    return _fed_system(3, "u[0]", _CASCADE_FED, (), params)
 
 
 #: Names accepted by `make_system`, in the order the CLI lists them.
@@ -258,7 +282,7 @@ _MIN_DWELL = 1e-13
 # The greedy closed loop as source for `_step_kernel`. Its state, read from clk at entry and
 # written back on exit: the next sample t_k, the last sample x, the mode, the last decision u,
 # the samples taken, and pending, set by a switching sample until the clock step after it.
-_LOAD = ["t_k, (x_0, x_1), mode, samples, pending = clk.t_k, clk.x, clk.mode, clk.samples, clk.pending", "u = mode"]
+_LOAD = ["t_k, (x_0, x_1), mode, samples, pending = clk.t_k, clk.x, clk.mode, clk.samples, clk.pending", "u = w = mode"]
 _STORE = "clk.t_k, clk.x, clk.u, clk.samples, clk.pending = t_k, [x_0, x_1], u, samples, pending"
 #: the clock step min(max(s, _MIN_DWELL), dwell) with no call; |x|^2 is rounded before the 1 is added
 _TICK = ["if samples >= max_steps:",
@@ -275,8 +299,7 @@ _SAMPLES = "\n".join([
     "        x_0, x_1 = yn_0, yn_1",
     "    else:",
     "        th = (t_k - t_0) / (t_new - t_0)",
-    "        x_0 = y_0 + th * (q0_0 + th * (q1_0 + th * (q2_0 + th * q3_0)))",
-    "        x_1 = y_1 + th * (q0_1 + th * (q1_1 + th * (q2_1 + th * q3_1)))",
+    *(f"        x_{i} = {_horner(f'y_{i}', [f'q{m}_{i}' for m in range(4)])}" for i in (0, 1)),
     "    u = rule([x_0, x_1])",
     "    samples += 1",
     "    if u != mode:",
@@ -288,7 +311,7 @@ _SAMPLES = "\n".join([
 
 @functools.lru_cache(maxsize=None)
 def _closed_loop():
-    """loop(opts, traj, h_top, clk, rule, dwell, end, *A1, *A2) of `_step_kernel`: the
+    """loop(opts, traj, h_top, clk, rule, dwell, end, *gains) of `_step_kernel`: the
     field of clk.mode inline, and after each accepted step, the escape step
     included, the samples taken in it."""
     head = [*_LOAD, *_GAINS, "if pending and t == t_k:  # the run stands at the last sample",
@@ -345,7 +368,7 @@ def run_switched(
     stepper = Stepper(rhs, 0.0, x, opts)
     # the sample at 0 is taken; its clock step is pending
     clk = SimpleNamespace(t_k=0.0, x=x.tolist(), mode=mode, u=mode, samples=0, pending=True)
-    stepper._steps = _closed_loop()(opts, stepper.traj, math.inf, clk, rule, dwell, T, *_entries(A_MODE1), *_entries(A_MODE2))
+    stepper._steps = _closed_loop()(opts, stepper.traj, math.inf, clk, rule, dwell, T, *_gains(DEFAULT_PLANAR))
     piece_vals, piece_breaks = [mode], []
     while True:
         # the soft stop is the next sample, which the loop takes and moves past

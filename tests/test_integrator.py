@@ -1227,6 +1227,25 @@ class TestStepperOutcomes:
     def test_nonfinite_stage_is_an_escape(self, y0, beyond):
         self.assert_nonfinite_escape(y0, beyond)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    @pytest.mark.parametrize("cap, t_end, nsteps", [(0.5, "0x1.62e41d4b6a61ep-1", 160),
+                                                    (1.0, "0x1.62e41d4b6a61dp-1", 95),
+                                                    (2.0, "0x1.62e41d4b6a61dp-1", 58)],
+                             ids=["h_top_below", "h_top_equal", "h_top_above"])
+    def test_nonfinite_component_ends_where_the_builtins_did(self, bad, pos, cap, t_end, nsteps):
+        # the max and min of each attempt are conditional expressions: a NaN
+        # or inf in any component of a 3-component stage, with h_top below,
+        # equal to or above h_next at the first attempt, ends the run with the
+        # reason, time and attempt count the builtin max() and min() gave
+        def rhs(t, y):
+            return list(y) if all(abs(v) < 2.0 for v in y) else [bad if i == pos else v for i, v in enumerate(y)]
+
+        st = Stepper(rhs, 0.0, np.array([1.0, 0.5, 0.25]), IntegratorOptions(h_min=1e-6), h_cap=0.01 * cap)
+        st.h = 0.01
+        st.advance(5.0)
+        assert (st.escape_info[2], st.t.hex(), st.nsteps) == ("nonfinite", t_end, nsteps)
+
     def test_nonfinite_first_slope_ends_at_once(self):
         # sqrt(y - 1) is NaN at y0 = 0.5: the first step is tried at h_min, so
         # no stage is taken at a NaN time and the run ends "nonfinite" at t = 0

@@ -8,11 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from delayreach.integrator import HistoryFn, IntegratorOptions, MaxStepsExceeded, Stepper, integrate
+from delayreach.integrator import (HistoryFn, IntegratorOptions, MaxStepsExceeded, Stepper, _fed_kernel,
+                                  _piece_floats, integrate)
 from delayreach.lyap import A_MODE1, A_MODE2
 from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
-from delayreach.signals import PiecewiseConstant, PiecewiseLinear
-from delayreach import escape_data, systems
+from delayreach.signals import (Constant, PiecewiseConstant, PiecewiseLinear, TimeShift, _constant, _linear, _maker,
+                                smooth_square)
+from delayreach import escape_data, probes, systems
 from delayreach.systems import (
     DEFAULT_DELAY,
     DEFAULT_PLANAR,
@@ -478,9 +480,9 @@ class TestFieldHasOneHome:
     @pytest.mark.parametrize("mode", [0.0, 1.0])
     def test_inline_stage_is_the_rhs(self, mode):
         # the gains once per mode, then one stage's field, as the loop renders them
-        stage = systems._define(f"stage(a_0, a_1, u, {systems._ENTRIES})",
+        stage = systems._define(f"stage(a_0, a_1, w, {systems._ENTRIES})",
                                 [*systems._GAINS, *systems._field("a", "k1"), "return [k1_0, k1_1]"])
-        gains = (*systems._entries(A_MODE1), *systems._entries(A_MODE2))
+        gains = systems._gains(systems.DEFAULT_PLANAR)
         g = planar_rhs()
         rng = np.random.default_rng(int(mode))
         xs = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2000, 1))
@@ -488,6 +490,138 @@ class TestFieldHasOneHome:
         xs = np.vstack([xs, [[a, b] for a in special for b in special]])
         for x0, x1 in xs.tolist():
             assert self.bits(stage(x0, x1, mode, *gains)) == self.bits(g([x0, x1], mode)), (x0, x1)
+
+
+def call_loop(sys):
+    """sys with its rhs wrapped in a plain callable, which `integrate` steps by
+    calling it: the loop that runs any rhs that carries no source."""
+    rhs = sys.rhs
+    return dataclasses.replace(sys, rhs=lambda y, delayed, u: rhs(y, delayed, u))
+
+
+class TestFedField:
+    """The planar, cascade and associated systems carry their field as source
+    (`rhs.fed`), which `integrate` computes inline at every stage, reading
+    the feed from the floats of the current piece."""
+
+    SYSTEMS = {"planar": planar_system, "cascade": lambda: cascade_system(DEFAULT_DELAY),
+               "associated": associated_system}
+    #: the feed at the clamp's edges and signed zeros, NaN and infinities among ordinary values
+    FEEDS = [0.0, 1.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -0.25, 1.75, 1e-300, 1.0 - 2.0 ** -53]
+
+    @staticmethod
+    def bits(v):
+        return np.array(v, dtype=float).tobytes()
+
+    @staticmethod
+    def pieces(w, dim, rng):
+        """(kind, piece, times) with component 0 of the piece w at its first
+        time, the other components random, for every kind of piece."""
+        rest = rng.normal(size=dim - 1).tolist()
+        a, span = rng.uniform(0.0, 2.0), rng.uniform(0.01, 1.0)
+        other = [rng.uniform(-1.0, 2.0), *rng.normal(size=dim - 1).tolist()]
+        inside = [a + span * rng.uniform(), a + span * rng.uniform()]
+        return [("constant", _constant(np.array([w, *rest])), [a]),
+                ("constant", _constant([w, *rest]), [a]),
+                ("line", _linear(a, a + span, [w, *rest], other), [a, *inside]),
+                ("line", _linear(a, a + span, other, [w, *rest]), [a + span, *inside]),
+                ("decay", _maker("decay", dim)([w, *rest], rng.uniform(-0.5, 3.0), a), [a, *inside]),
+                ("call", lambda t: [w, *rest], [a, *inside]),
+                ("call", TimeShift(Constant([rng.uniform(-1.0, 2.0)] * dim), 0.3).piece(a, a + span), inside)]
+
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_fused_stage_is_the_rhs(self, name):
+        sys = self.SYSTEMS[name]()
+        fed, values = sys.rhs.fed
+        stage = _fed_kernel(sys.dim, fed)[1]
+        rng = np.random.default_rng(SYSTEM_NAMES.index(name))
+        ys = rng.normal(size=(12, sys.dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(12, 1))
+        special = [0.0, -0.0, math.nan, math.inf, -1e200]
+        ys = np.vstack([ys, [[v] * sys.dim for v in special]]).tolist()
+        kinds = set()
+        for w in self.FEEDS:
+            for kind, piece, times in self.pieces(w, 3 if name != "planar" else 1, rng):
+                floats = _piece_floats(piece)
+                kinds.add(floats[0])
+                assert floats[0] == kind
+                for t in times:
+                    v = piece(t)
+                    for y in ys:
+                        want = sys.rhs(y, (v,), ()) if sys.delays else sys.rhs(y, (), v)
+                        assert self.bits(stage(t, y, *floats, *values)) == self.bits(want), (kind, w, t, y)
+        assert kinds == {"constant", "line", "decay", "call"}
+
+    @staticmethod
+    def both_loops(monkeypatch, run):
+        """run(integrate) twice, every integrate of the probes included: once
+        as given, once with each system's rhs wrapped (`call_loop`). Each
+        run's steps, outcome and trajectory bytes are the same either way."""
+        sides = []
+        for plain in (False, True):
+            integ = (lambda sys, *a, **k: integrate(call_loop(sys), *a, **k)) if plain else integrate
+            seen, outcome = [], Stepper.outcome
+
+            def recorded(st):
+                out = outcome(st)
+                tr = out.trajectory
+                seen.append((st._steps.__code__.co_filename, st.nsteps, out.flag, out.t_escape, out.final_norm,
+                             tr.ts.tobytes(), tr.ys.tobytes(), tr.qs.tobytes()))
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(Stepper, "outcome", recorded)
+                m.setattr(probes, "integrate", integ)
+                sides.append((run(integ), seen))
+        (fused, runs), (called, call_runs) = sides
+        assert runs and all(r[0].endswith(", fed>") for r in runs)
+        assert not any(r[0].endswith(", fed>") for r in call_runs)
+        assert fused == called
+        assert [r[1:] for r in runs] == [r[1:] for r in call_runs]
+
+    def test_reach_time_draws(self, monkeypatch):
+        # the 18 draws of the benchmark's reach-time workload: exact feed, line then decay pieces
+        cells = ((1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (100.0, 0.1), (100.0, 1.0))
+        self.both_loops(monkeypatch, lambda integ: [probes.uga_table([r], [eps], n_samples=1, seed=s)
+                                                    for s in (0, 1, 2) for r, eps in cells])
+
+    def test_peak_histories(self, monkeypatch):
+        # the delayed and embedded runs on [0, tau] of the seven smoothing
+        # widths of the peak sweep and of four random histories
+        tau, schedule = DEFAULT_DELAY, escape_schedule()[0]
+        hists = []
+        for delta in probes.DEFAULT_DELTAS:
+            w = smooth_square(schedule, delta, strict=False)
+            knots = np.unique(np.concatenate([[0.0, tau], w.knots[(w.knots > 0) & (w.knots < tau)]]))
+            z = np.array([float(w.eval(t)[0]) for t in knots])
+            hists.append(HistoryFn(knots - tau, np.column_stack([z, np.ones_like(z), np.zeros_like(z)])))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            hists.append(random_history(rng, rng.uniform(0.1, 1.0), tau, 3))
+
+        def run(integ):
+            casc, assoc = cascade_system(tau), associated_system()
+            for hist in hists:
+                xi0, inputs = embed_history_as_inputs(hist, casc.delays)
+                stops = saturation_stop_times(hist, tau, tau)
+                integ(casc, hist, None, tau, PROBE_OPTS, extra_stops=stops)
+                integ(assoc, xi0, inputs[0], tau, PROBE_OPTS, extra_stops=stops)
+
+        self.both_loops(monkeypatch, run)
+
+    def test_cascade_past_its_delay(self, monkeypatch):
+        # T > tau: past tau the feed is a lookup of the dense output, one call per stage
+        self.both_loops(monkeypatch, lambda integ: probes.estimate_R("cascade", 2.0, 3.0 * DEFAULT_DELAY, 4))
+
+    def test_associated_driven_by_inputs(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        steps = PiecewiseConstant(rng.uniform(-0.5, 1.5, size=(6, 1)), np.sort(rng.uniform(0.0, 3.0, size=5)))
+        shifted = TimeShift(PiecewiseLinear(np.linspace(0.0, 3.0, 7), rng.uniform(-0.5, 1.5, size=(7, 1))), 0.4)
+
+        def run(integ):
+            for u in (steps, shifted):
+                integ(associated_system(), [0.5, 1.0, -0.5], u, 4.0, PROBE_OPTS)
+
+        self.both_loops(monkeypatch, run)
 
 
 def literal_block(values, breaks, t_escape) -> str:
