@@ -3,6 +3,11 @@ no float: run it on two checkouts and `diff` the outputs.
 
     python scripts/digests.py                   # the checkout of this script
     python scripts/digests.py path/to/checkout  # another checkout
+    python scripts/digests.py --settings [path] # each setting of SETTINGS, diffed
+
+With `--settings` it runs itself once per setting of `SETTINGS`, each in a
+fresh interpreter with that environment, prints each setting's total and
+every line that differs from the default's, and exits 1 if any does.
 
 One line per item, `<sha256>  <label>`, then the SHA-256 over those lines:
 - per workload and seed (1 and 2), the operation digests of rounds 0 and 1
@@ -36,6 +41,15 @@ CLI_RUNS = (
     ("uga-table",),
     ("equiv-check",),
 )
+
+
+#: name -> the environment of a run: OpenBLAS's Sandybridge kernel (no FMA),
+#: and numpy held to AVX2; each is set in that run's interpreter only
+SETTINGS = {
+    "default": {},
+    "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "avx2": {"NPY_ENABLE_CPU_FEATURES": "X86_V2,X86_V3"},
+}
 
 
 def _sha(*parts: bytes) -> str:
@@ -79,8 +93,28 @@ def cli_digests(root: Path):
             yield f"cli --seed {seed} {' '.join(args)}", _sha(*parts)
 
 
+def settings_diff(root: Path) -> int:
+    """Run this script on root once per setting; 1 if any line differs from the default's."""
+    runs = {}
+    for name, setting in SETTINGS.items():
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_ENABLE_CPU_FEATURES")}
+        proc = subprocess.run([sys.executable, __file__, str(root)], env=dict(env, **setting),
+                              capture_output=True, text=True, check=True)
+        runs[name] = dict(line.split("  ", 1)[::-1] for line in proc.stdout.splitlines())
+        print(f"{runs[name]['total']}  total, {name}", flush=True)
+    moved = 0
+    for name, digests in runs.items():
+        for label, sha in runs["default"].items():
+            if label != "total" and digests.get(label) != sha:
+                moved += 1
+                print(f"{name}: {label}: {sha} -> {digests.get(label)}")
+    return 1 if moved else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--settings"]:
+        return settings_diff(Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve())
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     lines = [f"{sha}  {label}" for digests in (workload_digests, cli_digests)
              for label, sha in digests(root)]

@@ -55,8 +55,8 @@ def _constant(v):
 #: and the fused stages of `integrator` are all rendered from them.
 _FRACTION = "({t} - a) / span"
 _LINE = "(1.0 - s) * {p} + s * {q}"
-_DECAY = "float(exp(-rate * ({t} - start)))"
-_EXP = np.exp
+_DECAY = "exp(-rate * ({t} - start))"
+_EXP = math.exp
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,7 +249,6 @@ class ExponentialTail(Signal):
         if lo < self.start:
             return _constant(self.value)
         # at start itself the decay is exp(-0) = 1 exactly: the frozen value
-        # np.exp, not math.exp: the two differ in the last bit on some arguments
         return _maker("decay", self.dim)(self.value.tolist(), self.rate, self.start)
 
     def breakpoints(self, lo, hi):

@@ -469,20 +469,28 @@ class TestProbeCommands:
 
 
 class TestSameBytesOnEveryKernel:
-    """The certificate and what it feeds make no call whose rounding depends on
-    the BLAS kernel: OpenBLAS's Sandybridge kernel, which has no FMA, gives the
-    same bytes as the kernel OpenBLAS picks by default."""
+    """No output depends on the SIMD level numpy dispatches to or on the BLAS
+    kernel: numpy held to AVX2, and OpenBLAS's Sandybridge kernel, which has
+    no FMA, give the same bytes as the defaults. Each setting is set in the
+    subprocess's environment only. The uga-table cell moved under AVX2 while
+    the exact feed's decay called np.exp."""
+
+    SETTINGS = (("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"}),
+                ("avx2", {"NPY_ENABLE_CPU_FEATURES": "X86_V2,X86_V3"}))
 
     @pytest.mark.parametrize("argv", [["lyapunov", "--constants"],
-                                      ["es-check", "--n", "20", "--T", "5"]], ids=["lyapunov", "es-check"])
+                                      ["es-check", "--n", "20", "--T", "5"],
+                                      ["uga-table", "--r", "10", "--eps", "1", "--samples", "1"]],
+                             ids=["lyapunov", "es-check", "uga-table"])
     def test_sandybridge_kernel_gives_same_bytes(self, tmp_path, argv):
         src = str(Path(__file__).resolve().parent.parent / "src")
-        outputs = []
-        for name, kernel in (("default", {}), ("sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-            env.update(kernel, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+        outputs = {}
+        for name, setting in (("default", {}), *self.SETTINGS):
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_ENABLE_CPU_FEATURES")}
+            env.update(setting, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
             out = tmp_path / name
             proc = subprocess.run([sys.executable, "-m", "delayreach.cli", "--out", str(out), *argv],
                                   env=env, capture_output=True, check=True, timeout=120)
-            outputs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
-        assert outputs[0] == outputs[1]
+            outputs[name] = {"stdout": proc.stdout, **{p.name: p.read_bytes() for p in sorted(out.iterdir())}}
+        for name, _ in self.SETTINGS:
+            assert [k for k in outputs["default"] if outputs[name].get(k) != outputs["default"][k]] == [], name

@@ -668,7 +668,8 @@ class TestFloatContract:
             for t in (lo + rng.uniform(0.0, 10.0, size=10)).tolist():
                 out = p(t)
                 assert is_float_list(out)
-                assert np.array(out).tobytes() == (value * np.exp(-rate * (t - start))).tobytes()
+                # one factor from math.exp, which rounds the same at every SIMD level numpy dispatches to
+                assert np.array(out).tobytes() == (value * math.exp(-rate * (t - start))).tobytes()
 
 
 class TestSoftStop:
