@@ -111,10 +111,10 @@ _DENSE = (
 )
 
 
-def _horner(y: str, q: list, th: str = "th") -> str:
+def _horner(y: str, q: list) -> str:
     """Source of the dense-output read y + th (q0 + th (q1 + th (q2 + th q3)))
-    of one component, from the sources y and q = [q0, q1, q2, q3]."""
-    return f"{y} + {th} * ({q[0]} + {th} * ({q[1]} + {th} * ({q[2]} + {th} * {q[3]})))"
+    of one component at th, from the sources y and q = [q0, q1, q2, q3]."""
+    return f"{y} + th * ({q[0]} + th * ({q[1]} + th * ({q[2]} + th * {q[3]})))"
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,12 +250,12 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
 
 
 class _Fed(NamedTuple):
-    """The source of an rhs(y, delayed, u) rendered from it, which carries it
-    as `rhs.fed = (fed, values)`. The rhs reads one float w, component 0 of
-    its first delayed state, or of its input where it has no delays; `at` is
-    source from w to what the field reads besides the state, `field` the
-    field of `_step_kernel`, and both read the constants `names`, whose values
-    are `values`. `integrate` computes such an rhs inline (`_fed_kernel`)."""
+    """The source of what an rhs(y, delayed, u) computes, which the rhs
+    carries as `rhs.fed = (fed, values)`. It reads one float w, component 0
+    of the first delayed state, or of the input where the system has no
+    delays; `at` is source from w to what the field reads besides the state,
+    `field` the field of `_step_kernel`, and both read the constants `names`,
+    whose values are `values`. `integrate` computes it inline (`_fed_kernel`)."""
 
     at: tuple
     field: Callable
@@ -556,8 +556,9 @@ class DiscreteDelaySystem:
     rhs(y, delayed, u) receives the current state as a sequence of floats,
     one delayed state per delay (in order) and the input value, each a
     sequence of floats, and returns the derivative as a list of floats;
-    delays=() encodes a nondelayed system. An rhs rendered from source may
-    carry it as `rhs.fed` (`_Fed`), which `integrate` then computes inline.
+    delays=() encodes a nondelayed system. An rhs may carry the source of
+    what it computes as `rhs.fed` (`_Fed`), which `integrate` then computes
+    inline; any other rhs is called at every stage.
     """
 
     dim: int

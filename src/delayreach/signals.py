@@ -64,15 +64,18 @@ def _maker(kind: str, n: int):
     """make(a, span, v0, v1) -> line(t), or make(value, rate, start) ->
     decay(t), for n components, as straight-line code, one sum or product
     per component; each carries its `form`, the floats it was made from."""
-    comps = range(n)
+
+    def unpack(v, names):  # "[v0, v1, ] = names"
+        return "[" + "".join(f"{v}{i}, " for i in range(n)) + f"] = {names}"
+
     if kind == "line":
-        args, unpack = "a, span, v0, v1", f"[{''.join(f'p{i}, ' for i in comps)}], [{''.join(f'q{i}, ' for i in comps)}] = v0, v1"
-        body = [f"s = {_FRACTION.format(t='t')}", "return [" + ", ".join(_LINE.format(p=f"p{i}", q=f"q{i}") for i in comps) + "]"]
+        args, head = "a, span, v0, v1", [unpack("p", "v0"), unpack("q", "v1")]
+        body = [f"s = {_FRACTION.format(t='t')}", ", ".join(_LINE.format(p=f"p{i}", q=f"q{i}") for i in range(n))]
     else:
-        args, unpack = "value, rate, start", f"[{''.join(f'v{i}, ' for i in comps)}] = value"
-        body = [f"e = {_DECAY.format(t='t')}", "return [" + ", ".join(f"v{i} * e" for i in comps) + "]"]
-    src = "\n".join([f"def make({args}):", f"    {unpack}", f"    def {kind}(t):", *(f"        {b}" for b in body),
-                     f"    {kind}.form = ({kind!r}, {args})", f"    return {kind}", ""])
+        args, head = "value, rate, start", [unpack("v", "value")]
+        body = [f"e = {_DECAY.format(t='t')}", ", ".join(f"v{i} * e" for i in range(n))]
+    src = "\n    ".join([f"def make({args}):", *head, f"def {kind}(t):", f"    {body[0]}", f"    return [{body[1]}]",
+                         f"{kind}.form = ({kind!r}, {args})", f"return {kind}\n"])
     scope = {"exp": _EXP}
     exec(compile(src, f"<{kind}, n={n}>", "exec"), scope)
     return scope["make"]

@@ -89,20 +89,9 @@ def _gains(params: PlanarParams) -> tuple:
     return (*p, *q, *(lam * a + (1.0 - lam) * b for lam in (1.0, 0.0) for a, b in zip(p, q)))
 
 
-#: the planar field and the cascade's as `integrator._Fed`: the gains at w, then the field
-_PLANAR_FED, _CASCADE_FED = (_Fed(tuple(_GAINS), field, _ENTRIES) for field in (_field, _cascade_field))
-
-
-@functools.lru_cache(maxsize=None)
-def _fed_maker(dim: int, signature: str, feed: str, fed: _Fed) -> Callable:
-    """make(p11, ..., f22) -> the function `def name(state, ...)` of the
-    signature, which reads the float w = feed and the dim floats of its
-    state, runs `fed` (the gains at w, then the field into k) and returns
-    [k_0, ...]."""
-    name, state = signature[: signature.index("(")], signature[signature.index("(") + 1 :].split(",")[0]
-    body = [f"w = float({feed})", *fed.at, "".join(f"x_{i}, " for i in range(dim)) + f"= {state}",
-            *fed.field("x", "k"), f"return [{', '.join(f'k_{i}' for i in range(dim))}]"]
-    return _define(f"make({fed.names})", [f"def {signature}:", *("    " + line for line in body), f"return {name}"])
+#: make(p11, ..., f22) -> the g of `planar_rhs`
+_planar = _define(f"make({_ENTRIES})", ["def g(x, u):", *("    " + line for line in (
+    "w = float(u)", *_GAINS, "x_0, x_1 = x", *_field("x", "k"), "return [k_0, k_1]")), "return g"])
 
 
 def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
@@ -110,24 +99,31 @@ def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
     pair of floats and g returns a list of two. sat clamps u to [0, 1] (NaN
     passes through); A(lam) = lam A1 + (1 - lam) A2 is exactly A1 or A2 at
     lam = 1 or 0, the field of a fixed mode. g is rendered from `_field`,
-    the source that `run_switched`'s closed loop computes inline.
+    the source that `run_switched`'s closed loop and `integrate`'s fused
+    stages compute inline.
     """
-    return _fed_maker(2, "g(x, u)", "u", _PLANAR_FED)(*_gains(params))
+    return _planar(*_gains(params))
 
 
-def _fed_system(dim: int, feed: str, fed: _Fed, delays: tuple, params: PlanarParams) -> DiscreteDelaySystem:
-    """The system whose rhs(y, delayed, u) reads the float w = feed, then runs
-    `fed`; the rhs carries that source as `rhs.fed`, and `integrate`
-    computes it inline at every stage."""
-    values = _gains(params)
-    rhs = _fed_maker(dim, "rhs(y, delayed, u)", feed, fed)(*values)
-    rhs.fed = fed, values
-    return DiscreteDelaySystem(dim=dim, input_dim=0 if delays else 1, delays=delays, rhs=rhs)
+#: the planar field and the cascade's as `integrator._Fed`: the gains at w, then the field
+_PLANAR_FED, _CASCADE_FED = (_Fed(tuple(_GAINS), field, _ENTRIES) for field in (_field, _cascade_field))
+
+
+def _carrying(rhs: Callable, fed: _Fed, params: PlanarParams) -> Callable:
+    """rhs, which computes what `fed` renders at the gains of params, carrying
+    that source as `rhs.fed`: `integrate` computes it inline at every stage."""
+    rhs.fed = fed, _gains(params)
+    return rhs
 
 
 def planar_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
     """Nondelayed planar system with a scalar input."""
-    return _fed_system(2, "u[0]", _PLANAR_FED, (), params)
+    g = planar_rhs(params)
+
+    def rhs(y, delayed, u):
+        return g(y, u[0])
+
+    return DiscreteDelaySystem(dim=2, input_dim=1, delays=(), rhs=_carrying(rhs, _PLANAR_FED, params))
 
 
 def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
@@ -137,12 +133,24 @@ def cascade_system(tau: float, params: PlanarParams = DEFAULT_PLANAR) -> Discret
     State layout: y = [z, x1, x2]; only the delayed z-component enters the
     planar block.
     """
-    return _fed_system(3, "delayed[0][0]", _CASCADE_FED, (tau,), params)
+    g = planar_rhs(params)
+
+    def rhs(y, delayed, u):
+        gx = g(y[1:3], delayed[0][0])
+        return [-y[0], gx[0], gx[1]]
+
+    return DiscreteDelaySystem(dim=3, input_dim=0, delays=(tau,), rhs=_carrying(rhs, _CASCADE_FED, params))
 
 
 def associated_system(params: PlanarParams = DEFAULT_PLANAR) -> DiscreteDelaySystem:
     """Nondelayed companion of the cascade: the delayed feed becomes an input."""
-    return _fed_system(3, "u[0]", _CASCADE_FED, (), params)
+    g = planar_rhs(params)
+
+    def rhs(y, delayed, u):
+        gx = g(y[1:3], u[0])
+        return [-y[0], gx[0], gx[1]]
+
+    return DiscreteDelaySystem(dim=3, input_dim=1, delays=(), rhs=_carrying(rhs, _CASCADE_FED, params))
 
 
 #: Names accepted by `make_system`, in the order the CLI lists them.
