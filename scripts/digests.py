@@ -113,9 +113,11 @@ def settings_diff(root: Path) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv[:1] == ["--settings"]:
-        return settings_diff(Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve())
+    settings = argv[:1] == ["--settings"]
+    argv = argv[1:] if settings else argv
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    if settings:
+        return settings_diff(root)
     lines = [f"{sha}  {label}" for digests in (workload_digests, cli_digests)
              for label, sha in digests(root)]
     for line in lines:
