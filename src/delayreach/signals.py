@@ -12,8 +12,11 @@ Between two consecutive breakpoints a signal is one closed-form piece.
 `piece(lo, hi)` resolves it once and returns it as a function of t, so the
 integrator pays no index search per evaluation; a piece's value is a
 sequence of floats, which the right-hand side reads per component. A line
-piece is code rendered once per component count, one sum per component.
-`eval(t)` is the piece through t, resolved at t, as a 1-D ndarray.
+or decay piece is code rendered once per component count, one sum or
+product per component. A constant, line or decay piece carries the floats
+it was made from as `form`, from which the integrator's fused stages
+compute it inline. `eval(t)` is the piece through t, resolved at t, as a
+1-D ndarray.
 """
 
 from __future__ import annotations
