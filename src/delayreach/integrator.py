@@ -118,7 +118,7 @@ def _horner(y: str, q: list) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: str = "", tail: str = "", at=None):
+def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: str = "", tail: str = "", at=None, load=""):
     """The stepping loop of `Stepper.advance` and the dense-output read for an
     n-component state, as straight-line float code rendered from the template,
     each sum written as a per-component comprehension writes it, so it rounds
@@ -127,22 +127,24 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
     from 0.0 in component order, the error test, the new h, and the node and
     dense-output coefficients of an accepted step appended to traj's stores.
     Each max or min of an attempt is a conditional expression with max's and
-    min's outcome, NaN included: max(a, b) is `b if b > a else a`. On the step
-    whose end reaches the threshold, t_esc becomes the last float of its
-    segment below it, bisected over floats on the step's dense output as
-    `value` reads it. On every exit, an exception from the rhs included, it
-    writes t, y, slope, h, nsteps, both norms and t_esc back to st, and it
-    returns (reason, h, norm_new, sq) of its last attempt, reason None at the
-    target or the soft stop. value(ys, q, i, th) reads segment i of the
-    stores: `_horner` at th per component.
+    min's outcome, NaN included: max(a, b) is `b if b > a else a`. At each of
+    st's forced stops (`Stepper.stops`) on the way it swaps rhs for the piece
+    past it and takes the slope there, then returns if the stop is at or past
+    until. On the step whose end reaches the threshold, t_esc becomes the last
+    float of its segment below it, bisected over floats on the step's dense
+    output as `value` reads it. On every exit, an exception from the rhs
+    included, it writes t, y, slope, h, nsteps, both norms, t_esc, the stops
+    walked and rhs back to st, and returns (reason, h, norm_new, sq) of its last
+    attempt, reason None at the target or the soft stop. value(ys, q, i, th)
+    reads segment i of the stores: `_horner` at th per component.
 
     A stage's derivative at the named floats x_0, ... (a_i, yn_i for the
     last) and time t is the source `field(x, k, t)` into k_0, ...; by default
     rhs(t, [x_0, ...]). The source `at(t)`, if given, runs once per stage
     time before the field, so the two stages at t_new share it. The dense
-    coefficients are q{m}_{i}. `params` extend loop's; the source `head` runs
-    at entry, `after` after each accepted step, the escape step included,
-    `tail` on every exit."""
+    coefficients are q{m}_{i}. `params` extend loop's; the source `load` runs
+    at entry and after each swap of rhs, `head` at entry, `after` after each
+    accepted step, the escape step included, `tail` on every exit."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -175,66 +177,75 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
                f"{names('m')}= " + "".join(f"abs(y_{i}), " for i in comps),
                "norm_new = b_0", *(f"norm_new = {larger('norm_new', f'b_{i}')}" for i in comps[1:]),
                *(f"r_{i} = h * ({terms(_ERROR, i)}) / (atol + rtol * ({larger(f'b_{i}', f'm_{i}')}))" for i in comps)]
-    stages = "\n                ".join(stages)
+    stages = block("\n".join(stages), 20)
+    slope = block("\n".join([*(at("t") if at else ()), *field("y", "k0", "t")]), 24)
     sq = "".join(f" + r_{i} * r_{i}" for i in comps)
     q = [f"h * k0_{i}" for i in comps] + [f"h * ({terms(row, i)})" for row in _DENSE for i in comps]
     qn = [f"q{m}_{i}" for m in range(4) for i in comps]  # in the order of the store
-    dense = block("\n".join(map("{} = {}".format, qn, q)), 16)
+    dense = block("\n".join(map("{} = {}".format, qn, q)), 20)
     horner = ", ".join(f"abs({_horner(f'y_{i}', [f'q{m}_{i}' for m in range(4)])})" for i in comps)
     src = f"""def loop(opts, traj, h_top{params}):
     atol, rtol, h_min, big, max_steps = opts.abs_tol, opts.rel_tol, opts.h_min, opts.escape_threshold, opts.max_steps
     def steps(st, target, until):
-        rhs, t_store, y_store, q_store = st.rhs, traj._t, traj._y, traj._q
+        rhs, stops, pieces, walked, t_store, y_store, q_store = st.rhs, st.stops, st.pieces, st.walked, traj._t, traj._y, traj._q{block(load, 8)}
         t, y, k0, h_next, nsteps, norm, norm_prev = st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev{block(head, 8)}
-        eps_t = max(1e-15, 4.0 * ulp(abs(target)))
         reason, h, norm_new, sq, t_esc = None, None, None, None, inf
         try:
-            while target - t > eps_t:
-                if nsteps >= max_steps:
-                    reason = "max_steps"
-                    break
-                h = {smaller('h_next', 'h_top')}
-                at_end = h >= target - t  # end of step lands on the forced boundary
-                if at_end:
-                    h = target - t
-                t_new = target if at_end else t + h
-                {stages}
-                sq = 0.0{sq}
-                nsteps += 1
-                err = sqrt(sq / {n})
-                # the norm skips a NaN that is not first, as max does; err
-                # does not: every stage but k1 has a nonzero weight in it
-                bad = not (isfinite(err) and isfinite(norm_new))
-                if bad or err > 1.0:
-                    if h <= h_min * (1.0 + 1e-9):
-                        reason = "nonfinite" if bad else "h_min_collapse" if norm > norm_prev else "collapse"
+            while True:  # to the next forced stop, or past the last to the target
+                t_stop = stops[walked] if walked < len(stops) else target
+                eps_t = max(1e-15, 4.0 * ulp(abs(t_stop)))
+                while t_stop - t > eps_t:
+                    if nsteps >= max_steps:
+                        reason = "max_steps"
                         break
-                    h_next = h * (0.1 if bad else shrink if (shrink := 0.9 * err ** -0.2) > 0.2 else 0.2)
-                    h_next = {larger('h_next', 'h_min')}
-                    continue
-                yn, k6 = [{names('yn')}], [{names('k6')}]
-                t_store.append(t_new)
-                y_store.extend(yn){dense}
-                q_store.extend([{", ".join(qn)}])
-                t, y, k0 = t_new, yn, k6
-                norm_prev, norm = norm, norm_new
-                if not at_end:
-                    grow = 5.0 if err == 0.0 else 0.9 * err ** -0.2
-                    grow = {larger('0.2', 'grow')}
-                    h_next = h * ({smaller('5.0', 'grow')})
-                    h_next = {larger('h_next', 'h_min')}
-                if norm_new >= big:  # the segment starts at the last node, which t may lie past
-                    reason, t_0 = "threshold", t_store[-2]
-                    t_esc, hi = t_0, t_new
-                    while (mid := 0.5 * (t_esc + hi)) not in (t_esc, hi):
-                        th = (mid - t_0) / (t_new - t_0)
-                        t_esc, hi = (t_esc, mid) if max([{horner}]) >= big else (mid, hi){block(after, 16)}
-                if reason or (t_new >= until and not at_end):
-                    break
-            else:
-                t = target
+                    h = {smaller('h_next', 'h_top')}
+                    at_end = h >= t_stop - t  # end of step lands on the forced boundary
+                    if at_end:
+                        h = t_stop - t
+                    t_new = t_stop if at_end else t + h{stages}
+                    sq = 0.0{sq}
+                    nsteps += 1
+                    err = sqrt(sq / {n})
+                    # the norm skips a NaN that is not first, as max does; err
+                    # does not: every stage but k1 has a nonzero weight in it
+                    bad = not (isfinite(err) and isfinite(norm_new))
+                    if bad or err > 1.0:
+                        if h <= h_min * (1.0 + 1e-9):
+                            reason = "nonfinite" if bad else "h_min_collapse" if norm > norm_prev else "collapse"
+                            break
+                        h_next = h * (0.1 if bad else shrink if (shrink := 0.9 * err ** -0.2) > 0.2 else 0.2)
+                        h_next = {larger('h_next', 'h_min')}
+                        continue
+                    yn, k6 = [{names('yn')}], [{names('k6')}]
+                    t_store.append(t_new)
+                    y_store.extend(yn){dense}
+                    q_store.extend([{", ".join(qn)}])
+                    t, y, k0 = t_new, yn, k6
+                    norm_prev, norm = norm, norm_new
+                    if not at_end:
+                        grow = 5.0 if err == 0.0 else 0.9 * err ** -0.2
+                        grow = {larger('0.2', 'grow')}
+                        h_next = h * ({smaller('5.0', 'grow')})
+                        h_next = {larger('h_next', 'h_min')}
+                    if norm_new >= big:  # the segment starts at the last node, which t may lie past
+                        reason, t_0 = "threshold", t_store[-2]
+                        t_esc, hi = t_0, t_new
+                        while (mid := 0.5 * (t_esc + hi)) not in (t_esc, hi):
+                            th = (mid - t_0) / (t_new - t_0)
+                            t_esc, hi = (t_esc, mid) if max([{horner}]) >= big else (mid, hi){block(after, 20)}
+                    if reason or (t_new >= until and not at_end):
+                        break
+                else:
+                    t = t_stop
+                    if walked < len(stops):  # the piece past the stop, and the slope there
+                        rhs = pieces[walked]{block(load, 24)}
+                        {names('y')}= y{slope}
+                        k0, walked = [{names('k0')}], walked + 1
+                        if t < until:
+                            continue
+                break
         finally:
-            st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev, st._t_esc = t, y, k0, h_next, nsteps, norm, norm_prev, t_esc{block(tail, 12)}
+            st.t, st.y, st.slope, st.h, st.nsteps, st._norm, st._norm_prev, st._t_esc, st.walked, st.rhs = t, y, k0, h_next, nsteps, norm, norm_prev, t_esc, walked, rhs{block(tail, 12)}
         return reason, h, norm_new, sq
 
     return steps
@@ -277,13 +288,17 @@ def _feed(t: str) -> list:
 
 def _piece_floats(piece) -> tuple:
     """The floats `_feed` reads of component 0 of a piece (`Signal.piece`), in
-    the order of `_PIECE`: those of its `form`, or the piece itself to call."""
+    the order of `_PIECE`: those of its `form`, or the piece itself to call. A
+    line from +0.0 to +0.0 is the constant +0.0: (1 - s) * 0.0 + s * 0.0 adds
+    two zeros, never both -0.0."""
     kind, *form = getattr(piece, "form", ("call",))
     if kind == "constant":
         return kind, 0.0, 0.0, float(form[0][0]), 0.0, 0.0, 0.0, None
     if kind == "line":
         a, span, v0, v1 = form
-        return kind, a, span, float(v0[0]), float(v1[0]), 0.0, 0.0, None
+        p, q = float(v0[0]), float(v1[0])
+        flat = p == q == 0.0 and math.copysign(1.0, p) == math.copysign(1.0, q) == 1.0
+        return "constant" if flat else kind, a, span, p, q, 0.0, 0.0, None
     if kind == "decay":
         value, rate, start = form
         return kind, 0.0, 0.0, float(value[0]), 0.0, rate, start, None
@@ -294,13 +309,16 @@ def _piece_floats(piece) -> tuple:
 def _fed_kernel(n: int, fed: _Fed):
     """(loop, stage) for an rhs carrying `fed`: the loop of `_step_kernel` with
     the feed (`_feed`) and `fed.at` once per stage time, the field inline and
-    the piece's floats read from st.feed at entry; loop(opts, traj, h_top,
-    *values). stage(t, y, *piece, *values) is one such stage as a function."""
+    the piece's floats read from rhs.feed, the rhs of the current interval;
+    loop(opts, traj, h_top, *values); of a constant piece it runs `fed.at`
+    once, at the load. stage(t, y, *piece, *values) is one such stage as a function."""
 
     def at(t):
         return [*_feed(t), *fed.at]
 
-    loop = _step_kernel(n, fed.field, ", " + fed.names, f"{_PIECE} = st.feed", at=at)[0]
+    load = "\n    ".join([f"{_PIECE} = rhs.feed\nif kind == 'constant':", "w = p", *fed.at])
+    loop = _step_kernel(n, fed.field, ", " + fed.names, load=load,
+                        at=lambda t: ["if kind != 'constant':", *("    " + line for line in at(t))])[0]
     comps = range(n)
     src = "\n    ".join([f"def stage(t, y, {_PIECE}, {fed.names}):", "".join(f"x_{i}, " for i in comps) + "= y",
                          *at("t"), *fed.field("x", "k", "t"), f"return [{', '.join(f'k_{i}' for i in comps)}]"])
@@ -350,32 +368,41 @@ def _real_roots(coeffs, a: float, b: float) -> list:
 
 
 def _bounds(y0, q) -> np.ndarray:
-    """|y0| + sum |q_k| per component, of one segment or of many: a bound on |p|
-    over [0, 1], 8 ulps over so no rounding of the sum or of a Horner value crosses it."""
-    return (np.abs(y0) + np.abs(q).sum(axis=-2)) * (1.0 + 8.0 * np.finfo(float).eps)
+    """A bound on |p| over [0, 1] per component, of one segment or of many,
+    above every float value of p the searches compute: the largest |Bernstein
+    coefficient| of the quartic p = y0 + q0 th + ... + q3 th^4, of which p is a
+    convex combination (Farouki & Rajan 1987), plus 16 eps S + 16 subnormals,
+    S = |y0| + sum |q_k|. With u = eps/2, a value (Horner at a float th in
+    [0, 1], or y0 + q0 + ... + q3) is within gamma_8 S of p (Higham, eq. 5.3),
+    a coefficient within gamma_5 S, and the bound's own sums round by under
+    2u S: under 16u S in all (Shewchuk 1997). Fewer than eight products, each
+    off by 2^-1075 at most, underflow along a value or a coefficient. NaN
+    coefficients make the bound NaN, infinite ones inf (fmax skips inf - inf)."""
+    q0, q1, q2, q3 = np.moveaxis(q, -2, 0)
+    b = np.abs([y0, y0 + 0.25 * q0, y0 + 0.5 * q0 + q1 / 6.0, y0 + 0.75 * q0 + 0.5 * q1 + 0.25 * q2,
+                y0 + q0 + q1 + q2 + q3])
+    return np.fmax.reduce(b) + (2.0 ** -48 * (np.abs(y0) + np.abs(q).sum(axis=-2)) + 2.0 ** -1070)
 
 
-def _quartic_sup(y0, q, a: float = 0.0, b: float = 1.0, floor: float = 0.0) -> float:
+def _quartic_sup(y0, q, bound, a: float = 0.0, b: float = 1.0, floor: float = 0.0) -> float:
     """Exact sup of |dense output|_inf over theta in [a, b] of one segment, if above
     floor: its ends, and the roots of the cubic derivative between them in each
-    component whose bound beats floor and the ends."""
+    component whose bound (`_bounds`) beats floor and the ends."""
     ya = y0 if a == 0.0 else _quartic_eval(y0, q, a)
     yb = y0 + q[0] + q[1] + q[2] + q[3] if b == 1.0 else _quartic_eval(y0, q, b)
     best = max(float(np.abs(ya).max()), float(np.abs(yb).max()))
-    for i in np.flatnonzero(_bounds(y0, q) > max(best, floor)):
+    for i in np.flatnonzero(bound > max(best, floor)):
         for th in _real_roots([4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]], a, b):
             best = max(best, abs(_quartic_eval(y0[i], q[:, i], th)))
     return best
 
 
-def _last_crossing(y0, q, level: float) -> Optional[float]:
-    """Largest theta in (0, 1] with |p(theta)|_inf > level just before it, or None.
-
-    The roots of p_i = +-level cut [0, 1] into pieces on which |p_i| - level
-    keeps its sign, so one midpoint decides each piece.
-    """
+def _last_crossing(y0, q, bound, level: float) -> Optional[float]:
+    """Largest theta in (0, 1] with |p(theta)|_inf > level just before it, or None:
+    the roots of p_i = +-level cut [0, 1] into pieces on which |p_i| - level
+    keeps its sign, so one midpoint decides each piece."""
     ends = []
-    for i in np.flatnonzero(_bounds(y0, q) > level):
+    for i in np.flatnonzero(bound > level):
         c = [q[3][i], q[2][i], q[1][i], q[0][i]]
         roots = [r for s in (level, -level) for r in _real_roots(c + [y0[i] - s], 0.0, 1.0)]
         cuts = np.sort([0.0, 1.0] + roots)
@@ -466,16 +493,19 @@ class Trajectory:
     def sup_norm(self, lo: float, hi: float) -> float:
         """Exact sup of |x(t)|_inf over [lo, hi] under the dense output: the window
         ends, the nodes, and the critical points inside the window of each segment
-        whose bound beats the best value so far; bit for bit the unpruned search."""
-        lo = max(lo, self.t_start)
-        hi = min(hi, self.t_end)
+        whose bound (`_bounds`) beats the best value so far, in order of bound;
+        bit for bit the unpruned search. ValueError if an end is NaN."""
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError(f"window [{lo!r}, {hi!r}] has a NaN end")
+        lo, hi = max(lo, self.t_start), min(hi, self.t_end)
         if hi < lo:
             raise SpanTooShort("empty window")
         ts, ys, qs = self.ts, self.ys, self.qs
         i0, i1 = self._segment(lo), self._segment(hi)
         best = max(float(np.abs(self._interp(lo)).max()), float(np.abs(self._interp(hi)).max()),
                    float(np.abs(ys[i0 + 1 : i1 + 1]).max(initial=0.0)))
-        bound = _bounds(ys[i0 : i1 + 1], qs[i0 : i1 + 1]).max(axis=1)
+        bounds = _bounds(ys[i0 : i1 + 1], qs[i0 : i1 + 1])
+        bound = bounds.max(axis=1)
         for k in np.argsort(-bound, kind="stable"):
             if bound[k] <= best:
                 break
@@ -483,17 +513,21 @@ class Trajectory:
             a = (lo - ts[i]) / (ts[i + 1] - ts[i]) if i == i0 else 0.0
             b = (hi - ts[i]) / (ts[i + 1] - ts[i]) if i == i1 else 1.0
             if a < b:
-                best = max(best, _quartic_sup(ys[i], qs[i], a, b, best))
+                best = max(best, _quartic_sup(ys[i], qs[i], bounds[k], a, b, best))
         return best
 
     def last_time_above(self, level: float) -> float:
         """Largest t with |x(t)|_inf > level, or t_start if never above. Exact: the
         last crossing of p_i = +-level, solved directly, in the last segment whose
-        exact sup exceeds the level (or that segment's end, if still above)."""
+        exact sup exceeds the level (or that segment's end, if still above),
+        among those whose bound (`_bounds`) exceeds it. ValueError for a NaN level."""
+        if math.isnan(level):
+            raise ValueError(f"level must not be NaN, got {level!r}")
         ts, ys, qs = self.ts, self.ys, self.qs
-        for i in np.flatnonzero(_bounds(ys[:-1], qs).max(axis=1) > level)[::-1]:
-            if _quartic_sup(ys[i], qs[i], floor=level) > level:
-                th = _last_crossing(ys[i], qs[i], level)
+        bounds = _bounds(ys[:-1], qs)
+        for i in np.flatnonzero(bounds.max(axis=1) > level)[::-1]:
+            if _quartic_sup(ys[i], qs[i], bounds[i], floor=level) > level:
+                th = _last_crossing(ys[i], qs[i], bounds[i], level)
                 if th is not None:
                     return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
         return self.t_start
@@ -600,7 +634,9 @@ class Stepper:
     as a list of floats. It must be smooth on each interval advanced over,
     up to and including its target: a caller whose rhs changes at a forced
     boundary swaps it there and calls `invalidate_rhs_cache`, so the steps
-    before it use the left limit and dense output stays one-sided. Every
+    before it use the left limit and dense output stays one-sided; or it sets
+    `stops`, the forced boundaries before the target, and `pieces`, the rhs
+    past each, which the loop walks, counting them in `walked`. Every
     completed attempt is counted in `nsteps`; accepted ones extend `traj`.
 
     A step is float arithmetic per component: each stage argument, the
@@ -625,6 +661,7 @@ class Stepper:
         self._steps = _step_kernel(len(self.y))[0](opts, self.traj, h_cap)
         self.h = 0.0
         self.nsteps = 0
+        self.stops, self.pieces, self.walked = (), (), 0
         self.escape_info = None
         self._norm = self._norm_prev = max(map(abs, self.y))
 
@@ -637,19 +674,17 @@ class Stepper:
         self.slope = k
 
     def _initial_step(self, target):
-        o = self.opts
-        y, k1 = np.array(self.y), np.array(self.slope, dtype=float)
-        scale = o.abs_tol + o.rel_tol * np.abs(y)
-        d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
+        """The first step size toward target, on floats as numpy rounds it (`_rms`)."""
+        o, y, k1 = self.opts, self.y, self.slope
+        scale = [o.abs_tol + o.rel_tol * abs(v) for v in y]
+        d0, d1 = _rms(y, scale), _rms(k1, scale)
         if not math.isfinite(d1):
             # the first attempt fails at h_min and ends the run "nonfinite"
             return o.h_min
         h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
         h0 = min(h0, target - self.t, self._h_top)
-        y1 = y + h0 * k1
-        f1 = np.array(self.rhs(self.t + h0, y1.tolist()))
-        d2 = float(np.sqrt(np.mean(((f1 - k1) / scale) ** 2))) / h0
+        f1 = self.rhs(self.t + h0, [a + h0 * b for a, b in zip(y, k1)])
+        d2 = _rms([a - b for a, b in zip(f1, k1)], scale) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -657,20 +692,19 @@ class Stepper:
         return min(100.0 * h0, h1)
 
     def advance(self, target: float, until: float = math.inf) -> None:
-        """Integrate up to `target` (a forced boundary), or to an escape, which
-        sets `escape_info` = (time, norm, flag): at the threshold the loop's
-        t_esc (`_step_kernel`), else the last node's time. A call after an
-        escape does nothing.
+        """Integrate up to `target` (a forced boundary), through the `stops`
+        before it, or to an escape, which sets `escape_info` = (time, norm,
+        flag): at the threshold the loop's t_esc (`_step_kernel`), else the
+        last node's time. A call after an escape does nothing. The outgoing
+        slope of an accepted step is its last stage (FSAL), but at a stop the
+        slope of the piece past it; where the rhs jumps at the target, the
+        caller swaps it and calls `invalidate_rhs_cache`.
 
-        The outgoing slope of every accepted step, the one at the target
-        included, is its last stage (FSAL); where the rhs jumps at the
-        target, the caller swaps it and calls `invalidate_rhs_cache`.
-
-        `until` is a soft stop: the first accepted step ending at or past it
-        returns short of the target, with no step boundary forced there.
-        Calling again resumes bit for bit, since t, y, h and the outgoing
-        slope are kept. So does a call after the rhs raised: the attempt it
-        interrupted is not counted and left no trace.
+        `until` is a soft stop: the first accepted step, or stop with its
+        piece loaded, at or past it returns short of the target, with no step
+        boundary forced there. Calling again resumes bit for bit, since t, y,
+        h, the outgoing slope and the stops walked are kept. So does a call
+        after the rhs raised: the attempt it interrupted left no trace.
         """
         if self.escape_info is not None:
             return
@@ -678,7 +712,7 @@ class Stepper:
             self.escape_info = (self.t, self._norm, "threshold")
             return
         if self.h <= 0.0 and target > self.t:
-            self.h = self._initial_step(target)
+            self.h = self._initial_step(self.stops[self.walked] if self.walked < len(self.stops) else target)
         reason, h, _, _ = self._steps(self, target, until)
         if reason == "max_steps":
             raise MaxStepsExceeded(f"exceeded max_steps={self.opts.max_steps}")
@@ -710,36 +744,35 @@ class Stepper:
         return SimOutcome(self.traj, t_escape=t_esc, final_norm=norm, flag=flag)
 
 
-def _forced_stops(
-    sys: DiscreteDelaySystem, u: Optional[Signal], T: float, history=None, extra=()
-) -> np.ndarray:
-    pts = [np.array([T]), np.asarray(extra, dtype=float)]
+def _rms(v, scale) -> float:
+    """sqrt(mean((v / scale) ** 2)) of two float sequences, as numpy rounds it:
+    it adds the squares one by one from 0.0 below 8 terms, pairwise from 8 on."""
+    r = [a / s for a, s in zip(v, scale)]
+    if len(r) >= 8:
+        return float(np.sqrt(np.mean(np.square(r))))
+    return math.sqrt(functools.reduce(lambda sq, x: sq + x * x, r, 0.0) / len(r))
+
+
+def _forced_stops(sys: DiscreteDelaySystem, u: Optional[Signal], T: float, history=None, extra=()) -> list:
+    """The sorted distinct floats in (0, T] among T, `extra`, the input's
+    breakpoints, the first multiples of the shortest delay and the history's
+    knots shifted by them, each sum rounded once as numpy's array sums are."""
+    pts = [T, *np.asarray(extra, dtype=float).tolist()]
     if u is not None:
-        pts.append(np.asarray(u.breakpoints(0.0, T)))
+        pts += np.asarray(u.breakpoints(0.0, T), dtype=float).tolist()
     if sys.delays:
-        tau1 = sys.delays[0]
-        mult = tau1 * np.arange(1, _DELAY_MULTIPLES + 1)
-        pts.append(mult[mult < T])
-        # derivative discontinuities at history kinks propagate forward by
-        # whole multiples of each delay
-        if isinstance(history, HistoryFn) and len(history.knots) > 1:
-            for d in sys.delays:
-                for m in range(1, _DELAY_MULTIPLES + 1):
-                    shifted = history.knots[:-1] + m * d
-                    pts.append(shifted[(shifted > 0.0) & (shifted < T)])
-    stops = np.unique(np.concatenate(pts))
-    return stops[(stops > 0.0) & (stops <= T)]
+        pts += [sys.delays[0] * m for m in range(1, _DELAY_MULTIPLES + 1)]
+        # history kinks propagate by whole multiples of each delay; none below T once the first is not
+        if isinstance(history, HistoryFn):
+            knots = history.line._k[:-1]
+            pts += [k + m * d for d in sys.delays for m in range(1, _DELAY_MULTIPLES + 1)
+                    if knots and knots[0] + m * d < T for k in knots]
+    return sorted({s for s in pts if 0.0 < s <= T})
 
 
-def integrate(
-    sys: DiscreteDelaySystem,
-    history,
-    u: Optional[Signal],
-    T: float,
-    opts: IntegratorOptions = IntegratorOptions(),
-    extra_stops=(),
-    stop: Optional[tuple[float, Callable[[Trajectory, float], bool]]] = None,
-) -> SimOutcome:
+def integrate(sys: DiscreteDelaySystem, history, u: Optional[Signal], T: float,
+              opts: IntegratorOptions = IntegratorOptions(), extra_stops=(),
+              stop: Optional[tuple[float, Callable[[Trajectory, float], bool]]] = None) -> SimOutcome:
     """Integrate the system on [0, T], T finite and positive, from the history and input.
 
     `history` is a HistoryFn on [-tau, 0] (mandatory when the system has
@@ -748,16 +781,17 @@ def integrate(
     smoothness (e.g. saturation crossings) to the forced step boundaries.
     Between two forced boundaries the input is one piece of `u`, and on
     [0, d] the lookup at delay d one segment of `history.shifted(d)`; both
-    are resolved once per interval (`Signal.piece`), and the outgoing slope
-    is evaluated again at each boundary. Past d the lookup reads the dense
-    output at t - d. A nondelayed system's rhs is handed the empty tuple of
-    lookups, and a one-delay system's the 1-tuple of its one lookup, with no
-    list built per evaluation.
+    are resolved once per interval (`Signal.piece`) into its rhs, and the
+    Stepper's loop walks the boundaries with all of them, taking the slope
+    again at each. Past d the lookup reads the dense output at t - d. A
+    nondelayed system's rhs is handed the empty tuple of lookups, and a
+    one-delay system's the 1-tuple of its one lookup, with no list built
+    per evaluation.
     `stop = (every, ask)`: ask(traj, t) is asked at the first accepted step
-    at or past t = every and then once per `every` of progress; when it
-    returns True the run ends there, with the trajectory on [0, t]. The
-    forced boundaries are those of T either way, so a stopped run is a
-    bit-exact prefix of the run to T.
+    or forced boundary at or past t = every and then once per `every` of
+    progress; when it returns True the run ends there, with the trajectory
+    on [0, t]. The forced boundaries are those of T either way, so a
+    stopped run is a bit-exact prefix of the run to T.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
@@ -765,16 +799,12 @@ def integrate(
         if not isinstance(history, HistoryFn):
             raise BadHistoryDomain("delayed system requires a HistoryFn")
         if abs(history.tau - sys.tau) > 1e-9 * max(1.0, sys.tau):
-            raise BadHistoryDomain(
-                f"history domain [-{history.tau}, 0] does not match tau={sys.tau}"
-            )
+            raise BadHistoryDomain(f"history domain [-{history.tau}, 0] does not match tau={sys.tau}")
         if history.dim != sys.dim:
             raise BadHistoryDomain("history dimension mismatch")
         y0 = history.eval(0.0)
     else:
-        y0 = history.eval(0.0) if isinstance(history, HistoryFn) else np.atleast_1d(
-            np.asarray(history, dtype=float)
-        )
+        y0 = history.eval(0.0) if isinstance(history, HistoryFn) else np.atleast_1d(np.asarray(history, dtype=float))
         if y0.size != sys.dim:
             raise BadHistoryDomain("initial state dimension mismatch")
         if not np.isfinite(y0).all():
@@ -783,58 +813,53 @@ def integrate(
     every, ask = (math.inf, None) if stop is None else stop
     if not every > 0.0:
         raise ValueError(f"stop cadence must be positive, got {every!r}")
-    stops = [float(s) for s in _forced_stops(sys, u, T, history, extra_stops)]
+    stops = _forced_stops(sys, u, T, history, extra_stops)
     if u is None or sys.input_dim <= 0:
         u = Constant(np.zeros(max(sys.input_dim, 0)))
     delays, rhs = sys.delays, sys.rhs
     fed, values = getattr(rhs, "fed", (None, ()))
     shifted = [history.shifted(d) for d in delays]
+    if fed:
+        loop, stage = _fed_kernel(sys.dim, fed)
 
     def past(d: float):
         # t -> x(t - d) once the interval passes d: from the dense output,
         # and from the history where a delay that is no stop is straddled
         return lambda t: history.eval(t - d) if t <= d else stepper.traj._interp(t - d)
 
-    def resolve(lo: float, hi: float):
-        # the input and the delayed lookups on [lo, hi], which no stop splits,
-        # and a fed rhs's feed piece as the floats its stages read
-        nonlocal uval, looks, feed
+    def rhs_on(lo: float, hi: float):
+        # the rhs on [lo, hi], which no stop splits, its input and delayed lookups
+        # resolved; a fed rhs carries its feed piece as the floats its stages read
         uval = u.piece(lo, hi)
         looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
-        feed = _piece_floats(looks[0] if delays else uval) if fed else None
+        if fed:
+            feed = _piece_floats(looks[0] if delays else uval)
 
-    if fed:
-        loop, stage = _fed_kernel(sys.dim, fed)
+            def f(t, y):
+                return stage(t, y, *feed, *values)
 
-        def f(t, y):
-            return stage(t, y, *feed, *values)
-    elif not delays:
-        def f(t, y):
-            return rhs(y, (), uval(t))
-    elif len(delays) == 1:
-        def f(t, y):
-            return rhs(y, (looks[0](t),), uval(t))
-    else:
-        def f(t, y):
-            return rhs(y, tuple([look(t) for look in looks]), uval(t))
+            f.feed = feed
+        elif not delays:
+            def f(t, y):
+                return rhs(y, (), uval(t))
+        elif len(delays) == 1:
+            def f(t, y, look=looks[0]):
+                return rhs(y, (look(t),), uval(t))
+        else:
+            def f(t, y):
+                return rhs(y, tuple([look(t) for look in looks]), uval(t))
+        return f
 
-    uval = looks = feed = None
-    resolve(0.0, stops[0])
-    stepper = Stepper(f, 0.0, y0, opts, h_cap=delays[0] if delays else math.inf)
+    pieces = [rhs_on(lo, hi) for lo, hi in zip([0.0] + stops, stops)]
+    stepper = Stepper(pieces[0], 0.0, y0, opts, h_cap=delays[0] if delays else math.inf)
     if fed:
         stepper._steps = loop(opts, stepper.traj, stepper._h_top, *values)
+    stepper.stops, stepper.pieces = stops[:-1], pieces[1:]
     check = every
-    for lo, target in zip([0.0] + stops, stops):
-        if lo > 0.0:
-            resolve(lo, target)
-            stepper.invalidate_rhs_cache()
-        stepper.feed = feed
-        while stepper.t != target:
-            stepper.advance(target, until=check)
-            if stepper.escape_info is not None:
-                return stepper.outcome()
-            if stepper.t >= check:
-                if ask(stepper.traj, stepper.t):
-                    return stepper.outcome()
-                check = stepper.t + every
+    while stepper.t != T and stepper.escape_info is None:
+        stepper.advance(T, until=check)
+        if stepper.t >= check and stepper.escape_info is None:
+            if ask(stepper.traj, stepper.t):
+                break
+            check = stepper.t + every
     return stepper.outcome()

@@ -15,15 +15,21 @@ from delayreach.integrator import (
     Stepper,
     StepSizeCollapse,
     Trajectory,
+    _bounds,
     _forced_stops,
+    _last_crossing,
     _quartic_eval,
+    _quartic_sup,
+    _real_roots,
     integrate,
 )
-from delayreach.probes import random_history
-from delayreach.signals import Constant, ExponentialTail, PiecewiseConstant
+from delayreach.probes import DEFAULT_DELTAS, PROBE_OPTS, escape_schedule, random_history
+from delayreach.signals import Constant, ExponentialTail, PiecewiseConstant, PiecewiseLinear, TimeShift, smooth_square
 from delayreach.systems import (
+    DEFAULT_DELAY,
     associated_system,
     cascade_system,
+    embed_history_as_inputs,
     greedy_worst_switch,
     planar_rhs,
     planar_system,
@@ -239,6 +245,46 @@ def segment_sup(y0, q):
     return best
 
 
+def peak_histories(seed=1):
+    """The histories of one round of the benchmark's peak sweep: the seven
+    smoothing widths on [-tau, 0] and two random piecewise-linear ones."""
+    tau, schedule = DEFAULT_DELAY, escape_schedule()[0]
+    hists = []
+    for delta in DEFAULT_DELTAS:
+        w = smooth_square(schedule, delta, strict=False)
+        knots = np.unique(np.concatenate([[0.0, tau], w.knots[(w.knots > 0) & (w.knots < tau)]]))
+        z = np.array([float(w.eval(t)[0]) for t in knots])
+        hists.append(HistoryFn(knots - tau, np.column_stack([z, np.ones_like(z), np.zeros_like(z)])))
+    rng = np.random.default_rng(seed)
+    return hists + [random_history(rng, rng.uniform(0.1, 1.0), tau, 3) for _ in range(2)]
+
+
+def peak_run(hist, tau=DEFAULT_DELAY):
+    """The delayed and the embedded run of one peak-sweep history on [0, tau]."""
+    casc = cascade_system(tau)
+    xi0, inputs = embed_history_as_inputs(hist, casc.delays)
+    stops = saturation_stop_times(hist, tau, tau)
+    return (integrate(casc, hist, None, tau, PROBE_OPTS, extra_stops=stops),
+            integrate(associated_system(), xi0, inputs[0], tau, PROBE_OPTS, extra_stops=stops))
+
+
+@pytest.fixture(scope="module")
+def peak_trajs():
+    """The 18 trajectories of one round of the benchmark's peak sweep."""
+    return [out.trajectory for hist in peak_histories() for out in peak_run(hist)]
+
+
+def unpruned_last_time_above(traj, level):
+    """`Trajectory.last_time_above` with no segment or component pruned."""
+    ts, ys, qs, everything = traj.ts, traj.ys, traj.qs, np.full(traj.dim, np.inf)
+    for i in range(len(ts) - 2, -1, -1):
+        if _quartic_sup(ys[i], qs[i], everything, floor=level) > level:
+            th = _last_crossing(ys[i], qs[i], everything, level)
+            if th is not None:
+                return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
+    return traj.t_start
+
+
 @pytest.fixture(scope="module")
 def cascade_traj():
     # a cascade run on which 9-point sampling of partial segments read the
@@ -281,15 +327,34 @@ class TestExactSuprema:
             dense = dense_norms(cascade_traj, np.linspace(lo, hi, 4001)).max()
             assert cascade_traj.sup_norm(lo, hi) >= dense
 
-    def test_whole_segment_windows_match_unpruned_search(self, cascade_traj):
-        traj = cascade_traj
+    @pytest.mark.parametrize("which", ["cascade"] + [f"peak{k}" for k in range(18)])
+    def test_whole_segment_windows_match_unpruned_search(self, which, cascade_traj, peak_trajs):
+        # the sup over whole segments, and the last time above levels up to
+        # the sup and at node and segment sups, against the search that
+        # prunes nothing: the cascade run, and the 18 runs of a peak round
+        traj = cascade_traj if which == "cascade" else peak_trajs[int(which[4:])]
         n = len(traj.ts)
         rng = np.random.default_rng(1)
         pairs = [(0, n - 1)] + [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(40)]
+        segs = [segment_sup(traj.ys[k], traj.qs[k]) for k in range(n - 1)]
         for i, j in pairs:
-            ref = max(float(np.abs(traj.ys[i]).max()), float(np.abs(traj.ys[j]).max()),
-                      *(segment_sup(traj.ys[k], traj.qs[k]) for k in range(i, j)))
+            ref = max(float(np.abs(traj.ys[i]).max()), float(np.abs(traj.ys[j]).max()), *segs[i:j])
             assert traj.sup_norm(float(traj.ts[i]), float(traj.ts[j])) == ref
+        top = max(segs)
+        levels = [*(top * rng.uniform(0.0, 1.0, 6)), top, *rng.choice(segs, 3),
+                  *np.abs(traj.ys[rng.choice(n, 3)]).max(axis=1)]
+        for level in levels:
+            assert f64(traj.last_time_above(level)) == f64(unpruned_last_time_above(traj, level)), level
+
+    def test_nan_window_end_or_level_is_rejected(self):
+        # each of these read a NaN as a number: nan, 0.625 and "never above"
+        hist = HistoryFn.constant(np.array([0.9, 2.0, -1.0]), 1.0)
+        traj = integrate(cascade_system(1.0), hist, None, 3.0).trajectory
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="nan"):
+                traj.sup_norm(lo, hi)
+        with pytest.raises(ValueError, match="nan"):
+            traj.last_time_above(math.nan)
 
     def test_point_and_clipped_windows(self, cascade_traj):
         traj = cascade_traj
@@ -1005,7 +1070,7 @@ class TestHistoryFn:
         knots = h.shifted(d).knots
         inside = knots[(knots > 0.0) & (knots < T)].tolist()
         assert len(inside) == len(h.knots) - 1
-        assert set(inside) <= set(_forced_stops(cascade_system(d), None, T, h).tolist())
+        assert set(inside) <= set(_forced_stops(cascade_system(d), None, T, h))
         # within its 1e-9 slack a hair below -tau, eval is the first knot's value
         assert h.eval(np.nextafter(h.knots[0] - 1e-9, 0.0)).tobytes() == h.values[0].tobytes()
 
@@ -1269,3 +1334,216 @@ class TestStepperOutcomes:
         # this is a failure of the options, not an escape
         with pytest.raises(StepSizeCollapse):
             integrate(decay_system(rate=100.0), np.array([1.0]), None, 10.0, IntegratorOptions(h_min=1.0))
+
+
+def horner_values(y0, q, th):
+    """|p(th)| of one component at each float th, by Horner as the searches evaluate it."""
+    return np.abs(y0 + th * (q[0] + th * (q[1] + th * (q[2] + th * q[3]))))
+
+
+class TestBernsteinBound:
+    """`_bounds` is at least every float value of a segment's quartic that the
+    searches compute: Horner at each th in [0, 1], the derivative's float
+    roots and their neighbours among them, and the sum at th = 1."""
+
+    THETA = np.linspace(0.0, 1.0, 10_001)
+
+    def assert_sound(self, y0, q):
+        bound = _bounds(y0, q)
+        for i in range(len(y0)):
+            c = q[:, i]
+            try:  # the companion matrix of a subnormal leading coefficient overflows
+                with np.errstate(all="ignore"):
+                    roots = np.array(_real_roots([4.0 * c[3], 3.0 * c[2], 2.0 * c[1], c[0]], 0.0, 1.0))
+            except np.linalg.LinAlgError:
+                roots = np.empty(0)
+            ths = np.concatenate([self.THETA, roots, np.nextafter(roots, 0.0), np.nextafter(roots, 1.0)])
+            seen = max(float(horner_values(y0[i], c, ths).max()), abs(y0[i] + c[0] + c[1] + c[2] + c[3]))
+            assert seen <= bound[i], (y0[i], c.tolist(), seen, bound[i])
+
+    @staticmethod
+    def quartics(rng, n):
+        """n random (y0, q) of 3 components: ordinary coefficients at scales
+        1e-150 to 1e150, polynomials whose sup is a Bernstein coefficient
+        (c th^k, c (1 - th)^k and constants, nudged by an ulp), and
+        coefficients drawn among +-0.0, subnormals and ordinary values."""
+        for j in range(n):
+            kind = j % 3
+            if kind == 0:
+                a = rng.normal(size=(5, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(1, 3))
+            elif kind == 1:
+                k, c = int(rng.integers(0, 5)), rng.normal(size=3) * 10.0 ** rng.uniform(-150.0, 150.0, size=3)
+                binom = np.array([math.comb(k, m) * (-1.0) ** m for m in range(5)]) if k else np.eye(5)[0]
+                a = np.outer(np.eye(5)[k], c) if rng.random() < 0.5 else np.outer(binom, c)
+                a = np.nextafter(a, rng.choice([-np.inf, np.inf], size=a.shape))
+                a[np.abs(a) < 1e-300] = 0.0
+            else:
+                pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.0, -3.0, 1e150])
+                a = rng.choice(pool, size=(5, 3)) * rng.choice([1.0, rng.uniform(0.5, 2.0)], size=(5, 3))
+            yield a[0], a[1:]
+
+    def test_random_quartics(self):
+        for y0, q in self.quartics(np.random.default_rng(37), 600):
+            self.assert_sound(y0, q)
+
+    def test_every_segment_of_a_peak_round(self, peak_trajs):
+        for traj in peak_trajs:
+            for y0, q in zip(traj.ys[:-1], traj.qs):
+                self.assert_sound(y0, q)
+
+    def test_nonfinite_coefficients(self):
+        # a NaN coefficient makes the bound NaN and an infinite one inf, as |y0| + sum |q_k| did
+        y0, q = np.array([1.0, 1.0, 1.0]), np.ones((4, 3))
+        q[2, 0], q[0, 1], q[3, 2] = math.nan, math.inf, -math.inf
+        bound = _bounds(y0, q)
+        assert math.isnan(bound[0]) and bound[1] == bound[2] == math.inf
+
+
+def numpy_forced_stops(sys, u, T, history=None, extra=()):
+    """The forced stops as array arithmetic computes them: the reference of `_forced_stops`."""
+    pts = [np.array([T]), np.asarray(extra, dtype=float)]
+    if u is not None:
+        pts.append(np.asarray(u.breakpoints(0.0, T)))
+    if sys.delays:
+        mult = sys.delays[0] * np.arange(1, 9)
+        pts.append(mult[mult < T])
+        if isinstance(history, HistoryFn) and len(history.knots) > 1:
+            for d in sys.delays:
+                for m in range(1, 9):
+                    shifted = history.knots[:-1] + m * d
+                    pts.append(shifted[(shifted > 0.0) & (shifted < T)])
+    stops = np.unique(np.concatenate(pts))
+    return stops[(stops > 0.0) & (stops <= T)]
+
+
+def numpy_initial_step(st, target):
+    """The first step size as array arithmetic computes it: the reference of `Stepper._initial_step`."""
+    o = st.opts
+    y, k1 = np.array(st.y), np.array(st.slope, dtype=float)
+    scale = o.abs_tol + o.rel_tol * np.abs(y)
+    d0 = float(np.sqrt(np.mean((y / scale) ** 2)))
+    d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
+    if not math.isfinite(d1):
+        return o.h_min
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, target - st.t, st._h_top)
+    f1 = np.array(st.rhs(st.t + h0, (y + h0 * k1).tolist()))
+    d2 = float(np.sqrt(np.mean(((f1 - k1) / scale) ** 2))) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1)
+
+
+class TestFloatSetUp:
+    """The set-up of a run on floats rounds as the array formulas did, bit for bit."""
+
+    def test_forced_stops_are_the_array_formula(self):
+        rng = np.random.default_rng(11)
+        for j in range(300):
+            d = rng.uniform(0.05, 3.0)
+            two = DiscreteDelaySystem(dim=2, input_dim=1, delays=(d, d * rng.uniform(1.1, 3.0)),
+                                      rhs=lambda y, dl, u: list(y))
+            sys = [cascade_system(d), two, associated_system()][j % 3]
+            hist = random_history(rng, rng.uniform(0.1, 2.0), sys.tau, sys.dim) if sys.delays else None
+            T = sys.tau * rng.uniform(0.3, 9.0) if sys.delays else rng.uniform(0.1, 5.0)
+            extra = np.concatenate([rng.uniform(-1.0, T + 1.0, size=int(rng.integers(0, 8))), [T, 0.0, -0.0]])
+            if hist is not None:
+                extra = np.append(extra, hist.knots[1:-1] + d)  # the same floats by another route
+            u = [None, PiecewiseConstant(rng.uniform(size=4), np.sort(rng.uniform(0.0, T, 3))),
+                 TimeShift(PiecewiseLinear(np.linspace(-1.0, T, 6), rng.uniform(size=6)), rng.uniform(0.0, 1.0))][j % 3]
+            want = numpy_forced_stops(sys, u, T, hist, extra)
+            got = _forced_stops(sys, u, T, hist, extra)
+            assert np.array(got).tobytes() == want.tobytes(), j
+
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_initial_step_is_the_array_formula(self, dim):
+        # random linear fields and states at many scales, zeros among them,
+        # toward near and far targets, and a slope that is not finite
+        rng = np.random.default_rng(dim)
+        for j in range(60):
+            m = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-4.0, 4.0)
+            y = rng.normal(size=dim) * 10.0 ** rng.uniform(-6.0, 6.0, size=dim)
+            y[rng.random(dim) < 0.2] = 0.0
+            bad = [math.inf, -math.inf, math.nan][j % 3] if j % 10 == 9 else None
+
+            def rhs(t, x):
+                k = (m @ np.array(x) + t).tolist()
+                return [bad, *k[1:]] if bad is not None else k
+
+            opts = IntegratorOptions(rel_tol=10.0 ** rng.uniform(-10.0, -3.0), abs_tol=10.0 ** rng.uniform(-12.0, -4.0))
+            st = Stepper(rhs, rng.uniform(-1.0, 1.0), y, opts, h_cap=[math.inf, rng.uniform(1e-3, 1.0)][j % 2])
+            target = st.t + 10.0 ** rng.uniform(-8.0, 2.0)
+            assert f64(st._initial_step(target)) == f64(numpy_initial_step(st, target)), j
+
+
+def by_interval(monkeypatch):
+    """Make `integrate` drive its Stepper one interval at a time: one advance
+    per interval between forced stops, and at each stop the rhs swapped in
+    Python and its slope taken by `invalidate_rhs_cache`."""
+    advance = Stepper.advance
+
+    def stepwise(st, target, until=math.inf):
+        stops, pieces = list(st.stops), list(st.pieces)
+        st.stops, st.pieces = (), ()
+        for end, rhs in zip(stops + [target], [None] + pieces):
+            if rhs is not None:
+                st.rhs = rhs
+                st.invalidate_rhs_cache()
+            while st.t != end and st.escape_info is None:
+                advance(st, end, until)
+            if st.escape_info is not None:
+                return
+
+    monkeypatch.setattr(Stepper, "advance", stepwise)
+
+
+class TestWalkedStops:
+    """A run whose loop walks the forced stops equals the run stopped and
+    resumed at every one of them: ts, ys and qs bytes, outcome and nsteps."""
+
+    @staticmethod
+    def record(monkeypatch, runs, stepwise):
+        seen, outcome = [], Stepper.outcome
+
+        def recorded(st):
+            out = outcome(st)
+            tr = out.trajectory
+            seen.append((st.nsteps, out.flag, out.t_escape, tr.ts.tobytes(), tr.ys.tobytes(), tr.qs.tobytes()))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(Stepper, "outcome", recorded)
+            if stepwise:
+                by_interval(m)
+            runs()
+        return seen
+
+    def both(self, monkeypatch, runs):
+        walked = self.record(monkeypatch, runs, False)
+        assert walked and walked == self.record(monkeypatch, runs, True)
+
+    def test_peak_round(self, monkeypatch):
+        self.both(monkeypatch, lambda: [peak_run(h) for h in peak_histories(seed=5)])
+
+    def test_plain_rhs_jumps_and_past_the_delay(self, monkeypatch):
+        # fused and plain callables, swapped at each stop: on inputs that jump
+        # there, so the slope past a stop is not the last stage before it, and
+        # on lookups of the dense output past tau
+        def plain(sys):
+            return DiscreteDelaySystem(sys.dim, sys.input_dim, sys.delays, lambda y, d, u, f=sys.rhs: f(y, d, u))
+
+        def runs():
+            rng = np.random.default_rng(7)
+            jumps = PiecewiseConstant(rng.uniform(-0.5, 1.5, size=(6, 1)), np.sort(rng.uniform(0.0, 3.0, size=5)))
+            for sys in (associated_system(), plain(associated_system())):
+                integrate(sys, [0.5, 1.0, -0.5], jumps, 4.0, PROBE_OPTS)
+            for hist in peak_histories(seed=6)[::4]:
+                for sys in (cascade_system(DEFAULT_DELAY), plain(cascade_system(DEFAULT_DELAY))):
+                    integrate(sys, hist, None, 3.0 * DEFAULT_DELAY, PROBE_OPTS)
+
+        self.both(monkeypatch, runs)
+
+    def test_escape_between_stops(self, monkeypatch):
+        # the escape ends the walk: x' = x^2 from 1 blows up at t = 1, with stops on the way
+        sys = DiscreteDelaySystem(1, 1, (), lambda y, d, u: [y[0] * y[0] + 0.0 * u[0]])
+        u = PiecewiseConstant(np.zeros(6), np.linspace(0.1, 0.9, 5))
+        self.both(monkeypatch, lambda: integrate(sys, np.array([1.0]), u, 2.0))

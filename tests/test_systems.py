@@ -10,7 +10,7 @@ import pytest
 
 from delayreach.integrator import (HistoryFn, IntegratorOptions, MaxStepsExceeded, Stepper, _fed_kernel,
                                   _piece_floats, integrate)
-from delayreach.lyap import A_MODE1, A_MODE2
+from delayreach.lyap import A_MODE1, A_MODE2, Mat2
 from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
 from delayreach.signals import (Constant, PiecewiseConstant, PiecewiseLinear, TimeShift, _constant, _linear, _maker,
                                 smooth_square)
@@ -19,6 +19,7 @@ from delayreach.systems import (
     DEFAULT_DELAY,
     DEFAULT_PLANAR,
     SYSTEM_NAMES,
+    PlanarParams,
     SwitchingPolicy,
     WindowOverlap,
     _MIN_DWELL,
@@ -622,6 +623,59 @@ class TestFedField:
                 integ(associated_system(), [0.5, 1.0, -0.5], u, 4.0, PROBE_OPTS)
 
         self.both_loops(monkeypatch, run)
+
+
+class TestHeldFeed:
+    """A fused loop runs the gains of a constant feed piece once, when it
+    loads the piece, and reads a line from +0.0 to +0.0 as the constant +0.0,
+    the flat zeros of a peak history: bit for bit the gains of every stage."""
+
+    @staticmethod
+    def bits(v):
+        return np.array(v, dtype=float).tobytes()
+
+    def test_line_between_plus_zeros_reads_plus_zero(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            a, span = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-8.0, 2.0)
+            line = _linear(a, a + span, [0.0, 1.0], [0.0, -2.0])
+            kind, *_, p, q, _, _, _ = _piece_floats(line)
+            assert kind == "constant" and self.bits(p) == self.bits(0.0)
+            ts = np.concatenate([a + span * rng.uniform(size=50), [a, a + span, np.nextafter(a + span, np.inf)]])
+            assert all(self.bits(line(t)[0]) == self.bits(0.0) for t in ts)
+        for v0, v1 in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 5e-324), (1.0, 1.0)):
+            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]))[0] == "line"
+
+    @staticmethod
+    def gain_pairs(rng):
+        """The default gains; a pair whose second row of A2 is -0.0, where the
+        blend at w = -0.0 and at +0.0 differ in the sign of zero; and random
+        pairs with -0.0 and +0.0 entries."""
+        pairs = [DEFAULT_PLANAR, PlanarParams(Mat2(0.3, 2.0, 0.5, 0.25), Mat2(-0.1, 0.5, -0.0, -0.0))]
+        for _ in range(4):
+            a = rng.uniform(-1.0, 1.0, size=8)
+            a[rng.random(8) < 0.4] = rng.choice([0.0, -0.0])
+            pairs.append(PlanarParams(Mat2(*a[:4]), Mat2(*a[4:])))
+        return pairs
+
+    def test_held_gains_are_the_blend(self, monkeypatch):
+        # the associated and the cascade system of each gain pair, driven by
+        # constant and flat pieces at +0.0, -0.0, 1.0 and between: the fused
+        # loop against the call loop, which blends at every stage
+        rng = np.random.default_rng(38)
+        knots = np.array([-1.0, -0.8, -0.6, -0.5, -0.3, -0.2, 0.0])
+        zs = np.array([0.0, 0.0, -0.0, -0.0, 1.0, 1.0, 0.0])
+        flat = HistoryFn(knots, np.column_stack([zs, np.full(7, 0.3), np.full(7, 0.2)]))
+        steps = PiecewiseConstant(np.array([0.0, -0.0, 1.0, 0.4, -0.0, 0.0]), np.array([0.1, 0.2, 0.3, 0.5, 0.7]))
+        inputs, pairs = (steps, flat.shifted(1.0), Constant(-0.0)), self.gain_pairs(rng)
+
+        def run(integ):
+            for params in pairs:
+                for u in inputs:
+                    integ(associated_system(params), [0.2, 0.3, 0.2], u, 1.0, PROBE_OPTS)
+                integ(cascade_system(1.0, params), flat, None, 1.0, PROBE_OPTS)
+
+        TestFedField.both_loops(monkeypatch, run)
 
 
 def literal_block(values, breaks, t_escape) -> str:
