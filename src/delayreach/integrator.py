@@ -520,16 +520,25 @@ class Trajectory:
         """Largest t with |x(t)|_inf > level, or t_start if never above. Exact: the
         last crossing of p_i = +-level, solved directly, in the last segment whose
         exact sup exceeds the level (or that segment's end, if still above),
-        among those whose bound (`_bounds`) exceeds it. ValueError for a NaN level."""
+        among those whose bound (`_bounds`) exceeds it. The segments are read from
+        the stores, walked back from the run's end in chunks that double, each
+        chunk's bounds by `_bounds`; no ts, ys or qs is built. ValueError for a
+        NaN level."""
         if math.isnan(level):
             raise ValueError(f"level must not be NaN, got {level!r}")
-        ts, ys, qs = self.ts, self.ys, self.qs
-        bounds = _bounds(ys[:-1], qs)
-        for i in np.flatnonzero(bounds.max(axis=1) > level)[::-1]:
-            if _quartic_sup(ys[i], qs[i], bounds[i], floor=level) > level:
-                th = _last_crossing(ys[i], qs[i], bounds[i], level)
-                if th is not None:
-                    return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
+        dim, hi, size = self.dim, len(self._t) - 1, 8
+        while hi > 0:
+            lo = max(0, hi - size)
+            ys = np.frombuffer(self._y[lo * dim : hi * dim]).reshape(-1, dim)
+            qs = np.frombuffer(self._q[4 * dim * lo : 4 * dim * hi]).reshape(-1, 4, dim)
+            bounds = _bounds(ys, qs)
+            for k in np.flatnonzero(bounds.max(axis=1) > level)[::-1]:
+                if _quartic_sup(ys[k], qs[k], bounds[k], floor=level) > level:
+                    th = _last_crossing(ys[k], qs[k], bounds[k], level)
+                    if th is not None:
+                        t0, t1 = self._t[lo + k], self._t[lo + k + 1]
+                        return min(float(t0 + th * (t1 - t0)), t1)
+            hi, size = lo, 2 * size
         return self.t_start
 
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from delayreach import probes
 from delayreach.integrator import (
     BadHistoryDomain,
     DiscreteDelaySystem,
@@ -37,6 +38,7 @@ from delayreach.systems import (
     saturation_stop_times,
 )
 
+import suprema_ref
 from audit import residual_audit
 
 
@@ -399,6 +401,43 @@ class TestExactSuprema:
         assert dense_norms(traj, np.linspace(t_star, 2.0, 4001)[1:]).max() <= 1.0
         assert traj.last_time_above(0.5) == pytest.approx(1.0 + (1.0 + math.sqrt(0.5)) / 2.0, rel=1e-15)
         assert traj.last_time_above(2.0) == 0.0
+
+
+class TestWalkedLastTime:
+    """`last_time_above` walked back from the run's end is the full-array
+    search (`suprema_ref`) bit for bit, mid-run as the settle probe asks and on
+    frozen runs: at the level asked, at ten times it and at node values."""
+
+    CELLS = ((1.0, 0.1), (1.0, 1.0), (10.0, 0.1), (10.0, 1.0), (100.0, 0.1), (100.0, 1.0))
+
+    @staticmethod
+    def levels(traj, level, rng):
+        n = len(traj._t)
+        nodes = np.abs(np.frombuffer(traj._y).reshape(n, -1)[rng.choice(n, 3)]).max(axis=1)
+        return [level, 10.0 * level, *nodes.tolist()]
+
+    def test_reach_time_draws(self, monkeypatch):
+        walked, seen, rng = Trajectory.last_time_above, [], np.random.default_rng(3)
+
+        def both(traj, level):
+            for lv in self.levels(traj, level, rng):
+                seen.append((lv, f64(walked(traj, lv)), f64(suprema_ref.last_time_above(traj, lv))))
+            return walked(traj, level)
+
+        monkeypatch.setattr(Trajectory, "last_time_above", both)
+        for seed in (0, 1, 2):
+            for r, eps in self.CELLS:
+                probes.uga_table([r], [eps], n_samples=1, seed=seed)
+        assert len(seen) >= 18 * 5
+        assert [s[1] for s in seen] == [s[2] for s in seen]
+
+    def test_feed_runs(self):
+        rng = np.random.default_rng(60)
+        for j in range(60):
+            hist = random_history(rng, (1.0, 10.0, 100.0)[j % 3] * rng.uniform(0.3, 1.0), DEFAULT_DELAY, 3)
+            traj = probes._feed_run(hist, DEFAULT_DELAY, 4.0 * DEFAULT_DELAY, PROBE_OPTS)
+            for level in (0.1, 1.0, *self.levels(traj, float(np.abs(traj.ys[-1]).max()), rng)):
+                assert f64(traj.last_time_above(level)) == f64(suprema_ref.last_time_above(traj, level)), (j, level)
 
 
 def traj_bytes(traj):
