@@ -266,62 +266,117 @@ class _Fed(NamedTuple):
     of the first delayed state, or of the input where the system has no
     delays; `at` is source from w to what the field reads besides the state,
     `field` the field of `_step_kernel`, and both read the constants `names`,
-    whose values are `values`. `integrate` computes it inline (`_fed_kernel`)."""
+    whose values are `values`. `at` computes one value at every w < 0.0 and
+    one at every w >= levels[1] > 0.0, its saturated branches (levels[0] is
+    0.0). `integrate` computes it inline (`_fed_kernel`)."""
 
     at: tuple
     field: Callable
     names: str
+    levels: tuple
 
 
 #: the floats a fed stage reads of the current piece (`_piece_floats`)
-_PIECE = "kind, a, span, p, q, rate, start, look"
+_PIECE = "kind, a, span, p, q, rate, start, look, t_in, t_out, hold"
 
 
 def _feed(t: str) -> list:
-    """Source of the feed w at time t from the floats of `_PIECE`: a decay, a
-    line or a constant by its closed form, any other piece by one call."""
+    """Source of the feed w at time t from the floats of `_PIECE`: a decay or
+    a line by its closed form, any other piece by one call."""
     return ["if kind == 'decay':", f"    w = p * {_DECAY.format(t=t)}",
             "elif kind == 'line':", f"    s = {_FRACTION.format(t=t)}", f"    w = {_LINE.format(p='p', q='q')}",
-            "elif kind == 'constant':", "    w = p",
             "else:", f"    w = float(look({t})[0])"]
 
 
-def _piece_floats(piece) -> tuple:
-    """The floats `_feed` reads of component 0 of a piece (`Signal.piece`), in
-    the order of `_PIECE`: those of its `form`, or the piece itself to call. A
-    line from +0.0 to +0.0 is the constant +0.0: (1 - s) * 0.0 + s * 0.0 adds
-    two zeros, never both -0.0."""
+def _fed_at(t: str, at: tuple) -> list:
+    """Source of a fed stage's `at` at time t: at w = hold, run once until a
+    stage leaves it, where t lies in the piece's [t_in, t_out], and at the
+    feed (`_feed`) elsewhere."""
+    return [f"if t_in <= {t} <= t_out:", "    if not held:", "        held, w = True, hold",
+            *("        " + line for line in at), "else:", "    held = False",
+            *("    " + line for line in [*_feed(t), *at])]
+
+
+def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tuple:
+    """(t_in, t_out, hold): times in [lo, hi] at which every float w(t) of a
+    line or decay piece lies in one saturated branch, w < 0.0 or w >= h =
+    levels[1], and a w of it; an empty interval where none is proven.
+
+    A line at s = (t - a) / span in [0, 1] rounds (1 - s) p + s q by under E =
+    2^-51 M + 2^-1073, M = max(|p|, |q|): gamma_3 M, and two products that
+    underflow by 2^-1075 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2.2). Its exact value is monotone in t, so floats >= h + m (or
+    <= -m) at both ends of an interval, m = 2^-48 M + 2^-1070 > 2E with the
+    rounding of h + m, put every float between at >= h (or < 0). Knots p, q <
+    -2^-1074 give w < 0 however s rounds: both products are <= 0, and the one
+    whose factor is >= 1/2 is not 0. The flat line 1.0 reads 1.0: 1 - s is exact
+    on [1/2, 1] (Sterbenz), below it within 2^-54 or 1 - s = 1, and 1 + d,
+    |d| <= 2^-54, rounds to 1.0 (at -2^-54 by ties to even).
+
+    A decay p exp(-rate (t - start)), rate > 0, reads at t <= t_out a w of the
+    sign of w(t_out) and at least (1 - 6u)|w(t_out)|: the exponent rounds
+    monotonely in t and exp is faithful. So w(t_out) >= h (1 + 2^-30), or <=
+    -2^-1000 (however it underflows), holds [lo, t_out]; t_out is 2^-20 (or
+    690) inside the closed-form crossing of h (or of the underflow)."""
+    kind, a, span, p, q, rate, start, _ = floats
+    if not levels:
+        return math.inf, -math.inf, 0.0
+    h = levels[1]
+    if kind == "line" and math.isfinite(p - q) and (lo - a) / span >= 0.0 and (hi - a) / span <= 1.0:
+        m = 2.0 ** -48 * max(abs(p), abs(q)) + 2.0 ** -1070
+        side = [h if v >= h + m else -1.0 if v <= -m else None for v in (w(lo), w(hi))]
+        if max(p, q) < -(2.0 ** -1074):
+            return lo, hi, -1.0
+        if p == q == 1.0 >= h or side[0] is not None and side[0] == side[1]:
+            return lo, hi, side[0] or h
+        for end, v in zip((lo, hi), side):
+            if v is not None and p != q:  # 2^-20 of the way back from where the exact line is 2m past the level
+                t = a + span * ((h + 2.0 * m if v == h else -2.0 * m) - p) / (q - p)
+                t = end + (t - end) * (1.0 - 2.0 ** -20)
+                if lo <= t <= hi and (w(t) >= h + m if v == h else w(t) <= -m):
+                    return (lo, t, v) if end == lo else (t, hi, v)
+    if kind == "decay" and rate > 0.0 and (p >= h or p < 0.0):
+        t = min(hi, start + (math.log(p / h) - 2.0 ** -20 if p >= h else math.log(-p) + 690.0) / rate)
+        if t >= lo and (w(t) >= h * (1.0 + 2.0 ** -30) if p >= h else w(t) <= -(2.0 ** -1000)):
+            return lo, t, h if p >= h else -1.0
+    return math.inf, -math.inf, 0.0
+
+
+def _piece_floats(piece, lo: float = 0.0, hi: float = -1.0, levels: tuple = ()) -> tuple:
+    """The floats a fed stage reads of component 0 of a piece (`Signal.piece`)
+    on [lo, hi], in the order of `_PIECE`: those of its `form`, or the piece
+    itself to call, and the stage times [t_in, t_out] at which it reads w =
+    hold instead: all for a constant piece, and with `levels` those where
+    `_held` proves the feed saturated. A line from +0.0 to +0.0 is the
+    constant +0.0: (1 - s) * 0.0 + s * 0.0 adds two zeros, never both -0.0."""
     kind, *form = getattr(piece, "form", ("call",))
-    if kind == "constant":
-        return kind, 0.0, 0.0, float(form[0][0]), 0.0, 0.0, 0.0, None
     if kind == "line":
         a, span, v0, v1 = form
-        p, q = float(v0[0]), float(v1[0])
-        flat = p == q == 0.0 and math.copysign(1.0, p) == math.copysign(1.0, q) == 1.0
-        return "constant" if flat else kind, a, span, p, q, 0.0, 0.0, None
+        floats = kind, a, span, float(v0[0]), float(v1[0]), 0.0, 0.0, None
+        if floats[3] == floats[4] == 0.0 and math.copysign(1.0, floats[3]) == math.copysign(1.0, floats[4]) == 1.0:
+            kind, form = "constant", [[0.0]]
+    if kind == "constant":
+        return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, -math.inf, math.inf, float(form[0][0])
     if kind == "decay":
         value, rate, start = form
-        return kind, 0.0, 0.0, float(value[0]), 0.0, rate, start, None
-    return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, piece
+        floats = kind, 0.0, 0.0, float(value[0]), 0.0, rate, start, None
+    elif kind != "line":
+        return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, piece, math.inf, -math.inf, 0.0
+    return (*floats, *_held(lambda t: piece(t)[0], floats, lo, hi, levels))
 
 
 @functools.lru_cache(maxsize=None)
 def _fed_kernel(n: int, fed: _Fed):
     """(loop, stage) for an rhs carrying `fed`: the loop of `_step_kernel` with
-    the feed (`_feed`) and `fed.at` once per stage time, the field inline and
-    the piece's floats read from rhs.feed, the rhs of the current interval;
-    loop(opts, traj, h_top, *values); of a constant piece it runs `fed.at`
-    once, at the load. stage(t, y, *piece, *values) is one such stage as a function."""
-
-    def at(t):
-        return [*_feed(t), *fed.at]
-
-    load = "\n    ".join([f"{_PIECE} = rhs.feed\nif kind == 'constant':", "w = p", *fed.at])
-    loop = _step_kernel(n, fed.field, ", " + fed.names, load=load,
-                        at=lambda t: ["if kind != 'constant':", *("    " + line for line in at(t))])[0]
+    `_fed_at` once per stage time, the field inline and the piece's floats
+    read from rhs.feed, the rhs of the current interval; loop(opts, traj,
+    h_top, *values). stage(t, y, *piece, *values) is one such stage as a function."""
+    loop = _step_kernel(n, fed.field, ", " + fed.names, load=f"{_PIECE} = rhs.feed\nheld = False",
+                        at=lambda t: _fed_at(t, fed.at))[0]
     comps = range(n)
     src = "\n    ".join([f"def stage(t, y, {_PIECE}, {fed.names}):", "".join(f"x_{i}, " for i in comps) + "= y",
-                         *at("t"), *fed.field("x", "k", "t"), f"return [{', '.join(f'k_{i}' for i in comps)}]"])
+                         "held = False", *_fed_at("t", fed.at), *fed.field("x", "k", "t"),
+                         f"return [{', '.join(f'k_{i}' for i in comps)}]"])
     exec(compile(src, f"<fed stage, n={n}>", "exec"), scope := {"exp": _EXP})
     return loop, scope["stage"]
 
@@ -842,7 +897,7 @@ def integrate(sys: DiscreteDelaySystem, history, u: Optional[Signal], T: float,
         uval = u.piece(lo, hi)
         looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
         if fed:
-            feed = _piece_floats(looks[0] if delays else uval)
+            feed = _piece_floats(looks[0] if delays else uval, lo, hi, fed.levels)
 
             def f(t, y):
                 return stage(t, y, *feed, *values)

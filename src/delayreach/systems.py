@@ -72,6 +72,8 @@ def _define(signature: str, lines: list) -> Callable:
     return scope[signature[: signature.index("(")]]
 
 
+#: the levels where the clamp of `planar_rhs` kinks, and `_GAINS` saturates
+_SATURATION_LEVELS = (0.0, 1.0)
 _ENTRIES = "p11, p12, p21, p22, q11, q12, q21, q22, e11, e12, e21, e22, f11, f12, f21, f22"
 #: A(sat(w)) = lam A1 + (1 - lam) A2 as source, at a float w: sat clamps w to
 #: [0, 1] and passes a NaN; the entries p.. of A1 and q.. of A2 are blended
@@ -106,7 +108,8 @@ def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
 
 
 #: the planar field and the cascade's as `integrator._Fed`: the gains at w, then the field
-_PLANAR_FED, _CASCADE_FED = (_Fed(tuple(_GAINS), field, _ENTRIES) for field in (_field, _cascade_field))
+_PLANAR_FED, _CASCADE_FED = (_Fed(tuple(_GAINS), field, _ENTRIES, _SATURATION_LEVELS)
+                              for field in (_field, _cascade_field))
 
 
 def _carrying(rhs: Callable, fed: _Fed, params: PlanarParams) -> Callable:
@@ -216,10 +219,6 @@ def history_from_inputs(xi0, inputs, delays) -> HistoryFn:
     knots_arr = np.array(knots)[order]
     vals_arr = np.array([vals[i] for i in order])
     return HistoryFn(knots_arr, vals_arr)
-
-
-#: the levels where the clamp of `planar_rhs` kinks
-_SATURATION_LEVELS = (0.0, 1.0)
 
 
 def saturation_stop_times(history: HistoryFn, tau: float, T: float) -> np.ndarray:

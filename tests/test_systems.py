@@ -12,7 +12,7 @@ from delayreach.integrator import (HistoryFn, IntegratorOptions, MaxStepsExceede
                                   _piece_floats, integrate)
 from delayreach.lyap import A_MODE1, A_MODE2, Mat2
 from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
-from delayreach.signals import (Constant, PiecewiseConstant, PiecewiseLinear, TimeShift, _constant, _linear, _maker,
+from delayreach.signals import (Constant, ExponentialTail, PiecewiseConstant, PiecewiseLinear, TimeShift, _constant, _linear, _maker,
                                 smooth_square)
 from delayreach import escape_data, probes, systems
 from delayreach.systems import (
@@ -639,8 +639,8 @@ class TestHeldFeed:
         for _ in range(200):
             a, span = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-8.0, 2.0)
             line = _linear(a, a + span, [0.0, 1.0], [0.0, -2.0])
-            kind, *_, p, q, _, _, _ = _piece_floats(line)
-            assert kind == "constant" and self.bits(p) == self.bits(0.0)
+            kind, *_, t_in, t_out, hold = _piece_floats(line)
+            assert kind == "constant" and (t_in, t_out) == (-math.inf, math.inf) and self.bits(hold) == self.bits(0.0)
             ts = np.concatenate([a + span * rng.uniform(size=50), [a, a + span, np.nextafter(a + span, np.inf)]])
             assert all(self.bits(line(t)[0]) == self.bits(0.0) for t in ts)
         for v0, v1 in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 5e-324), (1.0, 1.0)):
@@ -674,6 +674,84 @@ class TestHeldFeed:
                 for u in inputs:
                     integ(associated_system(params), [0.2, 0.3, 0.2], u, 1.0, PROBE_OPTS)
                 integ(cascade_system(1.0, params), flat, None, 1.0, PROBE_OPTS)
+
+        TestFedField.both_loops(monkeypatch, run)
+
+
+    LEVELS = systems._SATURATION_LEVELS
+
+    @staticmethod
+    def smallest_held(levels=LEVELS):
+        """The smallest float x > 1 whose flat line x -> x is held above 1."""
+        x = math.nextafter(1.0, 2.0)
+        while _piece_floats(_linear(0.0, 1.0, [x], [x]), 0.0, 1.0, levels)[8] != 0.0:
+            x = math.nextafter(x, math.inf)
+        return x
+
+    def test_held_intervals_are_sound(self):
+        # random lines and decays near the levels, signed zeros and subnormals
+        # among them, on random spans and past the decay's underflow: at
+        # random stage times in each held interval, at its ends and at the
+        # floats next to them inside, the piece reads a w of hold's branch
+        rng = np.random.default_rng(39)
+        near = [0.0, -0.0, 5e-324, -5e-324, -1e-323, 1.0, -1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 1e-300, -1e-300]
+        held = set()
+        for j in range(3000):
+            ends = [rng.choice(near) * rng.choice([1.0, 1.0 + 2.0 ** -40]) if rng.random() < 0.4
+                    else rng.uniform(-2.0, 3.0) * 10.0 ** rng.integers(-3, 4) for _ in range(2)]
+            a, span = rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-6.0, 1.0)
+            if j % 2:
+                piece = _linear(a, a + span, [ends[0]], [ends[1]])
+                lo, hi = np.sort(a + span * rng.uniform(size=2))
+                lo, hi = (a, a + span) if j % 4 == 1 else (lo, hi)
+            else:
+                rate = 10.0 ** rng.uniform(-2.0, 1.0)
+                piece = _maker("decay", 1)([ends[0]], rate, a)
+                lo, hi = a + np.cumsum(rng.uniform(0.0, 800.0 / rate, 2) * 10.0 ** rng.integers(-4, 1, 2))
+            kind, *_, t_in, t_out, hold = _piece_floats(piece, lo, hi, self.LEVELS)
+            if kind == "constant" or t_in > t_out:
+                continue
+            held.add(("line" if j % 2 else "decay", hold, t_in == lo and t_out == hi))
+            ts = np.concatenate([rng.uniform(t_in, t_out, 200), [t_in, t_out, np.nextafter(t_in, np.inf),
+                                                                np.nextafter(t_out, -np.inf)]])
+            for t in ts[(ts >= t_in) & (ts <= t_out)]:
+                w = piece(t)[0]
+                assert (w >= 1.0) if hold >= 1.0 else (w < 0.0), (j, ends, lo, hi, t_in, t_out, t, w)
+        assert {(k, v, whole) for k in ("line", "decay") for v in (1.0, -1.0) for whole in (True, False)} <= held
+
+    def test_margin_zeros_and_the_flat_line(self):
+        x = self.smallest_held()
+        assert 1.0 + 2.0 ** -48 <= x < 1.0 + 2.0 ** -47
+        below = math.nextafter(x, 0.0)
+        for v0, v1, hold in ((x, x, 1.0), (3.0, 1.5, 1.0), (1.0, 1.0, 1.0), (-1e-323, -1e-323, -1.0), (-1.0, -0.5, -1.0),
+                             (below, x, None), (below, below, None), (0.0, -0.0, None), (-0.0, -0.0, None),
+                             (-5e-324, -5e-324, None), (1.0, 1.0 + 2.0 ** -52, None)):
+            *_, t_in, t_out, held = _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.LEVELS)
+            assert (t_in, t_out, held) == ((0.0, 1.0, hold) if hold else (math.inf, -math.inf, 0.0)), (v0, v1)
+        # a piece on the part of a line past its crossing: the branch of its floats, not of its knots
+        assert _piece_floats(_linear(0.0, 1.0, [0.5], [-1.5]), 0.75, 1.0, self.LEVELS)[8:] == (0.75, 1.0, -1.0)
+        assert _piece_floats(_linear(0.0, 1.0, [-0.5], [2.5]), 0.75, 1.0, self.LEVELS)[8:] == (0.75, 1.0, 1.0)
+        # a line that reaches -0.0 at its end is held on a prefix only
+        *_, t_in, t_out, held = _piece_floats(_linear(0.0, 1.0, [-1.0], [-0.0]), 0.0, 1.0, self.LEVELS)
+        assert t_in == 0.0 and 0.99 < t_out < 1.0 and held == -1.0
+
+    def test_held_pieces_are_the_blend(self, monkeypatch):
+        # lines at and one ulp below the margin, from and to signed zeros, the
+        # flat 1.0 and lines crossing the levels inside their piece, and a
+        # negative decay run past its underflow at start + 745, where the
+        # blend at w = -0.0 is not the gains below 0 for a pair with -0.0
+        # entries: the fused loop against the call loop, for each gain pair
+        x = self.smallest_held()
+        below = math.nextafter(x, 0.0)
+        zs = [x, x, below, x, 1.0, 1.0, 0.0, -0.0, -0.0, 0.0, -1e-323, -1e-323, 1.5, 0.5, -0.5, 0.5, -0.5, 1.2]
+        line = PiecewiseLinear(np.linspace(0.0, 1.7, len(zs)), np.array(zs).reshape(-1, 1))
+        tail = ExponentialTail([-0.75], 1.0, 0.2)
+        pairs = self.gain_pairs(np.random.default_rng(40))
+
+        def run(integ):
+            for params in pairs:
+                integ(associated_system(params), [0.2, 0.3, 0.2], line, 1.8, PROBE_OPTS)
+                integ(associated_system(params), [0.2, 0.3, 0.2], tail, 760.0, PROBE_OPTS)
 
         TestFedField.both_loops(monkeypatch, run)
 
