@@ -118,7 +118,8 @@ def _horner(y: str, q: list) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: str = "", tail: str = "", at=None, load=""):
+def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: str = "", tail: str = "", at=None, load="",
+                 attempt=""):
     """The stepping loop of `Stepper.advance` and the dense-output read for an
     n-component state, as straight-line float code rendered from the template,
     each sum written as a per-component comprehension writes it, so it rounds
@@ -143,8 +144,10 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
     rhs(t, [x_0, ...]). The source `at(t)`, if given, runs once per stage
     time before the field, so the two stages at t_new share it. The dense
     coefficients are q{m}_{i}. `params` extend loop's; the source `load` runs
-    at entry and after each swap of rhs, `head` at entry, `after` after each
-    accepted step, the escape step included, `tail` on every exit."""
+    at entry and after each swap of rhs, `head` at entry, `attempt` before
+    the stages of each attempt, whose stage times all lie in [t, t_new],
+    `after` after each accepted step, the escape step included, `tail` on
+    every exit."""
     comps = range(n)
 
     def names(v):  # "v_0, v_1, "
@@ -202,7 +205,7 @@ def _step_kernel(n: int, field=None, params: str = "", head: str = "", after: st
                     at_end = h >= t_stop - t  # end of step lands on the forced boundary
                     if at_end:
                         h = t_stop - t
-                    t_new = t_stop if at_end else t + h{stages}
+                    t_new = t_stop if at_end else t + h{block(attempt, 20)}{stages}
                     sq = 0.0{sq}
                     nsteps += 1
                     err = sqrt(sq / {n})
@@ -281,20 +284,12 @@ _PIECE = "kind, a, span, p, q, rate, start, look, t_in, t_out, hold"
 
 
 def _feed(t: str) -> list:
-    """Source of the feed w at time t from the floats of `_PIECE`: a decay or
-    a line by its closed form, any other piece by one call."""
+    """Source of the feed w at time t from the floats of `_PIECE`: a decay, a
+    line or a constant by its closed form, any other piece by one call."""
     return ["if kind == 'decay':", f"    w = p * {_DECAY.format(t=t)}",
             "elif kind == 'line':", f"    s = {_FRACTION.format(t=t)}", f"    w = {_LINE.format(p='p', q='q')}",
+            "elif kind == 'constant':", "    w = p",
             "else:", f"    w = float(look({t})[0])"]
-
-
-def _fed_at(t: str, at: tuple) -> list:
-    """Source of a fed stage's `at` at time t: at w = hold, run once until a
-    stage leaves it, where t lies in the piece's [t_in, t_out], and at the
-    feed (`_feed`) elsewhere."""
-    return [f"if t_in <= {t} <= t_out:", "    if not held:", "        held, w = True, hold",
-            *("        " + line for line in at), "else:", "    held = False",
-            *("    " + line for line in [*_feed(t), *at])]
 
 
 def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tuple:
@@ -356,7 +351,8 @@ def _piece_floats(piece, lo: float = 0.0, hi: float = -1.0, levels: tuple = ()) 
         if floats[3] == floats[4] == 0.0 and math.copysign(1.0, floats[3]) == math.copysign(1.0, floats[4]) == 1.0:
             kind, form = "constant", [[0.0]]
     if kind == "constant":
-        return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, -math.inf, math.inf, float(form[0][0])
+        p = float(form[0][0])
+        return kind, 0.0, 0.0, p, 0.0, 0.0, 0.0, None, -math.inf, math.inf, p
     if kind == "decay":
         value, rate, start = form
         floats = kind, 0.0, 0.0, float(value[0]), 0.0, rate, start, None
@@ -368,15 +364,19 @@ def _piece_floats(piece, lo: float = 0.0, hi: float = -1.0, levels: tuple = ()) 
 @functools.lru_cache(maxsize=None)
 def _fed_kernel(n: int, fed: _Fed):
     """(loop, stage) for an rhs carrying `fed`: the loop of `_step_kernel` with
-    `_fed_at` once per stage time, the field inline and the piece's floats
-    read from rhs.feed, the rhs of the current interval; loop(opts, traj,
-    h_top, *values). stage(t, y, *piece, *values) is one such stage as a function."""
+    the feed (`_feed`) and `fed.at` once per stage time, the field inline and
+    the piece's floats read from rhs.feed, the rhs of the current interval;
+    loop(opts, traj, h_top, *values). An attempt in the piece's [t_in, t_out]
+    runs `fed.at` at w = hold instead, once until an attempt leaves it.
+    stage(t, y, *piece, *values) is one stage, at the feed, as a function."""
+    held = ["if t_in <= t and t_new <= t_out:", "    if not held:", "        held, w = True, hold",
+            *("        " + line for line in fed.at), "else:", "    held = False"]
     loop = _step_kernel(n, fed.field, ", " + fed.names, load=f"{_PIECE} = rhs.feed\nheld = False",
-                        at=lambda t: _fed_at(t, fed.at))[0]
+                        at=lambda t: ["if not held:", *("    " + line for line in [*_feed(t), *fed.at])],
+                        attempt="\n".join(held))[0]
     comps = range(n)
     src = "\n    ".join([f"def stage(t, y, {_PIECE}, {fed.names}):", "".join(f"x_{i}, " for i in comps) + "= y",
-                         "held = False", *_fed_at("t", fed.at), *fed.field("x", "k", "t"),
-                         f"return [{', '.join(f'k_{i}' for i in comps)}]"])
+                         *_feed("t"), *fed.at, *fed.field("x", "k", "t"), f"return [{', '.join(f'k_{i}' for i in comps)}]"])
     exec(compile(src, f"<fed stage, n={n}>", "exec"), scope := {"exp": _EXP})
     return loop, scope["stage"]
 
