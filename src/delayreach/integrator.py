@@ -637,10 +637,13 @@ class HistoryFn:
         constant beyond its ends. Its knots inside (0, T) are, bit for bit,
         the history stops `_forced_stops` forces at the first multiple of d.
         Knots closer than an ulp of d round together under + d; the later
-        one stays."""
+        one stays, so the knots strictly increase; ValueError for a d that is
+        not finite."""
+        if not math.isfinite(d):
+            raise ValueError(f"shift must be finite, got {d!r}")
         k = self.knots + d
         keep = np.append(k[:-1] < k[1:], True)
-        return PiecewiseLinear(k[keep], self.values[keep])
+        return PiecewiseLinear.__new__(PiecewiseLinear)._hold(k[keep], self.values[keep])
 
     def norm(self) -> float:
         """Exact sup norm over [-tau, 0] (max |.|_inf): the largest knot value."""
@@ -649,7 +652,7 @@ class HistoryFn:
 
 @dataclass(frozen=True)
 class DiscreteDelaySystem:
-    """State dim n, input dim m, strictly increasing positive delays.
+    """State dim n, input dim m, strictly increasing finite positive delays.
 
     rhs(y, delayed, u) receives the current state as a sequence of floats,
     one delayed state per delay (in order) and the input value, each a
@@ -666,8 +669,9 @@ class DiscreteDelaySystem:
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.delays)
-        if any(x <= 0.0 for x in d):
-            raise ValueError("delays must be positive")
+        for x in d:
+            if not (math.isfinite(x) and x > 0.0):
+                raise ValueError(f"delays must be finite and positive, got {x!r}")
         if any(b <= a for a, b in zip(d, d[1:])):
             raise ValueError("delays must be strictly increasing")
         object.__setattr__(self, "delays", d)

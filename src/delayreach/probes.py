@@ -178,8 +178,8 @@ def _exact_feed(history: HistoryFn, tau: float) -> Signal:
     history's z-column shifted by tau on [0, tau], then z0 e^{-(t - tau)}
     with z0 = z(0)."""
     line = history.shifted(tau)
-    z0 = float(history.eval(0.0)[0])
-    return Concatenation(PiecewiseLinear(line.knots, line.values[:, :1]), ExponentialTail([z0], 1.0, tau), tau)
+    z = PiecewiseLinear.__new__(PiecewiseLinear)._hold(line.knots, line.values[:, :1])
+    return Concatenation(z, ExponentialTail([float(history.eval(0.0)[0])], 1.0, tau), tau)
 
 
 def _feed_run(history: HistoryFn, tau: float, T: float, opts: IntegratorOptions, stop=None) -> Trajectory:

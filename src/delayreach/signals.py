@@ -211,9 +211,14 @@ class PiecewiseLinear(Signal):
     """
 
     def __init__(self, knots, values):
-        self.knots, self.values = _broken_line(knots, values)
-        self.dim = self.values.shape[1]
-        self._k, self._v = self.knots.tolist(), self.values.tolist()
+        self._hold(*_broken_line(knots, values))
+
+    def _hold(self, knots: np.ndarray, values: np.ndarray) -> "PiecewiseLinear":
+        """Take float arrays that pass `_broken_line`'s checks by construction
+        as this line's knots and values; no check is repeated."""
+        self.knots, self.values, self.dim = knots, values, values.shape[1]
+        self._k, self._v = knots.tolist(), values.tolist()
+        return self
 
     def _piece(self, lo, hi):
         if lo < 0.0:

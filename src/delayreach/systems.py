@@ -231,16 +231,15 @@ def saturation_stop_times(history: HistoryFn, tau: float, T: float) -> np.ndarra
     histories; after tau it is z0 e^{-(t - tau)} with z0 = z(0), which
     crosses 1 once, at tau + ln z0, when z0 > 1, and never crosses 0.
     """
-    knots = history.knots
-    z = history.values[:, 0]
+    knots = history.line._k
     out = []
     for lv in _SATURATION_LEVELS:
-        d = z - lv
+        d = [v[0] - lv for v in history.line._v]
         for i in range(len(knots) - 1):
             if d[i] == 0.0:
-                out.append(float(knots[i]))
+                out.append(knots[i])
             elif d[i] * d[i + 1] < 0.0:
-                out.append(float(knots[i] + (knots[i + 1] - knots[i]) * d[i] / (d[i] - d[i + 1])))
+                out.append(knots[i] + (knots[i + 1] - knots[i]) * d[i] / (d[i] - d[i + 1]))
     arr = np.asarray(out, dtype=float) + tau
     z0 = float(history.eval(0.0)[0])
     if z0 > 1.0:

@@ -141,6 +141,17 @@ class TestStartIsFinite:
             integrate(planar_system(), np.array(y0), None, 1.0)
 
 
+class TestDelaysAreFinite:
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_a_delay_that_is_not_finite_and_positive_is_named(self, d):
+        # NaN passed both checks (every comparison is False) and then failed
+        # deep inside PiecewiseLinear; inf was accepted
+        with pytest.raises(ValueError, match=f"finite and positive, got {d!r}"):
+            DiscreteDelaySystem(dim=1, input_dim=0, delays=(0.5, d), rhs=lambda y, dl, u: list(y))
+        with pytest.raises(ValueError, match=f"got {d!r}"):
+            integrate(cascade_system(d), HistoryFn.constant(np.array([0.5, 0.1, 0.1]), 1.0), None, 1.0)
+
+
 class TestDelayOracle:
     def test_method_of_steps_spline(self):
         hist = HistoryFn.constant(np.array([1.0]), 1.0)
@@ -1119,6 +1130,66 @@ class TestHistoryFn:
         s = h.shifted(1.0)
         assert s.knots.tolist() == [0.0, 1.0] and s.values[:, 0].tolist() == [0.5, 0.3]
         assert not integrate(cascade_system(1.0), h, None, 2.0).escaped
+
+
+def line_bytes(line):
+    return line.knots.tobytes(), line.values.tobytes(), line.dim, line._k, line._v
+
+
+def numpy_saturation_stop_times(history, tau, T):
+    """The saturation stops as numpy scalars computed them: the reference of
+    `saturation_stop_times`' loop on floats."""
+    knots, z, out = history.knots, history.values[:, 0], []
+    for lv in (0.0, 1.0):
+        d = z - lv
+        for i in range(len(knots) - 1):
+            if d[i] == 0.0:
+                out.append(float(knots[i]))
+            elif d[i] * d[i + 1] < 0.0:
+                out.append(float(knots[i] + (knots[i + 1] - knots[i]) * d[i] / (d[i] - d[i + 1])))
+    arr = np.asarray(out, dtype=float) + tau
+    z0 = float(history.eval(0.0)[0])
+    if z0 > 1.0:
+        arr = np.append(arr, tau + math.log(z0))
+    return np.unique(arr[(arr > 0.0) & (arr < T)])
+
+
+class TestSetUpLines:
+    """The lines a run sets up from its history are built without checks
+    they pass by construction: the same bytes as the checked construction."""
+
+    def test_shifted_and_the_feed_are_the_checked_lines(self):
+        rng = np.random.default_rng(41)
+        for j in range(300):
+            d = rng.uniform(0.01, 5.0) * 10.0 ** rng.integers(-3, 3)
+            h = random_history(rng, rng.uniform(0.1, 100.0), d if j % 2 else rng.uniform(0.1, 3.0), 1 + j % 3)
+            k = h.knots + d
+            keep = np.append(k[:-1] < k[1:], True)
+            assert line_bytes(h.shifted(d)) == line_bytes(PiecewiseLinear(k[keep], h.values[keep])), j
+            z = probes._exact_feed(h, d).first
+            assert line_bytes(z) == line_bytes(PiecewiseLinear(k[keep], h.values[keep][:, :1])), j
+
+    def test_a_merging_shift_keeps_the_later_knot_and_a_bad_shift_raises(self):
+        h = HistoryFn([-1.0, -2e-17, 0.0], [[0.5], [0.2], [0.3]])
+        assert line_bytes(h.shifted(1.0)) == line_bytes(PiecewiseLinear([0.0, 1.0], [[0.5], [0.3]]))
+        with pytest.raises(ValueError, match="knots must be strictly increasing"):
+            PiecewiseLinear(h.knots + 1.0, h.values)  # what the merge keeps from the checked line
+        for d in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="shift must be finite"):
+                h.shifted(d)
+
+    def test_saturation_stops_on_floats_are_the_numpy_scalars(self):
+        rng = np.random.default_rng(42)
+        for j in range(300):
+            tau = rng.uniform(0.1, 3.0)
+            h = random_history(rng, rng.uniform(0.1, 5.0), tau, 3)
+            if j % 3 == 0:  # values at the levels exactly, and signed zeros
+                vals = h.values.copy()
+                vals[rng.random(len(vals)) < 0.4, 0] = rng.choice([0.0, -0.0, 1.0])
+                h = HistoryFn(h.knots, vals)
+            T = tau * rng.uniform(0.5, 5.0)
+            got, want = saturation_stop_times(h, tau, T), numpy_saturation_stop_times(h, tau, T)
+            assert got.tobytes() == want.tobytes(), j
 
 
 def searchsorted_history_eval(knots, values, s):
