@@ -36,6 +36,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -410,16 +411,101 @@ class IntegratorOptions:
 _DELAY_MULTIPLES = 8
 
 
-def _quartic_eval(y0, q, th):
-    """Dense-output value at fraction th of a segment with coefficients q."""
-    return y0 + th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
+def _poly(c: list, w: tuple = (1, 1, 1, 1, 1)) -> Callable:
+    """value(th, at): sum_k w_k c_k th^k - at at floats th in [0, 1] and at, c
+    floats and w small integers, as a float of the exact sign. Float Horner on
+    f_k = w_k c_k is within gamma_9 S + 9 2^-1075 of it, S = sum |f_k| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 5.1), so a float beyond
+    2^-48 S + 2^-1070 has the exact sign; integers over powers of two decide
+    the rest (the filter of Shewchuk's adaptive predicates)."""
+    f0, f1, f2, f3, f4 = f = [k * x for k, x in zip(w, c)]
+    m, ratios = 2.0 ** -48 * sum(map(abs, f)) + 2.0 ** -1070, []
+
+    def value(th: float, at: float = 0.0) -> float:
+        if abs(d := f0 + th * (f1 + th * (f2 + th * (f3 + th * f4))) - at) > m:
+            return d
+        ratios[:] = ratios or [(k * a, b.bit_length() - 1)
+                               for k, (a, b) in zip(w[::-1], map(float.as_integer_ratio, c[::-1]))]
+        (n, z), e, x = th.as_integer_ratio(), 0, 0  # th = n / z, the value e 2^-x by Horner
+        for a, b in ratios:
+            e, x = e * n, x + z.bit_length() - 1
+            e, x = (e + (a << x - b), x) if x >= b else ((e << b - x) + a, b)
+        a, b = at.as_integer_ratio()
+        e = e * b - (a << x)
+        return (e / (b << x) if m < 2.0 ** 1000 else 0.0) or ((e > 0) - (e < 0)) * 5e-324
+    return value
 
 
-def _real_roots(coeffs, a: float, b: float) -> list:
-    """Real roots in (a, b) of the polynomial with highest-first coefficients."""
-    coeffs = np.trim_zeros(np.asarray(coeffs), "f")
-    roots = np.roots(coeffs) if len(coeffs) > 1 else []
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b]
+def _last(value: Callable, s: int, at: float, lo: float, hi: float) -> tuple:
+    """(l, h): the largest float l in [lo, hi) with s value(l, at) > 0, where
+    that holds on a prefix of (lo, hi] and not at hi, and the float h after it:
+    regula falsi with the end that stays halved (Illinois), the midpoint from
+    an end's third move in a row, each point a float inside [lo, hi] at least."""
+    b, moved = s * value(hi, at), 0
+    a = s * value(lo, at) or -b or 1.0
+    while (mid := min(max(lo + (hi - lo) * r if abs(moved) < 3 and a > 0.0 > b and 0.0 < (r := a / (a - b)) < 1.0
+                          else 0.5 * (lo + hi), math.nextafter(lo, hi)), math.nextafter(hi, lo))) not in (lo, hi):
+        if (v := s * value(mid, at)) > 0:
+            lo, a, b, moved = mid, v, 0.5 * b if moved > 0 else b, max(moved, 0) + 1
+        else:
+            hi, b, a, moved = mid, v, 0.5 * a if moved < 0 else a, min(moved, 0) - 1
+    return lo, hi
+
+
+def _turns(c: list, a: float, b: float) -> list:
+    """The floats on both sides of each sign change of p' in (a, b), in order,
+    p = y0 + q0 th + ... + q3 th^4, c = [y0, q0, q1, q2, q3]: p is monotone
+    between them. p' has at most as many roots in (lo, hi) as sign changes in
+    its Bernstein coefficients there (Descartes' rule; from q on [0, 1]). With
+    at most one, its exact signs at u and v, [u, v] = [lo, hi] & [a, b], or
+    just inside lo or hi (its first or last nonzero coefficient), tell whether
+    it changes sign, and `_last` finds where; else de Casteljau's algorithm
+    splits [lo, hi] at its float midpoint (a zero of p' there is a turn), down
+    to adjacent floats. The float coefficients, within gamma_4 of sum k |q_k|,
+    decide where each is beyond 2^-48 of it and they change sign once at most;
+    Fractions decide the rest."""
+    q0, q1, q2, q3 = c[1:]
+    dp, out = _poly([q0, q1, q2, q3, 0.0], (1, 2, 3, 4, 0)), []
+    B = [q0, q0 + 2.0 * q1 / 3.0, q0 + 4.0 * q1 / 3.0 + q2, q0 + 2.0 * q1 + 3.0 * q2 + 4.0 * q3]
+    if not (min(map(abs, B)) > 2.0 ** -48 * (abs(q0) + 2.0 * abs(q1) + 3.0 * abs(q2) + 4.0 * abs(q3)) + 2.0 ** -1070
+            and sum((x > 0) != (y > 0) for x, y in zip(B, B[1:])) <= 1):
+        f0, f1, f2, f3 = map(Fraction, c[1:])
+        B = [f0, f0 + 2 * f1 / 3, f0 + 4 * f1 / 3 + f2, f0 + 2 * f1 + 3 * f2 + 4 * f3]
+    todo = [(B, 0.0, 1.0)]
+    while todo:
+        B, lo, hi = todo.pop()
+        if (u := max(lo, a)) >= (v := min(hi, b)) or not (nz := [x for x in B if x]):
+            continue
+        if sum((x > 0) != (y > 0) for x, y in zip(nz, nz[1:])) <= 1:
+            su, sv = dp(u) if u > lo else nz[0], dp(v) if v < hi else nz[-1]
+            out += [_last(dp, 1 if su > 0 else -1, 0.0, u, v)] if su and sv and (su > 0) != (sv > 0) else []
+        elif (mid := 0.5 * (lo + hi)) in (lo, hi):
+            out.append((lo, hi))
+        else:
+            t, left, right = (Fraction(mid) - Fraction(lo)) / (Fraction(hi) - Fraction(lo)), [], []
+            while B:
+                left, right, B = left + B[:1], B[-1:] + right, [x + t * (y - x) for x, y in zip(B, B[1:])]
+            todo += [(right, mid, hi), (left, lo, mid)]
+            out += [(mid, mid)] if not left[-1] and a < mid < b else []
+    return [x for pair in sorted(out) for x in pair]
+
+
+def _last_above(c: list, level: float) -> Optional[float]:
+    """The largest float th in [0, 1] with |p(th)| > level exactly, p = y0 + q0
+    th + ... + q3 th^4, c = [y0, q0, q1, q2, q3], or None: p is monotone on each
+    run between its turns (`_turns`), so from the last run back, its ends tell
+    whether a float of it is above, and `_last` finds the last one."""
+    p, pts = _poly(c), [0.0, *_turns(c, 0.0, 1.0), 1.0]
+    for u, v in zip(pts[-2::-2], pts[::-2]):
+        for th, s in ((v, 1), (v, -1), (u, 1), (u, -1)):
+            if s * p(th, s * level) > 0:
+                return v if th == v else _last(p, s, s * level, u, v)[0]
+    return None
+
+
+#: the Bernstein coefficients of y0 + q0 th + ... + q3 th^4 on [0, 1] from (y0, q0, ..., q3)
+_BERNSTEIN = np.array([[1, 0, 0, 0, 0], [1, 1 / 4, 0, 0, 0], [1, 1 / 2, 1 / 6, 0, 0], [1, 3 / 4, 1 / 2, 1 / 4, 0],
+                       [1, 1, 1, 1, 1]])
 
 
 def _bounds(y0, q) -> np.ndarray:
@@ -429,41 +515,16 @@ def _bounds(y0, q) -> np.ndarray:
     convex combination (Farouki & Rajan 1987), plus 16 eps S + 16 subnormals,
     S = |y0| + sum |q_k|. With u = eps/2, a value (Horner at a float th in
     [0, 1], or y0 + q0 + ... + q3) is within gamma_8 S of p (Higham, eq. 5.3),
-    a coefficient within gamma_5 S, and the bound's own sums round by under
-    2u S: under 16u S in all (Shewchuk 1997). Fewer than eight products, each
-    off by 2^-1075 at most, underflow along a value or a coefficient. NaN
-    coefficients make the bound NaN, infinite ones inf (fmax skips inf - inf)."""
-    q0, q1, q2, q3 = np.moveaxis(q, -2, 0)
-    b = np.abs([y0, y0 + 0.25 * q0, y0 + 0.5 * q0 + q1 / 6.0, y0 + 0.75 * q0 + 0.5 * q1 + 0.25 * q2,
-                y0 + q0 + q1 + q2 + q3])
-    return np.fmax.reduce(b) + (2.0 ** -48 * (np.abs(y0) + np.abs(q).sum(axis=-2)) + 2.0 ** -1070)
-
-
-def _quartic_sup(y0, q, bound, a: float = 0.0, b: float = 1.0, floor: float = 0.0) -> float:
-    """Exact sup of |dense output|_inf over theta in [a, b] of one segment, if above
-    floor: its ends, and the roots of the cubic derivative between them in each
-    component whose bound (`_bounds`) beats floor and the ends."""
-    ya = y0 if a == 0.0 else _quartic_eval(y0, q, a)
-    yb = y0 + q[0] + q[1] + q[2] + q[3] if b == 1.0 else _quartic_eval(y0, q, b)
-    best = max(float(np.abs(ya).max()), float(np.abs(yb).max()))
-    for i in np.flatnonzero(bound > max(best, floor)):
-        for th in _real_roots([4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]], a, b):
-            best = max(best, abs(_quartic_eval(y0[i], q[:, i], th)))
-    return best
-
-
-def _last_crossing(y0, q, bound, level: float) -> Optional[float]:
-    """Largest theta in (0, 1] with |p(theta)|_inf > level just before it, or None:
-    the roots of p_i = +-level cut [0, 1] into pieces on which |p_i| - level
-    keeps its sign, so one midpoint decides each piece."""
-    ends = []
-    for i in np.flatnonzero(bound > level):
-        c = [q[3][i], q[2][i], q[1][i], q[0][i]]
-        roots = [r for s in (level, -level) for r in _real_roots(c + [y0[i] - s], 0.0, 1.0)]
-        cuts = np.sort([0.0, 1.0] + roots)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        ends += list(cuts[1:][np.abs(_quartic_eval(y0[i], q[:, i], mids)) > level])
-    return max(ends, default=None)
+    a coefficient, one product by `_BERNSTEIN` in any order of its sums, within
+    gamma_6 S, and the bound's own sums round by under 3u S: under 17u S in all
+    (Shewchuk 1997). Fewer than eight products, each off by 2^-1075 at most,
+    underflow along a value or a coefficient. NaN coefficients make the bound
+    NaN, infinite ones inf (fmax skips inf - inf and 0 inf)."""
+    c = np.empty((5, *np.shape(y0)))
+    c[0], c[1:] = y0, np.moveaxis(q, -2, 0)
+    with np.errstate(invalid="ignore"):
+        b = np.fmax.reduce(np.abs(_BERNSTEIN @ c.reshape(5, -1))) + 2.0 ** -48 * np.abs(c).sum(axis=0).reshape(-1)
+    return (b + 2.0 ** -1070).reshape(np.shape(y0))
 
 
 class Trajectory:
@@ -530,7 +591,7 @@ class Trajectory:
     def _interp(self, t: float) -> list:
         """Dense-output value at t as a fresh list of floats, unchecked; delayed
         lookups call it mid-run. One path for every t: bisect the node times,
-        then `_quartic_eval` per component on floats (the generated `value`),
+        then `_horner` per component on floats (the generated `value`),
         rounding as numpy does."""
         ts = self._t
         n = len(ts)
@@ -546,16 +607,19 @@ class Trajectory:
         return np.array(self._interp(t))
 
     def sup_norm(self, lo: float, hi: float) -> float:
-        """Exact sup of |x(t)|_inf over [lo, hi] under the dense output: the window
-        ends, the nodes, and the critical points inside the window of each segment
-        whose bound (`_bounds`) beats the best value so far, in order of bound;
-        bit for bit the unpruned search. ValueError if an end is NaN."""
+        """Sup of |x(t)|_inf over [lo, hi] under the dense output, exact to the
+        floats: the largest value at the window ends, the nodes, and the floats
+        on both sides of each turn (`_turns`) inside the window of each segment
+        whose bound (`_bounds`) beats the best value so far, in order of bound,
+        read as `_interp` reads them; bit for bit the unpruned search. The sup
+        of a component's exact quartic between two such floats is within its
+        bound's margin of their larger value. ValueError if an end is NaN."""
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError(f"window [{lo!r}, {hi!r}] has a NaN end")
-        lo, hi = max(lo, self.t_start), min(hi, self.t_end)
+        lo, hi = max(float(lo), self.t_start), min(float(hi), self.t_end)
         if hi < lo:
             raise SpanTooShort("empty window")
-        ts, ys, qs = self.ts, self.ys, self.qs
+        ts, ys, qs = self._t, self.ys, self.qs
         i0, i1 = self._segment(lo), self._segment(hi)
         best = max(float(np.abs(self._interp(lo)).max()), float(np.abs(self._interp(hi)).max()),
                    float(np.abs(ys[i0 + 1 : i1 + 1]).max(initial=0.0)))
@@ -568,18 +632,20 @@ class Trajectory:
             a = (lo - ts[i]) / (ts[i + 1] - ts[i]) if i == i0 else 0.0
             b = (hi - ts[i]) / (ts[i + 1] - ts[i]) if i == i1 else 1.0
             if a < b:
-                best = max(best, _quartic_sup(ys[i], qs[i], bounds[k], a, b, best))
+                for j, (c, cut) in enumerate(zip(np.vstack([ys[i], qs[i]]).T.tolist(), bounds[k].tolist())):
+                    if cut > best:
+                        best = max([best, *(abs(self._value(self._y, self._q, i, th)[j]) for th in _turns(c, a, b))])
         return best
 
     def last_time_above(self, level: float) -> float:
-        """Largest t with |x(t)|_inf > level, or t_start if never above. Exact: the
-        last crossing of p_i = +-level, solved directly, in the last segment whose
-        exact sup exceeds the level (or that segment's end, if still above),
-        among those whose bound (`_bounds`) exceeds it. The segments are read from
-        the stores, walked back from the run's end in chunks that double, each
-        chunk's bounds by `_bounds`; no ts, ys or qs is built. ValueError for a
-        NaN level."""
-        if math.isnan(level):
+        """Largest t with |x(t)|_inf > level, or t_start if never above, exact to
+        the floats: in the last segment where some component is above the level,
+        the largest float theta at which one is, |p_i(theta)| > level exactly
+        (`_last_above`), as t0 + theta (t1 - t0). The segments whose bound
+        (`_bounds`) exceeds the level are read from the stores, walked back from
+        the run's end in chunks that double, each chunk's bounds by `_bounds`;
+        no ts, ys or qs is built. ValueError for a NaN level."""
+        if math.isnan(level := float(level)):
             raise ValueError(f"level must not be NaN, got {level!r}")
         dim, hi, size = self.dim, len(self._t) - 1, 8
         while hi > 0:
@@ -588,11 +654,12 @@ class Trajectory:
             qs = np.frombuffer(self._q[4 * dim * lo : 4 * dim * hi]).reshape(-1, 4, dim)
             bounds = _bounds(ys, qs)
             for k in np.flatnonzero(bounds.max(axis=1) > level)[::-1]:
-                if _quartic_sup(ys[k], qs[k], bounds[k], floor=level) > level:
-                    th = _last_crossing(ys[k], qs[k], bounds[k], level)
-                    if th is not None:
-                        t0, t1 = self._t[lo + k], self._t[lo + k + 1]
-                        return min(float(t0 + th * (t1 - t0)), t1)
+                cs = np.vstack([ys[k], qs[k]]).T.tolist()
+                th = max([th for c, cut in zip(cs, bounds[k].tolist())
+                          if cut > level and (th := _last_above(c, level)) is not None], default=None)
+                if th is not None:
+                    t0, t1 = self._t[lo + k], self._t[lo + k + 1]
+                    return min(t0 + th * (t1 - t0), t1)
             hi, size = lo, 2 * size
         return self.t_start
 

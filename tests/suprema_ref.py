@@ -1,54 +1,22 @@
 """`Trajectory.last_time_above` as it searched before the walk back from the
 run's end: every segment's bound at once on the full ts, ys and qs arrays,
-then the exact sup and the crossings, by `np.roots`, of the last segments
-whose bound beats the level. The reference that pins the walk bit for bit
-(`TestWalkedLastTime`).
+then the last segments whose bound beats the level, each searched for its
+last float above it (`_last_above`). The reference that pins the walk bit
+for bit (`TestWalkedLastTime`).
 """
 
 import numpy as np
 
-from delayreach.integrator import _bounds
-
-
-def quartic_eval(y0, q, th):
-    return y0 + th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
-
-
-def real_roots(coeffs, a, b):
-    """Real roots in (a, b) of the polynomial with highest-first coefficients."""
-    coeffs = np.trim_zeros(np.asarray(coeffs), "f")
-    roots = np.roots(coeffs) if len(coeffs) > 1 else []
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-12 and a < r.real < b]
-
-
-def quartic_sup(y0, q, bound, floor):
-    """Sup of |p|_inf over [0, 1]: the ends and the derivative's real roots, in
-    each component whose bound beats floor and the ends."""
-    best = max(float(np.abs(y0).max()), float(np.abs(y0 + q[0] + q[1] + q[2] + q[3]).max()))
-    for i in np.flatnonzero(bound > max(best, floor)):
-        for th in real_roots([4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]], 0.0, 1.0):
-            best = max(best, abs(quartic_eval(y0[i], q[:, i], th)))
-    return best
-
-
-def last_crossing(y0, q, bound, level):
-    """Largest theta in (0, 1] with |p(theta)|_inf > level just before it, or None."""
-    ends = []
-    for i in np.flatnonzero(bound > level):
-        c = [q[3][i], q[2][i], q[1][i], q[0][i]]
-        roots = [r for s in (level, -level) for r in real_roots(c + [y0[i] - s], 0.0, 1.0)]
-        cuts = np.sort([0.0, 1.0] + roots)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        ends += list(cuts[1:][np.abs(quartic_eval(y0[i], q[:, i], mids)) > level])
-    return max(ends, default=None)
+from delayreach.integrator import _bounds, _last_above
 
 
 def last_time_above(traj, level):
     ts, ys, qs = traj.ts, traj.ys, traj.qs
     bounds = _bounds(ys[:-1], qs)
     for i in np.flatnonzero(bounds.max(axis=1) > level)[::-1]:
-        if quartic_sup(ys[i], qs[i], bounds[i], level) > level:
-            th = last_crossing(ys[i], qs[i], bounds[i], level)
-            if th is not None:
-                return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
+        cs = np.vstack([ys[i], qs[i]]).T.tolist()
+        ths = [_last_above(c, float(level)) for c, cut in zip(cs, bounds[i]) if cut > level]
+        th = max([th for th in ths if th is not None], default=None)
+        if th is not None:
+            return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
     return traj.t_start

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ from delayreach.integrator import (
     Trajectory,
     _bounds,
     _forced_stops,
-    _last_crossing,
-    _quartic_eval,
-    _quartic_sup,
-    _real_roots,
+    _last_above,
+    _turns,
     integrate,
 )
 from delayreach.probes import DEFAULT_DELTAS, PROBE_OPTS, escape_schedule, random_history
@@ -245,17 +244,16 @@ def dense_norms(traj, t):
     return np.abs(x).max(axis=1)
 
 
+def components(y0, q):
+    """One segment's quartic per component, as [y0, q0, q1, q2, q3] floats."""
+    return np.vstack([y0, q]).T.tolist()
+
+
 def segment_sup(y0, q):
-    """Unpruned reference: |x|_inf at both ends and at every real root in (0, 1)
-    of each component's cubic derivative."""
-    best = max(float(np.abs(y0).max()), float(np.abs(y0 + q[0] + q[1] + q[2] + q[3]).max()))
-    for i in range(len(y0)):
-        for r in np.roots(np.trim_zeros([4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]], "f")):
-            if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
-                th = float(r.real)
-                val = y0[i] + th * (q[0][i] + th * (q[1][i] + th * (q[2][i] + th * q[3][i])))
-                best = max(best, abs(val))
-    return best
+    """Unpruned reference: |x|_inf at the floats on both sides of every turn in
+    (0, 1) of each component, by Horner as `Trajectory._interp` reads them."""
+    return max([abs(horner_values(y0[j], q[:, j], th)) for j, c in enumerate(components(y0, q))
+                for th in _turns(c, 0.0, 1.0)], default=0.0)
 
 
 def peak_histories(seed=1):
@@ -289,12 +287,12 @@ def peak_trajs():
 
 def unpruned_last_time_above(traj, level):
     """`Trajectory.last_time_above` with no segment or component pruned."""
-    ts, ys, qs, everything = traj.ts, traj.ys, traj.qs, np.full(traj.dim, np.inf)
+    ts, ys, qs = traj.ts, traj.ys, traj.qs
     for i in range(len(ts) - 2, -1, -1):
-        if _quartic_sup(ys[i], qs[i], everything, floor=level) > level:
-            th = _last_crossing(ys[i], qs[i], everything, level)
-            if th is not None:
-                return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
+        ths = [_last_above(c, float(level)) for c in components(ys[i], qs[i])]
+        th = max([th for th in ths if th is not None], default=None)
+        if th is not None:
+            return min(float(ts[i] + th * (ts[i + 1] - ts[i])), float(ts[i + 1]))
     return traj.t_start
 
 
@@ -349,7 +347,7 @@ class TestExactSuprema:
         n = len(traj.ts)
         rng = np.random.default_rng(1)
         pairs = [(0, n - 1)] + [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(40)]
-        segs = [segment_sup(traj.ys[k], traj.qs[k]) for k in range(n - 1)]
+        segs = [float(segment_sup(traj.ys[k], traj.qs[k])) for k in range(n - 1)]
         for i, j in pairs:
             ref = max(float(np.abs(traj.ys[i]).max()), float(np.abs(traj.ys[j]).max()), *segs[i:j])
             assert traj.sup_norm(float(traj.ts[i]), float(traj.ts[j])) == ref
@@ -412,6 +410,67 @@ class TestExactSuprema:
         assert dense_norms(traj, np.linspace(t_star, 2.0, 4001)[1:]).max() <= 1.0
         assert traj.last_time_above(0.5) == pytest.approx(1.0 + (1.0 + math.sqrt(0.5)) / 2.0, rel=1e-15)
         assert traj.last_time_above(2.0) == 0.0
+
+
+def exact_value(c, th):
+    """y0 + q0 th + ... + q3 th^4 at the float th, c = [y0, q0, q1, q2, q3], exactly."""
+    return sum(Fraction(x) * Fraction(th) ** k for k, x in enumerate(c))
+
+
+class TestExactCrossings:
+    """A segment's last float above a level (`_last_above`) is exact: some
+    component's quartic exceeds the level there in exact arithmetic, and
+    none does at the float after it or at any float tried past it. Checked
+    on every segment whose bound beats the level, of 60 feed runs, and on
+    quartics built to touch the level from below or to cross it."""
+
+    @staticmethod
+    def check(c, level, rng):
+        th = _last_above(c, level)
+        above = [abs(exact_value(c, x)) > Fraction(level) for x in ([] if th is None else [th])]
+        later = [1.0] if th is None else [math.nextafter(th, 2.0), 1.0] if th < 1.0 else []
+        later += [] if th is None or th == 1.0 else (th + (1.0 - th) * rng.uniform(size=20)).tolist()
+        later += rng.uniform(size=20).tolist() + [0.0] if th is None else []
+        assert all(above), (c, level, th)
+        assert not any(abs(exact_value(c, x)) > Fraction(level) for x in later if x > (th or -1.0)), (c, level, th)
+        return th
+
+    def test_feed_runs(self):
+        rng = np.random.default_rng(61)
+        for j in range(60):
+            hist = random_history(rng, (1.0, 10.0, 100.0)[j % 3] * rng.uniform(0.3, 1.0), DEFAULT_DELAY, 3)
+            traj = probes._feed_run(hist, DEFAULT_DELAY, 4.0 * DEFAULT_DELAY, PROBE_OPTS)
+            bounds = _bounds(traj.ys[:-1], traj.qs)
+            for level in (0.1, 1.0, float(np.abs(traj.ys[-1]).max()), float(np.abs(traj.ys[len(traj.ys) // 2]).max())):
+                for i in np.flatnonzero(bounds.max(axis=1) > level)[-6:]:
+                    for c, cut in zip(components(traj.ys[i], traj.qs[i]), bounds[i]):
+                        if cut > level:
+                            self.check(c, level, rng)
+
+    def test_tangencies_and_crossings(self):
+        # level - k (th - r)^2 touches the level at r; nudged up by an ulp it
+        # crosses it twice; a line through the level crosses it once
+        rng = np.random.default_rng(62)
+        seen = set()
+        for _ in range(300):
+            r, k, level = rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 2.0)
+            touch = [level - k * r * r, 2.0 * k * r, -k, 0.0, 0.0]
+            for c in (touch, [math.nextafter(touch[0], math.inf), *touch[1:]], [-x for x in touch],
+                      [level * (1.0 + r), -level * 2.0 * r, 0.0, 0.0, 0.0]):
+                seen.add(self.check(c, level, rng) is None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("q3", [5e-324, -5e-324])
+    def test_subnormal_leading_coefficient(self, q3):
+        # 4 th (1 - th) + q3 th^4 peaks at 1, above the nodes, so its segment is
+        # searched: np.roots raised LinAlgError on its derivative
+        traj = Trajectory(0.0, [0.0])
+        append(traj, 1.0, [0.0], [4.0, -4.0, 0.0, q3])
+        assert _bounds(traj.ys[:-1], traj.qs)[0, 0] > 1.0
+        assert traj.sup_norm(0.0, 1.0) == 1.0
+        assert traj.last_time_above(0.5) == pytest.approx((1.0 + math.sqrt(0.5)) / 2.0, rel=1e-15)
+        # exactly, p(1/2) = 1 + q3 / 16: above 1 at th = 1/2 alone when q3 > 0
+        assert traj.last_time_above(1.0) == (0.5 if q3 > 0.0 else 0.0)
 
 
 class TestWalkedLastTime:
@@ -713,8 +772,8 @@ def array_interp(traj, t):
     i = traj._segment(t)
     if t == traj.ts[i + 1]:
         return traj.ys[i + 1]
-    th = (t - traj.ts[i]) / (traj.ts[i + 1] - traj.ts[i])
-    return _quartic_eval(traj.ys[i], traj.qs[i], th)
+    th, y0, q = (t - traj.ts[i]) / (traj.ts[i + 1] - traj.ts[i]), traj.ys[i], traj.qs[i]
+    return y0 + th * (q[0] + th * (q[1] + th * (q[2] + th * q[3])))
 
 
 def is_float_list(v):
@@ -1453,8 +1512,9 @@ def horner_values(y0, q, th):
 
 class TestBernsteinBound:
     """`_bounds` is at least every float value of a segment's quartic that the
-    searches compute: Horner at each th in [0, 1], the derivative's float
-    roots and their neighbours among them, and the sum at th = 1."""
+    searches compute: Horner at each th in [0, 1], the floats on both sides of
+    each turn (`_turns`, which returns on subnormal coefficients too) and
+    their neighbours, and the sum at th = 1."""
 
     THETA = np.linspace(0.0, 1.0, 10_001)
 
@@ -1462,11 +1522,7 @@ class TestBernsteinBound:
         bound = _bounds(y0, q)
         for i in range(len(y0)):
             c = q[:, i]
-            try:  # the companion matrix of a subnormal leading coefficient overflows
-                with np.errstate(all="ignore"):
-                    roots = np.array(_real_roots([4.0 * c[3], 3.0 * c[2], 2.0 * c[1], c[0]], 0.0, 1.0))
-            except np.linalg.LinAlgError:
-                roots = np.empty(0)
+            roots = np.array(_turns([y0[i], *c.tolist()], 0.0, 1.0))
             ths = np.concatenate([self.THETA, roots, np.nextafter(roots, 0.0), np.nextafter(roots, 1.0)])
             seen = max(float(horner_values(y0[i], c, ths).max()), abs(y0[i] + c[0] + c[1] + c[2] + c[3]))
             assert seen <= bound[i], (y0[i], c.tolist(), seen, bound[i])
