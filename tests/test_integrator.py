@@ -422,7 +422,8 @@ class TestExactCrossings:
     component's quartic exceeds the level there in exact arithmetic, and
     none does at the float after it or at any float tried past it. Checked
     on every segment whose bound beats the level, of 60 feed runs, and on
-    quartics built to touch the level from below or to cross it."""
+    quartics built to touch the level from below or to cross it. The turns
+    it reads (`_turns`) enclose every sign change of the derivative."""
 
     @staticmethod
     def check(c, level, rng):
@@ -459,6 +460,24 @@ class TestExactCrossings:
                       [level * (1.0 + r), -level * 2.0 * r, 0.0, 0.0, 0.0]):
                 seen.add(self.check(c, level, rng) is None)
         assert seen == {True, False}
+
+    def test_turns_enclose_every_sign_change(self):
+        # p' = 12 (th - 1/4)(th - 1/2)(th - 3/4) changes sign at the midpoint
+        # where de Casteljau splits [0, 1]; the second quartic's p'(1) is
+        # +2^-52 and rounds to -2^-52, so p' changes sign just below 1
+        def slope(c, x):
+            return sum(k * Fraction(v) * Fraction(x) ** (k - 1) for k, v in enumerate(c) if k)
+
+        for c, roots in (([0.0, -1.125, 4.125, -6.0, 3.0], [0.25, 0.5, 0.75]),
+                         ([0.0, -0.8695738650778122, -0.8338922646113007, 0.9908978778931521, -0.1088338098447606],
+                          None)):
+            turns = _turns(c, 0.0, 1.0)
+            pairs = list(zip(turns[::2], turns[1::2]))
+            assert all(h in (l, math.nextafter(l, 2.0)) for l, h in pairs), pairs
+            if roots:
+                assert all(any(l <= r <= h for l, h in pairs) for r in roots), pairs
+            else:
+                assert len(pairs) == 1 and slope(c, pairs[0][0]) * slope(c, pairs[0][1]) <= 0, pairs
 
     @pytest.mark.parametrize("q3", [5e-324, -5e-324])
     def test_subnormal_leading_coefficient(self, q3):
