@@ -307,7 +307,8 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tu
     -2^-1074 give w < 0 however s rounds: both products are <= 0, and the one
     whose factor is >= 1/2 is not 0. The flat line 1.0 reads 1.0: 1 - s is exact
     on [1/2, 1] (Sterbenz), below it within 2^-54 or 1 - s = 1, and 1 + d,
-    |d| <= 2^-54, rounds to 1.0 (at -2^-54 by ties to even).
+    |d| <= 2^-54, rounds to 1.0 (at -2^-54 by ties to even). Knots both in
+    [0, h) keep every float of the line above -m and below h + m: none held.
 
     A decay p exp(-rate (t - start)), rate > 0, reads at t <= t_out a w of the
     sign of w(t_out) and at least (1 - 6u)|w(t_out)|: the exponent rounds
@@ -318,7 +319,8 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tu
     if not levels:
         return math.inf, -math.inf, 0.0
     h = levels[1]
-    if kind == "line" and math.isfinite(p - q) and (lo - a) / span >= 0.0 and (hi - a) / span <= 1.0:
+    if kind == "line" and not 0.0 <= min(p, q) <= max(p, q) < h and math.isfinite(p - q) and (lo - a) / span >= 0.0 \
+            and (hi - a) / span <= 1.0:
         m = 2.0 ** -48 * max(abs(p), abs(q)) + 2.0 ** -1070
         side = [h if v >= h + m else -1.0 if v <= -m else None for v in (w(lo), w(hi))]
         if max(p, q) < -(2.0 ** -1074):
