@@ -349,7 +349,7 @@ class TestExactSuprema:
         pairs = [(0, n - 1)] + [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(40)]
         segs = [float(segment_sup(traj.ys[k], traj.qs[k])) for k in range(n - 1)]
         for i, j in pairs:
-            ref = max(float(np.abs(traj.ys[i]).max()), float(np.abs(traj.ys[j]).max()), *segs[i:j])
+            ref = max(float(np.abs(traj.ys[i : j + 1]).max()), *segs[i:j])
             assert traj.sup_norm(float(traj.ts[i]), float(traj.ts[j])) == ref
         top = max(segs)
         levels = [*(top * rng.uniform(0.0, 1.0, 6)), top, *rng.choice(segs, 3),
