@@ -313,8 +313,9 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tu
     A decay p exp(-rate (t - start)), rate > 0, reads at t <= t_out a w of the
     sign of w(t_out) and at least (1 - 6u)|w(t_out)|: the exponent rounds
     monotonely in t and exp is faithful. So w(t_out) >= h (1 + 2^-30), or <=
-    -2^-1000 (however it underflows), holds [lo, t_out]; t_out is 2^-20 (or
-    690) inside the closed-form crossing of h (or of the underflow)."""
+    -2^-1000 (however it underflows), holds [lo, t_out]; t_out is 2^-20 inside
+    the closed-form crossing of h, or where |w| of a p < 0 decay reaches
+    e^-690, 55/rate short of where it underflows (near e^-745)."""
     kind, a, span, p, q, rate, start, _ = floats
     if not levels:
         return math.inf, -math.inf, 0.0
