@@ -317,8 +317,6 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tu
     the closed-form crossing of h, or where |w| of a p < 0 decay reaches
     e^-690, 55/rate short of where it underflows (near e^-745)."""
     kind, a, span, p, q, rate, start, _ = floats
-    if not levels:
-        return math.inf, -math.inf, 0.0
     h = levels[1]
     if kind == "line" and not 0.0 <= min(p, q) <= max(p, q) < h and math.isfinite(p - q) and (lo - a) / span >= 0.0 \
             and (hi - a) / span <= 1.0:
@@ -341,12 +339,12 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tu
     return math.inf, -math.inf, 0.0
 
 
-def _piece_floats(piece, lo: float = 0.0, hi: float = -1.0, levels: tuple = ()) -> tuple:
+def _piece_floats(piece, lo: float, hi: float, levels: tuple) -> tuple:
     """The floats a fed stage reads of component 0 of a piece (`Signal.piece`)
     on [lo, hi], in the order of `_PIECE`: those of its `form`, or the piece
     itself to call, and the stage times [t_in, t_out] at which it reads w =
-    hold instead: all for a constant piece, and with `levels` those where
-    `_held` proves the feed saturated. A line from +0.0 to +0.0 is the
+    hold instead: all for a constant piece, else those where `_held` proves
+    the feed saturated past `levels`. A line from +0.0 to +0.0 is the
     constant +0.0: (1 - s) * 0.0 + s * 0.0 adds two zeros, never both -0.0."""
     kind, *form = getattr(piece, "form", ("call",))
     if kind == "line":

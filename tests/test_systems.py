@@ -542,7 +542,7 @@ class TestFedField:
         kinds = set()
         for w in self.FEEDS:
             for kind, piece, times in self.pieces(w, 3 if name != "planar" else 1, rng):
-                floats = _piece_floats(piece)
+                floats = _piece_floats(piece, min(times), max(times), fed.levels)
                 kinds.add(floats[0])
                 assert floats[0] == kind
                 for t in times:
@@ -639,12 +639,12 @@ class TestHeldFeed:
         for _ in range(200):
             a, span = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-8.0, 2.0)
             line = _linear(a, a + span, [0.0, 1.0], [0.0, -2.0])
-            kind, *_, t_in, t_out, hold = _piece_floats(line)
+            kind, *_, t_in, t_out, hold = _piece_floats(line, a, a + span, self.LEVELS)
             assert kind == "constant" and (t_in, t_out) == (-math.inf, math.inf) and self.bits(hold) == self.bits(0.0)
             ts = np.concatenate([a + span * rng.uniform(size=50), [a, a + span, np.nextafter(a + span, np.inf)]])
             assert all(self.bits(line(t)[0]) == self.bits(0.0) for t in ts)
         for v0, v1 in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 5e-324), (1.0, 1.0)):
-            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]))[0] == "line"
+            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.LEVELS)[0] == "line"
 
     @staticmethod
     def gain_pairs(rng):
