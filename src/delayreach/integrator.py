@@ -622,7 +622,7 @@ class Trajectory:
             raise SpanTooShort("empty window")
         ts, ys, qs = self._t, self.ys, self.qs
         i0, i1 = self._segment(lo), self._segment(hi)
-        best = max(float(np.abs(self._interp(lo)).max()), float(np.abs(self._interp(hi)).max()),
+        best = max(*map(abs, self._interp(lo)), *map(abs, self._interp(hi)),
                    float(np.abs(ys[i0 + 1 : i1 + 1]).max(initial=0.0)))
         bounds = _bounds(ys[i0 : i1 + 1], qs[i0 : i1 + 1])
         bound = bounds.max(axis=1)
