@@ -34,6 +34,7 @@ import functools
 import linecache
 import math
 import numbers
+import struct
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -271,13 +272,13 @@ class _Fed(NamedTuple):
     delays; `at` is source from w to what the field reads besides the state,
     `field` the field of `_step_kernel`, and both read the constants `names`,
     whose values are `values`. `at` computes one value at every w < 0.0 and
-    one at every w >= levels[1] > 0.0, its saturated branches (levels[0] is
-    0.0). `integrate` computes it inline (`_fed_kernel`)."""
+    one at every w >= top > 0.0, its saturated branches. `integrate` computes
+    it inline (`_fed_kernel`)."""
 
     at: tuple
     field: Callable
     names: str
-    levels: tuple
+    top: float
 
 
 #: the floats a fed stage reads of the current piece (`_piece_floats`)
@@ -293,17 +294,18 @@ def _feed(t: str) -> list:
             "else:", f"    w = float(look({t})[0])"]
 
 
-def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tuple:
+def _held(w: Callable, floats: tuple, lo: float, hi: float, h: float) -> tuple:
     """(t_in, t_out, hold): times in [lo, hi] at which every float w(t) of a
-    line or decay piece lies in one saturated branch, w < 0.0 or w >= h =
-    levels[1], and a w of it; an empty interval where none is proven.
+    line or decay piece lies in one saturated branch, w < 0.0 or w >= h, and
+    a w of it; an empty interval where none is proven.
 
     A line at s = (t - a) / span in [0, 1] rounds (1 - s) p + s q by under E =
     2^-51 M + 2^-1073, M = max(|p|, |q|): gamma_3 M, and two products that
     underflow by 2^-1075 (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2.2). Its exact value is monotone in t, so floats >= h + m (or
-    <= -m) at both ends of an interval, m = 2^-48 M + 2^-1070 > 2E with the
-    rounding of h + m, put every float between at >= h (or < 0). Knots p, q <
+    Algorithms, 2.2). Its exact value is monotone in t, so knots p, q >= h + m,
+    m = 2^-48 M + 2^-1070 > 2E with the rounding of h + m, put every float of
+    it at >= h, and where the knots lie apart, floats >= h + m (or <= -m) at
+    both ends of [lo, hi] put every float between at >= h (or < 0). Knots p, q <
     -2^-1074 give w < 0 however s rounds: both products are <= 0, and the one
     whose factor is >= 1/2 is not 0. The flat line 1.0 reads 1.0: 1 - s is exact
     on [1/2, 1] (Sterbenz), below it within 2^-54 or 1 - s = 1, and 1 + d,
@@ -317,21 +319,16 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tu
     the closed-form crossing of h, or where |w| of a p < 0 decay reaches
     e^-690, 55/rate short of where it underflows (near e^-745)."""
     kind, a, span, p, q, rate, start, _ = floats
-    h = levels[1]
-    if kind == "line" and not 0.0 <= min(p, q) <= max(p, q) < h and math.isfinite(p - q) and (lo - a) / span >= 0.0 \
-            and (hi - a) / span <= 1.0:
+    if kind == "line" and math.isfinite(p - q) and (lo - a) / span >= 0.0 and (hi - a) / span <= 1.0:
         m = 2.0 ** -48 * max(abs(p), abs(q)) + 2.0 ** -1070
-        side = [h if v >= h + m else -1.0 if v <= -m else None for v in (w(lo), w(hi))]
         if max(p, q) < -(2.0 ** -1074):
             return lo, hi, -1.0
-        if p == q == 1.0 >= h or side[0] is not None and side[0] == side[1]:
-            return lo, hi, side[0] or h
-        for end, v in zip((lo, hi), side):
-            if v is not None and p != q:  # 2^-20 of the way back from where the exact line is 2m past the level
-                t = a + span * ((h + 2.0 * m if v == h else -2.0 * m) - p) / (q - p)
-                t = end + (t - end) * (1.0 - 2.0 ** -20)
-                if lo <= t <= hi and (w(t) >= h + m if v == h else w(t) <= -m):
-                    return (lo, t, v) if end == lo else (t, hi, v)
+        if p == q == 1.0 >= h or min(p, q) >= h + m:
+            return lo, hi, h
+        if not 0.0 <= min(p, q) <= max(p, q) < h:
+            ends = {h if v >= h + m else -1.0 if v <= -m else 0.0 for v in (w(lo), w(hi))}
+            if len(ends) == 1 and 0.0 not in ends:
+                return (lo, hi, *ends)
     if kind == "decay" and rate > 0.0 and (p >= h or p < 0.0):
         t = min(hi, start + (math.log(p / h) - 2.0 ** -20 if p >= h else math.log(-p) + 690.0) / rate)
         if t >= lo and (w(t) >= h * (1.0 + 2.0 ** -30) if p >= h else w(t) <= -(2.0 ** -1000)):
@@ -339,12 +336,12 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, levels: tuple) -> tu
     return math.inf, -math.inf, 0.0
 
 
-def _piece_floats(piece, lo: float, hi: float, levels: tuple) -> tuple:
+def _piece_floats(piece, lo: float, hi: float, top: float) -> tuple:
     """The floats a fed stage reads of component 0 of a piece (`Signal.piece`)
     on [lo, hi], in the order of `_PIECE`: those of its `form`, or the piece
     itself to call, and the stage times [t_in, t_out] at which it reads w =
     hold instead: all for a constant piece, else those where `_held` proves
-    the feed saturated past `levels`. A line from +0.0 to +0.0 is the
+    the feed saturated below 0.0 or from `top`. A line from +0.0 to +0.0 is the
     constant +0.0: (1 - s) * 0.0 + s * 0.0 adds two zeros, never both -0.0."""
     kind, *form = getattr(piece, "form", ("call",))
     if kind == "line":
@@ -360,7 +357,7 @@ def _piece_floats(piece, lo: float, hi: float, levels: tuple) -> tuple:
         floats = kind, 0.0, 0.0, float(value[0]), 0.0, rate, start, None
     elif kind != "line":
         return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, piece, math.inf, -math.inf, 0.0
-    return (*floats, *_held(lambda t: piece(t)[0], floats, lo, hi, levels))
+    return (*floats, *_held(lambda t: piece(t)[0], floats, lo, hi, top))
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,19 +434,26 @@ def _poly(c: list, w: tuple = (1, 1, 1, 1, 1)) -> Callable:
     return value
 
 
+#: a float >= 0 and its bit pattern, an integer in the floats' order
+_FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _float(bits: int) -> float:
+    return _FLOAT.unpack(_BITS.pack(bits))[0]
+
+
+def _mid(lo: float, hi: float) -> float:
+    """The float halfway from lo to hi in ulps, 0 <= lo <= hi: lo or hi only
+    when they are adjacent, so halving [lo, hi] at it ends within 64 times."""
+    return _float(sum(_BITS.unpack(_FLOAT.pack(x))[0] for x in (lo, hi)) >> 1)
+
+
 def _last(value: Callable, s: int, at: float, lo: float, hi: float) -> tuple:
     """(l, h): the largest float l in [lo, hi) with s value(l, at) > 0, where
-    that holds on a prefix of (lo, hi] and not at hi, and the float h after it:
-    regula falsi with the end that stays halved (Illinois), the midpoint from
-    an end's third move in a row, each point a float inside [lo, hi] at least."""
-    b, moved = s * value(hi, at), 0
-    a = s * value(lo, at) or -b or 1.0
-    while (mid := min(max(lo + (hi - lo) * r if abs(moved) < 3 and a > 0.0 > b and 0.0 < (r := a / (a - b)) < 1.0
-                          else 0.5 * (lo + hi), math.nextafter(lo, hi)), math.nextafter(hi, lo))) not in (lo, hi):
-        if (v := s * value(mid, at)) > 0:
-            lo, a, b, moved = mid, v, 0.5 * b if moved > 0 else b, max(moved, 0) + 1
-        else:
-            hi, b, a, moved = mid, v, 0.5 * a if moved < 0 else a, min(moved, 0) - 1
+    that holds on a prefix of (lo, hi] and not at hi, 0 <= lo, and the float h
+    after it, by bisection over the floats (`_mid`)."""
+    while (mid := _mid(lo, hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if s * value(mid, at) > 0 else (lo, mid)
     return lo, hi
 
 
@@ -461,10 +465,10 @@ def _turns(c: list, a: float, b: float) -> list:
     at most one, its exact signs at u and v, [u, v] = [lo, hi] & [a, b], or
     just inside lo or hi (its first or last nonzero coefficient), tell whether
     it changes sign, and `_last` finds where; else de Casteljau's algorithm
-    splits [lo, hi] at its float midpoint (a zero of p' there is a turn), down
-    to adjacent floats. The float coefficients, within gamma_4 of sum k |q_k|,
-    decide where each is beyond 2^-48 of it and they change sign once at most;
-    Fractions decide the rest."""
+    splits [lo, hi] at its midpoint in ulps (`_mid`; a zero of p' there is a
+    turn), down to adjacent floats. The float coefficients, within gamma_4 of
+    sum k |q_k|, decide where each is beyond 2^-48 of it and they change sign
+    once at most; Fractions decide the rest."""
     q0, q1, q2, q3 = c[1:]
     dp, out = _poly([q0, q1, q2, q3, 0.0], (1, 2, 3, 4, 0)), []
     B = [q0, q0 + 2.0 * q1 / 3.0, q0 + 4.0 * q1 / 3.0 + q2, q0 + 2.0 * q1 + 3.0 * q2 + 4.0 * q3]
@@ -480,7 +484,7 @@ def _turns(c: list, a: float, b: float) -> list:
         if sum((x > 0) != (y > 0) for x, y in zip(nz, nz[1:])) <= 1:
             su, sv = dp(u) if u > lo else nz[0], dp(v) if v < hi else nz[-1]
             out += [_last(dp, 1 if su > 0 else -1, 0.0, u, v)] if su and sv and (su > 0) != (sv > 0) else []
-        elif (mid := 0.5 * (lo + hi)) in (lo, hi):
+        elif (mid := _mid(lo, hi)) in (lo, hi):
             out.append((lo, hi))
         else:
             t, left, right = (Fraction(mid) - Fraction(lo)) / (Fraction(hi) - Fraction(lo)), [], []
@@ -504,11 +508,6 @@ def _last_above(c: list, level: float) -> Optional[float]:
     return None
 
 
-#: the Bernstein coefficients of y0 + q0 th + ... + q3 th^4 on [0, 1] from (y0, q0, ..., q3)
-_BERNSTEIN = np.array([[1, 0, 0, 0, 0], [1, 1 / 4, 0, 0, 0], [1, 1 / 2, 1 / 6, 0, 0], [1, 3 / 4, 1 / 2, 1 / 4, 0],
-                       [1, 1, 1, 1, 1]])
-
-
 def _bounds(y0, q) -> np.ndarray:
     """A bound on |p| over [0, 1] per component, of one segment or of many,
     above every float value of p the searches compute: the largest |Bernstein
@@ -516,16 +515,14 @@ def _bounds(y0, q) -> np.ndarray:
     convex combination (Farouki & Rajan 1987), plus 16 eps S + 16 subnormals,
     S = |y0| + sum |q_k|. With u = eps/2, a value (Horner at a float th in
     [0, 1], or y0 + q0 + ... + q3) is within gamma_8 S of p (Higham, eq. 5.3),
-    a coefficient, one product by `_BERNSTEIN` in any order of its sums, within
-    gamma_6 S, and the bound's own sums round by under 3u S: under 17u S in all
-    (Shewchuk 1997). Fewer than eight products, each off by 2^-1075 at most,
-    underflow along a value or a coefficient. NaN coefficients make the bound
-    NaN, infinite ones inf (fmax skips inf - inf and 0 inf)."""
-    c = np.empty((5, *np.shape(y0)))
-    c[0], c[1:] = y0, np.moveaxis(q, -2, 0)
-    with np.errstate(invalid="ignore"):
-        b = np.fmax.reduce(np.abs(_BERNSTEIN @ c.reshape(5, -1))) + 2.0 ** -48 * np.abs(c).sum(axis=0).reshape(-1)
-    return (b + 2.0 ** -1070).reshape(np.shape(y0))
+    a coefficient within gamma_5 S, and the bound's own sums round by under
+    2u S: under 16u S in all (Shewchuk 1997). Fewer than eight products, each
+    off by 2^-1075 at most, underflow along a value or a coefficient. NaN
+    coefficients make the bound NaN, infinite ones inf (fmax skips inf - inf)."""
+    q0, q1, q2, q3 = np.moveaxis(q, -2, 0)
+    b = np.abs([y0, y0 + 0.25 * q0, y0 + 0.5 * q0 + q1 / 6.0, y0 + 0.75 * q0 + 0.5 * q1 + 0.25 * q2,
+                y0 + q0 + q1 + q2 + q3])
+    return np.fmax.reduce(b) + (2.0 ** -48 * (np.abs(y0) + np.abs(q).sum(axis=-2)) + 2.0 ** -1070)
 
 
 class Trajectory:
@@ -969,7 +966,7 @@ def integrate(sys: DiscreteDelaySystem, history, u: Optional[Signal], T: float,
         uval = u.piece(lo, hi)
         looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
         if fed:
-            feed = _piece_floats(looks[0] if delays else uval, lo, hi, fed.levels)
+            feed = _piece_floats(looks[0] if delays else uval, lo, hi, fed.top)
 
             def f(t, y):
                 return stage(t, y, *feed, *values)

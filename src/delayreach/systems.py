@@ -108,7 +108,7 @@ def planar_rhs(params: PlanarParams = DEFAULT_PLANAR) -> Callable:
 
 
 #: the planar field and the cascade's as `integrator._Fed`: the gains at w, then the field
-_PLANAR_FED, _CASCADE_FED = (_Fed(tuple(_GAINS), field, _ENTRIES, _SATURATION_LEVELS)
+_PLANAR_FED, _CASCADE_FED = (_Fed(tuple(_GAINS), field, _ENTRIES, _SATURATION_LEVELS[1])
                               for field in (_field, _cascade_field))
 
 

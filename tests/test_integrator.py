@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delayreach import probes
+from delayreach import integrator, probes
 from delayreach.integrator import (
     BadHistoryDomain,
     DiscreteDelaySystem,
@@ -19,7 +19,9 @@ from delayreach.integrator import (
     Trajectory,
     _bounds,
     _forced_stops,
+    _last,
     _last_above,
+    _poly,
     _turns,
     integrate,
 )
@@ -256,6 +258,23 @@ def segment_sup(y0, q):
                 for th in _turns(c, 0.0, 1.0)], default=0.0)
 
 
+def roots_sup(y0, q):
+    """Reference independent of `_turns`: |x|_inf at both ends and at each
+    real root in (0, 1) of each component's cubic derivative that np.roots
+    finds, by Horner, and the margin 2^-48 S + 2^-1070 of `_bounds`, S = |y0| +
+    sum |q_k| of a component. The Horner value at a float is within gamma_8 S
+    of the exact quartic, so the sup read at the floats around each turn is
+    at least the value at a root less that margin."""
+    best, margin = max(float(np.abs(y0).max()), float(np.abs(y0 + q[0] + q[1] + q[2] + q[3]).max())), 0.0
+    for i in range(len(y0)):
+        margin = max(margin, 2.0 ** -48 * (abs(y0[i]) + float(np.abs(q[:, i]).sum())) + 2.0 ** -1070)
+        for r in np.roots(np.trim_zeros([4.0 * q[3][i], 3.0 * q[2][i], 2.0 * q[1][i], q[0][i]], "f")):
+            if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
+                th = float(r.real)
+                best = max(best, abs(y0[i] + th * (q[0][i] + th * (q[1][i] + th * (q[2][i] + th * q[3][i])))))
+    return best, margin
+
+
 def peak_histories(seed=1):
     """The histories of one round of the benchmark's peak sweep: the seven
     smoothing widths on [-tau, 0] and two random piecewise-linear ones."""
@@ -342,12 +361,16 @@ class TestExactSuprema:
     def test_whole_segment_windows_match_unpruned_search(self, which, cascade_traj, peak_trajs):
         # the sup over whole segments, and the last time above levels up to
         # the sup and at node and segment sups, against the search that
-        # prunes nothing: the cascade run, and the 18 runs of a peak round
+        # prunes nothing, and each segment's sup against np.roots' critical
+        # points: the cascade run, and the 18 runs of a peak round
         traj = cascade_traj if which == "cascade" else peak_trajs[int(which[4:])]
         n = len(traj.ts)
         rng = np.random.default_rng(1)
         pairs = [(0, n - 1)] + [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(40)]
         segs = [float(segment_sup(traj.ys[k], traj.qs[k])) for k in range(n - 1)]
+        for k in range(n - 1):  # no turn that np.roots finds is missed
+            ref, margin = roots_sup(traj.ys[k], traj.qs[k])
+            assert traj.sup_norm(float(traj.ts[k]), float(traj.ts[k + 1])) >= ref - margin, k
         for i, j in pairs:
             ref = max(float(np.abs(traj.ys[i : j + 1]).max()), *segs[i:j])
             assert traj.sup_norm(float(traj.ts[i]), float(traj.ts[j])) == ref
@@ -478,6 +501,31 @@ class TestExactCrossings:
                 assert all(any(l <= r <= h for l, h in pairs) for r in roots), pairs
             else:
                 assert len(pairs) == 1 and slope(c, pairs[0][0]) * slope(c, pairs[0][1]) <= 0, pairs
+
+    def test_a_root_near_zero_takes_at_most_64_halvings(self, monkeypatch):
+        # th - 1e-300 and p' = th - 1e-300: halving [0, 1] by value would walk
+        # down some thousand binades to 1e-300, halving its bit patterns at
+        # most 64 times; p' = 1.5e-300 - 1.5 th + 3 th^2, with a root just
+        # above 1e-300 and one just below 1/2, is split once first
+        r, calls, poly = 1e-300, [], integrator._poly
+
+        def counted(*args):
+            value = poly(*args)
+            return lambda th, at=0.0: calls.append(th) or value(th, at)
+
+        def slope(c, x):
+            return sum(k * Fraction(v) * Fraction(x) ** (k - 1) for k, v in enumerate(c) if k)
+
+        assert _last(counted([-r, 1.0, 0.0, 0.0, 0.0]), -1, 0.0, 0.0, 1.0) == (math.nextafter(r, 0.0), r)
+        assert 0 < len(calls) <= 64
+        monkeypatch.setattr(integrator, "_poly", counted)
+        for c, n in (([0.0, -r, 0.5, 0.0, 0.0], 1), ([0.0, 1.5 * r, -0.75, 1.0, 0.0], 2)):
+            calls.clear()
+            turns = _turns(c, 0.0, 1.0)
+            pairs = list(zip(turns[::2], turns[1::2]))
+            assert len(pairs) == n and r / 2.0 < pairs[0][0] < 2.0 * r, pairs
+            assert all(h == math.nextafter(l, 2.0) and slope(c, l) * slope(c, h) <= 0 for l, h in pairs), pairs
+            assert 0 < len(calls) <= 3 * 64
 
     @pytest.mark.parametrize("q3", [5e-324, -5e-324])
     def test_subnormal_leading_coefficient(self, q3):

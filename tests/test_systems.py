@@ -542,7 +542,7 @@ class TestFedField:
         kinds = set()
         for w in self.FEEDS:
             for kind, piece, times in self.pieces(w, 3 if name != "planar" else 1, rng):
-                floats = _piece_floats(piece, min(times), max(times), fed.levels)
+                floats = _piece_floats(piece, min(times), max(times), fed.top)
                 kinds.add(floats[0])
                 assert floats[0] == kind
                 for t in times:
@@ -639,12 +639,12 @@ class TestHeldFeed:
         for _ in range(200):
             a, span = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-8.0, 2.0)
             line = _linear(a, a + span, [0.0, 1.0], [0.0, -2.0])
-            kind, *_, t_in, t_out, hold = _piece_floats(line, a, a + span, self.LEVELS)
+            kind, *_, t_in, t_out, hold = _piece_floats(line, a, a + span, self.TOP)
             assert kind == "constant" and (t_in, t_out) == (-math.inf, math.inf) and self.bits(hold) == self.bits(0.0)
             ts = np.concatenate([a + span * rng.uniform(size=50), [a, a + span, np.nextafter(a + span, np.inf)]])
             assert all(self.bits(line(t)[0]) == self.bits(0.0) for t in ts)
         for v0, v1 in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 5e-324), (1.0, 1.0)):
-            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.LEVELS)[0] == "line"
+            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)[0] == "line"
 
     @staticmethod
     def gain_pairs(rng):
@@ -678,13 +678,13 @@ class TestHeldFeed:
         TestFedField.both_loops(monkeypatch, run)
 
 
-    LEVELS = systems._SATURATION_LEVELS
+    TOP = systems._SATURATION_LEVELS[1]
 
     @staticmethod
-    def smallest_held(levels=LEVELS):
+    def smallest_held(top=TOP):
         """The smallest float x > 1 whose flat line x -> x is held above 1."""
         x = math.nextafter(1.0, 2.0)
-        while _piece_floats(_linear(0.0, 1.0, [x], [x]), 0.0, 1.0, levels)[8] != 0.0:
+        while _piece_floats(_linear(0.0, 1.0, [x], [x]), 0.0, 1.0, top)[8] != 0.0:
             x = math.nextafter(x, math.inf)
         return x
 
@@ -708,7 +708,7 @@ class TestHeldFeed:
                 rate = 10.0 ** rng.uniform(-2.0, 1.0)
                 piece = _maker("decay", 1)([ends[0]], rate, a)
                 lo, hi = a + np.cumsum(rng.uniform(0.0, 800.0 / rate, 2) * 10.0 ** rng.integers(-4, 1, 2))
-            kind, *_, t_in, t_out, hold = _piece_floats(piece, lo, hi, self.LEVELS)
+            kind, *_, t_in, t_out, hold = _piece_floats(piece, lo, hi, self.TOP)
             if kind == "constant" or t_in > t_out:
                 continue
             held.add(("line" if j % 2 else "decay", hold, t_in == lo and t_out == hi))
@@ -717,7 +717,10 @@ class TestHeldFeed:
             for t in ts[(ts >= t_in) & (ts <= t_out)]:
                 w = piece(t)[0]
                 assert (w >= 1.0) if hold >= 1.0 else (w < 0.0), (j, ends, lo, hi, t_in, t_out, t, w)
-        assert {(k, v, whole) for k in ("line", "decay") for v in (1.0, -1.0) for whole in (True, False)} <= held
+        # a line is held on its whole piece or not at all, a decay on a prefix
+        assert {("line", v, True) for v in (1.0, -1.0)} <= held
+        assert not {("line", v, False) for v in (1.0, -1.0)} & held
+        assert {("decay", v, whole) for v in (1.0, -1.0) for whole in (True, False)} <= held
 
     def test_margin_zeros_and_the_flat_line(self):
         x = self.smallest_held()
@@ -726,14 +729,14 @@ class TestHeldFeed:
         for v0, v1, hold in ((x, x, 1.0), (3.0, 1.5, 1.0), (1.0, 1.0, 1.0), (-1e-323, -1e-323, -1.0), (-1.0, -0.5, -1.0),
                              (below, x, None), (below, below, None), (0.0, -0.0, None), (-0.0, -0.0, None),
                              (-5e-324, -5e-324, None), (1.0, 1.0 + 2.0 ** -52, None)):
-            *_, t_in, t_out, held = _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.LEVELS)
+            *_, t_in, t_out, held = _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)
             assert (t_in, t_out, held) == ((0.0, 1.0, hold) if hold else (math.inf, -math.inf, 0.0)), (v0, v1)
         # a piece on the part of a line past its crossing: the branch of its floats, not of its knots
-        assert _piece_floats(_linear(0.0, 1.0, [0.5], [-1.5]), 0.75, 1.0, self.LEVELS)[8:] == (0.75, 1.0, -1.0)
-        assert _piece_floats(_linear(0.0, 1.0, [-0.5], [2.5]), 0.75, 1.0, self.LEVELS)[8:] == (0.75, 1.0, 1.0)
-        # a line that reaches -0.0 at its end is held on a prefix only
-        *_, t_in, t_out, held = _piece_floats(_linear(0.0, 1.0, [-1.0], [-0.0]), 0.0, 1.0, self.LEVELS)
-        assert t_in == 0.0 and 0.99 < t_out < 1.0 and held == -1.0
+        assert _piece_floats(_linear(0.0, 1.0, [0.5], [-1.5]), 0.75, 1.0, self.TOP)[8:] == (0.75, 1.0, -1.0)
+        assert _piece_floats(_linear(0.0, 1.0, [-0.5], [2.5]), 0.75, 1.0, self.TOP)[8:] == (0.75, 1.0, 1.0)
+        # a line that reaches -0.0 at its end, or the level at its end, is not held
+        for v0, v1 in ((-1.0, -0.0), (2.0, 1.0), (1.0, 2.0)):
+            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)[8:] == (math.inf, -math.inf, 0.0)
 
     def test_held_pieces_are_the_blend(self, monkeypatch):
         # lines at and one ulp below the margin, from and to signed zeros, the
