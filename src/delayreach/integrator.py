@@ -304,8 +304,8 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, h: float) -> tuple:
     underflow by 2^-1075 (Higham, Accuracy and Stability of Numerical
     Algorithms, 2.2). Its exact value is monotone in t, so knots p, q >= h + m,
     m = 2^-48 M + 2^-1070 > 2E with the rounding of h + m, put every float of
-    it at >= h, and where the knots lie apart, floats >= h + m (or <= -m) at
-    both ends of [lo, hi] put every float between at >= h (or < 0). Knots p, q <
+    it at >= h, and floats >= h + m (or <= -m) at both ends of [lo, hi], read
+    only when the knots do not decide, every float between. Knots p, q <
     -2^-1074 give w < 0 however s rounds: both products are <= 0, and the one
     whose factor is >= 1/2 is not 0. The flat line 1.0 reads 1.0: 1 - s is exact
     on [1/2, 1] (Sterbenz), below it within 2^-54 or 1 - s = 1, and 1 + d,
@@ -319,16 +319,16 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, h: float) -> tuple:
     the closed-form crossing of h, or where |w| of a p < 0 decay reaches
     e^-690, 55/rate short of where it underflows (near e^-745)."""
     kind, a, span, p, q, rate, start, _ = floats
-    if kind == "line" and math.isfinite(p - q) and (lo - a) / span >= 0.0 and (hi - a) / span <= 1.0:
+    if kind == "line" and not (0.0 <= p < h and 0.0 <= q < h) and math.isfinite(p - q) and (lo - a) / span >= 0.0 \
+            and (hi - a) / span <= 1.0:
         m = 2.0 ** -48 * max(abs(p), abs(q)) + 2.0 ** -1070
-        if max(p, q) < -(2.0 ** -1074):
+        if p < -(2.0 ** -1074) and q < -(2.0 ** -1074):
             return lo, hi, -1.0
-        if p == q == 1.0 >= h or min(p, q) >= h + m:
+        if p == q == 1.0 >= h or p >= h + m and q >= h + m:
             return lo, hi, h
-        if not 0.0 <= min(p, q) <= max(p, q) < h:
-            ends = {h if v >= h + m else -1.0 if v <= -m else 0.0 for v in (w(lo), w(hi))}
-            if len(ends) == 1 and 0.0 not in ends:
-                return (lo, hi, *ends)
+        ends = {h if v >= h + m else -1.0 if v <= -m else 0.0 for v in (w(lo), w(hi))}
+        if len(ends) == 1 and 0.0 not in ends:
+            return (lo, hi, *ends)
     if kind == "decay" and rate > 0.0 and (p >= h or p < 0.0):
         t = min(hi, start + (math.log(p / h) - 2.0 ** -20 if p >= h else math.log(-p) + 690.0) / rate)
         if t >= lo and (w(t) >= h * (1.0 + 2.0 ** -30) if p >= h else w(t) <= -(2.0 ** -1000)):
@@ -434,27 +434,24 @@ def _poly(c: list, w: tuple = (1, 1, 1, 1, 1)) -> Callable:
     return value
 
 
-#: a float >= 0 and its bit pattern, an integer in the floats' order
+#: a float and its bit pattern, an integer in the order of the floats >= 0
 _FLOAT, _BITS = struct.Struct("<d"), struct.Struct("<q")
-
-
-def _float(bits: int) -> float:
-    return _FLOAT.unpack(_BITS.pack(bits))[0]
 
 
 def _mid(lo: float, hi: float) -> float:
     """The float halfway from lo to hi in ulps, 0 <= lo <= hi: lo or hi only
     when they are adjacent, so halving [lo, hi] at it ends within 64 times."""
-    return _float(sum(_BITS.unpack(_FLOAT.pack(x))[0] for x in (lo, hi)) >> 1)
+    return _FLOAT.unpack(_BITS.pack(sum(_BITS.unpack(_FLOAT.pack(x))[0] for x in (lo, hi)) >> 1))[0]
 
 
 def _last(value: Callable, s: int, at: float, lo: float, hi: float) -> tuple:
     """(l, h): the largest float l in [lo, hi) with s value(l, at) > 0, where
     that holds on a prefix of (lo, hi] and not at hi, 0 <= lo, and the float h
-    after it, by bisection over the floats (`_mid`)."""
-    while (mid := _mid(lo, hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if s * value(mid, at) > 0 else (lo, mid)
-    return lo, hi
+    after it, by bisection over the floats (`_mid`), kept as bit patterns."""
+    a, b = (_BITS.unpack(_FLOAT.pack(x))[0] for x in (lo, hi))
+    while (mid := (a + b) >> 1) not in (a, b):
+        a, b = (mid, b) if s * value(_FLOAT.unpack(_BITS.pack(mid))[0], at) > 0 else (a, mid)
+    return tuple(_FLOAT.unpack(_BITS.pack(x))[0] for x in (a, b))
 
 
 def _turns(c: list, a: float, b: float) -> list:
