@@ -458,6 +458,8 @@ def main(argv=None) -> int:
         setup = Setup(params_from_config(cfg), opts_from_config(cfg, cmd.opts),
                       getattr(args, "tau", None) or cfg_tau,  # an explicit --tau beats the config
                       signal_from_config(cfg["input"]) if "input" in cfg else None)
+        if setup.tau < setup.opts.h_min:  # the delay caps every step: none could be taken
+            raise ConfigInvalid(f"tau: {setup.tau!r} is below the integrator's h_min {setup.opts.h_min!r}")
         out_dir = Path(args.out)
         if args.svg:
             # mkdir below makes the --out directory and its missing parents

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .signals import _DECAY, _EXP, _FRACTION, _LINE, Constant, PiecewiseLinear, Signal
+from .signals import _DECAY, _EXP, _FRACTION, _LINE, Constant, PiecewiseLinear, Signal, _render
 
 
 class BadHistoryDomain(ValueError):
@@ -294,10 +294,11 @@ def _feed(t: str) -> list:
             "else:", f"    w = float(look({t})[0])"]
 
 
-def _held(w: Callable, floats: tuple, lo: float, hi: float, h: float) -> tuple:
+def _held(form: tuple, floats: tuple, lo: float, hi: float, h: float) -> tuple:
     """(t_in, t_out, hold): times in [lo, hi] at which every float w(t) of a
-    line or decay piece lies in one saturated branch, w < 0.0 or w >= h, and
-    a w of it; an empty interval where none is proven.
+    line or decay `form` lies in one saturated branch, w < 0.0 or w >= h, and
+    a w of it; an empty interval where none is proven. The form is rendered
+    to read w only where its floats do not decide.
 
     A line at s = (t - a) / span in [0, 1] rounds (1 - s) p + s q by under E =
     2^-51 M + 2^-1073, M = max(|p|, |q|): gamma_3 M, and two products that
@@ -326,38 +327,34 @@ def _held(w: Callable, floats: tuple, lo: float, hi: float, h: float) -> tuple:
             return lo, hi, -1.0
         if p == q == 1.0 >= h or p >= h + m and q >= h + m:
             return lo, hi, h
-        ends = {h if v >= h + m else -1.0 if v <= -m else 0.0 for v in (w(lo), w(hi))}
+        w = _render(form)
+        ends = {h if v >= h + m else -1.0 if v <= -m else 0.0 for v in (w(lo)[0], w(hi)[0])}
         if len(ends) == 1 and 0.0 not in ends:
             return (lo, hi, *ends)
     if kind == "decay" and rate > 0.0 and (p >= h or p < 0.0):
         t = min(hi, start + (math.log(p / h) - 2.0 ** -20 if p >= h else math.log(-p) + 690.0) / rate)
-        if t >= lo and (w(t) >= h * (1.0 + 2.0 ** -30) if p >= h else w(t) <= -(2.0 ** -1000)):
+        sign, bar = (1.0, h * (1.0 + 2.0 ** -30)) if p >= h else (-1.0, 2.0 ** -1000)
+        if t >= lo and sign * _render(form)(t)[0] >= bar:
             return lo, t, h if p >= h else -1.0
     return math.inf, -math.inf, 0.0
 
 
-def _piece_floats(piece, lo: float, hi: float, top: float) -> tuple:
-    """The floats a fed stage reads of component 0 of a piece (`Signal.piece`)
-    on [lo, hi], in the order of `_PIECE`: those of its `form`, or the piece
-    itself to call, and the stage times [t_in, t_out] at which it reads w =
-    hold instead: all for a constant piece, else those where `_held` proves
-    the feed saturated below 0.0 or from `top`. A line from +0.0 to +0.0 is the
-    constant +0.0: (1 - s) * 0.0 + s * 0.0 adds two zeros, never both -0.0."""
-    kind, *form = getattr(piece, "form", ("call",))
-    if kind == "line":
-        a, span, v0, v1 = form
-        floats = kind, a, span, float(v0[0]), float(v1[0]), 0.0, 0.0, None
-        if floats[3] == floats[4] == 0.0 and math.copysign(1.0, floats[3]) == math.copysign(1.0, floats[4]) == 1.0:
-            kind, form = "constant", [[0.0]]
-    if kind == "constant":
-        p = float(form[0][0])
-        return kind, 0.0, 0.0, p, 0.0, 0.0, 0.0, None, -math.inf, math.inf, p
-    if kind == "decay":
-        value, rate, start = form
-        floats = kind, 0.0, 0.0, float(value[0]), 0.0, rate, start, None
-    elif kind != "line":
-        return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, piece, math.inf, -math.inf, 0.0
-    return (*floats, *_held(lambda t: piece(t)[0], floats, lo, hi, top))
+def _piece_floats(form: tuple, lo: float, hi: float, top: float) -> tuple:
+    """The floats a fed stage reads of component 0 of a piece on [lo, hi], its
+    `form`, in the order of `_PIECE`: those of the form, or the call itself,
+    and the stage times [t_in, t_out] at which it reads w = hold instead: all
+    for a constant piece, else those where `_held` proves the feed saturated
+    below 0.0 or from `top`. A line from +0.0 to +0.0 is the constant +0.0:
+    (1 - s) * 0.0 + s * 0.0 adds two zeros, never both -0.0."""
+    kind, *args = form
+    if kind == "call":
+        return kind, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, args[0], math.inf, -math.inf, 0.0
+    a, span, v0, v1 = args if kind == "line" else (0.0, 0.0, args[0], [0.0])
+    p, q = float(v0[0]), float(v1[0])
+    if kind == "constant" or kind == "line" and p == q == 0.0 and math.copysign(1.0, p) == math.copysign(1.0, q) == 1.0:
+        return "constant", 0.0, 0.0, p, 0.0, 0.0, 0.0, None, -math.inf, math.inf, p
+    floats = kind, a, span, p, q, *(args[1:] if kind == "decay" else (0.0, 0.0)), None
+    return (*floats, *_held(form, floats, lo, hi, top))
 
 
 @functools.lru_cache(maxsize=None)
@@ -608,7 +605,8 @@ class Trajectory:
         whose bound (`_bounds`) beats the best value so far, in order of bound,
         read as `_interp` reads them; bit for bit the unpruned search. The sup
         of a component's exact quartic between two such floats is within its
-        bound's margin of their larger value. ValueError if an end is NaN."""
+        bound's margin of their larger value. A run with one node (an escape
+        at its start) has the node's. ValueError if an end is NaN."""
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError(f"window [{lo!r}, {hi!r}] has a NaN end")
         lo, hi = max(float(lo), self.t_start), min(float(hi), self.t_end)
@@ -618,7 +616,7 @@ class Trajectory:
         i0, i1 = self._segment(lo), self._segment(hi)
         best = max(*map(abs, self._interp(lo)), *map(abs, self._interp(hi)),
                    float(np.abs(ys[i0 + 1 : i1 + 1]).max(initial=0.0)))
-        bounds = _bounds(ys[i0 : i1 + 1], qs[i0 : i1 + 1])
+        bounds = _bounds(ys[:-1][i0 : i1 + 1], qs[i0 : i1 + 1])  # the nodes that start a segment
         bound = bounds.max(axis=1)
         for k in np.argsort(-bound, kind="stable"):
             if bound[k] <= best:
@@ -692,7 +690,7 @@ class HistoryFn:
         k0, kn = float(k[0]), float(k[-1])
         if s < k0 - 1e-9 or s > kn + 1e-9:
             raise BadHistoryDomain(f"history evaluated at {s} outside [{k0}, 0]")
-        return np.array(self.line.segment(s)(s))
+        return np.array(_render(self.line.segment(s))(s))
 
     def shifted(self, d: float) -> PiecewiseLinear:
         """t -> self(t - d) as a signal: the broken line through knots + d,
@@ -911,12 +909,12 @@ def integrate(sys: DiscreteDelaySystem, history, u: Optional[Signal], T: float,
     smoothness (e.g. saturation crossings) to the forced step boundaries.
     Between two forced boundaries the input is one piece of `u`, and on
     [0, d] the lookup at delay d one segment of `history.shifted(d)`; both
-    are resolved once per interval (`Signal.piece`) into its rhs, and the
-    Stepper's loop walks the boundaries with all of them, taking the slope
-    again at each. Past d the lookup reads the dense output at t - d. A
-    nondelayed system's rhs is handed the empty tuple of lookups, and a
-    one-delay system's the 1-tuple of its one lookup, with no list built
-    per evaluation.
+    are resolved once per interval into its rhs, and the Stepper's loop
+    walks the boundaries with all of them, taking the slope again at each.
+    Past d the lookup reads the dense output at t - d. A fed rhs reads the
+    floats of its feed's form (`_piece_floats`); a plain rhs is called with
+    the rendered pieces, its lookups as a tuple. ValueError for a shortest
+    delay below opts.h_min: it caps every step.
     `stop = (every, ask)`: ask(traj, t) is asked at the first accepted step
     or forced boundary at or past t = every and then once per `every` of
     progress; when it returns True the run ends there, with the trajectory
@@ -926,6 +924,8 @@ def integrate(sys: DiscreteDelaySystem, history, u: Optional[Signal], T: float,
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
     if sys.delays:
+        if sys.delays[0] < opts.h_min:
+            raise ValueError(f"shortest delay {sys.delays[0]!r} is below h_min {opts.h_min!r}")
         if not isinstance(history, HistoryFn):
             raise BadHistoryDomain("delayed system requires a HistoryFn")
         if abs(history.tau - sys.tau) > 1e-9 * max(1.0, sys.tau):
@@ -960,25 +960,15 @@ def integrate(sys: DiscreteDelaySystem, history, u: Optional[Signal], T: float,
     def rhs_on(lo: float, hi: float):
         # the rhs on [lo, hi], which no stop splits, its input and delayed lookups
         # resolved; a fed rhs carries its feed piece as the floats its stages read
+        if fed:
+            src, d = (shifted[0], delays[0]) if delays else (u, math.inf)
+            feed = _piece_floats(src._form(lo, hi) if hi <= d else ("call", past(d)), lo, hi, fed.top)
+            f = lambda t, y: stage(t, y, *feed, *values)
+            f.feed = feed
+            return f
         uval = u.piece(lo, hi)
         looks = [h.piece(lo, hi) if hi <= d else past(d) for h, d in zip(shifted, delays)]
-        if fed:
-            feed = _piece_floats(looks[0] if delays else uval, lo, hi, fed.top)
-
-            def f(t, y):
-                return stage(t, y, *feed, *values)
-
-            f.feed = feed
-        elif not delays:
-            def f(t, y):
-                return rhs(y, (), uval(t))
-        elif len(delays) == 1:
-            def f(t, y, look=looks[0]):
-                return rhs(y, (look(t),), uval(t))
-        else:
-            def f(t, y):
-                return rhs(y, tuple([look(t) for look in looks]), uval(t))
-        return f
+        return lambda t, y: rhs(y, tuple([look(t) for look in looks]), uval(t))
 
     pieces = [rhs_on(lo, hi) for lo, hi in zip([0.0] + stops, stops)]
     stepper = Stepper(pieces[0], 0.0, y0, opts, h_cap=delays[0] if delays else math.inf)

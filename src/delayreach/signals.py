@@ -5,18 +5,17 @@ evaluates them at arbitrary times with no interpolation error, and their
 breakpoints are known so step boundaries never straddle a discontinuity.
 All signals are vector valued (scalars are 1-vectors) and defined for all
 t >= 0; piecewise-constant signals use the right-continuous convention at
-breakpoints. Combinators read their parts through `_piece`, also before 0
+breakpoints. Combinators read their parts through `_form`, also before 0
 (a time shift): a leaf holds its value at 0, a window is zero outside.
 
-Between two consecutive breakpoints a signal is one closed-form piece.
-`piece(lo, hi)` resolves it once and returns it as a function of t, so the
-integrator pays no index search per evaluation; a piece's value is a
-sequence of floats, which the right-hand side reads per component. A line
-or decay piece is code rendered once per component count, one sum or
-product per component. A constant, line or decay piece carries the floats
-it was made from as `form`, from which the integrator's fused stages
-compute it inline. `eval(t)` is the piece through t, resolved at t, as a
-1-D ndarray.
+Between two consecutive breakpoints a signal is one piece, and a piece is
+its form: ("constant", v), ("line", a, span, v0, v1), ("decay", value,
+rate, start), or ("call", f) where it has no closed form. `_form(lo, hi)`
+resolves it once, so the integrator pays no index search per evaluation
+and its fused stages read the feed from those floats. `piece(lo, hi)`
+renders the form as t -> value (`_render`), a sequence of floats read per
+component; a line or decay is code rendered once per component count.
+`eval(t)` is the piece through t, resolved at t, as a 1-D ndarray.
 """
 
 from __future__ import annotations
@@ -44,14 +43,6 @@ def _finite(v, name: str) -> np.ndarray:
     return arr
 
 
-def _constant(v):
-    def constant(t):
-        return v
-
-    constant.form = ("constant", v)
-    return constant
-
-
 #: The closed forms of a piece at time t, as source: the fraction s of a line
 #: through (a, p) and (a + span, q), its value, and the factor of a decay from
 #: start at rate, which calls `_EXP` as exp. The line and decay pieces here
@@ -66,7 +57,7 @@ _EXP = math.exp
 def _maker(kind: str, n: int):
     """make(a, span, v0, v1) -> line(t), or make(value, rate, start) ->
     decay(t), for n components, as straight-line code, one sum or product
-    per component; each carries its `form`, the floats it was made from."""
+    per component."""
 
     def unpack(v, names):  # "[v0, v1, ] = names"
         return "[" + "".join(f"{v}{i}, " for i in range(n)) + f"] = {names}"
@@ -78,18 +69,21 @@ def _maker(kind: str, n: int):
         args, head = "value, rate, start", [unpack("v", "value")]
         body = [f"e = {_DECAY.format(t='t')}", ", ".join(f"v{i} * e" for i in range(n))]
     src = "\n    ".join([f"def make({args}):", *head, f"def {kind}(t):", f"    {body[0]}", f"    return [{body[1]}]",
-                         f"{kind}.form = ({kind!r}, {args})", f"return {kind}\n"])
+                         f"return {kind}\n"])
     scope = {"exp": _EXP}
     exec(compile(src, f"<{kind}, n={n}>", "exec"), scope)
     return scope["make"]
 
 
-def _linear(k0, k1, v0, v1):
-    """t -> the line through (k0, v0) and (k1, v1), as every broken line here
-    computes it: s = (t - k0) / (k1 - k0), then (1 - s) v0 + s v1 per component
-    (in floats: the same roundings as numpy's, without its per-call cost). v0
-    and v1 are sequences of floats."""
-    return _maker("line", len(v0))(float(k0), float(k1 - k0), v0, v1)
+def _render(form):
+    """A piece's form as t -> value: the constant itself, the call, or the line
+    or decay of `_maker`, which rounds as numpy would, without its call cost."""
+    kind, *args = form
+    if kind == "constant":
+        return lambda t: args[0]
+    if kind == "call":
+        return args[0]
+    return _maker(kind, len(args[2] if kind == "line" else args[0]))(*args)
 
 
 def _broken_line(knots, values) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +118,7 @@ def _as_value(v) -> np.ndarray:
 
 
 class Signal:
-    """Base class; concrete signals implement _piece and breakpoints."""
+    """Base class; concrete signals implement _form and breakpoints."""
 
     dim: int
 
@@ -139,10 +133,10 @@ class Signal:
         bit on [lo, hi) and its limit from the left at hi. OutOfDomain if lo < 0."""
         if lo < 0.0:
             raise OutOfDomain(f"t={lo} < 0")
-        return self._piece(lo, hi)
+        return _render(self._form(lo, hi))
 
-    def _piece(self, lo: float, hi: float):
-        """`piece` without the domain check, as the combinators read it."""
+    def _form(self, lo: float, hi: float) -> tuple:
+        """The form of `piece`, without the domain check."""
         raise NotImplementedError
 
     def breakpoints(self, lo: float, hi: float) -> np.ndarray:
@@ -164,8 +158,8 @@ class Constant(Signal):
         self.value = _as_value(value)
         self.dim = self.value.size
 
-    def _piece(self, lo, hi):
-        return _constant(self.value)
+    def _form(self, lo, hi):
+        return "constant", self.value
 
     def breakpoints(self, lo, hi):
         return np.empty(0)
@@ -189,8 +183,8 @@ class PiecewiseConstant(Signal):
             raise ValueError("breakpoints must be strictly increasing")
         self.dim = self.values.shape[1]
 
-    def _piece(self, lo, hi):
-        return _constant(self.values[int(np.searchsorted(self.breaks, max(lo, 0.0), side="right"))])
+    def _form(self, lo, hi):
+        return "constant", self.values[int(np.searchsorted(self.breaks, max(lo, 0.0), side="right"))]
 
     def breakpoints(self, lo, hi):
         b = self.breaks
@@ -207,7 +201,7 @@ class PiecewiseLinear(Signal):
 
     Constant extension outside the knot range keeps the signal defined and
     continuous on all of [0, inf). The knots and rows are also held as lists
-    of floats, which a segment lookup bisects and hands to the line.
+    of floats, which a segment lookup bisects and puts in the line's form.
     """
 
     def __init__(self, knots, values):
@@ -220,21 +214,21 @@ class PiecewiseLinear(Signal):
         self._k, self._v = knots.tolist(), values.tolist()
         return self
 
-    def _piece(self, lo, hi):
+    def _form(self, lo, hi):
         if lo < 0.0:
-            return _constant(self.segment(0.0)(0.0))
+            return "constant", _render(self.segment(0.0))(0.0)
         return self.segment(lo)
 
-    def segment(self, t: float):
-        """The line of the segment through t, or the end value beyond the knots,
-        as t -> value: `_piece`'s formula at t >= 0, with no hold at 0 before 0."""
+    def segment(self, t: float) -> tuple:
+        """The form of the segment through t, or of the end value beyond the
+        knots: `_form` at t >= 0, with no hold at 0 before 0."""
         k, v = self._k, self._v
         if t < k[0]:
-            return _constant(v[0])
+            return "constant", v[0]
         if t >= k[-1]:
-            return _constant(v[-1])
+            return "constant", v[-1]
         i = bisect.bisect_right(k, t) - 1
-        return _linear(k[i], k[i + 1], v[i], v[i + 1])
+        return "line", k[i], k[i + 1] - k[i], v[i], v[i + 1]
 
     def breakpoints(self, lo, hi):
         return _held_at_zero(self.knots, lo, hi)
@@ -254,13 +248,13 @@ class ExponentialTail(Signal):
         self.start = float(_finite(start, "start"))
         self.dim = self.value.size
 
-    def _piece(self, lo, hi):
+    def _form(self, lo, hi):
         if lo < 0.0:
-            return _constant(self._piece(0.0, 0.0)(0.0))
+            return "constant", _render(self._form(0.0, 0.0))(0.0)
         if lo < self.start:
-            return _constant(self.value)
+            return "constant", self.value
         # at start itself the decay is exp(-0) = 1 exactly: the frozen value
-        return _maker("decay", self.dim)(self.value.tolist(), self.rate, self.start)
+        return "decay", self.value.tolist(), self.rate, self.start
 
     def breakpoints(self, lo, hi):
         return _held_at_zero(np.array([self.start]), lo, hi)
@@ -277,8 +271,8 @@ class Concatenation(Signal):
         self.t_switch = float(_finite(t_switch, "t_switch"))
         self.dim = first.dim
 
-    def _piece(self, lo, hi):
-        return (self.first if lo < self.t_switch else self.second)._piece(lo, hi)
+    def _form(self, lo, hi):
+        return (self.first if lo < self.t_switch else self.second)._form(lo, hi)
 
     def breakpoints(self, lo, hi):
         pts = [self.first.breakpoints(lo, min(hi, self.t_switch))]
@@ -289,16 +283,16 @@ class Concatenation(Signal):
 
 
 class TimeShift(Signal):
-    """inner evaluated at t - shift, which can read it before 0 (see `_piece`)."""
+    """inner evaluated at t - shift, which can read it before 0 (see `_form`)."""
 
     def __init__(self, inner: Signal, shift: float):
         self.inner = inner
         self.shift = float(_finite(shift, "shift"))
         self.dim = inner.dim
 
-    def _piece(self, lo, hi):
-        p, shift = self.inner._piece(lo - self.shift, hi - self.shift), self.shift
-        return lambda t: p(t - shift)
+    def _form(self, lo, hi):
+        p, shift = _render(self.inner._form(lo - self.shift, hi - self.shift)), self.shift
+        return "call", lambda t: p(t - shift)
 
     def _switch(self, b: float) -> float:
         """The first t with t - shift >= b in floating point: where the inner
@@ -328,10 +322,10 @@ class Window(Signal):
         self.inner = inner
         self.dim = inner.dim
 
-    def _piece(self, lo, hi):
+    def _form(self, lo, hi):
         if self.lo <= lo < self.hi:
-            return self.inner._piece(lo, hi)
-        return _constant(np.zeros(self.dim))
+            return self.inner._form(lo, hi)
+        return "constant", np.zeros(self.dim)
 
     def breakpoints(self, lo, hi):
         pts = [self.inner.breakpoints(max(lo, self.lo), min(hi, self.hi))]

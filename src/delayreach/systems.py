@@ -238,7 +238,7 @@ def saturation_stop_times(history: HistoryFn, tau: float, T: float) -> np.ndarra
         for i in range(len(knots) - 1):
             if d[i] == 0.0:
                 out.append(knots[i])
-            elif d[i] * d[i + 1] < 0.0:
+            elif d[i + 1] != 0.0 and (d[i] < 0.0) != (d[i + 1] < 0.0):  # signs: a product can underflow
                 out.append(knots[i] + (knots[i + 1] - knots[i]) * d[i] / (d[i] - d[i + 1]))
     arr = np.asarray(out, dtype=float) + tau
     z0 = float(history.eval(0.0)[0])

@@ -453,6 +453,28 @@ class TestUgaTableSummary:
         assert [(c["r"], c["t_emp_reliable"]) for c in cells] == [(1.0, True), (10.0, False)]
 
 
+class TestRunsAtTheBoundaries:
+    def test_tau_below_h_min_exits_2_before_any_step(self, tmp_path):
+        # a tau below h_min caps every step below the smallest allowed; the
+        # flag and the config key are rejected before a run starts
+        cfg = write_config(tmp_path, {"tau": 1e-13})
+        for pre, argv in (([], ["--tau", "1e-300"]), (["--config", cfg], [])):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "delayreach.cli", "--out", str(tmp_path), *pre,
+                                   "simulate", "--system", "cascade", "--T", "1", *argv],
+                                  capture_output=True, text=True, timeout=60)
+            assert time.perf_counter() - t0 < 5.0
+            assert proc.returncode == 2 and "h_min" in proc.stderr, proc.stderr
+
+    def test_estimate_r_above_the_threshold(self, tmp_path, capsys):
+        # the boundary draw at r = 2e6 escapes at t = 0, one node with no segment;
+        # seed 0's first random draw fails the error test at h_min at t = 0
+        # (StepSizeCollapse, exit 1), a separate matter, so seed 7 is read
+        assert main(["--out", str(tmp_path), "--seed", "7", "estimate-r", "--r", "2e6", "--budget", "1"]) == 0
+        summary = json.loads((tmp_path / "estimate_r_summary.json").read_text())
+        assert summary["escape_seen"] is True and summary["lower_bound"] == 2e6
+
+
 class TestProbeCommands:
     @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
     def test_small_run(self, tmp_path, capsys, name):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import fields
 from fractions import Fraction
@@ -197,6 +198,17 @@ class TestDelayOracle:
         with pytest.raises(BadHistoryDomain):
             integrate(delayed_unit_system(), np.array([1.0]), None, 1.0)
 
+    def test_delay_below_h_min_is_rejected_at_the_boundary(self):
+        # every step is capped by the delay, so none of h_min or more could be taken
+        sys = DiscreteDelaySystem(dim=1, input_dim=0, delays=(1e-300,), rhs=lambda y, d, u: [-v for v in d[0]])
+        with pytest.raises(ValueError, match=r"1e-300.*1e-12"):
+            integrate(sys, HistoryFn.constant([1.0], 1e-300), None, 1.0)
+        opts = IntegratorOptions(h_min=1e-3)
+        with pytest.raises(ValueError, match=r"0\.0005.*0\.001"):
+            integrate(dataclasses.replace(sys, delays=(5e-4,)), HistoryFn.constant([1.0], 5e-4), None, 1.0, opts)
+        out = integrate(dataclasses.replace(sys, delays=(1e-3,)), HistoryFn.constant([1.0], 1e-3), None, 0.01, opts)
+        assert out.trajectory.t_end == 0.01
+
 
 class TestDenseOutput:
     def test_node_values_exact(self):
@@ -227,6 +239,15 @@ class TestDenseOutput:
         dense = max(float(np.abs(traj.eval(t)).max()) for t in np.linspace(0.0, 7.0, 5001))
         assert traj.sup_norm(0.0, 7.0) >= dense - 1e-12
         assert traj.sup_norm(0.0, 7.0) == pytest.approx(1.0, abs=1e-6)
+
+    def test_sup_of_a_run_that_escapes_at_its_start(self):
+        # a start at the threshold is one node and no segment: its sup is the node's
+        for x0, sup in (([2e6, 0.0], 2e6), ([-3.0, 1e6], 1e6)):
+            out = integrate(planar_system(), x0, None, 1.0)
+            traj = out.trajectory
+            assert (out.flag, out.t_escape, len(traj.ts)) == ("threshold", 0.0, 1)
+            assert traj.sup_norm(0.0, 0.0) == traj.sup_norm(-1.0, 5.0) == sup
+            assert traj.last_time_above(1.0) == 0.0
 
     def test_last_time_above(self):
         out = integrate(decay_system(), np.array([1.0]), None, 5.0)

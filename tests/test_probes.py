@@ -260,6 +260,15 @@ class TestExactFeed:
         assert (on_window < tau).all()
 
 
+    @pytest.mark.parametrize("mag", [1e-2, 1e-200, 1e-300])
+    def test_crossings_are_decided_by_signs(self, mag):
+        # the product of two values below ~1e-162 is -0.0: the signs decide
+        hist = HistoryFn(np.array([-1.0, -0.5, 0.0]), np.array([[mag], [-mag], [-mag]]) * [1.0, 0.0, 0.0])
+        assert saturation_stop_times(hist, 1.0, 2.0).tolist() == [0.25]
+        flat = HistoryFn(np.array([-1.0, -0.5, 0.0]), np.array([[mag], [0.0], [-mag]]) * [1.0, 0.0, 0.0])
+        assert saturation_stop_times(flat, 1.0, 2.0).tolist() == [0.5]
+
+
 class TestRfcSweep:
     def test_sweep_monotone(self, rfc_run):
         res = rfc_run

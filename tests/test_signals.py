@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import pieces_ref
 from delayreach.probes import DEFAULT_DELTAS, escape_schedule
 from delayreach.signals import (
     Concatenation,
@@ -15,7 +16,7 @@ from delayreach.signals import (
     PiecewiseLinear,
     TimeShift,
     Window,
-    _linear,
+    _render,
     from_json,
     smooth_square,
 )
@@ -37,7 +38,7 @@ class TestScalarPieces:
             v0, v1 = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, n))
             v0[rng.random(n) < 0.1] = -0.0
             v1[rng.random(n) < 0.1] = -0.0
-            line = _linear(k0, k1, v0.tolist(), v1.tolist())
+            line = _render(("line", k0, k1 - k0, v0.tolist(), v1.tolist()))
             for t in [k0, k1] + rng.uniform(k0 - 1.0, k1 + 1.0, size=5).tolist():
                 out = line(t)
                 assert is_float_list(out) and len(out) == n
@@ -120,7 +121,7 @@ class TestPiecewiseLinear:
                     expect = [values[max(i, 0)].tolist()] * 3
                     probes = [t, t + 1.0, t + 2.0]
                 else:
-                    line = _linear(knots[i], knots[i + 1], values[i].tolist(), values[i + 1].tolist())
+                    line = pieces_ref._linear(knots[i], knots[i + 1], values[i].tolist(), values[i + 1].tolist())
                     probes = [t, 0.5 * (knots[i] + knots[i + 1]), knots[i + 1]]
                     expect = [line(p) for p in probes]
                 got = s.piece(t, t)
@@ -449,6 +450,24 @@ class TestSignalProperties:
                 assert np.allclose(p(b), sig.eval(np.nextafter(b, -np.inf)), rtol=0.0, atol=1e-9)
             # the window's own end is no breakpoint: the last piece is eval there
             assert np.array(p(hi)).tobytes() == sig.eval(hi).tobytes()
+
+    @pytest.mark.parametrize("cls", SIGNAL_CLASSES, ids=lambda c: c.__name__)
+    def test_piece_is_the_reference(self, cls):
+        # each piece, rendered from its form, is the closure the parent built
+        # (`pieces_ref`) bit for bit, of the same type, at random times on and
+        # off its interval; a closed form is the floats the closure carried
+        for i in range(60):
+            rng = np.random.default_rng((SIGNAL_CLASSES.index(cls), i, 39))
+            sig = random_signal(rng, cls, int(rng.integers(1, 4)))
+            cuts = np.sort(np.concatenate([[0.0, rng.uniform(0.0, 6.0)], rng.uniform(0.0, 6.0, size=4)]))
+            for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                got, want = sig.piece(a, b), pieces_ref.piece(sig, a, b)
+                for t in [a, b, 0.5 * (a + b)] + rng.uniform(-1.0, 7.0, size=5).tolist():
+                    g, w = got(t), want(t)
+                    assert type(g) is type(w) and np.array(g).tobytes() == np.array(w).tobytes(), (i, a, t)
+                kind, *floats = sig._form(a, b)
+                if kind != "call":
+                    assert (kind, *map(repr, floats)) == (want.form[0], *map(repr, want.form[1:])), (i, a)
 
     def test_piece_refuses_negative_times(self):
         with pytest.raises(OutOfDomain):

@@ -12,8 +12,8 @@ from delayreach.integrator import (HistoryFn, IntegratorOptions, MaxStepsExceede
                                   _piece_floats, integrate)
 from delayreach.lyap import A_MODE1, A_MODE2, Mat2
 from delayreach.probes import PROBE_OPTS, escape_schedule, random_history
-from delayreach.signals import (Constant, ExponentialTail, PiecewiseConstant, PiecewiseLinear, TimeShift, _constant, _linear, _maker,
-                                smooth_square)
+from delayreach.signals import (Concatenation, Constant, ExponentialTail, PiecewiseConstant, PiecewiseLinear, Signal,
+                                TimeShift, _render, smooth_square)
 from delayreach import escape_data, probes, systems
 from delayreach.systems import (
     DEFAULT_DELAY,
@@ -516,19 +516,19 @@ class TestFedField:
 
     @staticmethod
     def pieces(w, dim, rng):
-        """(kind, piece, times) with component 0 of the piece w at its first
+        """(kind, form, times) with component 0 of the piece w at its first
         time, the other components random, for every kind of piece."""
         rest = rng.normal(size=dim - 1).tolist()
         a, span = rng.uniform(0.0, 2.0), rng.uniform(0.01, 1.0)
         other = [rng.uniform(-1.0, 2.0), *rng.normal(size=dim - 1).tolist()]
         inside = [a + span * rng.uniform(), a + span * rng.uniform()]
-        return [("constant", _constant(np.array([w, *rest])), [a]),
-                ("constant", _constant([w, *rest]), [a]),
-                ("line", _linear(a, a + span, [w, *rest], other), [a, *inside]),
-                ("line", _linear(a, a + span, other, [w, *rest]), [a + span, *inside]),
-                ("decay", _maker("decay", dim)([w, *rest], rng.uniform(-0.5, 3.0), a), [a, *inside]),
-                ("call", lambda t: [w, *rest], [a, *inside]),
-                ("call", TimeShift(Constant([rng.uniform(-1.0, 2.0)] * dim), 0.3).piece(a, a + span), inside)]
+        return [("constant", ("constant", np.array([w, *rest])), [a]),
+                ("constant", ("constant", [w, *rest]), [a]),
+                ("line", ("line", a, a + span - a, [w, *rest], other), [a, *inside]),
+                ("line", ("line", a, a + span - a, other, [w, *rest]), [a + span, *inside]),
+                ("decay", ("decay", [w, *rest], rng.uniform(-0.5, 3.0), a), [a, *inside]),
+                ("call", ("call", lambda t: [w, *rest]), [a, *inside]),
+                ("call", TimeShift(Constant([rng.uniform(-1.0, 2.0)] * dim), 0.3)._form(a, a + span), inside)]
 
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
     def test_fused_stage_is_the_rhs(self, name):
@@ -541,12 +541,12 @@ class TestFedField:
         ys = np.vstack([ys, [[v] * sys.dim for v in special]]).tolist()
         kinds = set()
         for w in self.FEEDS:
-            for kind, piece, times in self.pieces(w, 3 if name != "planar" else 1, rng):
-                floats = _piece_floats(piece, min(times), max(times), fed.top)
+            for kind, form, times in self.pieces(w, 3 if name != "planar" else 1, rng):
+                floats = _piece_floats(form, min(times), max(times), fed.top)
                 kinds.add(floats[0])
                 assert floats[0] == kind
                 for t in times:
-                    v = piece(t)
+                    v = _render(form)(t)
                     for y in ys:
                         want = sys.rhs(y, (v,), ()) if sys.delays else sys.rhs(y, (), v)
                         assert self.bits(stage(t, y, *floats, *values)) == self.bits(want), (kind, w, t, y)
@@ -613,6 +613,26 @@ class TestFedField:
         # T > tau: past tau the feed is a lookup of the dense output, one call per stage
         self.both_loops(monkeypatch, lambda integ: probes.estimate_R("cascade", 2.0, 3.0 * DEFAULT_DELAY, 4))
 
+    def test_fed_runs_render_no_piece(self, monkeypatch):
+        # a fed run reads each interval's floats from its form: with Signal.piece
+        # refused it runs as before, for a history (then past tau), a line then
+        # a decay, steps and a time shift, which is a call
+        rng = np.random.default_rng(6)
+        hist = random_history(rng, 0.5, DEFAULT_DELAY, 3)
+        tail = Concatenation(PiecewiseLinear([0.0, 1.0], [[0.2], [1.7]]), ExponentialTail([1.7], 1.0, 1.0), 1.0)
+        steps = PiecewiseConstant(rng.uniform(-0.5, 1.5, size=(4, 1)), [0.5, 1.0, 2.0])
+        runs = [(cascade_system(DEFAULT_DELAY), hist, None, 2.5 * DEFAULT_DELAY),
+                *((associated_system(), [0.5, 1.0, -0.5], u, 4.0) for u in (tail, steps, TimeShift(tail, 0.4))),
+                (planar_system(), [0.5, -0.2], steps, 3.0)]
+
+        def run():
+            outs = [integrate(*args, PROBE_OPTS) for args in runs]
+            return [(o.flag, o.trajectory.ts.tobytes(), o.trajectory.qs.tobytes()) for o in outs]
+
+        want = run()
+        monkeypatch.setattr(Signal, "piece", lambda *a: pytest.fail("Signal.piece called on the fed path"))
+        assert run() == want
+
     def test_associated_driven_by_inputs(self, monkeypatch):
         rng = np.random.default_rng(5)
         steps = PiecewiseConstant(rng.uniform(-0.5, 1.5, size=(6, 1)), np.sort(rng.uniform(0.0, 3.0, size=5)))
@@ -638,13 +658,13 @@ class TestHeldFeed:
         rng = np.random.default_rng(37)
         for _ in range(200):
             a, span = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-8.0, 2.0)
-            line = _linear(a, a + span, [0.0, 1.0], [0.0, -2.0])
-            kind, *_, t_in, t_out, hold = _piece_floats(line, a, a + span, self.TOP)
+            form = ("line", a, a + span - a, [0.0, 1.0], [0.0, -2.0])
+            kind, *_, t_in, t_out, hold = _piece_floats(form, a, a + span, self.TOP)
             assert kind == "constant" and (t_in, t_out) == (-math.inf, math.inf) and self.bits(hold) == self.bits(0.0)
             ts = np.concatenate([a + span * rng.uniform(size=50), [a, a + span, np.nextafter(a + span, np.inf)]])
-            assert all(self.bits(line(t)[0]) == self.bits(0.0) for t in ts)
+            assert all(self.bits(_render(form)(t)[0]) == self.bits(0.0) for t in ts)
         for v0, v1 in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 5e-324), (1.0, 1.0)):
-            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)[0] == "line"
+            assert _piece_floats(("line", 0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)[0] == "line"
 
     @staticmethod
     def gain_pairs(rng):
@@ -684,7 +704,7 @@ class TestHeldFeed:
     def smallest_held(top=TOP):
         """The smallest float x > 1 whose flat line x -> x is held above 1."""
         x = math.nextafter(1.0, 2.0)
-        while _piece_floats(_linear(0.0, 1.0, [x], [x]), 0.0, 1.0, top)[8] != 0.0:
+        while _piece_floats(("line", 0.0, 1.0, [x], [x]), 0.0, 1.0, top)[8] != 0.0:
             x = math.nextafter(x, math.inf)
         return x
 
@@ -701,21 +721,21 @@ class TestHeldFeed:
                     else rng.uniform(-2.0, 3.0) * 10.0 ** rng.integers(-3, 4) for _ in range(2)]
             a, span = rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-6.0, 1.0)
             if j % 2:
-                piece = _linear(a, a + span, [ends[0]], [ends[1]])
+                form = ("line", a, a + span - a, [ends[0]], [ends[1]])
                 lo, hi = np.sort(a + span * rng.uniform(size=2))
                 lo, hi = (a, a + span) if j % 4 == 1 else (lo, hi)
             else:
                 rate = 10.0 ** rng.uniform(-2.0, 1.0)
-                piece = _maker("decay", 1)([ends[0]], rate, a)
+                form = ("decay", [ends[0]], rate, a)
                 lo, hi = a + np.cumsum(rng.uniform(0.0, 800.0 / rate, 2) * 10.0 ** rng.integers(-4, 1, 2))
-            kind, *_, t_in, t_out, hold = _piece_floats(piece, lo, hi, self.TOP)
+            kind, *_, t_in, t_out, hold = _piece_floats(form, lo, hi, self.TOP)
             if kind == "constant" or t_in > t_out:
                 continue
             held.add(("line" if j % 2 else "decay", hold, t_in == lo and t_out == hi))
             ts = np.concatenate([rng.uniform(t_in, t_out, 200), [t_in, t_out, np.nextafter(t_in, np.inf),
                                                                 np.nextafter(t_out, -np.inf)]])
             for t in ts[(ts >= t_in) & (ts <= t_out)]:
-                w = piece(t)[0]
+                w = _render(form)(t)[0]
                 assert (w >= 1.0) if hold >= 1.0 else (w < 0.0), (j, ends, lo, hi, t_in, t_out, t, w)
         # a line is held on its whole piece or not at all, a decay on a prefix
         assert {("line", v, True) for v in (1.0, -1.0)} <= held
@@ -729,14 +749,14 @@ class TestHeldFeed:
         for v0, v1, hold in ((x, x, 1.0), (3.0, 1.5, 1.0), (1.0, 1.0, 1.0), (-1e-323, -1e-323, -1.0), (-1.0, -0.5, -1.0),
                              (below, x, None), (below, below, None), (0.0, -0.0, None), (-0.0, -0.0, None),
                              (-5e-324, -5e-324, None), (1.0, 1.0 + 2.0 ** -52, None)):
-            *_, t_in, t_out, held = _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)
+            *_, t_in, t_out, held = _piece_floats(("line", 0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)
             assert (t_in, t_out, held) == ((0.0, 1.0, hold) if hold else (math.inf, -math.inf, 0.0)), (v0, v1)
         # a piece on the part of a line past its crossing: the branch of its floats, not of its knots
-        assert _piece_floats(_linear(0.0, 1.0, [0.5], [-1.5]), 0.75, 1.0, self.TOP)[8:] == (0.75, 1.0, -1.0)
-        assert _piece_floats(_linear(0.0, 1.0, [-0.5], [2.5]), 0.75, 1.0, self.TOP)[8:] == (0.75, 1.0, 1.0)
+        assert _piece_floats(("line", 0.0, 1.0, [0.5], [-1.5]), 0.75, 1.0, self.TOP)[8:] == (0.75, 1.0, -1.0)
+        assert _piece_floats(("line", 0.0, 1.0, [-0.5], [2.5]), 0.75, 1.0, self.TOP)[8:] == (0.75, 1.0, 1.0)
         # a line that reaches -0.0 at its end, or the level at its end, is not held
         for v0, v1 in ((-1.0, -0.0), (2.0, 1.0), (1.0, 2.0)):
-            assert _piece_floats(_linear(0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)[8:] == (math.inf, -math.inf, 0.0)
+            assert _piece_floats(("line", 0.0, 1.0, [v0], [v1]), 0.0, 1.0, self.TOP)[8:] == (math.inf, -math.inf, 0.0)
 
     def test_held_pieces_are_the_blend(self, monkeypatch):
         # lines at and one ulp below the margin, from and to signed zeros, the
